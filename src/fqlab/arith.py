@@ -21,8 +21,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .fieldpoly import FieldSpec, Poly
-from .sieve import Factorization, IrreducibleTable, factorize
+from .fieldpoly import FieldSpec, Poly, monic_from_index
+from .sieve import (
+    Factorization,
+    IrreducibleTable,
+    TableTooSmallError,
+    factor_patterns,
+    factorize,
+)
 
 
 class SpecError(ValueError):
@@ -270,6 +276,38 @@ def eval_on(fact: Factorization, spec: FunctionSpec):
 
 def eval_additive_on(fact: Factorization, spec: AdditiveSpec) -> float:
     return sum(spec.value_at(P, m) for P, m in fact.factors)
+
+
+def trial_limit(functions, n: int, table: IrreducibleTable) -> int | None:
+    """Largest prime degree trial division must report at degree n: None
+    (factor fully) unless every function is neutral (1, or 0 if additive)
+    on primes above some degree, so the cofactor left untouched changes
+    no value."""
+    bounds = [psi.trivial_beyond_degree for psi in functions]
+    limit = None if None in bounds else min(max(bounds), n // 2)
+    need = n // 2 if limit is None else limit
+    if table.max_deg < need:
+        raise TableTooSmallError(
+            f"need primes to degree {need}, table has {table.max_deg}")
+    return limit
+
+
+def shifted_values(psi: FunctionSpec | AdditiveSpec, table: IrreducibleTable,
+                   n: int, h: Poly, limit: int | None):
+    """Map from the enumeration index of a monic f of degree n to
+    psi(f + h): the product (FunctionSpec) or sum (AdditiveSpec) of psi
+    over the prime powers of f + h, reported up to limit (trial_limit).
+
+    Degree-symmetric functions read the factorization pattern and cache
+    their values per (degree, mult); the rest factor f + h in full and
+    evaluate on the primes themselves.
+    """
+    if psi.degree_symmetric and psi.rule_dm is not None:
+        pattern, ev = factor_patterns(table, n, h, limit), psi.evaluator_dm()
+        return lambda idx: ev(pattern(idx))
+    field = table.field
+    ev = eval_additive_on if isinstance(psi, AdditiveSpec) else eval_on
+    return lambda idx: ev(factorize(monic_from_index(field, n, idx) + h, table), psi)
 
 
 def phi(f: Poly | Factorization, table: IrreducibleTable | None = None) -> int:

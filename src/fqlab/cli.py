@@ -124,7 +124,9 @@ def _cache_dir(cfg: ExperimentConfig, flag) -> Path:
 
 def get_table(p: int, need_deg: int, cache: Path,
               budget: int = DEFAULT_CELL_BUDGET) -> IrreducibleTable:
-    """Load the smallest adequate cached table, else build and cache."""
+    """Load the smallest adequate cached table, else build and cache.  A
+    cached file that fails to load, or whose header disagrees with its
+    name, is deleted and replaced by a fresh build."""
     best = None
     for f in sorted(cache.glob(f"p{p}_d*.fqi")):
         try:
@@ -134,7 +136,16 @@ def get_table(p: int, need_deg: int, cache: Path,
         if d >= need_deg and (best is None or d < best[0]):
             best = (d, f)
     if best is not None:
-        return IrreducibleTable.load(best[1])
+        d, path = best
+        try:
+            table = IrreducibleTable.load(path)
+            if (table.field.p, table.max_deg) != (p, d):
+                raise SieveError(f"{path}: header says p={table.field.p}, "
+                                 f"max_deg={table.max_deg}")
+            return table
+        except SieveError as exc:
+            print(f"rebuilding bad cache file: {exc}", file=sys.stderr)
+            path.unlink(missing_ok=True)
     table = build_table(FieldSpec(p), need_deg, budget)
     table.save(cache / f"p{p}_d{need_deg}.fqi")
     return table
@@ -253,6 +264,7 @@ def _cmd_correlate(args, cfg) -> int:
     omit = bool(int(cfg.get("omit_timing", args.omit_timing, 0)))
     nr = cfg.get("n_range", args.n_range)
     ns = _parse_range(nr) if nr else [int(cfg.get("n", args.n, 8))]
+    _check_enumeration(args, cfg, p, max(ns), domain)
     need = max(_needed_degree(n, functions, shifts, gamma, domain, p)
                for n in ns)
     table = get_table(p, need, _cache_dir(cfg, args.cache_dir),
@@ -270,6 +282,16 @@ def _cmd_correlate(args, cfg) -> int:
                      f"normalized={last['normalized_re']} "
                      f"deviation={last['deviation']}")
     return 0
+
+
+def _check_enumeration(args, cfg, p: int, n: int, domain: str = "monic") -> None:
+    """Refuse to enumerate more monic polynomials than the cell budget;
+    the prime domain is bounded by its degree-n table instead."""
+    budget = int(cfg.get("budget", args.budget, DEFAULT_CELL_BUDGET))
+    if domain == "monic" and p**n > budget:
+        raise MemoryBudgetError(
+            f"enumerating the {p}^{n} monic polynomials of degree {n} "
+            f"exceeds the budget {budget}")
 
 
 def _needed_degree(n, functions, shifts, gamma, domain, p) -> int:
@@ -320,6 +342,7 @@ def _cmd_chowla(args, cfg) -> int:
     ns = _parse_range(cfg.get("n_range", args.n_range, "8:16"))
     partitions = int(cfg.get("partitions", args.partitions, 1))
     omit = bool(int(cfg.get("omit_timing", args.omit_timing, 0)))
+    _check_enumeration(args, cfg, p, max(ns))
     lam = builtin("liouville_truncated", field, y=y)
     zero = parse_poly("0", field)
     need = max(y, 1, h.degree if not h.is_zero else 1)
@@ -347,6 +370,7 @@ def _cmd_dist(args, cfg) -> int:
     psi2 = parse_additive_spec(cfg.get("psi2", args.psi2, "log_phi_ratio"), field)
     h1 = parse_poly(cfg.get("h1", args.h1, "0"), field)
     h2 = parse_poly(cfg.get("h2", args.h2, "1"), field)
+    _check_enumeration(args, cfg, p, n, domain)
     need = max(n // 2, 1, n if domain == "prime" else 0)
     table = get_table(p, need, _cache_dir(cfg, args.cache_dir))
     dist = empirical_distribution(psi1, psi2, ShiftPair(h1, h2), n, domain, table)
@@ -368,6 +392,7 @@ def _cmd_charfn(args, cfg) -> int:
     h1 = parse_poly(cfg.get("h1", args.h1, "0"), field)
     h2 = parse_poly(cfg.get("h2", args.h2, "1"), field)
     grid = _parse_t_grid(cfg.get("t_grid", args.t_grid, "-3:3:0.5"))
+    _check_enumeration(args, cfg, p, n, domain)
     need = max(n // 2, 5, n if domain == "prime" else 0)
     table = get_table(p, need, _cache_dir(cfg, args.cache_dir))
     comp = charfn_comparison(psi1, psi2, ShiftPair(h1, h2), n, domain, grid, table)

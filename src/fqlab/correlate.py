@@ -2,11 +2,13 @@
 
 correlate() evaluates sum over the domain of prod_i psi_i(f + h_i) by
 exhaustive enumeration: each shifted value f + h_i is factored on its own
-by trial division (no cross-element sieving; correctness first, the
-enumeration partitions supply the parallelism).  Integer-valued function
-sets accumulate in exact integers, which makes the raw sums bit-identical
-across any partitioning; everything else uses compensated summation per
-partition with partitions combined in ascending order.
+by trial division (no cross-element sieving; correctness first), through
+the evaluation engine that the stats module shares (arith.shifted_values
+over sieve.factor_patterns).  The enumeration partitions run one after
+another in this process.  Integer-valued function sets accumulate in
+exact integers, which makes the raw sums bit-identical across any
+partitioning; everything else uses compensated summation per partition
+with partitions combined in ascending order.
 
 Trial division stops early when every function in play is identically 1
 on primes above some degree: the untouched cofactor then contributes an
@@ -19,7 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .arith import FunctionSpec, eval_on
+from .arith import FunctionSpec, shifted_values, trial_limit
 from .fieldpoly import (
     FieldSpec,
     Poly,
@@ -36,14 +38,7 @@ from .mainterm import (
     error_bound_shape,
     main_term,
 )
-from .sieve import (
-    IrreducibleTable,
-    TableTooSmallError,
-    _factor_bits_limited,
-    _factor_bits_pairs,
-    _factor_coeffs,
-    factorize,
-)
+from .sieve import IrreducibleTable, TableTooSmallError, domain_indices
 from . import arith
 
 
@@ -141,16 +136,6 @@ def _partition_bounds(total: int, parts: int):
     return [(total * i // parts, total * (i + 1) // parts) for i in range(parts)]
 
 
-def _trial_limit(spec: CorrelationSpec) -> int:
-    """Largest prime degree trial division must reach: half the domain
-    degree in general, or the common triviality bound when every function
-    ignores larger primes."""
-    bounds = [psi.trivial_beyond_degree for psi in spec.functions]
-    if all(b is not None for b in bounds):
-        return min(max(bounds), spec.n // 2)
-    return spec.n // 2
-
-
 def correlate(spec: CorrelationSpec, table: IrreducibleTable) -> CorrelationReport:
     """Evaluate the correlation sum exactly and attach the predicted main
     term (two functions, both unit bounded)."""
@@ -158,37 +143,19 @@ def correlate(spec: CorrelationSpec, table: IrreducibleTable) -> CorrelationRepo
         raise EngineError("table built for a different field")
     q = spec.field.p
     n = spec.n
-    limit = _trial_limit(spec)
     if spec.domain == "prime" and table.max_deg < n:
         raise TableTooSmallError(
             f"prime domain at degree {n} needs the degree-{n} listing")
-    if table.max_deg < limit:
-        raise TableTooSmallError(
-            f"need primes to degree {limit}, table has {table.max_deg}")
+    limit = trial_limit(spec.functions, n, table)
 
     t0 = time.perf_counter()
-    symmetric = all(psi.degree_symmetric and psi.rule_dm is not None
-                    for psi in spec.functions)
     integer = all(psi.integer_valued for psi in spec.functions)
-    fullfact = any(psi.trivial_beyond_degree is None for psi in spec.functions)
-
-    if spec.domain == "monic":
-        domain_size = q**n
-        source = None
-    else:
-        source = table.prime_indices(n)
-        domain_size = len(source)
-
-    partials = []
-    for lo, hi in _partition_bounds(domain_size, spec.partitions):
-        if symmetric and q == 2:
-            partials.append(_sum_bits(spec, table, lo, hi, source, limit,
-                                      fullfact, integer))
-        elif symmetric:
-            partials.append(_sum_coeffs(spec, table, lo, hi, source, limit,
-                                        fullfact, integer))
-        else:
-            partials.append(_sum_generic(spec, table, lo, hi, source, integer))
+    values = [shifted_values(psi, table, n, h, limit)
+              for psi, h in zip(spec.functions, spec.shifts)]
+    source = domain_indices(table, n, spec.domain)
+    domain_size = len(source)
+    partials = [_partial_sum(values, source[lo:hi], integer)
+                for lo, hi in _partition_bounds(domain_size, spec.partitions)]
 
     if integer:
         raw: complex | int = sum(partials)
@@ -223,85 +190,15 @@ def correlate(spec: CorrelationSpec, table: IrreducibleTable) -> CorrelationRepo
         seconds=time.perf_counter() - t0, partitions=spec.partitions)
 
 
-def _sum_bits(spec, table, lo, hi, source, limit, fullfact, integer):
-    """p = 2 hot loop on integer bitmasks."""
-    n = spec.n
-    rows = table.bit_rows(max(1, limit))
-    evs = [psi.evaluator_dm() for psi in spec.functions]
-    hbits = [h.encode() for h in spec.shifts]
-    lead = 1 << n
+def _partial_sum(values, indices, integer: bool):
+    """Sum of prod_i values[i](idx) over one partition, skipping the
+    remaining shifts once the product is 0."""
     acc_i = 0
     acc_f = _Kahan()
-    pairs_of = _factor_bits_pairs if fullfact else _factor_bits_limited
-    for pos in range(lo, hi):
-        base = lead | pos if source is None else lead | int(source[pos])
+    for idx in indices:
         v = 1
-        for hb, ev in zip(hbits, evs):
-            g = base ^ hb
-            if fullfact:
-                pairs = pairs_of(g, rows)
-            else:
-                pairs = pairs_of(g, rows, limit)
-            v = v * ev(pairs)
-            if v == 0:
-                break
-        if integer:
-            acc_i += v
-        else:
-            acc_f.add(v)
-    return acc_i if integer else acc_f.total()
-
-
-def _sum_coeffs(spec, table, lo, hi, source, limit, fullfact, integer):
-    """General-p loop on coefficient lists (degree-symmetric functions)."""
-    n = spec.n
-    p = spec.field.p
-    rows = table.coeff_rows(max(1, limit))
-    evs = [psi.evaluator_dm() for psi in spec.functions]
-    hcoef = []
-    for h in spec.shifts:
-        cs = list(h.coeffs) + [0] * (n - len(h.coeffs))
-        hcoef.append(cs[:n])
-    acc_i = 0
-    acc_f = _Kahan()
-    eff_limit = None if fullfact else limit
-    for pos in range(lo, hi):
-        idx = pos if source is None else int(source[pos])
-        digits = []
-        v_ = idx
-        for _ in range(n):
-            digits.append(v_ % p)
-            v_ //= p
-        v = 1
-        for hc, ev in zip(hcoef, evs):
-            coeffs = [(digits[i] + hc[i]) % p for i in range(n)]
-            coeffs.append(1)
-            raw = _factor_coeffs(p, coeffs, rows, eff_limit)
-            pairs = [(len(pc) - 1, m) for pc, m in raw]
-            v = v * ev(pairs)
-            if v == 0:
-                break
-        if integer:
-            acc_i += v
-        else:
-            acc_f.add(v)
-    return acc_i if integer else acc_f.total()
-
-
-def _sum_generic(spec, table, lo, hi, source, integer):
-    """Fallback for functions needing the primes themselves (no degree
-    symmetry); factors through Poly objects, fine for small n."""
-    n = spec.n
-    field = spec.field
-    acc_i = 0
-    acc_f = _Kahan()
-    for pos in range(lo, hi):
-        idx = pos if source is None else int(source[pos])
-        f = monic_from_index(field, n, idx)
-        v = 1
-        for h, psi in zip(spec.shifts, spec.functions):
-            fact = factorize(f + h, table)
-            v = v * eval_on(fact, psi)
+        for value in values:
+            v = v * value(idx)
             if v == 0:
                 break
         if integer:

@@ -197,12 +197,15 @@ def local_factor(P, k: int | None, psi1: FunctionSpec, psi2: FunctionSpec,
 # unconstrained factors beyond gamma
 # ---------------------------------------------------------------------------
 
-def _bulk_factor(spec_pair, d: int, q: int, mode: str, m_max: int):
-    """Per-prime factor at degree d, returned as (factor - 1, m-tail).
+def _euler_factor(spec_pair, value, d: int, q: int, mode: str, m_max: int):
+    """Per-prime factor at a prime P of degree d, returned as
+    (factor - 1, m-tail); value(spec, m) is spec's value at P^m.
 
     Keeping the deviation from 1 rather than the factor itself preserves
     deviations far below machine epsilon; the product layer consumes it
     through log1p so mass of order 2^-60 per prime is not rounded away.
+    Both specs add into one running sum, whose order the certified main
+    terms depend on bit for bit.
     """
     inner = 0
     tail = 0.0
@@ -218,7 +221,7 @@ def _bulk_factor(spec_pair, d: int, q: int, mode: str, m_max: int):
             prev = 1
             w = x
             for m in range(1, top + 1):
-                cur = spec.value_dm(d, m)
+                cur = value(spec, m)
                 if cur != prev:
                     inner += (cur - prev) * w
                 prev = cur
@@ -227,7 +230,7 @@ def _bulk_factor(spec_pair, d: int, q: int, mode: str, m_max: int):
             last = 1
             w = x
             for m in range(1, top + 1):
-                last = spec.value_dm(d, m)
+                last = value(spec, m)
                 if last != 1:
                     inner += (last - 1) * w
                 w *= x
@@ -400,10 +403,8 @@ def large_prime_product(gamma: int, n: int | None, psi1: FunctionSpec,
         acc = _LogProductAccumulator()
         for d in range(gamma + 1, n + 1):
             for P in table.primes(d):
-                pair = tuple(_single_poly_factor(s, P, q, mode, m_max)
-                             for s in spec_pair)
-                inner = pair[0][0] + pair[1][0]
-                t = pair[0][1] + pair[1][1]
+                inner, t = _euler_factor(
+                    spec_pair, lambda s, m: s.value_at(P, m), d, q, mode, m_max)
                 if guard and abs(1 + inner) < 0.25:
                     raise ThresholdError(
                         f"factor at degree {d} has modulus "
@@ -414,7 +415,8 @@ def large_prime_product(gamma: int, n: int | None, psi1: FunctionSpec,
     acc = _LogProductAccumulator()
     if n is not None:
         for d in range(gamma + 1, n + 1):
-            inner, t = _bulk_factor(spec_pair, d, q, mode, m_max)
+            inner, t = _euler_factor(
+                spec_pair, lambda s, m: s.value_dm(d, m), d, q, mode, m_max)
             if guard and abs(1 + inner) < 0.25:
                 raise ThresholdError(
                     f"factor at degree {d} has modulus {abs(1 + inner):.3f} "
@@ -434,7 +436,8 @@ def large_prime_product(gamma: int, n: int | None, psi1: FunctionSpec,
     zeros = 0
     d = gamma + 1
     while d <= gamma + _EXTEND_LIMIT:
-        inner, t = _bulk_factor(spec_pair, d, q, mode, m_max)
+        inner, t = _euler_factor(
+            spec_pair, lambda s, m: s.value_dm(d, m), d, q, mode, m_max)
         if guard and abs(1 + inner) < 0.25:
             raise ThresholdError(
                 f"factor at degree {d} has modulus {abs(1 + inner):.3f} "
@@ -465,40 +468,6 @@ def large_prime_product(gamma: int, n: int | None, psi1: FunctionSpec,
             f"{tail_target:g} within {_EXTEND_LIMIT} degrees past gamma; "
             "the functions do not look close to 1")
     return acc.result(extra_rel=math.expm1(rem))
-
-
-def _single_poly_factor(spec: FunctionSpec, P: Poly, q: int, mode: str,
-                        m_max: int):
-    """One spec's additive contribution to a per-prime factor (slow path
-    for functions without degree symmetry)."""
-    d = P.degree
-    x = float(q) ** (-d)
-    if spec.trivial_beyond_degree is not None and d > spec.trivial_beyond_degree:
-        return 0, 0.0
-    settle = spec.power_settle
-    exact = settle is not None and settle <= m_max
-    top = settle if exact else m_max
-    inner = 0
-    if mode == "monic":
-        prev = 1
-        w = x
-        for m in range(1, top + 1):
-            cur = spec.value_at(P, m)
-            inner += (cur - prev) * w
-            prev = cur
-            w *= x
-    else:
-        last = 1
-        w = x
-        for m in range(1, top + 1):
-            last = spec.value_at(P, m)
-            if last != 1:
-                inner += (last - 1) * w
-            w *= x
-        if exact and last != 1:
-            inner += (last - 1) * w / (1.0 - x)
-    tail = 0.0 if exact else 2.0 * x ** (m_max + 1) / (1.0 - x)
-    return inner, tail
 
 
 def main_term(n: int | None, gamma: int | None, shifts: ShiftPair | None,

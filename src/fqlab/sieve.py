@@ -6,6 +6,10 @@ exactly the irreducibles.  Everything is vectorized over the enumeration
 index space (numpy), with a bitmask kernel for p = 2 and a base-p digit
 kernel for general p.
 
+Trial division runs on one bitmask kernel (p = 2) and one coefficient
+list kernel (odd p); factor_patterns puts them behind the enumeration
+index space for the correlate and stats scans.
+
 Counts are validated against the necklace identity sum_{d|n} d*N_d = q^n
 (the coefficient form of the zeta function's Euler product) and against
 the square-root error shape |n*N_n - q^n| <= 4*q^{n/2}.  Counts beyond
@@ -16,12 +20,16 @@ The cache file layout (little endian) is:
   magic "FFQI", u32 format version, u32 p, u32 max_deg,
   then for d = 1..max_deg: u64 N_d, then N_d records of d bytes each
   holding coefficients c0..c_{d-1} (leading 1 implicit).
-A loaded cache is trusted only after the necklace identity passes.
+A file is written under a temporary name and renamed into place.  A
+loaded cache is trusted only after every N_d matches Moebius inversion
+and the necklace identity passes.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +38,7 @@ import numpy as np
 from .fieldpoly import (
     FieldSpec,
     Poly,
+    PolyError,
     monic_from_index,
 )
 
@@ -97,22 +106,22 @@ def _multiples_gf2(prime_full: int, m: int, target_deg: int) -> np.ndarray:
     return acc ^ np.uint64(1 << target_deg)
 
 
-def _digit_matrix(p: int, count: int, width: int) -> np.ndarray:
-    idx = np.arange(count, dtype=np.int64)
-    pows = p ** np.arange(width, dtype=np.int64)
-    return (idx[:, None] // pows[None, :]) % p
+def _digit_matrix(p: int, idx: np.ndarray, width: int) -> np.ndarray:
+    """Base-p digits of each index, least significant first, one row each."""
+    return (idx[:, None] // p ** np.arange(width, dtype=np.int64)) % p
 
 
-def _multiples_generic(p: int, prime_coeffs, m: int, target_deg: int) -> np.ndarray:
-    """Same as the bit kernel but in base-p digit space (any p)."""
-    cnt = p**m
-    gd = np.empty((cnt, m + 1), dtype=np.int64)
-    gd[:, :m] = _digit_matrix(p, cnt, m)
-    gd[:, m] = 1
-    out = np.zeros((cnt, target_deg + 1), dtype=np.int64)
+def _multiples_generic(p: int, prime_coeffs, cofactors: np.ndarray,
+                       target_deg: int) -> np.ndarray:
+    """Same as the bit kernel but in base-p digit space (any p); cofactors
+    holds the coefficient rows of every monic g of degree m, leading 1
+    included.  int32 holds every coefficient sum, at most
+    (m + 1) (p - 1)^2."""
+    m = cofactors.shape[1] - 1
+    out = np.zeros((len(cofactors), target_deg + 1), dtype=np.int32)
     for j, cj in enumerate(prime_coeffs):
         if cj:
-            out[:, j:j + m + 1] += cj * gd
+            out[:, j:j + m + 1] += cj * cofactors
     out %= p
     pows = p ** np.arange(target_deg, dtype=np.int64)
     return out[:, :target_deg] @ pows
@@ -170,8 +179,7 @@ class IrreducibleTable:
         self.max_deg = max_deg
         self._by_degree = by_degree  # [None, deg1 indices, deg2 indices, ...]
         self._counts = [0] + [len(a) for a in by_degree[1:]]
-        self._bit_rows: list[list[int]] | None = None
-        self._coeff_rows: list[list[tuple[int, ...]]] | None = None
+        self._prime_rows: list[list] = [[]]
         self._validate()
 
     def _validate(self) -> None:
@@ -214,70 +222,87 @@ class IrreducibleTable:
         return [monic_from_index(self.field, d, int(i))
                 for i in self.prime_indices(d)]
 
+    def _rows(self, limit: int) -> list[list]:
+        """rows[d] for d <= limit: the degree-d primes as bitmasks with the
+        leading bit set (p=2) or as coefficient tuples with the leading 1
+        (odd p).  Built one degree at a time, only as far as asked."""
+        if limit > self.max_deg:
+            raise TableTooSmallError(f"need primes to degree {limit}, have {self.max_deg}")
+        rows = self._prime_rows
+        if len(rows) <= limit:
+            p = self.field.p
+            rows = list(rows)  # readers keep the list they were handed
+            for d in range(len(rows), limit + 1):
+                idx = self._by_degree[d]
+                if p == 2:
+                    rows.append([i | (1 << d) for i in idx.tolist()])
+                else:
+                    rows.append([tuple(cs) + (1,)
+                                 for cs in _digit_matrix(p, idx, d).tolist()])
+            self._prime_rows = rows
+        return rows
+
     def bit_rows(self, limit: int) -> list[list[int]]:
         """rows[d] = degree-d prime bitmasks with the leading bit set (p=2)."""
         if self.field.p != 2:
             raise SieveError("bit rows exist only for p=2")
-        if limit > self.max_deg:
-            raise TableTooSmallError(f"need primes to degree {limit}, have {self.max_deg}")
-        if self._bit_rows is None or len(self._bit_rows) <= limit:
-            rows: list[list[int]] = [[]]
-            for d in range(1, self.max_deg + 1):
-                lead = 1 << d
-                rows.append([int(i) | lead for i in self._by_degree[d]])
-            self._bit_rows = rows
-        return self._bit_rows
+        return self._rows(limit)
 
     def coeff_rows(self, limit: int) -> list[list[tuple[int, ...]]]:
-        """rows[d] = degree-d prime coefficient tuples, leading 1 included."""
-        if limit > self.max_deg:
-            raise TableTooSmallError(f"need primes to degree {limit}, have {self.max_deg}")
-        if self._coeff_rows is None:
-            p = self.field.p
-            rows: list[list[tuple[int, ...]]] = [[]]
-            for d in range(1, self.max_deg + 1):
-                row = []
-                for i in self._by_degree[d]:
-                    v = int(i)
-                    cs = []
-                    for _ in range(d):
-                        cs.append(v % p)
-                        v //= p
-                    cs.append(1)
-                    row.append(tuple(cs))
-                rows.append(row)
-            self._coeff_rows = rows
-        return self._coeff_rows
+        """rows[d] = degree-d prime coefficient tuples, leading 1 included
+        (odd p)."""
+        if self.field.p == 2:
+            raise SieveError("p=2 rows are bitmasks; use bit_rows")
+        return self._rows(limit)
 
     # -- cache ------------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
+        """Write the cache file through a temporary file in the same
+        directory, so a reader never sees a half-written table."""
         p = self.field.p
-        with open(path, "wb") as fh:
-            fh.write(CACHE_MAGIC)
-            fh.write(struct.pack("<III", CACHE_VERSION, p, self.max_deg))
-            for d in range(1, self.max_deg + 1):
-                idx = self._by_degree[d]
-                fh.write(struct.pack("<Q", len(idx)))
-                digits = (idx.astype(np.int64)[:, None]
-                          // (p ** np.arange(d, dtype=np.int64))[None, :]) % p
-                fh.write(digits.astype(np.uint8).tobytes())
+        path = Path(path)
+        tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(CACHE_MAGIC)
+                fh.write(struct.pack("<III", CACHE_VERSION, p, self.max_deg))
+                for d in range(1, self.max_deg + 1):
+                    idx = self._by_degree[d]
+                    fh.write(struct.pack("<Q", len(idx)))
+                    fh.write(_digit_matrix(p, idx, d).astype(np.uint8).tobytes())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path: str | Path) -> "IrreducibleTable":
+        """Read a cache file; any malformed content raises SieveError."""
+        def read(fh, size: int, what: str) -> bytes:
+            raw = fh.read(size)
+            if len(raw) != size:
+                raise SieveError(f"{path}: truncated cache in {what}")
+            return raw
+
         with open(path, "rb") as fh:
             if fh.read(4) != CACHE_MAGIC:
                 raise SieveError(f"{path}: bad magic")
-            version, p, max_deg = struct.unpack("<III", fh.read(12))
+            version, p, max_deg = struct.unpack("<III", read(fh, 12, "header"))
             if version != CACHE_VERSION:
                 raise SieveError(f"{path}: unsupported cache version {version}")
-            field = FieldSpec(p)
+            try:
+                field = FieldSpec(p)
+            except PolyError as exc:
+                raise SieveError(f"{path}: {exc}") from exc
             by_degree: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
             for d in range(1, max_deg + 1):
-                (n_d,) = struct.unpack("<Q", fh.read(8))
-                raw = fh.read(n_d * d)
-                if len(raw) != n_d * d:
-                    raise SieveError(f"{path}: truncated cache at degree {d}")
+                (n_d,) = struct.unpack("<Q", read(fh, 8, f"count of degree {d}"))
+                if n_d != irreducible_count(p, d):
+                    # checked before the read, so a forged count cannot
+                    # force a huge allocation
+                    raise SieveError(f"{path}: wrong prime count at degree {d}")
+                raw = read(fh, n_d * d, f"degree {d}")
                 digits = np.frombuffer(raw, dtype=np.uint8).reshape(n_d, d)
                 if digits.size and digits.max() >= p:
                     raise SieveError(f"{path}: coefficient out of range")
@@ -313,13 +338,13 @@ def build_table(field: FieldSpec, max_deg: int,
                     full = int(idx) | (1 << d)
                     composite[_multiples_gf2(full, m, target)] = True
             else:
-                for idx in by_degree[d]:
-                    v, cs = int(idx), []
-                    for _ in range(d):
-                        cs.append(v % p)
-                        v //= p
-                    cs.append(1)
-                    composite[_multiples_generic(p, cs, m, target)] = True
+                # the cofactor rows are the same for every prime of degree d
+                cofactors = np.empty((p**m, m + 1), dtype=np.int32)
+                cofactors[:, :m] = _digit_matrix(
+                    p, np.arange(p**m, dtype=np.int64), m)
+                cofactors[:, m] = 1
+                for cs in _digit_matrix(p, by_degree[d], d).tolist():
+                    composite[_multiples_generic(p, cs + [1], cofactors, target)] = True
         by_degree.append(np.nonzero(~composite)[0].astype(np.int64))
     return IrreducibleTable(field, max_deg, by_degree)
 
@@ -328,18 +353,21 @@ def build_table(field: FieldSpec, max_deg: int,
 # factorization by trial division
 # ---------------------------------------------------------------------------
 
-def _factor_bits(bits: int, rows: list[list[int]]):
-    """Full factorization of a monic GF(2) bitmask.
+def _factor_bits(bits: int, rows: list[list[int]], limit: int | None = None):
+    """Trial division of a monic GF(2) bitmask; returns [(prime_bits, mult)]
+    sorted by (degree, index).
 
-    Returns [(prime_bits, mult)] sorted by (degree, index).  rows must
-    list primes up to half the input degree; the final cofactor, if any,
-    is irreducible because no prime up to half its degree divides it.
+    rows must list primes up to half the input degree (or up to limit).
+    limit=None factors fully: the final cofactor, if any, is irreducible
+    because no prime up to half its degree divides it.  Otherwise only
+    primes of degree <= limit are reported; a larger cofactor is dropped
+    by design.
     """
     out = []
     a = bits
     deg = a.bit_length() - 1
     d = 1
-    while 2 * d <= deg:
+    while 2 * d <= deg and (limit is None or d <= limit):
         for pb in rows[d]:
             bl = d + 1
             q, r = 0, a
@@ -368,93 +396,8 @@ def _factor_bits(bits: int, rows: list[list[int]]):
             if 2 * d > deg:
                 break
         d += 1
-    if deg > 0:
+    if deg > 0 and (limit is None or deg <= limit):
         out.append((a, 1))
-    return out
-
-
-def _factor_bits_pairs(bits: int, rows: list[list[int]]):
-    """Full factorization of a monic GF(2) bitmask as (degree, mult) pairs."""
-    out = []
-    a = bits
-    deg = a.bit_length() - 1
-    d = 1
-    while 2 * d <= deg:
-        for pb in rows[d]:
-            bl = d + 1
-            q, r = 0, a
-            while True:
-                sh = r.bit_length() - bl
-                if sh < 0:
-                    break
-                r ^= pb << sh
-                q |= 1 << sh
-            if r:
-                continue
-            m, a = 1, q
-            while True:
-                q, r = 0, a
-                while True:
-                    sh = r.bit_length() - bl
-                    if sh < 0:
-                        break
-                    r ^= pb << sh
-                    q |= 1 << sh
-                if r:
-                    break
-                a, m = q, m + 1
-            out.append((d, m))
-            deg = a.bit_length() - 1
-            if 2 * d > deg:
-                break
-        d += 1
-    if deg > 0:
-        out.append((deg, 1))
-    return out
-
-
-def _factor_bits_limited(bits: int, rows: list[list[int]], limit: int):
-    """(degree, mult) pairs of all prime factors of degree <= limit (p=2).
-
-    Any remaining cofactor of degree <= limit is irreducible (its prime
-    factors would all have degree > trial range otherwise) and is
-    reported; larger cofactors are dropped by design.
-    """
-    out = []
-    a = bits
-    deg = a.bit_length() - 1
-    d = 1
-    while d <= limit and 2 * d <= deg:
-        for pb in rows[d]:
-            bl = d + 1
-            q, r = 0, a
-            while True:
-                sh = r.bit_length() - bl
-                if sh < 0:
-                    break
-                r ^= pb << sh
-                q |= 1 << sh
-            if r:
-                continue
-            m, a = 1, q
-            while True:
-                q, r = 0, a
-                while True:
-                    sh = r.bit_length() - bl
-                    if sh < 0:
-                        break
-                    r ^= pb << sh
-                    q |= 1 << sh
-                if r:
-                    break
-                a, m = q, m + 1
-            out.append((d, m))
-            deg = a.bit_length() - 1
-            if 2 * d > deg:
-                break
-        d += 1
-    if 0 < deg <= limit:
-        out.append((deg, 1))
     return out
 
 
@@ -502,10 +445,7 @@ def _factor_coeffs(p: int, coeffs: list[int],
             if 2 * d > deg:
                 break
         d += 1
-    if limit is None:
-        if deg > 0:
-            out.append((tuple(a), 1))
-    elif 0 < deg <= limit:
+    if deg > 0 and (limit is None or deg <= limit):
         out.append((tuple(a), 1))
     return out
 
@@ -540,6 +480,51 @@ def factorize(f: Poly, table: IrreducibleTable) -> Factorization:
         raw = _factor_coeffs(field.p, list(f.coeffs), rows, None)
         factors = [(Poly(field, pc), m) for pc, m in raw]
     return Factorization(tuple(factors))
+
+
+def domain_indices(table: IrreducibleTable, n: int, domain: str):
+    """Enumeration indices of the monic ("monic") or irreducible
+    ("prime") polynomials of degree n, in ascending order."""
+    if domain == "monic":
+        return range(table.field.p ** n)
+    return table.prime_indices(n).tolist()
+
+
+def factor_patterns(table: IrreducibleTable, n: int, h: Poly,
+                    limit: int | None = None):
+    """Map from the enumeration index of a monic f of degree n to the
+    factorization pattern of f + h: its (deg P, m) pairs sorted by
+    (degree, index).
+
+    limit=None factors fully; otherwise only primes of degree <= limit
+    appear.  h must be zero or of degree < n.  Besides factorize, this is
+    the only code that knows how trial division stores a polynomial: a
+    bitmask for p = 2, a coefficient list for odd p.
+    """
+    if not h.is_zero and h.degree >= n:
+        raise SieveError(f"shift of degree {h.degree} is not below n={n}")
+    p = table.field.p
+    need = max(1, n // 2 if limit is None else limit)
+    if p == 2:
+        rows = table.bit_rows(need)
+        top = (1 << n) ^ h.encode()
+
+        def pattern(idx: int):
+            return [(pb.bit_length() - 1, m)
+                    for pb, m in _factor_bits(top ^ idx, rows, limit)]
+    else:
+        rows = table.coeff_rows(need)
+        hc = list(h.coeffs) + [0] * (n - len(h.coeffs))
+
+        def pattern(idx: int):
+            coeffs = []
+            for c in hc:
+                coeffs.append((idx % p + c) % p)
+                idx //= p
+            coeffs.append(1)
+            return [(len(pc) - 1, m)
+                    for pc, m in _factor_coeffs(p, coeffs, rows, limit)]
+    return pattern
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ Brun-Titchmarsh, divisor products).
 
 Everything here is exact where the object is exact (counts, the sieve
 statistics as Fractions) and enumeration-based where it is a sample (the
-value multisets).  Heavy loops reuse the trial-division kernels of the
-sieve module; statistics assembly is single-threaded.
+value multisets).  Every scan runs on the factor-pattern engine shared
+with correlate (sieve.factor_patterns, arith.shifted_values); statistics
+assembly is single-threaded.
 """
 
 from __future__ import annotations
@@ -18,16 +19,20 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import AdditiveSpec, eval_additive_on, exp_additive, phi
+from .arith import (
+    AdditiveSpec,
+    FunctionSpec,
+    exp_additive,
+    phi,
+    shifted_values,
+    trial_limit,
+)
 from .fieldpoly import Poly, monic_from_index
 from .mainterm import ShiftPair, TruncatedValue, default_gamma, main_term
 from .sieve import (
     IrreducibleTable,
     TableTooSmallError,
-    _factor_bits_limited,
-    _factor_bits_pairs,
-    _factor_coeffs,
-    factorize,
+    domain_indices,
     residue_histogram,
 )
 from .correlate import CorrelationSpec, correlate
@@ -70,80 +75,24 @@ class EmpiricalDistribution:
 def _additive_values(psi1: AdditiveSpec, psi2: AdditiveSpec, h1: Poly, h2: Poly,
                      n: int, domain: str, table: IrreducibleTable):
     """Multiset {psi1(f+h1) + psi2(f+h2)} over the domain, as value->count."""
-    field = table.field
-    q = field.p
     for h in (h1, h2):
         if not h.is_zero and h.degree >= n:
             raise StatsError("shift degree must be < n")
     if domain not in ("monic", "prime"):
         raise StatsError("domain must be monic or prime")
-    if domain == "prime":
-        if table.max_deg < n:
-            raise TableTooSmallError(f"prime domain needs the degree-{n} listing")
-        source = table.prime_indices(n)
-        total = len(source)
-    else:
-        source = None
-        total = q**n
-
-    bounds = [psi1.trivial_beyond_degree, psi2.trivial_beyond_degree]
-    if all(b is not None for b in bounds):
-        limit = min(max(bounds), n // 2)
-        full = False
-    else:
-        limit = n // 2
-        full = True
-    if limit > table.max_deg:
-        raise TableTooSmallError(
-            f"need primes to degree {limit}, table has {table.max_deg}")
-
+    if domain == "prime" and table.max_deg < n:
+        raise TableTooSmallError(f"prime domain needs the degree-{n} listing")
+    limit = trial_limit((psi1, psi2), n, table)
+    values = [shifted_values(psi, table, n, h, limit)
+              for psi, h in ((psi1, h1), (psi2, h2))]
+    source = domain_indices(table, n, domain)
     counts: dict[float, int] = {}
-    symmetric = (psi1.degree_symmetric and psi1.rule_dm is not None
-                 and psi2.degree_symmetric and psi2.rule_dm is not None)
-    if symmetric and q == 2:
-        rows = table.bit_rows(max(1, limit))
-        evs = (psi1.evaluator_dm(), psi2.evaluator_dm())
-        hbits = (h1.encode(), h2.encode())
-        lead = 1 << n
-        for pos in range(total):
-            base = lead | pos if source is None else lead | int(source[pos])
-            x = 0.0
-            for hb, ev in zip(hbits, evs):
-                g = base ^ hb
-                pairs = (_factor_bits_pairs(g, rows) if full
-                         else _factor_bits_limited(g, rows, limit))
-                x += ev(pairs)
-            counts[x] = counts.get(x, 0) + 1
-    elif symmetric:
-        rows = table.coeff_rows(max(1, limit))
-        evs = (psi1.evaluator_dm(), psi2.evaluator_dm())
-        hc = []
-        for h in (h1, h2):
-            cs = list(h.coeffs) + [0] * (n - len(h.coeffs))
-            hc.append(cs[:n])
-        eff = None if full else limit
-        for pos in range(total):
-            idx = pos if source is None else int(source[pos])
-            digits = []
-            v_ = idx
-            for _ in range(n):
-                digits.append(v_ % q)
-                v_ //= q
-            x = 0.0
-            for hcj, ev in zip(hc, evs):
-                coeffs = [(digits[i] + hcj[i]) % q for i in range(n)]
-                coeffs.append(1)
-                raw = _factor_coeffs(q, coeffs, rows, eff)
-                x += ev([(len(pc) - 1, m) for pc, m in raw])
-            counts[x] = counts.get(x, 0) + 1
-    else:
-        for pos in range(total):
-            idx = pos if source is None else int(source[pos])
-            f = monic_from_index(field, n, idx)
-            x = (eval_additive_on(factorize(f + h1, table), psi1)
-                 + eval_additive_on(factorize(f + h2, table), psi2))
-            counts[x] = counts.get(x, 0) + 1
-    return counts, total
+    for idx in source:
+        x = 0.0
+        for value in values:
+            x += value(idx)
+        counts[x] = counts.get(x, 0) + 1
+    return counts, len(source)
 
 
 def empirical_distribution(psi1: AdditiveSpec, psi2: AdditiveSpec,
@@ -321,8 +270,8 @@ def tk_ratio(psi, h: Poly, n: int, domain: str,
     if table.max_deg < n // 2 or (domain == "prime" and table.max_deg < n):
         raise TableTooSmallError("table too small for this degree")
 
+    center = 0j
     if domain == "monic":
-        expect = 0j
         rhs = 0.0
         for d in range(1, n + 1):
             nd = table.count(d)
@@ -330,61 +279,28 @@ def tk_ratio(psi, h: Poly, n: int, domain: str,
             w = x
             for m in range(1, n // d + 1):
                 v = complex(rule(d, m))
-                expect += nd * v * w * (1.0 - x)
+                center += nd * v * w * (1.0 - x)
                 rhs += nd * abs(v) ** 2 * w
                 w *= x
         rhs *= float(q) ** n
-        lhs = 0.0
-        lead = 1 << n if q == 2 else None
-        rows = table.bit_rows(max(1, n // 2)) if q == 2 else None
-        cache: dict = {}
-        hb = h.encode() if q == 2 else None
-        for idx in range(q**n):
-            if q == 2:
-                pairs = _factor_bits_pairs((lead | idx) ^ hb, rows)
-            else:
-                f = monic_from_index(table.field, n, idx)
-                pairs = factorize(f + h, table).degree_mult_pairs()
-            s = 0j
-            for dm in pairs:
-                v = cache.get(dm)
-                if v is None:
-                    v = complex(rule(*dm))
-                    cache[dm] = v
-                s += v
-            lhs += abs(s - expect) ** 2
-        return TKReport(domain, n, lhs, rhs)
+    else:
+        b2 = 0.0
+        for d in range(1, n + 1):
+            nd = table.count(d)
+            x = float(q) ** (-d)
+            for k in range(1, n // d + 1):
+                v = complex(rule(d, k))
+                ph = q ** (k * d) - q ** ((k - 1) * d)
+                center += nd * v / ph * (1.0 - x)
+                b2 += nd * abs(v) ** 2 / ph
+        rhs = table.count(n) * math.sqrt(b2)
 
-    a_n = 0j
-    b2 = 0.0
-    for d in range(1, n + 1):
-        nd = table.count(d)
-        x = float(q) ** (-d)
-        for k in range(1, n // d + 1):
-            v = complex(rule(d, k))
-            ph = q ** (k * d) - q ** ((k - 1) * d)
-            a_n += nd * v / ph * (1.0 - x)
-            b2 += nd * abs(v) ** 2 / ph
-    rows = table.bit_rows(max(1, n // 2)) if q == 2 else None
-    lead = 1 << n if q == 2 else None
-    hb = h.encode() if q == 2 else None
-    cache = {}
+    value = shifted_values(AdditiveSpec("tk", table.field, rule, True, None, None),
+                           table, n, h, None)
     lhs = 0.0
-    for pidx in table.prime_indices(n):
-        if q == 2:
-            pairs = _factor_bits_pairs((lead | int(pidx)) ^ hb, rows)
-        else:
-            f = monic_from_index(table.field, n, int(pidx))
-            pairs = factorize(f + h, table).degree_mult_pairs()
-        s = 0j
-        for dm in pairs:
-            v = cache.get(dm)
-            if v is None:
-                v = complex(rule(*dm))
-                cache[dm] = v
-            s += v
-        lhs += abs(s - a_n)
-    rhs = table.count(n) * math.sqrt(b2)
+    for idx in domain_indices(table, n, domain):
+        dev = abs(value(idx) - center)
+        lhs += dev ** 2 if domain == "monic" else dev
     return TKReport(domain, n, lhs, rhs)
 
 
@@ -405,20 +321,11 @@ class SieveDiagnostics:
 def squarefree_weight_sum(n: int, table: IrreducibleTable) -> Fraction:
     """H(n) = sum over monic f of degree n of mu^2(f) 3^omega(f) / q^n."""
     q = table.field.p
-    total = 0
-    if q == 2:
-        rows = table.bit_rows(max(1, n // 2))
-        lead = 1 << n
-        for idx in range(q**n):
-            pairs = _factor_bits_pairs(lead | idx, rows)
-            if all(m == 1 for _, m in pairs):
-                total += 3 ** len(pairs)
-    else:
-        for idx in range(q**n):
-            fact = factorize(monic_from_index(table.field, n, idx), table)
-            if all(m == 1 for _, m in fact.factors):
-                total += 3**fact.num_distinct
-    return Fraction(total, q**n)
+    weight = FunctionSpec("mu^2 3^omega", table.field,
+                          lambda d, m: 3 if m == 1 else 0,
+                          True, False, True, None, 2)
+    value = shifted_values(weight, table, n, Poly(table.field, ()), None)
+    return Fraction(sum(map(value, range(q**n))), q**n)
 
 
 def _pi_ap_exact(n: int, modulus: Poly, residue_key: int,
@@ -474,30 +381,12 @@ def sieve_diagnostics(n: int, h: Poly, t: float,
 
     h_seq = tuple(squarefree_weight_sum(m, table) for m in range(1, n + 1))
 
-    best = Fraction(1)
-    if q == 2:
-        rows = table.bit_rows(max(1, n // 2))
-        lead = 1 << n
-        per_degree = {}
-        for idx in range(q**n):
-            pairs = _factor_bits_pairs(lead | idx, rows)
-            prod = Fraction(1)
-            for dd, _m in pairs:
-                w = per_degree.get(dd)
-                if w is None:
-                    w = Fraction(q**dd + 1, q**dd)
-                    per_degree[dd] = w
-                prod *= w
-            if prod > best:
-                best = prod
-    else:
-        for idx in range(q**n):
-            fact = factorize(monic_from_index(field, n, idx), table)
-            prod = Fraction(1)
-            for P, _m in fact.factors:
-                prod *= Fraction(q**P.degree + 1, q**P.degree)
-            if prod > best:
-                best = prod
+    # prod_{P | f} (1 + 1/|P|) is multiplicative, constant in m
+    divprod = FunctionSpec("divisor product", field,
+                           lambda d, m: Fraction(q**d + 1, q**d),
+                           True, False, False, None, 1)
+    value = shifted_values(divprod, table, n, Poly(field, ()), None)
+    best = max(map(value, range(q**n)))
 
     return SieveDiagnostics(n, theta, theta_ratio, bv, h_seq, best)
 

@@ -1,8 +1,12 @@
 import csv
 import json
+import signal
+import struct
+import time
 
 import pytest
 
+from fqlab import FieldSpec, IrreducibleTable, build_table
 from fqlab.cli import ExperimentConfig, main
 
 
@@ -198,3 +202,61 @@ class TestCacheReuse:
         assert rc == 0
         assert (other / "p3_d4.fqi").exists()
         assert not (tmp_path / "cache" / "p3_d4.fqi").exists()
+
+
+class TestCacheRecovery:
+    @pytest.mark.parametrize("kind", ["truncated-header", "forged-count",
+                                      "mislabelled"])
+    def test_bad_cache_file_is_rebuilt(self, kind, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        bad = cache / "p2_d8.fqi"
+        if kind == "truncated-header":
+            bad.write_bytes(b"FFQI\x01\x00")
+        elif kind == "forged-count":
+            # a valid header for p=2, max_deg=8, then an absurd N_1
+            bad.write_bytes(b"FFQI" + struct.pack("<IIIQ", 1, 2, 8, 1 << 40))
+        else:
+            # a sound degree-1 table under a degree-8 name
+            build_table(FieldSpec(2), 1).save(bad)
+        for out in ("f1", "f2"):  # the second run must not meet the bad file
+            rc = run(["factor", "--p", "2", "--poly", "x^4+x^2", "--out", out],
+                     tmp_path, monkeypatch)
+            assert rc == 0
+            rows = read_csv(tmp_path / f"{out}.csv")
+            assert [(r["prime"], r["multiplicity"]) for r in rows] == \
+                [("x", "2"), ("x+1", "2")]
+        left = sorted(cache.glob("*"))
+        assert left and all(f.suffix == ".fqi" for f in left)
+        for f in left:
+            IrreducibleTable.load(f)
+
+
+class TestEnumerationBudget:
+    def test_oversized_monic_enumeration_exit_2(self, tmp_path, monkeypatch):
+        def give_up(signum, frame):
+            raise TimeoutError("no budget check before the enumeration")
+
+        previous = signal.signal(signal.SIGALRM, give_up)
+        signal.alarm(5)
+        try:
+            t0 = time.perf_counter()
+            rc = run(["correlate", "--p", "2", "--n", "40", "--f", "kfree:2",
+                      "--g", "kfree:2", "--h1", "0", "--h2", "1"],
+                     tmp_path, monkeypatch)
+            elapsed = time.perf_counter() - t0
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert rc == 2
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("argv", [
+        ["chowla", "--n-range", "8:12"],
+        ["dist", "--n", "12"],
+        ["charfn", "--n", "12"],
+    ])
+    def test_budget_flag_bounds_every_monic_scan(self, argv, tmp_path,
+                                                 monkeypatch):
+        assert run(argv + ["--p", "2", "--budget", "1000"],
+                   tmp_path, monkeypatch) == 2

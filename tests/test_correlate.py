@@ -5,6 +5,7 @@ import pytest
 from fqlab import (
     CorrelationSpec,
     EngineError,
+    FunctionSpec,
     builtin,
     builtin_additive,
     correlate,
@@ -98,6 +99,23 @@ class TestBasicSums:
             want = brute_correlation(field3, 4, domain, (zero, one_h), fns,
                                      table3)
             assert abs(complex(rep.raw_sum) - complex(want)) < 1e-9
+
+    @pytest.mark.parametrize("domain", ["monic", "prime"])
+    def test_function_without_degree_symmetry(self, domain, field2, field3,
+                                              table2, table3):
+        # a sign on the constant term: not degree-symmetric, so it takes
+        # the factorize fallback next to a symmetric partner (flagged not
+        # unit-bounded to leave the main term out)
+        for field, table, n in ((field2, table2, 7), (field3, table3, 4)):
+            sign = FunctionSpec(
+                "sign", field, None, False, False, True, None, 2,
+                rule_poly=lambda P, m: (-1 if P.coeffs[0] == 1 else 1) if m == 1 else 0)
+            fns = (sign, builtin("liouville_truncated", field, y=1))
+            shifts = (parse_poly("0", field), parse_poly("x+1", field))
+            rep = correlate(CorrelationSpec(field, n, domain, shifts, fns,
+                                            partitions=3), table)
+            assert rep.raw_sum == brute_correlation(field, n, domain, shifts,
+                                                    fns, table)
 
     def test_three_point_sum_no_main_term(self, field2, table2):
         kf = builtin("kfree", field2, k=2)

@@ -1,9 +1,15 @@
+import functools
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fqlab import (
+    FieldSpec,
     MemoryBudgetError,
+    Poly,
     necklace_check,
     SieveError,
     TableTooSmallError,
@@ -16,7 +22,7 @@ from fqlab import (
     residue_histogram,
 )
 from fqlab.fieldpoly import monic_from_index
-from fqlab.sieve import IrreducibleTable
+from fqlab.sieve import IrreducibleTable, _factor_bits, _factor_coeffs
 
 
 def brute_irreducible(f):
@@ -233,3 +239,59 @@ class TestBudget:
             build_table(field2, 8, cell_budget=100)
         tab = build_table(field2, 4, cell_budget=100)
         assert tab.count(4) == 3
+
+
+# maximal input degree per p for the sympy comparison; the tables below
+# hold primes to half of it
+SYMPY_DEGREES = {2: 12, 3: 8, 5: 6, 7: 6}
+
+
+@functools.cache
+def _table(p):
+    return build_table(FieldSpec(p), SYMPY_DEGREES[p] // 2)
+
+
+def sympy_factors(f):
+    """Sorted (coefficients c0.., mult) of the prime factors, by sympy."""
+    p = f.field.p
+    x = sympy.symbols("x")
+    expr = sum(c * x**i for i, c in enumerate(f.coeffs))
+    _, facs = sympy.Poly(expr, x, modulus=p).factor_list()
+    out = []
+    for g, m in facs:
+        # sympy prints residues symmetrically (-1 for p-1)
+        cs = tuple(int(c) % p for c in reversed(g.all_coeffs()))
+        assert cs[-1] == 1
+        out.append((cs, m))
+    return sorted(out)
+
+
+@st.composite
+def monic_polys(draw):
+    p = draw(st.sampled_from(sorted(SYMPY_DEGREES)))
+    n = draw(st.integers(1, SYMPY_DEGREES[p]))
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    return Poly(FieldSpec(p), coeffs + [1])
+
+
+class TestOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(monic_polys())
+    def test_factorize_matches_sympy(self, f):
+        fact = factorize(f, _table(f.field.p))
+        assert sorted((P.coeffs, m) for P, m in fact.factors) == sympy_factors(f)
+
+    def test_bit_kernel_matches_digit_kernel(self, table2):
+        # every degree-10 polynomial over F_2, factored fully and with each
+        # trial limit, by the bitmask kernel and by the digit kernel
+        n = 10
+        bit_rows = table2.bit_rows(n // 2)
+        coeff_rows = [[tuple((pb >> i) & 1 for i in range(d + 1)) for pb in row]
+                      for d, row in enumerate(bit_rows)]
+        for idx in range(1 << n):
+            bits = idx | (1 << n)
+            coeffs = [(bits >> i) & 1 for i in range(n + 1)]
+            for limit in [None, *range(1, n // 2 + 1)]:
+                got = [(tuple((pb >> i) & 1 for i in range(pb.bit_length())), m)
+                       for pb, m in _factor_bits(bits, bit_rows, limit)]
+                assert got == _factor_coeffs(2, coeffs, coeff_rows, limit)

@@ -1,17 +1,22 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from fqlab import (
+    AdditiveSpec,
     EmpiricalDistribution,
     ShiftPair,
+    SieveError,
     StatsError,
     brun_titchmarsh_violations,
     builtin_additive,
     charfn_comparison,
     empirical_charfn,
     empirical_distribution,
+    eval_additive_on,
+    factorize,
     ks_distance,
     limit_charfn,
     parse_poly,
@@ -19,6 +24,7 @@ from fqlab import (
     squarefree_weight_sum,
     tk_ratio,
 )
+from fqlab.fieldpoly import monic_from_index
 
 
 def pair(field, a, b):
@@ -225,6 +231,13 @@ class TestTuranKubilius:
         assert abs(a.lhs - b.lhs) < 1e-9  # shift is a bijection of the domain
 
 
+    def test_shift_degree_validated(self, field2, field3, table2, table3):
+        for field, table in ((field2, table2), (field3, table3)):
+            with pytest.raises(SieveError):
+                tk_ratio(lambda d, m: 1.0, parse_poly("x^6", field), 6,
+                         "monic", table)
+
+
 class TestSieveDiagnostics:
     def test_h1_example(self, table2):
         h = squarefree_weight_sum(1, table2)
@@ -268,3 +281,89 @@ class TestBrunTitchmarsh:
 
     def test_no_violations_p3(self, table3):
         assert brun_titchmarsh_violations(5, table3) == []
+
+
+# ---------------------------------------------------------------------------
+# the scans against brute force through factorize (p=3 digit kernel, and
+# the fallback for functions without degree symmetry)
+# ---------------------------------------------------------------------------
+
+def brute_source(field, n, domain, table):
+    if domain == "monic":
+        return [monic_from_index(field, n, i) for i in range(field.p ** n)]
+    return table.primes(n)
+
+
+def brute_distribution(psi1, psi2, h1, h2, n, domain, table):
+    counts = Counter()
+    for f in brute_source(table.field, n, domain, table):
+        counts[eval_additive_on(factorize(f + h1, table), psi1)
+               + eval_additive_on(factorize(f + h2, table), psi2)] += 1
+    return sorted(counts.items())
+
+
+def brute_tk(rule, h, n, domain, table):
+    q = table.field.p
+    pairs = [(d, m) for d in range(1, n + 1) for m in range(1, n // d + 1)]
+    if domain == "monic":
+        center = sum(table.count(d) * rule(d, m) * q ** (-m * d) * (1 - q ** -d)
+                     for d, m in pairs)
+    else:
+        center = sum(table.count(d) * rule(d, m) * (1 - q ** -d)
+                     / (q ** (m * d) - q ** ((m - 1) * d)) for d, m in pairs)
+    lhs = 0.0
+    for f in brute_source(table.field, n, domain, table):
+        s = sum(rule(P.degree, m) for P, m in factorize(f + h, table).factors)
+        lhs += abs(s - center) ** (2 if domain == "monic" else 1)
+    return lhs
+
+
+class TestScansAgainstBruteForce:
+    @pytest.mark.parametrize("domain", ["monic", "prime"])
+    def test_distribution_p3(self, domain, field3, table3):
+        om = builtin_additive("omega", field3)
+        bo = builtin_additive("big_omega", field3)
+        h1, h2 = parse_poly("0", field3), parse_poly("x+2", field3)
+        d = empirical_distribution(om, bo, ShiftPair(h1, h2), 5, domain, table3)
+        assert d.dump_rows() == brute_distribution(om, bo, h1, h2, 5, domain,
+                                                   table3)
+
+    @pytest.mark.parametrize("domain", ["monic", "prime"])
+    def test_distribution_without_degree_symmetry(self, domain, field2, table2):
+        # weight 1 on primes with a nonzero constant term, 2 on x
+        odd = AdditiveSpec("odd", field2, None, False, None, None,
+                           rule_poly=lambda P, m: float(m) * (2 - (P.coeffs[0] > 0)))
+        lpr = builtin_additive("log_phi_ratio", field2)
+        h1, h2 = parse_poly("1", field2), parse_poly("x", field2)
+        d = empirical_distribution(odd, lpr, ShiftPair(h1, h2), 7, domain, table2)
+        assert d.dump_rows() == brute_distribution(odd, lpr, h1, h2, 7, domain,
+                                                   table2)
+
+    @pytest.mark.parametrize("domain", ["monic", "prime"])
+    def test_tk_p3(self, domain, field3, table3):
+        rule = lambda d, m: 1.0 if m == 1 else 0.25 * d
+        h = parse_poly("x^2+1", field3)
+        rep = tk_ratio(rule, h, 5, domain, table3)
+        want = brute_tk(rule, h, 5, domain, table3)
+        assert abs(rep.lhs - want) <= 1e-9 * want
+
+    def test_squarefree_weights_and_divisor_product_p3(self, field3, table3):
+        n = 5
+        q = field3.p
+        h_seq, best = [], Fraction(1)
+        for m in range(1, n + 1):
+            total = 0
+            for f in brute_source(field3, m, "monic", table3):
+                fact = factorize(f, table3)
+                if all(e == 1 for _, e in fact.factors):
+                    total += 3 ** len(fact.factors)
+                if m == n:
+                    prod = Fraction(1)
+                    for P, _ in fact.factors:
+                        prod *= Fraction(q ** P.degree + 1, q ** P.degree)
+                    best = max(best, prod)
+            h_seq.append(Fraction(total, q ** m))
+        diag = sieve_diagnostics(n, parse_poly("x", field3), 1.0, table3)
+        assert list(diag.h_sequence) == h_seq
+        assert diag.divprod_max == best
+        assert squarefree_weight_sum(n, table3) == h_seq[-1]

@@ -6,11 +6,20 @@ machinery relies on (degree symmetry, |value| <= 1, integrality, and two
 structural bounds: the degree beyond which the rule is identically 1,
 and the power beyond which the value stops changing).  The structural
 bounds are what let truncated Euler products report honest tails and let
-the correlation engine stop trial division early (a rule that is 1 on
-every prime power it never sees contributes an exact factor of 1).
+the evaluation engine stop sieving early (a rule that is 1 on every
+prime power it never sees contributes an exact factor of 1).
 
 Additive functions follow the same shape with sums instead of products
 and 0 as the neutral value.
+
+The evaluation engine behind the correlate and stats scans is
+value_array: psi(f) for every monic f of degree n at once, from the
+valuation sieve, in the dtype that reproduces Python's own arithmetic
+(int64, float64, complex128, or object where those would round or
+overflow).  shifted_values reads it through a shift's index map;
+product_sum sums products of such columns exactly (integers) or
+correctly rounded (floats).  Functions without degree symmetry are
+evaluated through factorize, one polynomial at a time.
 """
 
 from __future__ import annotations
@@ -21,13 +30,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from .fieldpoly import FieldSpec, Poly, monic_from_index
 from .sieve import (
     Factorization,
     IrreducibleTable,
     TableTooSmallError,
-    factor_patterns,
+    check_enumeration,
     factorize,
+    prime_valuations,
+    shift_indices,
 )
 
 
@@ -71,21 +84,6 @@ class FunctionSpec:
             return self.rule_poly(P, m)
         return self.rule_dm(P.degree, m)
 
-    def evaluator_dm(self) -> Callable:
-        """Cached product evaluator over (degree, mult) pair sequences."""
-        rule = self.rule_dm
-        cache: dict = {}
-        def ev(pairs):
-            v = 1
-            for dm in pairs:
-                w = cache.get(dm)
-                if w is None:
-                    w = rule(*dm)
-                    cache[dm] = w
-                v = v * w
-            return v
-        return ev
-
 
 @dataclass(frozen=True)
 class AdditiveSpec:
@@ -112,20 +110,6 @@ class AdditiveSpec:
         if self.rule_poly is not None:
             return self.rule_poly(P, m)
         return self.rule_dm(P.degree, m)
-
-    def evaluator_dm(self) -> Callable:
-        rule = self.rule_dm
-        cache: dict = {}
-        def ev(pairs):
-            v = 0.0
-            for dm in pairs:
-                w = cache.get(dm)
-                if w is None:
-                    w = rule(*dm)
-                    cache[dm] = w
-                v += w
-            return v
-        return ev
 
 
 # ---------------------------------------------------------------------------
@@ -292,22 +276,123 @@ def trial_limit(functions, n: int, table: IrreducibleTable) -> int | None:
     return limit
 
 
-def shifted_values(psi: FunctionSpec | AdditiveSpec, table: IrreducibleTable,
-                   n: int, h: Poly, limit: int | None):
-    """Map from the enumeration index of a monic f of degree n to
-    psi(f + h): the product (FunctionSpec) or sum (AdditiveSpec) of psi
-    over the prime powers of f + h, reported up to limit (trial_limit).
+def _dtype(values, n: int, additive: bool):
+    """The numpy dtype in which sums (additive) or products of up to n of
+    these rule values come out exactly as Python computes them: int64 for
+    integers, float64 or complex128 while every integer involved stays
+    below 2^53, and object (Python arithmetic itself) otherwise."""
+    ints = [abs(v) for v in values if isinstance(v, int)]
+    top = max(ints, default=0)
+    reach = n * top if additive else top**n
+    if len(ints) == len(values):
+        return np.int64 if reach < 2**63 else object
+    if reach > 2**53 or not all(isinstance(v, (int, float, complex))
+                                for v in values):
+        return object
+    if any(isinstance(v, complex) for v in values):
+        return np.complex128
+    return np.float64
 
-    Degree-symmetric functions read the factorization pattern and cache
-    their values per (degree, mult); the rest factor f + h in full and
-    evaluate on the primes themselves.
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise a * b, bit for bit as Python multiplies: numpy's
+    complex product may fuse multiply-adds, so complex operands are
+    multiplied part by part."""
+    if np.complex128 not in (a.dtype, b.dtype) or object in (a.dtype, b.dtype):
+        return a * b
+    out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def value_array(psi: FunctionSpec | AdditiveSpec, table: IrreducibleTable,
+                n: int, limit: int | None) -> np.ndarray:
+    """psi(f) for every monic f of degree n, in enumeration order, from a
+    degree-symmetric rule: the product (FunctionSpec) or sum
+    (AdditiveSpec) of rule_dm(deg P, v_P(f)) over the primes P of degree
+    <= limit (trial_limit; None means all of them).
+
+    Primes of degree <= n/2 come from the valuation sieve in (degree,
+    index) order; what remains of the degree names the one larger prime,
+    which comes last.  That is trial division's order, so every float is
+    the one trial division would give.
     """
+    check_enumeration(table.field.p, n)
+    additive = isinstance(psi, AdditiveSpec)
+    neutral = 0.0 if additive else 1
+    top = n // 2 if limit is None else min(limit, n // 2)
+    cap = n if limit is None else min(limit, n)
+    rule = psi.rule_dm
+    small = {d: [neutral] + [rule(d, m) for m in range(1, n // d + 1)]
+             for d in range(1, top + 1)}
+    large = [neutral] * (top + 1) + [rule(d, 1) for d in range(top + 1, cap + 1)]
+    dtype = _dtype([v for row in small.values() for v in row] + large, n,
+                   additive)
+    small = {d: np.array(row, dtype=dtype) for d, row in small.items()}
+    combine = np.add if additive else _mul
+
+    out = np.full(table.field.p ** n, neutral, dtype=dtype)
+    rest = np.full(len(out), n, dtype=np.int16) if cap > top else None
+    for d, idx, v in prime_valuations(table, n, top):
+        out[idx] = combine(out[idx], small[d][v])
+        if rest is not None:
+            rest[idx] -= d * v
+    if rest is not None:
+        # a remaining degree above n/2 is the degree of one prime factor
+        idx = np.nonzero((rest > 0) & (rest <= cap))[0]
+        out[idx] = combine(out[idx], np.array(large, dtype=dtype)[rest[idx]])
+    return out
+
+
+def shifted_values(psi: FunctionSpec | AdditiveSpec, table: IrreducibleTable,
+                   n: int, h: Poly, limit: int | None, indices: np.ndarray,
+                   cache: dict | None = None) -> np.ndarray:
+    """psi(f + h) for the monic f of degree n at the given enumeration
+    indices, as a numpy array (see value_array for limit).
+
+    A degree-symmetric psi is read from its value array through the
+    shift's index map; cache, shared by calls at the same n and limit,
+    keeps one array per psi.  Any other psi is evaluated through
+    factorize at the requested indices only, in an object array.
+    """
+    at = shift_indices(table.field, n, indices, h)
     if psi.degree_symmetric and psi.rule_dm is not None:
-        pattern, ev = factor_patterns(table, n, h, limit), psi.evaluator_dm()
-        return lambda idx: ev(pattern(idx))
+        cache = {} if cache is None else cache
+        if id(psi) not in cache:
+            cache[id(psi)] = value_array(psi, table, n, limit)
+        return cache[id(psi)][at]
     field = table.field
     ev = eval_additive_on if isinstance(psi, AdditiveSpec) else eval_on
-    return lambda idx: ev(factorize(monic_from_index(field, n, idx) + h, table), psi)
+    return np.array([ev(factorize(monic_from_index(field, n, j), table), psi)
+                     for j in at.tolist()], dtype=object)
+
+
+def product_sum(columns: list[np.ndarray], integer: bool):
+    """sum_i prod_j columns[j][i].  Integer columns sum exactly (int64
+    while the largest possible sum stays below 2^63, Python ints beyond);
+    everything else is summed correctly rounded (math.fsum of the real
+    and imaginary parts), so no result depends on the order of the
+    elements."""
+    if all(c.dtype == np.int64 for c in columns):
+        reach = len(columns[0])
+        for c in columns:
+            reach *= int(np.abs(c).max(initial=0))
+        if reach >= 2**63:
+            columns = [c.astype(object) for c in columns]
+    elif any(c.dtype == object for c in columns):
+        columns = [c.astype(object) for c in columns]
+    prod = columns[0]
+    for c in columns[1:]:
+        prod = _mul(prod, c)
+    if integer and prod.dtype.kind in "iO":
+        total = prod.sum()
+        return int(total) if prod.dtype == np.int64 else total
+    if prod.dtype.kind == "f":
+        return math.fsum(prod)
+    z = prod.astype(np.complex128)
+    re, im = math.fsum(z.real), math.fsum(z.imag)
+    return re if im == 0 else complex(re, im)
 
 
 def phi(f: Poly | Factorization, table: IrreducibleTable | None = None) -> int:

@@ -242,16 +242,16 @@ def _experiment_pieces(args, cfg):
     fns = cfg.get("functions", getattr(args, "functions", None))
     shs = cfg.get("shifts", getattr(args, "shifts", None))
     if fns and shs:
-        functions = [parse_function_spec(s, field) for s in fns.split(",")]
-        shifts = [parse_poly(s, field) for s in shs.split(",")]
+        names, hs = fns.split(","), shs.split(",")
     else:
-        f1 = cfg.get("f", getattr(args, "f", None), "one")
-        f2 = cfg.get("g", getattr(args, "g", None), "one")
-        h1 = cfg.get("h1", getattr(args, "h1", None), "0")
-        h2 = cfg.get("h2", getattr(args, "h2", None), "0")
-        functions = [parse_function_spec(f1, field), parse_function_spec(f2, field)]
-        shifts = [parse_poly(h1, field), parse_poly(h2, field)]
-    return field, domain, functions, shifts
+        names = [cfg.get("f", getattr(args, "f", None), "one"),
+                 cfg.get("g", getattr(args, "g", None), "one")]
+        hs = [cfg.get("h1", getattr(args, "h1", None), "0"),
+              cfg.get("h2", getattr(args, "h2", None), "0")]
+    # one spec object per name, so the engine sieves each function once
+    specs = {s: parse_function_spec(s, field) for s in dict.fromkeys(names)}
+    shifts = [parse_poly(s, field) for s in hs]
+    return field, domain, [specs[s] for s in names], shifts
 
 
 def _cmd_correlate(args, cfg) -> int:

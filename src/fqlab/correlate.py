@@ -1,19 +1,18 @@
 """Exact correlation sums over all monic (or all irreducible) polynomials.
 
 correlate() evaluates sum over the domain of prod_i psi_i(f + h_i) by
-exhaustive enumeration: each shifted value f + h_i is factored on its own
-by trial division (no cross-element sieving; correctness first), through
-the evaluation engine that the stats module shares (arith.shifted_values
-over sieve.factor_patterns).  The enumeration partitions run one after
-another in this process.  Integer-valued function sets accumulate in
-exact integers, which makes the raw sums bit-identical across any
-partitioning; everything else uses compensated summation per partition
-with partitions combined in ascending order.
+exhaustive enumeration on the evaluation engine that the stats module
+shares: one value array psi(f) over every monic f of degree n, built by
+the valuation sieve (arith.value_array over sieve.prime_valuations), read
+through each shift's index map and gathered at the domain.  Integer-valued
+function sets sum exactly; everything else is summed correctly rounded
+(math.fsum), so no value depends on the order of summation.  partitions
+is kept in the spec and the report but no longer changes any value.
 
-Trial division stops early when every function in play is identically 1
-on primes above some degree: the untouched cofactor then contributes an
-exact factor of 1, so the value is unchanged and the hot path only ever
-divides by the handful of primes that matter.
+The sieve stops early when every function in play is identically 1 on
+primes above some degree: the primes left out then contribute an exact
+factor of 1, so the value is unchanged and only the handful of primes
+that matter are visited.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .arith import FunctionSpec, shifted_values, trial_limit
+from .arith import FunctionSpec, product_sum, shifted_values, trial_limit
 from .fieldpoly import (
     FieldSpec,
     Poly,
@@ -38,7 +37,7 @@ from .mainterm import (
     error_bound_shape,
     main_term,
 )
-from .sieve import IrreducibleTable, TableTooSmallError, domain_indices
+from .sieve import IrreducibleTable, domain_indices
 from . import arith
 
 
@@ -105,37 +104,6 @@ class CorrelationReport:
         return isinstance(self.raw_sum, int)
 
 
-class _Kahan:
-    """Neumaier-compensated complex accumulator."""
-
-    __slots__ = ("s", "c")
-
-    def __init__(self):
-        self.s = 0j
-        self.c = 0j
-
-    def add(self, v):
-        v = complex(v)
-        t = self.s + v
-        if abs(t.real) >= abs(v.real):
-            cr = (self.s.real - t.real) + v.real
-        else:
-            cr = (v.real - t.real) + self.s.real
-        if abs(t.imag) >= abs(v.imag):
-            ci = (self.s.imag - t.imag) + v.imag
-        else:
-            ci = (v.imag - t.imag) + self.s.imag
-        self.c += complex(cr, ci)
-        self.s = t
-
-    def total(self):
-        return self.s + self.c
-
-
-def _partition_bounds(total: int, parts: int):
-    return [(total * i // parts, total * (i + 1) // parts) for i in range(parts)]
-
-
 def correlate(spec: CorrelationSpec, table: IrreducibleTable) -> CorrelationReport:
     """Evaluate the correlation sum exactly and attach the predicted main
     term (two functions, both unit bounded)."""
@@ -143,31 +111,15 @@ def correlate(spec: CorrelationSpec, table: IrreducibleTable) -> CorrelationRepo
         raise EngineError("table built for a different field")
     q = spec.field.p
     n = spec.n
-    if spec.domain == "prime" and table.max_deg < n:
-        raise TableTooSmallError(
-            f"prime domain at degree {n} needs the degree-{n} listing")
-    limit = trial_limit(spec.functions, n, table)
-
     t0 = time.perf_counter()
-    integer = all(psi.integer_valued for psi in spec.functions)
-    values = [shifted_values(psi, table, n, h, limit)
-              for psi, h in zip(spec.functions, spec.shifts)]
     source = domain_indices(table, n, spec.domain)
+    limit = trial_limit(spec.functions, n, table)
+    cache: dict = {}
+    columns = [shifted_values(psi, table, n, h, limit, source, cache)
+               for psi, h in zip(spec.functions, spec.shifts)]
+    raw = product_sum(columns, all(psi.integer_valued for psi in spec.functions))
     domain_size = len(source)
-    partials = [_partial_sum(values, source[lo:hi], integer)
-                for lo, hi in _partition_bounds(domain_size, spec.partitions)]
-
-    if integer:
-        raw: complex | int = sum(partials)
-        normalized = complex(raw) / domain_size
-    else:
-        acc = _Kahan()
-        for v in partials:
-            acc.add(v)
-        raw = acc.total()
-        if raw.imag == 0:
-            raw = raw.real
-        normalized = complex(raw) / domain_size
+    normalized = complex(raw) / domain_size
 
     main: TruncatedValue | None = None
     deviation: float | None = None
@@ -188,24 +140,6 @@ def correlate(spec: CorrelationSpec, table: IrreducibleTable) -> CorrelationRepo
         raw_sum=raw, domain_size=domain_size, normalized=normalized,
         main=main, deviation=deviation,
         seconds=time.perf_counter() - t0, partitions=spec.partitions)
-
-
-def _partial_sum(values, indices, integer: bool):
-    """Sum of prod_i values[i](idx) over one partition, skipping the
-    remaining shifts once the product is 0."""
-    acc_i = 0
-    acc_f = _Kahan()
-    for idx in indices:
-        v = 1
-        for value in values:
-            v = v * value(idx)
-            if v == 0:
-                break
-        if integer:
-            acc_i += v
-        else:
-            acc_f.add(v)
-    return acc_i if integer else acc_f.total()
 
 
 # ---------------------------------------------------------------------------

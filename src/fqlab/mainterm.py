@@ -125,9 +125,10 @@ def _require_unit(psi1: FunctionSpec, psi2: FunctionSpec) -> None:
         raise MainTermError("main terms are defined for unit-bounded functions")
 
 
-def _alpha_vec(spec: FunctionSpec, d: int, depth: int):
+def _alpha_vec(spec: FunctionSpec, P, d: int, depth: int):
     """[a(0), a(1), ...] with a(m) = value(P^m) - value(P^{m-1}); cut at
-    the settle power when the spec has one (exact), else at depth."""
+    the settle power when the spec has one (exact), else at depth.  P is
+    the prime as a Poly, or None to read the degree-symmetric rule."""
     if spec.trivial_beyond_degree is not None and d > spec.trivial_beyond_degree:
         return [1], True
     settle = spec.power_settle
@@ -136,7 +137,7 @@ def _alpha_vec(spec: FunctionSpec, d: int, depth: int):
     out = [1]
     prev = 1
     for m in range(1, top + 1):
-        cur = spec.value_dm(d, m)
+        cur = spec.value_dm(d, m) if P is None else spec.value_at(P, m)
         out.append(cur - prev)
         prev = cur
     return out, exact
@@ -159,12 +160,12 @@ def local_factor(P, k: int | None, psi1: FunctionSpec, psi2: FunctionSpec,
         d = P.degree
         q = P.field.p
     else:
-        d = int(P)
+        d, P = int(P), None
         q = psi1.field.p
     if d < 1:
         raise MainTermError("local factors live at primes of degree >= 1")
-    a1, exact1 = _alpha_vec(psi1, d, depth)
-    a2, exact2 = _alpha_vec(psi2, d, depth)
+    a1, exact1 = _alpha_vec(psi1, P, d, depth)
+    a2, exact2 = _alpha_vec(psi2, P, d, depth)
 
     x = float(q) ** (-d)
     top = max(len(a1), len(a2))

@@ -6,9 +6,15 @@ exactly the irreducibles.  Everything is vectorized over the enumeration
 index space (numpy), with a bitmask kernel for p = 2 and a base-p digit
 kernel for general p.
 
-Trial division runs on one bitmask kernel (p = 2) and one coefficient
-list kernel (odd p); factor_patterns puts them behind the enumeration
-index space for the correlate and stats scans.
+The same kernels drive the valuation sieve behind the correlate and
+stats scans: prime_valuations marks, prime by prime, the multiples of P
+among all monic polynomials of degree n and reads v_P off the cofactor
+space one level down, so a scan divides nothing.  A shift f -> f + h is
+an index map on that space (shift_indices) and a domain is an index
+list (domain_indices, which refuses more than DEFAULT_CELL_BUDGET
+polynomials).  Factorization of a single polynomial (factorize) runs on
+one bitmask trial-division kernel (p = 2) and one coefficient list
+kernel (odd p).
 
 Counts are validated against the necklace identity sum_{d|n} d*N_d = q^n
 (the coefficient form of the zeta function's Euler product) and against
@@ -109,6 +115,15 @@ def _multiples_gf2(prime_full: int, m: int, target_deg: int) -> np.ndarray:
 def _digit_matrix(p: int, idx: np.ndarray, width: int) -> np.ndarray:
     """Base-p digits of each index, least significant first, one row each."""
     return (idx[:, None] // p ** np.arange(width, dtype=np.int64)) % p
+
+
+def _monic_rows(p: int, m: int) -> np.ndarray:
+    """Coefficient rows of every monic polynomial of degree m in
+    enumeration order, leading 1 included (int32)."""
+    rows = np.empty((p**m, m + 1), dtype=np.int32)
+    rows[:, :m] = _digit_matrix(p, np.arange(p**m, dtype=np.int64), m)
+    rows[:, m] = 1
+    return rows
 
 
 def _multiples_generic(p: int, prime_coeffs, cofactors: np.ndarray,
@@ -339,10 +354,7 @@ def build_table(field: FieldSpec, max_deg: int,
                     composite[_multiples_gf2(full, m, target)] = True
             else:
                 # the cofactor rows are the same for every prime of degree d
-                cofactors = np.empty((p**m, m + 1), dtype=np.int32)
-                cofactors[:, :m] = _digit_matrix(
-                    p, np.arange(p**m, dtype=np.int64), m)
-                cofactors[:, m] = 1
+                cofactors = _monic_rows(p, m)
                 for cs in _digit_matrix(p, by_degree[d], d).tolist():
                     composite[_multiples_generic(p, cs + [1], cofactors, target)] = True
         by_degree.append(np.nonzero(~composite)[0].astype(np.int64))
@@ -482,49 +494,72 @@ def factorize(f: Poly, table: IrreducibleTable) -> Factorization:
     return Factorization(tuple(factors))
 
 
-def domain_indices(table: IrreducibleTable, n: int, domain: str):
+def check_enumeration(p: int, n: int) -> None:
+    """Refuse to enumerate the p^n monic polynomials of degree n when
+    that exceeds the default cell budget (before anything is allocated)."""
+    if p**n > DEFAULT_CELL_BUDGET:
+        raise MemoryBudgetError(
+            f"enumerating the {p}^{n} monic polynomials of degree {n} "
+            f"exceeds the budget {DEFAULT_CELL_BUDGET}")
+
+
+def domain_indices(table: IrreducibleTable, n: int, domain: str) -> np.ndarray:
     """Enumeration indices of the monic ("monic") or irreducible
     ("prime") polynomials of degree n, in ascending order."""
+    check_enumeration(table.field.p, n)
     if domain == "monic":
-        return range(table.field.p ** n)
-    return table.prime_indices(n).tolist()
+        return np.arange(table.field.p ** n, dtype=np.int64)
+    return table.prime_indices(n)
 
 
-def factor_patterns(table: IrreducibleTable, n: int, h: Poly,
-                    limit: int | None = None):
-    """Map from the enumeration index of a monic f of degree n to the
-    factorization pattern of f + h: its (deg P, m) pairs sorted by
-    (degree, index).
-
-    limit=None factors fully; otherwise only primes of degree <= limit
-    appear.  h must be zero or of degree < n.  Besides factorize, this is
-    the only code that knows how trial division stores a polynomial: a
-    bitmask for p = 2, a coefficient list for odd p.
-    """
-    if not h.is_zero and h.degree >= n:
+def shift_indices(field: FieldSpec, n: int, idx: np.ndarray, h: Poly) -> np.ndarray:
+    """Enumeration indices of f + h for the monic f of degree n at idx: an
+    XOR with the bits of h for p = 2, digit-wise addition mod p otherwise.
+    h must be zero or of degree < n."""
+    if h.is_zero:
+        return idx
+    if h.degree >= n:
         raise SieveError(f"shift of degree {h.degree} is not below n={n}")
-    p = table.field.p
-    need = max(1, n // 2 if limit is None else limit)
+    p = field.p
     if p == 2:
-        rows = table.bit_rows(need)
-        top = (1 << n) ^ h.encode()
+        return idx ^ h.encode()
+    out = idx.copy()
+    for i, c in enumerate(h.coeffs):
+        if c:
+            digit = idx // p**i % p
+            out += ((digit + c) % p - digit) * p**i
+    return out
 
-        def pattern(idx: int):
-            return [(pb.bit_length() - 1, m)
-                    for pb, m in _factor_bits(top ^ idx, rows, limit)]
-    else:
-        rows = table.coeff_rows(need)
-        hc = list(h.coeffs) + [0] * (n - len(h.coeffs))
 
-        def pattern(idx: int):
-            coeffs = []
-            for c in hc:
-                coeffs.append((idx % p + c) % p)
-                idx //= p
-            coeffs.append(1)
-            return [(len(pc) - 1, m)
-                    for pc, m in _factor_coeffs(p, coeffs, rows, limit)]
-    return pattern
+def prime_valuations(table: IrreducibleTable, n: int, top: int):
+    """For every prime P of degree d <= top, in (degree, index) order,
+    yield (d, idx, v): idx holds the enumeration indices of the monic f
+    of degree n that P divides, and v (int8) is v_P(f) at each of them.
+
+    The multiples f = P g come from the sieve kernels with g running over
+    the monic polynomials of degree n - d in index order, and v_P(f) =
+    1 + v_P(g) is the same construction one level down.
+    """
+    p = table.field.p
+    rows = table._rows(top)
+    cofactors: dict[int, np.ndarray] = {}
+
+    def multiples(P, d: int, t: int) -> np.ndarray:
+        if p == 2:
+            return _multiples_gf2(P, t - d, t)
+        if t - d not in cofactors:
+            cofactors[t - d] = _monic_rows(p, t - d)
+        return _multiples_generic(p, P, cofactors[t - d], t)
+
+    def valuation(P, d: int, t: int) -> np.ndarray:
+        v = np.zeros(p**t, dtype=np.int8)
+        if t >= d:
+            v[multiples(P, d, t)] = 1 + valuation(P, d, t - d)
+        return v
+
+    for d in range(1, top + 1):
+        for P in rows[d]:
+            yield d, multiples(P, d, n), 1 + valuation(P, d, n - d)
 
 
 # ---------------------------------------------------------------------------

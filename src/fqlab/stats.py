@@ -5,9 +5,10 @@ Brun-Titchmarsh, divisor products).
 
 Everything here is exact where the object is exact (counts, the sieve
 statistics as Fractions) and enumeration-based where it is a sample (the
-value multisets).  Every scan runs on the factor-pattern engine shared
-with correlate (sieve.factor_patterns, arith.shifted_values); statistics
-assembly is single-threaded.
+value multisets).  Every scan is a numpy pass over the value arrays that
+correlate uses too (arith.shifted_values over the valuation sieve): the
+value multiset is one np.unique, the weight sums one exact sum, the
+divisor-product maximum one max.
 """
 
 from __future__ import annotations
@@ -19,11 +20,14 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .arith import (
     AdditiveSpec,
     FunctionSpec,
     exp_additive,
     phi,
+    product_sum,
     shifted_values,
     trial_limit,
 )
@@ -74,36 +78,30 @@ class EmpiricalDistribution:
 
 def _additive_values(psi1: AdditiveSpec, psi2: AdditiveSpec, h1: Poly, h2: Poly,
                      n: int, domain: str, table: IrreducibleTable):
-    """Multiset {psi1(f+h1) + psi2(f+h2)} over the domain, as value->count."""
+    """Multiset {psi1(f+h1) + psi2(f+h2)} over the domain: its distinct
+    values in ascending order, their counts and the domain size."""
     for h in (h1, h2):
         if not h.is_zero and h.degree >= n:
             raise StatsError("shift degree must be < n")
     if domain not in ("monic", "prime"):
         raise StatsError("domain must be monic or prime")
-    if domain == "prime" and table.max_deg < n:
-        raise TableTooSmallError(f"prime domain needs the degree-{n} listing")
-    limit = trial_limit((psi1, psi2), n, table)
-    values = [shifted_values(psi, table, n, h, limit)
-              for psi, h in ((psi1, h1), (psi2, h2))]
     source = domain_indices(table, n, domain)
-    counts: dict[float, int] = {}
-    for idx in source:
-        x = 0.0
-        for value in values:
-            x += value(idx)
-        counts[x] = counts.get(x, 0) + 1
-    return counts, len(source)
+    limit = trial_limit((psi1, psi2), n, table)
+    cache: dict = {}
+    v1, v2 = (shifted_values(psi, table, n, h, limit, source, cache)
+              for psi, h in ((psi1, h1), (psi2, h2)))
+    x = 0.0 + v1 + v2  # from 0.0, as every additive value starts: float keys
+    values, counts = np.unique(x, return_counts=True)
+    return values.tolist(), counts.tolist(), len(source)
 
 
 def empirical_distribution(psi1: AdditiveSpec, psi2: AdditiveSpec,
                            shifts: ShiftPair, n: int, domain: str,
                            table: IrreducibleTable) -> EmpiricalDistribution:
     """Exact law of psi1(f+h1) + psi2(f+h2) over the chosen domain."""
-    counts, total = _additive_values(psi1, psi2, shifts.h1, shifts.h2, n,
-                                     domain, table)
-    vals = sorted(counts)
-    return EmpiricalDistribution(tuple(vals), tuple(counts[v] for v in vals),
-                                 total)
+    values, counts, total = _additive_values(psi1, psi2, shifts.h1, shifts.h2,
+                                             n, domain, table)
+    return EmpiricalDistribution(tuple(values), tuple(counts), total)
 
 
 def ks_distance(d1: EmpiricalDistribution, d2: EmpiricalDistribution) -> float:
@@ -295,13 +293,19 @@ def tk_ratio(psi, h: Poly, n: int, domain: str,
                 b2 += nd * abs(v) ** 2 / ph
         rhs = table.count(n) * math.sqrt(b2)
 
-    value = shifted_values(AdditiveSpec("tk", table.field, rule, True, None, None),
-                           table, n, h, None)
-    lhs = 0.0
-    for idx in domain_indices(table, n, domain):
-        dev = abs(value(idx) - center)
-        lhs += dev ** 2 if domain == "monic" else dev
+    values = shifted_values(AdditiveSpec("tk", table.field, rule, True, None, None),
+                            table, n, h, None, domain_indices(table, n, domain))
+    dev = np.abs(values - center).astype(np.float64)
+    if domain == "monic":
+        dev = _POW(dev, 2).astype(np.float64)
+    # left to right, not fsum: tk artifacts pin the rounding of this order
+    lhs = float(np.cumsum(dev)[-1])
     return TKReport(domain, n, lhs, rhs)
+
+
+# x ** 2 through the C library's pow, as Python squares a float; numpy's
+# x * x differs from it in the last bit now and then
+_POW = np.frompyfunc(pow, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +328,9 @@ def squarefree_weight_sum(n: int, table: IrreducibleTable) -> Fraction:
     weight = FunctionSpec("mu^2 3^omega", table.field,
                           lambda d, m: 3 if m == 1 else 0,
                           True, False, True, None, 2)
-    value = shifted_values(weight, table, n, Poly(table.field, ()), None)
-    return Fraction(sum(map(value, range(q**n))), q**n)
+    values = shifted_values(weight, table, n, Poly(table.field, ()), None,
+                            domain_indices(table, n, "monic"))
+    return Fraction(product_sum([values], True), q**n)
 
 
 def _pi_ap_exact(n: int, modulus: Poly, residue_key: int,
@@ -385,8 +390,8 @@ def sieve_diagnostics(n: int, h: Poly, t: float,
     divprod = FunctionSpec("divisor product", field,
                            lambda d, m: Fraction(q**d + 1, q**d),
                            True, False, False, None, 1)
-    value = shifted_values(divprod, table, n, Poly(field, ()), None)
-    best = max(map(value, range(q**n)))
+    best = shifted_values(divprod, table, n, Poly(field, ()), None,
+                          domain_indices(table, n, "monic")).max()
 
     return SieveDiagnostics(n, theta, theta_ratio, bv, h_seq, best)
 

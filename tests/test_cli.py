@@ -251,6 +251,24 @@ class TestEnumerationBudget:
         assert rc == 2
         assert elapsed < 1.0
 
+    def test_library_caps_a_larger_budget_flag(self, tmp_path, monkeypatch):
+        # the flag admits 2^28 polynomials; the engine stops at its own
+        # default budget of 2^27
+        def give_up(signum, frame):
+            raise TimeoutError("no budget check in the engine")
+
+        previous = signal.signal(signal.SIGALRM, give_up)
+        signal.alarm(5)
+        try:
+            rc = run(["correlate", "--p", "2", "--n", "28", "--f",
+                      "liouville_trunc:2", "--g", "liouville_trunc:2",
+                      "--h1", "0", "--h2", "x", "--budget", str(2**28)],
+                     tmp_path, monkeypatch)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert rc == 2
+
     @pytest.mark.parametrize("argv", [
         ["chowla", "--n-range", "8:12"],
         ["dist", "--n", "12"],

@@ -9,6 +9,7 @@ from fqlab import (
     builtin,
     builtin_additive,
     correlate,
+    custom_from_table,
     crt_count,
     crt_count_enumerated,
     deviation_scan,
@@ -116,6 +117,18 @@ class TestBasicSums:
                                             partitions=3), table)
             assert rep.raw_sum == brute_correlation(field, n, domain, shifts,
                                                     fns, table)
+
+    def test_integer_sum_beyond_int64(self, field2, table2):
+        # a value of 1000 at each degree-1 prime that divides f exactly
+        # once: up to 10^6 per polynomial, 10^24 for four coinciding
+        # shifts, so the exact sum needs more than int64
+        big = custom_from_table(field2, {(1, 1): 1000})
+        shifts = (parse_poly("0", field2),) * 4
+        rep = correlate(CorrelationSpec(field2, 6, "monic", shifts, (big,) * 4),
+                        table2)
+        want = brute_correlation(field2, 6, "monic", shifts, (big,) * 4, table2)
+        assert want > 2**63
+        assert rep.raw_sum == want and rep.integer_exact
 
     def test_three_point_sum_no_main_term(self, field2, table2):
         kf = builtin("kfree", field2, k=2)

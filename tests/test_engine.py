@@ -1,0 +1,128 @@
+"""The valuation-sieve engine (arith.shifted_values) against per-polynomial
+trial division and against sympy."""
+
+import functools
+import time
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fqlab import (
+    AdditiveSpec,
+    CorrelationSpec,
+    FieldSpec,
+    MemoryBudgetError,
+    Poly,
+    ShiftPair,
+    build_table,
+    builtin,
+    builtin_additive,
+    correlate,
+    custom_from_table,
+    empirical_distribution,
+    eval_additive_on,
+    eval_on,
+    exp_additive,
+    factorize,
+    parse_poly,
+)
+from fqlab.arith import shifted_values
+from fqlab.fieldpoly import monic_from_index
+from fqlab.sieve import Factorization, domain_indices
+
+# largest degree per p; the tables list primes that far, so the prime
+# domain is available at every degree drawn
+TABLE_DEGREES = {2: 9, 3: 6, 5: 4}
+
+
+@functools.cache
+def _table(p):
+    return build_table(FieldSpec(p), TABLE_DEGREES[p])
+
+
+def all_specs(field):
+    """Every builtin multiplicative and additive spec, a custom table with
+    integer, float and complex values, and a complex exponential."""
+    lpr = builtin_additive("log_phi_ratio", field)
+    return [
+        builtin("one", field), builtin("moebius", field),
+        builtin("kfree", field, k=2), builtin("kfree", field, k=3),
+        builtin("liouville", field),
+        builtin("liouville_truncated", field, y=1),
+        builtin("liouville_truncated", field, y=2),
+        builtin("phi_ratio", field),
+        custom_from_table(field, {(1, 1): -2, (1, 2): 3, (2, 1): 0.5,
+                                  (3, 1): 1j}),
+        exp_additive(lpr, 0.7),
+        builtin_additive("zero", field), builtin_additive("omega", field),
+        builtin_additive("big_omega", field), lpr,
+    ]
+
+
+@st.composite
+def cases(draw):
+    p = draw(st.sampled_from(sorted(TABLE_DEGREES)))
+    n = draw(st.integers(1, TABLE_DEGREES[p]))
+    h = Poly(FieldSpec(p), draw(st.lists(st.integers(0, p - 1), max_size=n)))
+    domain = draw(st.sampled_from(["monic", "prime"]))
+    limit = draw(st.sampled_from([None, *range(n // 2 + 1)]))
+    return p, n, h, domain, limit
+
+
+def sympy_big_omega(f):
+    x = sympy.symbols("x")
+    expr = sum(c * x**i for i, c in enumerate(f.coeffs))
+    _, facs = sympy.Poly(expr, x, modulus=f.field.p).factor_list()
+    return sum(m for _, m in facs)
+
+
+class TestOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(cases())
+    def test_values_equal_trial_division(self, case):
+        # every value bit for bit; a trial limit drops the primes above it
+        p, n, h, domain, limit = case
+        table = _table(p)
+        field = table.field
+        indices = domain_indices(table, n, domain)
+        facts = [factorize(monic_from_index(field, n, i) + h, table)
+                 for i in indices.tolist()]
+        if limit is not None:
+            facts = [Factorization(tuple((P, m) for P, m in f.factors
+                                         if P.degree <= limit))
+                     for f in facts]
+        for spec in all_specs(field):
+            ev = eval_additive_on if isinstance(spec, AdditiveSpec) else eval_on
+            got = shifted_values(spec, table, n, h, limit, indices).tolist()
+            assert got == [ev(f, spec) for f in facts], spec.name
+
+    @settings(max_examples=50, deadline=None)
+    @given(cases())
+    def test_big_omega_equals_sympy(self, case):
+        p, n, h, domain, _ = case
+        table = _table(p)
+        field = table.field
+        indices = domain_indices(table, n, domain)
+        omega = shifted_values(builtin_additive("big_omega", field), table, n,
+                               h, None, indices)
+        for k in range(0, len(indices), max(1, len(indices) // 6)):
+            f = monic_from_index(field, n, int(indices[k])) + h
+            assert omega[k] == sympy_big_omega(f)
+
+
+class TestEnumerationGuard:
+    def test_oversized_scans_refused_at_once(self, field2, table2):
+        kf = builtin("kfree", field2, k=2)
+        om = builtin_additive("omega", field2)
+        zero, one_h = parse_poly("0", field2), parse_poly("1", field2)
+        t0 = time.perf_counter()
+        for domain in ("monic", "prime"):
+            with pytest.raises(MemoryBudgetError):
+                correlate(CorrelationSpec(field2, 40, domain, (zero, one_h),
+                                          (kf, kf)), table2)
+            with pytest.raises(MemoryBudgetError):
+                empirical_distribution(om, om, ShiftPair(zero, one_h), 40,
+                                       domain, table2)
+        assert time.perf_counter() - t0 < 1.0

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fqlab import (
+    CorrelationSpec,
     FieldSpec,
     MainTermError,
     ShiftPair,
@@ -11,6 +12,7 @@ from fqlab import (
     TruncatedValue,
     builtin,
     builtin_additive,
+    correlate,
     custom_from_table,
     default_gamma,
     error_bound_shape,
@@ -262,6 +264,22 @@ class TestMainTerm:
             tv = main_term(n, 2, sp(field2, "0", "x"), lam2, lam2,
                            "monic", table2, depth=60)
             assert abs(tv.value - (-1.0 / 45.0)) <= tv.tail_bound + 1e-13
+
+    def test_rule_poly_copy_matches_builtin(self, field2, table2):
+        # the same truncated Liouville function given only by rule_poly
+        # takes the per-prime paths of both products and of correlate
+        lam2 = builtin("liouville_truncated", field2, y=2)
+        copy = FunctionSpec("lam2_poly", field2, None, False, True, True, 2,
+                            None, rule_poly=lambda P, m: lam2.rule_dm(P.degree, m))
+        shifts = sp(field2, "0", "x")
+        a = main_term(7, None, shifts, lam2, lam2, "monic", table2)
+        b = main_term(7, None, shifts, copy, copy, "monic", table2)
+        assert abs(a.value - b.value) <= 1e-12
+        reps = [correlate(CorrelationSpec(field2, 7, "monic",
+                                          (shifts.h1, shifts.h2), (f, f)), table2)
+                for f in (lam2, copy)]
+        assert reps[0].raw_sum == reps[1].raw_sum
+        assert abs(reps[0].main.value - reps[1].main.value) <= 1e-12
 
     def test_phi_ratio_infinite_product(self, field2, table2):
         # against an independent high-cutoff evaluation in log space

@@ -415,6 +415,18 @@ def phi(f: Poly | Factorization, table: IrreducibleTable | None = None) -> int:
     return out
 
 
+def phi_values(table: IrreducibleTable, d: int) -> np.ndarray:
+    """phi(M) for every monic M of degree d, in enumeration order (int64):
+    the value array of the totient rule q^{md} - q^{(m-1)d}.  Its dtype
+    may be object (a product of d rule values can pass 2^63), but phi(M)
+    <= q^d fits int64."""
+    q = table.field.p
+    totient = FunctionSpec("phi", table.field,
+                           lambda e, m: q ** (m * e) - q ** ((m - 1) * e),
+                           True, False, True, None, None)
+    return value_array(totient, table, d, None).astype(np.int64)
+
+
 def _spot_check_symmetry(spec, table: IrreducibleTable) -> None:
     # degree_symmetric is trusted but sampled: two primes of equal degree
     # must agree at m = 1 and m = 2

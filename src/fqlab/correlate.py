@@ -20,13 +20,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arith import FunctionSpec, product_sum, shifted_values, trial_limit
 from .fieldpoly import (
     FieldSpec,
     Poly,
     ext_gcd,
     format_poly,
-    monic_from_index,
     poly_gcd_lcm,
 )
 from .mainterm import (
@@ -37,7 +38,12 @@ from .mainterm import (
     error_bound_shape,
     main_term,
 )
-from .sieve import IrreducibleTable, domain_indices
+from .sieve import (
+    RESIDUE_BLOCK_CELLS,
+    IrreducibleTable,
+    domain_indices,
+    residue_keys,
+)
 from . import arith
 
 
@@ -176,13 +182,19 @@ def crt_count(g1: Poly, g2: Poly, h1: Poly, h2: Poly, n: int) -> int:
 
 
 def crt_count_enumerated(g1: Poly, g2: Poly, h1: Poly, h2: Poly, n: int) -> int:
-    """Brute-force twin of crt_count (test oracle; O(q^n))."""
-    field = g1.field
+    """Brute-force twin of crt_count (test oracle; O(q^n)): reduces every
+    monic f of degree n mod g1 and mod g2 (sieve.residue_keys) and counts
+    those with f = -h1 mod g1 and f = -h2 mod g2."""
+    p = g1.field.p
+    step = RESIDUE_BLOCK_CELLS // (1 + max(g1.degree, g2.degree))
     count = 0
-    for idx in range(field.p ** n):
-        f = monic_from_index(field, n, idx)
-        if ((f + h1) % g1).is_zero and ((f + h2) % g2).is_zero:
-            count += 1
+    for start in range(0, p**n, step):
+        idx = np.arange(start, min(start + step, p**n), dtype=np.int64)
+        hit = np.ones(len(idx), dtype=bool)
+        for g, h in ((g1, h1), (g2, h2)):
+            at = np.array([g.monic_index()], dtype=np.int64)
+            hit &= residue_keys(p, n, idx, g.degree, at)[:, 0] == ((-h) % g).encode()
+        count += int(np.count_nonzero(hit))
     return count
 
 

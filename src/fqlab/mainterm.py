@@ -394,6 +394,12 @@ def large_prime_product(gamma: int, n: int | None, psi1: FunctionSpec,
         for s in spec_pair)
     symmetric = psi1.degree_symmetric and psi2.degree_symmetric
 
+    def check(inner: complex, d: int) -> None:
+        if guard and abs(1 + inner) < 0.25:
+            raise ThresholdError(
+                f"factor at degree {d} has modulus {abs(1 + inner):.3f} "
+                f"< 1/4; use gamma >= {thr}")
+
     if not symmetric:
         if n is None:
             raise MainTermError(
@@ -406,10 +412,7 @@ def large_prime_product(gamma: int, n: int | None, psi1: FunctionSpec,
             for P in table.primes(d):
                 inner, t = _euler_factor(
                     spec_pair, lambda s, m: s.value_at(P, m), d, q, mode, m_max)
-                if guard and abs(1 + inner) < 0.25:
-                    raise ThresholdError(
-                        f"factor at degree {d} has modulus "
-                        f"{abs(1 + inner):.3f} < 1/4; use gamma >= {thr}")
+                check(inner, d)
                 acc.mul(inner, t)
         return acc.result()
 
@@ -418,10 +421,7 @@ def large_prime_product(gamma: int, n: int | None, psi1: FunctionSpec,
         for d in range(gamma + 1, n + 1):
             inner, t = _euler_factor(
                 spec_pair, lambda s, m: s.value_dm(d, m), d, q, mode, m_max)
-            if guard and abs(1 + inner) < 0.25:
-                raise ThresholdError(
-                    f"factor at degree {d} has modulus {abs(1 + inner):.3f} "
-                    f"< 1/4; use gamma >= {thr}")
+            check(inner, d)
             acc.mul(inner, t, table.count(d))
         return acc.result()
 
@@ -439,10 +439,7 @@ def large_prime_product(gamma: int, n: int | None, psi1: FunctionSpec,
     while d <= gamma + _EXTEND_LIMIT:
         inner, t = _euler_factor(
             spec_pair, lambda s, m: s.value_dm(d, m), d, q, mode, m_max)
-        if guard and abs(1 + inner) < 0.25:
-            raise ThresholdError(
-                f"factor at degree {d} has modulus {abs(1 + inner):.3f} "
-                f"< 1/4; use gamma >= {thr}")
+        check(inner, d)
         acc.mul(inner, t, table.count(d))
         r = (abs(inner) + t) * _count_upper(q, d)
         if r == 0.0:

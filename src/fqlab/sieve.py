@@ -12,9 +12,13 @@ among all monic polynomials of degree n and reads v_P off the cofactor
 space one level down, so a scan divides nothing.  A shift f -> f + h is
 an index map on that space (shift_indices) and a domain is an index
 list (domain_indices, which refuses more than DEFAULT_CELL_BUDGET
-polynomials).  Factorization of a single polynomial (factorize) runs on
-one bitmask trial-division kernel (p = 2) and one coefficient list
-kernel (odd p).
+polynomials).  They also drive the primes in arithmetic progressions:
+prime_multiples lists the multiples of a prime modulus, and reduction
+mod M, being linear in the coefficients, takes one matrix product for
+all primes of a degree and a block of moduli (residue_keys), whose
+class counts residue_counts yields block by block.  Factorization of a
+single polynomial (factorize) runs on one bitmask trial-division kernel
+(p = 2) and one coefficient list kernel (odd p).
 
 Counts are validated against the necklace identity sum_{d|n} d*N_d = q^n
 (the coefficient form of the zeta function's Euler product) and against
@@ -531,6 +535,17 @@ def shift_indices(field: FieldSpec, n: int, idx: np.ndarray, h: Poly) -> np.ndar
     return out
 
 
+def _multiples(p: int, P, d: int, t: int, cofactors: dict) -> np.ndarray:
+    """Indices of P g for every monic g of degree t - d, in the order of
+    g, for a prime row P of degree d (table._rows); cofactors keeps the
+    odd-p cofactor rows per degree."""
+    if p == 2:
+        return _multiples_gf2(P, t - d, t)
+    if t - d not in cofactors:
+        cofactors[t - d] = _monic_rows(p, t - d)
+    return _multiples_generic(p, P, cofactors[t - d], t)
+
+
 def prime_valuations(table: IrreducibleTable, n: int, top: int):
     """For every prime P of degree d <= top, in (degree, index) order,
     yield (d, idx, v): idx holds the enumeration indices of the monic f
@@ -544,54 +559,127 @@ def prime_valuations(table: IrreducibleTable, n: int, top: int):
     rows = table._rows(top)
     cofactors: dict[int, np.ndarray] = {}
 
-    def multiples(P, d: int, t: int) -> np.ndarray:
-        if p == 2:
-            return _multiples_gf2(P, t - d, t)
-        if t - d not in cofactors:
-            cofactors[t - d] = _monic_rows(p, t - d)
-        return _multiples_generic(p, P, cofactors[t - d], t)
-
     def valuation(P, d: int, t: int) -> np.ndarray:
         v = np.zeros(p**t, dtype=np.int8)
         if t >= d:
-            v[multiples(P, d, t)] = 1 + valuation(P, d, t - d)
+            v[_multiples(p, P, d, t, cofactors)] = 1 + valuation(P, d, t - d)
         return v
 
     for d in range(1, top + 1):
         for P in rows[d]:
-            yield d, multiples(P, d, n), 1 + valuation(P, d, n - d)
+            yield d, _multiples(p, P, d, n, cofactors), 1 + valuation(P, d, n - d)
+
+
+def prime_multiples(table: IrreducibleTable, n: int, lo: int, hi: int):
+    """For every prime P with lo <= deg P <= hi <= n, in (degree, index)
+    order, yield (deg P, idx): the enumeration indices of the monic
+    multiples of P of degree n."""
+    p = table.field.p
+    rows = table._rows(hi)
+    cofactors: dict[int, np.ndarray] = {}
+    for d in range(lo, hi + 1):
+        for P in rows[d]:
+            yield d, _multiples(p, P, d, n, cofactors)
 
 
 # ---------------------------------------------------------------------------
 # primes in arithmetic progressions
 # ---------------------------------------------------------------------------
 
+# Most cells (polynomials x moduli x residue digits in one matrix product,
+# or moduli x residue classes in one block of counts) the residue map
+# forms at a time; it bounds the memory of residue_counts.
+RESIDUE_BLOCK_CELLS = 1 << 15
+
+
+def _powers_mod(p: int, n: int, d: int, moduli: np.ndarray) -> np.ndarray:
+    """Digits of x^i mod M for i = 0..n and every monic M of degree d >= 1
+    at the given indices: row i holds them modulus by modulus, d digits
+    each.  Below degree d, x^i is its own residue; from there on x^(i+1)
+    = x * x^i, with x^d replaced by -(c_0 + ... + c_{d-1} x^{d-1})."""
+    low = _digit_matrix(p, moduli, d)
+    out = np.zeros((n + 1, len(moduli), d), dtype=np.float32)
+    below = np.arange(min(d, n + 1))
+    out[below, :, below] = 1
+    r = -low % p
+    for i in range(d, n + 1):
+        out[i] = r
+        top = r[:, -1:]
+        r = np.concatenate((np.zeros_like(top), r[:, :-1]), axis=1)
+        r = (r - top * low) % p
+    return out.reshape(n + 1, -1)
+
+
+def residue_keys(p: int, n: int, idx: np.ndarray, d: int,
+                 moduli: np.ndarray) -> np.ndarray:
+    """Encoding of f mod M for the monic f of degree n at idx (rows) and
+    the monic M of degree d at moduli (columns), as int64.
+
+    Reduction mod M is linear in the coefficients of f, so this is one
+    matrix product: the digit rows of f, leading 1 included, times the
+    digits of x^i mod M.  Every entry is an integer of at most
+    (n + 1)(p - 1)^2, below 2^24 (so the float32 product is exact) at
+    every degree whose polynomials can be listed (p <= 251).  The caller
+    sizes the blocks.
+    """
+    if d == 0:
+        return np.zeros((len(idx), len(moduli)), dtype=np.int64)
+    digits = np.ones((len(idx), n + 1), dtype=np.float32)
+    digits[:, :n] = _digit_matrix(p, idx, n)
+    raw = (digits @ _powers_mod(p, n, d, moduli)).astype(np.int32)
+    quot = raw // p  # raw %= p in place; numpy divides faster than % by a scalar
+    quot *= p
+    raw -= quot
+    raw = raw.reshape(len(idx), len(moduli), d)
+    keys = np.zeros((len(idx), len(moduli)), dtype=np.int64)
+    for j in range(d - 1, -1, -1):  # Horner, without an int64 copy of raw
+        keys *= p
+        keys += raw[:, :, j]
+    return keys
+
+
+def residue_counts(table: IrreducibleTable, n: int, d: int):
+    """Count the degree-n primes in every residue class modulo every monic
+    M of degree d.  Yields (moduli, counts) block by block in index order:
+    counts[b, key] is the number of primes P with P mod M = key (encoded)
+    for the modulus at index moduli[b].
+
+    Every matrix product (primes x moduli x d) and every block of counts
+    (moduli x p^d) holds at most RESIDUE_BLOCK_CELLS cells, except that
+    one modulus's row of p^d counts is never split.
+    """
+    p = table.field.p
+    primes = table.prime_indices(n)
+    classes = p**d
+    width = max(1, RESIDUE_BLOCK_CELLS // max(classes, len(primes) * d))
+    step = max(1, RESIDUE_BLOCK_CELLS // (width * d))
+    for start in range(0, classes, width):
+        moduli = np.arange(start, min(start + width, classes), dtype=np.int64)
+        keys = np.concatenate([residue_keys(p, n, primes[s:s + step], d, moduli)
+                               for s in range(0, len(primes), step)])
+        keys += np.arange(len(moduli), dtype=np.int64) * classes
+        counts = np.bincount(keys.ravel(), minlength=len(moduli) * classes)
+        yield moduli, counts.reshape(len(moduli), classes)
+
+
 def residue_histogram(n: int, modulus: Poly, table: IrreducibleTable) -> dict[int, int]:
     """Count degree-n primes per residue class mod the given monic modulus.
 
-    Keys are the integer encodings of the reduced residues.
+    Keys are the integer encodings of the reduced residues, in the order
+    in which they first occur among the primes in index order.
     """
     if modulus.is_zero or not modulus.is_monic or modulus.degree < 1:
         raise SieveError("modulus must be monic of degree >= 1")
-    field = table.field
-    hist: dict[int, int] = {}
-    if field.p == 2:
-        mb = modulus.encode()
-        lead = 1 << n
-        for idx in table.prime_indices(n):
-            r = int(idx) | lead
-            bl = mb.bit_length()
-            while True:
-                sh = r.bit_length() - bl
-                if sh < 0:
-                    break
-                r ^= mb << sh
-            hist[r] = hist.get(r, 0) + 1
-    else:
-        for P in table.primes(n):
-            r = (P % modulus).encode()
-            hist[r] = hist.get(r, 0) + 1
-    return hist
+    p, d = table.field.p, modulus.degree
+    primes = table.prime_indices(n)
+    at = np.array([modulus.monic_index()], dtype=np.int64)
+    step = max(1, RESIDUE_BLOCK_CELLS // d)
+    keys = np.concatenate([residue_keys(p, n, primes[s:s + step], d, at)[:, 0]
+                           for s in range(0, len(primes), step)])
+    found, first, counts = np.unique(keys, return_index=True,
+                                     return_counts=True)
+    order = np.argsort(first)
+    return dict(zip(found[order].tolist(), counts[order].tolist()))
 
 
 def prime_count_ap(n: int, modulus: Poly, residue: Poly,

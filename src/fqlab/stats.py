@@ -8,7 +8,10 @@ statistics as Fractions) and enumeration-based where it is a sample (the
 value multisets).  Every scan is a numpy pass over the value arrays that
 correlate uses too (arith.shifted_values over the valuation sieve): the
 value multiset is one np.unique, the weight sums one exact sum, the
-divisor-product maximum one max.
+divisor-product maximum one max.  The progression statistics (Theta, the
+Bombieri-Vinogradov sum, Brun-Titchmarsh) count primes per residue class
+with the residue map (sieve.residue_counts) and the multiples of each
+prime modulus (sieve.prime_multiples), with no per-prime division.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from .arith import (
     AdditiveSpec,
     FunctionSpec,
     exp_additive,
-    phi,
+    phi,  # unused here; fqbench's tracer wraps fqlab.stats.phi
+    phi_values,
     product_sum,
     shifted_values,
     trial_limit,
@@ -37,7 +41,10 @@ from .sieve import (
     IrreducibleTable,
     TableTooSmallError,
     domain_indices,
+    prime_multiples,
+    residue_counts,
     residue_histogram,
+    shift_indices,
 )
 from .correlate import CorrelationSpec, correlate
 
@@ -333,55 +340,54 @@ def squarefree_weight_sum(n: int, table: IrreducibleTable) -> Fraction:
     return Fraction(product_sum([values], True), q**n)
 
 
-def _pi_ap_exact(n: int, modulus: Poly, residue_key: int,
-                 table: IrreducibleTable) -> int:
-    return residue_histogram(n, modulus, table).get(residue_key, 0)
-
-
 def sieve_diagnostics(n: int, h: Poly, t: float,
                       table: IrreducibleTable) -> SieveDiagnostics:
-    """Classical sieve statistics at degree n with shift h.
+    """Classical sieve statistics at degree n with a shift h of degree < n.
 
     theta sums phi(Q) pi^2(n; Q, -h) over prime moduli of degree in
-    (n/2, n], skipping the degenerate classes with gcd(-h, Q) != 1 (for
-    those the count is a divisibility artifact, not a progression count).
+    (n/2, n].  The classes with gcd(-h, Q) != 1 count nothing: Q | P + h
+    and Q | h give Q | P with deg Q <= deg h < n, impossible for a prime P.
     bv_sum adds, over every modulus M of degree < n/2 - t log_q n, the
     worst deviation |pi - q^n/(n phi(M))| across invertible residues.
     """
     q = table.field.p
     field = table.field
+    if not h.is_zero and h.degree >= n:
+        raise StatsError("shift degree must be < n")
     if table.max_deg < n:
         raise TableTooSmallError("diagnostics need prime listings to degree n")
 
-    # Theta
+    # Theta: P + h is monic of degree n, so Q | P + h means P = Q g - h
+    # for a monic g of degree n - deg Q
     theta = 0
     if not h.is_zero:  # -h = 0 is invertible mod nothing: empty sum
-        for dq in range(n // 2 + 1, n + 1):
-            for Q in table.primes(dq):
-                res = (-h) % Q
-                if res.is_zero:
-                    continue  # Q divides h: class not invertible
-                cnt = _pi_ap_exact(n, Q, res.encode(), table)
-                if cnt:
-                    theta += (q**dq - 1) * cnt * cnt  # phi of a prime
+        is_prime = np.zeros(q**n, dtype=bool)
+        is_prime[table.prime_indices(n)] = True
+        for dq, idx in prime_multiples(table, n, n // 2 + 1, n):
+            cnt = int(np.count_nonzero(is_prime[shift_indices(field, n, idx, -h)]))
+            theta += (q**dq - 1) * cnt * cnt  # phi of a prime
     npq = table.count(n)
     theta_ratio = Fraction(theta, npq * npq)
 
-    # Bombieri-Vinogradov sum
+    # Bombieri-Vinogradov sum: |c - target| is largest at the smallest or
+    # the largest nonempty class, or at an empty invertible class (count 0)
     bound = n / 2 - t * math.log(n, q)
     bv = Fraction(0)
     d = 1
     while d < bound:
-        for midx in range(q**d):
-            M = monic_from_index(field, d, midx)
-            phim = phi(M, table)
-            target = Fraction(q**n, n * phim)
-            hist = residue_histogram(n, M, table)
-            worst = max((abs(Fraction(c) - target) for c in hist.values()),
-                        default=Fraction(0))
-            if phim > len(hist):
-                worst = max(worst, target)  # some invertible class is empty
-            bv += worst
+        totients = phi_values(table, d)
+        for moduli, counts in residue_counts(table, n, d):
+            filled = counts > 0
+            high = counts.max(axis=1)
+            low = np.where(filled, counts, high[:, None]).min(axis=1)
+            for lo, hi, nonempty, phim in zip(
+                    low.tolist(), high.tolist(), filled.sum(axis=1).tolist(),
+                    totients[moduli].tolist()):
+                target = Fraction(q**n, n * phim)
+                worst = max(abs(lo - target), abs(hi - target))
+                if phim > nonempty:
+                    worst = max(worst, target)  # some invertible class is empty
+                bv += worst
         d += 1
 
     h_seq = tuple(squarefree_weight_sum(m, table) for m in range(1, n + 1))
@@ -399,20 +405,22 @@ def sieve_diagnostics(n: int, h: Poly, t: float,
 def brun_titchmarsh_violations(n_max: int, table: IrreducibleTable) -> list:
     """Exhaustively test pi(n; M, B) <= 2 q^n / (phi(M) (n - deg M + 1))
     for every modulus of degree < n <= n_max and every invertible residue.
-    Returns the list of violating (n, M, B-key) triples; Brun-Titchmarsh
-    is a theorem, so anything but an empty list is a bug."""
+    Returns the list of violating (n, M, B-key) triples in the order of
+    n, deg M, the index of M and the first prime in each class;
+    Brun-Titchmarsh is a theorem, so anything but an empty list is a bug."""
     q = table.field.p
     field = table.field
     bad = []
+    totients = {d: phi_values(table, d) for d in range(1, n_max)}
     for n in range(2, n_max + 1):
         for d in range(1, n):
-            for midx in range(q**d):
-                M = monic_from_index(field, d, midx)
-                phim = phi(M, table)
-                hist = residue_histogram(n, M, table)
-                for key, cnt in hist.items():
-                    # only prime residue classes appear; all are invertible
-                    # since deg P = n > deg M
-                    if cnt * phim * (n - d + 1) > 2 * q**n:
-                        bad.append((n, M, key))
+            for moduli, counts in residue_counts(table, n, d):
+                # only prime residue classes appear; all are invertible
+                # since deg P = n > deg M
+                scale = totients[d][moduli] * (n - d + 1)
+                for b in np.nonzero(counts.max(axis=1) * scale > 2 * q**n)[0]:
+                    M = monic_from_index(field, d, int(moduli[b]))
+                    bad += [(n, M, key) for key, cnt
+                            in residue_histogram(n, M, table).items()
+                            if cnt * int(scale[b]) > 2 * q**n]
     return bad

@@ -181,6 +181,13 @@ class TestStatsCommands:
         assert float(rows[0]["theta_ratio"]) >= 0
         assert len(rows[0]["h_sequence"].split(";")) == 6
 
+    def test_diagnostics_shift_of_degree_n_or_more(self, tmp_path, monkeypatch):
+        # the shifts of the paper have degree < n
+        for h in ("x^6", "x^7+1"):
+            assert run(["diagnostics", "--p", "2", "--n", "6", "--h", h,
+                        "--out", "dg"], tmp_path, monkeypatch) == 1
+        assert not (tmp_path / "dg.csv").exists()
+
 
 class TestCacheReuse:
     def test_cache_loaded_on_second_run(self, tmp_path, monkeypatch):

@@ -362,7 +362,10 @@ def ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
 # zero polynomial written "0"; example "x^3+2x+1"
 # ---------------------------------------------------------------------------
 
-_TERM_RE = re.compile(r"^(?:(\d+)|(\d*)x(?:\^(\d+))?)$")
+# numbers are ASCII digits without leading zeros (\d would admit any
+# Unicode digit); "1x" and "x^1" are caught after the match
+_NUMBER = "[1-9][0-9]*"
+_TERM_RE = re.compile(rf"({_NUMBER})|({_NUMBER})?x(?:\^({_NUMBER}))?")
 
 
 def format_poly(f: Poly) -> str:
@@ -384,7 +387,7 @@ def format_poly(f: Poly) -> str:
 
 def parse_poly(text: str, field: FieldSpec) -> Poly:
     """Parse the canonical grammar; rejects out-of-range coefficients and
-    anything the canonical formatter would not emit."""
+    anything the canonical formatter would not emit, spaces aside."""
     s = text.strip().replace(" ", "")
     if not s:
         raise PolyError("empty polynomial string")
@@ -393,20 +396,18 @@ def parse_poly(text: str, field: FieldSpec) -> Poly:
     coeffs: dict[int, int] = {}
     last_deg = None
     for term in s.split("+"):
-        m = _TERM_RE.match(term)
+        m = _TERM_RE.fullmatch(term)
         if not m:
             raise PolyError(f"bad term {term!r} in {text!r}")
         if m.group(1) is not None:
             deg, coef = 0, int(m.group(1))
         else:
-            coef = int(m.group(2)) if m.group(2) else 1
-            deg = int(m.group(3)) if m.group(3) is not None else 1
-            if m.group(3) is not None and deg in (0, 1):
-                raise PolyError(f"non-canonical exponent in {term!r}")
+            if m.group(2) == "1" or m.group(3) == "1":
+                raise PolyError(f"non-canonical term {term!r}")
+            coef = int(m.group(2) or 1)
+            deg = int(m.group(3) or 1)
         if coef >= field.p:
             raise PolyError(f"coefficient {coef} >= p={field.p} in {term!r}")
-        if coef == 0:
-            raise PolyError(f"zero coefficient term {term!r} is not canonical")
         if last_deg is not None and deg >= last_deg:
             raise PolyError(f"terms not in strictly descending degree: {text!r}")
         last_deg = deg

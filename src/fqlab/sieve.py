@@ -29,10 +29,16 @@ necklace identity; only listings are capped by the memory budget.
 The cache file layout (little endian) is:
   magic "FFQI", u32 format version, u32 p, u32 max_deg,
   then for d = 1..max_deg: u64 N_d, then N_d records of d bytes each
-  holding coefficients c0..c_{d-1} (leading 1 implicit).
-A file is written under a temporary name and renamed into place.  A
-loaded cache is trusted only after every N_d matches Moebius inversion
-and the necklace identity passes.
+  holding coefficients c0..c_{d-1} (leading 1 implicit), in ascending
+  index order.
+A file is written under a temporary name and renamed into place.
+Loading checks the whole file before it returns: magic, version and
+field, the file length against the Moebius counts (so a truncated file
+and trailing bytes are caught before any record is read), every N_d
+against Moebius inversion, every digit < p, and the necklace identity.
+The records of a degree are turned into enumeration indices only on the
+first call that needs that degree, which also checks that they are
+strictly ascending (no record repeated).
 """
 
 from __future__ import annotations
@@ -188,17 +194,22 @@ class Factorization:
 class IrreducibleTable:
     """All monic irreducibles of degree <= max_deg over F_p.
 
-    Per-degree listings are numpy index arrays in enumeration order;
-    immutable after build, safe for concurrent reads.
+    by_degree[d] lists the degree-d primes either as numpy index arrays
+    in enumeration order or, for a table read from a cache file, as their
+    (N_d, d) coefficient records (uint8), decoded into indices on the
+    first call that needs degree d.  Immutable after build, safe for
+    concurrent reads: readers that decode the same degree at once compute
+    equal arrays.
     """
 
     def __init__(self, field: FieldSpec, max_deg: int,
                  by_degree: list[np.ndarray]):
         self.field = field
         self.max_deg = max_deg
-        self._by_degree = by_degree  # [None, deg1 indices, deg2 indices, ...]
+        self._by_degree = list(by_degree)  # [empty, deg1 listing, deg2 listing, ...]
         self._counts = [0] + [len(a) for a in by_degree[1:]]
         self._prime_rows: list[list] = [[]]
+        self._path = None  # the cache file of a loaded table, named in errors
         self._validate()
 
     def _validate(self) -> None:
@@ -235,7 +246,14 @@ class IrreducibleTable:
     def prime_indices(self, d: int) -> np.ndarray:
         if not 1 <= d <= self.max_deg:
             raise TableTooSmallError(f"degree {d} not tabulated (max {self.max_deg})")
-        return self._by_degree[d]
+        idx = self._by_degree[d]
+        if idx.ndim == 2:  # coefficient records read from a cache file
+            idx = idx.astype(np.int64) @ self.field.p ** np.arange(d, dtype=np.int64)
+            if not (idx[1:] > idx[:-1]).all():
+                raise SieveError(f"{self._path}: degree-{d} records are not "
+                                 "strictly ascending")
+            self._by_degree[d] = idx
+        return idx
 
     def primes(self, d: int) -> list[Poly]:
         return [monic_from_index(self.field, d, int(i))
@@ -252,7 +270,7 @@ class IrreducibleTable:
             p = self.field.p
             rows = list(rows)  # readers keep the list they were handed
             for d in range(len(rows), limit + 1):
-                idx = self._by_degree[d]
+                idx = self.prime_indices(d)
                 if p == 2:
                     rows.append([i | (1 << d) for i in idx.tolist()])
                 else:
@@ -287,7 +305,7 @@ class IrreducibleTable:
                 fh.write(CACHE_MAGIC)
                 fh.write(struct.pack("<III", CACHE_VERSION, p, self.max_deg))
                 for d in range(1, self.max_deg + 1):
-                    idx = self._by_degree[d]
+                    idx = self.prime_indices(d)
                     fh.write(struct.pack("<Q", len(idx)))
                     fh.write(_digit_matrix(p, idx, d).astype(np.uint8).tobytes())
             os.replace(tmp, path)
@@ -297,37 +315,50 @@ class IrreducibleTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "IrreducibleTable":
-        """Read a cache file; any malformed content raises SieveError."""
-        def read(fh, size: int, what: str) -> bytes:
-            raw = fh.read(size)
-            if len(raw) != size:
-                raise SieveError(f"{path}: truncated cache in {what}")
-            return raw
-
+        """Read and check a cache file; any malformed content raises
+        SieveError here, except repeated or unsorted records, which are
+        found when their degree is first used (prime_indices)."""
         with open(path, "rb") as fh:
-            if fh.read(4) != CACHE_MAGIC:
+            head = fh.read(16)
+            if head[:4] != CACHE_MAGIC:
                 raise SieveError(f"{path}: bad magic")
-            version, p, max_deg = struct.unpack("<III", read(fh, 12, "header"))
+            if len(head) != 16:
+                raise SieveError(f"{path}: truncated cache in header")
+            version, p, max_deg = struct.unpack_from("<III", head, 4)
             if version != CACHE_VERSION:
                 raise SieveError(f"{path}: unsupported cache version {version}")
             try:
                 field = FieldSpec(p)
             except PolyError as exc:
                 raise SieveError(f"{path}: {exc}") from exc
-            by_degree: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+            # the length follows from the Moebius counts; the sum stops
+            # once it passes the file, so a forged max_deg costs nothing
+            size = os.fstat(fh.fileno()).st_size
+            counts, end = [0], 16
             for d in range(1, max_deg + 1):
-                (n_d,) = struct.unpack("<Q", read(fh, 8, f"count of degree {d}"))
-                if n_d != irreducible_count(p, d):
-                    # checked before the read, so a forged count cannot
-                    # force a huge allocation
-                    raise SieveError(f"{path}: wrong prime count at degree {d}")
-                raw = read(fh, n_d * d, f"degree {d}")
-                digits = np.frombuffer(raw, dtype=np.uint8).reshape(n_d, d)
-                if digits.size and digits.max() >= p:
-                    raise SieveError(f"{path}: coefficient out of range")
-                pows = p ** np.arange(d, dtype=np.int64)
-                by_degree.append(np.sort(digits.astype(np.int64) @ pows))
-        return cls(field, max_deg, by_degree)  # necklace check runs in init
+                counts.append(irreducible_count(p, d))
+                end += 8 + counts[d] * d
+                if end > size:
+                    raise SieveError(f"{path}: truncated cache in degree {d}")
+            if end != size:
+                raise SieveError(f"{path}: {size - end} trailing bytes")
+            body = np.empty(size - 16, dtype=np.uint8)
+            if fh.readinto(body) != len(body):
+                raise SieveError(f"{path}: file changed while being read")
+        by_degree: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        at = 0
+        for d in range(1, max_deg + 1):
+            (n_d,) = struct.unpack_from("<Q", body, at)
+            if n_d != counts[d]:
+                raise SieveError(f"{path}: wrong prime count at degree {d}")
+            digits = body[at + 8:at + 8 + n_d * d].reshape(n_d, d)
+            if digits.max() >= p:
+                raise SieveError(f"{path}: coefficient out of range")
+            by_degree.append(digits)
+            at += 8 + n_d * d
+        table = cls(field, max_deg, by_degree)  # necklace check runs in init
+        table._path = path
+        return table
 
 
 def necklace_check(table: IrreducibleTable, n: int) -> NecklaceReport:

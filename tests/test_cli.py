@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from fqlab import FieldSpec, IrreducibleTable, build_table
+from fqlab import FieldSpec, IrreducibleTable, build_table, irreducible_count
 from fqlab.cli import ExperimentConfig, main
 
 
@@ -212,9 +212,11 @@ class TestCacheReuse:
 
 
 class TestCacheRecovery:
-    @pytest.mark.parametrize("kind", ["truncated-header", "forged-count",
-                                      "mislabelled"])
-    def test_bad_cache_file_is_rebuilt(self, kind, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("kind", [
+        "truncated-header", "forged-count", "mislabelled", "trailing-bytes",
+        "truncated-top-degree", "digit-out-of-range"])
+    def test_bad_cache_file_is_rebuilt(self, kind, tmp_path, monkeypatch,
+                                       capsys):
         cache = tmp_path / "cache"
         cache.mkdir()
         bad = cache / "p2_d8.fqi"
@@ -223,9 +225,21 @@ class TestCacheRecovery:
         elif kind == "forged-count":
             # a valid header for p=2, max_deg=8, then an absurd N_1
             bad.write_bytes(b"FFQI" + struct.pack("<IIIQ", 1, 2, 8, 1 << 40))
-        else:
+        elif kind == "mislabelled":
             # a sound degree-1 table under a degree-8 name
             build_table(FieldSpec(2), 1).save(bad)
+        else:
+            # a sound table spoilt at its end only, past the degrees that
+            # factoring a quartic reads
+            build_table(FieldSpec(2), 8).save(bad)
+            raw = bad.read_bytes()
+            if kind == "trailing-bytes":
+                raw += b"\x00"
+            elif kind == "truncated-top-degree":
+                raw = raw[:-3]
+            else:
+                raw = raw[:-1] + b"\x02"
+            bad.write_bytes(raw)
         for out in ("f1", "f2"):  # the second run must not meet the bad file
             rc = run(["factor", "--p", "2", "--poly", "x^4+x^2", "--out", out],
                      tmp_path, monkeypatch)
@@ -233,10 +247,29 @@ class TestCacheRecovery:
             rows = read_csv(tmp_path / f"{out}.csv")
             assert [(r["prime"], r["multiplicity"]) for r in rows] == \
                 [("x", "2"), ("x+1", "2")]
+        assert capsys.readouterr().err.count("rebuilding bad cache file") == 1
+        assert not bad.exists()
         left = sorted(cache.glob("*"))
         assert left and all(f.suffix == ".fqi" for f in left)
         for f in left:
             IrreducibleTable.load(f)
+
+    def test_repeated_record_exits_1(self, tmp_path, monkeypatch):
+        # the last degree-8 prime x^8+x^7+x^6+x^5+x^4+x^3+1 is replaced by
+        # a copy of the first; its square must not pass for a prime
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        bad = cache / "p2_d8.fqi"
+        build_table(FieldSpec(2), 8).save(bad)
+        raw = bad.read_bytes()
+        first = len(raw) - 8 * irreducible_count(2, 8)
+        bad.write_bytes(raw[:-8] + raw[first:first + 8])
+        IrreducibleTable.load(bad)  # passes every load-time check
+        rc = run(["factor", "--p", "2", "--poly",
+                  "x^16+x^14+x^12+x^10+x^8+x^6+1", "--out", "f"],
+                 tmp_path, monkeypatch)
+        assert rc == 1
+        assert not (tmp_path / "f.csv").exists()
 
 
 class TestEnumerationBudget:

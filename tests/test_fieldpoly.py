@@ -54,6 +54,7 @@ class TestParseFormat:
 
     @pytest.mark.parametrize("bad", [
         "", "x^1+1", "x^0", "1+x", "x+x", "0x+1", "x^2+0x+1", "-x", "x**2",
+        "x^\u0662+x", "\u0662", "x^02", "01", "02x", "1x", "x^2\n+1",
     ])
     def test_non_canonical_rejected(self, field3, bad):
         with pytest.raises(PolyError):
@@ -65,6 +66,25 @@ class TestParseFormat:
         from fqlab.fieldpoly import poly_from_encoding
         f = poly_from_encoding(field, enc)
         assert P(format_poly(f), field) == f
+
+    @given(st.sampled_from([2, 3, 5, 11, 251]).flatmap(
+        lambda p: st.tuples(st.just(p), st.lists(
+            st.integers(min_value=0, max_value=p - 1), max_size=14))))
+    def test_format_then_parse_is_identity(self, p_coeffs):
+        p, coeffs = p_coeffs
+        f = Poly(FieldSpec(p), coeffs)
+        assert P(format_poly(f), f.field) == f
+
+    @given(st.sampled_from([3, 251]),
+           st.text(alphabet="0123456789x^+ \n\u0662\uff11", max_size=10))
+    def test_only_canonical_strings_parse(self, p, text):
+        # apart from spaces (and whitespace around the string), whatever
+        # parses is exactly what format_poly writes for the result
+        try:
+            f = P(text, FieldSpec(p))
+        except PolyError:
+            return
+        assert text.strip().replace(" ", "") == format_poly(f)
 
 
 class TestArith:

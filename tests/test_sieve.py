@@ -187,6 +187,39 @@ class TestPrimesInAP:
 
 
 class TestCache:
+    @pytest.mark.parametrize("p,max_deg", [(2, 10), (3, 6), (5, 4)])
+    def test_loaded_table_equals_built(self, p, max_deg, tmp_path):
+        built = build_table(FieldSpec(p), max_deg)
+        path, again = tmp_path / "t.fqi", tmp_path / "again.fqi"
+        built.save(path)
+        loaded = IrreducibleTable.load(path)
+        assert loaded.max_deg == built.max_deg
+        for d in range(1, max_deg + 3):
+            assert loaded.count(d) == built.count(d)
+        for d in range(max_deg, 0, -1):  # decoded out of order
+            assert loaded.prime_indices(d).tolist() == \
+                built.prime_indices(d).tolist()
+            assert loaded.primes(d) == built.primes(d)
+        IrreducibleTable.load(path).save(again)  # saved before any decode
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_trailing_bytes_rejected(self, table3, tmp_path):
+        path = tmp_path / "long.fqi"
+        table3.save(path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(SieveError, match="trailing"):
+            IrreducibleTable.load(path)
+
+    def test_repeated_record_found_on_first_use(self, table3, tmp_path):
+        path = tmp_path / "rep.fqi"
+        table3.save(path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-6] + raw[-12:-6])  # last degree-6 record twice
+        loaded = IrreducibleTable.load(path)
+        assert loaded.prime_indices(5).tolist() == table3.prime_indices(5).tolist()
+        with pytest.raises(SieveError, match="rep.fqi"):
+            loaded.prime_indices(6)
+
     def test_roundtrip(self, table3, tmp_path):
         path = tmp_path / "t.fqi"
         table3.save(path)

@@ -9,8 +9,8 @@ bounds are what let truncated Euler products report honest tails and let
 the evaluation engine stop sieving early (a rule that is 1 on every
 prime power it never sees contributes an exact factor of 1).
 
-Additive functions follow the same shape with sums instead of products
-and 0 as the neutral value.
+An additive function is the same spec with additive = True: sums
+instead of products and 0 as the neutral value.
 
 The evaluation engine behind the correlate and stats scans is
 value_array: psi(f) for every monic f of degree n at once, from the
@@ -50,14 +50,17 @@ class SpecError(ValueError):
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """Multiplicative function given by its rule on prime powers.
+    """Multiplicative function given by its rule on prime powers, or,
+    with additive = True, a real additive function.
 
     rule_dm(d, m) is the value at P^m for any prime P of degree d (only
     meaningful when degree_symmetric); rule_poly(P, m) is the general
-    form.  The value at m = 0 is 1 by convention and is supplied by the
-    accessors, not the rules.  trivial_beyond_degree = R means the value
-    is exactly 1 whenever deg P > R (None: no such bound); power_settle
-    = s means the value at P^m equals the value at P^s for all m >= s.
+    form.  The value at m = 0 is the neutral one, 1 (0.0 if additive),
+    and is supplied by the accessors, not the rules.  The value at f is
+    the product (the sum, if additive) of its prime-power values.
+    trivial_beyond_degree = R means the value is exactly neutral whenever
+    deg P > R (None: no such bound); power_settle = s means the value at
+    P^m equals the value at P^s for all m >= s.
     """
 
     name: str
@@ -69,47 +72,38 @@ class FunctionSpec:
     trivial_beyond_degree: int | None
     power_settle: int | None
     rule_poly: Callable[[Poly, int], complex] | None = None
+    additive: bool = False
+
+    @property
+    def neutral(self):
+        return 0.0 if self.additive else 1
 
     def value_dm(self, d: int, m: int):
         if m == 0:
-            return 1
+            return self.neutral
         if not self.degree_symmetric or self.rule_dm is None:
             raise SpecError(f"{self.name} has no degree-symmetric rule")
         return self.rule_dm(d, m)
 
     def value_at(self, P: Poly, m: int):
         if m == 0:
-            return 1
+            return self.neutral
         if self.rule_poly is not None:
             return self.rule_poly(P, m)
         return self.rule_dm(P.degree, m)
 
 
-@dataclass(frozen=True)
-class AdditiveSpec:
-    """Real-valued additive function; value at m = 0 is 0."""
-
-    name: str
-    field: FieldSpec
-    rule_dm: Callable[[int, int], float] | None
-    degree_symmetric: bool
-    trivial_beyond_degree: int | None  # rule == 0 beyond this degree
-    power_settle: int | None
-    rule_poly: Callable[[Poly, int], float] | None = None
-
-    def value_dm(self, d: int, m: int) -> float:
-        if m == 0:
-            return 0.0
-        if not self.degree_symmetric or self.rule_dm is None:
-            raise SpecError(f"{self.name} has no degree-symmetric rule")
-        return self.rule_dm(d, m)
-
-    def value_at(self, P: Poly, m: int) -> float:
-        if m == 0:
-            return 0.0
-        if self.rule_poly is not None:
-            return self.rule_poly(P, m)
-        return self.rule_dm(P.degree, m)
+def AdditiveSpec(name: str, field: FieldSpec,
+                 rule_dm: Callable[[int, int], float] | None,
+                 degree_symmetric: bool, trivial_beyond_degree: int | None,
+                 power_settle: int | None,
+                 rule_poly: Callable[[Poly, int], float] | None = None
+                 ) -> FunctionSpec:
+    """Real-valued additive function: the FunctionSpec with additive=True
+    (trivial_beyond_degree bounds where the rule is 0)."""
+    return FunctionSpec(name, field, rule_dm, degree_symmetric, False, False,
+                        trivial_beyond_degree, power_settle, rule_poly,
+                        additive=True)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +153,7 @@ def builtin(kind: str, field: FieldSpec, *, k: int | None = None,
     raise SpecError(f"unknown builtin kind {kind!r}")
 
 
-def builtin_additive(kind: str, field: FieldSpec) -> AdditiveSpec:
+def builtin_additive(kind: str, field: FieldSpec) -> FunctionSpec:
     """Canned additive functions: zero, omega (distinct prime count),
     big_omega (with multiplicity), log_phi_ratio (log of Phi(f)/|f|)."""
     q = field.p
@@ -221,14 +215,8 @@ _FUNC_GRAMMAR = ("one", "moebius", "kfree:<k>", "liouville",
 def parse_function_spec(text: str, field: FieldSpec) -> FunctionSpec:
     """CLI/config naming grammar for multiplicative functions."""
     s = text.strip()
-    if s == "one":
-        return builtin("one", field)
-    if s == "moebius":
-        return builtin("moebius", field)
-    if s == "liouville":
-        return builtin("liouville", field)
-    if s == "phi_ratio":
-        return builtin("phi_ratio", field)
+    if s in ("one", "moebius", "liouville", "phi_ratio"):
+        return builtin(s, field)
     if s.startswith("kfree:"):
         return builtin("kfree", field, k=int(s.split(":", 1)[1]))
     if s.startswith("liouville_trunc:"):
@@ -238,7 +226,7 @@ def parse_function_spec(text: str, field: FieldSpec) -> FunctionSpec:
     raise SpecError(f"unknown function spec {text!r}; expected one of {_FUNC_GRAMMAR}")
 
 
-def parse_additive_spec(text: str, field: FieldSpec) -> AdditiveSpec:
+def parse_additive_spec(text: str, field: FieldSpec) -> FunctionSpec:
     s = text.strip()
     if s in ("zero", "omega", "big_omega", "log_phi_ratio"):
         return builtin_additive(s, field)
@@ -250,16 +238,14 @@ def parse_additive_spec(text: str, field: FieldSpec) -> AdditiveSpec:
 # ---------------------------------------------------------------------------
 
 def eval_on(fact: Factorization, spec: FunctionSpec):
-    """Value at a monic polynomial given its factorization (product over
-    prime powers; empty factorization gives 1)."""
-    v = 1
-    for P, m in fact.factors:
-        v = v * spec.value_at(P, m)
-    return v
+    """Value at a monic polynomial given its factorization: the product of
+    its prime-power values, or their sum if spec is additive (an empty
+    factorization gives 1, or 0)."""
+    values = (spec.value_at(P, m) for P, m in fact.factors)
+    return sum(values) if spec.additive else math.prod(values)
 
 
-def eval_additive_on(fact: Factorization, spec: AdditiveSpec) -> float:
-    return sum(spec.value_at(P, m) for P, m in fact.factors)
+eval_additive_on = eval_on
 
 
 def trial_limit(functions, n: int, table: IrreducibleTable) -> int | None:
@@ -306,12 +292,12 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def value_array(psi: FunctionSpec | AdditiveSpec, table: IrreducibleTable,
-                n: int, limit: int | None) -> np.ndarray:
+def value_array(psi: FunctionSpec, table: IrreducibleTable, n: int,
+                limit: int | None) -> np.ndarray:
     """psi(f) for every monic f of degree n, in enumeration order, from a
-    degree-symmetric rule: the product (FunctionSpec) or sum
-    (AdditiveSpec) of rule_dm(deg P, v_P(f)) over the primes P of degree
-    <= limit (trial_limit; None means all of them).
+    degree-symmetric rule: the product (the sum, if psi is additive) of
+    rule_dm(deg P, v_P(f)) over the primes P of degree <= limit
+    (trial_limit; None means all of them).
 
     Primes of degree <= n/2 come from the valuation sieve in (degree,
     index) order; what remains of the degree names the one larger prime,
@@ -319,8 +305,7 @@ def value_array(psi: FunctionSpec | AdditiveSpec, table: IrreducibleTable,
     the one trial division would give.
     """
     check_enumeration(table.field.p, n)
-    additive = isinstance(psi, AdditiveSpec)
-    neutral = 0.0 if additive else 1
+    additive, neutral = psi.additive, psi.neutral
     top = n // 2 if limit is None else min(limit, n // 2)
     cap = n if limit is None else min(limit, n)
     rule = psi.rule_dm
@@ -345,8 +330,8 @@ def value_array(psi: FunctionSpec | AdditiveSpec, table: IrreducibleTable,
     return out
 
 
-def shifted_values(psi: FunctionSpec | AdditiveSpec, table: IrreducibleTable,
-                   n: int, h: Poly, limit: int | None, indices: np.ndarray,
+def shifted_values(psi: FunctionSpec, table: IrreducibleTable, n: int,
+                   h: Poly, limit: int | None, indices: np.ndarray,
                    cache: dict | None = None) -> np.ndarray:
     """psi(f + h) for the monic f of degree n at the given enumeration
     indices, as a numpy array (see value_array for limit).
@@ -363,8 +348,7 @@ def shifted_values(psi: FunctionSpec | AdditiveSpec, table: IrreducibleTable,
             cache[id(psi)] = value_array(psi, table, n, limit)
         return cache[id(psi)][at]
     field = table.field
-    ev = eval_additive_on if isinstance(psi, AdditiveSpec) else eval_on
-    return np.array([ev(factorize(monic_from_index(field, n, j), table), psi)
+    return np.array([eval_on(factorize(monic_from_index(field, n, j), table), psi)
                      for j in at.tolist()], dtype=object)
 
 
@@ -511,7 +495,7 @@ def mertens_sum(n: int, table: IrreducibleTable) -> float:
     return sum(table.count(d) * q ** (-d) for d in range(1, n + 1))
 
 
-def exp_additive(psi_tilde: AdditiveSpec, t: float) -> FunctionSpec:
+def exp_additive(psi_tilde: FunctionSpec, t: float) -> FunctionSpec:
     """Multiplicative spec P^m -> exp(i t psi_tilde(P^m)); unit modulus by
     construction.  t = 0 collapses to the constant-1 spec."""
     if t == 0:

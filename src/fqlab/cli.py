@@ -1,10 +1,16 @@
 """Batch front end: canned experiments, table caching, CSV/JSON artifacts.
 
-Every command reads a flat key=value config file (--config) whose keys
-mirror the command-line flags; flags win on conflict.  Each run writes a
-CSV artifact plus a JSON mirror with identical field names and prints a
-short human summary.  Exit codes: 0 success, 1 invalid input, 2 memory
-budget exceeded.
+Each command declares its settings once, as a table of key -> (converter,
+default) given to _command beside its handler; the common keys p,
+cache_dir, budget and out come with every table.  That table alone builds
+the command's flags (--key, '_' written '-'), looks each key up in the
+flat key=value config file named by --config (a flag wins on conflict),
+and converts every value, so a bad value is invalid input whichever way it
+came.  A handler sees only the resolved namespace.  Each run writes a CSV
+artifact plus a JSON mirror with identical field names and prints a short
+human summary.  Exit codes: 0 success, 1 invalid input (usage errors
+included), 2 memory budget exceeded; --budget bounds the table and the
+monic scan of every command.
 
 Artifacts are deterministic for a fixed config and cache; the seconds
 column is wall-clock timing, so reproducible byte-identical output needs
@@ -22,6 +28,7 @@ import sys
 import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
+from typing import Callable
 
 from .arith import (
     SpecError,
@@ -38,6 +45,7 @@ from .sieve import (
     MemoryBudgetError,
     SieveError,
     build_table,
+    check_enumeration,
     factorize,
 )
 from .stats import (
@@ -49,8 +57,6 @@ from .stats import (
 )
 
 CACHE_ENV = "FQLAB_CACHE_DIR"
-COMMANDS = ("sieve", "factor", "correlate", "mainterm", "chowla", "dist",
-            "charfn", "tk", "diagnostics")
 
 _VALIDATION_ERRORS = (PolyError, SpecError, SieveError, MainTermError,
                       StatsError, ValueError)
@@ -85,9 +91,7 @@ class ExperimentConfig:
     def get(self, key: str, flag_value, default=None):
         if flag_value is not None:
             return flag_value
-        if key in self.entries:
-            return self.entries[key]
-        return default
+        return self.entries.get(key, default)
 
 
 def _parse_range(text: str) -> list[int]:
@@ -115,9 +119,14 @@ def _parse_t_grid(text: str) -> list[float]:
     return [float(x) for x in text.split(",")]
 
 
-def _cache_dir(cfg: ExperimentConfig, flag) -> Path:
-    d = cfg.get("cache_dir", flag, os.environ.get(CACHE_ENV, ".fqlab_cache"))
-    path = Path(d)
+def _domain(text: str) -> str:
+    if text not in ("monic", "prime"):
+        raise ValueError(f"domain must be monic or prime, got {text!r}")
+    return text
+
+
+def _cache_path(text: str) -> Path:
+    path = Path(text)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -165,7 +174,7 @@ def _write_artifacts(out: str, rows: list[dict], summary: str) -> None:
     print(f"wrote {out}.csv and {out}.json")
 
 
-def _report_row(rep, omit_timing: bool, extra: dict | None = None) -> dict:
+def _report_row(rep, omit_timing: int, extra: dict | None = None) -> dict:
     main_re = main_im = tail = dev = ""
     if rep.main is not None:
         main_re = repr(complex(rep.main.value).real)
@@ -193,105 +202,108 @@ def _report_row(rep, omit_timing: bool, extra: dict | None = None) -> dict:
 # commands
 # ---------------------------------------------------------------------------
 
-def _cmd_sieve(args, cfg) -> int:
-    p = int(cfg.get("p", args.p, 2))
-    max_deg = int(cfg.get("max_deg", args.max_deg, 12))
-    budget = int(cfg.get("budget", args.budget, DEFAULT_CELL_BUDGET))
-    cache = _cache_dir(cfg, args.cache_dir)
+_REQUIRED = object()  # a default that makes the key mandatory
+_COMMON = {
+    "p": (int, 2),
+    "cache_dir": (_cache_path, lambda a: os.environ.get(CACHE_ENV, ".fqlab_cache")),
+    "budget": (int, DEFAULT_CELL_BUDGET),
+}
+_COMMANDS: dict[str, tuple[Callable, dict]] = {}
+
+
+def _command(name: str, out: Callable, **keys):
+    """Register a handler under name with its table: the common keys, then
+    keys, then out.  A callable default is computed from the values
+    resolved before it; out's is the artifact stem."""
+    def register(handler):
+        _COMMANDS[name] = (handler, {**_COMMON, **keys, "out": (str, out)})
+        return handler
+    return register
+
+
+def _check_enumeration(a, n: int, domain: str = "monic") -> None:
+    # the prime domain is bounded by its degree-n table instead
+    if domain == "monic":
+        check_enumeration(a.p, n, a.budget)
+
+
+@_command("sieve", lambda a: f"sieve_p{a.p}", max_deg=(int, 12))
+def _cmd_sieve(a) -> int:
     t0 = time.perf_counter()
-    table = build_table(FieldSpec(p), max_deg, budget)
-    path = cache / f"p{p}_d{max_deg}.fqi"
+    table = build_table(FieldSpec(a.p), a.max_deg, a.budget)
+    path = a.cache_dir / f"p{a.p}_d{a.max_deg}.fqi"
     table.save(path)
     rows = []
-    for n in range(1, max_deg + 1):
+    for n in range(1, a.max_deg + 1):
         rep = table.necklace_check(n)
-        rows.append({"q": p, "n": n, "count": table.count(n),
+        rows.append({"q": a.p, "n": n, "count": table.count(n),
                      "necklace_lhs": rep.weighted_sum,
                      "necklace_rhs": rep.expected, "ok": rep.ok})
-    out = cfg.get("out", args.out, f"sieve_p{p}")
-    _write_artifacts(out, rows,
-                     f"sieved p={p} to degree {max_deg} in "
+    _write_artifacts(a.out, rows,
+                     f"sieved p={a.p} to degree {a.max_deg} in "
                      f"{time.perf_counter()-t0:.2f}s; cache {path}")
     return 0
 
 
-def _cmd_factor(args, cfg) -> int:
-    p = int(cfg.get("p", args.p, 2))
-    field = FieldSpec(p)
-    f = parse_poly(cfg.get("poly", args.poly), field)
+@_command("factor", lambda a: "factor", poly=(str, _REQUIRED))
+def _cmd_factor(a) -> int:
+    f = parse_poly(a.poly, FieldSpec(a.p))
     if f.is_zero or not f.is_monic:
         raise SieveError("factor expects a monic nonzero polynomial")
-    need = max(1, f.degree // 2)
-    table = get_table(p, need, _cache_dir(cfg, args.cache_dir))
+    table = get_table(a.p, max(1, f.degree // 2), a.cache_dir, a.budget)
     fact = factorize(f, table)
-    rows = [{"q": p, "poly": format_poly(f), "prime": format_poly(P),
+    rows = [{"q": a.p, "poly": format_poly(f), "prime": format_poly(P),
              "multiplicity": m} for P, m in fact.factors]
     if not rows:
-        rows = [{"q": p, "poly": format_poly(f), "prime": "", "multiplicity": 0}]
+        rows = [{"q": a.p, "poly": format_poly(f), "prime": "", "multiplicity": 0}]
     text = " * ".join(f"({format_poly(P)})^{m}" if m > 1 else f"({format_poly(P)})"
                       for P, m in fact.factors) or "1"
-    out = cfg.get("out", args.out, "factor")
-    _write_artifacts(out, rows, f"{format_poly(f)} = {text}")
+    _write_artifacts(a.out, rows, f"{format_poly(f)} = {text}")
     return 0
 
 
-def _experiment_pieces(args, cfg):
-    p = int(cfg.get("p", args.p, 2))
-    field = FieldSpec(p)
-    domain = cfg.get("domain", getattr(args, "domain", None), "monic")
-    fns = cfg.get("functions", getattr(args, "functions", None))
-    shs = cfg.get("shifts", getattr(args, "shifts", None))
-    if fns and shs:
-        names, hs = fns.split(","), shs.split(",")
+# the shifted pair, or k-point lists, of correlate and mainterm
+_EXPERIMENT = {
+    "domain": (_domain, "monic"), "f": (str, "one"), "g": (str, "one"),
+    "h1": (str, "0"), "h2": (str, "0"), "functions": (str, None),
+    "shifts": (str, None), "gamma": (int, None), "depth": (int, 30),
+}
+
+
+def _experiment_pieces(a):
+    field = FieldSpec(a.p)
+    if a.functions and a.shifts:
+        names, hs = a.functions.split(","), a.shifts.split(",")
     else:
-        names = [cfg.get("f", getattr(args, "f", None), "one"),
-                 cfg.get("g", getattr(args, "g", None), "one")]
-        hs = [cfg.get("h1", getattr(args, "h1", None), "0"),
-              cfg.get("h2", getattr(args, "h2", None), "0")]
+        names, hs = [a.f, a.g], [a.h1, a.h2]
     # one spec object per name, so the engine sieves each function once
     specs = {s: parse_function_spec(s, field) for s in dict.fromkeys(names)}
     shifts = [parse_poly(s, field) for s in hs]
-    return field, domain, [specs[s] for s in names], shifts
+    return field, [specs[s] for s in names], shifts
 
 
-def _cmd_correlate(args, cfg) -> int:
-    field, domain, functions, shifts = _experiment_pieces(args, cfg)
-    p = field.p
-    gamma = cfg.get("gamma", args.gamma)
-    gamma = int(gamma) if gamma is not None else None
-    depth = int(cfg.get("depth", args.depth, 30))
-    partitions = int(cfg.get("partitions", args.partitions, 1))
-    omit = bool(int(cfg.get("omit_timing", args.omit_timing, 0)))
-    nr = cfg.get("n_range", args.n_range)
-    ns = _parse_range(nr) if nr else [int(cfg.get("n", args.n, 8))]
-    _check_enumeration(args, cfg, p, max(ns), domain)
-    need = max(_needed_degree(n, functions, shifts, gamma, domain, p)
+@_command("correlate", lambda a: f"correlate_p{a.p}", n=(int, 8),
+          n_range=(_parse_range, None), **_EXPERIMENT,
+          partitions=(int, 1), omit_timing=(int, 0))
+def _cmd_correlate(a) -> int:
+    field, functions, shifts = _experiment_pieces(a)
+    ns = [a.n] if a.n_range is None else a.n_range
+    _check_enumeration(a, max(ns), a.domain)
+    need = max(_needed_degree(n, functions, shifts, a.gamma, a.domain, a.p)
                for n in ns)
-    table = get_table(p, need, _cache_dir(cfg, args.cache_dir),
-                      int(cfg.get("budget", args.budget, DEFAULT_CELL_BUDGET)))
+    table = get_table(a.p, need, a.cache_dir, a.budget)
     rows = []
     for n in ns:
-        spec = CorrelationSpec(field, n, domain, shifts, functions,
-                               gamma, depth, partitions)
+        spec = CorrelationSpec(field, n, a.domain, shifts, functions,
+                               a.gamma, a.depth, a.partitions)
         rep = correlate(spec, table)
-        rows.append(_report_row(rep, omit))
-    out = cfg.get("out", args.out, f"correlate_p{p}")
+        rows.append(_report_row(rep, a.omit_timing))
     last = rows[-1]
-    _write_artifacts(out, rows,
-                     f"S over {domain}s: raw={last['raw_re']} "
+    _write_artifacts(a.out, rows,
+                     f"S over {a.domain}s: raw={last['raw_re']} "
                      f"normalized={last['normalized_re']} "
                      f"deviation={last['deviation']}")
     return 0
-
-
-def _check_enumeration(args, cfg, p: int, n: int, domain: str = "monic") -> None:
-    """Refuse to enumerate more monic polynomials than the cell budget;
-    the prime domain is bounded by its degree-n table instead."""
-    budget = int(cfg.get("budget", args.budget, DEFAULT_CELL_BUDGET))
-    if domain == "monic" and p**n > budget:
-        raise MemoryBudgetError(
-            f"enumerating the {p}^{n} monic polynomials of degree {n} "
-            f"exceeds the budget {budget}")
 
 
 def _needed_degree(n, functions, shifts, gamma, domain, p) -> int:
@@ -299,103 +311,95 @@ def _needed_degree(n, functions, shifts, gamma, domain, p) -> int:
     limit = n // 2 if any(b is None for b in bounds) else min(max(bounds), n // 2)
     need = max(limit, 1, n if domain == "prime" else 0)
     if len(functions) == 2:
-        mode = "monic" if domain == "monic" else "prime"
         pair = ShiftPair(shifts[0], shifts[1])
-        g = gamma if gamma is not None else default_gamma(p, mode, pair)
+        g = gamma if gamma is not None else default_gamma(p, domain, pair)
         need = max(need, g)
         if not pair.delta.is_zero:
             need = max(need, pair.delta.degree // 2)
     return need
 
 
-def _cmd_mainterm(args, cfg) -> int:
-    field, domain, functions, shifts = _experiment_pieces(args, cfg)
-    mode = "monic" if domain == "monic" else "prime"
-    n_text = str(cfg.get("n", args.n, "inf"))
-    n = None if n_text in ("inf", "none") else int(n_text)
-    gamma = cfg.get("gamma", args.gamma)
-    gamma = int(gamma) if gamma is not None else None
-    depth = int(cfg.get("depth", args.depth, 30))
-    need = int(cfg.get("max_deg", args.max_deg, 12))
-    table = get_table(field.p, need, _cache_dir(cfg, args.cache_dir))
+@_command("mainterm", lambda a: "mainterm", n=(str, "inf"), **_EXPERIMENT,
+          max_deg=(int, 12))
+def _cmd_mainterm(a) -> int:
+    field, functions, shifts = _experiment_pieces(a)
+    n = None if a.n in ("inf", "none") else int(a.n)
+    table = get_table(a.p, a.max_deg, a.cache_dir, a.budget)
     pair = ShiftPair(shifts[0], shifts[1])
-    tv = main_term(n, gamma, pair, functions[0], functions[1], mode, table,
-                   depth=depth)
-    rows = [{"q": field.p, "n": n_text, "mode": mode,
+    tv = main_term(n, a.gamma, pair, functions[0], functions[1], a.domain,
+                   table, depth=a.depth)
+    rows = [{"q": a.p, "n": a.n, "mode": a.domain,
              "functions": ";".join(f.name for f in functions),
              "h_list": ";".join(format_poly(h) for h in shifts),
              "main_re": repr(complex(tv.value).real),
              "main_im": repr(complex(tv.value).imag),
              "tail_bound": repr(tv.tail_bound)}]
-    out = cfg.get("out", args.out, "mainterm")
-    _write_artifacts(out, rows, f"main term = {tv.value} (tail {tv.tail_bound:.2e})")
+    _write_artifacts(a.out, rows, f"main term = {tv.value} (tail {tv.tail_bound:.2e})")
     return 0
 
 
-def _cmd_chowla(args, cfg) -> int:
+@_command("chowla", lambda a: f"chowla_p{a.p}_y{a.y}", y=(int, 2),
+          h=(str, "x"), n_range=(_parse_range, "8:16"), C=(float, 1.0),
+          partitions=(int, 1), omit_timing=(int, 0))
+def _cmd_chowla(a) -> int:
     """Truncated-Liouville autocorrelation scan with its theoretical cap."""
-    p = int(cfg.get("p", args.p, 2))
-    field = FieldSpec(p)
-    y = int(cfg.get("y", args.y, 2))
-    h = parse_poly(cfg.get("h", args.h, "x"), field)
-    big_c = float(cfg.get("C", args.C, 1.0))
-    ns = _parse_range(cfg.get("n_range", args.n_range, "8:16"))
-    partitions = int(cfg.get("partitions", args.partitions, 1))
-    omit = bool(int(cfg.get("omit_timing", args.omit_timing, 0)))
-    _check_enumeration(args, cfg, p, max(ns))
+    field = FieldSpec(a.p)
+    y, ns = a.y, a.n_range
+    h = parse_poly(a.h, field)
+    _check_enumeration(a, max(ns))
     lam = builtin("liouville_truncated", field, y=y)
     zero = parse_poly("0", field)
     need = max(y, 1, h.degree if not h.is_zero else 1)
-    table = get_table(p, need, _cache_dir(cfg, args.cache_dir))
-    cap = big_c * math.log(y) ** 4 / y**4 if y > 1 else math.inf
+    table = get_table(a.p, need, a.cache_dir, a.budget)
+    cap = a.C * math.log(y) ** 4 / y**4 if y > 1 else math.inf
     rows = []
     for n in ns:
         spec = CorrelationSpec(field, n, "monic", (zero, h), (lam, lam),
-                               gamma=y, partitions=partitions)
+                               gamma=y, partitions=a.partitions)
         rep = correlate(spec, table)
-        rows.append(_report_row(rep, omit, {"y": y, "bound_C_log4y_y4": repr(cap)}))
-    out = cfg.get("out", args.out, f"chowla_p{p}_y{y}")
-    _write_artifacts(out, rows,
+        rows.append(_report_row(rep, a.omit_timing,
+                                {"y": y, "bound_C_log4y_y4": repr(cap)}))
+    _write_artifacts(a.out, rows,
                      f"truncated autocorrelation scan y={y}, n={ns[0]}..{ns[-1]}; "
                      f"|normalized| cap {cap:.4g}")
     return 0
 
 
-def _cmd_dist(args, cfg) -> int:
-    p = int(cfg.get("p", args.p, 2))
-    field = FieldSpec(p)
-    n = int(cfg.get("n", args.n, 8))
-    domain = cfg.get("domain", args.domain, "monic")
-    psi1 = parse_additive_spec(cfg.get("psi1", args.psi1, "log_phi_ratio"), field)
-    psi2 = parse_additive_spec(cfg.get("psi2", args.psi2, "log_phi_ratio"), field)
-    h1 = parse_poly(cfg.get("h1", args.h1, "0"), field)
-    h2 = parse_poly(cfg.get("h2", args.h2, "1"), field)
-    _check_enumeration(args, cfg, p, n, domain)
-    need = max(n // 2, 1, n if domain == "prime" else 0)
-    table = get_table(p, need, _cache_dir(cfg, args.cache_dir))
-    dist = empirical_distribution(psi1, psi2, ShiftPair(h1, h2), n, domain, table)
+# the shifted pair of additive functions of dist and charfn
+_ADDITIVE_PAIR = {
+    "n": (int, 8), "domain": (_domain, "monic"),
+    "psi1": (str, "log_phi_ratio"), "psi2": (str, "log_phi_ratio"),
+    "h1": (str, "0"), "h2": (str, "1"),
+}
+
+
+def _additive_pieces(a, min_deg: int):
+    """psi1, psi2, their shift pair and a table for a scan at degree n,
+    listing primes to at least min_deg."""
+    field = FieldSpec(a.p)
+    psi1, psi2 = (parse_additive_spec(s, field) for s in (a.psi1, a.psi2))
+    pair = ShiftPair(parse_poly(a.h1, field), parse_poly(a.h2, field))
+    _check_enumeration(a, a.n, a.domain)
+    need = max(a.n // 2, min_deg, a.n if a.domain == "prime" else 0)
+    return psi1, psi2, pair, get_table(a.p, need, a.cache_dir, a.budget)
+
+
+@_command("dist", lambda a: f"dist_p{a.p}_n{a.n}", **_ADDITIVE_PAIR)
+def _cmd_dist(a) -> int:
+    psi1, psi2, pair, table = _additive_pieces(a, 1)
+    dist = empirical_distribution(psi1, psi2, pair, a.n, a.domain, table)
     rows = [{"value": repr(v), "multiplicity": c} for v, c in dist.dump_rows()]
-    out = cfg.get("out", args.out, f"dist_p{p}_n{n}")
-    _write_artifacts(out, rows,
+    _write_artifacts(a.out, rows,
                      f"{len(rows)} distinct values over {dist.domain_size} "
-                     f"{domain} polynomials")
+                     f"{a.domain} polynomials")
     return 0
 
 
-def _cmd_charfn(args, cfg) -> int:
-    p = int(cfg.get("p", args.p, 2))
-    field = FieldSpec(p)
-    n = int(cfg.get("n", args.n, 8))
-    domain = cfg.get("domain", args.domain, "monic")
-    psi1 = parse_additive_spec(cfg.get("psi1", args.psi1, "log_phi_ratio"), field)
-    psi2 = parse_additive_spec(cfg.get("psi2", args.psi2, "log_phi_ratio"), field)
-    h1 = parse_poly(cfg.get("h1", args.h1, "0"), field)
-    h2 = parse_poly(cfg.get("h2", args.h2, "1"), field)
-    grid = _parse_t_grid(cfg.get("t_grid", args.t_grid, "-3:3:0.5"))
-    _check_enumeration(args, cfg, p, n, domain)
-    need = max(n // 2, 5, n if domain == "prime" else 0)
-    table = get_table(p, need, _cache_dir(cfg, args.cache_dir))
-    comp = charfn_comparison(psi1, psi2, ShiftPair(h1, h2), n, domain, grid, table)
+@_command("charfn", lambda a: f"charfn_p{a.p}_n{a.n}", **_ADDITIVE_PAIR,
+          t_grid=(_parse_t_grid, "-3:3:0.5"))
+def _cmd_charfn(a) -> int:
+    psi1, psi2, pair, table = _additive_pieces(a, 5)
+    comp = charfn_comparison(psi1, psi2, pair, a.n, a.domain, a.t_grid, table)
     rows = []
     for t, e, l, err in zip(comp.t_values, comp.phi_empirical,
                             comp.phi_limit, comp.per_t_error):
@@ -405,9 +409,8 @@ def _cmd_charfn(args, cfg) -> int:
                      "phi_im": repr(complex(l.value).imag),
                      "tail_bound": repr(l.tail_bound),
                      "abs_error": repr(err)})
-    out = cfg.get("out", args.out, f"charfn_p{p}_n{n}")
     worst = max(comp.per_t_error)
-    _write_artifacts(out, rows, f"max_t |phi_n - phi| = {worst:.4g} at n={n}")
+    _write_artifacts(a.out, rows, f"max_t |phi_n - phi| = {worst:.4g} at n={a.n}")
     return 0
 
 
@@ -417,44 +420,39 @@ _TK_RULES = {
 }
 
 
-def _cmd_tk(args, cfg) -> int:
-    p = int(cfg.get("p", args.p, 2))
-    field = FieldSpec(p)
-    domain = cfg.get("domain", args.domain, "monic")
-    name = cfg.get("psi", args.psi, "ones")
-    if name not in _TK_RULES:
-        raise StatsError(f"unknown tk rule {name!r}; choose from {sorted(_TK_RULES)}")
-    h = parse_poly(cfg.get("h", args.h, "0"), field)
-    nr = cfg.get("n_range", args.n_range)
-    ns = _parse_range(nr) if nr else [int(cfg.get("n", args.n, 8))]
-    need = max(max(ns), 1)
-    table = get_table(p, need, _cache_dir(cfg, args.cache_dir))
+@_command("tk", lambda a: f"tk_p{a.p}", n=(int, 8),
+          n_range=(_parse_range, None), domain=(_domain, "monic"),
+          psi=(str, "ones"), h=(str, "0"))
+def _cmd_tk(a) -> int:
+    if a.psi not in _TK_RULES:
+        raise StatsError(f"unknown tk rule {a.psi!r}; choose from {sorted(_TK_RULES)}")
+    h = parse_poly(a.h, FieldSpec(a.p))
+    ns = [a.n] if a.n_range is None else a.n_range
+    _check_enumeration(a, max(ns), a.domain)
+    table = get_table(a.p, max(max(ns), 1), a.cache_dir, a.budget)
     rows = []
     for n in ns:
-        rep = tk_ratio(_TK_RULES[name], h, n, domain, table)
-        rows.append({"q": p, "domain": domain, "n": n, "psi": name,
+        rep = tk_ratio(_TK_RULES[a.psi], h, n, a.domain, table)
+        rows.append({"q": a.p, "domain": a.domain, "n": n, "psi": a.psi,
                      "h": format_poly(h), "lhs": repr(rep.lhs),
                      "rhs": repr(rep.rhs), "ratio": repr(rep.ratio)})
-    out = cfg.get("out", args.out, f"tk_p{p}")
-    _write_artifacts(out, rows, f"ratio at n={ns[-1]}: {rows[-1]['ratio']}")
+    _write_artifacts(a.out, rows, f"ratio at n={ns[-1]}: {rows[-1]['ratio']}")
     return 0
 
 
-def _cmd_diagnostics(args, cfg) -> int:
-    p = int(cfg.get("p", args.p, 2))
-    field = FieldSpec(p)
-    n = int(cfg.get("n", args.n, 8))
-    h = parse_poly(cfg.get("h", args.h, "1"), field)
-    t = float(cfg.get("t", args.t, 1.0))
-    table = get_table(p, n, _cache_dir(cfg, args.cache_dir))
-    diag = sieve_diagnostics(n, h, t, table)
-    rows = [{"q": p, "n": n, "h": format_poly(h), "t": repr(t),
+@_command("diagnostics", lambda a: f"diagnostics_p{a.p}_n{a.n}", n=(int, 8),
+          h=(str, "1"), t=(float, 1.0))
+def _cmd_diagnostics(a) -> int:
+    h = parse_poly(a.h, FieldSpec(a.p))
+    _check_enumeration(a, a.n)
+    table = get_table(a.p, a.n, a.cache_dir, a.budget)
+    diag = sieve_diagnostics(a.n, h, a.t, table)
+    rows = [{"q": a.p, "n": a.n, "h": format_poly(h), "t": repr(a.t),
              "theta": diag.theta, "theta_ratio": repr(float(diag.theta_ratio)),
              "bv_sum": repr(float(diag.bv_sum)),
              "h_sequence": ";".join(repr(float(x)) for x in diag.h_sequence),
              "divprod_max": repr(float(diag.divprod_max))}]
-    out = cfg.get("out", args.out, f"diagnostics_p{p}_n{n}")
-    _write_artifacts(out, rows,
+    _write_artifacts(a.out, rows,
                      f"theta/|P_n|^2 = {float(diag.theta_ratio):.4g}, "
                      f"divisor product max = {float(diag.divprod_max):.4g}")
     return 0
@@ -462,114 +460,60 @@ def _cmd_diagnostics(args, cfg) -> int:
 
 # ---------------------------------------------------------------------------
 
-def dispatch(command: str, args, cfg: ExperimentConfig) -> int:
-    handlers = {
-        "sieve": _cmd_sieve, "factor": _cmd_factor, "correlate": _cmd_correlate,
-        "mainterm": _cmd_mainterm, "chowla": _cmd_chowla, "dist": _cmd_dist,
-        "charfn": _cmd_charfn, "tk": _cmd_tk, "diagnostics": _cmd_diagnostics,
-    }
-    if command not in handlers:
-        print(f"unknown command {command!r}", file=sys.stderr)
-        return 1
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is invalid input (exit 1); argparse's own exit
+        # code 2 means budget exceeded here
+        self.print_usage(sys.stderr)
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """The fqlab parser, with flags for the invoked command only."""
+    ap = _Parser(prog="fqlab",
+                 description="desk-scale experiments with correlations of "
+                             "multiplicative functions over F_p[x]")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (_, keys) in _COMMANDS.items():
+        sp = sub.add_parser(name)
+        if name == command:
+            sp.add_argument("--config", help="key=value config file")
+            for key in keys:
+                sp.add_argument("--" + key.replace("_", "-"), dest=key)
+    return ap
+
+
+def _resolve(argv: list[str]) -> tuple[Callable, argparse.Namespace]:
+    """The invoked handler and its values: flag, else config entry, else
+    default, each converted by the command's table."""
+    args = _parser(argv[0] if argv else None).parse_args(argv)
+    handler, keys = _COMMANDS[args.command]
     try:
-        return handlers[command](args, cfg)
+        cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
+    except OSError as exc:
+        raise ValueError(f"cannot read config: {exc}") from exc
+    a = argparse.Namespace()
+    for key, (convert, default) in keys.items():
+        value = cfg.get(key, getattr(args, key), default)
+        if value is _REQUIRED:
+            raise ValueError(f"{args.command} needs --{key.replace('_', '-')} "
+                             f"or {key}= in the config")
+        if callable(value):
+            value = value(a)
+        setattr(a, key, None if value is None else convert(value))
+    return handler, a
+
+
+def main(argv=None) -> int:
+    try:
+        handler, a = _resolve(sys.argv[1:] if argv is None else list(argv))
+        return handler(a)
     except MemoryBudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2
     except _VALIDATION_ERRORS as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 1
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="fqlab",
-        description="desk-scale experiments with correlations of "
-                    "multiplicative functions over F_p[x]")
-    sub = ap.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value config file")
-    common.add_argument("--p", type=int)
-    common.add_argument("--cache-dir", dest="cache_dir")
-    common.add_argument("--out")
-    common.add_argument("--budget", type=int)
-
-    sp = sub.add_parser("sieve", parents=[common])
-    sp.add_argument("--max-deg", dest="max_deg", type=int)
-
-    sp = sub.add_parser("factor", parents=[common])
-    sp.add_argument("--poly", required=True)
-
-    for name in ("correlate",):
-        sp = sub.add_parser(name, parents=[common])
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--n-range", dest="n_range")
-        sp.add_argument("--domain", choices=("monic", "prime"))
-        sp.add_argument("--f")
-        sp.add_argument("--g")
-        sp.add_argument("--h1")
-        sp.add_argument("--h2")
-        sp.add_argument("--functions", help="comma list for k-point sums")
-        sp.add_argument("--shifts", help="comma list for k-point sums")
-        sp.add_argument("--gamma", type=int)
-        sp.add_argument("--depth", type=int)
-        sp.add_argument("--partitions", type=int)
-        sp.add_argument("--omit-timing", dest="omit_timing", type=int)
-
-    sp = sub.add_parser("mainterm", parents=[common])
-    sp.add_argument("--n", help="degree or 'inf'")
-    sp.add_argument("--domain", choices=("monic", "prime"))
-    sp.add_argument("--f")
-    sp.add_argument("--g")
-    sp.add_argument("--h1")
-    sp.add_argument("--h2")
-    sp.add_argument("--gamma", type=int)
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--max-deg", dest="max_deg", type=int)
-
-    sp = sub.add_parser("chowla", parents=[common])
-    sp.add_argument("--y", type=int)
-    sp.add_argument("--h")
-    sp.add_argument("--n-range", dest="n_range")
-    sp.add_argument("--C", type=float)
-    sp.add_argument("--partitions", type=int)
-    sp.add_argument("--omit-timing", dest="omit_timing", type=int)
-
-    for name in ("dist", "charfn"):
-        sp = sub.add_parser(name, parents=[common])
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--domain", choices=("monic", "prime"))
-        sp.add_argument("--psi1")
-        sp.add_argument("--psi2")
-        sp.add_argument("--h1")
-        sp.add_argument("--h2")
-        if name == "charfn":
-            sp.add_argument("--t-grid", dest="t_grid")
-
-    sp = sub.add_parser("tk", parents=[common])
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--n-range", dest="n_range")
-    sp.add_argument("--domain", choices=("monic", "prime"))
-    sp.add_argument("--psi")
-    sp.add_argument("--h")
-
-    sp = sub.add_parser("diagnostics", parents=[common])
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--h")
-    sp.add_argument("--t", type=float)
-    return ap
-
-
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    cfg = ExperimentConfig()
-    if args.config:
-        try:
-            cfg = ExperimentConfig.load(args.config)
-        except OSError as exc:
-            print(f"cannot read config: {exc}", file=sys.stderr)
-            return 1
-    return dispatch(args.command, args, cfg)
 
 
 if __name__ == "__main__":

@@ -86,6 +86,9 @@ class CorrelationSpec:
         for psi in self.functions:
             if psi.field != self.field:
                 raise EngineError(f"function {psi.name} bound to a different field")
+            if psi.additive:
+                raise EngineError(f"function {psi.name} is additive; correlate "
+                                  "takes multiplicative ones (see exp_additive)")
         if self.partitions < 1:
             raise EngineError("partitions must be >= 1")
 
@@ -130,13 +133,12 @@ def correlate(spec: CorrelationSpec, table: IrreducibleTable) -> CorrelationRepo
     main: TruncatedValue | None = None
     deviation: float | None = None
     if len(spec.functions) == 2 and all(p.unit_bounded for p in spec.functions):
-        mode = "monic" if spec.domain == "monic" else "prime"
         shifts = ShiftPair(spec.shifts[0], spec.shifts[1])
         gamma = spec.gamma
         if gamma is None:
-            gamma = default_gamma(q, mode, shifts)
+            gamma = default_gamma(q, spec.domain, shifts)
         main = main_term(n, gamma, shifts, spec.functions[0], spec.functions[1],
-                         mode, table, depth=spec.depth)
+                         spec.domain, table, depth=spec.depth)
         deviation = abs(normalized - main.value)
 
     return CorrelationReport(
@@ -224,9 +226,8 @@ def deviation_scan(spec: CorrelationSpec, n_range, table: IrreducibleTable,
         overlay = None
         if overlay_alpha is not None and len(spec.functions) == 2 and \
                 all(p.unit_bounded and p.degree_symmetric for p in spec.functions):
-            mode = "monic" if spec.domain == "monic" else "prime"
             gamma = spec.gamma if spec.gamma is not None else \
-                default_gamma(spec.field.p, mode,
+                default_gamma(spec.field.p, spec.domain,
                               ShiftPair(spec.shifts[0], spec.shifts[1]))
             r = overlay_r if overlay_r is not None else gamma
             r = max(1, min(r, n))
@@ -234,7 +235,7 @@ def deviation_scan(spec: CorrelationSpec, n_range, table: IrreducibleTable,
                                 arith.builtin("one", spec.field), r, n, table)
             d2 = arith.distance(spec.functions[1],
                                 arith.builtin("one", spec.field), r, n, table)
-            overlay = error_bound_shape(mode, r, n, overlay_alpha,
+            overlay = error_bound_shape(spec.domain, r, n, overlay_alpha,
                                         spec.field.p, c=overlay_c,
                                         dist1=d1, dist2=d2)
         points.append(ScanPoint(n, rep, overlay))

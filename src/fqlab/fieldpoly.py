@@ -5,19 +5,16 @@ of x^i; the last entry is nonzero and the zero polynomial is the empty
 tuple.  Every monic polynomial of degree n corresponds to a unique integer
 index in [0, p^n): the n lower coefficients are the base-p digits of the
 index, c0 least significant, with the leading 1 implicit.  This bijection
-fixes the enumeration order used everywhere (partitioned runs, irreducible
-tables, report ordering) and is never allowed to change.
-
-For p = 2 the index doubles as a bitmask, so the module also provides
-integer kernels (XOR add, carry-less multiply, shift-XOR divmod) used by
-the sieve and the correlation engine; the Poly API is identical for all p.
+fixes the enumeration order used everywhere (irreducible tables, value
+arrays, report ordering) and is never allowed to change.  For p = 2 the
+index doubles as a bitmask, which the sieve's kernels use directly.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 
 class PolyError(ValueError):
@@ -127,52 +124,6 @@ def _c_ext_gcd(p: int, a, b):
         s0 = _c_mul(p, scale, s0)
         t0 = _c_mul(p, scale, t0)
     return r0, s0, t0
-
-
-# ---------------------------------------------------------------------------
-# GF(2) integer kernels: polynomial <-> bitmask, bit i = coefficient of x^i
-# ---------------------------------------------------------------------------
-
-def gf2_mul(a: int, b: int) -> int:
-    """Carry-less product of two GF(2)[x] bitmasks."""
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        b >>= 1
-    return out
-
-
-def gf2_divmod(a: int, b: int) -> tuple[int, int]:
-    """Quotient and remainder of GF(2)[x] bitmasks, b != 0."""
-    if b == 0:
-        raise ZeroDivisionError("division by zero polynomial")
-    bl = b.bit_length()
-    q = 0
-    while True:
-        sh = a.bit_length() - bl
-        if sh < 0:
-            return q, a
-        a ^= b << sh
-        q |= 1 << sh
-
-
-def gf2_mod(a: int, b: int) -> int:
-    if b == 0:
-        raise ZeroDivisionError("division by zero polynomial")
-    bl = b.bit_length()
-    while True:
-        sh = a.bit_length() - bl
-        if sh < 0:
-            return a
-        a ^= b << sh
-
-
-def gf2_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, gf2_mod(a, b)
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +318,10 @@ def ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
 _NUMBER = "[1-9][0-9]*"
 _TERM_RE = re.compile(rf"({_NUMBER})|({_NUMBER})?x(?:\^({_NUMBER}))?")
 
+# far above any degree a table reaches (2^27 cells stop p = 2 at degree
+# 27); checked before the coefficient list is allocated
+MAX_PARSE_DEGREE = 10_000
+
 
 def format_poly(f: Poly) -> str:
     if f.is_zero:
@@ -406,6 +361,9 @@ def parse_poly(text: str, field: FieldSpec) -> Poly:
                 raise PolyError(f"non-canonical term {term!r}")
             coef = int(m.group(2) or 1)
             deg = int(m.group(3) or 1)
+            if deg > MAX_PARSE_DEGREE:
+                raise PolyError(f"degree {deg} in {term!r} exceeds "
+                                f"{MAX_PARSE_DEGREE}")
         if coef >= field.p:
             raise PolyError(f"coefficient {coef} >= p={field.p} in {term!r}")
         if last_deg is not None and deg >= last_deg:
@@ -427,21 +385,3 @@ def poly_arith(op: str, a: Poly, b: Poly):
     if op == "divmod":
         return divmod(a, b)
     raise PolyError(f"unknown op {op!r}")
-
-
-def constant(field: FieldSpec, c: int) -> Poly:
-    return Poly(field, (c % field.p,))
-
-
-def x_poly(field: FieldSpec) -> Poly:
-    return Poly(field, (0, 1))
-
-
-def iter_monic_indices(total: int, partitions: int) -> Iterator[tuple[int, int]]:
-    """Contiguous partition boundaries of [0, total), ascending."""
-    if partitions < 1:
-        raise PolyError("partitions must be >= 1")
-    for i in range(partitions):
-        lo = total * i // partitions
-        hi = total * (i + 1) // partitions
-        yield lo, hi

@@ -252,6 +252,18 @@ def _count_upper(q: int, d: int) -> float:
         return math.inf
 
 
+def _certified(value: complex, lo: float, hi: float, terms: int,
+               extra_rel: float) -> TruncatedValue:
+    """A product of terms factors with |value| in [lo, hi]: its tail is
+    hi - lo, extra_rel of hi and a rounding cushion for the flops."""
+    tail = (hi - lo) + hi * extra_rel
+    if terms:
+        tail += 8.0 * (terms + 2) * 2.3e-16 * hi
+    if value.imag == 0:
+        value = value.real
+    return TruncatedValue(value, max(tail, 0.0))
+
+
 class _ProductAccumulator:
     """Running product with tails combined multiplicatively:
     total tail = prod(|v_i| + t_i) - prod(|v_i|)."""
@@ -276,13 +288,8 @@ class _ProductAccumulator:
             self.abs_hi *= (abs(v) + t) ** power
 
     def result(self, extra_rel: float = 0.0) -> TruncatedValue:
-        tail = (self.abs_hi - self.abs_lo) + self.abs_hi * extra_rel
-        if self.terms:  # rounding cushion for the accumulated flops
-            tail += 8.0 * (self.terms + 2) * 2.3e-16 * self.abs_hi
-        v = self.value
-        if v.imag == 0:
-            v = v.real
-        return TruncatedValue(v, max(tail, 0.0))
+        return _certified(self.value, self.abs_lo, self.abs_hi, self.terms,
+                          extra_rel)
 
 
 def _log1p_c(z: complex):
@@ -312,15 +319,9 @@ class _LogProductAccumulator:
             self.hi_extra += pf * math.log1p(t / abs(1 + inner))
 
     def result(self, extra_rel: float = 0.0) -> TruncatedValue:
-        value = cmath.exp(self.log_v)
-        lo = math.exp(self.log_v.real)
-        hi = math.exp(self.log_v.real + self.hi_extra)
-        tail = (hi - lo) + hi * extra_rel
-        if self.terms:  # rounding cushion for the accumulated flops
-            tail += 8.0 * (self.terms + 2) * 2.3e-16 * hi
-        if value.imag == 0:
-            value = value.real
-        return TruncatedValue(value, max(tail, 0.0))
+        return _certified(cmath.exp(self.log_v), math.exp(self.log_v.real),
+                          math.exp(self.log_v.real + self.hi_extra),
+                          self.terms, extra_rel)
 
 
 def small_prime_product(gamma: int, shifts: ShiftPair | None,

@@ -17,8 +17,8 @@ prime_multiples lists the multiples of a prime modulus, and reduction
 mod M, being linear in the coefficients, takes one matrix product for
 all primes of a degree and a block of moduli (residue_keys), whose
 class counts residue_counts yields block by block.  Factorization of a
-single polynomial (factorize) runs on one bitmask trial-division kernel
-(p = 2) and one coefficient list kernel (odd p).
+single polynomial (factorize) runs one trial-division loop over a
+bitmask division (p = 2) or a coefficient-tuple division (odd p).
 
 Counts are validated against the necklace identity sum_{d|n} d*N_d = q^n
 (the coefficient form of the zeta function's Euler product) and against
@@ -56,6 +56,7 @@ from .fieldpoly import (
     Poly,
     PolyError,
     monic_from_index,
+    poly_from_encoding,
 )
 
 CACHE_MAGIC = b"FFQI"
@@ -400,56 +401,55 @@ def build_table(field: FieldSpec, max_deg: int,
 # factorization by trial division
 # ---------------------------------------------------------------------------
 
-def _factor_bits(bits: int, rows: list[list[int]], limit: int | None = None):
-    """Trial division of a monic GF(2) bitmask; returns [(prime_bits, mult)]
-    sorted by (degree, index).
-
-    rows must list primes up to half the input degree (or up to limit).
-    limit=None factors fully: the final cofactor, if any, is irreducible
-    because no prime up to half its degree divides it.  Otherwise only
-    primes of degree <= limit are reported; a larger cofactor is dropped
-    by design.
-    """
+def _trial_division(a, rows, divmod_, degree):
+    """Trial division of the monic a by the primes in rows (rows[d] lists
+    those of degree d, up to half the degree of a); returns [(prime,
+    mult)] sorted by (degree, index).  The final cofactor, if any, is
+    irreducible because no prime up to half its degree divides it.
+    divmod_(a, P) gives the quotient and a remainder that is falsy when
+    zero; degree(a) gives the degree."""
     out = []
-    a = bits
-    deg = a.bit_length() - 1
+    deg = degree(a)
     d = 1
-    while 2 * d <= deg and (limit is None or d <= limit):
-        for pb in rows[d]:
-            bl = d + 1
-            q, r = 0, a
-            while True:
-                sh = r.bit_length() - bl
-                if sh < 0:
-                    break
-                r ^= pb << sh
-                q |= 1 << sh
+    while 2 * d <= deg:
+        for P in rows[d]:
+            q, r = divmod_(a, P)
             if r:
                 continue
             m, a = 1, q
             while True:
-                q, r = 0, a
-                while True:
-                    sh = r.bit_length() - bl
-                    if sh < 0:
-                        break
-                    r ^= pb << sh
-                    q |= 1 << sh
+                q, r = divmod_(a, P)
                 if r:
                     break
                 a, m = q, m + 1
-            out.append((pb, m))
-            deg = a.bit_length() - 1
+            out.append((P, m))
+            deg = degree(a)
             if 2 * d > deg:
                 break
         d += 1
-    if deg > 0 and (limit is None or deg <= limit):
+    if deg > 0:
         out.append((a, 1))
     return out
 
 
-def _coeffs_divmod_monic(p: int, a: list[int], b: tuple[int, ...]):
-    # b monic; in-place style long division on a copy of a
+def _bits_divmod(a: int, b: int):
+    # a divided by b in GF(2)[x], as bitmasks
+    bl, q = b.bit_length(), 0
+    while True:
+        sh = a.bit_length() - bl
+        if sh < 0:
+            return q, a
+        a ^= b << sh
+        q |= 1 << sh
+
+
+def _factor_bits(bits: int, rows: list[list[int]]):
+    """Trial division of a monic GF(2) bitmask by prime bitmasks."""
+    return _trial_division(bits, rows, _bits_divmod, lambda a: a.bit_length() - 1)
+
+
+def _coeffs_divmod_monic(p: int, a: tuple[int, ...], b: tuple[int, ...]):
+    # b monic; long division on a copy of a
     db = len(b) - 1
     r = list(a)
     q = [0] * max(len(r) - db, 0)
@@ -462,39 +462,15 @@ def _coeffs_divmod_monic(p: int, a: list[int], b: tuple[int, ...]):
             r[i] = 0
     while r and r[-1] == 0:
         r.pop()
-    return q, r
+    return tuple(q), r
 
 
 def _factor_coeffs(p: int, coeffs: list[int],
-                   rows: list[list[tuple[int, ...]]], limit: int | None):
-    """Generic-p trial division; returns [(prime_coeffs, mult)] sorted.
-
-    limit=None factors fully (cofactor appended); otherwise only primes of
-    degree <= limit are reported, mirroring the p=2 kernel.
-    """
-    out = []
-    a = list(coeffs)
-    deg = len(a) - 1
-    d = 1
-    while 2 * d <= deg and (limit is None or d <= limit):
-        for pc in rows[d]:
-            q, r = _coeffs_divmod_monic(p, a, pc)
-            if r:
-                continue
-            m, a = 1, q
-            while True:
-                q, r = _coeffs_divmod_monic(p, a, pc)
-                if r:
-                    break
-                a, m = q, m + 1
-            out.append((pc, m))
-            deg = len(a) - 1
-            if 2 * d > deg:
-                break
-        d += 1
-    if deg > 0 and (limit is None or deg <= limit):
-        out.append((tuple(a), 1))
-    return out
+                   rows: list[list[tuple[int, ...]]]):
+    """Generic-p trial division on coefficient tuples, as the p=2 kernel."""
+    return _trial_division(tuple(coeffs), rows,
+                           lambda a, b: _coeffs_divmod_monic(p, a, b),
+                           lambda a: len(a) - 1)
 
 
 def factorize(f: Poly, table: IrreducibleTable) -> Factorization:
@@ -515,27 +491,23 @@ def factorize(f: Poly, table: IrreducibleTable) -> Factorization:
             f"factoring degree {n} needs primes to degree {n // 2}, "
             f"table has {table.max_deg}")
     field = f.field
+    rows = table._rows(max(1, n // 2))
     if field.p == 2:
-        rows = table.bit_rows(max(1, n // 2))
-        raw = _factor_bits(f.encode(), rows)
-        factors = []
-        for pb, m in raw:
-            d = pb.bit_length() - 1
-            factors.append((monic_from_index(field, d, pb ^ (1 << d)), m))
+        factors = [(poly_from_encoding(field, pb), m)
+                   for pb, m in _factor_bits(f.encode(), rows)]
     else:
-        rows = table.coeff_rows(max(1, n // 2))
-        raw = _factor_coeffs(field.p, list(f.coeffs), rows, None)
-        factors = [(Poly(field, pc), m) for pc, m in raw]
+        factors = [(Poly(field, pc), m)
+                   for pc, m in _factor_coeffs(field.p, f.coeffs, rows)]
     return Factorization(tuple(factors))
 
 
-def check_enumeration(p: int, n: int) -> None:
+def check_enumeration(p: int, n: int, budget: int = DEFAULT_CELL_BUDGET) -> None:
     """Refuse to enumerate the p^n monic polynomials of degree n when
-    that exceeds the default cell budget (before anything is allocated)."""
-    if p**n > DEFAULT_CELL_BUDGET:
+    that exceeds the cell budget (before anything is allocated)."""
+    if p**n > budget:
         raise MemoryBudgetError(
             f"enumerating the {p}^{n} monic polynomials of degree {n} "
-            f"exceeds the budget {DEFAULT_CELL_BUDGET}")
+            f"exceeds the budget {budget}")
 
 
 def domain_indices(table: IrreducibleTable, n: int, domain: str) -> np.ndarray:

@@ -83,7 +83,7 @@ class EmpiricalDistribution:
         return list(zip(self.values, self.counts))
 
 
-def _additive_values(psi1: AdditiveSpec, psi2: AdditiveSpec, h1: Poly, h2: Poly,
+def _additive_values(psi1: FunctionSpec, psi2: FunctionSpec, h1: Poly, h2: Poly,
                      n: int, domain: str, table: IrreducibleTable):
     """Multiset {psi1(f+h1) + psi2(f+h2)} over the domain: its distinct
     values in ascending order, their counts and the domain size."""
@@ -102,7 +102,7 @@ def _additive_values(psi1: AdditiveSpec, psi2: AdditiveSpec, h1: Poly, h2: Poly,
     return values.tolist(), counts.tolist(), len(source)
 
 
-def empirical_distribution(psi1: AdditiveSpec, psi2: AdditiveSpec,
+def empirical_distribution(psi1: FunctionSpec, psi2: FunctionSpec,
                            shifts: ShiftPair, n: int, domain: str,
                            table: IrreducibleTable) -> EmpiricalDistribution:
     """Exact law of psi1(f+h1) + psi2(f+h2) over the chosen domain."""
@@ -148,7 +148,7 @@ class CharFunctionGrid:
                      in zip(self.phi_empirical, self.phi_limit))
 
 
-def empirical_charfn(psi1: AdditiveSpec, psi2: AdditiveSpec, shifts: ShiftPair,
+def empirical_charfn(psi1: FunctionSpec, psi2: FunctionSpec, shifts: ShiftPair,
                      n: int, domain: str, t_grid, table: IrreducibleTable,
                      via: str = "distribution") -> CharFunctionGrid:
     """phi_n(t): the normalized sum of exp(i t (psi1(f+h1)+psi2(f+h2))).
@@ -176,7 +176,7 @@ def empirical_charfn(psi1: AdditiveSpec, psi2: AdditiveSpec, shifts: ShiftPair,
     return CharFunctionGrid(ts, phi_empirical=vals)
 
 
-def _hypothesis_trend_warning(psi: AdditiveSpec, table: IrreducibleTable) -> None:
+def _hypothesis_trend_warning(psi: FunctionSpec, table: IrreducibleTable) -> None:
     # the limit law needs the additive series over primes to converge;
     # compare dyadic blocks of the absolute per-degree terms: a convergent
     # series has sharply shrinking blocks, anything harmonic or worse does
@@ -199,7 +199,7 @@ def _hypothesis_trend_warning(psi: AdditiveSpec, table: IrreducibleTable) -> Non
             stacklevel=2)
 
 
-def limit_charfn(psi1: AdditiveSpec, psi2: AdditiveSpec, shifts: ShiftPair,
+def limit_charfn(psi1: FunctionSpec, psi2: FunctionSpec, shifts: ShiftPair,
                  t_grid, mode: str, table: IrreducibleTable,
                  gamma: int | None = None,
                  tail_target: float = 1e-12) -> CharFunctionGrid:
@@ -221,12 +221,11 @@ def limit_charfn(psi1: AdditiveSpec, psi2: AdditiveSpec, shifts: ShiftPair,
                             phi_limit=tuple(out))
 
 
-def charfn_comparison(psi1: AdditiveSpec, psi2: AdditiveSpec,
+def charfn_comparison(psi1: FunctionSpec, psi2: FunctionSpec,
                       shifts: ShiftPair, n: int, domain: str, t_grid,
                       table: IrreducibleTable) -> CharFunctionGrid:
     emp = empirical_charfn(psi1, psi2, shifts, n, domain, t_grid, table)
-    mode = "monic" if domain == "monic" else "prime"
-    lim = limit_charfn(psi1, psi2, shifts, t_grid, mode, table)
+    lim = limit_charfn(psi1, psi2, shifts, t_grid, domain, table)
     return CharFunctionGrid(emp.t_values, emp.phi_empirical, lim.phi_limit)
 
 

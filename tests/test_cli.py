@@ -61,6 +61,64 @@ class TestSieveCommand:
         assert rc == 2
 
 
+# one small run of every command, as key -> value; the flag form is
+# --key=value ('_' written '-'), the config form a key=value line
+EVERY_COMMAND = [
+    ("sieve", {"p": "3", "max_deg": "5"}),
+    ("factor", {"p": "3", "poly": "x^4+x+2", "budget": "100000"}),
+    ("correlate", {"p": "2", "n_range": "4:6", "f": "kfree:2", "g": "moebius",
+                   "h1": "0", "h2": "x", "gamma": "3", "depth": "20",
+                   "partitions": "2", "omit_timing": "1"}),
+    ("mainterm", {"p": "2", "n": "inf", "f": "phi_ratio", "g": "phi_ratio",
+                  "h1": "0", "h2": "1", "max_deg": "8", "depth": "25"}),
+    ("chowla", {"p": "2", "y": "3", "h": "x", "n_range": "6:8:2", "C": "2.0",
+                "omit_timing": "1"}),
+    ("dist", {"p": "3", "n": "4", "domain": "prime", "psi1": "omega",
+              "psi2": "big_omega", "h1": "0", "h2": "1"}),
+    ("charfn", {"p": "2", "n": "6", "t_grid": "-1:1:0.5", "h1": "1",
+                "h2": "x"}),
+    ("tk", {"p": "2", "n_range": "5:7", "domain": "prime",
+            "psi": "first_power", "h": "1"}),
+    ("diagnostics", {"p": "2", "n": "6", "h": "x", "t": "0.5"}),
+]
+
+
+class TestDeclarationTable:
+    @pytest.mark.parametrize("command,values", EVERY_COMMAND,
+                             ids=[c for c, _ in EVERY_COMMAND])
+    def test_flags_and_config_give_identical_artifacts(
+            self, command, values, tmp_path, monkeypatch):
+        flags = [f"--{k.replace('_', '-')}={v}" for k, v in values.items()]
+        assert run([command, *flags, "--out", "flag"],
+                   tmp_path, monkeypatch) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(ExperimentConfig({**values, "out": "cfg"}).format())
+        assert run([command, "--config", str(cfg)], tmp_path, monkeypatch) == 0
+        for ext in ("csv", "json"):
+            assert (tmp_path / f"flag.{ext}").read_bytes() == \
+                (tmp_path / f"cfg.{ext}").read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["factor", "--p", "abc", "--poly", "x"],
+        ["correlate", "--domain", "foo"],
+        ["factor", "--p", "2"],
+        ["factor", "--p", "2", "--poly", "x", "--bogus", "1"],
+    ])
+    def test_usage_errors_exit_1(self, argv, tmp_path, monkeypatch):
+        assert run(argv, tmp_path, monkeypatch) == 1
+
+    def test_help_exits_0_and_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        listed = capsys.readouterr().out
+        assert all(command in listed for command, _ in EVERY_COMMAND)
+        with pytest.raises(SystemExit) as exc:
+            main(["tk", "--help"])
+        assert exc.value.code == 0
+        assert "--n-range" in capsys.readouterr().out
+
+
 class TestFactorCommand:
     def test_factor_output(self, tmp_path, monkeypatch):
         rc = run(["factor", "--p", "2", "--poly", "x^4+x^2", "--out", "f"],
@@ -72,6 +130,10 @@ class TestFactorCommand:
 
     def test_invalid_poly_exit_1(self, tmp_path, monkeypatch):
         assert run(["factor", "--p", "2", "--poly", "2x+1"],
+                   tmp_path, monkeypatch) == 1
+
+    def test_huge_exponent_exit_1(self, tmp_path, monkeypatch):
+        assert run(["factor", "--p", "2", "--poly", "x^100000000000000000000"],
                    tmp_path, monkeypatch) == 1
 
 
@@ -313,6 +375,8 @@ class TestEnumerationBudget:
         ["chowla", "--n-range", "8:12"],
         ["dist", "--n", "12"],
         ["charfn", "--n", "12"],
+        ["tk", "--n-range", "8:12"],
+        ["diagnostics", "--n", "12"],
     ])
     def test_budget_flag_bounds_every_monic_scan(self, argv, tmp_path,
                                                  monkeypatch):

@@ -242,6 +242,14 @@ class TestValidation:
             CorrelationSpec(field2, 4, "all", (parse_poly("0", field2),),
                             (one,))
 
+    def test_additive_function_refused(self, field2):
+        # correlations take multiplicative functions; exp_additive turns
+        # an additive one into one
+        omega = builtin_additive("omega", field2)
+        with pytest.raises(EngineError):
+            CorrelationSpec(field2, 4, "monic", (parse_poly("0", field2),),
+                            (omega,))
+
     def test_wrong_field_table(self, field2, table3):
         one = builtin("one", field2)
         spec = CorrelationSpec(field2, 4, "monic", (parse_poly("0", field2),),

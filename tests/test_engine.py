@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqlab import (
-    AdditiveSpec,
     CorrelationSpec,
     FieldSpec,
     MemoryBudgetError,
@@ -94,7 +93,7 @@ class TestOracles:
                                          if P.degree <= limit))
                      for f in facts]
         for spec in all_specs(field):
-            ev = eval_additive_on if isinstance(spec, AdditiveSpec) else eval_on
+            ev = eval_additive_on if spec.additive else eval_on
             got = shifted_values(spec, table, n, h, limit, indices).tolist()
             assert got == [ev(f, spec) for f in facts], spec.name
 

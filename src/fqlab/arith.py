@@ -262,18 +262,27 @@ def trial_limit(functions, n: int, table: IrreducibleTable) -> int | None:
     return limit
 
 
-def _dtype(values, n: int, additive: bool):
-    """The numpy dtype in which sums (additive) or products of up to n of
-    these rule values come out exactly as Python computes them: int64 for
-    integers, float64 or complex128 while every integer involved stays
-    below 2^53, and object (Python arithmetic itself) otherwise."""
-    ints = [abs(v) for v in values if isinstance(v, int)]
-    top = max(ints, default=0)
-    reach = n * top if additive else top**n
+def _dtype(rated, n: int, additive: bool):
+    """The numpy dtype in which sums (additive) or products of these rule
+    values over the prime powers of a degree-n polynomial come out exactly
+    as Python computes them: int64 for integers, float64 or complex128
+    while every integer involved stays below 2^53, and object (Python
+    arithmetic itself) otherwise.  rated lists (value, degree of its prime
+    power) pairs."""
+    values = [v for v, _ in rated]
+    ints = [(abs(v), e) for v, e in rated if isinstance(v, int)]
+
+    def below(bound: int) -> bool:
+        if additive:  # at most n terms
+            return n * max((a for a, _ in ints), default=0) < bound
+        # |v| <= R^e with R = max a^(1/e): prime powers of total degree n
+        # multiply to at most R^n
+        return all(a <= 1 or a**n < bound**e for a, e in ints)
+
     if len(ints) == len(values):
-        return np.int64 if reach < 2**63 else object
-    if reach > 2**53 or not all(isinstance(v, (int, float, complex))
-                                for v in values):
+        return np.int64 if below(2**63) else object
+    if not below(2**53) or not all(isinstance(v, (int, float, complex))
+                                   for v in values):
         return object
     if any(isinstance(v, complex) for v in values):
         return np.complex128
@@ -312,8 +321,8 @@ def value_array(psi: FunctionSpec, table: IrreducibleTable, n: int,
     small = {d: [neutral] + [rule(d, m) for m in range(1, n // d + 1)]
              for d in range(1, top + 1)}
     large = [neutral] * (top + 1) + [rule(d, 1) for d in range(top + 1, cap + 1)]
-    dtype = _dtype([v for row in small.values() for v in row] + large, n,
-                   additive)
+    rated = [(v, d * m) for d, row in small.items() for m, v in enumerate(row)]
+    dtype = _dtype(rated + [(v, d) for d, v in enumerate(large)], n, additive)
     small = {d: np.array(row, dtype=dtype) for d, row in small.items()}
     combine = np.add if additive else _mul
 

@@ -41,6 +41,7 @@ from .fieldpoly import FieldSpec, PolyError, format_poly, parse_poly
 from .mainterm import MainTermError, ShiftPair, default_gamma, main_term
 from .sieve import (
     DEFAULT_CELL_BUDGET,
+    CacheOrderError,
     IrreducibleTable,
     MemoryBudgetError,
     SieveError,
@@ -494,20 +495,35 @@ def _resolve(argv: list[str]) -> tuple[Callable, argparse.Namespace]:
         raise ValueError(f"cannot read config: {exc}") from exc
     a = argparse.Namespace()
     for key, (convert, default) in keys.items():
+        flag = "--" + key.replace("_", "-")
         value = cfg.get(key, getattr(args, key), default)
         if value is _REQUIRED:
-            raise ValueError(f"{args.command} needs --{key.replace('_', '-')} "
-                             f"or {key}= in the config")
+            raise ValueError(f"{args.command} needs {flag} or {key}= in the config")
         if callable(value):
             value = value(a)
-        setattr(a, key, None if value is None else convert(value))
+        try:
+            setattr(a, key, None if value is None else convert(value))
+        except ValueError as exc:
+            raise ValueError(f"{flag}: {exc}") from exc
     return handler, a
 
 
+def _run(argv: list[str]) -> int:
+    handler, a = _resolve(argv)
+    return handler(a)
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        handler, a = _resolve(sys.argv[1:] if argv is None else list(argv))
-        return handler(a)
+        try:
+            return _run(argv)
+        except CacheOrderError as exc:
+            # found when a degree is first decoded, after get_table has
+            # returned the table: drop the file and run once more
+            print(f"rebuilding bad cache file: {exc}", file=sys.stderr)
+            Path(exc.path).unlink(missing_ok=True)
+            return _run(argv)
     except MemoryBudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2

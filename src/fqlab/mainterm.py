@@ -1,29 +1,40 @@
 """Predicted main terms for two-point correlations, as certified truncations.
 
-The predicted normalized limit of a correlation sum factors into an Euler
-product: over primes of degree <= gamma a local factor W_P constrained by
-the shift difference (its valuation k(P) caps how deep both arguments may
-share the prime), and over larger primes an unconstrained factor.  Both
-ranges are evaluated as truncated products whose TruncatedValue carries a
-rigorous bound on everything dropped.
-
-The local factor at P with constraint k is the double sum
+The predicted normalized limit of a correlation sum is an Euler product
+with one local factor W_P per monic prime P.  The shift difference enters
+through k(P) = v_P(h2 - h1), which caps how deep both arguments may share
+the prime; h1 = h2 makes every valuation infinite, so k = None (no
+constraint) at every prime, small and large alike.  W_P is the double sum
 
     W_P = sum over m1, m2 >= 0 with min(m1, m2) <= k of
           a1(m1) a2(m2) w(max(m1, m2)),
 
 where a_j(0) = 1, a_j(m) = psi_j(P^m) - psi_j(P^{m-1}), and the weight w
-is q^{-M deg P} (monic domain) or 1/phi(P^M) (irreducible domain).  The
-constrained product over small primes is computed this way rather than as
-a literal double sum over pairs of polynomials; the literal sum survives
-as a test oracle.
+is q^{-M deg P} (monic domain) or 1/phi(P^M) (irreducible domain).  One
+function, _factor, evaluates it grouped by M = max(m1, m2):
 
-Large-prime factors use the telescoped form 1 + sum_j sum_m
-(psi_j(P^m) - psi_j(P^{m-1})) / q^{m deg P} (monic) and 1 + sum_j sum_k
-(psi_j(P^k) - 1)/q^{k deg P} (irreducible domain, where the constant-1
-part of the series has been summed in closed form).  The telescoping
-makes the constant function give exactly 1, and rules that settle after
-finitely many powers get exact factors with zero tail.
+    W_P - 1 = sum_{M >= 1} w(M) (a1(M) b2(M) + a2(M) b1(M)
+                                 + [M <= k] a1(M) a2(M)),
+    b_j(M) = psi_j(P^{min(k, M - 1)}),
+
+in O(depth) steps, exactly when both rules settle by depth; the literal
+double sum survives as a test oracle.  It returns the deviation W_P - 1,
+so deviations far below machine epsilon are kept.  The constant function
+gives exactly 1.
+
+Primes of degree <= gamma form the small-prime product, accumulated
+linearly since its factors may be 0 or negative.  Primes of degree
+gamma < d <= n (n = None: up to a certified cutoff) form the large-prime
+product, accumulated in log space through log1p, so deviations of order
+2^-60 per prime still reach the result.  Both carry a rigorous bound on
+everything dropped.
+
+On the irreducible domain the weight 1/phi(Q^m) is right only at primes
+Q that divide neither h1 nor h2: if Q | h then Q never divides P + h for
+a prime P of degree n > deg Q.  So the prime-domain main term is the
+limit only when h1 and h2 are both nonzero constants; h1 = 0, for one,
+gives a wrong prediction (at p = 3, phi_ratio, h = (0, 1): means 0.5359,
+0.5420, 0.5446 at n = 6, 8, 10 against a main term of 0.2641).
 """
 
 from __future__ import annotations
@@ -125,22 +136,51 @@ def _require_unit(psi1: FunctionSpec, psi2: FunctionSpec) -> None:
         raise MainTermError("main terms are defined for unit-bounded functions")
 
 
-def _alpha_vec(spec: FunctionSpec, P, d: int, depth: int):
-    """[a(0), a(1), ...] with a(m) = value(P^m) - value(P^{m-1}); cut at
-    the settle power when the spec has one (exact), else at depth.  P is
-    the prime as a Poly, or None to read the degree-symmetric rule."""
-    if spec.trivial_beyond_degree is not None and d > spec.trivial_beyond_degree:
-        return [1], True
-    settle = spec.power_settle
-    exact = settle is not None and settle <= depth
-    top = settle if exact else depth
-    out = [1]
-    prev = 1
-    for m in range(1, top + 1):
-        cur = spec.value_dm(d, m) if P is None else spec.value_at(P, m)
-        out.append(cur - prev)
-        prev = cur
-    return out, exact
+def _factor(psi1: FunctionSpec, psi2: FunctionSpec, P, k: int | None,
+            mode: str, depth: int) -> tuple[complex, float]:
+    """(W_P - 1, tail) at the prime P, a Poly or a bare degree read through
+    the degree-symmetric rules, with shift valuation k (None: no
+    constraint); see the module docstring for the grouped sum.
+
+    A rule is read up to its settle power (0 past trivial_beyond_degree)
+    and held there; the sum stops at M = depth unless both rules settle
+    by then, and is exact otherwise.  With |psi| <= 1, summation by parts
+    bounds what M > depth adds by 2 w(depth + 1) per unsettled rule
+    (q^{-deg P} <= 1/2 covers k > depth with both rules unsettled).
+    """
+    is_poly = isinstance(P, Poly)
+    d = P.degree if is_poly else P
+    rows, unsettled = [], 0
+    for spec in (psi1, psi2):
+        last = spec.power_settle
+        if spec.trivial_beyond_degree is not None and d > spec.trivial_beyond_degree:
+            last = 0
+        elif last is None or last > depth:
+            last, unsettled = depth, unsettled + 1
+        read = spec.value_at if is_poly else spec.value_dm
+        row = [1]
+        for m in range(1, last + 1):
+            row.append(read(P, m))
+        rows.append(row)
+    v1, v2 = rows
+    top = max(len(v1), len(v2)) - 1
+    v1 += v1[-1:] * (top + 1 - len(v1))  # held at the settle value
+    v2 += v2[-1:] * (top + 1 - len(v2))
+    x = float(psi1.field.p) ** -d
+    dev = 0
+    for M in range(1, top + 1):
+        a1, a2 = v1[M] - v1[M - 1], v2[M] - v2[M - 1]
+        if a1 == 0 and a2 == 0:
+            continue
+        j = M - 1 if k is None else min(k, M - 1)
+        t = a1 * v2[j] + a2 * v1[j]
+        if k is None or M <= k:
+            t += a1 * a2
+        dev += t * x**M
+    # 1/phi(P^M) = q^{-M d}/(1 - q^{-d}); float powers underflow to 0
+    # where exact integers would overflow the conversion
+    scale = 1.0 if mode == "monic" else 1.0 / (1.0 - x)
+    return dev * scale, 2.0 * unsettled * x ** (top + 1) * scale
 
 
 def local_factor(P, k: int | None, psi1: FunctionSpec, psi2: FunctionSpec,
@@ -149,99 +189,37 @@ def local_factor(P, k: int | None, psi1: FunctionSpec, psi2: FunctionSpec,
 
     P is a monic irreducible Poly or a bare degree (degree-symmetric
     functions only); k is the valuation constraint, None meaning
-    unconstrained (zero shift difference).  The truncation tail uses
-    |a| <= 2 and is 16 w(depth+1)/(1 - q^{-d})^2.
+    unconstrained (zero shift difference).
     """
     _check_mode(mode)
     _require_unit(psi1, psi2)
     if depth < 2:
         raise MainTermError("depth must be >= 2")
-    if isinstance(P, Poly):
-        d = P.degree
-        q = P.field.p
-    else:
-        d, P = int(P), None
-        q = psi1.field.p
+    d = P.degree if isinstance(P, Poly) else int(P)
     if d < 1:
         raise MainTermError("local factors live at primes of degree >= 1")
-    a1, exact1 = _alpha_vec(psi1, P, d, depth)
-    a2, exact2 = _alpha_vec(psi2, P, d, depth)
+    dev, tail = _factor(psi1, psi2, P if isinstance(P, Poly) else d, k, mode,
+                        depth)
+    return TruncatedValue(1 + dev, tail)
 
-    x = float(q) ** (-d)
-    top = max(len(a1), len(a2))
-    if mode == "monic":
-        weights = [x**M for M in range(top)]
+
+def _degree_factors(d: int, vals: dict[Poly, int] | None,
+                    psi1: FunctionSpec, psi2: FunctionSpec, mode: str,
+                    table: IrreducibleTable, depth: int):
+    """(W_P - 1, tail, power) covering every prime P of degree d, given the
+    shift valuations vals (None: h1 = h2).  Degree-symmetric rules give
+    the primes dividing h2 - h1 one at a time, then one factor for the
+    rest of N_d, which comes last; other rules give one factor per prime."""
+    if psi1.degree_symmetric and psi2.degree_symmetric:
+        special = [k for P, k in (vals or {}).items() if P.degree == d]
+        for k in special:
+            yield (*_factor(psi1, psi2, d, k, mode, depth), 1)
+        yield (*_factor(psi1, psi2, d, None if vals is None else 0, mode, depth),
+               table.count(d) - len(special))
     else:
-        # 1/phi(P^M) = q^{-M d}/(1 - q^{-d}); float powers underflow to 0
-        # where exact integers would overflow the conversion
-        weights = [1.0] + [x**M / (1.0 - x) for M in range(1, top)]
-    total = 0
-    for m1, c1 in enumerate(a1):
-        if c1 == 0:
-            continue
-        for m2, c2 in enumerate(a2):
-            if c2 == 0:
-                continue
-            if k is not None and min(m1, m2) > k:
-                continue
-            total += c1 * c2 * weights[max(m1, m2)]
-    if exact1 and exact2:
-        tail = 0.0
-    elif mode == "monic":
-        tail = 16.0 * x ** (depth + 1) / (1.0 - x) ** 2
-    else:
-        tail = 16.0 * x ** (depth + 1) / (1.0 - x) ** 3
-    return TruncatedValue(total, tail)
-
-
-# ---------------------------------------------------------------------------
-# unconstrained factors beyond gamma
-# ---------------------------------------------------------------------------
-
-def _euler_factor(spec_pair, value, d: int, q: int, mode: str, m_max: int):
-    """Per-prime factor at a prime P of degree d, returned as
-    (factor - 1, m-tail); value(spec, m) is spec's value at P^m.
-
-    Keeping the deviation from 1 rather than the factor itself preserves
-    deviations far below machine epsilon; the product layer consumes it
-    through log1p so mass of order 2^-60 per prime is not rounded away.
-    Both specs add into one running sum, whose order the certified main
-    terms depend on bit for bit.
-    """
-    inner = 0
-    tail = 0.0
-    x = float(q) ** (-d)
-    for spec in spec_pair:
-        if (spec.trivial_beyond_degree is not None
-                and d > spec.trivial_beyond_degree):
-            continue
-        settle = spec.power_settle
-        exact = settle is not None and settle <= m_max
-        top = settle if exact else m_max
-        if mode == "monic":
-            prev = 1
-            w = x
-            for m in range(1, top + 1):
-                cur = value(spec, m)
-                if cur != prev:
-                    inner += (cur - prev) * w
-                prev = cur
-                w *= x
-        else:
-            last = 1
-            w = x
-            for m in range(1, top + 1):
-                last = value(spec, m)
-                if last != 1:
-                    inner += (last - 1) * w
-                w *= x
-            if exact and last != 1:
-                # rule constant from here on: geometric continuation in
-                # closed form, no truncation error
-                inner += (last - 1) * w / (1.0 - x)
-        if not exact:
-            tail += 2.0 * x ** (m_max + 1) / (1.0 - x)
-    return inner, tail
+        for P in table.primes(d):
+            k = None if vals is None else vals.get(P, 0)
+            yield (*_factor(psi1, psi2, P, k, mode, depth), 1)
 
 
 def _count_upper(q: int, d: int) -> float:
@@ -265,7 +243,8 @@ def _certified(value: complex, lo: float, hi: float, terms: int,
 
 
 class _ProductAccumulator:
-    """Running product with tails combined multiplicatively:
+    """Running product of factors (1 + dev)^power, which may be 0 or
+    negative, with tails combined multiplicatively:
     total tail = prod(|v_i| + t_i) - prod(|v_i|)."""
 
     def __init__(self):
@@ -274,18 +253,14 @@ class _ProductAccumulator:
         self.abs_hi = 1.0
         self.terms = 0
 
-    def mul(self, v, t: float, power: int = 1):
-        if v == 1 and t == 0.0:
+    def mul(self, dev, t: float, power: int = 1):
+        if power == 0 or (dev == 0 and t == 0.0):
             return
         self.terms += 1
-        if power == 1:
-            self.value *= v
-            self.abs_lo *= abs(v)
-            self.abs_hi *= abs(v) + t
-        else:
-            self.value *= v**power
-            self.abs_lo *= abs(v) ** power
-            self.abs_hi *= (abs(v) + t) ** power
+        v = 1 + dev
+        self.value *= v**power
+        self.abs_lo *= abs(v) ** power
+        self.abs_hi *= (abs(v) + t) ** power
 
     def result(self, extra_rel: float = 0.0) -> TruncatedValue:
         return _certified(self.value, self.abs_lo, self.abs_hi, self.terms,
@@ -300,23 +275,23 @@ def _log1p_c(z: complex):
 
 
 class _LogProductAccumulator:
-    """Product of factors (1 + inner_d)^{N_d} accumulated in log space, so
-    inner deviations of order 2^-60 still reach the result.  Valid for
-    integer powers of any nonzero factor (z^N = exp(N Log z) exactly)."""
+    """Product of factors (1 + dev)^power accumulated in log space, so
+    deviations of order 2^-60 still reach the result.  Valid for integer
+    powers of any nonzero factor (z^N = exp(N Log z) exactly)."""
 
     def __init__(self):
         self.log_v = 0j
         self.hi_extra = 0.0
         self.terms = 0
 
-    def mul(self, inner, t: float, power: int = 1):
-        if inner == 0 and t == 0.0:
+    def mul(self, dev, t: float, power: int = 1):
+        if power == 0 or (dev == 0 and t == 0.0):
             return
         self.terms += 1
         pf = float(power)
-        self.log_v += pf * _log1p_c(inner)
+        self.log_v += pf * _log1p_c(dev)
         if t:
-            self.hi_extra += pf * math.log1p(t / abs(1 + inner))
+            self.hi_extra += pf * math.log1p(t / abs(1 + dev))
 
     def result(self, extra_rel: float = 0.0) -> TruncatedValue:
         return _certified(cmath.exp(self.log_v), math.exp(self.log_v.real),
@@ -338,6 +313,8 @@ def small_prime_product(gamma: int, shifts: ShiftPair | None,
     _require_unit(psi1, psi2)
     if gamma < 0:
         raise MainTermError("gamma must be >= 0")
+    if depth < 2:
+        raise MainTermError("depth must be >= 2")
     q = table.field.p
     if psi1.field.p != q or psi2.field.p != q:
         raise MainTermError("function specs bound to a different field")
@@ -347,28 +324,12 @@ def small_prime_product(gamma: int, shifts: ShiftPair | None,
             f"gamma={gamma} beyond table degree {table.max_deg} needs "
             "degree-symmetric functions")
 
-    if shifts is None:
-        vals: dict[Poly, int] | None = {}
-    else:
-        vals = shifts.prime_valuations(table)
+    vals = {} if shifts is None else shifts.prime_valuations(table)
     acc = _ProductAccumulator()
     for d in range(1, gamma + 1):
-        if symmetric:
-            base = local_factor(d, None if vals is None else 0,
-                                psi1, psi2, mode, depth)
-            special = 0
-            if vals:
-                for P, kP in vals.items():
-                    if P.degree == d:
-                        w = local_factor(d, kP, psi1, psi2, mode, depth)
-                        acc.mul(w.value, w.tail_bound)
-                        special += 1
-            acc.mul(base.value, base.tail_bound, table.count(d) - special)
-        else:
-            for P in table.primes(d):
-                kP = None if vals is None else vals.get(P, 0)
-                w = local_factor(P, kP, psi1, psi2, mode, depth)
-                acc.mul(w.value, w.tail_bound)
+        for dev, t, power in _degree_factors(d, vals, psi1, psi2, mode,
+                                             table, depth):
+            acc.mul(dev, t, power)
     return acc.result()
 
 
@@ -377,10 +338,13 @@ def large_prime_product(gamma: int, n: int | None, psi1: FunctionSpec,
                         table: IrreducibleTable,
                         m_max: int = LOCAL_DEPTH_DEFAULT,
                         inf_cutoff: int | None = None,
-                        tail_target: float = INF_TAIL_TARGET) -> TruncatedValue:
-    """Unconstrained factor product over gamma < deg P <= n (n = None
-    means infinity, truncated at a certified cutoff).
+                        tail_target: float = INF_TAIL_TARGET, *,
+                        shifts: ShiftPair | None = None) -> TruncatedValue:
+    """Factor product over gamma < deg P <= n (n = None means infinity,
+    truncated at a certified cutoff).
 
+    shifts constrains the factors as in small_prime_product: h1 = h2
+    leaves every prime unconstrained, and without shifts every k(P) is 0.
     Below the safety threshold gamma the factors could in principle reach
     0; such gammas are accepted only when the functions are identically 1
     past gamma, or when every evaluated factor stays >= 1/4 in modulus.
@@ -388,49 +352,41 @@ def large_prime_product(gamma: int, n: int | None, psi1: FunctionSpec,
     _check_mode(mode)
     _require_unit(psi1, psi2)
     q = table.field.p
-    spec_pair = (psi1, psi2)
     thr = threshold_gamma(q, mode)
     guard = gamma < thr and not all(
         s.trivial_beyond_degree is not None and s.trivial_beyond_degree <= gamma
-        for s in spec_pair)
-    symmetric = psi1.degree_symmetric and psi2.degree_symmetric
-
-    def check(inner: complex, d: int) -> None:
-        if guard and abs(1 + inner) < 0.25:
-            raise ThresholdError(
-                f"factor at degree {d} has modulus {abs(1 + inner):.3f} "
-                f"< 1/4; use gamma >= {thr}")
-
-    if not symmetric:
+        for s in (psi1, psi2))
+    if not (psi1.degree_symmetric and psi2.degree_symmetric):
         if n is None:
             raise MainTermError(
                 "an infinite product over a non-degree-symmetric function "
                 "has no tail certificate; evaluate with a finite n instead")
         if n > table.max_deg:
             raise MainTermError("range beyond table for non-degree-symmetric specs")
-        acc = _LogProductAccumulator()
-        for d in range(gamma + 1, n + 1):
-            for P in table.primes(d):
-                inner, t = _euler_factor(
-                    spec_pair, lambda s, m: s.value_at(P, m), d, q, mode, m_max)
-                check(inner, d)
-                acc.mul(inner, t)
-        return acc.result()
-
+    vals = {} if shifts is None else shifts.prime_valuations(table)
     acc = _LogProductAccumulator()
+
+    def extend(d: int) -> float:
+        """Multiply in the primes of degree d; returns the remainder
+        r_d = N_d (|W - 1| + tail) of the last (generic) factor."""
+        for dev, t, power in _degree_factors(d, vals, psi1, psi2, mode,
+                                             table, m_max):
+            if guard and abs(1 + dev) < 0.25:
+                raise ThresholdError(
+                    f"factor at degree {d} has modulus {abs(1 + dev):.3f} "
+                    f"< 1/4; use gamma >= {thr}")
+            acc.mul(dev, t, power)
+        return (abs(dev) + t) * _count_upper(q, d)
+
     if n is not None:
         for d in range(gamma + 1, n + 1):
-            inner, t = _euler_factor(
-                spec_pair, lambda s, m: s.value_dm(d, m), d, q, mode, m_max)
-            check(inner, d)
-            acc.mul(inner, t, table.count(d))
+            extend(d)
         return acc.result()
 
     # n = infinity: extend the product degree by degree (exact counts come
     # from Moebius inversion past the tabulated range) until the certified
-    # remainder r_d = N_d * |factor - 1| admits a geometric closure below
-    # the target.  Rules that go identically trivial terminate with a zero
-    # remainder instead.
+    # remainder r_d admits a geometric closure below the target.  Rules
+    # that go identically trivial terminate with a zero remainder instead.
     start = max(gamma, inf_cutoff or 0, table.max_deg)
     rem: float | None = None
     ratios: list[float] = []
@@ -438,11 +394,7 @@ def large_prime_product(gamma: int, n: int | None, psi1: FunctionSpec,
     zeros = 0
     d = gamma + 1
     while d <= gamma + _EXTEND_LIMIT:
-        inner, t = _euler_factor(
-            spec_pair, lambda s, m: s.value_dm(d, m), d, q, mode, m_max)
-        check(inner, d)
-        acc.mul(inner, t, table.count(d))
-        r = (abs(inner) + t) * _count_upper(q, d)
+        r = extend(d)
         if r == 0.0:
             zeros += 1
             if zeros >= 3 and d > start:
@@ -476,14 +428,16 @@ def main_term(n: int | None, gamma: int | None, shifts: ShiftPair | None,
               inf_cutoff: int | None = None,
               tail_target: float = INF_TAIL_TARGET) -> TruncatedValue:
     """Predicted normalized limit: constrained small-prime product times
-    the unconstrained product up to degree n (or its infinite version)."""
+    the product up to degree n (or its infinite version), both under the
+    same shift constraint.  On the irreducible domain it is the limit only
+    when neither shift is divisible by a prime (see the module docstring)."""
     _check_mode(mode)
     q = table.field.p
     if gamma is None:
         gamma = default_gamma(q, mode, shifts)
     head = small_prime_product(gamma, shifts, psi1, psi2, mode, table, depth)
     bulk = large_prime_product(gamma, n, psi1, psi2, mode, table, depth,
-                               inf_cutoff, tail_target)
+                               inf_cutoff, tail_target, shifts=shifts)
     return head.times(bulk)
 
 

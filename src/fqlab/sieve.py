@@ -38,7 +38,8 @@ and trailing bytes are caught before any record is read), every N_d
 against Moebius inversion, every digit < p, and the necklace identity.
 The records of a degree are turned into enumeration indices only on the
 first call that needs that degree, which also checks that they are
-strictly ascending (no record repeated).
+strictly ascending (no record repeated) and raises CacheOrderError,
+naming the file, if not.
 """
 
 from __future__ import annotations
@@ -74,6 +75,15 @@ class MemoryBudgetError(RuntimeError):
 
 class TableTooSmallError(SieveError):
     pass
+
+
+class CacheOrderError(SieveError):
+    """A cache file's records of one degree repeat or are out of order;
+    found when the degree is first decoded.  path names the file."""
+
+    def __init__(self, path, d: int):
+        super().__init__(f"{path}: degree-{d} records are not strictly ascending")
+        self.path = path
 
 
 def _divisors(n: int) -> list[int]:
@@ -251,8 +261,7 @@ class IrreducibleTable:
         if idx.ndim == 2:  # coefficient records read from a cache file
             idx = idx.astype(np.int64) @ self.field.p ** np.arange(d, dtype=np.int64)
             if not (idx[1:] > idx[:-1]).all():
-                raise SieveError(f"{self._path}: degree-{d} records are not "
-                                 "strictly ascending")
+                raise CacheOrderError(self._path, d)
             self._by_degree[d] = idx
         return idx
 
@@ -317,8 +326,8 @@ class IrreducibleTable:
     @classmethod
     def load(cls, path: str | Path) -> "IrreducibleTable":
         """Read and check a cache file; any malformed content raises
-        SieveError here, except repeated or unsorted records, which are
-        found when their degree is first used (prime_indices)."""
+        SieveError here, except repeated or unsorted records, which raise
+        CacheOrderError when their degree is first used (prime_indices)."""
         with open(path, "rb") as fh:
             head = fh.read(16)
             if head[:4] != CACHE_MAGIC:

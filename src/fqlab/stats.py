@@ -34,6 +34,7 @@ from .arith import (
     product_sum,
     shifted_values,
     trial_limit,
+    value_array,
 )
 from .fieldpoly import Poly, monic_from_index
 from .mainterm import ShiftPair, TruncatedValue, default_gamma, main_term
@@ -391,12 +392,17 @@ def sieve_diagnostics(n: int, h: Poly, t: float,
 
     h_seq = tuple(squarefree_weight_sum(m, table) for m in range(1, n + 1))
 
-    # prod_{P | f} (1 + 1/|P|) is multiplicative, constant in m
-    divprod = FunctionSpec("divisor product", field,
-                           lambda d, m: Fraction(q**d + 1, q**d),
-                           True, False, False, None, 1)
-    best = shifted_values(divprod, table, n, Poly(field, ()), None,
-                          domain_indices(table, n, "monic")).max()
+    # prod_{P | f} (1 + 1/|P|) = num(f) / q^D(f), with num(f) the product
+    # of |P| + 1 and D(f) the sum of deg P over P | f: the largest num of
+    # each D, then at most n + 1 exact fractions
+    num = value_array(FunctionSpec("divisor product numerator", field,
+                                   lambda d, m: q**d + 1,
+                                   True, False, True, None, 1), table, n, None)
+    rad = value_array(AdditiveSpec("radical degree", field, lambda d, m: d,
+                                   True, None, 1), table, n, None)
+    top = np.zeros(n + 1, dtype=np.int64)
+    np.maximum.at(top, rad.astype(np.int64), num)
+    best = max(Fraction(v, q**D) for D, v in enumerate(top.tolist()) if v)
 
     return SieveDiagnostics(n, theta, theta_ratio, bv, h_seq, best)
 

@@ -98,14 +98,22 @@ class TestDeclarationTable:
             assert (tmp_path / f"flag.{ext}").read_bytes() == \
                 (tmp_path / f"cfg.{ext}").read_bytes()
 
-    @pytest.mark.parametrize("argv", [
-        ["factor", "--p", "abc", "--poly", "x"],
-        ["correlate", "--domain", "foo"],
-        ["factor", "--p", "2"],
-        ["factor", "--p", "2", "--poly", "x", "--bogus", "1"],
-    ])
-    def test_usage_errors_exit_1(self, argv, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("argv, named", [
+        (["factor", "--p", "abc", "--poly", "x"], "--p: "),
+        (["correlate", "--domain", "foo"], "--domain: "),
+        (["factor", "--p", "2"], "--poly"),
+        (["factor", "--p", "2", "--poly", "x", "--bogus", "1"], "--bogus"),
+    ], ids=["argv0", "argv1", "argv2", "argv3"])
+    def test_usage_errors_exit_1(self, argv, named, tmp_path, monkeypatch,
+                                 capsys):
         assert run(argv, tmp_path, monkeypatch) == 1
+        assert named in capsys.readouterr().err
+
+    def test_bad_config_value_names_its_key(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("poly=x\nbudget=lots\n")
+        assert run(["factor", "--config", str(cfg)], tmp_path, monkeypatch) == 1
+        assert "--budget: " in capsys.readouterr().err
 
     def test_help_exits_0_and_lists_every_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -316,22 +324,38 @@ class TestCacheRecovery:
         for f in left:
             IrreducibleTable.load(f)
 
-    def test_repeated_record_exits_1(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("poly, factors", [
+        # the square of the duplicated prime must not pass for a prime
+        ("x^16+x^14+x^12+x^10+x^8+x^6+1", [("x^8+x^7+x^6+x^5+x^4+x^3+1", "2")]),
+        ("x^16+x", [("x", "1"), ("x+1", "1"), ("x^2+x+1", "1"),
+                    ("x^4+x+1", "1"), ("x^4+x^3+1", "1"),
+                    ("x^4+x^3+x^2+x+1", "1")]),
+    ], ids=["square-of-the-copy", "x16-plus-x"])
+    def test_repeated_record_is_rebuilt(self, poly, factors, tmp_path,
+                                        monkeypatch, capsys):
         # the last degree-8 prime x^8+x^7+x^6+x^5+x^4+x^3+1 is replaced by
-        # a copy of the first; its square must not pass for a prime
+        # a copy of the first; no load-time check sees it, the first
+        # decode of degree 8 does
         cache = tmp_path / "cache"
         cache.mkdir()
         bad = cache / "p2_d8.fqi"
-        build_table(FieldSpec(2), 8).save(bad)
+        sound = build_table(FieldSpec(2), 8)
+        sound.save(bad)
         raw = bad.read_bytes()
         first = len(raw) - 8 * irreducible_count(2, 8)
         bad.write_bytes(raw[:-8] + raw[first:first + 8])
         IrreducibleTable.load(bad)  # passes every load-time check
-        rc = run(["factor", "--p", "2", "--poly",
-                  "x^16+x^14+x^12+x^10+x^8+x^6+1", "--out", "f"],
-                 tmp_path, monkeypatch)
-        assert rc == 1
-        assert not (tmp_path / "f.csv").exists()
+        for out in ("f1", "f2"):  # the second run must not meet the bad file
+            rc = run(["factor", "--p", "2", "--poly", poly, "--out", out],
+                     tmp_path, monkeypatch)
+            assert rc == 0
+            rows = read_csv(tmp_path / f"{out}.csv")
+            assert [(r["prime"], r["multiplicity"]) for r in rows] == factors
+        assert capsys.readouterr().err.count("rebuilding bad cache file") == 1
+        table = IrreducibleTable.load(bad)  # rewritten in place
+        for d in range(1, 9):
+            assert table.prime_indices(d).tolist() == \
+                sound.prime_indices(d).tolist()
 
 
 class TestEnumerationBudget:

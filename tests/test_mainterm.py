@@ -10,6 +10,7 @@ from fqlab import (
     ShiftPair,
     ThresholdError,
     TruncatedValue,
+    build_table,
     builtin,
     builtin_additive,
     correlate,
@@ -27,6 +28,7 @@ from fqlab import (
     threshold_gamma,
 )
 from fqlab.arith import FunctionSpec
+from fqlab.mainterm import _factor
 
 
 def sp(field, h1_text, h2_text):
@@ -114,6 +116,102 @@ class TestLocalFactor:
             shallow = local_factor(d, 1, lam, lam, "monic", depth=12)
             deep = local_factor(d, 1, lam, lam, "monic", depth=24)
             assert abs(deep.value - shallow.value) <= shallow.tail_bound
+
+
+def _literal_factor(psi1, psi2, d, k, mode, depth):
+    """The defining double sum of W_P over m1, m2 <= depth with
+    min(m1, m2) <= k (k None: no constraint)."""
+    x = float(psi1.field.p) ** -d
+
+    def alpha(spec, m):
+        return 1 if m == 0 else spec.value_dm(d, m) - spec.value_dm(d, m - 1)
+
+    def weight(M):
+        return x**M if mode == "monic" or M == 0 else x**M / (1.0 - x)
+
+    return sum(alpha(psi1, m1) * alpha(psi2, m2) * weight(max(m1, m2))
+               for m1 in range(depth + 1) for m2 in range(depth + 1)
+               if k is None or min(m1, m2) <= k)
+
+
+def _all_builtins(field):
+    return [builtin("one", field), builtin("moebius", field),
+            builtin("kfree", field, k=2), builtin("kfree", field, k=3),
+            builtin("liouville", field),
+            builtin("liouville_truncated", field, y=2),
+            builtin("phi_ratio", field),
+            exp_additive(builtin_additive("big_omega", field), 0.7)]
+
+
+class TestFactorOracle:
+    """_factor's grouped sum against the literal double sum."""
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("mode", ["monic", "prime"])
+    def test_grouped_sum_equals_double_sum(self, q, mode):
+        specs = _all_builtins(FieldSpec(q))
+        # every builtin with itself and with its neighbour in the list
+        pairs = list(zip(specs, specs)) + list(zip(specs, specs[1:] + specs[:1]))
+        for psi1, psi2 in pairs:
+            for k in (None, 0, 1, 2, 5):
+                for d in (1, 2, 3, 5, 9):
+                    dev, tail = _factor(psi1, psi2, d, k, mode, 12)
+                    want = _literal_factor(psi1, psi2, d, k, mode, 12)
+                    assert abs(1 + dev - want) <= 1e-13, (psi1.name, psi2.name, k, d)
+                    if None not in (psi1.power_settle, psi2.power_settle):
+                        assert tail == 0.0  # both rules settle by depth 12
+                    # the tail covers everything past depth 12
+                    deep = _literal_factor(psi1, psi2, d, k, mode, 30)
+                    assert abs(1 + dev - deep) <= tail + 1e-13, \
+                        (psi1.name, psi2.name, k, d)
+
+
+class TestEqualShifts:
+    """h1 = h2 leaves every prime unconstrained, the large ones included."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_kfree_density(self, q):
+        # mu^2(f) mu^2(f): the density of squarefree polynomials, 1 - 1/q
+        field = FieldSpec(q)
+        table = build_table(field, 4)
+        kf = builtin("kfree", field, k=2)
+        x = parse_poly("x", field)
+        tv = main_term(None, None, ShiftPair(x, x), kf, kf, "monic", table)
+        assert abs(tv.value - (1 - 1 / q)) <= tv.tail_bound + 1e-14
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_phi_ratio_product(self, q):
+        # factors 1 + q^{-d}((1 - q^{-d})^2 - 1) = 1 - 2 q^{-2d} + q^{-3d}
+        field = FieldSpec(q)
+        table = build_table(field, 4)
+        pr = builtin("phi_ratio", field)
+        zero = parse_poly("0", field)
+        tv = main_term(None, None, ShiftPair(zero, zero), pr, pr, "monic", table)
+        log_ref = sum(irreducible_count(q, d)
+                      * math.log1p(-2.0 * q ** (-2.0 * d) + q ** (-3.0 * d))
+                      for d in range(1, 200))
+        assert abs(tv.value - math.exp(log_ref)) <= tv.tail_bound + 1e-14
+
+    def test_correlation_approaches_main_term(self, field2, table2):
+        pr = builtin("phi_ratio", field2)
+        zero = parse_poly("0", field2)
+        rep = correlate(CorrelationSpec(field2, 14, "monic", (zero, zero),
+                                        (pr, pr)), table2)
+        assert rep.deviation < 1e-5
+
+    def test_large_prime_shift_keyword(self, field2, table2):
+        # without shifts every k(P) is 0, as with a unit shift difference
+        kf = builtin("kfree", field2, k=2)
+        plain = large_prime_product(4, 12, kf, kf, "monic", table2)
+        unit = large_prime_product(4, 12, kf, kf, "monic", table2,
+                                   shifts=sp(field2, "0", "1"))
+        equal = large_prime_product(4, 12, kf, kf, "monic", table2,
+                                    shifts=sp(field2, "x", "x"))
+        assert plain == unit
+        want = 1.0
+        for d in range(5, 13):
+            want *= (1.0 - 2.0 ** (-2 * d)) ** irreducible_count(2, d)
+        assert abs(equal.value - want) <= equal.tail_bound + 1e-15
 
 
 class TestSmallPrimeProduct:

@@ -22,7 +22,7 @@ from fqlab import (
     residue_histogram,
 )
 from fqlab.fieldpoly import monic_from_index
-from fqlab.sieve import IrreducibleTable, _factor_bits, _factor_coeffs
+from fqlab.sieve import CacheOrderError, IrreducibleTable, _factor_bits, _factor_coeffs
 
 
 def brute_irreducible(f):
@@ -217,8 +217,9 @@ class TestCache:
         path.write_bytes(raw[:-6] + raw[-12:-6])  # last degree-6 record twice
         loaded = IrreducibleTable.load(path)
         assert loaded.prime_indices(5).tolist() == table3.prime_indices(5).tolist()
-        with pytest.raises(SieveError, match="rep.fqi"):
+        with pytest.raises(CacheOrderError, match="rep.fqi") as exc:
             loaded.prime_indices(6)
+        assert exc.value.path == path
 
     def test_roundtrip(self, table3, tmp_path):
         path = tmp_path / "t.fqi"

@@ -268,7 +268,10 @@ class _ProductAccumulator:
 
 
 def _log1p_c(z: complex):
-    """log(1 + z) safe for |z| far below machine epsilon."""
+    """log(1 + z) without the rounding of 1 + z: math.log1p for a real
+    z > -1, a two-term series for |z| far below machine epsilon."""
+    if z.imag == 0 and z.real > -1:
+        return math.log1p(z.real)
     if abs(z) < 1e-8:
         return z - z * z / 2
     return cmath.log(1 + z)

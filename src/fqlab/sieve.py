@@ -1,24 +1,34 @@
 """Monic irreducibles over F_p: sieve, counting, factorization, primes in APs.
 
-The sieve marks, degree by degree, every product of a lower-degree
-irreducible with a monic cofactor; the unmarked indices of degree d are
-exactly the irreducibles.  Everything is vectorized over the enumeration
-index space (numpy), with a bitmask kernel for p = 2 and a base-p digit
-kernel for general p.
+The sieve marks, degree by degree, the monic multiples of every
+lower-degree irreducible; the unmarked indices of degree d are exactly
+the irreducibles.  The monic multiples of degree m + d of a monic
+modulus M of degree d are x^d g - (x^d g mod M) for the monic g of
+degree m, so they are read off the residue map: the one with high part
+g_j (index j) sits at index j p^d + key_j, and key_j, the encoding of
+-(x^d g_j mod M), is affine in the digits of j.  One kernel
+(_Multiples) doubles the keys up over the digits of j for all
+moduli of a degree at once, as int16 digit columns (p = 2: the d bits
+packed into one unsigned integer), in blocks of at most
+SIEVE_BLOCK_CELLS cells.
 
-The same kernels drive the valuation sieve behind the correlate and
-stats scans: prime_valuations marks, prime by prime, the multiples of P
-among all monic polynomials of degree n and reads v_P off the cofactor
-space one level down, so a scan divides nothing.  A shift f -> f + h is
-an index map on that space (shift_indices) and a domain is an index
-list (domain_indices, which refuses more than DEFAULT_CELL_BUDGET
-polynomials).  They also drive the primes in arithmetic progressions:
-prime_multiples lists the multiples of a prime modulus, and reduction
-mod M, being linear in the coefficients, takes one matrix product for
-all primes of a degree and a block of moduli (residue_keys), whose
-class counts residue_counts yields block by block.  Factorization of a
-single polynomial (factorize) runs one trial-division loop over a
-bitmask division (p = 2) or a coefficient-tuple division (odd p).
+The same kernel drives the valuation sieve behind the correlate and
+stats scans: prime_valuations lists, for every prime P up to a degree,
+the multiples of P among all monic polynomials of degree n and v_P
+there, counting the powers P^k that divide (their multiples sit at
+positions f // p^d among those of P), so a scan divides nothing.  For
+p = 2 it keeps the one-prime bitmask kernel (_multiples_gf2), which
+reads v_P(P g) = 1 + v_P(g) one level down.  A shift f -> f + h is an
+index map on that space (shift_indices) and a domain is an index list
+(domain_indices, which refuses more than DEFAULT_CELL_BUDGET
+polynomials).  The kernel also lists the multiples of every prime
+modulus of a degree range (prime_multiples) for the primes in
+arithmetic progressions, where reduction mod M, being linear in the
+coefficients, takes one matrix product for all primes of a degree and a
+block of moduli (residue_keys), whose class counts residue_counts yields
+block by block.  Factorization of a single polynomial (factorize) runs
+one trial-division loop over a bitmask division (p = 2) or a
+coefficient-tuple division (odd p).
 
 Counts are validated against the necklace identity sum_{d|n} d*N_d = q^n
 (the coefficient form of the zeta function's Euler product) and against
@@ -116,11 +126,146 @@ def irreducible_count(q: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sieve kernels: indices of P*g over all monic g of a given degree
+# sieve kernel: the monic multiples of a modulus, read off the residue map
 # ---------------------------------------------------------------------------
 
+# Most cells (moduli x multiples) one block of the multiples kernel holds;
+# it bounds the kernel's working set: d int16 digits (p = 2: d packed
+# bits) and one int64 index per cell.
+SIEVE_BLOCK_CELLS = 1 << 18
+
+
+def _digit_matrix(p: int, idx: np.ndarray, width: int,
+                  dtype=np.int64) -> np.ndarray:
+    """Base-p digits of each index, least significant first, one row each.
+    The division runs in float64, which is exact for indices below 2^52
+    (no listable index reaches 2^28) and faster than int64 division."""
+    out = np.empty((len(idx), width), dtype=dtype)
+    x = idx.astype(np.float64)
+    for i in range(width):
+        quot = np.floor(x / p)
+        out[:, i] = x - quot * p
+        x = quot
+    return out
+
+
+def _monic_digits(p: int, idx: np.ndarray, d: int) -> np.ndarray:
+    """Coefficient rows of the monic polynomials of degree d at idx,
+    leading 1 included (int64)."""
+    rows = np.ones((len(idx), d + 1), dtype=np.int64)
+    rows[:, :d] = _digit_matrix(p, idx, d)
+    return rows
+
+
+def _poly_mul(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise products of coefficient rows, reduced mod p."""
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1), dtype=np.int64)
+    for j in range(b.shape[1]):
+        out[:, j:j + a.shape[1]] += a * b[:, j:j + 1]
+    return out % p
+
+
+class _Multiples:
+    """The sieve kernel: indices of the monic multiples of degree t <=
+    t_max of the monic moduli M of degree d whose coefficient rows
+    (leading 1 included) are the rows of moduli.
+
+    With m = t - d, the multiples are x^d g_j - (x^d g_j mod M) for the
+    monic g_j of degree m at index j, so the multiple of M with high part
+    g_j sits at index j p^d + key_j and the indices ascend with j.  The
+    key is affine in the digits a_k of j: the digits of -(x^d g_j mod M)
+    are u_m + sum_k a_k u_k (mod p, digit-wise), u_k = -(x^(d+k) mod M).
+    The keys of the low s digits of j are doubled up digit by digit for a
+    block of moduli, and each value of the top m - s digits adds its own
+    offset.  Digits are int16 columns, reduced mod p only at the end
+    ((s + 1)(p - 1) < 2^15); for p = 2 the d bits are packed into one
+    unsigned integer of the smallest width and digit-wise addition is
+    XOR.  While one block holds every
+    modulus, the doubled keys are kept for the next, larger t.
+    """
+
+    def __init__(self, p: int, moduli: np.ndarray, t_max: int):
+        d = moduli.shape[1] - 1
+        u = -_powers_mod(p, t_max, moduli[:, :d])[d:] % p  # (m + 1, count, d)
+        if p == 2:
+            u = (u << np.arange(d)).sum(axis=2)[:, None]  # (m + 1, 1, count)
+            self._add, self._dtype = np.bitwise_xor, np.min_scalar_type((1 << d) - 1)
+        else:
+            u = u.transpose(0, 2, 1)  # (m + 1, d, count): one column per digit
+            self._add, self._dtype = np.add, np.int16
+        steps = u[..., None] * np.arange(p)  # c u_k for every digit c
+        self._steps = (steps if p == 2 else steps % p).astype(self._dtype)
+        self.p, self.d, self.count, self._u = p, d, len(moduli), u
+        self._kept, self._kept_digits = self._zeros(self.count), 0
+
+    def _zeros(self, count: int) -> np.ndarray:
+        return np.zeros((self._u.shape[1], count, 1), dtype=self._dtype)
+
+    def _double(self, keys: np.ndarray, have: int, lo: int, s: int) -> np.ndarray:
+        """Extend keys, those of j < p^have for the block of moduli at lo,
+        to every j < p^s."""
+        for k in range(have, s):  # j = c p^k + j_low
+            step = self._steps[k, :, lo:lo + keys.shape[1], :, None]
+            keys = self._add(step, keys[..., None, :]).reshape(keys.shape[:2] + (-1,))
+        return keys
+
+    def blocks(self, t: int):
+        """Yield (lo, j0, idx) in blocks of at most SIEVE_BLOCK_CELLS
+        cells: idx[i, c] is the index of the degree-t multiple with j =
+        j0 + c of the modulus in row lo + i."""
+        p, d = self.p, self.d
+        m = t - d
+        s = m
+        while s and p**s > SIEVE_BLOCK_CELLS:
+            s -= 1
+        width = p**s
+        chunk = max(1, SIEVE_BLOCK_CELLS // width)
+        base = np.arange(width, dtype=np.int64) * p**d
+        for lo in range(0, self.count, chunk):
+            uc = self._u[:, :, lo:lo + chunk]
+            if chunk >= self.count:  # one block: keep the keys for a larger t
+                if self._kept_digits < s:
+                    self._kept = self._double(self._kept, self._kept_digits, 0, s)
+                    self._kept_digits = s
+                keys = self._kept[..., :width]
+            else:
+                keys = self._double(self._zeros(uc.shape[2]), 0, lo, s)
+            for hi in range(p ** (m - s)):
+                off, rest, k = uc[m], hi, s
+                while rest:
+                    rest, a = divmod(rest, p)
+                    off = self._add(off, a * uc[k])
+                    k += 1
+                off = (off if p == 2 else off % p).astype(self._dtype)
+                block = self._add(keys, off[..., None])
+                if p == 2:
+                    idx = block[0].astype(np.int64)
+                else:
+                    block %= p
+                    idx = block[d - 1].astype(np.int64)
+                    for i in range(d - 2, -1, -1):  # Horner over the digits
+                        idx *= p
+                        idx += block[i]
+                idx += base + hi * width * p**d
+                yield lo, hi * width, idx
+
+    def rows(self, t: int) -> np.ndarray:
+        """The degree-t multiples as one (count, p^(t - d)) matrix, each
+        row ascending."""
+        shape = (self.count, self.p ** (t - self.d))
+        out = None
+        for lo, j0, idx in self.blocks(t):
+            if idx.shape == shape:
+                return idx
+            if out is None:
+                out = np.empty(shape, dtype=np.int64)
+            out[lo:lo + len(idx), j0:j0 + idx.shape[1]] = idx
+        return out
+
+
 def _multiples_gf2(prime_full: int, m: int, target_deg: int) -> np.ndarray:
-    """Indices of prime*g for all monic g of degree m (p=2 bit kernel)."""
+    """Indices of prime*g for all monic g of degree m, in the order of g
+    (p = 2 bit kernel, one prime at a time)."""
     g = np.arange(1 << m, dtype=np.uint64) | np.uint64(1 << m)
     acc = np.zeros(1 << m, dtype=np.uint64)
     b = prime_full
@@ -131,36 +276,6 @@ def _multiples_gf2(prime_full: int, m: int, target_deg: int) -> np.ndarray:
         b >>= 1
         shift += 1
     return acc ^ np.uint64(1 << target_deg)
-
-
-def _digit_matrix(p: int, idx: np.ndarray, width: int) -> np.ndarray:
-    """Base-p digits of each index, least significant first, one row each."""
-    return (idx[:, None] // p ** np.arange(width, dtype=np.int64)) % p
-
-
-def _monic_rows(p: int, m: int) -> np.ndarray:
-    """Coefficient rows of every monic polynomial of degree m in
-    enumeration order, leading 1 included (int32)."""
-    rows = np.empty((p**m, m + 1), dtype=np.int32)
-    rows[:, :m] = _digit_matrix(p, np.arange(p**m, dtype=np.int64), m)
-    rows[:, m] = 1
-    return rows
-
-
-def _multiples_generic(p: int, prime_coeffs, cofactors: np.ndarray,
-                       target_deg: int) -> np.ndarray:
-    """Same as the bit kernel but in base-p digit space (any p); cofactors
-    holds the coefficient rows of every monic g of degree m, leading 1
-    included.  int32 holds every coefficient sum, at most
-    (m + 1) (p - 1)^2."""
-    m = cofactors.shape[1] - 1
-    out = np.zeros((len(cofactors), target_deg + 1), dtype=np.int32)
-    for j, cj in enumerate(prime_coeffs):
-        if cj:
-            out[:, j:j + m + 1] += cj * cofactors
-    out %= p
-    pows = p ** np.arange(target_deg, dtype=np.int64)
-    return out[:, :target_deg] @ pows
 
 
 @dataclass(frozen=True)
@@ -284,8 +399,8 @@ class IrreducibleTable:
                 if p == 2:
                     rows.append([i | (1 << d) for i in idx.tolist()])
                 else:
-                    rows.append([tuple(cs) + (1,)
-                                 for cs in _digit_matrix(p, idx, d).tolist()])
+                    rows.append([tuple(cs) + (1,) for cs in
+                                 _digit_matrix(p, idx, d, np.uint8).tolist()])
             self._prime_rows = rows
         return rows
 
@@ -317,7 +432,7 @@ class IrreducibleTable:
                 for d in range(1, self.max_deg + 1):
                     idx = self.prime_indices(d)
                     fh.write(struct.pack("<Q", len(idx)))
-                    fh.write(_digit_matrix(p, idx, d).astype(np.uint8).tobytes())
+                    fh.write(_digit_matrix(p, idx, d, np.uint8).tobytes())
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -389,20 +504,16 @@ def build_table(field: FieldSpec, max_deg: int,
             f"(budget {cell_budget})")
 
     by_degree: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    kernels: list[_Multiples | None] = [None]
     for target in range(1, max_deg + 1):
         composite = np.zeros(p**target, dtype=bool)
         for d in range(1, target // 2 + 1):
-            m = target - d
-            if p == 2:
-                for idx in by_degree[d]:
-                    full = int(idx) | (1 << d)
-                    composite[_multiples_gf2(full, m, target)] = True
-            else:
-                # the cofactor rows are the same for every prime of degree d
-                cofactors = _monic_rows(p, m)
-                for cs in _digit_matrix(p, by_degree[d], d).tolist():
-                    composite[_multiples_generic(p, cs + [1], cofactors, target)] = True
-        by_degree.append(np.nonzero(~composite)[0].astype(np.int64))
+            for _, _, idx in kernels[d].blocks(target):
+                composite[idx] = True
+        by_degree.append(np.flatnonzero(~composite))
+        if 2 * target <= max_deg:  # the primes of this degree sieve later ones
+            kernels.append(_Multiples(
+                p, _monic_digits(p, by_degree[target], target), max_deg))
     return IrreducibleTable(field, max_deg, by_degree)
 
 
@@ -547,51 +658,65 @@ def shift_indices(field: FieldSpec, n: int, idx: np.ndarray, h: Poly) -> np.ndar
     return out
 
 
-def _multiples(p: int, P, d: int, t: int, cofactors: dict) -> np.ndarray:
-    """Indices of P g for every monic g of degree t - d, in the order of
-    g, for a prime row P of degree d (table._rows); cofactors keeps the
-    odd-p cofactor rows per degree."""
-    if p == 2:
-        return _multiples_gf2(P, t - d, t)
-    if t - d not in cofactors:
-        cofactors[t - d] = _monic_rows(p, t - d)
-    return _multiples_generic(p, P, cofactors[t - d], t)
-
-
 def prime_valuations(table: IrreducibleTable, n: int, top: int):
     """For every prime P of degree d <= top, in (degree, index) order,
     yield (d, idx, v): idx holds the enumeration indices of the monic f
     of degree n that P divides, and v (int8) is v_P(f) at each of them.
 
-    The multiples f = P g come from the sieve kernels with g running over
-    the monic polynomials of degree n - d in index order, and v_P(f) =
-    1 + v_P(g) is the same construction one level down.
+    For odd p the multiples of P and of its powers come from the sieve
+    kernel, the primes of a degree in blocks: idx ascends, v_P(f) is 1
+    plus the number of k >= 2 with P^k | f, and a multiple f of P^k sits
+    at position f // p^d among those of P (the kernel's j).  For p = 2
+    the bit kernel lists P g in the order of g, one prime at a time, and
+    v_P(P g) = 1 + v_P(g) is read off the same listing one level down,
+    built up level by level from the degrees below d.
     """
     p = table.field.p
-    rows = table._rows(top)
-    cofactors: dict[int, np.ndarray] = {}
-
-    def valuation(P, d: int, t: int) -> np.ndarray:
-        v = np.zeros(p**t, dtype=np.int8)
-        if t >= d:
-            v[_multiples(p, P, d, t, cofactors)] = 1 + valuation(P, d, t - d)
-        return v
-
+    if p == 2:
+        rows = table.bit_rows(top)
+        for d in range(1, top + 1):
+            for P in rows[d]:
+                t = (n - d) % d  # v_P over the monic g of degree t < d: 0
+                v = np.zeros(1 << t, dtype=np.int8)
+                while t < n - d:
+                    t += d
+                    up = np.zeros(1 << t, dtype=np.int8)
+                    up[_multiples_gf2(P, t - d, t)] = 1 + v
+                    v = up
+                yield d, _multiples_gf2(P, n - d, n), 1 + v
+        return
     for d in range(1, top + 1):
-        for P in rows[d]:
-            yield d, _multiples(p, P, d, n, cofactors), 1 + valuation(P, d, n - d)
+        for P in _prime_blocks(table, d, n):
+            idx = _Multiples(p, P, n).rows(n)
+            v = np.ones(idx.shape, dtype=np.int8)
+            at = np.arange(len(P))[:, None]
+            power = P
+            for _ in range(2, n // d + 1):
+                power = _poly_mul(p, power, P)
+                v[at, _Multiples(p, power, n).rows(n) // p**d] += 1
+            for i in range(len(P)):
+                yield d, idx[i], v[i]
 
 
 def prime_multiples(table: IrreducibleTable, n: int, lo: int, hi: int):
-    """For every prime P with lo <= deg P <= hi <= n, in (degree, index)
-    order, yield (deg P, idx): the enumeration indices of the monic
-    multiples of P of degree n."""
-    p = table.field.p
-    rows = table._rows(hi)
-    cofactors: dict[int, np.ndarray] = {}
+    """For the primes P with lo <= deg P <= hi <= n, in (degree, index)
+    order, yield (deg P, idx) block by block: row i of idx holds the
+    enumeration indices of the monic multiples of degree n of the i-th
+    prime of the block, ascending."""
     for d in range(lo, hi + 1):
-        for P in rows[d]:
-            yield d, _multiples(p, P, d, n, cofactors)
+        for P in _prime_blocks(table, d, n):
+            yield d, _Multiples(table.field.p, P, n).rows(n)
+
+
+def _prime_blocks(table: IrreducibleTable, d: int, n: int):
+    """The degree-d primes as coefficient rows (leading 1 included), in
+    blocks whose multiples of degree n fill at most SIEVE_BLOCK_CELLS
+    cells (one prime at least)."""
+    p = table.field.p
+    primes = table.prime_indices(d)
+    chunk = max(1, SIEVE_BLOCK_CELLS // p ** (n - d))
+    for lo in range(0, len(primes), chunk):
+        yield _monic_digits(p, primes[lo:lo + chunk], d)
 
 
 # ---------------------------------------------------------------------------
@@ -604,22 +729,24 @@ def prime_multiples(table: IrreducibleTable, n: int, lo: int, hi: int):
 RESIDUE_BLOCK_CELLS = 1 << 15
 
 
-def _powers_mod(p: int, n: int, d: int, moduli: np.ndarray) -> np.ndarray:
+def _powers_mod(p: int, n: int, low: np.ndarray) -> np.ndarray:
     """Digits of x^i mod M for i = 0..n and every monic M of degree d >= 1
-    at the given indices: row i holds them modulus by modulus, d digits
-    each.  Below degree d, x^i is its own residue; from there on x^(i+1)
-    = x * x^i, with x^d replaced by -(c_0 + ... + c_{d-1} x^{d-1})."""
-    low = _digit_matrix(p, moduli, d)
-    out = np.zeros((n + 1, len(moduli), d), dtype=np.float32)
+    whose low coefficients c_0..c_{d-1} are the rows of low: out[i, b]
+    holds the d digits for the modulus in row b (int64).  Below degree d,
+    x^i is its own residue; from there on x^(i+1) = x * x^i, with x^d
+    replaced by -(c_0 + ... + c_{d-1} x^{d-1})."""
+    count, d = low.shape
+    out = np.zeros((n + 1, count, d), dtype=np.int64)
     below = np.arange(min(d, n + 1))
     out[below, :, below] = 1
-    r = -low % p
-    for i in range(d, n + 1):
-        out[i] = r
-        top = r[:, -1:]
-        r = np.concatenate((np.zeros_like(top), r[:, :-1]), axis=1)
-        r = (r - top * low) % p
-    return out.reshape(n + 1, -1)
+    if n >= d:
+        out[d] = -low % p
+    for i in range(d + 1, n + 1):
+        prev, cur = out[i - 1], out[i]
+        cur[:, 1:] = prev[:, :-1]
+        cur -= prev[:, -1:] * low
+        cur %= p
+    return out
 
 
 def residue_keys(p: int, n: int, idx: np.ndarray, d: int,
@@ -637,8 +764,9 @@ def residue_keys(p: int, n: int, idx: np.ndarray, d: int,
     if d == 0:
         return np.zeros((len(idx), len(moduli)), dtype=np.int64)
     digits = np.ones((len(idx), n + 1), dtype=np.float32)
-    digits[:, :n] = _digit_matrix(p, idx, n)
-    raw = (digits @ _powers_mod(p, n, d, moduli)).astype(np.int32)
+    digits[:, :n] = _digit_matrix(p, idx, n, np.float32)
+    powers = _powers_mod(p, n, _digit_matrix(p, moduli, d))
+    raw = (digits @ powers.reshape(n + 1, -1).astype(np.float32)).astype(np.int32)
     quot = raw // p  # raw %= p in place; numpy divides faster than % by a scalar
     quot *= p
     raw -= quot

@@ -364,8 +364,9 @@ def sieve_diagnostics(n: int, h: Poly, t: float,
         is_prime = np.zeros(q**n, dtype=bool)
         is_prime[table.prime_indices(n)] = True
         for dq, idx in prime_multiples(table, n, n // 2 + 1, n):
-            cnt = int(np.count_nonzero(is_prime[shift_indices(field, n, idx, -h)]))
-            theta += (q**dq - 1) * cnt * cnt  # phi of a prime
+            cnt = np.count_nonzero(is_prime[shift_indices(field, n, idx, -h)],
+                                   axis=1)
+            theta += (q**dq - 1) * sum(c * c for c in cnt.tolist())  # phi(Q)
     npq = table.count(n)
     theta_ratio = Fraction(theta, npq * npq)
 

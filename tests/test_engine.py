@@ -2,8 +2,10 @@
 trial division and against sympy."""
 
 import functools
+import random
 import time
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -33,7 +35,7 @@ from fqlab.sieve import Factorization, domain_indices
 
 # largest degree per p; the tables list primes that far, so the prime
 # domain is available at every degree drawn
-TABLE_DEGREES = {2: 9, 3: 6, 5: 4}
+TABLE_DEGREES = {2: 9, 3: 6, 5: 4, 7: 4}
 
 
 @functools.cache
@@ -109,6 +111,32 @@ class TestOracles:
         for k in range(0, len(indices), max(1, len(indices) // 6)):
             f = monic_from_index(field, n, int(indices[k])) + h
             assert omega[k] == sympy_big_omega(f)
+
+
+class TestHighValuations:
+    """Values where a prime of degree >= 2 divides to the third power or
+    more, and a seeded sample of the rest, against trial division."""
+
+    @pytest.mark.parametrize("p, n", [(2, 12), (3, 7), (5, 6), (7, 6)])
+    def test_values_at_cubes(self, p, n):
+        field = FieldSpec(p)
+        table = build_table(field, n // 2)
+        picks = set(random.Random(p).sample(range(p**n), 200))
+        for d in range(2, n // 3 + 1):
+            for P in table.primes(d):
+                cube = P**3
+                for j in range(p ** (n - 3 * d)):
+                    f = cube * monic_from_index(field, n - 3 * d, j)
+                    picks.add(f.monic_index())
+        indices = np.array(sorted(picks), dtype=np.int64)
+        facts = [factorize(monic_from_index(field, n, i), table)
+                 for i in indices.tolist()]
+        assert max(m for f in facts for P, m in f.factors if P.degree >= 2) >= 3
+        zero = Poly(field, [])
+        for spec in all_specs(field):
+            ev = eval_additive_on if spec.additive else eval_on
+            got = shifted_values(spec, table, n, zero, None, indices).tolist()
+            assert got == [ev(f, spec) for f in facts], spec.name
 
 
 class TestEnumerationGuard:

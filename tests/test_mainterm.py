@@ -28,7 +28,7 @@ from fqlab import (
     threshold_gamma,
 )
 from fqlab.arith import FunctionSpec
-from fqlab.mainterm import _factor
+from fqlab.mainterm import LOCAL_DEPTH_DEFAULT, _factor
 
 
 def sp(field, h1_text, h2_text):
@@ -212,6 +212,42 @@ class TestEqualShifts:
         for d in range(5, 13):
             want *= (1.0 - 2.0 ** (-2 * d)) ** irreducible_count(2, d)
         assert abs(equal.value - want) <= equal.tail_bound + 1e-15
+
+
+class TestTailOracle:
+    """The infinite large-prime product against the same per-degree
+    factors multiplied in 60-digit arithmetic over degrees up to 300."""
+
+    @staticmethod
+    def _exact(psi, mode, gamma, k, counts):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            log = mpmath.mpf(0)
+            for d in range(gamma + 1, len(counts)):
+                dev, _ = _factor(psi, psi, d, k, mode, LOCAL_DEPTH_DEFAULT)
+                log += counts[d] * mpmath.log1p(mpmath.mpf(dev))
+            return mpmath.exp(log)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+    def test_value_within_tail_bound(self, q):
+        field = FieldSpec(q)
+        table = build_table(field, 2)
+        x = parse_poly("x", field)
+        specs = [builtin("phi_ratio", field), builtin("kfree", field, k=2),
+                 builtin("kfree", field, k=3)]
+        counts = [0] + [irreducible_count(q, d) for d in range(1, 301)]
+        misses = []
+        for psi in specs:
+            for mode in ("monic", "prime"):
+                # no shifts: every k(P) is 0; h1 = h2: no constraint
+                for shifts, k in ((None, 0), (ShiftPair(x, x), None)):
+                    gamma = default_gamma(q, mode, shifts)
+                    tv = large_prime_product(gamma, None, psi, psi, mode,
+                                             table, shifts=shifts)
+                    err = abs(tv.value - self._exact(psi, mode, gamma, k, counts))
+                    if err > tv.tail_bound:
+                        misses.append((psi.name, mode, k, float(err / tv.tail_bound)))
+        assert misses == []
 
 
 class TestSmallPrimeProduct:

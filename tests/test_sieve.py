@@ -1,6 +1,7 @@
 import functools
 import random
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -22,7 +23,15 @@ from fqlab import (
     residue_histogram,
 )
 from fqlab.fieldpoly import monic_from_index
-from fqlab.sieve import CacheOrderError, IrreducibleTable, _factor_bits, _factor_coeffs
+from fqlab import sieve
+from fqlab.sieve import (
+    CacheOrderError,
+    IrreducibleTable,
+    _factor_bits,
+    _factor_coeffs,
+    _monic_digits,
+    _Multiples,
+)
 
 
 def brute_irreducible(f):
@@ -328,3 +337,76 @@ class TestOracles:
             got = [(tuple((pb >> i) & 1 for i in range(pb.bit_length())), m)
                    for pb, m in _factor_bits(bits, bit_rows)]
             assert got == _factor_coeffs(2, coeffs, coeff_rows)
+
+
+def _multiples_by_poly(field, M, t):
+    """Indices of M g for every monic g of degree t - deg M (Poly products)."""
+    return sorted((M * monic_from_index(field, t - M.degree, j)).monic_index()
+                  for j in range(field.p ** (t - M.degree)))
+
+
+class TestMultiplesKernel:
+    """The residue kernel's multiples against Poly multiplication."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_every_modulus_up_to_degree_3(self, p):
+        # every monic modulus, prime or not, all moduli of a degree at
+        # once, multiples to degree 6 (p = 7: 5, where the products take
+        # seconds)
+        field = FieldSpec(p)
+        top = 5 if p == 7 else 6
+        for d in range(1, 4):
+            moduli = _monic_digits(p, np.arange(p**d), d)
+            kernel = _Multiples(p, moduli, top)  # keeps its keys as t grows
+            for t in range(d, top + 1):
+                rows = kernel.rows(t)
+                assert rows.shape == (p**d, p ** (t - d))
+                assert (np.diff(rows, axis=1) > 0).all()
+                for i in range(p**d):
+                    M = monic_from_index(field, d, i)
+                    assert rows[i].tolist() == _multiples_by_poly(field, M, t)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_small_blocks_split_moduli_and_top_digits(self, p, monkeypatch):
+        moduli = _monic_digits(p, np.arange(p**2), 2)
+        want = _Multiples(p, moduli, 8).rows(8)
+        ref = build_table(FieldSpec(p), 8)
+        monkeypatch.setattr(sieve, "SIEVE_BLOCK_CELLS", p**3)
+        shapes = [idx.shape for _, _, idx in _Multiples(p, moduli, 8).blocks(8)]
+        assert len(shapes) > 1 and max(r * c for r, c in shapes) <= p**3
+        assert (_Multiples(p, moduli, 8).rows(8) == want).all()
+        built = build_table(FieldSpec(p), 8)
+        for d in range(1, 9):
+            assert (built.prime_indices(d) == ref.prime_indices(d)).all()
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_kept_keys_serve_a_smaller_degree(self, p):
+        moduli = _monic_digits(p, np.arange(p**2), 2)
+        kernel = _Multiples(p, moduli, 8)
+        kernel.rows(8)
+        assert (kernel.rows(5) == _Multiples(p, moduli, 5).rows(5)).all()
+
+
+def _sympy_irreducible(field, d, i):
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+    coeffs = monic_from_index(field, d, i).coeffs
+    return gf_irreducible_p(list(reversed(coeffs)), field.p, ZZ)
+
+
+class TestListingsLargerP:
+    @pytest.mark.parametrize("p", [7, 11, 13])
+    def test_listings_agree_with_sympy(self, p):
+        # every monic polynomial to degree 3 (p = 7: 4); a seeded sample
+        # of degree 4 for p = 11, 13
+        field = FieldSpec(p)
+        table = build_table(field, 4)
+        top = 4 if p == 7 else 3
+        for d in range(1, top + 1):
+            got = set(table.prime_indices(d).tolist())
+            want = {i for i in range(p**d) if _sympy_irreducible(field, d, i)}
+            assert got == want
+        if top < 4:
+            got = set(table.prime_indices(4).tolist())
+            for i in random.Random(p).sample(range(p**4), 200):
+                assert (i in got) == _sympy_irreducible(field, 4, i)

@@ -41,7 +41,6 @@ from .fieldpoly import FieldSpec, PolyError, format_poly, parse_poly
 from .mainterm import MainTermError, ShiftPair, default_gamma, main_term
 from .sieve import (
     DEFAULT_CELL_BUDGET,
-    CacheOrderError,
     IrreducibleTable,
     MemoryBudgetError,
     SieveError,
@@ -95,29 +94,39 @@ class ExperimentConfig:
         return self.entries.get(key, default)
 
 
-def _parse_range(text: str) -> list[int]:
-    """'a:b' or 'a:b:step', endpoints inclusive."""
+def _parse_range(text: str) -> range:
+    """'a:b' or 'a:b:step', endpoints inclusive, ascending and not empty;
+    its largest value is [-1], so nothing iterates over it to find that."""
     parts = text.split(":")
-    if len(parts) == 2:
-        a, b, s = int(parts[0]), int(parts[1]), 1
-    elif len(parts) == 3:
-        a, b, s = int(parts[0]), int(parts[1]), int(parts[2])
-    else:
+    if len(parts) not in (2, 3):
         raise ValueError(f"bad range {text!r}; expected a:b or a:b:step")
-    return list(range(a, b + 1, s))
+    a, b = int(parts[0]), int(parts[1])
+    s = int(parts[2]) if len(parts) == 3 else 1
+    if s <= 0:
+        raise ValueError(f"range step must be > 0, got {s}")
+    if a > b:
+        raise ValueError(f"empty range {text!r}")
+    return range(a, b + 1, s)
 
 
 def _parse_t_grid(text: str) -> list[float]:
-    if ":" in text:
-        a, b, s = text.split(":")
-        a, b, s = float(a), float(b), float(s)
-        out = []
-        t = a
-        while t <= b + 1e-9:
-            out.append(round(t, 12))
-            t += s
+    """A comma list, or 'a:b:step': from a, step added until past b.
+    Every value is finite; a grid needs a <= b and a step > 0."""
+    if ":" not in text:
+        out = [float(x) for x in text.split(",")]
+        if not all(map(math.isfinite, out)):
+            raise ValueError(f"grid values must be finite, got {text!r}")
         return out
-    return [float(x) for x in text.split(",")]
+    a, b, s = (float(x) for x in text.split(":"))
+    if not all(map(math.isfinite, (a, b, s))) or s <= 0 or a > b + 1e-9:
+        raise ValueError(f"bad grid {text!r}; needs finite a <= b and step > 0")
+    out, t = [], a
+    while t <= b + 1e-9:
+        if t + s == t:
+            raise ValueError(f"grid step {s} does not move past {t}")
+        out.append(round(t, 12))
+        t += s
+    return out
 
 
 def _domain(text: str) -> str:
@@ -284,19 +293,18 @@ def _experiment_pieces(a):
 
 
 @_command("correlate", lambda a: f"correlate_p{a.p}", n=(int, 8),
-          n_range=(_parse_range, None), **_EXPERIMENT,
-          partitions=(int, 1), omit_timing=(int, 0))
+          n_range=(_parse_range, None), **_EXPERIMENT, omit_timing=(int, 0))
 def _cmd_correlate(a) -> int:
     field, functions, shifts = _experiment_pieces(a)
     ns = [a.n] if a.n_range is None else a.n_range
-    _check_enumeration(a, max(ns), a.domain)
-    need = max(_needed_degree(n, functions, shifts, a.gamma, a.domain, a.p)
-               for n in ns)
+    _check_enumeration(a, ns[-1], a.domain)
+    # the needed degree grows with n
+    need = _needed_degree(ns[-1], functions, shifts, a.gamma, a.domain, a.p)
     table = get_table(a.p, need, a.cache_dir, a.budget)
     rows = []
     for n in ns:
         spec = CorrelationSpec(field, n, a.domain, shifts, functions,
-                               a.gamma, a.depth, a.partitions)
+                               a.gamma, a.depth)
         rep = correlate(spec, table)
         rows.append(_report_row(rep, a.omit_timing))
     last = rows[-1]
@@ -341,13 +349,13 @@ def _cmd_mainterm(a) -> int:
 
 @_command("chowla", lambda a: f"chowla_p{a.p}_y{a.y}", y=(int, 2),
           h=(str, "x"), n_range=(_parse_range, "8:16"), C=(float, 1.0),
-          partitions=(int, 1), omit_timing=(int, 0))
+          omit_timing=(int, 0))
 def _cmd_chowla(a) -> int:
     """Truncated-Liouville autocorrelation scan with its theoretical cap."""
     field = FieldSpec(a.p)
     y, ns = a.y, a.n_range
     h = parse_poly(a.h, field)
-    _check_enumeration(a, max(ns))
+    _check_enumeration(a, ns[-1])
     lam = builtin("liouville_truncated", field, y=y)
     zero = parse_poly("0", field)
     need = max(y, 1, h.degree if not h.is_zero else 1)
@@ -356,7 +364,7 @@ def _cmd_chowla(a) -> int:
     rows = []
     for n in ns:
         spec = CorrelationSpec(field, n, "monic", (zero, h), (lam, lam),
-                               gamma=y, partitions=a.partitions)
+                               gamma=y)
         rep = correlate(spec, table)
         rows.append(_report_row(rep, a.omit_timing,
                                 {"y": y, "bound_C_log4y_y4": repr(cap)}))
@@ -429,8 +437,8 @@ def _cmd_tk(a) -> int:
         raise StatsError(f"unknown tk rule {a.psi!r}; choose from {sorted(_TK_RULES)}")
     h = parse_poly(a.h, FieldSpec(a.p))
     ns = [a.n] if a.n_range is None else a.n_range
-    _check_enumeration(a, max(ns), a.domain)
-    table = get_table(a.p, max(max(ns), 1), a.cache_dir, a.budget)
+    _check_enumeration(a, ns[-1], a.domain)
+    table = get_table(a.p, max(ns[-1], 1), a.cache_dir, a.budget)
     rows = []
     for n in ns:
         rep = tk_ratio(_TK_RULES[a.psi], h, n, a.domain, table)
@@ -508,22 +516,11 @@ def _resolve(argv: list[str]) -> tuple[Callable, argparse.Namespace]:
     return handler, a
 
 
-def _run(argv: list[str]) -> int:
-    handler, a = _resolve(argv)
-    return handler(a)
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        try:
-            return _run(argv)
-        except CacheOrderError as exc:
-            # found when a degree is first decoded, after get_table has
-            # returned the table: drop the file and run once more
-            print(f"rebuilding bad cache file: {exc}", file=sys.stderr)
-            Path(exc.path).unlink(missing_ok=True)
-            return _run(argv)
+        handler, a = _resolve(argv)
+        return handler(a)
     except MemoryBudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2

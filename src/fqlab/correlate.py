@@ -6,8 +6,7 @@ shares: one value array psi(f) over every monic f of degree n, built by
 the valuation sieve (arith.value_array over sieve.prime_valuations), read
 through each shift's index map and gathered at the domain.  Integer-valued
 function sets sum exactly; everything else is summed correctly rounded
-(math.fsum), so no value depends on the order of summation.  partitions
-is kept in the spec and the report but no longer changes any value.
+(math.fsum), so no value depends on the order of summation.
 
 The sieve stops early when every function in play is identically 1 on
 primes above some degree: the primes left out then contribute an exact
@@ -67,7 +66,6 @@ class CorrelationSpec:
     functions: tuple[FunctionSpec, ...]
     gamma: int | None = None
     depth: int = LOCAL_DEPTH_DEFAULT
-    partitions: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "shifts", tuple(self.shifts))
@@ -89,8 +87,6 @@ class CorrelationSpec:
             if psi.additive:
                 raise EngineError(f"function {psi.name} is additive; correlate "
                                   "takes multiplicative ones (see exp_additive)")
-        if self.partitions < 1:
-            raise EngineError("partitions must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -106,7 +102,6 @@ class CorrelationReport:
     main: TruncatedValue | None
     deviation: float | None
     seconds: float
-    partitions: int
 
     @property
     def integer_exact(self) -> bool:
@@ -147,7 +142,7 @@ def correlate(spec: CorrelationSpec, table: IrreducibleTable) -> CorrelationRepo
         shift_texts=tuple(format_poly(h) for h in spec.shifts),
         raw_sum=raw, domain_size=domain_size, normalized=normalized,
         main=main, deviation=deviation,
-        seconds=time.perf_counter() - t0, partitions=spec.partitions)
+        seconds=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +215,7 @@ def deviation_scan(spec: CorrelationSpec, n_range, table: IrreducibleTable,
     points = []
     for n in n_range:
         s = CorrelationSpec(spec.field, n, spec.domain, spec.shifts,
-                            spec.functions, spec.gamma, spec.depth,
-                            spec.partitions)
+                            spec.functions, spec.gamma, spec.depth)
         rep = correlate(s, table)
         overlay = None
         if overlay_alpha is not None and len(spec.functions) == 2 and \

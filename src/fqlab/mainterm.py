@@ -40,6 +40,7 @@ gives a wrong prediction (at p = 3, phi_ratio, h = (0, 1): means 0.5359,
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -147,9 +148,14 @@ def _factor(psi1: FunctionSpec, psi2: FunctionSpec, P, k: int | None,
     by then, and is exact otherwise.  With |psi| <= 1, summation by parts
     bounds what M > depth adds by 2 w(depth + 1) per unsettled rule
     (q^{-deg P} <= 1/2 covers k > depth with both rules unsettled).
+    Past the first M with w(M) = 0.0 in floating point every term and the
+    tail are exactly 0.0, so no rule is read beyond it and every larger
+    depth gives the same bits.
     """
     is_poly = isinstance(P, Poly)
     d = P.degree if is_poly else P
+    x = float(psi1.field.p) ** -d
+    depth = min(depth, _underflow_power(x))
     rows, unsettled = [], 0
     for spec in (psi1, psi2):
         last = spec.power_settle
@@ -166,7 +172,6 @@ def _factor(psi1: FunctionSpec, psi2: FunctionSpec, P, k: int | None,
     top = max(len(v1), len(v2)) - 1
     v1 += v1[-1:] * (top + 1 - len(v1))  # held at the settle value
     v2 += v2[-1:] * (top + 1 - len(v2))
-    x = float(psi1.field.p) ** -d
     dev = 0
     for M in range(1, top + 1):
         a1, a2 = v1[M] - v1[M - 1], v2[M] - v2[M - 1]
@@ -181,6 +186,15 @@ def _factor(psi1: FunctionSpec, psi2: FunctionSpec, P, k: int | None,
     # where exact integers would overflow the conversion
     scale = 1.0 if mode == "monic" else 1.0 / (1.0 - x)
     return dev * scale, 2.0 * unsettled * x ** (top + 1) * scale
+
+
+@functools.cache
+def _underflow_power(x: float) -> int:
+    """The first M with x**M == 0.0; at most 1075 for x <= 1/2."""
+    m = 1
+    while x**m:
+        m += 1
+    return m
 
 
 def local_factor(P, k: int | None, psi1: FunctionSpec, psi2: FunctionSpec,

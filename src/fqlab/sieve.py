@@ -27,8 +27,8 @@ arithmetic progressions, where reduction mod M, being linear in the
 coefficients, takes one matrix product for all primes of a degree and a
 block of moduli (residue_keys), whose class counts residue_counts yields
 block by block.  Factorization of a single polynomial (factorize) runs
-one trial-division loop over a bitmask division (p = 2) or a
-coefficient-tuple division (odd p).
+one trial-division loop over a bitmask division (p = 2) or fieldpoly's
+coefficient-tuple long division (odd p).
 
 Counts are validated against the necklace identity sum_{d|n} d*N_d = q^n
 (the coefficient form of the zeta function's Euler product) and against
@@ -37,19 +37,17 @@ the tabulated range are produced exactly by Moebius inversion of the
 necklace identity; only listings are capped by the memory budget.
 
 The cache file layout (little endian) is:
-  magic "FFQI", u32 format version, u32 p, u32 max_deg,
-  then for d = 1..max_deg: u64 N_d, then N_d records of d bytes each
-  holding coefficients c0..c_{d-1} (leading 1 implicit), in ascending
-  index order.
+  magic "FFQI", u32 format version (2), u32 p, u32 max_deg,
+  then for d = 1..max_deg: u64 N_d, then the N_d enumeration indices of
+  the degree-d primes as int64, ascending.
 A file is written under a temporary name and renamed into place.
 Loading checks the whole file before it returns: magic, version and
 field, the file length against the Moebius counts (so a truncated file
-and trailing bytes are caught before any record is read), every N_d
-against Moebius inversion, every digit < p, and the necklace identity.
-The records of a degree are turned into enumeration indices only on the
-first call that needs that degree, which also checks that they are
-strictly ascending (no record repeated) and raises CacheOrderError,
-naming the file, if not.
+and trailing bytes are caught before any index is read), every N_d
+against Moebius inversion, every degree's indices strictly ascending in
+[0, p^d), and the necklace identity; each failure is a SieveError that
+names the file.  Each degree of a loaded table is a read-only view of
+the bytes read.
 """
 
 from __future__ import annotations
@@ -66,12 +64,13 @@ from .fieldpoly import (
     FieldSpec,
     Poly,
     PolyError,
+    _c_divmod,
     monic_from_index,
     poly_from_encoding,
 )
 
 CACHE_MAGIC = b"FFQI"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 DEFAULT_CELL_BUDGET = 1 << 27  # total enumeration cells across degrees
 
 
@@ -85,15 +84,6 @@ class MemoryBudgetError(RuntimeError):
 
 class TableTooSmallError(SieveError):
     pass
-
-
-class CacheOrderError(SieveError):
-    """A cache file's records of one degree repeat or are out of order;
-    found when the degree is first decoded.  path names the file."""
-
-    def __init__(self, path, d: int):
-        super().__init__(f"{path}: degree-{d} records are not strictly ascending")
-        self.path = path
 
 
 def _divisors(n: int) -> list[int]:
@@ -320,12 +310,10 @@ class Factorization:
 class IrreducibleTable:
     """All monic irreducibles of degree <= max_deg over F_p.
 
-    by_degree[d] lists the degree-d primes either as numpy index arrays
-    in enumeration order or, for a table read from a cache file, as their
-    (N_d, d) coefficient records (uint8), decoded into indices on the
-    first call that needs degree d.  Immutable after build, safe for
-    concurrent reads: readers that decode the same degree at once compute
-    equal arrays.
+    by_degree[d] holds the enumeration indices of the degree-d primes,
+    ascending, as a read-only int64 array: the sieve's listing, or a view
+    of the bytes of a cache file.  Immutable after build, safe for
+    concurrent reads.
     """
 
     def __init__(self, field: FieldSpec, max_deg: int,
@@ -333,9 +321,10 @@ class IrreducibleTable:
         self.field = field
         self.max_deg = max_deg
         self._by_degree = list(by_degree)  # [empty, deg1 listing, deg2 listing, ...]
+        for idx in self._by_degree:
+            idx.flags.writeable = False
         self._counts = [0] + [len(a) for a in by_degree[1:]]
         self._prime_rows: list[list] = [[]]
-        self._path = None  # the cache file of a loaded table, named in errors
         self._validate()
 
     def _validate(self) -> None:
@@ -372,19 +361,13 @@ class IrreducibleTable:
     def prime_indices(self, d: int) -> np.ndarray:
         if not 1 <= d <= self.max_deg:
             raise TableTooSmallError(f"degree {d} not tabulated (max {self.max_deg})")
-        idx = self._by_degree[d]
-        if idx.ndim == 2:  # coefficient records read from a cache file
-            idx = idx.astype(np.int64) @ self.field.p ** np.arange(d, dtype=np.int64)
-            if not (idx[1:] > idx[:-1]).all():
-                raise CacheOrderError(self._path, d)
-            self._by_degree[d] = idx
-        return idx
+        return self._by_degree[d]
 
     def primes(self, d: int) -> list[Poly]:
         return [monic_from_index(self.field, d, int(i))
                 for i in self.prime_indices(d)]
 
-    def _rows(self, limit: int) -> list[list]:
+    def rows(self, limit: int) -> list[list]:
         """rows[d] for d <= limit: the degree-d primes as bitmasks with the
         leading bit set (p=2) or as coefficient tuples with the leading 1
         (odd p).  Built one degree at a time, only as far as asked."""
@@ -404,35 +387,20 @@ class IrreducibleTable:
             self._prime_rows = rows
         return rows
 
-    def bit_rows(self, limit: int) -> list[list[int]]:
-        """rows[d] = degree-d prime bitmasks with the leading bit set (p=2)."""
-        if self.field.p != 2:
-            raise SieveError("bit rows exist only for p=2")
-        return self._rows(limit)
-
-    def coeff_rows(self, limit: int) -> list[list[tuple[int, ...]]]:
-        """rows[d] = degree-d prime coefficient tuples, leading 1 included
-        (odd p)."""
-        if self.field.p == 2:
-            raise SieveError("p=2 rows are bitmasks; use bit_rows")
-        return self._rows(limit)
-
     # -- cache ------------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
         """Write the cache file through a temporary file in the same
         directory, so a reader never sees a half-written table."""
-        p = self.field.p
         path = Path(path)
         tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
         try:
             with open(tmp, "wb") as fh:
                 fh.write(CACHE_MAGIC)
-                fh.write(struct.pack("<III", CACHE_VERSION, p, self.max_deg))
-                for d in range(1, self.max_deg + 1):
-                    idx = self.prime_indices(d)
+                fh.write(struct.pack("<III", CACHE_VERSION, self.field.p, self.max_deg))
+                for idx in self._by_degree[1:]:
                     fh.write(struct.pack("<Q", len(idx)))
-                    fh.write(_digit_matrix(p, idx, d, np.uint8).tobytes())
+                    fh.write(idx.astype("<i8", copy=False))
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -441,49 +409,43 @@ class IrreducibleTable:
     @classmethod
     def load(cls, path: str | Path) -> "IrreducibleTable":
         """Read and check a cache file; any malformed content raises
-        SieveError here, except repeated or unsorted records, which raise
-        CacheOrderError when their degree is first used (prime_indices)."""
-        with open(path, "rb") as fh:
-            head = fh.read(16)
-            if head[:4] != CACHE_MAGIC:
-                raise SieveError(f"{path}: bad magic")
-            if len(head) != 16:
-                raise SieveError(f"{path}: truncated cache in header")
-            version, p, max_deg = struct.unpack_from("<III", head, 4)
-            if version != CACHE_VERSION:
-                raise SieveError(f"{path}: unsupported cache version {version}")
-            try:
-                field = FieldSpec(p)
-            except PolyError as exc:
-                raise SieveError(f"{path}: {exc}") from exc
-            # the length follows from the Moebius counts; the sum stops
-            # once it passes the file, so a forged max_deg costs nothing
-            size = os.fstat(fh.fileno()).st_size
-            counts, end = [0], 16
-            for d in range(1, max_deg + 1):
-                counts.append(irreducible_count(p, d))
-                end += 8 + counts[d] * d
-                if end > size:
-                    raise SieveError(f"{path}: truncated cache in degree {d}")
-            if end != size:
-                raise SieveError(f"{path}: {size - end} trailing bytes")
-            body = np.empty(size - 16, dtype=np.uint8)
-            if fh.readinto(body) != len(body):
-                raise SieveError(f"{path}: file changed while being read")
-        by_degree: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-        at = 0
+        SieveError naming the file."""
+        data = Path(path).read_bytes()
+        if data[:4] != CACHE_MAGIC:
+            raise SieveError(f"{path}: bad magic")
+        if len(data) < 16:
+            raise SieveError(f"{path}: truncated cache in header")
+        version, p, max_deg = struct.unpack_from("<III", data, 4)
+        if version != CACHE_VERSION:
+            raise SieveError(f"{path}: unsupported cache version {version}")
+        try:
+            field = FieldSpec(p)
+        except PolyError as exc:
+            raise SieveError(f"{path}: {exc}") from exc
+        # the length follows from the Moebius counts; the sum stops once
+        # it passes the file, so a forged max_deg costs nothing
+        counts, end = [0], 16
         for d in range(1, max_deg + 1):
-            (n_d,) = struct.unpack_from("<Q", body, at)
+            counts.append(irreducible_count(p, d))
+            end += 8 + 8 * counts[d]
+            if end > len(data):
+                raise SieveError(f"{path}: truncated cache in degree {d}")
+        if end != len(data):
+            raise SieveError(f"{path}: {len(data) - end} trailing bytes")
+        by_degree: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        at = 16
+        for d in range(1, max_deg + 1):
+            (n_d,) = struct.unpack_from("<Q", data, at)
             if n_d != counts[d]:
                 raise SieveError(f"{path}: wrong prime count at degree {d}")
-            digits = body[at + 8:at + 8 + n_d * d].reshape(n_d, d)
-            if digits.max() >= p:
-                raise SieveError(f"{path}: coefficient out of range")
-            by_degree.append(digits)
-            at += 8 + n_d * d
-        table = cls(field, max_deg, by_degree)  # necklace check runs in init
-        table._path = path
-        return table
+            idx = np.frombuffer(data, dtype="<i8", count=n_d, offset=at + 8)
+            if idx[0] < 0 or idx[-1] >= p**d:
+                raise SieveError(f"{path}: degree-{d} index out of range")
+            if not (idx[1:] > idx[:-1]).all():
+                raise SieveError(f"{path}: degree-{d} indices are not strictly ascending")
+            by_degree.append(idx)
+            at += 8 + 8 * n_d
+        return cls(field, max_deg, by_degree)  # necklace check runs in init
 
 
 def necklace_check(table: IrreducibleTable, n: int) -> NecklaceReport:
@@ -497,11 +459,13 @@ def build_table(field: FieldSpec, max_deg: int,
     if max_deg < 1:
         raise SieveError("max_deg must be >= 1")
     p = field.p
-    cells = sum(p**d for d in range(1, max_deg + 1))
-    if cells > cell_budget:
-        raise MemoryBudgetError(
-            f"p={p}, max_deg={max_deg} needs {cells} cells "
-            f"(budget {cell_budget})")
+    cells = 0
+    for d in range(1, max_deg + 1):  # stops once past the budget
+        cells += p**d
+        if cells > cell_budget:
+            raise MemoryBudgetError(
+                f"p={p}, max_deg={max_deg} needs more than the budget of "
+                f"{cell_budget} cells")
 
     by_degree: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
     kernels: list[_Multiples | None] = [None]
@@ -568,28 +532,11 @@ def _factor_bits(bits: int, rows: list[list[int]]):
     return _trial_division(bits, rows, _bits_divmod, lambda a: a.bit_length() - 1)
 
 
-def _coeffs_divmod_monic(p: int, a: tuple[int, ...], b: tuple[int, ...]):
-    # b monic; long division on a copy of a
-    db = len(b) - 1
-    r = list(a)
-    q = [0] * max(len(r) - db, 0)
-    for i in range(len(r) - 1, db - 1, -1):
-        c = r[i]
-        if c:
-            q[i - db] = c
-            for j in range(db):
-                r[i - db + j] = (r[i - db + j] - c * b[j]) % p
-            r[i] = 0
-    while r and r[-1] == 0:
-        r.pop()
-    return tuple(q), r
-
-
 def _factor_coeffs(p: int, coeffs: list[int],
                    rows: list[list[tuple[int, ...]]]):
     """Generic-p trial division on coefficient tuples, as the p=2 kernel."""
     return _trial_division(tuple(coeffs), rows,
-                           lambda a, b: _coeffs_divmod_monic(p, a, b),
+                           lambda a, b: _c_divmod(p, a, b),
                            lambda a: len(a) - 1)
 
 
@@ -611,7 +558,7 @@ def factorize(f: Poly, table: IrreducibleTable) -> Factorization:
             f"factoring degree {n} needs primes to degree {n // 2}, "
             f"table has {table.max_deg}")
     field = f.field
-    rows = table._rows(max(1, n // 2))
+    rows = table.rows(max(1, n // 2))
     if field.p == 2:
         factors = [(poly_from_encoding(field, pb), m)
                    for pb, m in _factor_bits(f.encode(), rows)]
@@ -623,8 +570,10 @@ def factorize(f: Poly, table: IrreducibleTable) -> Factorization:
 
 def check_enumeration(p: int, n: int, budget: int = DEFAULT_CELL_BUDGET) -> None:
     """Refuse to enumerate the p^n monic polynomials of degree n when
-    that exceeds the cell budget (before anything is allocated)."""
-    if p**n > budget:
+    that exceeds the cell budget (before anything is allocated).  p^n
+    exceeds the budget once n reaches its bit length, so no power is
+    taken beyond that."""
+    if p ** min(n, budget.bit_length()) > budget:
         raise MemoryBudgetError(
             f"enumerating the {p}^{n} monic polynomials of degree {n} "
             f"exceeds the budget {budget}")
@@ -673,7 +622,7 @@ def prime_valuations(table: IrreducibleTable, n: int, top: int):
     """
     p = table.field.p
     if p == 2:
-        rows = table.bit_rows(top)
+        rows = table.rows(top)
         for d in range(1, top + 1):
             for P in rows[d]:
                 t = (n - d) % d  # v_P over the monic g of degree t < d: 0

@@ -9,6 +9,7 @@ import random
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from fqlab import (
@@ -29,7 +30,9 @@ from fqlab import (
     parse_poly,
     tk_ratio,
 )
+from fqlab.arith import product_sum, shifted_values, trial_limit
 from fqlab.fieldpoly import monic_from_index, poly_from_encoding
+from fqlab.sieve import domain_indices
 
 
 def report(num, text):
@@ -69,7 +72,7 @@ def chowla_runs(field2, table2):
     reps = {}
     for n in (10, 20):
         spec = CorrelationSpec(field2, n, "monic", (zero, x), (lam2, lam2),
-                               gamma=2, partitions=1)
+                               gamma=2)
         reps[n] = correlate(spec, table2)
     return reps, time.perf_counter() - t0
 
@@ -220,14 +223,18 @@ def test_criterion_10_brun_titchmarsh_exhaustive(table2):
 
 
 def test_criterion_11_partition_determinism(field2, table2, chowla_runs):
+    # the raw sum equals the sum of the exact sums over contiguous blocks
+    # of the domain, however many blocks
     reps, _ = chowla_runs
     base = reps[20].raw_sum
     assert isinstance(base, int)
     lam2 = builtin("liouville_truncated", field2, y=2)
-    zero, x = parse_poly("0", field2), parse_poly("x", field2)
-    for parts in (4, 16):
-        spec = CorrelationSpec(field2, 20, "monic", (zero, x), (lam2, lam2),
-                               gamma=2, partitions=parts)
-        assert correlate(spec, table2).raw_sum == base
-    report(11, f"integer raw sum {base} is bit-identical across 1, 4 and "
-               "16 partitions")
+    source = domain_indices(table2, 20, "monic")
+    limit = trial_limit((lam2, lam2), 20, table2)
+    columns = [shifted_values(lam2, table2, 20, parse_poly(h, field2), limit,
+                              source, {}) for h in ("0", "x")]
+    for parts in (1, 4, 16):
+        blocks = zip(*(np.array_split(c, parts) for c in columns))
+        assert sum(product_sum(list(b), True) for b in blocks) == base
+    report(11, f"integer raw sum {base} equals the sum of the exact sums "
+               "over 1, 4 and 16 contiguous blocks of the domain")

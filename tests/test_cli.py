@@ -4,9 +4,16 @@ import signal
 import struct
 import time
 
+import numpy as np
 import pytest
 
-from fqlab import FieldSpec, IrreducibleTable, build_table, irreducible_count
+from fqlab import (
+    FieldSpec,
+    IrreducibleTable,
+    SieveError,
+    build_table,
+    irreducible_count,
+)
 from fqlab.cli import ExperimentConfig, main
 
 
@@ -68,7 +75,7 @@ EVERY_COMMAND = [
     ("factor", {"p": "3", "poly": "x^4+x+2", "budget": "100000"}),
     ("correlate", {"p": "2", "n_range": "4:6", "f": "kfree:2", "g": "moebius",
                    "h1": "0", "h2": "x", "gamma": "3", "depth": "20",
-                   "partitions": "2", "omit_timing": "1"}),
+                   "omit_timing": "1"}),
     ("mainterm", {"p": "2", "n": "inf", "f": "phi_ratio", "g": "phi_ratio",
                   "h1": "0", "h2": "1", "max_deg": "8", "depth": "25"}),
     ("chowla", {"p": "2", "y": "3", "h": "x", "n_range": "6:8:2", "C": "2.0",
@@ -196,13 +203,6 @@ class TestChowlaCommand:
         run(args + ["--out", "b"], tmp_path, monkeypatch)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    def test_partition_count_does_not_change_bytes(self, tmp_path, monkeypatch):
-        base = ["chowla", "--p", "2", "--y", "2", "--h", "x",
-                "--n-range", "8:8", "--omit-timing", "1"]
-        run(base + ["--partitions", "1", "--out", "p1"], tmp_path, monkeypatch)
-        run(base + ["--partitions", "4", "--out", "p4"], tmp_path, monkeypatch)
-        assert (tmp_path / "p1.csv").read_bytes() == (tmp_path / "p4.csv").read_bytes()
-
 
 class TestStatsCommands:
     def test_mainterm_inf(self, tmp_path, monkeypatch):
@@ -300,7 +300,7 @@ class TestCacheRecovery:
             build_table(FieldSpec(2), 1).save(bad)
         else:
             # a sound table spoilt at its end only, past the degrees that
-            # factoring a quartic reads
+            # factoring a quartic reads: loading checks every degree
             build_table(FieldSpec(2), 8).save(bad)
             raw = bad.read_bytes()
             if kind == "trailing-bytes":
@@ -334,8 +334,7 @@ class TestCacheRecovery:
     def test_repeated_record_is_rebuilt(self, poly, factors, tmp_path,
                                         monkeypatch, capsys):
         # the last degree-8 prime x^8+x^7+x^6+x^5+x^4+x^3+1 is replaced by
-        # a copy of the first; no load-time check sees it, the first
-        # decode of degree 8 does
+        # a copy of the first, which only the load-time ascent check sees
         cache = tmp_path / "cache"
         cache.mkdir()
         bad = cache / "p2_d8.fqi"
@@ -344,7 +343,8 @@ class TestCacheRecovery:
         raw = bad.read_bytes()
         first = len(raw) - 8 * irreducible_count(2, 8)
         bad.write_bytes(raw[:-8] + raw[first:first + 8])
-        IrreducibleTable.load(bad)  # passes every load-time check
+        with pytest.raises(SieveError, match="not strictly ascending"):
+            IrreducibleTable.load(bad)
         for out in ("f1", "f2"):  # the second run must not meet the bad file
             rc = run(["factor", "--p", "2", "--poly", poly, "--out", out],
                      tmp_path, monkeypatch)
@@ -356,6 +356,41 @@ class TestCacheRecovery:
         for d in range(1, 9):
             assert table.prime_indices(d).tolist() == \
                 sound.prime_indices(d).tolist()
+
+    def test_flawed_file_is_rebuilt(self, cache_flaw, tmp_path, monkeypatch,
+                                    capsys):
+        _, spoil = cache_flaw
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        bad = cache / "p2_d8.fqi"
+        build_table(FieldSpec(2), 8).save(bad)
+        bad.write_bytes(spoil(bad.read_bytes(), 2, 5))
+        rc = run(["factor", "--p", "2", "--poly", "x^16+x", "--out", "f"],
+                 tmp_path, monkeypatch)
+        assert rc == 0
+        assert capsys.readouterr().err.count("rebuilding bad cache file") == 1
+        assert IrreducibleTable.load(cache / "p2_d8.fqi").max_deg == 8
+
+    def test_version_1_file_is_rebuilt(self, tmp_path, monkeypatch, capsys):
+        # the earlier layout: per degree a u64 N_d, then N_d records of d
+        # coefficient bytes c0..c_{d-1}
+        sound = build_table(FieldSpec(2), 8)
+        old = b"FFQI" + struct.pack("<III", 1, 2, 8)
+        for d in range(1, 9):
+            idx = sound.prime_indices(d)
+            old += struct.pack("<Q", len(idx))
+            old += ((idx[:, None] >> np.arange(d)) & 1).astype(np.uint8).tobytes()
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "p2_d8.fqi").write_bytes(old)
+        rc = run(["factor", "--p", "2", "--poly", "x^16+x", "--out", "f"],
+                 tmp_path, monkeypatch)
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert err.count("rebuilding bad cache file") == 1
+        assert "unsupported cache version 1" in err
+        raw = (cache / "p2_d8.fqi").read_bytes()
+        assert struct.unpack_from("<I", raw, 4) == (2,)
 
 
 class TestEnumerationBudget:
@@ -406,3 +441,46 @@ class TestEnumerationBudget:
                                                  monkeypatch):
         assert run(argv + ["--p", "2", "--budget", "1000"],
                    tmp_path, monkeypatch) == 2
+
+
+# inputs that must reach their exit code (2 budget, 1 invalid) within
+# seconds, and the flag an invalid one's message names
+HOSTILE = [
+    (["factor", "--p", "251", "--poly", "x^10000"], 2, None),
+    (["sieve", "--p", "2", "--max-deg", "100000"], 2, None),
+    (["sieve", "--p", "2", "--max-deg", "1000000"], 2, None),
+    (["tk", "--p", "2", "--domain", "prime", "--n-range", "1:100000"], 2, None),
+    (["correlate", "--p", "2", "--n-range", "1:300000000"], 2, None),
+    (["correlate", "--p", "2", "--domain", "prime",
+      "--n-range", "1:300000000"], 2, None),
+    (["correlate", "--p", "2", "--n-range", "9:3"], 1, "--n-range"),
+    (["chowla", "--p", "2", "--n-range", "8:16:0"], 1, "--n-range"),
+    (["charfn", "--p", "2", "--n", "4", "--t-grid=1:0:0.5"], 1, "--t-grid"),
+    (["charfn", "--p", "2", "--n", "4", "--t-grid=0:1:0"], 1, "--t-grid"),
+    (["charfn", "--p", "2", "--n", "4", "--t-grid=0:1:-0.5"], 1, "--t-grid"),
+    (["charfn", "--p", "2", "--n", "4", "--t-grid=0:inf:1"], 1, "--t-grid"),
+    (["charfn", "--p", "2", "--n", "4", "--t-grid=1e17:2e17:1"], 1, "--t-grid"),
+    (["charfn", "--p", "2", "--n", "4", "--t-grid=1,nan"], 1, "--t-grid"),
+    (["mainterm", "--p", "2", "--f", "liouville", "--g", "liouville",
+      "--h1", "0", "--h2", "1", "--depth", "1000000000"], 1, None),
+]
+
+
+class TestHostileInputs:
+    @pytest.mark.parametrize("argv, code, flag", HOSTILE,
+                             ids=[" ".join(a) for a, _, _ in HOSTILE])
+    def test_exit_code_within_seconds(self, argv, code, flag, tmp_path,
+                                      monkeypatch, capsys):
+        def give_up(signum, frame):
+            raise TimeoutError("no exit code within 5 s")
+
+        previous = signal.signal(signal.SIGALRM, give_up)
+        signal.alarm(5)
+        try:
+            rc = run(argv, tmp_path, monkeypatch)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert rc == code
+        if flag is not None:
+            assert f"invalid input: {flag}: " in capsys.readouterr().err

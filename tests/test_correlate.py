@@ -113,8 +113,8 @@ class TestBasicSums:
                 rule_poly=lambda P, m: (-1 if P.coeffs[0] == 1 else 1) if m == 1 else 0)
             fns = (sign, builtin("liouville_truncated", field, y=1))
             shifts = (parse_poly("0", field), parse_poly("x+1", field))
-            rep = correlate(CorrelationSpec(field, n, domain, shifts, fns,
-                                            partitions=3), table)
+            rep = correlate(CorrelationSpec(field, n, domain, shifts, fns),
+                            table)
             assert rep.raw_sum == brute_correlation(field, n, domain, shifts,
                                                     fns, table)
 
@@ -188,39 +188,6 @@ class TestReportInvariants:
                                         (pr, pr)), table2)
         assert rep.main is not None and rep.deviation is not None
         assert rep.deviation == abs(rep.normalized - rep.main.value)
-
-
-class TestPartitions:
-    def test_integer_path_bit_identical(self, field2, table2):
-        lam2 = builtin("liouville_truncated", field2, y=2)
-        zero, x = parse_poly("0", field2), parse_poly("x", field2)
-        raws = []
-        for parts in (1, 4, 16):
-            spec = CorrelationSpec(field2, 12, "monic", (zero, x),
-                                   (lam2, lam2), gamma=2, partitions=parts)
-            raws.append(correlate(spec, table2).raw_sum)
-        assert raws[0] == raws[1] == raws[2]
-        assert isinstance(raws[0], int)
-
-    def test_float_path_drift_bound(self, field2, table2):
-        pr = builtin("phi_ratio", field2)
-        zero, one_h = parse_poly("0", field2), parse_poly("1", field2)
-        sums = []
-        for parts in (1, 4, 16):
-            spec = CorrelationSpec(field2, 10, "monic", (zero, one_h),
-                                   (pr, pr), partitions=parts)
-            sums.append(complex(correlate(spec, table2).raw_sum))
-        assert abs(sums[0] - sums[1]) <= 1e-12 * abs(sums[0])
-        assert abs(sums[0] - sums[2]) <= 1e-12 * abs(sums[0])
-
-    def test_fixed_partition_rerun_identical(self, field2, table2):
-        pr = builtin("phi_ratio", field2)
-        zero, one_h = parse_poly("0", field2), parse_poly("1", field2)
-        spec = CorrelationSpec(field2, 9, "monic", (zero, one_h), (pr, pr),
-                               partitions=4)
-        a = correlate(spec, table2).raw_sum
-        b = correlate(spec, table2).raw_sum
-        assert a == b
 
 
 class TestValidation:

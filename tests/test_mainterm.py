@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -516,3 +517,17 @@ class TestLimitCharfnFactors:
         import cmath
         ref = cmath.exp(log_ref)
         assert abs(tv.value - ref) <= tv.tail_bound + 1e-12
+
+
+class TestDepthCap:
+    def test_huge_depth_is_bit_identical_and_quick(self):
+        # 0.5**1075 is the first power of 1/2 that rounds to 0.0
+        for p, d in ((2, 1), (3, 2), (251, 1)):
+            field = FieldSpec(p)
+            lam, pr = builtin("liouville", field), builtin("phi_ratio", field)
+            for k in (None, 0, 3):
+                for mode in ("monic", "prime"):
+                    t0 = time.perf_counter()
+                    huge = local_factor(d, k, lam, pr, mode, depth=10**9)
+                    assert time.perf_counter() - t0 < 1.0
+                    assert huge == local_factor(d, k, lam, pr, mode, depth=1075)

@@ -25,7 +25,6 @@ from fqlab import (
 from fqlab.fieldpoly import monic_from_index
 from fqlab import sieve
 from fqlab.sieve import (
-    CacheOrderError,
     IrreducibleTable,
     _factor_bits,
     _factor_coeffs,
@@ -195,22 +194,42 @@ class TestPrimesInAP:
                            parse_poly("0", field2), table2)
 
 
+# every table the benchmark builds
+BENCHMARK_TABLES = [(2, 14), (2, 18), (2, 20), (3, 12), (5, 8)]
+
+
 class TestCache:
     @pytest.mark.parametrize("p,max_deg", [(2, 10), (3, 6), (5, 4)])
     def test_loaded_table_equals_built(self, p, max_deg, tmp_path):
         built = build_table(FieldSpec(p), max_deg)
-        path, again = tmp_path / "t.fqi", tmp_path / "again.fqi"
+        path = tmp_path / "t.fqi"
         built.save(path)
         loaded = IrreducibleTable.load(path)
         assert loaded.max_deg == built.max_deg
         for d in range(1, max_deg + 3):
             assert loaded.count(d) == built.count(d)
-        for d in range(max_deg, 0, -1):  # decoded out of order
-            assert loaded.prime_indices(d).tolist() == \
-                built.prime_indices(d).tolist()
+        for d in range(1, max_deg + 1):
+            assert loaded.prime_indices(d).dtype == np.int64
             assert loaded.primes(d) == built.primes(d)
-        IrreducibleTable.load(path).save(again)  # saved before any decode
+
+    @pytest.mark.parametrize("p,max_deg", BENCHMARK_TABLES)
+    def test_benchmark_tables_round_trip(self, p, max_deg, tmp_path):
+        built = build_table(FieldSpec(p), max_deg)
+        path, again = tmp_path / "t.fqi", tmp_path / "again.fqi"
+        built.save(path)
+        loaded = IrreducibleTable.load(path)
+        for d in range(1, max_deg + 1):
+            assert (loaded.prime_indices(d) == built.prime_indices(d)).all()
+        loaded.save(again)
         assert again.read_bytes() == path.read_bytes()
+
+    def test_flaw_rejected_at_load(self, cache_flaw, table3, tmp_path):
+        how, spoil = cache_flaw
+        path = tmp_path / f"{how}.fqi"
+        table3.save(path)
+        path.write_bytes(spoil(path.read_bytes(), 3, 5))
+        with pytest.raises(SieveError, match=f"{how}.fqi"):
+            IrreducibleTable.load(path)
 
     def test_trailing_bytes_rejected(self, table3, tmp_path):
         path = tmp_path / "long.fqi"
@@ -219,16 +238,12 @@ class TestCache:
         with pytest.raises(SieveError, match="trailing"):
             IrreducibleTable.load(path)
 
-    def test_repeated_record_found_on_first_use(self, table3, tmp_path):
-        path = tmp_path / "rep.fqi"
+    def test_listings_are_read_only(self, table3, tmp_path):
+        path = tmp_path / "t.fqi"
         table3.save(path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-6] + raw[-12:-6])  # last degree-6 record twice
-        loaded = IrreducibleTable.load(path)
-        assert loaded.prime_indices(5).tolist() == table3.prime_indices(5).tolist()
-        with pytest.raises(CacheOrderError, match="rep.fqi") as exc:
-            loaded.prime_indices(6)
-        assert exc.value.path == path
+        for table in (table3, IrreducibleTable.load(path)):
+            with pytest.raises(ValueError):
+                table.prime_indices(3)[0] = 0
 
     def test_roundtrip(self, table3, tmp_path):
         path = tmp_path / "t.fqi"
@@ -328,7 +343,7 @@ class TestOracles:
         # every degree-10 polynomial over F_2, factored by the bitmask
         # kernel and by the digit kernel
         n = 10
-        bit_rows = table2.bit_rows(n // 2)
+        bit_rows = table2.rows(n // 2)
         coeff_rows = [[tuple((pb >> i) & 1 for i in range(d + 1)) for pb in row]
                       for d, row in enumerate(bit_rows)]
         for idx in range(1 << n):

@@ -109,10 +109,16 @@ def _parse_range(text: str) -> range:
     return range(a, b + 1, s)
 
 
+MAX_GRID_POINTS = 10_000  # the most t values a --t-grid may list
+
+
 def _parse_t_grid(text: str) -> list[float]:
     """A comma list, or 'a:b:step': from a, step added until past b.
-    Every value is finite; a grid needs a <= b and a step > 0."""
+    Every value is finite; a grid needs a <= b, a step > 0 and at most
+    MAX_GRID_POINTS points, counted before any list is built."""
     if ":" not in text:
+        if text.count(",") >= MAX_GRID_POINTS:
+            raise ValueError(f"grid lists more than {MAX_GRID_POINTS} points")
         out = [float(x) for x in text.split(",")]
         if not all(map(math.isfinite, out)):
             raise ValueError(f"grid values must be finite, got {text!r}")
@@ -120,6 +126,8 @@ def _parse_t_grid(text: str) -> list[float]:
     a, b, s = (float(x) for x in text.split(":"))
     if not all(map(math.isfinite, (a, b, s))) or s <= 0 or a > b + 1e-9:
         raise ValueError(f"bad grid {text!r}; needs finite a <= b and step > 0")
+    if (b + 1e-9 - a) / s >= MAX_GRID_POINTS:
+        raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     out, t = [], a
     while t <= b + 1e-9:
         if t + s == t:
@@ -320,20 +328,24 @@ def _needed_degree(n, functions, shifts, gamma, domain, p) -> int:
     limit = n // 2 if any(b is None for b in bounds) else min(max(bounds), n // 2)
     need = max(limit, 1, n if domain == "prime" else 0)
     if len(functions) == 2:
-        pair = ShiftPair(shifts[0], shifts[1])
-        g = gamma if gamma is not None else default_gamma(p, domain, pair)
-        need = max(need, g)
-        if not pair.delta.is_zero:
-            need = max(need, pair.delta.degree // 2)
+        need = max(need, _main_term_degree(shifts, gamma, domain, p))
     return need
 
 
-@_command("mainterm", lambda a: "mainterm", n=(str, "inf"), **_EXPERIMENT,
-          max_deg=(int, 12))
+def _main_term_degree(shifts, gamma, domain, p) -> int:
+    """The primes a main term reads: to gamma, and to half the degree of
+    h2 - h1, which it factors."""
+    pair = ShiftPair(shifts[0], shifts[1])
+    g = gamma if gamma is not None else default_gamma(p, domain, pair)
+    return g if pair.delta.is_zero else max(g, pair.delta.degree // 2)
+
+
+@_command("mainterm", lambda a: "mainterm", n=(str, "inf"), **_EXPERIMENT)
 def _cmd_mainterm(a) -> int:
     field, functions, shifts = _experiment_pieces(a)
     n = None if a.n in ("inf", "none") else int(a.n)
-    table = get_table(a.p, a.max_deg, a.cache_dir, a.budget)
+    need = _main_term_degree(shifts, a.gamma, a.domain, a.p)
+    table = get_table(a.p, max(1, need), a.cache_dir, a.budget)
     pair = ShiftPair(shifts[0], shifts[1])
     tv = main_term(n, a.gamma, pair, functions[0], functions[1], a.domain,
                    table, depth=a.depth)

@@ -38,10 +38,10 @@ from .mainterm import (
     main_term,
 )
 from .sieve import (
-    RESIDUE_BLOCK_CELLS,
     IrreducibleTable,
+    _residues,
+    check_enumeration,
     domain_indices,
-    residue_keys,
 )
 from . import arith
 
@@ -179,20 +179,20 @@ def crt_count(g1: Poly, g2: Poly, h1: Poly, h2: Poly, n: int) -> int:
 
 
 def crt_count_enumerated(g1: Poly, g2: Poly, h1: Poly, h2: Poly, n: int) -> int:
-    """Brute-force twin of crt_count (test oracle; O(q^n)): reduces every
-    monic f of degree n mod g1 and mod g2 (sieve.residue_keys) and counts
-    those with f = -h1 mod g1 and f = -h2 mod g2."""
+    """Brute-force twin of crt_count (test oracle; O(q^n) time and memory,
+    refused past the cell budget like every scan): reduces every monic f
+    of degree n mod g1 and mod g2 (read off the multiples of each modulus,
+    sieve._residues) and counts those with f = -h1 mod g1 and f = -h2 mod
+    g2."""
     p = g1.field.p
-    step = RESIDUE_BLOCK_CELLS // (1 + max(g1.degree, g2.degree))
-    count = 0
-    for start in range(0, p**n, step):
-        idx = np.arange(start, min(start + step, p**n), dtype=np.int64)
-        hit = np.ones(len(idx), dtype=bool)
-        for g, h in ((g1, h1), (g2, h2)):
-            at = np.array([g.monic_index()], dtype=np.int64)
-            hit &= residue_keys(p, n, idx, g.degree, at)[:, 0] == ((-h) % g).encode()
-        count += int(np.count_nonzero(hit))
-    return count
+    check_enumeration(p, n)
+    idx = np.arange(p**n, dtype=np.int64)
+    hit = np.ones(p**n, dtype=bool)
+    for g, h in ((g1, h1), (g2, h2)):
+        if g.degree:  # every f is 0 mod a constant
+            hit &= _residues(p, n, idx, np.array([g.coeffs], dtype=np.int64))[0] \
+                == ((-h) % g).encode()
+    return int(np.count_nonzero(hit))
 
 
 # ---------------------------------------------------------------------------

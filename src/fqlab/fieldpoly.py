@@ -263,18 +263,9 @@ def monic_from_index(field: FieldSpec, n: int, index: int) -> Poly:
     return Poly(field, coeffs)
 
 
-def enumerate_monic(field: FieldSpec, n: int,
-                    partition: tuple[int, int] | None = None) -> list[Poly]:
-    """All monic polynomials of degree n in fixed index order.
-
-    partition = (index_lo, index_hi) restricts to that half-open index
-    range; the full range is [0, p^n).
-    """
-    total = field.p ** n
-    lo, hi = (0, total) if partition is None else partition
-    if not (0 <= lo <= hi <= total):
-        raise PolyError(f"partition ({lo}, {hi}) outside [0, {total}]")
-    return [monic_from_index(field, n, i) for i in range(lo, hi)]
+def enumerate_monic(field: FieldSpec, n: int) -> list[Poly]:
+    """All monic polynomials of degree n in fixed index order."""
+    return [monic_from_index(field, n, i) for i in range(field.p ** n)]
 
 
 def norm(f: Poly) -> int:

@@ -22,11 +22,12 @@ reads v_P(P g) = 1 + v_P(g) one level down.  A shift f -> f + h is an
 index map on that space (shift_indices) and a domain is an index list
 (domain_indices, which refuses more than DEFAULT_CELL_BUDGET
 polynomials).  The kernel also lists the multiples of every prime
-modulus of a degree range (prime_multiples) for the primes in
-arithmetic progressions, where reduction mod M, being linear in the
-coefficients, takes one matrix product for all primes of a degree and a
-block of moduli (residue_keys), whose class counts residue_counts yields
-block by block.  Factorization of a single polynomial (factorize) runs
+modulus of a degree range (prime_multiples), and its listing holds every
+residue: the multiple of M at position j = f // p^d agrees with f from
+x^d up, so f mod M is f minus that multiple, digit by digit (XOR for p =
+2; _residues).  residue_counts yields the class counts of the primes of
+a degree block by block of moduli, residue_histogram those of one
+modulus.  Factorization of a single polynomial (factorize) runs
 one trial-division loop over a bitmask division (p = 2) or fieldpoly's
 coefficient-tuple long division (odd p).
 
@@ -52,6 +53,7 @@ the bytes read.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 import uuid
@@ -67,6 +69,7 @@ from .fieldpoly import (
     _c_divmod,
     monic_from_index,
     poly_from_encoding,
+    poly_gcd_lcm,
 )
 
 CACHE_MAGIC = b"FFQI"
@@ -87,8 +90,7 @@ class TableTooSmallError(SieveError):
 
 
 def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def _mobius_int(n: int) -> int:
@@ -153,6 +155,26 @@ def _poly_mul(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for j in range(b.shape[1]):
         out[:, j:j + a.shape[1]] += a * b[:, j:j + 1]
     return out % p
+
+
+def _powers_mod(p: int, n: int, low: np.ndarray) -> np.ndarray:
+    """Digits of x^i mod M for i = 0..n and every monic M of degree d >= 1
+    whose low coefficients c_0..c_{d-1} are the rows of low: out[i, b]
+    holds the d digits for the modulus in row b (int64).  Below degree d,
+    x^i is its own residue; from there on x^(i+1) = x * x^i, with x^d
+    replaced by -(c_0 + ... + c_{d-1} x^{d-1})."""
+    count, d = low.shape
+    out = np.zeros((n + 1, count, d), dtype=np.int64)
+    below = np.arange(min(d, n + 1))
+    out[below, :, below] = 1
+    if n >= d:
+        out[d] = -low % p
+    for i in range(d + 1, n + 1):
+        prev, cur = out[i - 1], out[i]
+        cur[:, 1:] = prev[:, :-1]
+        cur -= prev[:, -1:] * low
+        cur %= p
+    return out
 
 
 class _Multiples:
@@ -672,59 +694,45 @@ def _prime_blocks(table: IrreducibleTable, d: int, n: int):
 # primes in arithmetic progressions
 # ---------------------------------------------------------------------------
 
-# Most cells (polynomials x moduli x residue digits in one matrix product,
-# or moduli x residue classes in one block of counts) the residue map
-# forms at a time; it bounds the memory of residue_counts.
-RESIDUE_BLOCK_CELLS = 1 << 15
+# Most cells (moduli x primes, moduli x residue classes, or moduli x
+# multiples) one block of residue_counts holds; it bounds its memory.
+RESIDUE_BLOCK_CELLS = 1 << 13
 
 
-def _powers_mod(p: int, n: int, low: np.ndarray) -> np.ndarray:
-    """Digits of x^i mod M for i = 0..n and every monic M of degree d >= 1
-    whose low coefficients c_0..c_{d-1} are the rows of low: out[i, b]
-    holds the d digits for the modulus in row b (int64).  Below degree d,
-    x^i is its own residue; from there on x^(i+1) = x * x^i, with x^d
-    replaced by -(c_0 + ... + c_{d-1} x^{d-1})."""
-    count, d = low.shape
-    out = np.zeros((n + 1, count, d), dtype=np.int64)
-    below = np.arange(min(d, n + 1))
-    out[below, :, below] = 1
-    if n >= d:
-        out[d] = -low % p
-    for i in range(d + 1, n + 1):
-        prev, cur = out[i - 1], out[i]
-        cur[:, 1:] = prev[:, :-1]
-        cur -= prev[:, -1:] * low
-        cur %= p
-    return out
+def _residues(p: int, n: int, idx: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """Encodings of f mod M for the monic f of degree n at idx (columns)
+    and the monic M of degree d >= 1 whose coefficient rows (leading 1
+    included) are the rows of moduli, as an int64 matrix.
 
-
-def residue_keys(p: int, n: int, idx: np.ndarray, d: int,
-                 moduli: np.ndarray) -> np.ndarray:
-    """Encoding of f mod M for the monic f of degree n at idx (rows) and
-    the monic M of degree d at moduli (columns), as int64.
-
-    Reduction mod M is linear in the coefficients of f, so this is one
-    matrix product: the digit rows of f, leading 1 included, times the
-    digits of x^i mod M.  Every entry is an integer of at most
-    (n + 1)(p - 1)^2, below 2^24 (so the float32 product is exact) at
-    every degree whose polynomials can be listed (p <= 251).  The caller
-    sizes the blocks.
-    """
-    if d == 0:
-        return np.zeros((len(idx), len(moduli)), dtype=np.int64)
-    digits = np.ones((len(idx), n + 1), dtype=np.float32)
-    digits[:, :n] = _digit_matrix(p, idx, n, np.float32)
-    powers = _powers_mod(p, n, _digit_matrix(p, moduli, d))
-    raw = (digits @ powers.reshape(n + 1, -1).astype(np.float32)).astype(np.int32)
-    quot = raw // p  # raw %= p in place; numpy divides faster than % by a scalar
-    quot *= p
-    raw -= quot
-    raw = raw.reshape(len(idx), len(moduli), d)
-    keys = np.zeros((len(idx), len(moduli)), dtype=np.int64)
-    for j in range(d - 1, -1, -1):  # Horner, without an int64 copy of raw
-        keys *= p
-        keys += raw[:, :, j]
+    The multiple of M at the sieve kernel's position j = f // p^d agrees
+    with f from x^d up, so f mod M is f minus that multiple, digit by
+    digit (XOR for p = 2).  For d > n, f is its own residue."""
+    d = moduli.shape[1] - 1
+    if d > n:
+        return np.repeat((idx + p**n)[None], len(moduli), axis=0)
+    rows = _Multiples(p, moduli, n).rows(n)
+    if p == 2:
+        return rows.take(idx >> d, axis=1) ^ idx
+    # c digits at a time (p^(2c) <= 2^16), through a table of the
+    # digit-wise differences of two c-digit numbers; digits past d, which
+    # the top chunk may read, are those of j in both and come out 0
+    c = max(1, 8 // p.bit_length())
+    keys, at, size = 0, idx // p**d, p**c
+    for k in range(0, d, c):
+        part = (rows // p**k % size).take(at, axis=1)
+        part += idx // p**k % size * size
+        keys += _differences(p, c).take(part) * p**k
     return keys
+
+
+@functools.cache
+def _differences(p: int, c: int) -> np.ndarray:
+    """out[a * p^c + b]: the digit-wise difference a - b mod p of two
+    c-digit numbers, encoded; read-only, as every call shares it."""
+    digits = _digit_matrix(p, np.arange(p**c), c, np.int16)
+    out = ((digits[:, None] - digits) % p @ p ** np.arange(c)).ravel()
+    out.flags.writeable = False
+    return out
 
 
 def residue_counts(table: IrreducibleTable, n: int, d: int):
@@ -733,20 +741,18 @@ def residue_counts(table: IrreducibleTable, n: int, d: int):
     counts[b, key] is the number of primes P with P mod M = key (encoded)
     for the modulus at index moduli[b].
 
-    Every matrix product (primes x moduli x d) and every block of counts
-    (moduli x p^d) holds at most RESIDUE_BLOCK_CELLS cells, except that
-    one modulus's row of p^d counts is never split.
+    Every block holds at most RESIDUE_BLOCK_CELLS cells of residues
+    (moduli x primes), of counts (moduli x p^d) and of multiples (moduli x
+    p^(n - d)), except that one modulus is never split.
     """
     p = table.field.p
     primes = table.prime_indices(n)
     classes = p**d
-    width = max(1, RESIDUE_BLOCK_CELLS // max(classes, len(primes) * d))
-    step = max(1, RESIDUE_BLOCK_CELLS // (width * d))
-    for start in range(0, classes, width):
-        moduli = np.arange(start, min(start + width, classes), dtype=np.int64)
-        keys = np.concatenate([residue_keys(p, n, primes[s:s + step], d, moduli)
-                               for s in range(0, len(primes), step)])
-        keys += np.arange(len(moduli), dtype=np.int64) * classes
+    chunk = max(1, RESIDUE_BLOCK_CELLS // max(len(primes), classes, p ** (n - d)))
+    for start in range(0, classes, chunk):
+        moduli = np.arange(start, min(start + chunk, classes), dtype=np.int64)
+        keys = _residues(p, n, primes, _monic_digits(p, moduli, d))
+        keys += np.arange(len(moduli), dtype=np.int64)[:, None] * classes
         counts = np.bincount(keys.ravel(), minlength=len(moduli) * classes)
         yield moduli, counts.reshape(len(moduli), classes)
 
@@ -759,14 +765,9 @@ def residue_histogram(n: int, modulus: Poly, table: IrreducibleTable) -> dict[in
     """
     if modulus.is_zero or not modulus.is_monic or modulus.degree < 1:
         raise SieveError("modulus must be monic of degree >= 1")
-    p, d = table.field.p, modulus.degree
-    primes = table.prime_indices(n)
-    at = np.array([modulus.monic_index()], dtype=np.int64)
-    step = max(1, RESIDUE_BLOCK_CELLS // d)
-    keys = np.concatenate([residue_keys(p, n, primes[s:s + step], d, at)[:, 0]
-                           for s in range(0, len(primes), step)])
-    found, first, counts = np.unique(keys, return_index=True,
-                                     return_counts=True)
+    keys = _residues(table.field.p, n, table.prime_indices(n),
+                     np.array([modulus.coeffs], dtype=np.int64))[0]
+    found, first, counts = np.unique(keys, return_index=True, return_counts=True)
     order = np.argsort(first)
     return dict(zip(found[order].tolist(), counts[order].tolist()))
 
@@ -775,12 +776,6 @@ def prime_count_ap(n: int, modulus: Poly, residue: Poly,
                    table: IrreducibleTable) -> int:
     """Exact number of degree-n monic irreducibles congruent to the given
     residue; the residue must be coprime to the modulus."""
-    from .fieldpoly import poly_gcd_lcm
-    if residue.is_zero:
+    if residue.is_zero or poly_gcd_lcm(modulus, residue)[0].degree != 0:
         raise SieveError("residue not coprime to modulus")
-    g, _ = poly_gcd_lcm(modulus, residue)
-    if g.degree != 0:
-        raise SieveError("residue not coprime to modulus")
-    hist = residue_histogram(n, modulus, table)
-    key = (residue % modulus).encode()
-    return hist.get(key, 0)
+    return residue_histogram(n, modulus, table).get((residue % modulus).encode(), 0)

@@ -10,8 +10,9 @@ correlate uses too (arith.shifted_values over the valuation sieve): the
 value multiset is one np.unique, the weight sums one exact sum, the
 divisor-product maximum one max.  The progression statistics (Theta, the
 Bombieri-Vinogradov sum, Brun-Titchmarsh) count primes per residue class
-with the residue map (sieve.residue_counts) and the multiples of each
-prime modulus (sieve.prime_multiples), with no per-prime division.
+(sieve.residue_counts, read off the sieve kernel's multiples) and use the
+multiples of each prime modulus (sieve.prime_multiples), with no
+per-prime division.
 """
 
 from __future__ import annotations

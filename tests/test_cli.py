@@ -14,7 +14,7 @@ from fqlab import (
     build_table,
     irreducible_count,
 )
-from fqlab.cli import ExperimentConfig, main
+from fqlab.cli import MAX_GRID_POINTS, ExperimentConfig, _parse_t_grid, main
 
 
 def run(args, tmp_path, monkeypatch):
@@ -77,7 +77,7 @@ EVERY_COMMAND = [
                    "h1": "0", "h2": "x", "gamma": "3", "depth": "20",
                    "omit_timing": "1"}),
     ("mainterm", {"p": "2", "n": "inf", "f": "phi_ratio", "g": "phi_ratio",
-                  "h1": "0", "h2": "1", "max_deg": "8", "depth": "25"}),
+                  "h1": "0", "h2": "1", "depth": "25"}),
     ("chowla", {"p": "2", "y": "3", "h": "x", "n_range": "6:8:2", "C": "2.0",
                 "omit_timing": "1"}),
     ("dist", {"p": "3", "n": "4", "domain": "prime", "psi1": "omega",
@@ -208,11 +208,23 @@ class TestStatsCommands:
     def test_mainterm_inf(self, tmp_path, monkeypatch):
         rc = run(["mainterm", "--p", "2", "--n", "inf", "--f", "phi_ratio",
                   "--g", "phi_ratio", "--h1", "0", "--h2", "1",
-                  "--max-deg", "8", "--out", "mt"], tmp_path, monkeypatch)
+                  "--out", "mt"], tmp_path, monkeypatch)
         assert rc == 0
         rows = read_csv(tmp_path / "mt.csv")
         assert abs(float(rows[0]["main_re"]) - 0.196543552) < 1e-8
         assert float(rows[0]["tail_bound"]) < 1e-9
+
+    @pytest.mark.parametrize("p, want", [(5, 0.6344473023355447),
+                                         (7, 0.732461962649185)])
+    def test_mainterm_odd_p_on_an_empty_cache(self, p, want, tmp_path,
+                                              monkeypatch):
+        # the table goes to gamma, not to a fixed degree past the budget
+        rc = run(["mainterm", "--p", str(p), "--n", "inf", "--f", "phi_ratio",
+                  "--g", "phi_ratio", "--h1", "0", "--h2", "1",
+                  "--out", "mt"], tmp_path, monkeypatch)
+        assert rc == 0
+        row = read_csv(tmp_path / "mt.csv")[0]
+        assert abs(float(row["main_re"]) - want) <= float(row["tail_bound"]) < 1e-9
 
     def test_dist_dump(self, tmp_path, monkeypatch):
         rc = run(["dist", "--p", "2", "--n", "4", "--out", "d"],
@@ -461,6 +473,7 @@ HOSTILE = [
     (["charfn", "--p", "2", "--n", "4", "--t-grid=0:inf:1"], 1, "--t-grid"),
     (["charfn", "--p", "2", "--n", "4", "--t-grid=1e17:2e17:1"], 1, "--t-grid"),
     (["charfn", "--p", "2", "--n", "4", "--t-grid=1,nan"], 1, "--t-grid"),
+    (["charfn", "--p", "2", "--n", "4", "--t-grid=0:1e9:1"], 1, "--t-grid"),
     (["mainterm", "--p", "2", "--f", "liouville", "--g", "liouville",
       "--h1", "0", "--h2", "1", "--depth", "1000000000"], 1, None),
 ]
@@ -484,3 +497,20 @@ class TestHostileInputs:
         assert rc == code
         if flag is not None:
             assert f"invalid input: {flag}: " in capsys.readouterr().err
+
+
+class TestGridLength:
+    def test_default_grid(self):
+        assert _parse_t_grid("-3:3:0.5") == [x / 2 for x in range(-6, 7)]
+
+    @pytest.mark.parametrize("points", [MAX_GRID_POINTS, MAX_GRID_POINTS + 1])
+    def test_cap_on_both_forms(self, points):
+        # the cap is counted before the list is built: a range of any
+        # length is refused at once, a comma list one past the cap too
+        texts = [f"0:{points - 1}:1", ",".join(["0.5"] * points)]
+        for text in texts:
+            if points <= MAX_GRID_POINTS:
+                assert len(_parse_t_grid(text)) == points
+            else:
+                with pytest.raises(ValueError, match="points"):
+                    _parse_t_grid(text)

@@ -5,6 +5,7 @@ import pytest
 from fqlab import (
     CorrelationSpec,
     EngineError,
+    FieldSpec,
     FunctionSpec,
     builtin,
     builtin_additive,
@@ -268,6 +269,20 @@ class TestCrtCount:
             g2 = monic_from_index(field2, d2, rng.randrange(1 << d2))
             h1 = poly_from_encoding(field2, rng.randrange(1 << n))
             h2 = poly_from_encoding(field2, rng.randrange(1 << n))
+            assert crt_count(g1, g2, h1, h2, n) == \
+                crt_count_enumerated(g1, g2, h1, h2, n)
+
+    @pytest.mark.parametrize("p, n_max", [(3, 6), (5, 4)])
+    def test_random_against_enumeration_odd_p(self, p, n_max):
+        # the digit-wise residues of odd p, constant moduli included
+        field, rng = FieldSpec(p), random.Random(p)
+        for _ in range(120):
+            n = rng.randint(1, n_max)
+            d1, d2 = rng.randint(0, 4), rng.randint(0, 4)
+            g1 = monic_from_index(field, d1, rng.randrange(p**d1))
+            g2 = monic_from_index(field, d2, rng.randrange(p**d2))
+            h1 = poly_from_encoding(field, rng.randrange(p**n))
+            h2 = poly_from_encoding(field, rng.randrange(p**n))
             assert crt_count(g1, g2, h1, h2, n) == \
                 crt_count_enumerated(g1, g2, h1, h2, n)
 

@@ -195,16 +195,6 @@ class TestEnumeration:
     def test_count_q_to_n(self, field3):
         assert len(enumerate_monic(field3, 1)) == 3
 
-    def test_partition_slice(self, field2):
-        got = enumerate_monic(field2, 3, partition=(4, 6))
-        assert got == [P("x^3+x^2", field2), P("x^3+x^2+1", field2)]
-
-    def test_partition_validation(self, field2):
-        with pytest.raises(PolyError):
-            enumerate_monic(field2, 2, partition=(3, 5))
-        with pytest.raises(PolyError):
-            enumerate_monic(field2, 2, partition=(-1, 2))
-
     @pytest.mark.parametrize("p,n", [(2, 11), (3, 6), (5, 4)])
     def test_bijectivity(self, p, n):
         field = FieldSpec(p)

@@ -1,5 +1,6 @@
-"""The residue map (sieve.residue_keys / residue_counts) and the
-arithmetic-progression statistics built on it, against per-prime long
+"""Primes in residue classes (sieve.residue_counts / residue_histogram,
+read off the multiples that the sieve kernel lists) and the
+arithmetic-progression statistics built on them, against per-prime long
 division."""
 
 import functools
@@ -28,7 +29,7 @@ def _table(p):
 
 # ---------------------------------------------------------------------------
 # the slow oracles: per-prime long division, as the statistics were
-# computed before the residue map
+# computed before the residue counts
 # ---------------------------------------------------------------------------
 
 def tally(n, modulus, table):
@@ -92,12 +93,12 @@ def bt_oracle(n_max, table, scale=1):
 
 
 @st.composite
-def moduli_cases(draw):
-    """p, a degree n, a modulus degree 1..n and some modulus indices
-    (always the first and the last)."""
+def moduli_cases(draw, above=0):
+    """p, a degree n, a modulus degree 1..n + above and some modulus
+    indices (always the first and the last)."""
     p = draw(st.sampled_from(sorted(TABLE_DEGREES)))
     n = draw(st.integers(1, TABLE_DEGREES[p]))
-    d = draw(st.integers(1, n))
+    d = draw(st.integers(1, n + above))
     picks = draw(st.lists(st.integers(0, p**d - 1), max_size=6))
     return p, n, d, sorted({0, p**d - 1, *picks})
 
@@ -135,7 +136,10 @@ class TestResidueMap:
         assert seen == list(range(p**d))
 
     @settings(max_examples=80, deadline=None)
-    @given(moduli_cases())
+    @given(moduli_cases(above=2))
+    # moduli above the degree of the primes: each prime is its own residue
+    @example((2, 4, 5, [0, 7, 31]))
+    @example((3, 3, 5, [0, 100, 242]))
     def test_histogram_equals_tally(self, case):
         # the same classes and counts, in the order of their first prime
         p, n, d, picks = case
@@ -145,42 +149,52 @@ class TestResidueMap:
             assert list(residue_histogram(n, M, table).items()) == \
                 list(tally(n, M, table).items())
 
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record (moduli, primes, multiples per modulus) of every call of
+        the residue helper."""
+        calls = []
+        residues = sieve._residues
+
+        def spy(p, n, idx, moduli):
+            d = moduli.shape[1] - 1
+            calls.append((len(moduli), len(idx), p ** max(n - d, 0), p**d))
+            return residues(p, n, idx, moduli)
+
+        monkeypatch.setattr(sieve, "_residues", spy)
+        return calls
+
+    @staticmethod
+    def _within(calls, cap):
+        # one modulus is never split; a block of several bounds its
+        # residues, its multiples and its counts
+        return all(m == 1 or m * max(r, t, c) <= cap for m, r, t, c in calls)
+
     def test_blocks_respect_the_cell_cap(self, table2_14, monkeypatch):
-        shapes = []
-        keys = sieve.residue_keys
-
-        def spy(p, n, idx, d, moduli):
-            shapes.append(len(idx) * len(moduli) * d)
-            return keys(p, n, idx, d, moduli)
-
-        monkeypatch.setattr(sieve, "residue_keys", spy)
+        calls = self._spy(monkeypatch)
         assert brun_titchmarsh_violations(11, table2_14) == []
         for d in (1, 5, 9, 11):
             for moduli, counts in residue_counts(table2_14, 12, d):
                 assert counts.size <= max(RESIDUE_BLOCK_CELLS, 2**d)
-        assert shapes and max(shapes) <= RESIDUE_BLOCK_CELLS
+        assert calls and self._within(calls, RESIDUE_BLOCK_CELLS)
+        assert max(m for m, _, _, _ in calls) > 1
 
     def test_small_cap_splits_rows_and_moduli(self, monkeypatch):
-        # a tiny cap forces many blocks and several prime chunks per block;
-        # the answers stay those of the tally
+        # a tiny cap forces many blocks of moduli, and one modulus per
+        # block once its primes alone pass the cap; the answers stay
+        # those of the tally
         table = _table(3)
         M = monic_from_index(table.field, 4, 50)
         want = tally(6, M, table)
         monkeypatch.setattr(sieve, "RESIDUE_BLOCK_CELLS", 100)
-        shapes = []
-        keys = sieve.residue_keys
-
-        def spy(p, n, idx, d, moduli):
-            shapes.append((len(idx), len(moduli), d))
-            return keys(p, n, idx, d, moduli)
-
-        monkeypatch.setattr(sieve, "residue_keys", spy)
+        calls = self._spy(monkeypatch)
         assert list(residue_histogram(6, M, table).items()) == list(want.items())
         for moduli, counts in residue_counts(table, 6, 2):
-            assert counts.size <= 100
-        assert all(r * m * d <= 100 for r, m, d in shapes)
-        assert max(r for r, _, _ in shapes) < table.count(6)
+            assert len(moduli) == 1 and counts.size <= 100
         assert brun_titchmarsh_violations(4, table) == bt_oracle(4, table)
+        assert self._within(calls, 100)
+        assert {m for m, _, _, _ in calls} > {1}
+        assert max(r for _, r, _, _ in calls) == table.count(6) > 100
 
 
 class TestStatisticsAgainstLoops:

@@ -2,15 +2,18 @@
 
 Each command declares its settings once, as a table of key -> (converter,
 default) given to _command beside its handler; the common keys p,
-cache_dir, budget and out come with every table.  That table alone builds
-the command's flags (--key, '_' written '-'), looks each key up in the
-flat key=value config file named by --config (a flag wins on conflict),
-and converts every value, so a bad value is invalid input whichever way it
-came.  A handler sees only the resolved namespace.  Each run writes a CSV
-artifact plus a JSON mirror with identical field names and prints a short
-human summary.  Exit codes: 0 success, 1 invalid input (usage errors
-included), 2 memory budget exceeded; --budget bounds the table and the
-monic scan of every command.
+cache_dir, budget and out come with every table.  The registry of these
+tables, _COMMANDS, is the only list of commands: the first argument
+selects one (no command, or an unknown one, is invalid input), and its
+table alone builds the one parser of the run, with the command's flags
+(--key, '_' written '-'), looks each key up in the flat key=value config
+file named by --config (a flag wins on conflict), and converts every
+value, so a bad value is invalid input whichever way it came.  Every
+degree is an integer >= 1.  A handler sees only the resolved namespace.
+Each run writes a CSV artifact plus a JSON mirror with identical field
+names and prints a short human summary.  Exit codes: 0 success, 1
+invalid input (usage errors included), 2 memory budget exceeded;
+--budget bounds the table and the monic scan of every command.
 
 Artifacts are deterministic for a fixed config and cache; the seconds
 column is wall-clock timing, so reproducible byte-identical output needs
@@ -94,13 +97,27 @@ class ExperimentConfig:
         return self.entries.get(key, default)
 
 
+def _degree(text) -> int:
+    if (n := int(text)) < 1:
+        raise ValueError(f"degree must be >= 1, got {n}")
+    return n
+
+
+def _degree_or_inf(text: str) -> str:
+    """mainterm's n: inf or none (the limit) or a degree, kept as given."""
+    if text not in ("inf", "none"):
+        _degree(text)
+    return text
+
+
 def _parse_range(text: str) -> range:
-    """'a:b' or 'a:b:step', endpoints inclusive, ascending and not empty;
-    its largest value is [-1], so nothing iterates over it to find that."""
+    """'a:b' or 'a:b:step' of degrees, endpoints inclusive, ascending and
+    not empty; its largest value is [-1], so nothing iterates over it to
+    find that."""
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise ValueError(f"bad range {text!r}; expected a:b or a:b:step")
-    a, b = int(parts[0]), int(parts[1])
+    a, b = _degree(parts[0]), _degree(parts[1])
     s = int(parts[2]) if len(parts) == 3 else 1
     if s <= 0:
         raise ValueError(f"range step must be > 0, got {s}")
@@ -137,10 +154,15 @@ def _parse_t_grid(text: str) -> list[float]:
     return out
 
 
-def _domain(text: str) -> str:
-    if text not in ("monic", "prime"):
-        raise ValueError(f"domain must be monic or prime, got {text!r}")
-    return text
+def _choice(*names: str) -> Callable[[str], str]:
+    def convert(text: str) -> str:
+        if text not in names:
+            raise ValueError(f"{text!r} is not one of {', '.join(names)}")
+        return text
+    return convert
+
+
+_domain = _choice("monic", "prime")
 
 
 def _cache_path(text: str) -> Path:
@@ -245,7 +267,7 @@ def _check_enumeration(a, n: int, domain: str = "monic") -> None:
         check_enumeration(a.p, n, a.budget)
 
 
-@_command("sieve", lambda a: f"sieve_p{a.p}", max_deg=(int, 12))
+@_command("sieve", lambda a: f"sieve_p{a.p}", max_deg=(_degree, 12))
 def _cmd_sieve(a) -> int:
     t0 = time.perf_counter()
     table = build_table(FieldSpec(a.p), a.max_deg, a.budget)
@@ -300,7 +322,7 @@ def _experiment_pieces(a):
     return field, [specs[s] for s in names], shifts
 
 
-@_command("correlate", lambda a: f"correlate_p{a.p}", n=(int, 8),
+@_command("correlate", lambda a: f"correlate_p{a.p}", n=(_degree, 8),
           n_range=(_parse_range, None), **_EXPERIMENT, omit_timing=(int, 0))
 def _cmd_correlate(a) -> int:
     field, functions, shifts = _experiment_pieces(a)
@@ -340,7 +362,8 @@ def _main_term_degree(shifts, gamma, domain, p) -> int:
     return g if pair.delta.is_zero else max(g, pair.delta.degree // 2)
 
 
-@_command("mainterm", lambda a: "mainterm", n=(str, "inf"), **_EXPERIMENT)
+@_command("mainterm", lambda a: "mainterm", n=(_degree_or_inf, "inf"),
+          **_EXPERIMENT)
 def _cmd_mainterm(a) -> int:
     field, functions, shifts = _experiment_pieces(a)
     n = None if a.n in ("inf", "none") else int(a.n)
@@ -388,7 +411,7 @@ def _cmd_chowla(a) -> int:
 
 # the shifted pair of additive functions of dist and charfn
 _ADDITIVE_PAIR = {
-    "n": (int, 8), "domain": (_domain, "monic"),
+    "n": (_degree, 8), "domain": (_domain, "monic"),
     "psi1": (str, "log_phi_ratio"), "psi2": (str, "log_phi_ratio"),
     "h1": (str, "0"), "h2": (str, "1"),
 }
@@ -441,12 +464,10 @@ _TK_RULES = {
 }
 
 
-@_command("tk", lambda a: f"tk_p{a.p}", n=(int, 8),
+@_command("tk", lambda a: f"tk_p{a.p}", n=(_degree, 8),
           n_range=(_parse_range, None), domain=(_domain, "monic"),
-          psi=(str, "ones"), h=(str, "0"))
+          psi=(_choice(*_TK_RULES), "ones"), h=(str, "0"))
 def _cmd_tk(a) -> int:
-    if a.psi not in _TK_RULES:
-        raise StatsError(f"unknown tk rule {a.psi!r}; choose from {sorted(_TK_RULES)}")
     h = parse_poly(a.h, FieldSpec(a.p))
     ns = [a.n] if a.n_range is None else a.n_range
     _check_enumeration(a, ns[-1], a.domain)
@@ -461,8 +482,8 @@ def _cmd_tk(a) -> int:
     return 0
 
 
-@_command("diagnostics", lambda a: f"diagnostics_p{a.p}_n{a.n}", n=(int, 8),
-          h=(str, "1"), t=(float, 1.0))
+@_command("diagnostics", lambda a: f"diagnostics_p{a.p}_n{a.n}",
+          n=(_degree, 8), h=(str, "1"), t=(float, 1.0))
 def _cmd_diagnostics(a) -> int:
     h = parse_poly(a.h, FieldSpec(a.p))
     _check_enumeration(a, a.n)
@@ -483,32 +504,29 @@ def _cmd_diagnostics(a) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        # a usage error is invalid input (exit 1); argparse's own exit
-        # code 2 means budget exceeded here
+        # invalid input exits 1: argparse's own 2 means budget exceeded here
         self.print_usage(sys.stderr)
         raise ValueError(f"{self.prog}: {message}")
 
 
-def _parser(command: str | None) -> argparse.ArgumentParser:
-    """The fqlab parser, with flags for the invoked command only."""
-    ap = _Parser(prog="fqlab",
-                 description="desk-scale experiments with correlations of "
-                             "multiplicative functions over F_p[x]")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, (_, keys) in _COMMANDS.items():
-        sp = sub.add_parser(name)
-        if name == command:
-            sp.add_argument("--config", help="key=value config file")
-            for key in keys:
-                sp.add_argument("--" + key.replace("_", "-"), dest=key)
-    return ap
-
-
 def _resolve(argv: list[str]) -> tuple[Callable, argparse.Namespace]:
-    """The invoked handler and its values: flag, else config entry, else
-    default, each converted by the command's table."""
-    args = _parser(argv[0] if argv else None).parse_args(argv)
-    handler, keys = _COMMANDS[args.command]
+    """The handler that argv[0] names in _COMMANDS and its values: flag,
+    else config entry, else default, each converted by its table."""
+    command = argv[0] if argv else None
+    usage = f"usage: fqlab [-h] {{{','.join(_COMMANDS)}}} ..."
+    if command in ("-h", "--help"):
+        print(usage)
+        sys.exit(0)
+    if command not in _COMMANDS:
+        print(usage, file=sys.stderr)
+        what = "no command" if command is None else f"unknown command {command!r}"
+        raise ValueError(f"fqlab: {what}; choose from {', '.join(_COMMANDS)}")
+    handler, keys = _COMMANDS[command]
+    ap = _Parser(prog=f"fqlab {command}")
+    ap.add_argument("--config", help="key=value config file")
+    for key in keys:
+        ap.add_argument("--" + key.replace("_", "-"), dest=key)
+    args = ap.parse_args(argv[1:])
     try:
         cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
     except OSError as exc:
@@ -518,7 +536,7 @@ def _resolve(argv: list[str]) -> tuple[Callable, argparse.Namespace]:
         flag = "--" + key.replace("_", "-")
         value = cfg.get(key, getattr(args, key), default)
         if value is _REQUIRED:
-            raise ValueError(f"{args.command} needs {flag} or {key}= in the config")
+            raise ValueError(f"{command} needs {flag} or {key}= in the config")
         if callable(value):
             value = value(a)
         try:

@@ -594,7 +594,9 @@ def check_enumeration(p: int, n: int, budget: int = DEFAULT_CELL_BUDGET) -> None
     """Refuse to enumerate the p^n monic polynomials of degree n when
     that exceeds the cell budget (before anything is allocated).  p^n
     exceeds the budget once n reaches its bit length, so no power is
-    taken beyond that."""
+    taken beyond that.  A negative degree is refused."""
+    if n < 0:
+        raise SieveError(f"degree must be >= 0, got {n}")
     if p ** min(n, budget.bit_length()) > budget:
         raise MemoryBudgetError(
             f"enumerating the {p}^{n} monic polynomials of degree {n} "

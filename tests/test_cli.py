@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import signal
@@ -88,6 +89,7 @@ EVERY_COMMAND = [
             "psi": "first_power", "h": "1"}),
     ("diagnostics", {"p": "2", "n": "6", "h": "x", "t": "0.5"}),
 ]
+COMMANDS = ", ".join(command for command, _ in EVERY_COMMAND)
 
 
 class TestDeclarationTable:
@@ -110,7 +112,9 @@ class TestDeclarationTable:
         (["correlate", "--domain", "foo"], "--domain: "),
         (["factor", "--p", "2"], "--poly"),
         (["factor", "--p", "2", "--poly", "x", "--bogus", "1"], "--bogus"),
-    ], ids=["argv0", "argv1", "argv2", "argv3"])
+        ([], f"no command; choose from {COMMANDS}"),
+        (["bogus"], f"unknown command 'bogus'; choose from {COMMANDS}"),
+    ], ids=["argv0", "argv1", "argv2", "argv3", "argv4", "argv5"])
     def test_usage_errors_exit_1(self, argv, named, tmp_path, monkeypatch,
                                  capsys):
         assert run(argv, tmp_path, monkeypatch) == 1
@@ -123,15 +127,33 @@ class TestDeclarationTable:
         assert "--budget: " in capsys.readouterr().err
 
     def test_help_exits_0_and_lists_every_command(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--help"])
-        assert exc.value.code == 0
-        listed = capsys.readouterr().out
-        assert all(command in listed for command, _ in EVERY_COMMAND)
+        for flag in ("--help", "-h"):
+            with pytest.raises(SystemExit) as exc:
+                main([flag])
+            assert exc.value.code == 0
+            listed = capsys.readouterr().out
+            assert all(command in listed for command, _ in EVERY_COMMAND)
         with pytest.raises(SystemExit) as exc:
             main(["tk", "--help"])
         assert exc.value.code == 0
         assert "--n-range" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["factor", "--p", "2", "--poly", "x^4+x^2"],
+        ["correlate", "--p", "2", "--n", "4", "--f", "kfree:2"],
+    ], ids=["factor", "correlate"])
+    def test_one_parser_per_run(self, argv, tmp_path, monkeypatch):
+        # the declaration table selects the command; only its parser is built
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert run(argv, tmp_path, monkeypatch) == 0
+        assert built == [f"fqlab {argv[0]}"]
 
 
 class TestFactorCommand:
@@ -251,9 +273,10 @@ class TestStatsCommands:
         assert len(rows) == 2
         assert abs(float(rows[1]["ratio"]) - 0.160084221494912) < 1e-9
 
-    def test_tk_unknown_rule(self, tmp_path, monkeypatch):
+    def test_tk_unknown_rule(self, tmp_path, monkeypatch, capsys):
         assert run(["tk", "--p", "2", "--n", "6", "--psi", "what"],
                    tmp_path, monkeypatch) == 1
+        assert "--psi: " in capsys.readouterr().err
 
     def test_diagnostics(self, tmp_path, monkeypatch):
         rc = run(["diagnostics", "--p", "2", "--n", "6", "--h", "1",
@@ -476,6 +499,22 @@ HOSTILE = [
     (["charfn", "--p", "2", "--n", "4", "--t-grid=0:1e9:1"], 1, "--t-grid"),
     (["mainterm", "--p", "2", "--f", "liouville", "--g", "liouville",
       "--h1", "0", "--h2", "1", "--depth", "1000000000"], 1, None),
+    # every degree is >= 1, checked by the declaration table
+    (["tk", "--p", "2", "--n", "-2"], 1, "--n"),
+    (["dist", "--p", "2", "--n", "-3", "--h2", "0"], 1, "--n"),
+    (["mainterm", "--p", "2", "--n", "0", "--f", "phi_ratio",
+      "--g", "phi_ratio", "--h1", "0", "--h2", "1"], 1, "--n"),
+    (["mainterm", "--p", "2", "--n", "-5", "--f", "phi_ratio",
+      "--g", "phi_ratio", "--h1", "0", "--h2", "1"], 1, "--n"),
+    (["mainterm", "--p", "2", "--n", "NaN"], 1, "--n"),
+    (["dist", "--p", "2", "--n", "0"], 1, "--n"),
+    (["tk", "--p", "2", "--n", "0"], 1, "--n"),
+    (["charfn", "--p", "2", "--n", "0"], 1, "--n"),
+    (["correlate", "--p", "2", "--n", "0"], 1, "--n"),
+    (["diagnostics", "--p", "2", "--n", "0"], 1, "--n"),
+    (["sieve", "--p", "2", "--max-deg", "0"], 1, "--max-deg"),
+    (["chowla", "--p", "2", "--n-range", "0:8"], 1, "--n-range"),
+    (["tk", "--p", "2", "--n-range=-3:-1"], 1, "--n-range"),
 ]
 
 

@@ -298,6 +298,12 @@ class TestBudget:
         tab = build_table(field2, 4, cell_budget=100)
         assert tab.count(4) == 3
 
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_negative_enumeration_degree(self, n):
+        # p^n of a negative n is a float below any budget
+        with pytest.raises(SieveError, match="degree"):
+            sieve.check_enumeration(2, n)
+
 
 # maximal input degree per p for the sympy comparison; the tables below
 # hold primes to half of it

@@ -9,7 +9,8 @@ table alone builds the one parser of the run, with the command's flags
 (--key, '_' written '-'), looks each key up in the flat key=value config
 file named by --config (a flag wins on conflict), and converts every
 value, so a bad value is invalid input whichever way it came.  Every
-degree is an integer >= 1.  A handler sees only the resolved namespace.
+degree is an integer >= 1, and so are y and budget; gamma is >= 0, depth
+>= 2, and t and C are finite.  A handler sees only the resolved namespace.
 Each run writes a CSV artifact plus a JSON mirror with identical field
 names and prints a short human summary.  Exit codes: 0 success, 1
 invalid input (usage errors included), 2 memory budget exceeded;
@@ -97,10 +98,21 @@ class ExperimentConfig:
         return self.entries.get(key, default)
 
 
-def _degree(text) -> int:
-    if (n := int(text)) < 1:
-        raise ValueError(f"degree must be >= 1, got {n}")
-    return n
+def _at_least(lo: int) -> Callable[[str], int]:
+    def convert(text) -> int:
+        if (n := int(text)) < lo:
+            raise ValueError(f"must be >= {lo}, got {n}")
+        return n
+    return convert
+
+
+_degree = _at_least(1)
+
+
+def _finite(text) -> float:
+    if not math.isfinite(x := float(text)):
+        raise ValueError(f"must be finite, got {x}")
+    return x
 
 
 def _degree_or_inf(text: str) -> str:
@@ -246,7 +258,7 @@ _REQUIRED = object()  # a default that makes the key mandatory
 _COMMON = {
     "p": (int, 2),
     "cache_dir": (_cache_path, lambda a: os.environ.get(CACHE_ENV, ".fqlab_cache")),
-    "budget": (int, DEFAULT_CELL_BUDGET),
+    "budget": (_at_least(1), DEFAULT_CELL_BUDGET),
 }
 _COMMANDS: dict[str, tuple[Callable, dict]] = {}
 
@@ -306,7 +318,8 @@ def _cmd_factor(a) -> int:
 _EXPERIMENT = {
     "domain": (_domain, "monic"), "f": (str, "one"), "g": (str, "one"),
     "h1": (str, "0"), "h2": (str, "0"), "functions": (str, None),
-    "shifts": (str, None), "gamma": (int, None), "depth": (int, 30),
+    "shifts": (str, None), "gamma": (_at_least(0), None),
+    "depth": (_at_least(2), 30),
 }
 
 
@@ -382,8 +395,8 @@ def _cmd_mainterm(a) -> int:
     return 0
 
 
-@_command("chowla", lambda a: f"chowla_p{a.p}_y{a.y}", y=(int, 2),
-          h=(str, "x"), n_range=(_parse_range, "8:16"), C=(float, 1.0),
+@_command("chowla", lambda a: f"chowla_p{a.p}_y{a.y}", y=(_degree, 2),
+          h=(str, "x"), n_range=(_parse_range, "8:16"), C=(_finite, 1.0),
           omit_timing=(int, 0))
 def _cmd_chowla(a) -> int:
     """Truncated-Liouville autocorrelation scan with its theoretical cap."""
@@ -483,7 +496,7 @@ def _cmd_tk(a) -> int:
 
 
 @_command("diagnostics", lambda a: f"diagnostics_p{a.p}_n{a.n}",
-          n=(_degree, 8), h=(str, "1"), t=(float, 1.0))
+          n=(_degree, 8), h=(str, "1"), t=(_finite, 1.0))
 def _cmd_diagnostics(a) -> int:
     h = parse_poly(a.h, FieldSpec(a.p))
     _check_enumeration(a, a.n)

@@ -39,6 +39,7 @@ from .mainterm import (
 )
 from .sieve import (
     IrreducibleTable,
+    _kernel_rows,
     _residues,
     check_enumeration,
     domain_indices,
@@ -190,8 +191,8 @@ def crt_count_enumerated(g1: Poly, g2: Poly, h1: Poly, h2: Poly, n: int) -> int:
     hit = np.ones(p**n, dtype=bool)
     for g, h in ((g1, h1), (g2, h2)):
         if g.degree:  # every f is 0 mod a constant
-            hit &= _residues(p, n, idx, np.array([g.coeffs], dtype=np.int64))[0] \
-                == ((-h) % g).encode()
+            rows = _kernel_rows(p, n, np.array([g.coeffs], dtype=np.int64))
+            hit &= _residues(p, n, g.degree, idx, rows)[0] == ((-h) % g).encode()
     return int(np.count_nonzero(hit))
 
 

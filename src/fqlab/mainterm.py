@@ -22,12 +22,16 @@ double sum survives as a test oracle.  It returns the deviation W_P - 1,
 so deviations far below machine epsilon are kept.  The constant function
 gives exactly 1.
 
-Primes of degree <= gamma form the small-prime product, accumulated
-linearly since its factors may be 0 or negative.  Primes of degree
-gamma < d <= n (n = None: up to a certified cutoff) form the large-prime
-product, accumulated in log space through log1p, so deviations of order
-2^-60 per prime still reach the result.  Both carry a rigorous bound on
-everything dropped.
+One product walk, one accumulator; gamma places the guard.  Every
+product runs through one walk over the degrees first..last (last = None:
+on to a certified closure) that multiplies the factors in log space
+through log1p, so deviations of order 2^-60 per prime still reach the
+result; the sign of a real negative factor is kept apart, so a product of
+real factors stays real, and a factor exactly 0 makes the value 0.
+main_term walks from degree 1 to n; small_prime_product and
+large_prime_product walk deg P <= gamma and gamma < deg P <= n.  gamma
+only places the guard against factors near 0 and the start of the
+closure.  Each result carries a rigorous bound on everything dropped.
 
 On the irreducible domain the weight 1/phi(Q^m) is right only at primes
 Q that divide neither h1 nor h2: if Q | h then Q never divides P + h for
@@ -46,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import FunctionSpec
-from .fieldpoly import Poly
+from .fieldpoly import Poly, format_poly
 from .sieve import IrreducibleTable, factorize
 
 LOCAL_DEPTH_DEFAULT = 30
@@ -244,76 +248,127 @@ def _count_upper(q: int, d: int) -> float:
         return math.inf
 
 
-def _certified(value: complex, lo: float, hi: float, terms: int,
-               extra_rel: float) -> TruncatedValue:
-    """A product of terms factors with |value| in [lo, hi]: its tail is
-    hi - lo, extra_rel of hi and a rounding cushion for the flops."""
-    tail = (hi - lo) + hi * extra_rel
-    if terms:
-        tail += 8.0 * (terms + 2) * 2.3e-16 * hi
-    if value.imag == 0:
-        value = value.real
-    return TruncatedValue(value, max(tail, 0.0))
-
-
-class _ProductAccumulator:
-    """Running product of factors (1 + dev)^power, which may be 0 or
-    negative, with tails combined multiplicatively:
-    total tail = prod(|v_i| + t_i) - prod(|v_i|)."""
-
-    def __init__(self):
-        self.value = complex(1.0)
-        self.abs_lo = 1.0
-        self.abs_hi = 1.0
-        self.terms = 0
-
-    def mul(self, dev, t: float, power: int = 1):
-        if power == 0 or (dev == 0 and t == 0.0):
-            return
-        self.terms += 1
-        v = 1 + dev
-        self.value *= v**power
-        self.abs_lo *= abs(v) ** power
-        self.abs_hi *= (abs(v) + t) ** power
-
-    def result(self, extra_rel: float = 0.0) -> TruncatedValue:
-        return _certified(self.value, self.abs_lo, self.abs_hi, self.terms,
-                          extra_rel)
-
-
-def _log1p_c(z: complex):
-    """log(1 + z) without the rounding of 1 + z: math.log1p for a real
-    z > -1, a two-term series for |z| far below machine epsilon."""
-    if z.imag == 0 and z.real > -1:
-        return math.log1p(z.real)
-    if abs(z) < 1e-8:
-        return z - z * z / 2
-    return cmath.log(1 + z)
-
-
-class _LogProductAccumulator:
+class _LogProduct:
     """Product of factors (1 + dev)^power accumulated in log space, so
-    deviations of order 2^-60 still reach the result.  Valid for integer
-    powers of any nonzero factor (z^N = exp(N Log z) exactly)."""
+    deviations of order 2^-60 still reach the result (z^N = exp(N Log z)
+    exactly).  A real negative factor adds log|1 + dev| and flips the sign
+    kept apart; a factor exactly 0 makes the value 0 and adds its tail
+    alone to the upper bound prod(|1 + dev| + t)^power of the modulus."""
 
     def __init__(self):
-        self.log_v = 0j
-        self.hi_extra = 0.0
-        self.terms = 0
+        self.log_v, self.hi_extra, self.terms = 0j, 0.0, 0
+        self.negative = self.zero = False
 
     def mul(self, dev, t: float, power: int = 1):
         if power == 0 or (dev == 0 and t == 0.0):
             return
         self.terms += 1
-        pf = float(power)
-        self.log_v += pf * _log1p_c(dev)
+        pf, v = float(power), 1 + dev
+        if v == 0:
+            self.zero = True
+            self.hi_extra += pf * math.log(t) if t else -math.inf
+            return
+        if v.imag == 0:  # log1p: without the rounding of 1 + dev
+            self.negative ^= v.real < 0 and power % 2 == 1
+            log = math.log1p(dev.real) if v.real > 0 else math.log(-v.real)
+        elif abs(dev) < 1e-8:  # far below machine epsilon: two series terms
+            log = dev - dev * dev / 2
+        else:
+            log = cmath.log(v)
+        self.log_v += pf * log
         if t:
-            self.hi_extra += pf * math.log1p(t / abs(1 + dev))
+            self.hi_extra += pf * math.log1p(t / abs(v))
 
     def result(self, extra_rel: float = 0.0) -> TruncatedValue:
-        return _certified(cmath.exp(self.log_v), math.exp(self.log_v.real),
-                          math.exp(self.log_v.real + self.hi_extra),
-                          self.terms, extra_rel)
+        """The product with |value| in [lo, hi]: its tail is hi - lo,
+        extra_rel of hi and a rounding cushion for the flops."""
+        lo = 0.0 if self.zero else math.exp(self.log_v.real)
+        hi = math.exp(self.log_v.real + self.hi_extra)
+        tail = (hi - lo) + hi * extra_rel
+        if self.terms:
+            tail += 8.0 * (self.terms + 2) * 2.3e-16 * hi
+        value = 0.0 if self.zero else cmath.exp(self.log_v)
+        if self.negative:
+            value = -value
+        if value.imag == 0:
+            value = value.real
+        return TruncatedValue(value, max(tail, 0.0))
+
+
+def _walk(first: int, last: int | None, gamma: int, shifts: ShiftPair | None,
+          psi1: FunctionSpec, psi2: FunctionSpec, mode: str,
+          table: IrreducibleTable, depth: int, inf_cutoff: int | None = None,
+          tail_target: float = INF_TAIL_TARGET) -> TruncatedValue:
+    """The product of the local factors over first <= deg P <= last (last
+    = None: every degree from first on, through the certified closure).
+
+    Past gamma, below the safety threshold, a factor under 1/4 in modulus
+    raises ThresholdError unless both functions are identically 1 past
+    gamma.  The closure extends the product from gamma + 1 (exact counts
+    come from Moebius inversion past the tabulated range) until the
+    remainder r_d = N_d (|W - 1| + tail) of the generic factor admits a
+    geometric closure below tail_target, or is 0 three degrees running.
+    """
+    _check_mode(mode)
+    _require_unit(psi1, psi2)
+    if gamma < 0:
+        raise MainTermError("gamma must be >= 0")
+    if depth < 2:
+        raise MainTermError("depth must be >= 2")
+    q = table.field.p
+    if psi1.field.p != q or psi2.field.p != q:
+        raise MainTermError("function specs bound to a different field")
+    if not (psi1.degree_symmetric and psi2.degree_symmetric):
+        if last is None:
+            raise MainTermError(
+                "an infinite product over a non-degree-symmetric function "
+                "has no tail certificate; evaluate with a finite n instead")
+        if last > table.max_deg:
+            raise MainTermError(
+                f"degree {last} beyond table degree {table.max_deg} needs "
+                "degree-symmetric functions")
+    thr = threshold_gamma(q, mode)
+    guard = gamma < thr and not all(
+        s.trivial_beyond_degree is not None and s.trivial_beyond_degree <= gamma
+        for s in (psi1, psi2))
+    vals = {} if shifts is None else shifts.prime_valuations(table)
+    acc = _LogProduct()
+
+    def extend(d: int) -> float:
+        """Multiply in the primes of degree d; returns the remainder r_d."""
+        for dev, t, power in _degree_factors(d, vals, psi1, psi2, mode,
+                                             table, depth):
+            if guard and d > gamma and abs(1 + dev) < 0.25:
+                raise ThresholdError(
+                    f"factor at degree {d} has modulus {abs(1 + dev):.3f} "
+                    f"< 1/4; use gamma >= {thr}")
+            acc.mul(dev, t, power)
+        return (abs(dev) + t) * _count_upper(q, d)
+
+    for d in range(first, (gamma if last is None else last) + 1):
+        extend(d)
+    if last is not None:
+        return acc.result()
+
+    start = max(gamma, inf_cutoff or 0, table.max_deg)
+    ratios, prev_r, zeros = [], None, 0
+    for d in range(gamma + 1, gamma + _EXTEND_LIMIT + 1):
+        r = extend(d)
+        zeros = zeros + 1 if r == 0.0 else 0
+        if zeros >= 3 and d > start:
+            return acc.result()
+        if prev_r and r > 0:
+            ratios.append(r / prev_r)
+        prev_r = r
+        if d > start and r > 0 and len(ratios) >= _RATIO_WINDOW:
+            rho = max(ratios[-_RATIO_WINDOW:])
+            closure = r * rho / (1.0 - rho) if rho <= _RATIO_CAP else math.inf
+            if closure <= tail_target:
+                return acc.result(extra_rel=math.expm1(closure))
+    raise MainTermError(
+        "infinite product remainder does not certify below "
+        f"{tail_target:g} within {_EXTEND_LIMIT} degrees past gamma; "
+        "the functions do not look close to 1")
 
 
 def small_prime_product(gamma: int, shifts: ShiftPair | None,
@@ -326,28 +381,7 @@ def small_prime_product(gamma: int, shifts: ShiftPair | None,
     difference removes the constraint at every prime.  gamma should be at
     least deg(h2 - h1) so every constrained prime is inside the range.
     """
-    _check_mode(mode)
-    _require_unit(psi1, psi2)
-    if gamma < 0:
-        raise MainTermError("gamma must be >= 0")
-    if depth < 2:
-        raise MainTermError("depth must be >= 2")
-    q = table.field.p
-    if psi1.field.p != q or psi2.field.p != q:
-        raise MainTermError("function specs bound to a different field")
-    symmetric = psi1.degree_symmetric and psi2.degree_symmetric
-    if not symmetric and gamma > table.max_deg:
-        raise MainTermError(
-            f"gamma={gamma} beyond table degree {table.max_deg} needs "
-            "degree-symmetric functions")
-
-    vals = {} if shifts is None else shifts.prime_valuations(table)
-    acc = _ProductAccumulator()
-    for d in range(1, gamma + 1):
-        for dev, t, power in _degree_factors(d, vals, psi1, psi2, mode,
-                                             table, depth):
-            acc.mul(dev, t, power)
-    return acc.result()
+    return _walk(1, gamma, gamma, shifts, psi1, psi2, mode, table, depth)
 
 
 def large_prime_product(gamma: int, n: int | None, psi1: FunctionSpec,
@@ -366,76 +400,8 @@ def large_prime_product(gamma: int, n: int | None, psi1: FunctionSpec,
     0; such gammas are accepted only when the functions are identically 1
     past gamma, or when every evaluated factor stays >= 1/4 in modulus.
     """
-    _check_mode(mode)
-    _require_unit(psi1, psi2)
-    q = table.field.p
-    thr = threshold_gamma(q, mode)
-    guard = gamma < thr and not all(
-        s.trivial_beyond_degree is not None and s.trivial_beyond_degree <= gamma
-        for s in (psi1, psi2))
-    if not (psi1.degree_symmetric and psi2.degree_symmetric):
-        if n is None:
-            raise MainTermError(
-                "an infinite product over a non-degree-symmetric function "
-                "has no tail certificate; evaluate with a finite n instead")
-        if n > table.max_deg:
-            raise MainTermError("range beyond table for non-degree-symmetric specs")
-    vals = {} if shifts is None else shifts.prime_valuations(table)
-    acc = _LogProductAccumulator()
-
-    def extend(d: int) -> float:
-        """Multiply in the primes of degree d; returns the remainder
-        r_d = N_d (|W - 1| + tail) of the last (generic) factor."""
-        for dev, t, power in _degree_factors(d, vals, psi1, psi2, mode,
-                                             table, m_max):
-            if guard and abs(1 + dev) < 0.25:
-                raise ThresholdError(
-                    f"factor at degree {d} has modulus {abs(1 + dev):.3f} "
-                    f"< 1/4; use gamma >= {thr}")
-            acc.mul(dev, t, power)
-        return (abs(dev) + t) * _count_upper(q, d)
-
-    if n is not None:
-        for d in range(gamma + 1, n + 1):
-            extend(d)
-        return acc.result()
-
-    # n = infinity: extend the product degree by degree (exact counts come
-    # from Moebius inversion past the tabulated range) until the certified
-    # remainder r_d admits a geometric closure below the target.  Rules
-    # that go identically trivial terminate with a zero remainder instead.
-    start = max(gamma, inf_cutoff or 0, table.max_deg)
-    rem: float | None = None
-    ratios: list[float] = []
-    prev_r: float | None = None
-    zeros = 0
-    d = gamma + 1
-    while d <= gamma + _EXTEND_LIMIT:
-        r = extend(d)
-        if r == 0.0:
-            zeros += 1
-            if zeros >= 3 and d > start:
-                rem = 0.0
-                break
-        else:
-            zeros = 0
-        if prev_r is not None and prev_r > 0 and r > 0:
-            ratios.append(r / prev_r)
-        prev_r = r
-        if d > start and r > 0 and len(ratios) >= _RATIO_WINDOW:
-            rho = max(ratios[-_RATIO_WINDOW:])
-            if rho <= _RATIO_CAP:
-                closure = r * rho / (1.0 - rho)
-                if closure <= tail_target:
-                    rem = closure
-                    break
-        d += 1
-    if rem is None:
-        raise MainTermError(
-            "infinite product remainder does not certify below "
-            f"{tail_target:g} within {_EXTEND_LIMIT} degrees past gamma; "
-            "the functions do not look close to 1")
-    return acc.result(extra_rel=math.expm1(rem))
+    return _walk(gamma + 1, n, gamma, shifts, psi1, psi2, mode, table, m_max,
+                 inf_cutoff, tail_target)
 
 
 def main_term(n: int | None, gamma: int | None, shifts: ShiftPair | None,
@@ -444,18 +410,20 @@ def main_term(n: int | None, gamma: int | None, shifts: ShiftPair | None,
               depth: int = LOCAL_DEPTH_DEFAULT,
               inf_cutoff: int | None = None,
               tail_target: float = INF_TAIL_TARGET) -> TruncatedValue:
-    """Predicted normalized limit: constrained small-prime product times
-    the product up to degree n (or its infinite version), both under the
-    same shift constraint.  On the irreducible domain it is the limit only
-    when neither shift is divisible by a prime (see the module docstring)."""
-    _check_mode(mode)
-    q = table.field.p
+    """Predicted normalized limit: the product of the constrained local
+    factors over deg P <= n (or its infinite version), walked once from
+    degree 1; gamma (default: default_gamma) places the guard and the
+    start of the closure.  A finite n refuses a shift of degree >= n, as
+    the sums do.  On the irreducible domain it is the limit only when
+    neither shift is divisible by a prime (see the module docstring)."""
+    if n is not None and shifts is not None:
+        for h in (shifts.h1, shifts.h2):
+            if not h.is_zero and h.degree >= n:
+                raise MainTermError(f"shift {format_poly(h)} has degree >= n={n}")
     if gamma is None:
-        gamma = default_gamma(q, mode, shifts)
-    head = small_prime_product(gamma, shifts, psi1, psi2, mode, table, depth)
-    bulk = large_prime_product(gamma, n, psi1, psi2, mode, table, depth,
-                               inf_cutoff, tail_target, shifts=shifts)
-    return head.times(bulk)
+        gamma = default_gamma(table.field.p, mode, shifts)
+    return _walk(1, n, gamma, shifts, psi1, psi2, mode, table, depth,
+                 inf_cutoff, tail_target)
 
 
 def liouville_local_closed(d: int, k: int, q: int) -> Fraction:

@@ -25,10 +25,11 @@ polynomials).  The kernel also lists the multiples of every prime
 modulus of a degree range (prime_multiples), and its listing holds every
 residue: the multiple of M at position j = f // p^d agrees with f from
 x^d up, so f mod M is f minus that multiple, digit by digit (XOR for p =
-2; _residues).  residue_counts yields the class counts of the primes of
-a degree block by block of moduli, residue_histogram those of one
-modulus.  Factorization of a single polynomial (factorize) runs
-one trial-division loop over a bitmask division (p = 2) or fieldpoly's
+2; _residues).  residue_counts lists the multiples of every modulus of
+a degree with one kernel and yields the class counts of the primes
+block by block of moduli, residue_histogram those of one modulus.
+Factorization of a single polynomial (factorize) runs one
+trial-division loop over a bitmask division (p = 2) or fieldpoly's
 coefficient-tuple long division (odd p).
 
 Counts are validated against the necklace identity sum_{d|n} d*N_d = q^n
@@ -158,18 +159,15 @@ def _poly_mul(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _powers_mod(p: int, n: int, low: np.ndarray) -> np.ndarray:
-    """Digits of x^i mod M for i = 0..n and every monic M of degree d >= 1
-    whose low coefficients c_0..c_{d-1} are the rows of low: out[i, b]
-    holds the d digits for the modulus in row b (int64).  Below degree d,
-    x^i is its own residue; from there on x^(i+1) = x * x^i, with x^d
-    replaced by -(c_0 + ... + c_{d-1} x^{d-1})."""
+    """Digits of x^i mod M for i = d..n and every monic M of degree d <= n
+    whose low coefficients c_0..c_{d-1} are the rows of low: out[i - d, b]
+    holds the d digits for the modulus in row b (int64).  x^d is
+    -(c_0 + ... + c_{d-1} x^{d-1}); from there on x^(i+1) = x * x^i, with
+    x^d replaced again."""
     count, d = low.shape
-    out = np.zeros((n + 1, count, d), dtype=np.int64)
-    below = np.arange(min(d, n + 1))
-    out[below, :, below] = 1
-    if n >= d:
-        out[d] = -low % p
-    for i in range(d + 1, n + 1):
+    out = np.zeros((n - d + 1, count, d), dtype=np.int64)
+    out[0] = -low % p
+    for i in range(1, n - d + 1):
         prev, cur = out[i - 1], out[i]
         cur[:, 1:] = prev[:, :-1]
         cur -= prev[:, -1:] * low
@@ -198,7 +196,7 @@ class _Multiples:
 
     def __init__(self, p: int, moduli: np.ndarray, t_max: int):
         d = moduli.shape[1] - 1
-        u = -_powers_mod(p, t_max, moduli[:, :d])[d:] % p  # (m + 1, count, d)
+        u = -_powers_mod(p, t_max, moduli[:, :d]) % p  # (m + 1, count, d)
         if p == 2:
             u = (u << np.arange(d)).sum(axis=2)[:, None]  # (m + 1, 1, count)
             self._add, self._dtype = np.bitwise_xor, np.min_scalar_type((1 << d) - 1)
@@ -696,30 +694,40 @@ def _prime_blocks(table: IrreducibleTable, d: int, n: int):
 # primes in arithmetic progressions
 # ---------------------------------------------------------------------------
 
-# Most cells (moduli x primes, moduli x residue classes, or moduli x
-# multiples) one block of residue_counts holds; it bounds its memory.
+# Most cells (moduli x primes or moduli x residue classes) one block of
+# residue_counts holds; with its kernel's p^n multiples it bounds its memory.
 RESIDUE_BLOCK_CELLS = 1 << 13
 
 
-def _residues(p: int, n: int, idx: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+def _kernel_rows(p: int, n: int, moduli: np.ndarray) -> np.ndarray:
+    """The degree-n multiples of the monic moduli whose coefficient rows
+    (leading 1 included) are the rows of moduli, one row each, from one
+    sieve kernel; a modulus of degree above n has none (empty rows)."""
+    d = moduli.shape[1] - 1
+    if d > n:
+        return np.empty((len(moduli), 0), dtype=np.int64)
+    return _Multiples(p, moduli, n).rows(n)
+
+
+def _residues(p: int, n: int, d: int, idx: np.ndarray,
+              rows: np.ndarray) -> np.ndarray:
     """Encodings of f mod M for the monic f of degree n at idx (columns)
-    and the monic M of degree d >= 1 whose coefficient rows (leading 1
-    included) are the rows of moduli, as an int64 matrix.
+    and monic moduli M of degree d >= 1, whose degree-n multiples are the
+    rows of rows (_kernel_rows), as an int64 matrix.
 
     The multiple of M at the sieve kernel's position j = f // p^d agrees
     with f from x^d up, so f mod M is f minus that multiple, digit by
     digit (XOR for p = 2).  For d > n, f is its own residue."""
-    d = moduli.shape[1] - 1
     if d > n:
-        return np.repeat((idx + p**n)[None], len(moduli), axis=0)
-    rows = _Multiples(p, moduli, n).rows(n)
+        return np.repeat((idx + p**n)[None], len(rows), axis=0)
+    at = idx // p**d
     if p == 2:
-        return rows.take(idx >> d, axis=1) ^ idx
+        return rows.take(at, axis=1) ^ idx
     # c digits at a time (p^(2c) <= 2^16), through a table of the
     # digit-wise differences of two c-digit numbers; digits past d, which
     # the top chunk may read, are those of j in both and come out 0
     c = max(1, 8 // p.bit_length())
-    keys, at, size = 0, idx // p**d, p**c
+    keys, size = 0, p**c
     for k in range(0, d, c):
         part = (rows // p**k % size).take(at, axis=1)
         part += idx // p**k % size * size
@@ -743,17 +751,19 @@ def residue_counts(table: IrreducibleTable, n: int, d: int):
     counts[b, key] is the number of primes P with P mod M = key (encoded)
     for the modulus at index moduli[b].
 
-    Every block holds at most RESIDUE_BLOCK_CELLS cells of residues
-    (moduli x primes), of counts (moduli x p^d) and of multiples (moduli x
-    p^(n - d)), except that one modulus is never split.
+    One sieve kernel lists the degree-n multiples of every modulus (p^n
+    cells).  Every block holds at most RESIDUE_BLOCK_CELLS cells of
+    residues (moduli x primes) and of counts (moduli x p^d), except that
+    one modulus is never split.
     """
     p = table.field.p
     primes = table.prime_indices(n)
     classes = p**d
-    chunk = max(1, RESIDUE_BLOCK_CELLS // max(len(primes), classes, p ** (n - d)))
+    rows = _kernel_rows(p, n, _monic_digits(p, np.arange(classes), d))
+    chunk = max(1, RESIDUE_BLOCK_CELLS // max(len(primes), classes))
     for start in range(0, classes, chunk):
         moduli = np.arange(start, min(start + chunk, classes), dtype=np.int64)
-        keys = _residues(p, n, primes, _monic_digits(p, moduli, d))
+        keys = _residues(p, n, d, primes, rows[start:start + chunk])
         keys += np.arange(len(moduli), dtype=np.int64)[:, None] * classes
         counts = np.bincount(keys.ravel(), minlength=len(moduli) * classes)
         yield moduli, counts.reshape(len(moduli), classes)
@@ -767,8 +777,9 @@ def residue_histogram(n: int, modulus: Poly, table: IrreducibleTable) -> dict[in
     """
     if modulus.is_zero or not modulus.is_monic or modulus.degree < 1:
         raise SieveError("modulus must be monic of degree >= 1")
-    keys = _residues(table.field.p, n, table.prime_indices(n),
-                     np.array([modulus.coeffs], dtype=np.int64))[0]
+    p = table.field.p
+    rows = _kernel_rows(p, n, np.array([modulus.coeffs], dtype=np.int64))
+    keys = _residues(p, n, modulus.degree, table.prime_indices(n), rows)[0]
     found, first, counts = np.unique(keys, return_index=True, return_counts=True)
     order = np.argsort(first)
     return dict(zip(found[order].tolist(), counts[order].tolist()))

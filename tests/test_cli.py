@@ -7,6 +7,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fqlab import (
     FieldSpec,
@@ -29,12 +31,27 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+# one line of text: letters, digits, punctuation, symbols and spaces,
+# with no line break; a key holds no '=' and starts with no '#'
+_LINE = st.text(st.characters(categories=("L", "N", "P", "S", "Zs")),
+                max_size=12).map(str.strip)
+_KEYS = _LINE.filter(lambda k: k and "=" not in k and not k.startswith("#"))
+
+
 class TestConfig:
     def test_parse_format_roundtrip(self):
         text = "p=2\nn=8\nf=kfree:2\nh1=0\n"
         cfg = ExperimentConfig.parse(text)
         assert cfg.format() == text
         assert ExperimentConfig.parse(cfg.format()).entries == cfg.entries
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(_KEYS, _LINE, max_size=8))
+    def test_parse_format_roundtrip_any_entries(self, entries):
+        text = ExperimentConfig(entries).format()
+        cfg = ExperimentConfig.parse(text)
+        assert cfg.entries == entries and list(cfg.entries) == list(entries)
+        assert cfg.format() == text
 
     def test_comments_and_blanks(self):
         cfg = ExperimentConfig.parse("# c\n\np=3\n")
@@ -515,6 +532,22 @@ HOSTILE = [
     (["sieve", "--p", "2", "--max-deg", "0"], 1, "--max-deg"),
     (["chowla", "--p", "2", "--n-range", "0:8"], 1, "--n-range"),
     (["tk", "--p", "2", "--n-range=-3:-1"], 1, "--n-range"),
+    # t and C are finite; gamma >= 0, depth >= 2, y >= 1 and budget >= 1
+    (["diagnostics", "--p", "2", "--n", "4", "--t", "nan"], 1, "--t"),
+    (["diagnostics", "--p", "2", "--n", "4", "--t=-inf"], 1, "--t"),
+    (["chowla", "--p", "2", "--C", "nan", "--n-range", "4:5"], 1, "--C"),
+    (["chowla", "--p", "2", "--C", "inf", "--n-range", "4:5"], 1, "--C"),
+    (["correlate", "--p", "2", "--n", "4", "--gamma", "-1"], 1, "--gamma"),
+    (["correlate", "--p", "2", "--n", "4", "--depth", "-1"], 1, "--depth"),
+    (["mainterm", "--p", "2", "--depth", "1"], 1, "--depth"),
+    (["chowla", "--p", "2", "--y", "-1"], 1, "--y"),
+    (["chowla", "--p", "2", "--y", "0", "--n-range", "4:5"], 1, "--y"),
+    (["correlate", "--p", "2", "--n", "4", "--budget", "-1"], 1, "--budget"),
+    (["correlate", "--p", "2", "--n", "4", "--budget", "0"], 1, "--budget"),
+    # a finite-degree main term refuses a shift of degree >= n, as
+    # correlate does
+    (["mainterm", "--p", "2", "--n", "3", "--f", "phi_ratio",
+      "--g", "phi_ratio", "--h2", "x^5"], 1, None),
 ]
 
 

@@ -24,12 +24,13 @@ from fqlab import (
     liouville_local_closed,
     local_factor,
     main_term,
+    parse_function_spec,
     parse_poly,
     small_prime_product,
     threshold_gamma,
 )
 from fqlab.arith import FunctionSpec
-from fqlab.mainterm import LOCAL_DEPTH_DEFAULT, _factor
+from fqlab.mainterm import LOCAL_DEPTH_DEFAULT, _LogProduct, _factor
 
 
 def sp(field, h1_text, h2_text):
@@ -433,6 +434,93 @@ class TestMainTerm:
         pair = sp(field2, "0", "x^6+x")
         assert default_gamma(2, "monic", pair) == 6
         assert default_gamma(2, "monic", sp(field2, "0", "1")) == 4
+
+
+class TestOneWalk:
+    """main_term, small_prime_product and large_prime_product are one walk
+    over the degrees through one log-space accumulator."""
+
+    SPECS = ("phi_ratio", "kfree:2", "liouville_trunc:3")
+
+    @pytest.mark.parametrize("mode", ["monic", "prime"])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_finite_n_is_the_same_for_every_safe_gamma(self, name, mode,
+                                                       field2, table2):
+        # gamma places only the guard, which is off from the threshold on
+        psi = parse_function_spec(name, field2)
+        shifts = sp(field2, "0", "x")
+        got = {main_term(9, g, shifts, psi, psi, mode, table2)
+               for g in range(threshold_gamma(2, mode), 13)}
+        assert len(got) == 1
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("n", [None, 6])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_main_term_is_small_times_large(self, name, n, q):
+        field = FieldSpec(q)
+        table = build_table(field, 6)
+        psi = parse_function_spec(name, field)
+        for mode in ("monic", "prime"):
+            shifts = sp(field, "0", "x")
+            gamma = default_gamma(q, mode, shifts)
+            main = main_term(n, gamma, shifts, psi, psi, mode, table)
+            head = small_prime_product(gamma, shifts, psi, psi, mode, table)
+            bulk = large_prime_product(gamma, n, psi, psi, mode, table,
+                                       shifts=shifts)
+            joined = head.times(bulk)
+            assert abs(main.value - joined.value) <= \
+                main.tail_bound + joined.tail_bound
+
+    def test_shift_valuations_computed_once(self, field2, table2, monkeypatch):
+        calls = []
+        valuations = ShiftPair.prime_valuations
+
+        def spy(self, table):
+            calls.append(self)
+            return valuations(self, table)
+
+        monkeypatch.setattr(ShiftPair, "prime_valuations", spy)
+        pr = builtin("phi_ratio", field2)
+        for n in (None, 9):
+            main_term(n, None, sp(field2, "0", "x^2+x"), pr, pr, "monic", table2)
+        assert len(calls) == 2
+
+    def test_negative_factor_keeps_product_real(self, field2, table2):
+        # the factor -1/3 at x + 1 is real and negative; its sign is kept
+        # apart from the logarithms
+        lam2 = builtin("liouville_truncated", field2, y=2)
+        shifts = sp(field2, "0", "x")
+        for tv in (small_prime_product(2, shifts, lam2, lam2, "monic", table2),
+                   main_term(None, 2, shifts, lam2, lam2, "monic", table2)):
+            assert isinstance(tv.value, float)
+            assert abs(tv.value - (-1.0 / 45.0)) <= tv.tail_bound
+
+    @pytest.mark.parametrize("n", [None, 8, 16])
+    def test_zero_factor_gives_exact_zero(self, n, field2, table2):
+        # kfree:2 on the irreducible domain at p = 2: W_P = 0 at degree 1
+        kf = builtin("kfree", field2, k=2)
+        tv = main_term(n, None, sp(field2, "0", "1"), kf, kf, "prime", table2)
+        assert tv.value == 0.0 and isinstance(tv.value, float)
+        assert math.isfinite(tv.tail_bound)
+
+    def test_accumulator_zero_and_negative_factors(self):
+        acc = _LogProduct()
+        acc.mul(-3.0, 0.0)  # -2
+        acc.mul(-1.5, 0.0, 3)  # (-1/2)^3
+        tv = acc.result()
+        assert isinstance(tv.value, float) and abs(tv.value - 0.25) <= tv.tail_bound
+        acc.mul(-1.0, 0.5, 2)  # 0, with tail 1/2 on each of two primes
+        tv = acc.result()
+        hi = 2 * 0.5**3 * 0.5**2  # the largest modulus the tails allow
+        assert tv.value == 0.0 and hi <= tv.tail_bound <= hi * (1 + 1e-13)
+
+    def test_finite_n_refuses_a_shift_of_degree_n(self, field2, table2):
+        pr = builtin("phi_ratio", field2)
+        for h2 in ("x^3", "x^5"):
+            with pytest.raises(MainTermError, match="degree >= n=3"):
+                main_term(3, None, sp(field2, "0", h2), pr, pr, "monic", table2)
+        main_term(None, None, sp(field2, "0", "x^5"), pr, pr, "monic", table2)
+        main_term(3, None, sp(field2, "0", "x^2"), pr, pr, "monic", table2)
 
 
 class TestTruncatedValue:

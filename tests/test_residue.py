@@ -151,27 +151,31 @@ class TestResidueMap:
 
     @staticmethod
     def _spy(monkeypatch):
-        """Record (moduli, primes, multiples per modulus) of every call of
-        the residue helper."""
-        calls = []
-        residues = sieve._residues
+        """Record (moduli, primes, residue classes, multiples) of every call
+        of the residue helper, and the arguments of every sieve kernel."""
+        calls, kernels = [], []
+        residues, multiples = sieve._residues, sieve._Multiples
 
-        def spy(p, n, idx, moduli):
-            d = moduli.shape[1] - 1
-            calls.append((len(moduli), len(idx), p ** max(n - d, 0), p**d))
-            return residues(p, n, idx, moduli)
+        def spy(p, n, d, idx, rows):
+            calls.append((len(rows), len(idx), p**d, rows.size))
+            return residues(p, n, d, idx, rows)
+
+        def kernel(*args):
+            kernels.append(args)
+            return multiples(*args)
 
         monkeypatch.setattr(sieve, "_residues", spy)
-        return calls
+        monkeypatch.setattr(sieve, "_Multiples", kernel)
+        return calls, kernels
 
     @staticmethod
     def _within(calls, cap):
         # one modulus is never split; a block of several bounds its
-        # residues, its multiples and its counts
-        return all(m == 1 or m * max(r, t, c) <= cap for m, r, t, c in calls)
+        # residues and its counts
+        return all(m == 1 or m * max(r, c) <= cap for m, r, c, _ in calls)
 
     def test_blocks_respect_the_cell_cap(self, table2_14, monkeypatch):
-        calls = self._spy(monkeypatch)
+        calls, _ = self._spy(monkeypatch)
         assert brun_titchmarsh_violations(11, table2_14) == []
         for d in (1, 5, 9, 11):
             for moduli, counts in residue_counts(table2_14, 12, d):
@@ -187,7 +191,7 @@ class TestResidueMap:
         M = monic_from_index(table.field, 4, 50)
         want = tally(6, M, table)
         monkeypatch.setattr(sieve, "RESIDUE_BLOCK_CELLS", 100)
-        calls = self._spy(monkeypatch)
+        calls, _ = self._spy(monkeypatch)
         assert list(residue_histogram(6, M, table).items()) == list(want.items())
         for moduli, counts in residue_counts(table, 6, 2):
             assert len(moduli) == 1 and counts.size <= 100
@@ -195,6 +199,18 @@ class TestResidueMap:
         assert self._within(calls, 100)
         assert {m for m, _, _, _ in calls} > {1}
         assert max(r for _, r, _, _ in calls) == table.count(6) > 100
+
+    @pytest.mark.parametrize("p, n, d", [(2, 10, 7), (3, 6, 4), (5, 4, 3),
+                                         (3, 6, 1)])
+    def test_one_kernel_per_call(self, p, n, d, monkeypatch):
+        # the blocks of moduli are slices of one kernel's p^n multiples
+        table = _table(p)  # its sieve builds kernels of its own
+        calls, kernels = self._spy(monkeypatch)
+        blocks = list(residue_counts(table, n, d))
+        assert len(kernels) == 1 and len(blocks) == len(calls)
+        assert sum(size for _, _, _, size in calls) == p**n
+        if d > 1:
+            assert len(blocks) > 1
 
 
 class TestStatisticsAgainstLoops:

@@ -312,23 +312,44 @@ def value_array(psi: FunctionSpec, table: IrreducibleTable, n: int,
     index) order; what remains of the degree names the one larger prime,
     which comes last.  That is trial division's order, so every float is
     the one trial division would give.
+
+    Where a factor of 1 changes no bit of a product (int64 and Python-int
+    arrays, float64 products) and every prime above n/2 is 1, the sieve
+    lists, per degree, only the multiples of the first power P^k whose
+    value is not 1, counts valuations only up to power_settle, and keeps
+    no remaining degree.  Everything else (complex arrays, sums, a prime
+    above n/2 that changes the value) gets exact valuations from P on.
     """
     check_enumeration(table.field.p, n)
     additive, neutral = psi.additive, psi.neutral
     top = n // 2 if limit is None else min(limit, n // 2)
     cap = n if limit is None else min(limit, n)
     rule = psi.rule_dm
-    small = {d: [neutral] + [rule(d, m) for m in range(1, n // d + 1)]
-             for d in range(1, top + 1)}
+    rows = {d: [neutral] + [rule(d, m) for m in range(1, n // d + 1)]
+            for d in range(1, top + 1)}
     large = [neutral] * (top + 1) + [rule(d, 1) for d in range(top + 1, cap + 1)]
-    rated = [(v, d * m) for d, row in small.items() for m, v in enumerate(row)]
-    dtype = _dtype(rated + [(v, d) for d, v in enumerate(large)], n, additive)
-    small = {d: np.array(row, dtype=dtype) for d, row in small.items()}
+    rated = [(v, d * m) for d, row in rows.items() for m, v in enumerate(row)]
+    rated += [(v, d) for d, v in enumerate(large)]
+    dtype = _dtype(rated, n, additive)
+    small = {d: np.array(row, dtype=dtype) for d, row in rows.items()}
     combine = np.add if additive else _mul
 
+    inert = not additive and (dtype in (np.int64, np.float64)
+                              or all(isinstance(v, int) for v, _ in rated))
+    sparse = inert and all(v == neutral for v in large)
+    if sparse:  # from the first power whose value is not 1, to power_settle
+        settle = n if psi.power_settle is None else psi.power_settle
+        powers = {}
+        for d, row in rows.items():
+            first = next((m for m, v in enumerate(row) if m and v != neutral), 0)
+            if first:
+                powers[d] = (first, min(max(first, settle), n // d))
+    else:
+        powers = {d: (1, n // d) for d in rows}
+
     out = np.full(table.field.p ** n, neutral, dtype=dtype)
-    rest = np.full(len(out), n, dtype=np.int16) if cap > top else None
-    for d, idx, v in prime_valuations(table, n, top):
+    rest = np.full(len(out), n, dtype=np.int16) if cap > top and not sparse else None
+    for d, idx, v in prime_valuations(table, n, powers):
         out[idx] = combine(out[idx], small[d][v])
         if rest is not None:
             rest[idx] -= d * v

@@ -323,16 +323,20 @@ _EXPERIMENT = {
 }
 
 
+def _specs(parse, names, field):
+    # one spec object per name, so the engine sieves each function once
+    specs = {s: parse(s, field) for s in dict.fromkeys(names)}
+    return [specs[s] for s in names]
+
+
 def _experiment_pieces(a):
     field = FieldSpec(a.p)
     if a.functions and a.shifts:
         names, hs = a.functions.split(","), a.shifts.split(",")
     else:
         names, hs = [a.f, a.g], [a.h1, a.h2]
-    # one spec object per name, so the engine sieves each function once
-    specs = {s: parse_function_spec(s, field) for s in dict.fromkeys(names)}
-    shifts = [parse_poly(s, field) for s in hs]
-    return field, [specs[s] for s in names], shifts
+    functions = _specs(parse_function_spec, names, field)
+    return field, functions, [parse_poly(s, field) for s in hs]
 
 
 @_command("correlate", lambda a: f"correlate_p{a.p}", n=(_degree, 8),
@@ -434,7 +438,7 @@ def _additive_pieces(a, min_deg: int):
     """psi1, psi2, their shift pair and a table for a scan at degree n,
     listing primes to at least min_deg."""
     field = FieldSpec(a.p)
-    psi1, psi2 = (parse_additive_spec(s, field) for s in (a.psi1, a.psi2))
+    psi1, psi2 = _specs(parse_additive_spec, (a.psi1, a.psi2), field)
     pair = ShiftPair(parse_poly(a.h1, field), parse_poly(a.h2, field))
     _check_enumeration(a, a.n, a.domain)
     need = max(a.n // 2, min_deg, a.n if a.domain == "prime" else 0)

@@ -11,7 +11,11 @@ function sets sum exactly; everything else is summed correctly rounded
 The sieve stops early when every function in play is identically 1 on
 primes above some degree: the primes left out then contribute an exact
 factor of 1, so the value is unchanged and only the handful of primes
-that matter are visited.
+that matter are visited.  Where a factor of 1 changes no bit (integer
+and float64 products), each value array also lists only the multiples
+of the first power P^k whose value is not 1 (the squares, for kfree:2),
+counts valuations only up to the power where the value settles, and
+keeps no remaining degree when every prime above n/2 is 1.
 """
 
 from __future__ import annotations

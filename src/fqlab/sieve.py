@@ -13,21 +13,24 @@ packed into one unsigned integer), in blocks of at most
 SIEVE_BLOCK_CELLS cells.
 
 The same kernel drives the valuation sieve behind the correlate and
-stats scans: prime_valuations lists, for every prime P up to a degree,
-the multiples of P among all monic polynomials of degree n and v_P
-there, counting the powers P^k that divide (their multiples sit at
-positions f // p^d among those of P), so a scan divides nothing.  For
-p = 2 it keeps the one-prime bitmask kernel (_multiples_gf2), which
-reads v_P(P g) = 1 + v_P(g) one level down.  A shift f -> f + h is an
-index map on that space (shift_indices) and a domain is an index list
-(domain_indices, which refuses more than DEFAULT_CELL_BUDGET
-polynomials).  The kernel also lists the multiples of every prime
-modulus of a degree range (prime_multiples), and its listing holds every
-residue: the multiple of M at position j = f // p^d agrees with f from
-x^d up, so f mod M is f minus that multiple, digit by digit (XOR for p =
-2; _residues).  residue_counts lists the multiples of every modulus of
-a degree with one kernel and yields the class counts of the primes
-block by block of moduli, residue_histogram those of one modulus.
+stats scans: prime_valuations lists, for every prime P of the degrees
+asked, the multiples of P^first (the first power whose value is not
+neutral) among all monic polynomials of degree n and v_P there,
+counted only up to the power where the value settles (the multiples
+of P^k sit at positions f // p^(first d) among those of P^first), so
+a scan divides nothing; with every prime above n/2 neutral too, the
+caller keeps no remaining degree.  For p = 2 it keeps the one-prime
+bitmask kernel (_multiples_gf2), which reads v_P(P g) = 1 + v_P(g) one
+level down.  A shift f -> f + h is an index map on that space
+(shift_indices) and a domain is an index list (domain_indices, which
+refuses more than DEFAULT_CELL_BUDGET polynomials).  The kernel also
+lists the multiples of every prime modulus of a degree range
+(prime_multiples), and its listing holds every residue: the multiple
+of M at position j = f // p^d agrees with f from x^d up, so f mod M is
+f minus that multiple, digit by digit (XOR for p = 2; _residues).
+residue_counts lists the multiples of every modulus of a degree with
+one kernel and yields the class counts of the primes block by block of
+moduli, residue_histogram those of one modulus.
 Factorization of a single polynomial (factorize) runs one
 trial-division loop over a bitmask division (p = 2) or fieldpoly's
 coefficient-tuple long division (odd p).
@@ -547,6 +550,17 @@ def _bits_divmod(a: int, b: int):
         q |= 1 << sh
 
 
+def _bits_mul(a: int, b: int) -> int:
+    # a times b in GF(2)[x], as bitmasks
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a <<= 1
+        b >>= 1
+    return out
+
+
 def _factor_bits(bits: int, rows: list[list[int]]):
     """Trial division of a monic GF(2) bitmask by prime bitmasks."""
     return _trial_division(bits, rows, _bits_divmod, lambda a: a.bit_length() - 1)
@@ -629,42 +643,58 @@ def shift_indices(field: FieldSpec, n: int, idx: np.ndarray, h: Poly) -> np.ndar
     return out
 
 
-def prime_valuations(table: IrreducibleTable, n: int, top: int):
-    """For every prime P of degree d <= top, in (degree, index) order,
-    yield (d, idx, v): idx holds the enumeration indices of the monic f
-    of degree n that P divides, and v (int8) is v_P(f) at each of them.
+def prime_valuations(table: IrreducibleTable, n: int,
+                     powers: dict[int, tuple[int, int]]):
+    """For every prime P of the degrees d in powers, in (degree, index)
+    order, yield (d, idx, v): idx holds the enumeration indices of the
+    monic f of degree n that P^first divides, and v (int8) is
+    min(v_P(f), settle) at each of them, where (first, settle) =
+    powers[d] with 1 <= first <= settle and first * d <= n.
 
-    For odd p the multiples of P and of its powers come from the sieve
-    kernel, the primes of a degree in blocks: idx ascends, v_P(f) is 1
-    plus the number of k >= 2 with P^k | f, and a multiple f of P^k sits
-    at position f // p^d among those of P (the kernel's j).  For p = 2
-    the bit kernel lists P g in the order of g, one prime at a time, and
-    v_P(P g) = 1 + v_P(g) is read off the same listing one level down,
-    built up level by level from the degrees below d.
+    That is all a rule neutral below P^first and constant from P^settle
+    on needs; first = 1 and settle = n // d give exact valuations.
+
+    For odd p the multiples of P^first and of the higher powers come from
+    the sieve kernel, the primes of a degree in blocks sized by the
+    multiples of P^first: idx ascends, v is first plus the number of k in
+    (first, settle] with P^k | f, and a multiple f of P^k sits at
+    position f // p^(first d) among those of P^first (the kernel's j).
+    For p = 2 the bit kernel lists P^first g in the order of g, one
+    prime at a time, and min(v_P(g), settle - first) is read off the
+    listing of P one level down, built up over settle - first levels
+    from zeros (v_P(P g) = 1 + v_P(g)); no level is built when settle =
+    first.
     """
     p = table.field.p
     if p == 2:
-        rows = table.rows(top)
-        for d in range(1, top + 1):
+        rows = table.rows(max(powers, default=0))
+        for d, (first, settle) in powers.items():
             for P in rows[d]:
-                t = (n - d) % d  # v_P over the monic g of degree t < d: 0
+                top = n - first * d  # degree of the cofactor g
+                t = max(top - (settle - first) * d, top % d)
                 v = np.zeros(1 << t, dtype=np.int8)
-                while t < n - d:
+                while t < top:
                     t += d
                     up = np.zeros(1 << t, dtype=np.int8)
                     up[_multiples_gf2(P, t - d, t)] = 1 + v
                     v = up
-                yield d, _multiples_gf2(P, n - d, n), 1 + v
+                power = P
+                for _ in range(first - 1):
+                    power = _bits_mul(power, P)
+                yield d, _multiples_gf2(power, top, n), first + v
         return
-    for d in range(1, top + 1):
-        for P in _prime_blocks(table, d, n):
-            idx = _Multiples(p, P, n).rows(n)
-            v = np.ones(idx.shape, dtype=np.int8)
+    for d, (first, settle) in powers.items():
+        for P in _prime_blocks(table, d, n - first * d):
+            base = P
+            for _ in range(first - 1):
+                base = _poly_mul(p, base, P)
+            idx = _Multiples(p, base, n).rows(n)
+            v = np.full(idx.shape, first, dtype=np.int8)
             at = np.arange(len(P))[:, None]
-            power = P
-            for _ in range(2, n // d + 1):
+            power = base
+            for _ in range(first, settle):
                 power = _poly_mul(p, power, P)
-                v[at, _Multiples(p, power, n).rows(n) // p**d] += 1
+                v[at, _Multiples(p, power, n).rows(n) // p ** (first * d)] += 1
             for i in range(len(P)):
                 yield d, idx[i], v[i]
 
@@ -675,17 +705,17 @@ def prime_multiples(table: IrreducibleTable, n: int, lo: int, hi: int):
     enumeration indices of the monic multiples of degree n of the i-th
     prime of the block, ascending."""
     for d in range(lo, hi + 1):
-        for P in _prime_blocks(table, d, n):
+        for P in _prime_blocks(table, d, n - d):
             yield d, _Multiples(table.field.p, P, n).rows(n)
 
 
-def _prime_blocks(table: IrreducibleTable, d: int, n: int):
+def _prime_blocks(table: IrreducibleTable, d: int, m: int):
     """The degree-d primes as coefficient rows (leading 1 included), in
-    blocks whose multiples of degree n fill at most SIEVE_BLOCK_CELLS
-    cells (one prime at least)."""
+    blocks whose listings of p^m multiples each fill at most
+    SIEVE_BLOCK_CELLS cells (one prime at least)."""
     p = table.field.p
     primes = table.prime_indices(d)
-    chunk = max(1, SIEVE_BLOCK_CELLS // p ** (n - d))
+    chunk = max(1, SIEVE_BLOCK_CELLS // p**m)
     for lo in range(0, len(primes), chunk):
         yield _monic_digits(p, primes[lo:lo + chunk], d)
 

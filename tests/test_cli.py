@@ -17,6 +17,7 @@ from fqlab import (
     build_table,
     irreducible_count,
 )
+from fqlab import arith
 from fqlab.cli import MAX_GRID_POINTS, ExperimentConfig, _parse_t_grid, main
 
 
@@ -281,6 +282,26 @@ class TestStatsCommands:
         assert [float(r["t"]) for r in rows] == [-1.0, 0.0, 1.0]
         mid = rows[1]
         assert float(mid["phi_n_re"]) == 1.0 and float(mid["phi_re"]) == 1.0
+
+    @pytest.mark.parametrize("command", ["dist", "charfn"])
+    @pytest.mark.parametrize("psi2, arrays", [("log_phi_ratio", 1),
+                                              ("zero", 2)])
+    def test_each_function_sieved_once(self, command, psi2, arrays,
+                                       tmp_path, monkeypatch):
+        # --psi1 and --psi2 naming one function share one value array
+        built = []
+        value_array = arith.value_array
+
+        def spy(psi, *rest):
+            built.append(psi.name)
+            return value_array(psi, *rest)
+
+        monkeypatch.setattr(arith, "value_array", spy)
+        assert run([command, "--p", "2", "--n", "6", "--psi1", "log_phi_ratio",
+                    "--psi2", psi2, "--h2", "1", "--out", "o"],
+                   tmp_path, monkeypatch) == 0
+        assert sorted(built) == sorted({"log_phi_ratio", psi2})
+        assert len(built) == arrays
 
     def test_tk_command(self, tmp_path, monkeypatch):
         rc = run(["tk", "--p", "2", "--n-range", "6:8:2", "--psi", "ones",

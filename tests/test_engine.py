@@ -45,11 +45,17 @@ def _table(p):
 
 def all_specs(field):
     """Every builtin multiplicative and additive spec, a custom table with
-    integer, float and complex values, and a complex exponential."""
+    integer, float and complex values, two tables that are 1 at every
+    prime (an integer one that settles at the fourth power, a float one),
+    and a complex exponential."""
     lpr = builtin_additive("log_phi_ratio", field)
     return [
         builtin("one", field), builtin("moebius", field),
         builtin("kfree", field, k=2), builtin("kfree", field, k=3),
+        builtin("kfree", field, k=4),
+        custom_from_table(field, {(1, 2): -1, (1, 3): 2, (2, 2): 3}),
+        custom_from_table(field, {(1, 2): 0.3, (1, 3): 0.7, (2, 2): 1.1,
+                                  (3, 2): -0.6}),
         builtin("liouville", field),
         builtin("liouville_truncated", field, y=1),
         builtin("liouville_truncated", field, y=2),

@@ -16,10 +16,12 @@ The evaluation engine behind the correlate and stats scans is
 value_array: psi(f) for every monic f of degree n at once, from the
 valuation sieve, in the dtype that reproduces Python's own arithmetic
 (int64, float64, complex128, or object where those would round or
-overflow).  shifted_values reads it through a shift's index map;
-product_sum sums products of such columns exactly (integers) or
-correctly rounded (floats).  Functions without degree symmetry are
-evaluated through factorize, one polynomial at a time.
+overflow).  shifted_values reads it through a shift's index map; scan,
+the one front door of every scan, builds the shifted columns over a
+domain, reading primes only as far as scan_degrees says; product_sum
+sums products of such columns exactly (integers) or correctly rounded
+(floats).  Functions without degree symmetry are evaluated through
+factorize, one polynomial at a time.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .sieve import (
     IrreducibleTable,
     TableTooSmallError,
     check_enumeration,
+    domain_indices,
     factorize,
     prime_valuations,
     shift_indices,
@@ -248,18 +251,16 @@ def eval_on(fact: Factorization, spec: FunctionSpec):
 eval_additive_on = eval_on
 
 
-def trial_limit(functions, n: int, table: IrreducibleTable) -> int | None:
-    """Largest prime degree trial division must report at degree n: None
-    (factor fully) unless every function is neutral (1, or 0 if additive)
-    on primes above some degree, so the cofactor left untouched changes
-    no value."""
+def scan_degrees(functions, n: int, domain: str) -> tuple[int | None, int]:
+    """(limit, need) at degree n: limit, the largest prime degree the
+    sieve reports, is None (factor fully) unless every function is neutral
+    on primes above some degree, where the cofactor changes no value;
+    need, the table degree the scan reads, is limit (n // 2 if None) on
+    the monic domain and n, its listing, on the prime one."""
     bounds = [psi.trivial_beyond_degree for psi in functions]
     limit = None if None in bounds else min(max(bounds), n // 2)
     need = n // 2 if limit is None else limit
-    if table.max_deg < need:
-        raise TableTooSmallError(
-            f"need primes to degree {need}, table has {table.max_deg}")
-    return limit
+    return limit, n if domain == "prime" else need
 
 
 def _dtype(rated, n: int, additive: bool):
@@ -306,7 +307,7 @@ def value_array(psi: FunctionSpec, table: IrreducibleTable, n: int,
     """psi(f) for every monic f of degree n, in enumeration order, from a
     degree-symmetric rule: the product (the sum, if psi is additive) of
     rule_dm(deg P, v_P(f)) over the primes P of degree <= limit
-    (trial_limit; None means all of them).
+    (scan_degrees; None means all of them).
 
     Primes of degree <= n/2 come from the valuation sieve in (degree,
     index) order; what remains of the degree names the one larger prime,
@@ -380,6 +381,24 @@ def shifted_values(psi: FunctionSpec, table: IrreducibleTable, n: int,
     field = table.field
     return np.array([eval_on(factorize(monic_from_index(field, n, j), table), psi)
                      for j in at.tolist()], dtype=object)
+
+
+def scan(functions, shifts, n: int, domain: str,
+         table: IrreducibleTable) -> list[np.ndarray]:
+    """The column psi_i(f + h_i) over the domain ("monic" or "prime"
+    polynomials of degree n, in ascending index order) for each pair of
+    functions[i] and shifts[i].  One value array serves every shift of
+    the same function object.  Refuses an unknown domain or a scan past
+    the cell budget (domain_indices), then a table that lists fewer
+    primes than scan_degrees needs."""
+    source = domain_indices(table, n, domain)
+    limit, need = scan_degrees(functions, n, domain)
+    if table.max_deg < need:
+        raise TableTooSmallError(
+            f"need primes to degree {need}, table has {table.max_deg}")
+    cache: dict = {}
+    return [shifted_values(psi, table, n, h, limit, source, cache)
+            for psi, h in zip(functions, shifts)]
 
 
 def product_sum(columns: list[np.ndarray], integer: bool):

@@ -35,10 +35,12 @@ from pathlib import Path
 from typing import Callable
 
 from .arith import (
+    AdditiveSpec,
     SpecError,
     builtin,
     parse_additive_spec,
     parse_function_spec,
+    scan_degrees,
 )
 from .correlate import CorrelationSpec, correlate
 from .fieldpoly import FieldSpec, PolyError, format_poly, parse_poly
@@ -273,12 +275,6 @@ def _command(name: str, out: Callable, **keys):
     return register
 
 
-def _check_enumeration(a, n: int, domain: str = "monic") -> None:
-    # the prime domain is bounded by its degree-n table instead
-    if domain == "monic":
-        check_enumeration(a.p, n, a.budget)
-
-
 @_command("sieve", lambda a: f"sieve_p{a.p}", max_deg=(_degree, 12))
 def _cmd_sieve(a) -> int:
     t0 = time.perf_counter()
@@ -344,10 +340,9 @@ def _experiment_pieces(a):
 def _cmd_correlate(a) -> int:
     field, functions, shifts = _experiment_pieces(a)
     ns = [a.n] if a.n_range is None else a.n_range
-    _check_enumeration(a, ns[-1], a.domain)
     # the needed degree grows with n
-    need = _needed_degree(ns[-1], functions, shifts, a.gamma, a.domain, a.p)
-    table = get_table(a.p, need, a.cache_dir, a.budget)
+    table = _scan_table(a, ns[-1], functions, a.domain,
+                        shifts if len(shifts) == 2 else None, a.gamma)
     rows = []
     for n in ns:
         spec = CorrelationSpec(field, n, a.domain, shifts, functions,
@@ -362,13 +357,17 @@ def _cmd_correlate(a) -> int:
     return 0
 
 
-def _needed_degree(n, functions, shifts, gamma, domain, p) -> int:
-    bounds = [f.trivial_beyond_degree for f in functions]
-    limit = n // 2 if any(b is None for b in bounds) else min(max(bounds), n // 2)
-    need = max(limit, 1, n if domain == "prime" else 0)
-    if len(functions) == 2:
-        need = max(need, _main_term_degree(shifts, gamma, domain, p))
-    return need
+def _scan_table(a, n, functions, domain, shifts=None, gamma=None):
+    """The table for a scan of these functions at degree n over the
+    domain, after the --budget check of a monic scan (the prime domain is
+    bounded by its degree-n table instead): to the degree scan_degrees
+    needs, and, given the shift pair, to what its main term reads."""
+    if domain == "monic":
+        check_enumeration(a.p, n, a.budget)
+    need = scan_degrees(functions, n, domain)[1]
+    if shifts is not None:
+        need = max(need, _main_term_degree(shifts, gamma, domain, a.p))
+    return get_table(a.p, max(1, need), a.cache_dir, a.budget)
 
 
 def _main_term_degree(shifts, gamma, domain, p) -> int:
@@ -407,11 +406,9 @@ def _cmd_chowla(a) -> int:
     field = FieldSpec(a.p)
     y, ns = a.y, a.n_range
     h = parse_poly(a.h, field)
-    _check_enumeration(a, ns[-1])
     lam = builtin("liouville_truncated", field, y=y)
     zero = parse_poly("0", field)
-    need = max(y, 1, h.degree if not h.is_zero else 1)
-    table = get_table(a.p, need, a.cache_dir, a.budget)
+    table = _scan_table(a, ns[-1], (lam, lam), "monic", (zero, h), y)
     cap = a.C * math.log(y) ** 4 / y**4 if y > 1 else math.inf
     rows = []
     for n in ns:
@@ -434,20 +431,17 @@ _ADDITIVE_PAIR = {
 }
 
 
-def _additive_pieces(a, min_deg: int):
-    """psi1, psi2, their shift pair and a table for a scan at degree n,
-    listing primes to at least min_deg."""
+def _additive_pieces(a):
+    """psi1, psi2 and their shift pair."""
     field = FieldSpec(a.p)
     psi1, psi2 = _specs(parse_additive_spec, (a.psi1, a.psi2), field)
-    pair = ShiftPair(parse_poly(a.h1, field), parse_poly(a.h2, field))
-    _check_enumeration(a, a.n, a.domain)
-    need = max(a.n // 2, min_deg, a.n if a.domain == "prime" else 0)
-    return psi1, psi2, pair, get_table(a.p, need, a.cache_dir, a.budget)
+    return psi1, psi2, ShiftPair(parse_poly(a.h1, field), parse_poly(a.h2, field))
 
 
 @_command("dist", lambda a: f"dist_p{a.p}_n{a.n}", **_ADDITIVE_PAIR)
 def _cmd_dist(a) -> int:
-    psi1, psi2, pair, table = _additive_pieces(a, 1)
+    psi1, psi2, pair = _additive_pieces(a)
+    table = _scan_table(a, a.n, (psi1, psi2), a.domain)
     dist = empirical_distribution(psi1, psi2, pair, a.n, a.domain, table)
     rows = [{"value": repr(v), "multiplicity": c} for v, c in dist.dump_rows()]
     _write_artifacts(a.out, rows,
@@ -459,7 +453,9 @@ def _cmd_dist(a) -> int:
 @_command("charfn", lambda a: f"charfn_p{a.p}_n{a.n}", **_ADDITIVE_PAIR,
           t_grid=(_parse_t_grid, "-3:3:0.5"))
 def _cmd_charfn(a) -> int:
-    psi1, psi2, pair, table = _additive_pieces(a, 5)
+    psi1, psi2, pair = _additive_pieces(a)
+    # the limit's main terms read primes too
+    table = _scan_table(a, a.n, (psi1, psi2), a.domain, (pair.h1, pair.h2))
     comp = charfn_comparison(psi1, psi2, pair, a.n, a.domain, a.t_grid, table)
     rows = []
     for t, e, l, err in zip(comp.t_values, comp.phi_empirical,
@@ -485,13 +481,14 @@ _TK_RULES = {
           n_range=(_parse_range, None), domain=(_domain, "monic"),
           psi=(_choice(*_TK_RULES), "ones"), h=(str, "0"))
 def _cmd_tk(a) -> int:
-    h = parse_poly(a.h, FieldSpec(a.p))
+    field = FieldSpec(a.p)
+    h = parse_poly(a.h, field)
+    psi = AdditiveSpec(a.psi, field, _TK_RULES[a.psi], True, None, None)
     ns = [a.n] if a.n_range is None else a.n_range
-    _check_enumeration(a, ns[-1], a.domain)
-    table = get_table(a.p, max(ns[-1], 1), a.cache_dir, a.budget)
+    table = _scan_table(a, ns[-1], (psi,), a.domain)
     rows = []
     for n in ns:
-        rep = tk_ratio(_TK_RULES[a.psi], h, n, a.domain, table)
+        rep = tk_ratio(psi, h, n, a.domain, table)
         rows.append({"q": a.p, "domain": a.domain, "n": n, "psi": a.psi,
                      "h": format_poly(h), "lhs": repr(rep.lhs),
                      "rhs": repr(rep.rhs), "ratio": repr(rep.ratio)})
@@ -503,7 +500,7 @@ def _cmd_tk(a) -> int:
           n=(_degree, 8), h=(str, "1"), t=(_finite, 1.0))
 def _cmd_diagnostics(a) -> int:
     h = parse_poly(a.h, FieldSpec(a.p))
-    _check_enumeration(a, a.n)
+    check_enumeration(a.p, a.n, a.budget)
     table = get_table(a.p, a.n, a.cache_dir, a.budget)
     diag = sieve_diagnostics(a.n, h, a.t, table)
     rows = [{"q": a.p, "n": a.n, "h": format_poly(h), "t": repr(a.t),

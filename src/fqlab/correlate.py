@@ -2,11 +2,12 @@
 
 correlate() evaluates sum over the domain of prod_i psi_i(f + h_i) by
 exhaustive enumeration on the evaluation engine that the stats module
-shares: one value array psi(f) over every monic f of degree n, built by
-the valuation sieve (arith.value_array over sieve.prime_valuations), read
-through each shift's index map and gathered at the domain.  Integer-valued
-function sets sum exactly; everything else is summed correctly rounded
-(math.fsum), so no value depends on the order of summation.
+shares: arith.scan builds one value array psi(f) over every monic f of
+degree n with the valuation sieve (arith.value_array over
+sieve.prime_valuations), reads it through each shift's index map and
+gathers it at the domain.  Integer-valued function sets sum exactly;
+everything else is summed correctly rounded (math.fsum), so no value
+depends on the order of summation.
 
 The sieve stops early when every function in play is identically 1 on
 primes above some degree: the primes left out then contribute an exact
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import FunctionSpec, product_sum, shifted_values, trial_limit
+from .arith import FunctionSpec, product_sum, scan
 from .fieldpoly import (
     FieldSpec,
     Poly,
@@ -46,7 +47,6 @@ from .sieve import (
     _kernel_rows,
     _residues,
     check_enumeration,
-    domain_indices,
 )
 from . import arith
 
@@ -121,24 +121,18 @@ def correlate(spec: CorrelationSpec, table: IrreducibleTable) -> CorrelationRepo
     q = spec.field.p
     n = spec.n
     t0 = time.perf_counter()
-    source = domain_indices(table, n, spec.domain)
-    limit = trial_limit(spec.functions, n, table)
-    cache: dict = {}
-    columns = [shifted_values(psi, table, n, h, limit, source, cache)
-               for psi, h in zip(spec.functions, spec.shifts)]
+    columns = scan(spec.functions, spec.shifts, n, spec.domain, table)
     raw = product_sum(columns, all(psi.integer_valued for psi in spec.functions))
-    domain_size = len(source)
+    domain_size = len(columns[0])
     normalized = complex(raw) / domain_size
 
     main: TruncatedValue | None = None
     deviation: float | None = None
     if len(spec.functions) == 2 and all(p.unit_bounded for p in spec.functions):
         shifts = ShiftPair(spec.shifts[0], spec.shifts[1])
-        gamma = spec.gamma
-        if gamma is None:
-            gamma = default_gamma(q, spec.domain, shifts)
-        main = main_term(n, gamma, shifts, spec.functions[0], spec.functions[1],
-                         spec.domain, table, depth=spec.depth)
+        main = main_term(n, spec.gamma, shifts, spec.functions[0],
+                         spec.functions[1], spec.domain, table,
+                         depth=spec.depth)
         deviation = abs(normalized - main.value)
 
     return CorrelationReport(

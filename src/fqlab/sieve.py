@@ -617,7 +617,10 @@ def check_enumeration(p: int, n: int, budget: int = DEFAULT_CELL_BUDGET) -> None
 
 def domain_indices(table: IrreducibleTable, n: int, domain: str) -> np.ndarray:
     """Enumeration indices of the monic ("monic") or irreducible
-    ("prime") polynomials of degree n, in ascending order."""
+    ("prime") polynomials of degree n, in ascending order; any other
+    domain is refused."""
+    if domain not in ("monic", "prime"):
+        raise SieveError(f"domain must be monic or prime, got {domain!r}")
     check_enumeration(table.field.p, n)
     if domain == "monic":
         return np.arange(table.field.p ** n, dtype=np.int64)

@@ -5,8 +5,8 @@ Brun-Titchmarsh, divisor products).
 
 Everything here is exact where the object is exact (counts, the sieve
 statistics as Fractions) and enumeration-based where it is a sample (the
-value multisets).  Every scan is a numpy pass over the value arrays that
-correlate uses too (arith.shifted_values over the valuation sieve): the
+value multisets).  Every scan is a numpy pass over the columns that
+correlate reads too (arith.scan over the valuation sieve): the
 value multiset is one np.unique, the weight sums one exact sum, the
 divisor-product maximum one max.  The progression statistics (Theta, the
 Bombieri-Vinogradov sum, Brun-Titchmarsh) count primes per residue class
@@ -33,16 +33,14 @@ from .arith import (
     phi,  # unused here; fqbench's tracer wraps fqlab.stats.phi
     phi_values,
     product_sum,
-    shifted_values,
-    trial_limit,
+    scan,
     value_array,
 )
 from .fieldpoly import Poly, monic_from_index
-from .mainterm import ShiftPair, TruncatedValue, default_gamma, main_term
+from .mainterm import ShiftPair, TruncatedValue, main_term
 from .sieve import (
     IrreducibleTable,
     TableTooSmallError,
-    domain_indices,
     prime_multiples,
     residue_counts,
     residue_histogram,
@@ -92,16 +90,10 @@ def _additive_values(psi1: FunctionSpec, psi2: FunctionSpec, h1: Poly, h2: Poly,
     for h in (h1, h2):
         if not h.is_zero and h.degree >= n:
             raise StatsError("shift degree must be < n")
-    if domain not in ("monic", "prime"):
-        raise StatsError("domain must be monic or prime")
-    source = domain_indices(table, n, domain)
-    limit = trial_limit((psi1, psi2), n, table)
-    cache: dict = {}
-    v1, v2 = (shifted_values(psi, table, n, h, limit, source, cache)
-              for psi, h in ((psi1, h1), (psi2, h2)))
+    v1, v2 = scan((psi1, psi2), (h1, h2), n, domain, table)
     x = 0.0 + v1 + v2  # from 0.0, as every additive value starts: float keys
     values, counts = np.unique(x, return_counts=True)
-    return values.tolist(), counts.tolist(), len(source)
+    return values.tolist(), counts.tolist(), len(x)
 
 
 def empirical_distribution(psi1: FunctionSpec, psi2: FunctionSpec,
@@ -210,9 +202,6 @@ def limit_charfn(psi1: FunctionSpec, psi2: FunctionSpec, shifts: ShiftPair,
     infinite-degree product, certified truncation)."""
     _hypothesis_trend_warning(psi1, table)
     _hypothesis_trend_warning(psi2, table)
-    q = table.field.p
-    if gamma is None:
-        gamma = default_gamma(q, mode, shifts)
     out = []
     for t in t_grid:
         e1 = exp_additive(psi1, float(t))
@@ -271,11 +260,8 @@ def tk_ratio(psi, h: Poly, n: int, domain: str,
     """
     rule = _as_rule(psi)
     q = table.field.p
-    if domain not in ("monic", "prime"):
-        raise StatsError("domain must be monic or prime")
-    if table.max_deg < n // 2 or (domain == "prime" and table.max_deg < n):
-        raise TableTooSmallError("table too small for this degree")
-
+    (values,) = scan([AdditiveSpec("tk", table.field, rule, True, None, None)],
+                     [h], n, domain, table)
     center = 0j
     if domain == "monic":
         rhs = 0.0
@@ -301,8 +287,6 @@ def tk_ratio(psi, h: Poly, n: int, domain: str,
                 b2 += nd * abs(v) ** 2 / ph
         rhs = table.count(n) * math.sqrt(b2)
 
-    values = shifted_values(AdditiveSpec("tk", table.field, rule, True, None, None),
-                            table, n, h, None, domain_indices(table, n, domain))
     dev = np.abs(values - center).astype(np.float64)
     if domain == "monic":
         dev = _POW(dev, 2).astype(np.float64)
@@ -336,9 +320,8 @@ def squarefree_weight_sum(n: int, table: IrreducibleTable) -> Fraction:
     weight = FunctionSpec("mu^2 3^omega", table.field,
                           lambda d, m: 3 if m == 1 else 0,
                           True, False, True, None, 2)
-    values = shifted_values(weight, table, n, Poly(table.field, ()), None,
-                            domain_indices(table, n, "monic"))
-    return Fraction(product_sum([values], True), q**n)
+    return Fraction(product_sum([value_array(weight, table, n, None)], True),
+                    q**n)
 
 
 def sieve_diagnostics(n: int, h: Poly, t: float,

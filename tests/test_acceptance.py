@@ -30,9 +30,8 @@ from fqlab import (
     parse_poly,
     tk_ratio,
 )
-from fqlab.arith import product_sum, shifted_values, trial_limit
+from fqlab.arith import product_sum, scan
 from fqlab.fieldpoly import monic_from_index, poly_from_encoding
-from fqlab.sieve import domain_indices
 
 
 def report(num, text):
@@ -229,10 +228,8 @@ def test_criterion_11_partition_determinism(field2, table2, chowla_runs):
     base = reps[20].raw_sum
     assert isinstance(base, int)
     lam2 = builtin("liouville_truncated", field2, y=2)
-    source = domain_indices(table2, 20, "monic")
-    limit = trial_limit((lam2, lam2), 20, table2)
-    columns = [shifted_values(lam2, table2, 20, parse_poly(h, field2), limit,
-                              source, {}) for h in ("0", "x")]
+    columns = scan((lam2, lam2), (parse_poly("0", field2), parse_poly("x", field2)),
+                   20, "monic", table2)
     for parts in (1, 4, 16):
         blocks = zip(*(np.array_split(c, parts) for c in columns))
         assert sum(product_sum(list(b), True) for b in blocks) == base

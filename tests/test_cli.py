@@ -354,6 +354,38 @@ class TestCacheReuse:
         assert not (tmp_path / "cache" / "p3_d4.fqi").exists()
 
 
+class TestScanTables:
+    # (argv, the table built on an empty cache, the larger table once built)
+    CASES = [
+        # the monic scan reads primes to n // 2
+        (["tk", "--p", "2", "--n", "12"], (2, 6), (2, 12)),
+        # the main term factors h and reads deg h // 2
+        (["chowla", "--p", "2", "--y", "2", "--h", "x^13", "--n-range", "14:14",
+          "--omit-timing", "1"], (2, 6), (2, 13)),
+        # the main terms of the limit read to gamma, 2 at p = 3
+        (["charfn", "--p", "3", "--n", "6"], (3, 3), (3, 5)),
+    ]
+
+    @pytest.mark.parametrize("argv, small, large", CASES,
+                             ids=[a[0] for a, _, _ in CASES])
+    def test_smallest_adequate_table(self, argv, small, large, tmp_path,
+                                     monkeypatch):
+        assert run(argv + ["--out", "small"], tmp_path, monkeypatch) == 0
+        cache = tmp_path / "cache"
+        assert [f.name for f in cache.iterdir()] == ["p%d_d%d.fqi" % small]
+        # the same bytes read from the larger table alone
+        other = tmp_path / "other"
+        other.mkdir()
+        p, d = large
+        build_table(FieldSpec(p), d).save(other / f"p{p}_d{d}.fqi")
+        assert run(argv + ["--cache-dir", str(other), "--out", "large"],
+                   tmp_path, monkeypatch) == 0
+        assert [f.name for f in other.iterdir()] == [f"p{p}_d{d}.fqi"]
+        for ext in (".csv", ".json"):
+            assert ((tmp_path / f"small{ext}").read_bytes()
+                    == (tmp_path / f"large{ext}").read_bytes())
+
+
 class TestCacheRecovery:
     @pytest.mark.parametrize("kind", [
         "truncated-header", "forged-count", "mislabelled", "trailing-bytes",

@@ -1,5 +1,6 @@
-"""The valuation-sieve engine (arith.shifted_values) against per-polynomial
-trial division and against sympy."""
+"""The valuation-sieve engine (arith.shifted_values, and arith.scan that
+gathers its columns) against per-polynomial trial division and against
+sympy."""
 
 import functools
 import random
@@ -17,6 +18,7 @@ from fqlab import (
     MemoryBudgetError,
     Poly,
     ShiftPair,
+    TableTooSmallError,
     build_table,
     builtin,
     builtin_additive,
@@ -29,7 +31,8 @@ from fqlab import (
     factorize,
     parse_poly,
 )
-from fqlab.arith import shifted_values
+from fqlab import arith
+from fqlab.arith import scan, scan_degrees, shifted_values
 from fqlab.fieldpoly import monic_from_index
 from fqlab.sieve import Factorization, domain_indices
 
@@ -143,6 +146,64 @@ class TestHighValuations:
             ev = eval_additive_on if spec.additive else eval_on
             got = shifted_values(spec, table, n, zero, None, indices).tolist()
             assert got == [ev(f, spec) for f in facts], spec.name
+
+
+class TestScan:
+    """arith.scan, the front door of every scan, against the per-function
+    columns it gathers."""
+
+    SHIFTS = {2: ("x+1", "x^3+x"), 3: ("2x+1", "x^2+2")}
+
+    @pytest.mark.parametrize("domain", ["monic", "prime"])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_columns_equal_shifted_values(self, p, domain, monkeypatch):
+        table = _table(p)
+        field, n = table.field, TABLE_DEGREES[p]
+        h1, h2 = (parse_poly(h, field) for h in self.SHIFTS[p])
+        indices = domain_indices(table, n, domain)
+        specs = all_specs(field)
+        built = []
+        value_array = arith.value_array
+
+        def spy(psi, *rest):
+            built.append(id(psi))
+            return value_array(psi, *rest)
+
+        monkeypatch.setattr(arith, "value_array", spy)
+        # every spec alone (its own limit) with two shifts: one array
+        for spec in specs:
+            built.clear()
+            got = scan((spec, spec), (h1, h2), n, domain, table)
+            assert built == [id(spec)], spec.name
+            limit = scan_degrees((spec,), n, domain)[0]
+            want = [shifted_values(spec, table, n, h, limit, indices)
+                    for h in (h1, h2)]
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tolist() == w.tolist(), spec.name
+        # every spec at once, at the limit of the whole set
+        built.clear()
+        got = scan(specs * 2, [h1] * len(specs) + [h2] * len(specs), n,
+                   domain, table)
+        assert sorted(built) == sorted(map(id, specs))
+        limit = scan_degrees(specs, n, domain)[0]
+        for i, spec in enumerate(specs * 2):
+            h = h1 if i < len(specs) else h2
+            want = shifted_values(spec, table, n, h, limit, indices)
+            assert got[i].tolist() == want.tolist(), spec.name
+
+    def test_table_degree(self, field2):
+        # the prime domain reads its listing, the monic one only the primes
+        # the functions see
+        kf, lt = builtin("kfree", field2, k=2), builtin("liouville_truncated",
+                                                        field2, y=2)
+        assert scan_degrees((kf, lt), 12, "monic") == (None, 6)
+        assert scan_degrees((lt, lt), 12, "monic") == (2, 2)
+        assert scan_degrees((lt, lt), 12, "prime") == (2, 12)
+        zero = parse_poly("0", field2)
+        with pytest.raises(TableTooSmallError, match="degree 6"):
+            scan((kf,), (zero,), 12, "monic", build_table(field2, 5))
+        assert len(scan((lt,), (zero,), 12, "monic", build_table(field2, 2))[0]) \
+            == 2**12
 
 
 class TestEnumerationGuard:

@@ -305,6 +305,19 @@ class TestBudget:
             sieve.check_enumeration(2, n)
 
 
+class TestDomainIndices:
+    def test_domains(self, table2):
+        assert sieve.domain_indices(table2, 4, "monic").tolist() == list(range(16))
+        assert (sieve.domain_indices(table2, 4, "prime").tolist()
+                == table2.prime_indices(4).tolist())
+
+    @pytest.mark.parametrize("domain", ["primes", "all", ""])
+    def test_unknown_domain_refused(self, table2, domain):
+        # once read as the prime domain
+        with pytest.raises(SieveError, match=f"got {domain!r}"):
+            sieve.domain_indices(table2, 4, domain)
+
+
 # maximal input degree per p for the sympy comparison; the tables below
 # hold primes to half of it
 SYMPY_DEGREES = {2: 12, 3: 8, 5: 6, 7: 6}

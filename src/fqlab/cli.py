@@ -44,7 +44,7 @@ from .arith import (
 )
 from .correlate import CorrelationSpec, correlate
 from .fieldpoly import FieldSpec, PolyError, format_poly, parse_poly
-from .mainterm import MainTermError, ShiftPair, default_gamma, main_term
+from .mainterm import MainTermError, ShiftPair, main_term
 from .sieve import (
     DEFAULT_CELL_BUDGET,
     IrreducibleTable,
@@ -65,7 +65,7 @@ from .stats import (
 CACHE_ENV = "FQLAB_CACHE_DIR"
 
 _VALIDATION_ERRORS = (PolyError, SpecError, SieveError, MainTermError,
-                      StatsError, ValueError)
+                      StatsError, ValueError, OSError)
 
 
 @dataclass
@@ -327,7 +327,9 @@ def _specs(parse, names, field):
 
 def _experiment_pieces(a):
     field = FieldSpec(a.p)
-    if a.functions and a.shifts:
+    if (a.functions is None) != (a.shifts is None):
+        raise ValueError("--functions and --shifts are given together")
+    if a.functions is not None:
         names, hs = a.functions.split(","), a.shifts.split(",")
     else:
         names, hs = [a.f, a.g], [a.h1, a.h2]
@@ -342,7 +344,7 @@ def _cmd_correlate(a) -> int:
     ns = [a.n] if a.n_range is None else a.n_range
     # the needed degree grows with n
     table = _scan_table(a, ns[-1], functions, a.domain,
-                        shifts if len(shifts) == 2 else None, a.gamma)
+                        ShiftPair(*shifts) if len(shifts) == 2 else None)
     rows = []
     for n in ns:
         spec = CorrelationSpec(field, n, a.domain, shifts, functions,
@@ -357,35 +359,30 @@ def _cmd_correlate(a) -> int:
     return 0
 
 
-def _scan_table(a, n, functions, domain, shifts=None, gamma=None):
+def _scan_table(a, n, functions, domain, pair=None):
     """The table for a scan of these functions at degree n over the
     domain, after the --budget check of a monic scan (the prime domain is
     bounded by its degree-n table instead): to the degree scan_degrees
-    needs, and, given the shift pair, to what its main term reads."""
+    needs, and, given a ShiftPair, to the table_degree its main term
+    reads."""
     if domain == "monic":
         check_enumeration(a.p, n, a.budget)
     need = scan_degrees(functions, n, domain)[1]
-    if shifts is not None:
-        need = max(need, _main_term_degree(shifts, gamma, domain, a.p))
+    if pair is not None:
+        need = max(need, pair.table_degree)
     return get_table(a.p, max(1, need), a.cache_dir, a.budget)
-
-
-def _main_term_degree(shifts, gamma, domain, p) -> int:
-    """The primes a main term reads: to gamma, and to half the degree of
-    h2 - h1, which it factors."""
-    pair = ShiftPair(shifts[0], shifts[1])
-    g = gamma if gamma is not None else default_gamma(p, domain, pair)
-    return g if pair.delta.is_zero else max(g, pair.delta.degree // 2)
 
 
 @_command("mainterm", lambda a: "mainterm", n=(_degree_or_inf, "inf"),
           **_EXPERIMENT)
 def _cmd_mainterm(a) -> int:
     field, functions, shifts = _experiment_pieces(a)
+    if len(functions) != 2 or len(shifts) != 2:
+        raise ValueError("mainterm takes two functions and two shifts "
+                         "(--f/--g/--h1/--h2 or --functions f,g --shifts h1,h2)")
     n = None if a.n in ("inf", "none") else int(a.n)
-    need = _main_term_degree(shifts, a.gamma, a.domain, a.p)
-    table = get_table(a.p, max(1, need), a.cache_dir, a.budget)
-    pair = ShiftPair(shifts[0], shifts[1])
+    pair = ShiftPair(*shifts)
+    table = get_table(a.p, max(1, pair.table_degree), a.cache_dir, a.budget)
     tv = main_term(n, a.gamma, pair, functions[0], functions[1], a.domain,
                    table, depth=a.depth)
     rows = [{"q": a.p, "n": a.n, "mode": a.domain,
@@ -408,7 +405,7 @@ def _cmd_chowla(a) -> int:
     h = parse_poly(a.h, field)
     lam = builtin("liouville_truncated", field, y=y)
     zero = parse_poly("0", field)
-    table = _scan_table(a, ns[-1], (lam, lam), "monic", (zero, h), y)
+    table = _scan_table(a, ns[-1], (lam, lam), "monic", ShiftPair(zero, h))
     cap = a.C * math.log(y) ** 4 / y**4 if y > 1 else math.inf
     rows = []
     for n in ns:
@@ -454,8 +451,8 @@ def _cmd_dist(a) -> int:
           t_grid=(_parse_t_grid, "-3:3:0.5"))
 def _cmd_charfn(a) -> int:
     psi1, psi2, pair = _additive_pieces(a)
-    # the limit's main terms read primes too
-    table = _scan_table(a, a.n, (psi1, psi2), a.domain, (pair.h1, pair.h2))
+    # the limit's main terms factor h2 - h1
+    table = _scan_table(a, a.n, (psi1, psi2), a.domain, pair)
     comp = charfn_comparison(psi1, psi2, pair, a.n, a.domain, a.t_grid, table)
     rows = []
     for t, e, l, err in zip(comp.t_values, comp.phi_empirical,
@@ -541,10 +538,7 @@ def _resolve(argv: list[str]) -> tuple[Callable, argparse.Namespace]:
     for key in keys:
         ap.add_argument("--" + key.replace("_", "-"), dest=key)
     args = ap.parse_args(argv[1:])
-    try:
-        cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
-    except OSError as exc:
-        raise ValueError(f"cannot read config: {exc}") from exc
+    cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
     a = argparse.Namespace()
     for key, (convert, default) in keys.items():
         flag = "--" + key.replace("_", "-")
@@ -555,7 +549,7 @@ def _resolve(argv: list[str]) -> tuple[Callable, argparse.Namespace]:
             value = value(a)
         try:
             setattr(a, key, None if value is None else convert(value))
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             raise ValueError(f"{flag}: {exc}") from exc
     return handler, a
 

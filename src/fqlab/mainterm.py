@@ -103,14 +103,21 @@ class ShiftPair:
     def delta(self) -> Poly:
         return self.h2 - self.h1
 
+    @property
+    def table_degree(self) -> int:
+        """The table degree prime_valuations needs: deg(h2 - h1) // 2, 0
+        for a constant or zero difference.  For degree-symmetric functions
+        this is all a main term reads from the table; every count N_d
+        comes from Moebius inversion at any degree."""
+        d = self.delta
+        return 0 if d.is_zero else d.degree // 2
+
     def prime_valuations(self, table: IrreducibleTable) -> dict[Poly, int] | None:
         """v_P(h2 - h1) for the primes dividing the difference; None when
         the difference is zero (every valuation is infinite)."""
         d = self.delta
         if d.is_zero:
             return None
-        if d.degree == 0:
-            return {}
         return {P: m for P, m in factorize(d.monic(), table).factors}
 
 
@@ -297,17 +304,17 @@ class _LogProduct:
 
 def _walk(first: int, last: int | None, gamma: int, shifts: ShiftPair | None,
           psi1: FunctionSpec, psi2: FunctionSpec, mode: str,
-          table: IrreducibleTable, depth: int, inf_cutoff: int | None = None,
+          table: IrreducibleTable, depth: int,
           tail_target: float = INF_TAIL_TARGET) -> TruncatedValue:
     """The product of the local factors over first <= deg P <= last (last
     = None: every degree from first on, through the certified closure).
 
     Past gamma, below the safety threshold, a factor under 1/4 in modulus
     raises ThresholdError unless both functions are identically 1 past
-    gamma.  The closure extends the product from gamma + 1 (exact counts
-    come from Moebius inversion past the tabulated range) until the
-    remainder r_d = N_d (|W - 1| + tail) of the generic factor admits a
-    geometric closure below tail_target, or is 0 three degrees running.
+    gamma.  The closure is checked at every degree from gamma + 1 on (N_d
+    comes from Moebius inversion at any degree, whatever the table) until
+    the remainder r_d = N_d (|W - 1| + tail) of the generic factor admits
+    a geometric closure below tail_target, or is 0 three degrees running.
     """
     _check_mode(mode)
     _require_unit(psi1, psi2)
@@ -350,17 +357,16 @@ def _walk(first: int, last: int | None, gamma: int, shifts: ShiftPair | None,
     if last is not None:
         return acc.result()
 
-    start = max(gamma, inf_cutoff or 0, table.max_deg)
     ratios, prev_r, zeros = [], None, 0
     for d in range(gamma + 1, gamma + _EXTEND_LIMIT + 1):
         r = extend(d)
         zeros = zeros + 1 if r == 0.0 else 0
-        if zeros >= 3 and d > start:
+        if zeros >= 3:
             return acc.result()
         if prev_r and r > 0:
             ratios.append(r / prev_r)
         prev_r = r
-        if d > start and r > 0 and len(ratios) >= _RATIO_WINDOW:
+        if r > 0 and len(ratios) >= _RATIO_WINDOW:
             rho = max(ratios[-_RATIO_WINDOW:])
             closure = r * rho / (1.0 - rho) if rho <= _RATIO_CAP else math.inf
             if closure <= tail_target:
@@ -388,7 +394,6 @@ def large_prime_product(gamma: int, n: int | None, psi1: FunctionSpec,
                         psi2: FunctionSpec, mode: str,
                         table: IrreducibleTable,
                         m_max: int = LOCAL_DEPTH_DEFAULT,
-                        inf_cutoff: int | None = None,
                         tail_target: float = INF_TAIL_TARGET, *,
                         shifts: ShiftPair | None = None) -> TruncatedValue:
     """Factor product over gamma < deg P <= n (n = None means infinity,
@@ -401,14 +406,13 @@ def large_prime_product(gamma: int, n: int | None, psi1: FunctionSpec,
     past gamma, or when every evaluated factor stays >= 1/4 in modulus.
     """
     return _walk(gamma + 1, n, gamma, shifts, psi1, psi2, mode, table, m_max,
-                 inf_cutoff, tail_target)
+                 tail_target)
 
 
 def main_term(n: int | None, gamma: int | None, shifts: ShiftPair | None,
               psi1: FunctionSpec, psi2: FunctionSpec, mode: str,
               table: IrreducibleTable,
               depth: int = LOCAL_DEPTH_DEFAULT,
-              inf_cutoff: int | None = None,
               tail_target: float = INF_TAIL_TARGET) -> TruncatedValue:
     """Predicted normalized limit: the product of the constrained local
     factors over deg P <= n (or its infinite version), walked once from
@@ -423,7 +427,7 @@ def main_term(n: int | None, gamma: int | None, shifts: ShiftPair | None,
     if gamma is None:
         gamma = default_gamma(table.field.p, mode, shifts)
     return _walk(1, n, gamma, shifts, psi1, psi2, mode, table, depth,
-                 inf_cutoff, tail_target)
+                 tail_target)
 
 
 def liouville_local_closed(d: int, k: int, q: int) -> Fraction:

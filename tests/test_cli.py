@@ -258,7 +258,8 @@ class TestStatsCommands:
                                          (7, 0.732461962649185)])
     def test_mainterm_odd_p_on_an_empty_cache(self, p, want, tmp_path,
                                               monkeypatch):
-        # the table goes to gamma, not to a fixed degree past the budget
+        # the table goes to half the degree of h2 - h1 (here degree 1),
+        # never to a fixed degree past the budget
         rc = run(["mainterm", "--p", str(p), "--n", "inf", "--f", "phi_ratio",
                   "--g", "phi_ratio", "--h1", "0", "--h2", "1",
                   "--out", "mt"], tmp_path, monkeypatch)
@@ -362,14 +363,26 @@ class TestScanTables:
         # the main term factors h and reads deg h // 2
         (["chowla", "--p", "2", "--y", "2", "--h", "x^13", "--n-range", "14:14",
           "--omit-timing", "1"], (2, 6), (2, 13)),
-        # the main terms of the limit read to gamma, 2 at p = 3
+        # the scan reads n // 2 = 3; the main terms of the limit read no
+        # table for h2 - h1 = 1
         (["charfn", "--p", "3", "--n", "6"], (3, 3), (3, 5)),
+        # a main term reads only the factorization of h2 - h1, never gamma
+        (["mainterm", "--p", "2", "--gamma", "12", "--f", "phi_ratio",
+          "--g", "phi_ratio", "--h1", "0", "--h2", "1"], (2, 1), (2, 12)),
+        (["correlate", "--p", "2", "--n", "8", "--gamma", "12",
+          "--f", "phi_ratio", "--g", "phi_ratio", "--h1", "0", "--h2", "1",
+          "--omit-timing", "1"], (2, 4), (2, 12)),
+        # custom:c.txt is neutral past degree 1 and not unit bounded
+        (["correlate", "--p", "2", "--n", "6", "--f", "custom:c.txt",
+          "--g", "custom:c.txt", "--h1", "0", "--h2", "1",
+          "--omit-timing", "1"], (2, 1), (2, 4)),
     ]
 
     @pytest.mark.parametrize("argv, small, large", CASES,
                              ids=[a[0] for a, _, _ in CASES])
     def test_smallest_adequate_table(self, argv, small, large, tmp_path,
                                      monkeypatch):
+        (tmp_path / "c.txt").write_text("1,2 = 3\n")
         assert run(argv + ["--out", "small"], tmp_path, monkeypatch) == 0
         cache = tmp_path / "cache"
         assert [f.name for f in cache.iterdir()] == ["p%d_d%d.fqi" % small]
@@ -384,6 +397,30 @@ class TestScanTables:
         for ext in (".csv", ".json"):
             assert ((tmp_path / f"small{ext}").read_bytes()
                     == (tmp_path / f"large{ext}").read_bytes())
+
+
+class TestUnusableInput:
+    # each exits 1 with a message naming what was wrong, not a traceback
+    @pytest.mark.parametrize("argv, named", [
+        (["mainterm", "--functions", "phi_ratio", "--shifts", "0"],
+         "--functions"),
+        (["mainterm", "--functions", "phi_ratio,phi_ratio,phi_ratio",
+          "--shifts", "0,1,x"], "--shifts"),
+        (["mainterm", "--functions", "phi_ratio,phi_ratio"], "--shifts"),
+        (["correlate", "--n", "4", "--shifts", "0,1"], "--functions"),
+        (["correlate", "--n", "4", "--f", "custom:missing.txt"],
+         "missing.txt"),
+        (["correlate", "--n", "4", "--cache-dir", "plain"], "--cache-dir: "),
+        (["correlate", "--n", "4", "--out", "nodir/o"], "nodir/o"),
+        (["correlate", "--config", "missing.cfg"], "missing.cfg"),
+    ], ids=["one-function", "three-functions", "functions-alone",
+            "shifts-alone", "custom-file", "cache-dir", "out", "config"])
+    def test_exit_1_without_traceback(self, argv, named, tmp_path,
+                                      monkeypatch, capsys):
+        (tmp_path / "plain").write_text("a regular file\n")
+        assert run(argv, tmp_path, monkeypatch) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
 
 
 class TestCacheRecovery:

@@ -344,7 +344,8 @@ class TestLargePrimeProduct:
         pr = builtin("phi_ratio", field2)
         base = large_prime_product(4, None, pr, pr, "monic", table2)
         deeper = large_prime_product(4, None, pr, pr, "monic", table2,
-                                     inf_cutoff=80)
+                                     tail_target=1e-15)
+        assert deeper.tail_bound < base.tail_bound
         assert abs(deeper.value - base.value) <= base.tail_bound
 
     def test_threshold_guard_below_gamma(self, field2, table2):
@@ -470,6 +471,18 @@ class TestOneWalk:
             joined = head.times(bulk)
             assert abs(main.value - joined.value) <= \
                 main.tail_bound + joined.tail_bound
+
+    def test_infinite_product_does_not_depend_on_the_table(self, field2):
+        # the closure starts from gamma alone; the table gives only the
+        # factorization of h2 - h1, to ShiftPair.table_degree
+        fast = FunctionSpec("fast", field2, lambda d, m: 1.0 - 2.0 ** (-3 * d),
+                            True, True, False, None, 1)
+        shifts = sp(field2, "0", "1")
+        assert shifts.table_degree == 0
+        assert sp(field2, "x", "x^7+1").table_degree == 3
+        small, large = (main_term(None, None, shifts, fast, fast, "monic",
+                                  build_table(field2, d)) for d in (1, 18))
+        assert small == large
 
     def test_shift_valuations_computed_once(self, field2, table2, monkeypatch):
         calls = []

@@ -328,7 +328,7 @@ def _specs(parse, names, field):
 def _experiment_pieces(a):
     field = FieldSpec(a.p)
     if (a.functions is None) != (a.shifts is None):
-        raise ValueError("--functions and --shifts are given together")
+        raise ValueError("--functions and --shifts must be given together")
     if a.functions is not None:
         names, hs = a.functions.split(","), a.shifts.split(",")
     else:
@@ -563,6 +563,8 @@ def main(argv=None) -> int:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2
     except _VALIDATION_ERRORS as exc:
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise  # a closed pipe, a full disk: no file the user named
         print(f"invalid input: {exc}", file=sys.stderr)
         return 1
 

@@ -132,9 +132,7 @@ def threshold_gamma(q: int, mode: str) -> int:
 
 
 def default_gamma(q: int, mode: str, shifts: ShiftPair | None) -> int:
-    dd = 0
-    if shifts is not None and not shifts.delta.is_zero:
-        dd = shifts.delta.degree
+    dd = 0 if shifts is None or shifts.delta.is_zero else shifts.delta.degree
     return max(dd, threshold_gamma(q, mode))
 
 
@@ -311,10 +309,11 @@ def _walk(first: int, last: int | None, gamma: int, shifts: ShiftPair | None,
 
     Past gamma, below the safety threshold, a factor under 1/4 in modulus
     raises ThresholdError unless both functions are identically 1 past
-    gamma.  The closure is checked at every degree from gamma + 1 on (N_d
-    comes from Moebius inversion at any degree, whatever the table) until
-    the remainder r_d = N_d (|W - 1| + tail) of the generic factor admits
-    a geometric closure below tail_target, or is 0 three degrees running.
+    gamma.  The closure is checked past gamma and past each function's
+    trivial_beyond_degree (a custom spec may list a degree after neutral
+    ones; N_d comes from Moebius inversion at any degree) until the
+    remainder r_d = N_d (|W - 1| + tail) of the generic factor admits a
+    geometric closure below tail_target, or is 0 three degrees running.
     """
     _check_mode(mode)
     _require_unit(psi1, psi2)
@@ -335,9 +334,8 @@ def _walk(first: int, last: int | None, gamma: int, shifts: ShiftPair | None,
                 f"degree {last} beyond table degree {table.max_deg} needs "
                 "degree-symmetric functions")
     thr = threshold_gamma(q, mode)
-    guard = gamma < thr and not all(
-        s.trivial_beyond_degree is not None and s.trivial_beyond_degree <= gamma
-        for s in (psi1, psi2))
+    bounds = [s.trivial_beyond_degree for s in (psi1, psi2)]
+    guard = gamma < thr and (None in bounds or max(bounds) > gamma)
     vals = {} if shifts is None else shifts.prime_valuations(table)
     acc = _LogProduct()
 
@@ -357,23 +355,24 @@ def _walk(first: int, last: int | None, gamma: int, shifts: ShiftPair | None,
     if last is not None:
         return acc.result()
 
+    quiet = max(gamma, *(b or 0 for b in bounds))
     ratios, prev_r, zeros = [], None, 0
-    for d in range(gamma + 1, gamma + _EXTEND_LIMIT + 1):
+    for d in range(gamma + 1, quiet + _EXTEND_LIMIT + 1):
         r = extend(d)
         zeros = zeros + 1 if r == 0.0 else 0
-        if zeros >= 3:
+        if zeros >= 3 and d > quiet:
             return acc.result()
         if prev_r and r > 0:
             ratios.append(r / prev_r)
         prev_r = r
-        if r > 0 and len(ratios) >= _RATIO_WINDOW:
+        if d > quiet and r > 0 and len(ratios) >= _RATIO_WINDOW:
             rho = max(ratios[-_RATIO_WINDOW:])
             closure = r * rho / (1.0 - rho) if rho <= _RATIO_CAP else math.inf
             if closure <= tail_target:
                 return acc.result(extra_rel=math.expm1(closure))
     raise MainTermError(
         "infinite product remainder does not certify below "
-        f"{tail_target:g} within {_EXTEND_LIMIT} degrees past gamma; "
+        f"{tail_target:g} within {_EXTEND_LIMIT} degrees past degree {quiet}; "
         "the functions do not look close to 1")
 
 

@@ -422,6 +422,18 @@ class TestUnusableInput:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
 
+    def test_closed_stdout_is_not_invalid_input(self, tmp_path, monkeypatch):
+        # a reader that went away is no fault of the input: the error is
+        # not reported as one, and the artifacts are already written
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr("sys.stdout", Closed())
+        with pytest.raises(BrokenPipeError):
+            run(["correlate", "--n", "4", "--out", "o"], tmp_path, monkeypatch)
+        assert (tmp_path / "o.json").exists()
+
 
 class TestCacheRecovery:
     @pytest.mark.parametrize("kind", [

@@ -484,6 +484,19 @@ class TestOneWalk:
                                   build_table(field2, d)) for d in (1, 18))
         assert small == large
 
+    def test_closure_waits_for_the_last_listed_degree(self, field2):
+        # degrees 2..9 are unlisted, so neutral; the closure must still
+        # take in the primes of degree 10
+        gapped = custom_from_table(field2, {(1, 1): 0.5, (10, 1): -1.0})
+        assert gapped.trivial_beyond_degree == 10
+        shifts = sp(field2, "0", "1")
+        finite = main_term(30, None, shifts, gapped, gapped, "monic",
+                           build_table(field2, 1))
+        for d in (1, 12):
+            inf = main_term(None, None, shifts, gapped, gapped, "monic",
+                            build_table(field2, d))
+            assert abs(inf.value - finite.value) <= inf.tail_bound
+
     def test_shift_valuations_computed_once(self, field2, table2, monkeypatch):
         calls = []
         valuations = ShiftPair.prime_valuations

@@ -132,7 +132,9 @@ def threshold_gamma(q: int, mode: str) -> int:
 
 
 def default_gamma(q: int, mode: str, shifts: ShiftPair | None) -> int:
-    dd = 0 if shifts is None or shifts.delta.is_zero else shifts.delta.degree
+    dd = 0
+    if shifts is not None and not shifts.delta.is_zero:
+        dd = shifts.delta.degree
     return max(dd, threshold_gamma(q, mode))
 
 
@@ -309,11 +311,10 @@ def _walk(first: int, last: int | None, gamma: int, shifts: ShiftPair | None,
 
     Past gamma, below the safety threshold, a factor under 1/4 in modulus
     raises ThresholdError unless both functions are identically 1 past
-    gamma.  The closure is checked past gamma and past each function's
-    trivial_beyond_degree (a custom spec may list a degree after neutral
-    ones; N_d comes from Moebius inversion at any degree) until the
-    remainder r_d = N_d (|W - 1| + tail) of the generic factor admits a
-    geometric closure below tail_target, or is 0 three degrees running.
+    gamma.  Past gamma and every function's trivial_beyond_degree (a spec
+    may list a degree after neutral ones) the walk stops once the remainder
+    r_d = N_d (|W - 1| + tail) of the generic factor admits a geometric
+    closure below tail_target, or is 0 three degrees running.
     """
     _check_mode(mode)
     _require_unit(psi1, psi2)
@@ -334,8 +335,7 @@ def _walk(first: int, last: int | None, gamma: int, shifts: ShiftPair | None,
                 f"degree {last} beyond table degree {table.max_deg} needs "
                 "degree-symmetric functions")
     thr = threshold_gamma(q, mode)
-    bounds = [s.trivial_beyond_degree for s in (psi1, psi2)]
-    guard = gamma < thr and (None in bounds or max(bounds) > gamma)
+    guard = gamma < thr  # functions that are 1 past gamma give factors of 1
     vals = {} if shifts is None else shifts.prime_valuations(table)
     acc = _LogProduct()
 
@@ -355,7 +355,7 @@ def _walk(first: int, last: int | None, gamma: int, shifts: ShiftPair | None,
     if last is not None:
         return acc.result()
 
-    quiet = max(gamma, *(b or 0 for b in bounds))
+    quiet = max(gamma, *(s.trivial_beyond_degree or 0 for s in (psi1, psi2)))
     ratios, prev_r, zeros = [], None, 0
     for d in range(gamma + 1, quiet + _EXTEND_LIMIT + 1):
         r = extend(d)

@@ -25,9 +25,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
+import shutil
 import sys
 import time
 from dataclasses import dataclass, field as dc_field
@@ -42,7 +44,7 @@ from .arith import (
     parse_function_spec,
     scan_degrees,
 )
-from .correlate import CorrelationSpec, correlate
+from .correlate import CorrelationSpec, correlate, main_term_pair
 from .fieldpoly import FieldSpec, PolyError, format_poly, parse_poly
 from .mainterm import MainTermError, ShiftPair, main_term
 from .sieve import (
@@ -53,6 +55,7 @@ from .sieve import (
     build_table,
     check_enumeration,
     factorize,
+    forget_loaded,
 )
 from .stats import (
     StatsError,
@@ -189,7 +192,9 @@ def get_table(p: int, need_deg: int, cache: Path,
               budget: int = DEFAULT_CELL_BUDGET) -> IrreducibleTable:
     """Load the smallest adequate cached table, else build and cache.  A
     cached file that fails to load, or whose header disagrees with its
-    name, is deleted and replaced by a fresh build."""
+    name, is deleted and replaced by a fresh build; the file is deleted
+    only while the path still names the file that was read, so a sound
+    table another run has just renamed into place stays."""
     best = None
     for f in sorted(cache.glob(f"p{p}_d*.fqi")):
         try:
@@ -200,6 +205,7 @@ def get_table(p: int, need_deg: int, cache: Path,
             best = (d, f)
     if best is not None:
         d, path = best
+        read = _file_identity(path)
         try:
             table = IrreducibleTable.load(path)
             if (table.field.p, table.max_deg) != (p, d):
@@ -208,10 +214,22 @@ def get_table(p: int, need_deg: int, cache: Path,
             return table
         except SieveError as exc:
             print(f"rebuilding bad cache file: {exc}", file=sys.stderr)
-            path.unlink(missing_ok=True)
+            forget_loaded(p)
+            if _file_identity(path) == read:
+                path.unlink(missing_ok=True)
     table = build_table(FieldSpec(p), need_deg, budget)
     table.save(cache / f"p{p}_d{need_deg}.fqi")
     return table
+
+
+def _file_identity(path: Path):
+    """Device, inode and change time (a write or rename moves it) of the
+    file at path, None if there is none."""
+    try:
+        st = path.stat()
+    except FileNotFoundError:
+        return None
+    return st.st_dev, st.st_ino, st.st_ctime_ns
 
 
 def _write_artifacts(out: str, rows: list[dict], summary: str) -> None:
@@ -219,11 +237,9 @@ def _write_artifacts(out: str, rows: list[dict], summary: str) -> None:
     with open(out + ".csv", "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=keys)
         w.writeheader()
-        for r in rows:
-            w.writerow(r)
+        w.writerows(rows)
     with open(out + ".json", "w") as fh:
-        json.dump(rows, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(rows, indent=1) + "\n")
     print(summary)
     print(f"wrote {out}.csv and {out}.json")
 
@@ -344,7 +360,7 @@ def _cmd_correlate(a) -> int:
     ns = [a.n] if a.n_range is None else a.n_range
     # the needed degree grows with n
     table = _scan_table(a, ns[-1], functions, a.domain,
-                        ShiftPair(*shifts) if len(shifts) == 2 else None)
+                        main_term_pair(functions, shifts))
     rows = []
     for n in ns:
         spec = CorrelationSpec(field, n, a.domain, shifts, functions,
@@ -513,6 +529,12 @@ def _cmd_diagnostics(a) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _help_width() -> int:
+    # argparse would ask the terminal on every add_argument
+    return shutil.get_terminal_size().columns - 2
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # invalid input exits 1: argparse's own 2 means budget exceeded here
@@ -533,7 +555,8 @@ def _resolve(argv: list[str]) -> tuple[Callable, argparse.Namespace]:
         what = "no command" if command is None else f"unknown command {command!r}"
         raise ValueError(f"fqlab: {what}; choose from {', '.join(_COMMANDS)}")
     handler, keys = _COMMANDS[command]
-    ap = _Parser(prog=f"fqlab {command}")
+    ap = _Parser(prog=f"fqlab {command}", formatter_class=functools.partial(
+        argparse.HelpFormatter, width=_help_width()))
     ap.add_argument("--config", help="key=value config file")
     for key in keys:
         ap.add_argument("--" + key.replace("_", "-"), dest=key)

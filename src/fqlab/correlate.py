@@ -113,6 +113,16 @@ class CorrelationReport:
         return isinstance(self.raw_sum, int)
 
 
+def main_term_pair(functions, shifts) -> ShiftPair | None:
+    """The shift pair whose main term correlate attaches, None if it
+    attaches none: it does for two functions, both unit bounded, at two
+    shifts."""
+    if len(functions) == len(shifts) == 2 and \
+            all(p.unit_bounded for p in functions):
+        return ShiftPair(*shifts)
+    return None
+
+
 def correlate(spec: CorrelationSpec, table: IrreducibleTable) -> CorrelationReport:
     """Evaluate the correlation sum exactly and attach the predicted main
     term (two functions, both unit bounded)."""
@@ -128,8 +138,7 @@ def correlate(spec: CorrelationSpec, table: IrreducibleTable) -> CorrelationRepo
 
     main: TruncatedValue | None = None
     deviation: float | None = None
-    if len(spec.functions) == 2 and all(p.unit_bounded for p in spec.functions):
-        shifts = ShiftPair(spec.shifts[0], spec.shifts[1])
+    if (shifts := main_term_pair(spec.functions, spec.shifts)) is not None:
         main = main_term(n, spec.gamma, shifts, spec.functions[0],
                          spec.functions[1], spec.domain, table,
                          depth=spec.depth)

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import os
 import signal
 import struct
 import time
@@ -17,8 +18,14 @@ from fqlab import (
     build_table,
     irreducible_count,
 )
-from fqlab import arith
-from fqlab.cli import MAX_GRID_POINTS, ExperimentConfig, _parse_t_grid, main
+from fqlab import arith, sieve
+from fqlab.cli import (
+    MAX_GRID_POINTS,
+    ExperimentConfig,
+    _parse_t_grid,
+    _write_artifacts,
+    main,
+)
 
 
 def run(args, tmp_path, monkeypatch):
@@ -345,6 +352,27 @@ class TestCacheReuse:
         assert rc == 0
         assert cache.stat().st_mtime_ns == stamp  # reused, not rebuilt
 
+    def test_factor_twice_builds_rows_once(self, tmp_path, monkeypatch):
+        # the second run reads the same bytes and gets the kept table,
+        # whose prime rows the first run built
+        monkeypatch.setattr(sieve, "_LOADED", {})
+        run(["sieve", "--p", "3", "--max-deg", "6", "--out", "s"],
+            tmp_path, monkeypatch)
+        listed = []
+        prime_indices = IrreducibleTable.prime_indices
+
+        def spy(self, d):
+            listed.append(d)
+            return prime_indices(self, d)
+
+        monkeypatch.setattr(IrreducibleTable, "prime_indices", spy)
+        for out in ("f1", "f2"):
+            assert run(["factor", "--p", "3", "--poly", "x^8+2", "--out", out],
+                       tmp_path, monkeypatch) == 0
+        assert listed == [1, 2, 3, 4]
+        assert (tmp_path / "f1.csv").read_bytes() == \
+            (tmp_path / "f2.csv").read_bytes()
+
     def test_cache_dir_flag_overrides_env(self, tmp_path, monkeypatch):
         other = tmp_path / "elsewhere"
         rc = run(["sieve", "--p", "3", "--max-deg", "4",
@@ -375,6 +403,10 @@ class TestScanTables:
         # custom:c.txt is neutral past degree 1 and not unit bounded
         (["correlate", "--p", "2", "--n", "6", "--f", "custom:c.txt",
           "--g", "custom:c.txt", "--h1", "0", "--h2", "1",
+          "--omit-timing", "1"], (2, 1), (2, 4)),
+        # no main term is attached, so h2 - h1 = x^5 is not factored
+        (["correlate", "--p", "2", "--n", "6", "--f", "custom:c.txt",
+          "--g", "custom:c.txt", "--h1", "0", "--h2", "x^5",
           "--omit-timing", "1"], (2, 1), (2, 4)),
     ]
 
@@ -511,6 +543,64 @@ class TestCacheRecovery:
             assert table.prime_indices(d).tolist() == \
                 sound.prime_indices(d).tolist()
 
+    def test_rewrite_in_place_after_a_good_load_is_rebuilt(
+            self, tmp_path, monkeypatch, capsys):
+        # same length, inode and modification time: only the bytes differ
+        poly = "x^16+x^14+x^12+x^10+x^8+x^6+1"
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        path = cache / "p2_d8.fqi"
+        build_table(FieldSpec(2), 8).save(path)
+        for out in ("f1", "f2"):
+            if out == "f2":
+                before = path.stat()
+                raw = path.read_bytes()
+                first = len(raw) - 8 * irreducible_count(2, 8)
+                with open(path, "r+b") as fh:
+                    fh.seek(len(raw) - 8)
+                    fh.write(raw[first:first + 8])
+                os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+                after = path.stat()
+                assert (after.st_ino, after.st_size, after.st_mtime_ns) == \
+                    (before.st_ino, before.st_size, before.st_mtime_ns)
+            assert run(["factor", "--p", "2", "--poly", poly, "--out", out],
+                       tmp_path, monkeypatch) == 0
+            rows = read_csv(tmp_path / f"{out}.csv")
+            assert [(r["prime"], r["multiplicity"]) for r in rows] == \
+                [("x^8+x^7+x^6+x^5+x^4+x^3+1", "2")]
+        assert capsys.readouterr().err.count("rebuilding bad cache file") == 1
+        assert path.read_bytes() == raw
+
+    def test_unlinks_only_the_file_that_failed(self, tmp_path, monkeypatch,
+                                               capsys):
+        # another run renames a sound table into place between the failed
+        # read and the unlink: that table stays
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        bad, good = cache / "p2_d8.fqi", tmp_path / "good.fqi"
+        build_table(FieldSpec(2), 8).save(good)
+        sound = good.read_bytes()
+        bad.write_bytes(sound[:-1] + b"\x02")
+        monkeypatch.setattr(sieve, "_LOADED", {})
+        IrreducibleTable.load(good)  # kept for p = 2, then dropped
+        load = IrreducibleTable.load.__func__
+
+        def racing(cls, path):
+            try:
+                return load(cls, path)
+            except SieveError:
+                os.replace(good, path)
+                raise
+
+        monkeypatch.setattr(IrreducibleTable, "load", classmethod(racing))
+        assert run(["factor", "--p", "2", "--poly", "x^4+x^2", "--out", "f"],
+                   tmp_path, monkeypatch) == 0
+        assert capsys.readouterr().err.count("rebuilding bad cache file") == 1
+        assert bad.read_bytes() == sound
+        assert sorted(f.name for f in cache.iterdir()) == \
+            ["p2_d2.fqi", "p2_d8.fqi"]
+        assert 2 not in sieve._LOADED
+
     def test_flawed_file_is_rebuilt(self, cache_flaw, tmp_path, monkeypatch,
                                     capsys):
         _, spoil = cache_flaw
@@ -545,6 +635,49 @@ class TestCacheRecovery:
         assert "unsupported cache version 1" in err
         raw = (cache / "p2_d8.fqi").read_bytes()
         assert struct.unpack_from("<I", raw, 4) == (2,)
+
+
+class TestArtifacts:
+    @staticmethod
+    def old_bytes(stem, rows):
+        # the row-by-row CSV and the streamed JSON of earlier versions
+        keys = list(rows[0].keys()) if rows else []
+        with open(stem.with_suffix(".csv"), "w", newline="") as fh:
+            w = csv.DictWriter(fh, fieldnames=keys)
+            w.writeheader()
+            for r in rows:
+                w.writerow(r)
+        with open(stem.with_suffix(".json"), "w") as fh:
+            json.dump(rows, fh, indent=1)
+            fh.write("\n")
+        return [stem.with_suffix(ext).read_bytes() for ext in (".csv", ".json")]
+
+    @pytest.mark.parametrize("argv", [
+        ["dist", "--p", "2", "--n", "8"],
+        ["mainterm", "--p", "3", "--f", "phi_ratio", "--g", "phi_ratio",
+         "--h1", "0", "--h2", "x"],
+    ], ids=["dist", "mainterm"])
+    def test_command_artifacts_keep_their_bytes(self, argv, tmp_path,
+                                                monkeypatch, capsys):
+        assert run(argv + ["--out", "new"], tmp_path, monkeypatch) == 0
+        rows = json.loads((tmp_path / "new.json").read_text())
+        assert rows and all(isinstance(v, (str, int)) for r in rows
+                            for v in r.values())
+        new = [(tmp_path / f"new{ext}").read_bytes() for ext in (".csv", ".json")]
+        assert new == self.old_bytes(tmp_path / "old", rows)
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [{"value": repr(0.1 + 0.2), "multiplicity": 3},
+         {"value": repr(-1e-300), "multiplicity": 1}],
+        [{"t": 0.1, "x": float("1e16"), "name": "kfree:2;\u00fc", "k": -7,
+          "ok": True, "empty": "", "comma": "a,b", "quote": 'say "hi"'}],
+    ], ids=["empty", "repr-floats", "mixed"])
+    def test_rows_keep_their_bytes(self, rows, tmp_path, capsys):
+        _write_artifacts(str(tmp_path / "new"), rows, "summary")
+        new = [(tmp_path / f"new{ext}").read_bytes() for ext in (".csv", ".json")]
+        assert new == self.old_bytes(tmp_path / "old", rows)
+        assert capsys.readouterr().out.startswith("summary\n")
 
 
 class TestEnumerationBudget:

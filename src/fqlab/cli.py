@@ -55,7 +55,6 @@ from .sieve import (
     build_table,
     check_enumeration,
     factorize,
-    forget_loaded,
 )
 from .stats import (
     StatsError,
@@ -214,7 +213,6 @@ def get_table(p: int, need_deg: int, cache: Path,
             return table
         except SieveError as exc:
             print(f"rebuilding bad cache file: {exc}", file=sys.stderr)
-            forget_loaded(p)
             if _file_identity(path) == read:
                 path.unlink(missing_ok=True)
     table = build_table(FieldSpec(p), need_deg, budget)
@@ -239,9 +237,22 @@ def _write_artifacts(out: str, rows: list[dict], summary: str) -> None:
         w.writeheader()
         w.writerows(rows)
     with open(out + ".json", "w") as fh:
-        fh.write(json.dumps(rows, indent=1) + "\n")
+        fh.write(_json_rows(rows))
     print(summary)
     print(f"wrote {out}.csv and {out}.json")
+
+
+# one row's items, one per line: json's C encoder, which indent would bypass
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n  ", ": "))
+
+
+def _json_rows(rows: list[dict]) -> str:
+    """The bytes of json.dumps(rows, indent=1) + "\n" for nonempty rows
+    of scalars, as every command writes."""
+    if not rows:
+        return "[]\n"
+    return "[\n" + ",\n".join(
+        " {\n  " + _ROW_ENCODER.encode(r)[1:-1] + "\n }" for r in rows) + "\n]\n"
 
 
 def _report_row(rep, omit_timing: int, extra: dict | None = None) -> dict:
@@ -529,12 +540,6 @@ def _cmd_diagnostics(a) -> int:
 
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _help_width() -> int:
-    # argparse would ask the terminal on every add_argument
-    return shutil.get_terminal_size().columns - 2
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # invalid input exits 1: argparse's own 2 means budget exceeded here
@@ -555,8 +560,10 @@ def _resolve(argv: list[str]) -> tuple[Callable, argparse.Namespace]:
         what = "no command" if command is None else f"unknown command {command!r}"
         raise ValueError(f"fqlab: {what}; choose from {', '.join(_COMMANDS)}")
     handler, keys = _COMMANDS[command]
+    # argparse would ask the terminal for the width on every add_argument
+    width = shutil.get_terminal_size().columns - 2
     ap = _Parser(prog=f"fqlab {command}", formatter_class=functools.partial(
-        argparse.HelpFormatter, width=_help_width()))
+        argparse.HelpFormatter, width=width))
     ap.add_argument("--config", help="key=value config file")
     for key in keys:
         ap.add_argument("--" + key.replace("_", "-"), dest=key)

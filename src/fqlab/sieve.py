@@ -52,9 +52,7 @@ and trailing bytes are caught before any index is read), every N_d
 against Moebius inversion, every degree's indices strictly ascending in
 [0, p^d), and the necklace identity; each failure is a SieveError that
 names the file.  Each degree of a loaded table is a read-only view of
-the bytes read.  Every load reads the whole file, and one that reads
-the very bytes of the last table loaded for their p returns that table
-(its rows() already built): equal bytes pass the same checks.
+the bytes read.
 """
 
 from __future__ import annotations
@@ -115,6 +113,7 @@ def _mobius_int(n: int) -> int:
     return -1 if cnt % 2 else 1
 
 
+# charfn's main terms ask the same counts at every limit point
 @functools.cache
 def irreducible_count(q: int, n: int) -> int:
     """Exact |P_{n,q}| by Moebius inversion of the necklace identity."""
@@ -435,12 +434,8 @@ class IrreducibleTable:
     @classmethod
     def load(cls, path: str | Path) -> "IrreducibleTable":
         """Read and check a cache file; any malformed content raises
-        SieveError naming the file.  Reading the bytes of the last table
-        loaded for their p returns that table: they passed every check."""
+        SieveError naming the file."""
         data = Path(path).read_bytes()
-        kept = _LOADED.get(int.from_bytes(data[8:12], "little"))
-        if kept is not None and kept[0] == data:
-            return kept[1]
         if data[:4] != CACHE_MAGIC:
             raise SieveError(f"{path}: bad magic")
         if len(data) < 16:
@@ -475,17 +470,7 @@ class IrreducibleTable:
                 raise SieveError(f"{path}: degree-{d} indices are not strictly ascending")
             by_degree.append(idx)
             at += 8 + 8 * n_d
-        table = cls(field, max_deg, by_degree)  # necklace check runs in init
-        _LOADED[p] = (data, table)
-        return table
-
-
-# p -> (bytes, table): the last table IrreducibleTable.load checked for p
-_LOADED: dict[int, tuple[bytes, IrreducibleTable]] = {}
-
-
-def forget_loaded(p: int) -> None:
-    _LOADED.pop(p, None)
+        return cls(field, max_deg, by_degree)  # necklace check runs in init
 
 
 def necklace_check(table: IrreducibleTable, n: int) -> NecklaceReport:

@@ -1,5 +1,4 @@
 import functools
-import os
 import random
 
 import numpy as np
@@ -295,81 +294,6 @@ class TestCache:
         path.write_bytes(bytes(raw))
         with pytest.raises(SieveError):
             IrreducibleTable.load(path)
-
-
-@pytest.fixture
-def no_kept_tables(monkeypatch):
-    """IrreducibleTable.load with nothing kept from earlier loads."""
-    monkeypatch.setattr(sieve, "_LOADED", {})
-
-
-@pytest.mark.usefixtures("no_kept_tables")
-class TestLoadReuse:
-    def test_unchanged_bytes_return_the_kept_table_unchecked(
-            self, tmp_path, monkeypatch):
-        path = tmp_path / "t.fqi"
-        build_table(FieldSpec(2), 8).save(path)
-        checked = []
-        validate = IrreducibleTable._validate
-
-        def spy(self):
-            checked.append(self)
-            validate(self)
-
-        monkeypatch.setattr(IrreducibleTable, "_validate", spy)
-        first = IrreducibleTable.load(path)
-        assert checked == [first]
-        assert IrreducibleTable.load(path) is first
-        assert checked == [first]
-
-    def test_rewrite_in_place_is_checked(self, cache_flaw, tmp_path):
-        # the rewrite keeps the inode and the modification time (one
-        # timestamp tick), and for most flaws the length: only the bytes
-        # tell the files apart
-        how, spoil = cache_flaw
-        path = tmp_path / "t.fqi"
-        build_table(FieldSpec(3), 6).save(path)
-        IrreducibleTable.load(path)
-        before = path.stat()
-        with open(path, "r+b") as fh:
-            raw = spoil(fh.read(), 3, 5)
-            fh.seek(0)
-            fh.write(raw)
-            fh.truncate()
-        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
-        after = path.stat()
-        assert (after.st_ino, after.st_mtime_ns) == \
-            (before.st_ino, before.st_mtime_ns)
-        with pytest.raises(SieveError, match="t.fqi"):
-            IrreducibleTable.load(path)
-
-    def test_replaced_table_is_returned(self, tmp_path):
-        path, other = tmp_path / "t.fqi", tmp_path / "new.fqi"
-        build_table(FieldSpec(2), 6).save(path)
-        kept = IrreducibleTable.load(path)
-        build_table(FieldSpec(2), 7).save(other)
-        os.replace(other, path)
-        table = IrreducibleTable.load(path)
-        assert table is not kept and table.max_deg == 7
-        assert IrreducibleTable.load(path) is table
-
-    def test_one_table_per_p(self, tmp_path):
-        tables = {}
-        for p, d in ((2, 4), (3, 3), (2, 5), (2, 6), (3, 4)):
-            path = tmp_path / f"p{p}_d{d}.fqi"
-            build_table(FieldSpec(p), d).save(path)
-            tables[p] = IrreducibleTable.load(path)
-        assert sorted(sieve._LOADED) == [2, 3]
-        assert all(sieve._LOADED[p][1] is tables[p] for p in (2, 3))
-        assert (tables[2].max_deg, tables[3].max_deg) == (6, 4)
-
-    def test_forget_loaded(self, tmp_path):
-        path = tmp_path / "t.fqi"
-        build_table(FieldSpec(2), 5).save(path)
-        kept = IrreducibleTable.load(path)
-        sieve.forget_loaded(2)
-        sieve.forget_loaded(7)  # nothing kept for 7
-        assert IrreducibleTable.load(path) is not kept
 
 
 class TestBudget:

@@ -2,12 +2,13 @@
 
 A multiplicative function is determined by its values on prime powers
 P^m; a FunctionSpec carries that rule plus the flags the evaluation
-machinery relies on (degree symmetry, |value| <= 1, integrality, and two
+machinery relies on (degree symmetry, |value| <= 1, integrality, and three
 structural bounds: the degree beyond which the rule is identically 1,
-and the power beyond which the value stops changing).  The structural
-bounds are what let truncated Euler products report honest tails and let
-the evaluation engine stop sieving early (a rule that is 1 on every
-prime power it never sees contributes an exact factor of 1).
+the power beyond which the value stops changing, and a decay bound on
+its distance from 1).  The structural bounds are what let truncated
+Euler products report honest tails and let the evaluation engine stop
+sieving early (a rule that is 1 on every prime power it never sees
+contributes an exact factor of 1).
 
 An additive function is the same spec with additive = True: sums
 instead of products and 0 as the neutral value.
@@ -63,7 +64,10 @@ class FunctionSpec:
     the product (the sum, if additive) of its prime-power values.
     trivial_beyond_degree = R means the value is exactly neutral whenever
     deg P > R (None: no such bound); power_settle = s means the value at
-    P^m equals the value at P^s for all m >= s.
+    P^m equals the value at P^s for all m >= s.  decay = (C, a) declares
+    sum_{m >= 1} q^{-m deg P} |psi(P^m) - psi(P^{m-1})| <= C q^{-a deg P}
+    at every prime P (None: no such bound); a > 1 certifies the tail of
+    an infinite main term (the paper's closeness hypothesis, quantified).
     """
 
     name: str
@@ -76,6 +80,7 @@ class FunctionSpec:
     power_settle: int | None
     rule_poly: Callable[[Poly, int], complex] | None = None
     additive: bool = False
+    decay: tuple[float, float] | None = None
 
     @property
     def neutral(self):
@@ -100,13 +105,13 @@ def AdditiveSpec(name: str, field: FieldSpec,
                  rule_dm: Callable[[int, int], float] | None,
                  degree_symmetric: bool, trivial_beyond_degree: int | None,
                  power_settle: int | None,
-                 rule_poly: Callable[[Poly, int], float] | None = None
-                 ) -> FunctionSpec:
+                 rule_poly: Callable[[Poly, int], float] | None = None,
+                 decay: tuple[float, float] | None = None) -> FunctionSpec:
     """Real-valued additive function: the FunctionSpec with additive=True
     (trivial_beyond_degree bounds where the rule is 0)."""
     return FunctionSpec(name, field, rule_dm, degree_symmetric, False, False,
                         trivial_beyond_degree, power_settle, rule_poly,
-                        additive=True)
+                        additive=True, decay=decay)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +141,7 @@ def builtin(kind: str, field: FieldSpec, *, k: int | None = None,
             raise SpecError("kfree needs k >= 2")
         return FunctionSpec(f"kfree:{k}", field,
                             lambda d, m, _k=k: 1 if m < _k else 0,
-                            True, True, True, None, k)
+                            True, True, True, None, k, decay=(1, k))
     if kind == "liouville":
         return FunctionSpec("liouville", field,
                             lambda d, m: -1 if m & 1 else 1,
@@ -149,10 +154,11 @@ def builtin(kind: str, field: FieldSpec, *, k: int | None = None,
             lambda d, m, _y=y: (-1 if m & 1 else 1) if d <= _y else 1,
             True, True, True, y, None)
     if kind == "phi_ratio":
-        # multiplicative form of Phi(f)/|f|: value 1 - q^{-d} at every P^m
+        # multiplicative form of Phi(f)/|f|: value 1 - q^{-d} at every P^m,
+        # so the decay sum is q^{-d} q^{-d}
         return FunctionSpec("phi_ratio", field,
                             lambda d, m, _q=q: 1.0 - _q ** (-d),
-                            True, True, False, None, 1)
+                            True, True, False, None, 1, decay=(1, 2))
     raise SpecError(f"unknown builtin kind {kind!r}")
 
 
@@ -168,9 +174,10 @@ def builtin_additive(kind: str, field: FieldSpec) -> FunctionSpec:
         return AdditiveSpec("big_omega", field, lambda d, m: float(m),
                             True, None, None)
     if kind == "log_phi_ratio":
+        # |log(1 - x)| <= 2x for x <= 1/2
         return AdditiveSpec("log_phi_ratio", field,
                             lambda d, m, _q=q: math.log(1.0 - _q ** (-d)),
-                            True, None, 1)
+                            True, None, 1, decay=(2, 2))
     raise SpecError(f"unknown additive kind {kind!r}")
 
 
@@ -546,7 +553,9 @@ def mertens_sum(n: int, table: IrreducibleTable) -> float:
 
 def exp_additive(psi_tilde: FunctionSpec, t: float) -> FunctionSpec:
     """Multiplicative spec P^m -> exp(i t psi_tilde(P^m)); unit modulus by
-    construction.  t = 0 collapses to the constant-1 spec."""
+    construction.  t = 0 collapses to the constant-1 spec.  A decay bound
+    (C, a) of psi_tilde becomes (|t| C, a), as |exp(i t u) - exp(i t v)|
+    <= |t| |u - v|."""
     if t == 0:
         return builtin("one", psi_tilde.field)
     name = f"exp({t:g}*{psi_tilde.name})"
@@ -558,7 +567,10 @@ def exp_additive(psi_tilde: FunctionSpec, t: float) -> FunctionSpec:
     if psi_tilde.rule_poly is not None:
         basep = psi_tilde.rule_poly
         rule_poly = lambda P, m, _b=basep, _t=t: cmath.exp(1j * _t * _b(P, m))
+    decay = psi_tilde.decay
+    if decay is not None:
+        decay = (abs(t) * decay[0], decay[1])
     return FunctionSpec(name, psi_tilde.field, rule_dm,
                         psi_tilde.degree_symmetric, True, False,
                         psi_tilde.trivial_beyond_degree,
-                        psi_tilde.power_settle, rule_poly)
+                        psi_tilde.power_settle, rule_poly, decay=decay)

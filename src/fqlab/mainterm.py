@@ -22,16 +22,20 @@ double sum survives as a test oracle.  It returns the deviation W_P - 1,
 so deviations far below machine epsilon are kept.  The constant function
 gives exactly 1.
 
-One product walk, one accumulator; gamma places the guard.  Every
-product runs through one walk over the degrees first..last (last = None:
-on to a certified closure) that multiplies the factors in log space
-through log1p, so deviations of order 2^-60 per prime still reach the
-result; the sign of a real negative factor is kept apart, so a product of
-real factors stays real, and a factor exactly 0 makes the value 0.
-main_term walks from degree 1 to n; small_prime_product and
-large_prime_product walk deg P <= gamma and gamma < deg P <= n.  gamma
-only places the guard against factors near 0 and the start of the
-closure.  Each result carries a rigorous bound on everything dropped.
+One product walk, one accumulator, one certified stop.  Every product
+runs through one walk over the degrees first..last that multiplies the
+factors in log space through log1p, so deviations of order 2^-60 per
+prime still reach the result; the sign of a real negative factor is kept
+apart, so a product of real factors stays real, and a factor exactly 0
+makes the value 0.  main_term walks from degree 1 to n; gamma only splits
+that walk between small_prime_product and large_prime_product, so it
+changes no bit.  At n = infinity the walk stops at the first degree D
+past D0 = max(deg(h2 - h1), each trivial_beyond_degree) where the
+declared decay bounds (C_j, a_j) of FunctionSpec.decay put the remainder
+sum_{e > D} N_e |W_e - 1| below the tail target; from N_e <= q^e / e and
+|W_e - 1| <= 3 s sum_j C_j q^{-a_j e} (s = 1 monic, 2 prime) it is at most
+sum_j 3 s C_j q^{(1 - a_j)(D + 1)} / ((D + 1)(1 - q^{1 - a_j})).  Each
+result carries a rigorous bound on everything dropped.
 
 On the irreducible domain the weight 1/phi(Q^m) is right only at primes
 Q that divide neither h1 nor h2: if Q | h then Q never divides P + h for
@@ -56,8 +60,6 @@ from .sieve import IrreducibleTable, factorize
 LOCAL_DEPTH_DEFAULT = 30
 INF_TAIL_TARGET = 1e-12
 _EXTEND_LIMIT = 400
-_RATIO_WINDOW = 8
-_RATIO_CAP = 0.9
 
 
 class MainTermError(ValueError):
@@ -65,7 +67,8 @@ class MainTermError(ValueError):
 
 
 class ThresholdError(MainTermError):
-    """gamma below the safe threshold with factors at risk of vanishing."""
+    """gamma below the safe threshold (kept for callers; nothing raises it
+    since gamma no longer changes any product)."""
 
 
 @dataclass(frozen=True)
@@ -122,8 +125,9 @@ class ShiftPair:
 
 
 def threshold_gamma(q: int, mode: str) -> int:
-    """Smallest gamma with q^gamma >= 9 (monic) or 17 (prime): beyond it
-    every unconstrained factor stays within 1/4 resp. 1/4 of 1."""
+    """Smallest gamma with q^gamma >= 9 (monic) or 17 (prime).  It feeds
+    only default_gamma: no product depends on it, since the accumulator
+    keeps exact zeros and real negative factors apart."""
     floor = 9 if mode == "monic" else 17
     g = 1
     while q**g < floor:
@@ -247,14 +251,6 @@ def _degree_factors(d: int, vals: dict[Poly, int] | None,
             yield (*_factor(psi1, psi2, P, k, mode, depth), 1)
 
 
-def _count_upper(q: int, d: int) -> float:
-    """q^d / d as a float: an upper bound for the prime count N_d."""
-    try:
-        return float(q) ** d / d
-    except OverflowError:
-        return math.inf
-
-
 class _LogProduct:
     """Product of factors (1 + dev)^power accumulated in log space, so
     deviations of order 2^-60 still reach the result (z^N = exp(N Log z)
@@ -302,23 +298,47 @@ class _LogProduct:
         return TruncatedValue(value, max(tail, 0.0))
 
 
-def _walk(first: int, last: int | None, gamma: int, shifts: ShiftPair | None,
+def _decays(d: int, psi1: FunctionSpec, psi2: FunctionSpec) -> list:
+    """The decay bounds (C, a) of the functions not neutral at degree d,
+    None for one that declares none."""
+    return [spec.decay for spec in (psi1, psi2)
+            if spec.trivial_beyond_degree is None
+            or d <= spec.trivial_beyond_degree]
+
+
+def _stop(start: int, psi1: FunctionSpec, psi2: FunctionSpec, q: int,
+          s: int, tail_target: float) -> tuple[int, float]:
+    """(D, r): the first degree D >= start (start >= D0) whose remainder
+    bound r (see the module docstring) is at most tail_target.  Refuses a
+    function not trivial past D0 without a decay bound with a > 1."""
+    for spec in (psi1, psi2):
+        if spec.trivial_beyond_degree is None and (
+                spec.decay is None or spec.decay[1] <= 1):
+            raise MainTermError(
+                f"{spec.name} declares no decay bound (C, a) with a > 1, so "
+                "its infinite product has no certified tail; evaluate with "
+                "a finite n instead")
+    for D in range(start, start + _EXTEND_LIMIT + 1):
+        r = sum(3 * s * C * float(q) ** ((1 - a) * (D + 1))
+                / ((D + 1) * (1 - float(q) ** (1 - a)))
+                for C, a in _decays(D + 1, psi1, psi2))
+        if r <= min(tail_target, 0.5):
+            return D, r
+    raise MainTermError(f"the decay bounds do not reach {tail_target:g} "
+                        f"within {_EXTEND_LIMIT} degrees past degree {start}")
+
+
+def _walk(first: int, last: int | None, shifts: ShiftPair | None,
           psi1: FunctionSpec, psi2: FunctionSpec, mode: str,
           table: IrreducibleTable, depth: int,
           tail_target: float = INF_TAIL_TARGET) -> TruncatedValue:
     """The product of the local factors over first <= deg P <= last (last
-    = None: every degree from first on, through the certified closure).
-
-    Past gamma, below the safety threshold, a factor under 1/4 in modulus
-    raises ThresholdError unless both functions are identically 1 past
-    gamma.  Past gamma and every function's trivial_beyond_degree (a spec
-    may list a degree after neutral ones) the walk stops once the remainder
-    r_d = N_d (|W - 1| + tail) of the generic factor admits a geometric
-    closure below tail_target, or is 0 three degrees running.
-    """
+    = None: on to the certified stop, whose remainder enters the tail).
+    An infinite walk refuses a generic factor whose |W - 1| exceeds its
+    declared bound by more than the factor's own tail."""
     _check_mode(mode)
     _require_unit(psi1, psi2)
-    if gamma < 0:
+    if first < 1:
         raise MainTermError("gamma must be >= 0")
     if depth < 2:
         raise MainTermError("depth must be >= 2")
@@ -334,46 +354,28 @@ def _walk(first: int, last: int | None, gamma: int, shifts: ShiftPair | None,
             raise MainTermError(
                 f"degree {last} beyond table degree {table.max_deg} needs "
                 "degree-symmetric functions")
-    thr = threshold_gamma(q, mode)
-    guard = gamma < thr  # functions that are 1 past gamma give factors of 1
+    s = 1 if mode == "monic" else 2
+    infinite, rem = last is None, 0.0
+    if infinite:
+        delta = 0 if shifts is None or shifts.delta.is_zero else shifts.delta.degree
+        last, rem = _stop(max(delta, first - 1, *(spec.trivial_beyond_degree or 0
+                                                  for spec in (psi1, psi2))),
+                          psi1, psi2, q, s, tail_target)
     vals = {} if shifts is None else shifts.prime_valuations(table)
     acc = _LogProduct()
-
-    def extend(d: int) -> float:
-        """Multiply in the primes of degree d; returns the remainder r_d."""
+    for d in range(first, last + 1):
         for dev, t, power in _degree_factors(d, vals, psi1, psi2, mode,
                                              table, depth):
-            if guard and d > gamma and abs(1 + dev) < 0.25:
-                raise ThresholdError(
-                    f"factor at degree {d} has modulus {abs(1 + dev):.3f} "
-                    f"< 1/4; use gamma >= {thr}")
             acc.mul(dev, t, power)
-        return (abs(dev) + t) * _count_upper(q, d)
-
-    for d in range(first, (gamma if last is None else last) + 1):
-        extend(d)
-    if last is not None:
-        return acc.result()
-
-    quiet = max(gamma, *(s.trivial_beyond_degree or 0 for s in (psi1, psi2)))
-    ratios, prev_r, zeros = [], None, 0
-    for d in range(gamma + 1, quiet + _EXTEND_LIMIT + 1):
-        r = extend(d)
-        zeros = zeros + 1 if r == 0.0 else 0
-        if zeros >= 3 and d > quiet:
-            return acc.result()
-        if prev_r and r > 0:
-            ratios.append(r / prev_r)
-        prev_r = r
-        if d > quiet and r > 0 and len(ratios) >= _RATIO_WINDOW:
-            rho = max(ratios[-_RATIO_WINDOW:])
-            closure = r * rho / (1.0 - rho) if rho <= _RATIO_CAP else math.inf
-            if closure <= tail_target:
-                return acc.result(extra_rel=math.expm1(closure))
-    raise MainTermError(
-        "infinite product remainder does not certify below "
-        f"{tail_target:g} within {_EXTEND_LIMIT} degrees past degree {quiet}; "
-        "the functions do not look close to 1")
+        terms = _decays(d, psi1, psi2)
+        bound = 3 * s * sum(C * float(q) ** (-a * d) for C, a in terms) \
+            if infinite and None not in terms else math.inf
+        if abs(dev) > bound + t:  # dev: the generic factor of degree d
+            raise MainTermError(
+                f"the factor at degree {d} deviates from 1 by {abs(dev):.3g}, "
+                f"more than the declared decay bounds allow ({bound:.3g})")
+    # |log(1 + z)| <= |z| / (1 - |z|) on every factor past last
+    return acc.result(extra_rel=math.expm1(rem / (1 - rem)))
 
 
 def small_prime_product(gamma: int, shifts: ShiftPair | None,
@@ -386,7 +388,7 @@ def small_prime_product(gamma: int, shifts: ShiftPair | None,
     difference removes the constraint at every prime.  gamma should be at
     least deg(h2 - h1) so every constrained prime is inside the range.
     """
-    return _walk(1, gamma, gamma, shifts, psi1, psi2, mode, table, depth)
+    return _walk(1, gamma, shifts, psi1, psi2, mode, table, depth)
 
 
 def large_prime_product(gamma: int, n: int | None, psi1: FunctionSpec,
@@ -396,15 +398,15 @@ def large_prime_product(gamma: int, n: int | None, psi1: FunctionSpec,
                         tail_target: float = INF_TAIL_TARGET, *,
                         shifts: ShiftPair | None = None) -> TruncatedValue:
     """Factor product over gamma < deg P <= n (n = None means infinity,
-    truncated at a certified cutoff).
+    walked to the certified stop of the decay bounds, which does not
+    depend on gamma).
 
     shifts constrains the factors as in small_prime_product: h1 = h2
     leaves every prime unconstrained, and without shifts every k(P) is 0.
-    Below the safety threshold gamma the factors could in principle reach
-    0; such gammas are accepted only when the functions are identically 1
-    past gamma, or when every evaluated factor stays >= 1/4 in modulus.
+    Any gamma >= 0 is accepted: a factor near or below 0 is multiplied in
+    like any other.
     """
-    return _walk(gamma + 1, n, gamma, shifts, psi1, psi2, mode, table, m_max,
+    return _walk(gamma + 1, n, shifts, psi1, psi2, mode, table, m_max,
                  tail_target)
 
 
@@ -414,19 +416,18 @@ def main_term(n: int | None, gamma: int | None, shifts: ShiftPair | None,
               depth: int = LOCAL_DEPTH_DEFAULT,
               tail_target: float = INF_TAIL_TARGET) -> TruncatedValue:
     """Predicted normalized limit: the product of the constrained local
-    factors over deg P <= n (or its infinite version), walked once from
-    degree 1; gamma (default: default_gamma) places the guard and the
-    start of the closure.  A finite n refuses a shift of degree >= n, as
+    factors over deg P <= n, walked once from degree 1; n = None walks to
+    the certified stop of the declared decay bounds (see the module
+    docstring) and refuses a function without one.  gamma changes no
+    bit: it only splits the same walk between small_prime_product and
+    large_prime_product.  A finite n refuses a shift of degree >= n, as
     the sums do.  On the irreducible domain it is the limit only when
     neither shift is divisible by a prime (see the module docstring)."""
     if n is not None and shifts is not None:
         for h in (shifts.h1, shifts.h2):
             if not h.is_zero and h.degree >= n:
                 raise MainTermError(f"shift {format_poly(h)} has degree >= n={n}")
-    if gamma is None:
-        gamma = default_gamma(table.field.p, mode, shifts)
-    return _walk(1, n, gamma, shifts, psi1, psi2, mode, table, depth,
-                 tail_target)
+    return _walk(1, n, shifts, psi1, psi2, mode, table, depth, tail_target)
 
 
 def liouville_local_closed(d: int, k: int, q: int) -> Fraction:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,7 +36,7 @@ from .arith import (
     value_array,
 )
 from .fieldpoly import Poly, monic_from_index
-from .mainterm import ShiftPair, TruncatedValue, main_term
+from .mainterm import INF_TAIL_TARGET, ShiftPair, TruncatedValue, main_term
 from .sieve import (
     IrreducibleTable,
     TableTooSmallError,
@@ -170,38 +169,17 @@ def empirical_charfn(psi1: FunctionSpec, psi2: FunctionSpec, shifts: ShiftPair,
     return CharFunctionGrid(ts, phi_empirical=vals)
 
 
-def _hypothesis_trend_warning(psi: FunctionSpec, table: IrreducibleTable) -> None:
-    # the limit law needs the additive series over primes to converge;
-    # compare dyadic blocks of the absolute per-degree terms: a convergent
-    # series has sharply shrinking blocks, anything harmonic or worse does
-    # not (numeric trend check only, not a proof either way)
-    if not psi.degree_symmetric or psi.rule_dm is None:
-        return
-    q = table.field.p
-    terms = []
-    for d in range(1, 17):
-        v = psi.value_dm(d, 1)
-        contrib = table.count(d) * min(abs(v), 1.0) / q**d
-        big = table.count(d) / q**d if abs(v) > 1 else 0.0
-        terms.append(contrib + big)
-    first = sum(terms[4:8])
-    second = sum(terms[8:16])
-    if second > 0.01 and second >= 0.8 * first:
-        warnings.warn(
-            f"additive spec {psi.name}: per-degree series blocks are not "
-            "decaying; the limit-law hypothesis looks violated",
-            stacklevel=2)
-
-
 def limit_charfn(psi1: FunctionSpec, psi2: FunctionSpec, shifts: ShiftPair,
                  t_grid, mode: str, table: IrreducibleTable,
                  gamma: int | None = None,
-                 tail_target: float = 1e-12) -> CharFunctionGrid:
+                 tail_target: float = INF_TAIL_TARGET) -> CharFunctionGrid:
     """phi(t): the predicted limiting characteristic function, evaluated
-    per t as the main term of the exponentiated additive functions (the
-    infinite-degree product, certified truncation)."""
-    _hypothesis_trend_warning(psi1, table)
-    _hypothesis_trend_warning(psi2, table)
+    per t as the main term of the exponentiated additive functions: the
+    infinite-degree product, stopped where the decay bound (|t| C, a) of
+    exp_additive puts the remainder below tail_target.  At every t != 0,
+    an additive function with neither a decay bound (a > 1) nor a trivial
+    degree, such as omega, raises MainTermError before any degree is
+    walked; gamma changes no bit."""
     out = []
     for t in t_grid:
         e1 = exp_additive(psi1, float(t))

@@ -9,7 +9,6 @@ from fqlab import (
     FieldSpec,
     MainTermError,
     ShiftPair,
-    ThresholdError,
     TruncatedValue,
     build_table,
     builtin,
@@ -30,7 +29,12 @@ from fqlab import (
     threshold_gamma,
 )
 from fqlab.arith import FunctionSpec
-from fqlab.mainterm import LOCAL_DEPTH_DEFAULT, _LogProduct, _factor
+from fqlab.mainterm import (
+    LOCAL_DEPTH_DEFAULT,
+    _degree_factors,
+    _factor,
+    _LogProduct,
+)
 
 
 def sp(field, h1_text, h2_text):
@@ -251,6 +255,136 @@ class TestTailOracle:
                         misses.append((psi.name, mode, k, float(err / tv.tail_bound)))
         assert misses == []
 
+    @staticmethod
+    def _exact_walk(psi, mode, shifts, table, top):
+        """The walk's own per-degree factors over degrees 1..top, multiplied
+        in 60-digit arithmetic (real factors, signs kept apart)."""
+        mpmath = pytest.importorskip("mpmath")
+        vals = shifts.prime_valuations(table)
+        with mpmath.workdps(60):
+            log, sign = mpmath.mpf(0), 1
+            for d in range(1, top + 1):
+                for dev, _, power in _degree_factors(d, vals, psi, psi, mode,
+                                                     table, LOCAL_DEPTH_DEFAULT):
+                    if power == 0:  # every prime of degree d is special
+                        continue
+                    f = 1 + mpmath.mpf(dev)
+                    sign *= (-1) ** power if f < 0 else 1
+                    log += power * mpmath.log(abs(f))
+            return sign * mpmath.exp(log)
+
+    @pytest.mark.parametrize("q, name, h2", [
+        (2, "kfree:3", "1"), (3, "kfree:3", "1"),
+        (2, "liouville_trunc:3", "1"), (3, "liouville_trunc:3", "x"),
+        # special primes x and x + 1 divide the shift difference
+        (2, "phi_ratio", "x^2+x"), (2, "kfree:2", "x^2+x"),
+        (3, "phi_ratio", "x^2+x"),
+    ])
+    @pytest.mark.parametrize("mode", ["monic", "prime"])
+    def test_main_term_within_tail_bound(self, q, name, h2, mode):
+        field = FieldSpec(q)
+        table = build_table(field, 2)
+        psi = parse_function_spec(name, field)
+        shifts = sp(field, "0", h2)
+        tv = main_term(None, None, shifts, psi, psi, mode, table)
+        exact = self._exact_walk(psi, mode, shifts, table, 300)
+        assert abs(tv.value - exact) <= tv.tail_bound, float(abs(tv.value - exact))
+
+    def test_rounding_cushion_covers_a_factor_below_a_quarter(self, field2):
+        # a factor below 1/4 (1/8 at degree 2) enters the log-space sum
+        mu = builtin("moebius", field2)
+        dev, tail = _factor(mu, mu, 2, 0, "monic", LOCAL_DEPTH_DEFAULT)
+        assert (1 + dev, tail) == (0.125, 0.0)
+        tv = main_term(8, None, sp(field2, "0", "1"), mu, mu, "monic",
+                       build_table(field2, 1))
+        exact = self._exact_walk(mu, "monic", sp(field2, "0", "1"),
+                                 build_table(field2, 1), 8)
+        # only the rounding cushion stands between the two
+        assert abs(tv.value - exact) <= tv.tail_bound < 1e-16
+
+
+class TestDecayBound:
+    """FunctionSpec.decay: sum_m q^{-m d} |psi(P^m) - psi(P^{m-1})| <= C q^{-a d}."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_builtin_bounds_hold(self, q):
+        field = FieldSpec(q)
+        lpr = builtin_additive("log_phi_ratio", field)
+        specs = [builtin("phi_ratio", field), builtin("kfree", field, k=2),
+                 builtin("kfree", field, k=5), lpr, exp_additive(lpr, -2.5)]
+        assert [s.decay for s in specs] == [(1, 2), (1, 2), (1, 5), (2, 2),
+                                            (5.0, 2)]
+        for spec in specs:
+            C, a = spec.decay
+            for d in range(1, 25):
+                x = float(q) ** -d
+                total = sum(x**m * abs(spec.value_dm(d, m)
+                                       - spec.value_dm(d, m - 1))
+                            for m in range(1, 12))
+                # the float rule 1 - q^{-d} is off by up to an ulp of 1
+                assert total <= C * x**a * (1 + 1e-12) + x * 2.0**-52, \
+                    (spec.name, d)
+
+    def test_exp_additive_carries_abs_t_times_c(self, field2):
+        lpr = builtin_additive("log_phi_ratio", field2)
+        assert exp_additive(lpr, 0.75).decay == (1.5, 2)
+        assert exp_additive(lpr, -3.0).decay == (6.0, 2)
+        assert exp_additive(builtin_additive("omega", field2), 1.0).decay is None
+        assert exp_additive(lpr, 0.0).decay is None  # the constant 1
+
+    def test_no_bound_is_refused_before_any_factor(self, field2, table2):
+        seen = []
+
+        def rule(d, m):
+            seen.append(d)
+            return 1.0 - 2.0 ** (-2 * d)
+
+        shifts = sp(field2, "0", "x^3")
+        weak = FunctionSpec("weak", field2, rule, True, True, False, None, 1,
+                            decay=(1, 1))
+        bare = FunctionSpec("bare", field2, rule, True, True, False, None, 1)
+        for psi in (bare, weak, builtin("moebius", field2),
+                    builtin("liouville", field2)):
+            with pytest.raises(MainTermError, match="no decay bound"):
+                main_term(None, None, shifts, psi, psi, "monic", table2)
+        assert seen == []
+        # a bound too slow to reach the target within _EXTEND_LIMIT degrees
+        slow = FunctionSpec("slow", field2, rule, True, True, False, None, 1,
+                            decay=(1, 1.01))
+        with pytest.raises(MainTermError, match="do not reach"):
+            main_term(None, None, shifts, slow, slow, "monic", table2)
+        assert seen == []
+        # a finite n reads no bound
+        main_term(9, None, shifts, bare, bare, "monic", table2)
+        assert seen
+
+    def test_contradicted_bound_raises(self, field2, table2):
+        # 1 - 2^{-d} has decay sum 4^{-d}, which (1, 3) contradicts from
+        # d = 2 (monic) and d = 3 (prime, where the bound doubles)
+        liar = FunctionSpec("liar", field2, lambda d, m: 1.0 - 2.0 ** -d,
+                            True, True, False, None, 1, decay=(1, 3))
+        for mode, d in (("monic", 2), ("prime", 3)):
+            with pytest.raises(MainTermError, match=f"degree {d} deviates"):
+                main_term(None, None, sp(field2, "0", "1"), liar, liar, mode,
+                          table2)
+
+    def test_stop_is_the_first_certified_degree(self, field2, table2,
+                                                monkeypatch):
+        # phi_ratio at q = 2: 12 * 2^{-(D + 1)} / (D + 1) <= 1e-12 first at D = 38
+        walked = []
+        import fqlab.mainterm as mt
+        factors = mt._degree_factors
+
+        def spy(d, *args):
+            walked.append(d)
+            return factors(d, *args)
+
+        monkeypatch.setattr(mt, "_degree_factors", spy)
+        pr = builtin("phi_ratio", field2)
+        tv = main_term(None, None, sp(field2, "0", "1"), pr, pr, "monic", table2)
+        assert walked == list(range(1, 39))
+        assert tv.tail_bound < 1e-12
+
 
 class TestSmallPrimeProduct:
     def test_liouville_shift_x_factors(self, field2, table2):
@@ -348,14 +482,17 @@ class TestLargePrimeProduct:
         assert deeper.tail_bound < base.tail_bound
         assert abs(deeper.value - base.value) <= base.tail_bound
 
-    def test_threshold_guard_below_gamma(self, field2, table2):
-        # moebius factors dip below 1/4 in modulus at low degrees
+    def test_gamma_below_the_threshold_changes_no_bit(self, field2, table2):
+        # the moebius factor at degree 2 is 1/8, below 1/4, yet gamma 1
+        # below the threshold 4 gives the product of gamma 4
         mu = builtin("moebius", field2)
-        with pytest.raises(ThresholdError):
-            large_prime_product(1, 8, mu, mu, "monic", table2)
-        # above the documented threshold the guard is off
-        v = large_prime_product(4, 8, mu, mu, "monic", table2)
-        assert v.value != 0
+        shifts = sp(field2, "0", "1")
+        low, high = (main_term(8, g, shifts, mu, mu, "monic", table2)
+                     for g in (1, 4))
+        assert low == high and low.value != 0
+        head = small_prime_product(1, shifts, mu, mu, "monic", table2)
+        bulk = large_prime_product(1, 8, mu, mu, "monic", table2)
+        assert abs(head.value * bulk.value - low.value) <= low.tail_bound
 
     def test_trivial_functions_allowed_below_threshold(self, field2, table2):
         lam2 = builtin("liouville_truncated", field2, y=2)
@@ -441,18 +578,29 @@ class TestOneWalk:
     """main_term, small_prime_product and large_prime_product are one walk
     over the degrees through one log-space accumulator."""
 
-    SPECS = ("phi_ratio", "kfree:2", "liouville_trunc:3")
+    SPECS = ("phi_ratio", "kfree:2", "kfree:3", "liouville_trunc:3")
+
+    @staticmethod
+    def _same_for_every_gamma(name, mode, n):
+        # gamma only splits the walk, so every gamma from 0 on is safe
+        for q in (2, 3):
+            field = FieldSpec(q)
+            table = build_table(field, 1)
+            psi = parse_function_spec(name, field)
+            shifts = sp(field, "0", "x")
+            got = {main_term(n, g, shifts, psi, psi, mode, table)
+                   for g in range(13)}
+            assert len(got) == 1, (q, got)
 
     @pytest.mark.parametrize("mode", ["monic", "prime"])
     @pytest.mark.parametrize("name", SPECS)
-    def test_finite_n_is_the_same_for_every_safe_gamma(self, name, mode,
-                                                       field2, table2):
-        # gamma places only the guard, which is off from the threshold on
-        psi = parse_function_spec(name, field2)
-        shifts = sp(field2, "0", "x")
-        got = {main_term(9, g, shifts, psi, psi, mode, table2)
-               for g in range(threshold_gamma(2, mode), 13)}
-        assert len(got) == 1
+    def test_finite_n_is_the_same_for_every_safe_gamma(self, name, mode):
+        self._same_for_every_gamma(name, mode, 9)
+
+    @pytest.mark.parametrize("mode", ["monic", "prime"])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_infinite_n_is_the_same_for_every_gamma(self, name, mode):
+        self._same_for_every_gamma(name, mode, None)
 
     @pytest.mark.parametrize("q", [2, 3])
     @pytest.mark.parametrize("n", [None, 6])
@@ -473,10 +621,10 @@ class TestOneWalk:
                 main.tail_bound + joined.tail_bound
 
     def test_infinite_product_does_not_depend_on_the_table(self, field2):
-        # the closure starts from gamma alone; the table gives only the
-        # factorization of h2 - h1, to ShiftPair.table_degree
+        # the table gives only the factorization of h2 - h1, to
+        # ShiftPair.table_degree
         fast = FunctionSpec("fast", field2, lambda d, m: 1.0 - 2.0 ** (-3 * d),
-                            True, True, False, None, 1)
+                            True, True, False, None, 1, decay=(1, 4))
         shifts = sp(field2, "0", "1")
         assert shifts.table_degree == 0
         assert sp(field2, "x", "x^7+1").table_degree == 3

@@ -178,17 +178,21 @@ class TestCharFn:
         comp12 = charfn_comparison(lpr, lpr, sh, 12, "monic", grid, table2)
         assert max(comp12.per_t_error) < max(comp8.per_t_error)
 
-    def test_divergence_warning(self, field2, table2):
+    def test_divergent_spec_refused_at_once(self, field2, table2):
         # an additive rule growing with the degree violates the hypothesis
-        from fqlab import AdditiveSpec
-        bad = AdditiveSpec("growing", field2, lambda d, m: 2.0 ** (d / 2.0),
-                           True, None, None)
-        with pytest.warns(UserWarning):
-            try:
-                limit_charfn(bad, bad, pair(field2, "0", "1"), (1.0,),
-                             "monic", table2)
-            except Exception:
-                pass  # the tail refuses to certify; the warning is the point
+        # and declares no decay bound: refused before any rule value is read
+        from fqlab import AdditiveSpec, MainTermError
+        seen = []
+
+        def growing(d, m):
+            seen.append(d)
+            return 2.0 ** (d / 2.0)
+
+        bad = AdditiveSpec("growing", field2, growing, True, None, None)
+        with pytest.raises(MainTermError, match="no decay bound"):
+            limit_charfn(bad, bad, pair(field2, "0", "1"), (1.0,),
+                         "monic", table2)
+        assert seen == []
 
 
 class TestTuranKubilius:

@@ -5,15 +5,17 @@ default) given to _command beside its handler; the common keys p,
 cache_dir, budget and out come with every table.  The registry of these
 tables, _COMMANDS, is the only list of commands: the first argument
 selects one (no command, or an unknown one, is invalid input), and its
-table alone builds the one parser of the run, with the command's flags
-(--key, '_' written '-'), looks each key up in the flat key=value config
-file named by --config (a flag wins on conflict), and converts every
-value, so a bad value is invalid input whichever way it came.  Every
-degree is an integer >= 1, and so are y and budget; gamma is >= 0, depth
->= 2, and t and C are finite.  A handler sees only the resolved namespace.
-Each run writes a CSV artifact plus a JSON mirror with identical field
-names and prints a short human summary.  Exit codes: 0 success, 1
-invalid input (usage errors included), 2 memory budget exceeded;
+table alone names the flags the run reads (--key, '_' written '-';
+_read_flags reads them as argparse did, with no parser built), looks
+each key up in the flat key=value config file named by --config (a flag
+wins on conflict), and converts every value, so a bad value is invalid
+input whichever way it came.  Every degree is an integer >= 1 (mainterm's
+finite n at most MAX_PARSE_DEGREE), and so are y and budget; gamma is
+>= 0, depth >= 2, and t and C are finite.  A handler sees only the
+resolved namespace.  Each run writes a CSV artifact plus a JSON mirror
+with identical field names, both renamed into place once written, and
+prints a short human summary.  Exit codes: 0 success, 1 invalid input
+(usage errors included), 2 memory budget exceeded;
 --budget bounds the table and the monic scan of every command.
 
 Artifacts are deterministic for a fixed config and cache; the seconds
@@ -23,17 +25,17 @@ omit_timing=1 (then the column is pinned to 0).
 
 from __future__ import annotations
 
-import argparse
 import csv
-import functools
 import json
 import math
 import os
-import shutil
+import re
 import sys
 import time
+import uuid
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable
 
 from .arith import (
@@ -45,7 +47,8 @@ from .arith import (
     scan_degrees,
 )
 from .correlate import CorrelationSpec, correlate, main_term_pair
-from .fieldpoly import FieldSpec, PolyError, format_poly, parse_poly
+from .fieldpoly import (MAX_PARSE_DEGREE, FieldSpec, PolyError, format_poly,
+                        parse_poly)
 from .mainterm import MainTermError, ShiftPair, main_term
 from .sieve import (
     DEFAULT_CELL_BUDGET,
@@ -120,9 +123,10 @@ def _finite(text) -> float:
 
 
 def _degree_or_inf(text: str) -> str:
-    """mainterm's n: inf or none (the limit) or a degree, kept as given."""
-    if text not in ("inf", "none"):
-        _degree(text)
+    """mainterm's n: inf or none (the limit) or a degree, kept as given;
+    a finite walk visits every degree to n, so n <= MAX_PARSE_DEGREE."""
+    if text not in ("inf", "none") and _degree(text) > MAX_PARSE_DEGREE:
+        raise ValueError(f"must be <= {MAX_PARSE_DEGREE}, got {text}")
     return text
 
 
@@ -231,13 +235,25 @@ def _file_identity(path: Path):
 
 
 def _write_artifacts(out: str, rows: list[dict], summary: str) -> None:
+    """Write <out>.csv and <out>.json to temporary files beside them, then
+    rename both into place: a failed write leaves the previous pair."""
     keys = list(rows[0].keys()) if rows else []
-    with open(out + ".csv", "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=keys)
-        w.writeheader()
-        w.writerows(rows)
-    with open(out + ".json", "w") as fh:
-        fh.write(_json_rows(rows))
+    # plain strings: pathlib would intern every one-off temporary name
+    tag = uuid.uuid4().hex
+    tmp = {ext: f"{out}{ext}.{tag}.tmp" for ext in (".csv", ".json")}
+    try:
+        with open(tmp[".csv"], "w", newline="") as fh:
+            w = csv.DictWriter(fh, fieldnames=keys)
+            w.writeheader()
+            w.writerows(rows)
+        with open(tmp[".json"], "w") as fh:
+            fh.write(_json_rows(rows))
+        for ext, path in tmp.items():
+            os.replace(path, out + ext)
+    except BaseException:
+        for path in tmp.values():
+            Path(path).unlink(missing_ok=True)
+        raise
     print(summary)
     print(f"wrote {out}.csv and {out}.json")
 
@@ -540,14 +556,59 @@ def _cmd_diagnostics(a) -> int:
 
 # ---------------------------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        # invalid input exits 1: argparse's own 2 means budget exceeded here
-        self.print_usage(sys.stderr)
-        raise ValueError(f"{self.prog}: {message}")
+def _read_flags(command: str, keys, argv: list[str]) -> dict[str, str]:
+    """argv's value of each key given as its flag, read as argparse read
+    one single-valued flag per key and --config (README.md's CLI section
+    lists the spellings).  A refusal is a ValueError naming the flag;
+    help prints the usage and exits 0 where it is read."""
+    flags = {"-h": None, "--help": None, "--config": "config"}
+    flags.update(("--" + key.replace("_", "-"), key) for key in keys)
+
+    def parse(tok):  # (flag, =value|None), (None, None) unknown, None a value
+        head, eq, value = tok.partition("=")
+        if tok in flags:
+            return tok, None
+        if eq and head in flags:
+            return head, value
+        if tok[:2] == "-h":  # -hVALUE, of which -hh... is help
+            return "-h", tok[2:]
+        if tok[:2] == "--":
+            hits = [f for f in flags if f.startswith(head)]
+            if len(hits) > 1:
+                raise ValueError(f"{tok}: ambiguous: {', '.join(hits)}")
+            if hits:
+                return hits[0], value if eq else None
+        if tok[:1] != "-" or tok == "-" or " " in tok or \
+                re.match(r"-\d+$|-\d*\.\d+$", tok):  # a negative number
+            return None
+        return None, None
+
+    cut = argv.index("--") if "--" in argv else len(argv)
+    marks = [parse(tok) for tok in argv[:cut]]
+    given, extras, i = {}, [], 0
+    while i < cut:
+        flag, value = marks[i] or (None, None)
+        i += 1
+        if flag is None:
+            extras.append(argv[i - 1])
+        elif flags[flag] is None:  # help
+            if value is None or flag == "-h" and set(value) == {"h"}:
+                print(f"usage: fqlab {command} [-h] " + " ".join(
+                    f"[{f} {k.upper()}]" for f, k in flags.items() if k))
+                sys.exit(0)
+            raise ValueError(f"{flag}: takes no value, got {value!r}")
+        elif value is not None:
+            given[flags[flag]] = value
+        elif i < cut and marks[i] is None:
+            given[flags[flag]], i = argv[i], i + 1
+        else:
+            raise ValueError(f"{flag}: expected one argument")
+    if extras := extras + argv[cut:]:
+        raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+    return given
 
 
-def _resolve(argv: list[str]) -> tuple[Callable, argparse.Namespace]:
+def _resolve(argv: list[str]) -> tuple[Callable, SimpleNamespace]:
     """The handler that argv[0] names in _COMMANDS and its values: flag,
     else config entry, else default, each converted by its table."""
     command = argv[0] if argv else None
@@ -560,19 +621,13 @@ def _resolve(argv: list[str]) -> tuple[Callable, argparse.Namespace]:
         what = "no command" if command is None else f"unknown command {command!r}"
         raise ValueError(f"fqlab: {what}; choose from {', '.join(_COMMANDS)}")
     handler, keys = _COMMANDS[command]
-    # argparse would ask the terminal for the width on every add_argument
-    width = shutil.get_terminal_size().columns - 2
-    ap = _Parser(prog=f"fqlab {command}", formatter_class=functools.partial(
-        argparse.HelpFormatter, width=width))
-    ap.add_argument("--config", help="key=value config file")
-    for key in keys:
-        ap.add_argument("--" + key.replace("_", "-"), dest=key)
-    args = ap.parse_args(argv[1:])
-    cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
-    a = argparse.Namespace()
+    given = _read_flags(command, keys, argv[1:])
+    config = given.pop("config", None)
+    cfg = ExperimentConfig.load(config) if config else ExperimentConfig()
+    a = SimpleNamespace()
     for key, (convert, default) in keys.items():
         flag = "--" + key.replace("_", "-")
-        value = cfg.get(key, getattr(args, key), default)
+        value = cfg.get(key, given.get(key), default)
         if value is _REQUIRED:
             raise ValueError(f"{command} needs {flag} or {key}= in the config")
         if callable(value):

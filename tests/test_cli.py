@@ -1,14 +1,18 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import signal
 import struct
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fqlab import (
@@ -18,8 +22,9 @@ from fqlab import (
     build_table,
     irreducible_count,
 )
-from fqlab import arith
+from fqlab import arith, cli
 from fqlab.cli import (
+    _COMMANDS,
     MAX_GRID_POINTS,
     ExperimentConfig,
     _parse_t_grid,
@@ -167,18 +172,120 @@ class TestDeclarationTable:
         ["factor", "--p", "2", "--poly", "x^4+x^2"],
         ["correlate", "--p", "2", "--n", "4", "--f", "kfree:2"],
     ], ids=["factor", "correlate"])
-    def test_one_parser_per_run(self, argv, tmp_path, monkeypatch):
-        # the declaration table selects the command; only its parser is built
-        built = []
-        init = argparse.ArgumentParser.__init__
+    def test_runs_while_argparse_is_refused(self, argv, tmp_path, monkeypatch):
+        # the declaration table reads its own flags: no parser is built
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("an argparse parser was built")
 
-        def counting(self, *args, **kwargs):
-            built.append(kwargs.get("prog"))
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
         assert run(argv, tmp_path, monkeypatch) == 0
-        assert built == [f"fqlab {argv[0]}"]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["tk", "--p", "2", "--n-r", "6:7", "--out", "t"], 0),
+        (["mainterm", "--h", "1"], 1),
+        (["factor", "--c", "c"], 1),
+        (["factor", "--poly=x", "--p", "5", "--p", "2", "--out", "f"], 0),
+        (["charfn", "--p", "2", "--n", "4", "--t-grid", "-3:3:0.5"], 1),
+        (["charfn", "--p", "2", "--n", "4", "--t-grid=-3:3:0.5"], 0),
+        (["factor", "--bogus", "1", "-h"], 0),
+        (["factor", "--p", "-h"], 1),
+        (["factor", "--he"], 0),
+        (["factor", "--poly", "x", "extra"], 1),
+        (["factor", "--poly", "x", "--"], 1),
+        (["factor", "--poly", "x", "-p", "2"], 1),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_flag_spellings(self, argv, code, tmp_path, monkeypatch, capsys):
+        # the spellings argparse accepted and refused, run through main
+        try:
+            rc = run(argv, tmp_path, monkeypatch)
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == code
+        if "--poly=x" in argv:  # the last --p wins
+            assert read_csv(tmp_path / "f.csv")[0]["q"] == "2"
+
+
+def argparse_flags(command, argv):
+    """What the argparse parser built from the command's table, as the CLI
+    once did, makes of argv: its key -> string map, else 1 for a usage
+    error or 0 for help."""
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise ValueError(message)
+
+    ap = Parser(prog=f"fqlab {command}")
+    ap.add_argument("--config")
+    for key in _COMMANDS[command][1]:
+        ap.add_argument("--" + key.replace("_", "-"), dest=key)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            given = vars(ap.parse_args(argv))
+    except ValueError:
+        return 1
+    except SystemExit as exc:
+        return exc.code
+    # argparse strips '--' from --key=--, leaving a list; the tokenizer
+    # keeps the string, which the key's converter then judges
+    return {k: "--" if v == [] else v for k, v in given.items() if v is not None}
+
+
+def tokenizer_flags(command, argv):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli._read_flags(command, _COMMANDS[command][1], argv)
+    except ValueError:
+        return 1
+    except SystemExit as exc:
+        return exc.code
+
+
+def _argv(command):
+    """argv after the command: its flags whole and by prefix, with and
+    without =value, values that start with '-', repeats, '--',
+    positionals, single-dash flags and -h anywhere."""
+    names = ["config", "help", *_COMMANDS[command][1]]
+    prefix = st.sampled_from(names).flatmap(lambda k: st.integers(
+        1, len(k)).map(lambda i: "--" + k.replace("_", "-")[:i]))
+    flag = prefix | st.sampled_from([
+        "-h", "--help", "-hh", "-hx", "-h=h", "-h=", "-p", "---p", "--bogus",
+        "--n_range", "--", "-"])
+    value = st.sampled_from([
+        "2", "x", "kfree:2", "-3", "-3.5", "-.5", "-3:3:0.5", "-x + 1", "",
+        "-h", "--", "a b", "=", "x=1", "-1e3", "-", "--p"]) | st.text(max_size=3)
+    token = flag | value | st.tuples(flag, value).map("=".join)
+    return st.lists(token, max_size=8)
+
+
+_COMMAND_ARGV = st.sampled_from(list(_COMMANDS)).flatmap(
+    lambda c: st.tuples(st.just(c), _argv(c)))
+
+
+class TestParityOracle:
+    # the tokenizer reads every argv as the argparse parser it replaced did
+    @settings(max_examples=150, deadline=None)
+    @given(_COMMAND_ARGV)
+    @example(("tk", ["--n-r", "6:7"]))
+    @example(("factor", ["--he"]))
+    @example(("mainterm", ["--h", "1"]))
+    @example(("factor", ["--c", "c"]))
+    @example(("chowla", ["--h", "x", "--C", "2"]))
+    @example(("dist", ["--n", "-3"]))
+    @example(("charfn", ["--t-grid", "-3:3:0.5"]))
+    @example(("charfn", ["--t-grid=-3:3:0.5"]))
+    @example(("factor", ["--p", "2", "--p=3"]))
+    @example(("factor", ["--bogus", "1", "-h"]))
+    @example(("factor", ["--p", "-h"]))
+    @example(("factor", ["-h", "--c", "c"]))
+    @example(("factor", ["--poly", "x", "--", "-h"]))
+    @example(("factor", ["--poly", "x", "extra"]))
+    @example(("factor", ["-p", "2"]))
+    @example(("factor", ["--poly=--"]))
+    @example(("factor", ["-hh"]))
+    @example(("factor", ["-hx"]))
+    @example(("factor", ["--poly", "-x + 1"]))
+    def test_same_values_and_exits_as_argparse(self, command_argv):
+        command, argv = command_argv
+        assert tokenizer_flags(command, argv) == argparse_flags(command, argv)
 
 
 class TestFactorCommand:
@@ -662,6 +769,19 @@ class TestArtifacts:
         assert capsys.readouterr().out.startswith("summary\n")
 
 
+    def test_failed_json_write_keeps_the_previous_pair(self, tmp_path, capsys):
+        # the CSV is written, then the JSON encoder meets an object it
+        # cannot encode: neither file of the earlier pair is replaced
+        stem = tmp_path / "pair"
+        _write_artifacts(str(stem), [{"a": 1, "b": "x"}], "summary")
+        before = [stem.with_suffix(ext).read_bytes() for ext in (".csv", ".json")]
+        with pytest.raises(TypeError):
+            _write_artifacts(str(stem), [{"a": 2, "b": object()}], "summary")
+        assert [stem.with_suffix(ext).read_bytes()
+                for ext in (".csv", ".json")] == before
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["pair.csv",
+                                                              "pair.json"]
+
 class TestEnumerationBudget:
     def test_oversized_monic_enumeration_exit_2(self, tmp_path, monkeypatch):
         def give_up(signum, frame):
@@ -787,6 +907,81 @@ class TestHostileInputs:
         if flag is not None:
             assert f"invalid input: {flag}: " in capsys.readouterr().err
 
+
+# a key's hostile values; the budget is never the huge one, so that the
+# small budget every fuzzed run starts with bounds its work
+_HOSTILE_VALUES = ["nan", "inf", "-1", str(10**30), "", "x^99999",
+                   "missing/none.txt"]
+_VALID = dict(EVERY_COMMAND)
+
+
+def _fuzzed_run(command):
+    """The command, with up to two of its keys (or --config) given a
+    hostile value and each other key its small run's value or none."""
+    keys = ["config", *_COMMANDS[command][1]]
+    valid = st.fixed_dictionaries({k: st.sampled_from([None, v])
+                                   for k, v in _VALID[command].items()})
+    hostile = st.dictionaries(
+        st.sampled_from(keys), st.sampled_from(_HOSTILE_VALUES), max_size=2
+    ).filter(lambda d: d.get("budget") != str(10**30))
+    return st.tuples(st.just(command), valid, hostile)
+
+
+class TestHostileFuzz:
+    OLD = b"an artifact of an earlier run\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(list(_COMMANDS)).flatmap(_fuzzed_run))
+    @example(("mainterm", {"f": "phi_ratio", "g": "phi_ratio", "h2": "1"},
+              {"n": str(10**30)}))  # once a walk without end
+    @example(("factor", {"poly": "x^4+x+2"}, {"out": "missing/none.txt"}))
+    @example(("sieve", {}, {"max_deg": str(10**30)}))
+    @example(("charfn", {"n": "6"}, {"t_grid": "nan"}))
+    def test_exit_code_and_artifact_pair(self, run_values):
+        command, valid, hostile = run_values
+        values = {k: v for k, v in {**valid, **hostile}.items() if v is not None}
+        argv = [command, "--cache-dir", "cache", "--budget", "4096",
+                "--out", "o", *(f"--{k.replace('_', '-')}={v}"
+                                for k, v in values.items())]
+
+        def give_up(signum, frame):
+            # not TimeoutError: an OSError naming no file may escape main
+            raise AssertionError(f"no exit code within 5 s: {argv}")
+
+        previous = signal.signal(signal.SIGALRM, give_up)
+        home = os.getcwd()
+        with tempfile.TemporaryDirectory() as work:
+            work = Path(work)
+            for ext in (".csv", ".json"):
+                (work / f"o{ext}").write_bytes(self.OLD)
+            os.chdir(work)
+            signal.alarm(5)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    rc = main(argv)
+            except OSError as exc:
+                # the one exception main lets out: an OSError naming no file
+                assert exc.filename is None
+                return
+            finally:
+                signal.alarm(0)
+                signal.signal(signal.SIGALRM, previous)
+                os.chdir(home)
+            assert rc in (0, 1, 2)
+            assert not list(work.glob("**/*.tmp"))
+            written = [f for f in work.glob("**/*.csv")
+                       if f.read_bytes() != self.OLD]
+            if rc != 0:
+                # the earlier pair stays, and nothing else is written
+                assert not written
+                assert (work / "o.json").read_bytes() == self.OLD
+                return
+            assert len(written) == 1
+            rows = read_csv(written[0])
+            mirror = json.loads(Path(str(written[0])[:-4] + ".json").read_text())
+            assert rows == [{k: "" if v is None else str(v)
+                             for k, v in r.items()} for r in mirror]
 
 class TestGridLength:
     def test_default_grid(self):

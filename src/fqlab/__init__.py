@@ -45,16 +45,11 @@ from .arith import (
 from .mainterm import (
     MainTermError,
     ShiftPair,
-    ThresholdError,
     TruncatedValue,
-    default_gamma,
     error_bound_shape,
-    large_prime_product,
     liouville_local_closed,
     local_factor,
     main_term,
-    small_prime_product,
-    threshold_gamma,
 )
 from .correlate import (
     CorrelationReport,

@@ -10,8 +10,11 @@ _read_flags reads them as argparse did, with no parser built), looks
 each key up in the flat key=value config file named by --config (a flag
 wins on conflict), and converts every value, so a bad value is invalid
 input whichever way it came.  Every degree is an integer >= 1 (mainterm's
-finite n at most MAX_PARSE_DEGREE), and so are y and budget; gamma is
->= 0, depth >= 2, and t and C are finite.  A handler sees only the
+finite n at most MAX_PARSE_DEGREE), and so are y and budget; depth is
+>= 2, and t and C are finite.  gamma, the degree where the paper splits
+the Euler product, changes no main term; correlate and mainterm accept
+it (checked >= 0) so that old command lines and config files still run,
+and no handler reads it.  A handler sees only the
 resolved namespace.  Each run writes a CSV artifact plus a JSON mirror
 with identical field names, both renamed into place once written, and
 prints a short human summary.  Exit codes: 0 success, 1 invalid input
@@ -236,7 +239,8 @@ def _file_identity(path: Path):
 
 def _write_artifacts(out: str, rows: list[dict], summary: str) -> None:
     """Write <out>.csv and <out>.json to temporary files beside them, then
-    rename both into place: a failed write leaves the previous pair."""
+    rename both into place: a failed write leaves the previous pair, and
+    a failure between the renames a new CSV beside the old JSON."""
     keys = list(rows[0].keys()) if rows else []
     # plain strings: pathlib would intern every one-off temporary name
     tag = uuid.uuid4().hex
@@ -353,7 +357,8 @@ def _cmd_factor(a) -> int:
     return 0
 
 
-# the shifted pair, or k-point lists, of correlate and mainterm
+# the shifted pair, or k-point lists, of correlate and mainterm; gamma is
+# checked and read by no handler (see the module docstring)
 _EXPERIMENT = {
     "domain": (_domain, "monic"), "f": (str, "one"), "g": (str, "one"),
     "h1": (str, "0"), "h2": (str, "0"), "functions": (str, None),
@@ -391,7 +396,7 @@ def _cmd_correlate(a) -> int:
     rows = []
     for n in ns:
         spec = CorrelationSpec(field, n, a.domain, shifts, functions,
-                               a.gamma, a.depth)
+                               depth=a.depth)
         rep = correlate(spec, table)
         rows.append(_report_row(rep, a.omit_timing))
     last = rows[-1]
@@ -426,8 +431,8 @@ def _cmd_mainterm(a) -> int:
     n = None if a.n in ("inf", "none") else int(a.n)
     pair = ShiftPair(*shifts)
     table = get_table(a.p, max(1, pair.table_degree), a.cache_dir, a.budget)
-    tv = main_term(n, a.gamma, pair, functions[0], functions[1], a.domain,
-                   table, depth=a.depth)
+    tv = main_term(n, pair, functions[0], functions[1], a.domain, table,
+                   depth=a.depth)
     rows = [{"q": a.p, "n": a.n, "mode": a.domain,
              "functions": ";".join(f.name for f in functions),
              "h_list": ";".join(format_poly(h) for h in shifts),
@@ -452,8 +457,7 @@ def _cmd_chowla(a) -> int:
     cap = a.C * math.log(y) ** 4 / y**4 if y > 1 else math.inf
     rows = []
     for n in ns:
-        spec = CorrelationSpec(field, n, "monic", (zero, h), (lam, lam),
-                               gamma=y)
+        spec = CorrelationSpec(field, n, "monic", (zero, h), (lam, lam))
         rep = correlate(spec, table)
         rows.append(_report_row(rep, a.omit_timing,
                                 {"y": y, "bound_C_log4y_y4": repr(cap)}))

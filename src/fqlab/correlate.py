@@ -22,7 +22,7 @@ keeps no remaining degree when every prime above n/2 is 1.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .mainterm import (
     LOCAL_DEPTH_DEFAULT,
     ShiftPair,
     TruncatedValue,
-    default_gamma,
     error_bound_shape,
     main_term,
 )
@@ -61,7 +60,8 @@ class CorrelationSpec:
 
     shifts and functions are parallel lists (k-point sums allowed; main
     terms only attach for k = 2).  Shifts may deliberately coincide; each
-    must have degree < n.  gamma/depth override the main-term defaults.
+    must have degree < n.  depth, given by keyword, overrides the
+    main-term default.
     """
 
     field: FieldSpec
@@ -69,7 +69,7 @@ class CorrelationSpec:
     domain: str  # "monic" | "prime"
     shifts: tuple[Poly, ...]
     functions: tuple[FunctionSpec, ...]
-    gamma: int | None = None
+    _: KW_ONLY  # so that a positional gamma from older callers fails
     depth: int = LOCAL_DEPTH_DEFAULT
 
     def __post_init__(self):
@@ -139,9 +139,8 @@ def correlate(spec: CorrelationSpec, table: IrreducibleTable) -> CorrelationRepo
     main: TruncatedValue | None = None
     deviation: float | None = None
     if (shifts := main_term_pair(spec.functions, spec.shifts)) is not None:
-        main = main_term(n, spec.gamma, shifts, spec.functions[0],
-                         spec.functions[1], spec.domain, table,
-                         depth=spec.depth)
+        main = main_term(n, shifts, spec.functions[0], spec.functions[1],
+                         spec.domain, table, depth=spec.depth)
         deviation = abs(normalized - main.value)
 
     return CorrelationReport(
@@ -223,15 +222,17 @@ def deviation_scan(spec: CorrelationSpec, n_range, table: IrreducibleTable,
     points = []
     for n in n_range:
         s = CorrelationSpec(spec.field, n, spec.domain, spec.shifts,
-                            spec.functions, spec.gamma, spec.depth)
+                            spec.functions, depth=spec.depth)
         rep = correlate(s, table)
         overlay = None
         if overlay_alpha is not None and len(spec.functions) == 2 and \
                 all(p.unit_bounded and p.degree_symmetric for p in spec.functions):
-            gamma = spec.gamma if spec.gamma is not None else \
-                default_gamma(spec.field.p, spec.domain,
-                              ShiftPair(spec.shifts[0], spec.shifts[1]))
-            r = overlay_r if overlay_r is not None else gamma
+            r = overlay_r
+            if r is None:  # deg(h2 - h1), raised until q^r >= 9 (17 prime)
+                delta = spec.shifts[1] - spec.shifts[0]
+                r = 0 if delta.is_zero else delta.degree
+                while spec.field.p ** r < (9 if spec.domain == "monic" else 17):
+                    r += 1
             r = max(1, min(r, n))
             d1 = arith.distance(spec.functions[0],
                                 arith.builtin("one", spec.field), r, n, table)

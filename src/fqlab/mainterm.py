@@ -22,18 +22,18 @@ double sum survives as a test oracle.  It returns the deviation W_P - 1,
 so deviations far below machine epsilon are kept.  The constant function
 gives exactly 1.
 
-One product walk, one accumulator, one certified stop.  Every product
-runs through one walk over the degrees first..last that multiplies the
-factors in log space through log1p, so deviations of order 2^-60 per
-prime still reach the result; the sign of a real negative factor is kept
-apart, so a product of real factors stays real, and a factor exactly 0
-makes the value 0.  main_term walks from degree 1 to n; gamma only splits
-that walk between small_prime_product and large_prime_product, so it
-changes no bit.  At n = infinity the walk stops at the first degree D
-past D0 = max(deg(h2 - h1), each trivial_beyond_degree) where the
-declared decay bounds (C_j, a_j) of FunctionSpec.decay put the remainder
-sum_{e > D} N_e |W_e - 1| below the tail target; from N_e <= q^e / e and
-|W_e - 1| <= 3 s sum_j C_j q^{-a_j e} (s = 1 monic, 2 prime) it is at most
+One product walk, one accumulator, one certified stop.  main_term runs
+one walk over the degrees 1..n that multiplies the factors in log space
+through log1p, so deviations of order 2^-60 per prime still reach the
+result; the sign of a real negative factor is kept apart, so a product
+of real factors stays real, and a factor exactly 0 makes the value 0.
+The paper's split of the product into small and large primes is only a
+range of that walk, so no argument names it.  At n = infinity the walk
+stops at the first degree D past D0 = max(deg(h2 - h1), each
+trivial_beyond_degree) where the declared decay bounds (C_j, a_j) of
+FunctionSpec.decay put the remainder sum_{e > D} N_e |W_e - 1| below the
+tail target; from N_e <= q^e / e and |W_e - 1| <= 3 s sum_j C_j q^{-a_j e}
+(s = 1 monic, 2 prime) it is at most
 sum_j 3 s C_j q^{(1 - a_j)(D + 1)} / ((D + 1)(1 - q^{1 - a_j})).  Each
 result carries a rigorous bound on everything dropped.
 
@@ -64,11 +64,6 @@ _EXTEND_LIMIT = 400
 
 class MainTermError(ValueError):
     pass
-
-
-class ThresholdError(MainTermError):
-    """gamma below the safe threshold (kept for callers; nothing raises it
-    since gamma no longer changes any product)."""
 
 
 @dataclass(frozen=True)
@@ -122,24 +117,6 @@ class ShiftPair:
         if d.is_zero:
             return None
         return {P: m for P, m in factorize(d.monic(), table).factors}
-
-
-def threshold_gamma(q: int, mode: str) -> int:
-    """Smallest gamma with q^gamma >= 9 (monic) or 17 (prime).  It feeds
-    only default_gamma: no product depends on it, since the accumulator
-    keeps exact zeros and real negative factors apart."""
-    floor = 9 if mode == "monic" else 17
-    g = 1
-    while q**g < floor:
-        g += 1
-    return g
-
-
-def default_gamma(q: int, mode: str, shifts: ShiftPair | None) -> int:
-    dd = 0
-    if shifts is not None and not shifts.delta.is_zero:
-        dd = shifts.delta.degree
-    return max(dd, threshold_gamma(q, mode))
 
 
 def _check_mode(mode: str) -> None:
@@ -330,16 +307,16 @@ def _stop(start: int, psi1: FunctionSpec, psi2: FunctionSpec, q: int,
 
 def _walk(first: int, last: int | None, shifts: ShiftPair | None,
           psi1: FunctionSpec, psi2: FunctionSpec, mode: str,
-          table: IrreducibleTable, depth: int,
+          table: IrreducibleTable, depth: int = LOCAL_DEPTH_DEFAULT,
           tail_target: float = INF_TAIL_TARGET) -> TruncatedValue:
     """The product of the local factors over first <= deg P <= last (last
     = None: on to the certified stop, whose remainder enters the tail).
-    An infinite walk refuses a generic factor whose |W - 1| exceeds its
-    declared bound by more than the factor's own tail."""
+    main_term starts at degree 1; a later first leaves a window of the
+    same product for the oracles to check.  An infinite walk refuses a
+    generic factor whose |W - 1| exceeds its declared bound by more than
+    the factor's own tail."""
     _check_mode(mode)
     _require_unit(psi1, psi2)
-    if first < 1:
-        raise MainTermError("gamma must be >= 0")
     if depth < 2:
         raise MainTermError("depth must be >= 2")
     q = table.field.p
@@ -378,39 +355,7 @@ def _walk(first: int, last: int | None, shifts: ShiftPair | None,
     return acc.result(extra_rel=math.expm1(rem / (1 - rem)))
 
 
-def small_prime_product(gamma: int, shifts: ShiftPair | None,
-                        psi1: FunctionSpec, psi2: FunctionSpec, mode: str,
-                        table: IrreducibleTable,
-                        depth: int = LOCAL_DEPTH_DEFAULT) -> TruncatedValue:
-    """Product of the constrained local factors over deg P <= gamma.
-
-    The shift constraint enters through k(P) = v_P(h2 - h1); a zero
-    difference removes the constraint at every prime.  gamma should be at
-    least deg(h2 - h1) so every constrained prime is inside the range.
-    """
-    return _walk(1, gamma, shifts, psi1, psi2, mode, table, depth)
-
-
-def large_prime_product(gamma: int, n: int | None, psi1: FunctionSpec,
-                        psi2: FunctionSpec, mode: str,
-                        table: IrreducibleTable,
-                        m_max: int = LOCAL_DEPTH_DEFAULT,
-                        tail_target: float = INF_TAIL_TARGET, *,
-                        shifts: ShiftPair | None = None) -> TruncatedValue:
-    """Factor product over gamma < deg P <= n (n = None means infinity,
-    walked to the certified stop of the decay bounds, which does not
-    depend on gamma).
-
-    shifts constrains the factors as in small_prime_product: h1 = h2
-    leaves every prime unconstrained, and without shifts every k(P) is 0.
-    Any gamma >= 0 is accepted: a factor near or below 0 is multiplied in
-    like any other.
-    """
-    return _walk(gamma + 1, n, shifts, psi1, psi2, mode, table, m_max,
-                 tail_target)
-
-
-def main_term(n: int | None, gamma: int | None, shifts: ShiftPair | None,
+def main_term(n: int | None, shifts: ShiftPair | None,
               psi1: FunctionSpec, psi2: FunctionSpec, mode: str,
               table: IrreducibleTable,
               depth: int = LOCAL_DEPTH_DEFAULT,
@@ -418,11 +363,10 @@ def main_term(n: int | None, gamma: int | None, shifts: ShiftPair | None,
     """Predicted normalized limit: the product of the constrained local
     factors over deg P <= n, walked once from degree 1; n = None walks to
     the certified stop of the declared decay bounds (see the module
-    docstring) and refuses a function without one.  gamma changes no
-    bit: it only splits the same walk between small_prime_product and
-    large_prime_product.  A finite n refuses a shift of degree >= n, as
-    the sums do.  On the irreducible domain it is the limit only when
-    neither shift is divisible by a prime (see the module docstring)."""
+    docstring) and refuses a function without one.  A finite n refuses a
+    shift of degree >= n, as the sums do.  On the irreducible domain it
+    is the limit only when neither shift is divisible by a prime (see the
+    module docstring)."""
     if n is not None and shifts is not None:
         for h in (shifts.h1, shifts.h2):
             if not h.is_zero and h.degree >= n:

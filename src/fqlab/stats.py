@@ -170,8 +170,7 @@ def empirical_charfn(psi1: FunctionSpec, psi2: FunctionSpec, shifts: ShiftPair,
 
 
 def limit_charfn(psi1: FunctionSpec, psi2: FunctionSpec, shifts: ShiftPair,
-                 t_grid, mode: str, table: IrreducibleTable,
-                 gamma: int | None = None,
+                 t_grid, mode: str, table: IrreducibleTable, *,
                  tail_target: float = INF_TAIL_TARGET) -> CharFunctionGrid:
     """phi(t): the predicted limiting characteristic function, evaluated
     per t as the main term of the exponentiated additive functions: the
@@ -179,12 +178,12 @@ def limit_charfn(psi1: FunctionSpec, psi2: FunctionSpec, shifts: ShiftPair,
     exp_additive puts the remainder below tail_target.  At every t != 0,
     an additive function with neither a decay bound (a > 1) nor a trivial
     degree, such as omega, raises MainTermError before any degree is
-    walked; gamma changes no bit."""
+    walked."""
     out = []
     for t in t_grid:
         e1 = exp_additive(psi1, float(t))
         e2 = exp_additive(psi2, float(t))
-        out.append(main_term(None, gamma, shifts, e1, e2, mode, table,
+        out.append(main_term(None, shifts, e1, e2, mode, table,
                              tail_target=tail_target))
     return CharFunctionGrid(tuple(float(t) for t in t_grid),
                             phi_limit=tuple(out))

@@ -70,8 +70,7 @@ def chowla_runs(field2, table2):
     t0 = time.perf_counter()
     reps = {}
     for n in (10, 20):
-        spec = CorrelationSpec(field2, n, "monic", (zero, x), (lam2, lam2),
-                               gamma=2)
+        spec = CorrelationSpec(field2, n, "monic", (zero, x), (lam2, lam2))
         reps[n] = correlate(spec, table2)
     return reps, time.perf_counter() - t0
 
@@ -162,13 +161,13 @@ def test_criterion_06_truncated_chowla_trend(chowla_runs):
 def test_criterion_07_phi_ratio_product(field2, table2):
     pr = builtin("phi_ratio", field2)
     zero, one_h = parse_poly("0", field2), parse_poly("1", field2)
-    target = main_term(None, 4, ShiftPair(zero, one_h), pr, pr, "monic",
+    target = main_term(None, ShiftPair(zero, one_h), pr, pr, "monic",
                        table2, tail_target=1e-12)
     assert target.tail_bound <= 1e-10
     devs = []
     for n in (8, 10, 12, 14, 16, 18):
         rep = correlate(CorrelationSpec(field2, n, "monic", (zero, one_h),
-                                        (pr, pr), gamma=4), table2)
+                                        (pr, pr)), table2)
         devs.append(abs(rep.normalized - target.value))
     assert devs[-1] < devs[0]
     decreasing = sum(1 for a, b in zip(devs, devs[1:]) if b < a)

@@ -6,6 +6,8 @@ import json
 import os
 import signal
 import struct
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -338,6 +340,26 @@ class TestCorrelateCommand:
         assert rc == 0
         rows = read_csv(tmp_path / "fromcfg.csv")
         assert float(rows[0]["raw_re"]) == 2.0
+
+    @pytest.mark.parametrize("argv", [
+        ["correlate", "--p", "2", "--n-range", "6:8:2", "--f", "kfree:2",
+         "--g", "liouville_trunc:3", "--h1", "0", "--h2", "x",
+         "--omit-timing", "1"],
+        ["mainterm", "--p", "2", "--n", "inf", "--f", "kfree:2",
+         "--g", "phi_ratio", "--h1", "0", "--h2", "x^2+x"],
+    ], ids=["correlate", "mainterm"])
+    def test_gamma_changes_no_byte(self, argv, tmp_path, monkeypatch):
+        # gamma is checked and read by no handler, from a flag or a file
+        cfg = tmp_path / "gamma.cfg"
+        cfg.write_text("gamma=4\n")
+        pairs = []
+        for i, extra in enumerate(([], ["--gamma", "4"],
+                                   ["--config", str(cfg)])):
+            assert run([*argv, *extra, "--out", f"o{i}"],
+                       tmp_path, monkeypatch) == 0
+            pairs.append([(tmp_path / f"o{i}{ext}").read_bytes()
+                          for ext in (".csv", ".json")])
+        assert pairs[0] == pairs[1] == pairs[2]
 
 
 class TestChowlaCommand:
@@ -721,6 +743,37 @@ class TestCacheRecovery:
         raw = (cache / "p2_d8.fqi").read_bytes()
         assert struct.unpack_from("<I", raw, 4) == (2,)
 
+    def test_processes_sharing_a_corrupt_cache(self, tmp_path):
+        # 4 processes x 2 trials meet one spoilt table at once: each
+        # rebuilds or loads a sound one, and all write the same factors
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        bad = cache / "p2_d8.fqi"
+        build_table(FieldSpec(2), 8).save(bad)
+        spoilt = bad.read_bytes()[:-1] + b"\x02"
+        outs = []
+        for trial in range(2):
+            bad.write_bytes(spoilt)
+            procs = [subprocess.Popen(
+                [sys.executable, "-m", "fqlab.cli", "factor", "--p", "2",
+                 "--poly", "x^16+x", "--cache-dir", str(cache),
+                 "--out", f"o{trial}{i}"],
+                cwd=tmp_path, env=env, stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL) for i in range(4)]
+            try:
+                codes = [proc.wait(timeout=60) for proc in procs]
+            finally:
+                for proc in procs:
+                    proc.kill()  # nothing to do once it has exited
+            assert codes == [0] * 4
+            outs += [(tmp_path / f"o{trial}{i}.json").read_bytes()
+                     for i in range(4)]
+        assert len(set(outs)) == 1
+        assert IrreducibleTable.load(bad).max_deg == 8
+
 
 class TestArtifacts:
     @staticmethod
@@ -875,6 +928,7 @@ HOSTILE = [
     (["chowla", "--p", "2", "--C", "nan", "--n-range", "4:5"], 1, "--C"),
     (["chowla", "--p", "2", "--C", "inf", "--n-range", "4:5"], 1, "--C"),
     (["correlate", "--p", "2", "--n", "4", "--gamma", "-1"], 1, "--gamma"),
+    (["mainterm", "--p", "2", "--gamma", "-1"], 1, "--gamma"),
     (["correlate", "--p", "2", "--n", "4", "--depth", "-1"], 1, "--depth"),
     (["mainterm", "--p", "2", "--depth", "1"], 1, "--depth"),
     (["chowla", "--p", "2", "--y", "-1"], 1, "--y"),

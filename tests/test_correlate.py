@@ -52,7 +52,7 @@ class TestBasicSums:
         kf = builtin("kfree", field2, k=2)
         zero, one_h = parse_poly("0", field2), parse_poly("1", field2)
         rep = correlate(CorrelationSpec(field2, 2, "monic", (zero, one_h),
-                                        (kf, kf), gamma=4), table2)
+                                        (kf, kf)), table2)
         assert rep.raw_sum == 2
 
     def test_prime_domain_singleton(self, field2, table2):
@@ -143,8 +143,7 @@ class TestBasicSums:
     def test_equal_shifts_zero_delta_main(self, field2, table2):
         lam2 = builtin("liouville_truncated", field2, y=2)
         x = parse_poly("x", field2)
-        spec = CorrelationSpec(field2, 8, "monic", (x, x), (lam2, lam2),
-                               gamma=2)
+        spec = CorrelationSpec(field2, 8, "monic", (x, x), (lam2, lam2))
         rep = correlate(spec, table2)
         assert rep.main is not None
         want = brute_correlation(field2, 8, "monic", (x, x), (lam2, lam2),
@@ -217,6 +216,14 @@ class TestValidation:
         with pytest.raises(EngineError):
             CorrelationSpec(field2, 4, "monic", (parse_poly("0", field2),),
                             (omega,))
+
+    def test_depth_only_by_keyword(self, field2):
+        # a positional gamma from an older caller must not pass for depth
+        one = builtin("one", field2)
+        args = (field2, 4, "monic", (parse_poly("0", field2),), (one,))
+        with pytest.raises(TypeError):
+            CorrelationSpec(*args, 4)
+        assert CorrelationSpec(*args, depth=4).depth == 4
 
     def test_wrong_field_table(self, field2, table3):
         one = builtin("one", field2)
@@ -311,3 +318,17 @@ class TestDeviationScan:
             assert p.report.main is not None
             assert p.bound_overlay is not None and p.bound_overlay > 0
         assert pts[-1].report.deviation < pts[0].report.deviation
+
+    @pytest.mark.parametrize("domain, h2, r", [
+        ("monic", "1", 4), ("prime", "1", 5), ("monic", "x^5+x", 5)])
+    def test_overlay_r_defaults_to_the_shift_degree(self, domain, h2, r,
+                                                     field2, table2):
+        # deg(h2 - h1), raised until q^r >= 9 (monic) or 17 (prime)
+        kf = builtin("kfree", field2, k=2)
+        spec = CorrelationSpec(field2, 7, domain,
+                               (parse_poly("0", field2), parse_poly(h2, field2)),
+                               (kf, kf))
+        auto, pinned = (deviation_scan(spec, (7,), table2, overlay_r=given)
+                        for given in (None, r))
+        assert [p.bound_overlay for p in auto] == \
+            [p.bound_overlay for p in pinned]

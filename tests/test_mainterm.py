@@ -15,18 +15,14 @@ from fqlab import (
     builtin_additive,
     correlate,
     custom_from_table,
-    default_gamma,
     error_bound_shape,
     exp_additive,
     irreducible_count,
-    large_prime_product,
     liouville_local_closed,
     local_factor,
     main_term,
     parse_function_spec,
     parse_poly,
-    small_prime_product,
-    threshold_gamma,
 )
 from fqlab.arith import FunctionSpec
 from fqlab.mainterm import (
@@ -34,6 +30,7 @@ from fqlab.mainterm import (
     _degree_factors,
     _factor,
     _LogProduct,
+    _walk,
 )
 
 
@@ -182,7 +179,7 @@ class TestEqualShifts:
         table = build_table(field, 4)
         kf = builtin("kfree", field, k=2)
         x = parse_poly("x", field)
-        tv = main_term(None, None, ShiftPair(x, x), kf, kf, "monic", table)
+        tv = main_term(None, ShiftPair(x, x), kf, kf, "monic", table)
         assert abs(tv.value - (1 - 1 / q)) <= tv.tail_bound + 1e-14
 
     @pytest.mark.parametrize("q", [2, 3, 5])
@@ -192,7 +189,7 @@ class TestEqualShifts:
         table = build_table(field, 4)
         pr = builtin("phi_ratio", field)
         zero = parse_poly("0", field)
-        tv = main_term(None, None, ShiftPair(zero, zero), pr, pr, "monic", table)
+        tv = main_term(None, ShiftPair(zero, zero), pr, pr, "monic", table)
         log_ref = sum(irreducible_count(q, d)
                       * math.log1p(-2.0 * q ** (-2.0 * d) + q ** (-3.0 * d))
                       for d in range(1, 200))
@@ -208,11 +205,9 @@ class TestEqualShifts:
     def test_large_prime_shift_keyword(self, field2, table2):
         # without shifts every k(P) is 0, as with a unit shift difference
         kf = builtin("kfree", field2, k=2)
-        plain = large_prime_product(4, 12, kf, kf, "monic", table2)
-        unit = large_prime_product(4, 12, kf, kf, "monic", table2,
-                                   shifts=sp(field2, "0", "1"))
-        equal = large_prime_product(4, 12, kf, kf, "monic", table2,
-                                    shifts=sp(field2, "x", "x"))
+        plain = _walk(5, 12, None, kf, kf, "monic", table2)
+        unit = _walk(5, 12, sp(field2, "0", "1"), kf, kf, "monic", table2)
+        equal = _walk(5, 12, sp(field2, "x", "x"), kf, kf, "monic", table2)
         assert plain == unit
         want = 1.0
         for d in range(5, 13):
@@ -221,15 +216,21 @@ class TestEqualShifts:
 
 
 class TestTailOracle:
-    """The infinite large-prime product against the same per-degree
-    factors multiplied in 60-digit arithmetic over degrees up to 300."""
+    """The infinite product against the same per-degree factors
+    multiplied in 60-digit arithmetic over degrees up to 300."""
+
+    # the walk past degree g alone, g = (monic, prime) by q: a degree-1
+    # factor can be exactly 0 (kfree:2 on the prime domain at p = 2),
+    # which would leave nothing to check from degree 1
+    SPLIT = {2: (4, 5), 3: (2, 3), 5: (2, 2), 7: (2, 2), 11: (1, 2),
+             13: (1, 2)}
 
     @staticmethod
-    def _exact(psi, mode, gamma, k, counts):
+    def _exact(psi, mode, g, k, counts):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(60):
             log = mpmath.mpf(0)
-            for d in range(gamma + 1, len(counts)):
+            for d in range(g + 1, len(counts)):
                 dev, _ = _factor(psi, psi, d, k, mode, LOCAL_DEPTH_DEFAULT)
                 log += counts[d] * mpmath.log1p(mpmath.mpf(dev))
             return mpmath.exp(log)
@@ -244,13 +245,11 @@ class TestTailOracle:
         counts = [0] + [irreducible_count(q, d) for d in range(1, 301)]
         misses = []
         for psi in specs:
-            for mode in ("monic", "prime"):
+            for mode, g in zip(("monic", "prime"), self.SPLIT[q]):
                 # no shifts: every k(P) is 0; h1 = h2: no constraint
                 for shifts, k in ((None, 0), (ShiftPair(x, x), None)):
-                    gamma = default_gamma(q, mode, shifts)
-                    tv = large_prime_product(gamma, None, psi, psi, mode,
-                                             table, shifts=shifts)
-                    err = abs(tv.value - self._exact(psi, mode, gamma, k, counts))
+                    tv = _walk(g + 1, None, shifts, psi, psi, mode, table)
+                    err = abs(tv.value - self._exact(psi, mode, g, k, counts))
                     if err > tv.tail_bound:
                         misses.append((psi.name, mode, k, float(err / tv.tail_bound)))
         assert misses == []
@@ -286,7 +285,7 @@ class TestTailOracle:
         table = build_table(field, 2)
         psi = parse_function_spec(name, field)
         shifts = sp(field, "0", h2)
-        tv = main_term(None, None, shifts, psi, psi, mode, table)
+        tv = main_term(None, shifts, psi, psi, mode, table)
         exact = self._exact_walk(psi, mode, shifts, table, 300)
         assert abs(tv.value - exact) <= tv.tail_bound, float(abs(tv.value - exact))
 
@@ -295,7 +294,7 @@ class TestTailOracle:
         mu = builtin("moebius", field2)
         dev, tail = _factor(mu, mu, 2, 0, "monic", LOCAL_DEPTH_DEFAULT)
         assert (1 + dev, tail) == (0.125, 0.0)
-        tv = main_term(8, None, sp(field2, "0", "1"), mu, mu, "monic",
+        tv = main_term(8, sp(field2, "0", "1"), mu, mu, "monic",
                        build_table(field2, 1))
         exact = self._exact_walk(mu, "monic", sp(field2, "0", "1"),
                                  build_table(field2, 1), 8)
@@ -346,16 +345,16 @@ class TestDecayBound:
         for psi in (bare, weak, builtin("moebius", field2),
                     builtin("liouville", field2)):
             with pytest.raises(MainTermError, match="no decay bound"):
-                main_term(None, None, shifts, psi, psi, "monic", table2)
+                main_term(None, shifts, psi, psi, "monic", table2)
         assert seen == []
         # a bound too slow to reach the target within _EXTEND_LIMIT degrees
         slow = FunctionSpec("slow", field2, rule, True, True, False, None, 1,
                             decay=(1, 1.01))
         with pytest.raises(MainTermError, match="do not reach"):
-            main_term(None, None, shifts, slow, slow, "monic", table2)
+            main_term(None, shifts, slow, slow, "monic", table2)
         assert seen == []
         # a finite n reads no bound
-        main_term(9, None, shifts, bare, bare, "monic", table2)
+        main_term(9, shifts, bare, bare, "monic", table2)
         assert seen
 
     def test_contradicted_bound_raises(self, field2, table2):
@@ -365,7 +364,7 @@ class TestDecayBound:
                             True, True, False, None, 1, decay=(1, 3))
         for mode, d in (("monic", 2), ("prime", 3)):
             with pytest.raises(MainTermError, match=f"degree {d} deviates"):
-                main_term(None, None, sp(field2, "0", "1"), liar, liar, mode,
+                main_term(None, sp(field2, "0", "1"), liar, liar, mode,
                           table2)
 
     def test_stop_is_the_first_certified_degree(self, field2, table2,
@@ -381,17 +380,19 @@ class TestDecayBound:
 
         monkeypatch.setattr(mt, "_degree_factors", spy)
         pr = builtin("phi_ratio", field2)
-        tv = main_term(None, None, sp(field2, "0", "1"), pr, pr, "monic", table2)
+        tv = main_term(None, sp(field2, "0", "1"), pr, pr, "monic", table2)
         assert walked == list(range(1, 39))
         assert tv.tail_bound < 1e-12
 
 
 class TestSmallPrimeProduct:
+    """The walk over the small primes, the degrees 1..g."""
+
     def test_liouville_shift_x_factors(self, field2, table2):
         # shift difference x: valuation 1 at P = x, 0 elsewhere
         lam2 = builtin("liouville_truncated", field2, y=2)
-        got = small_prime_product(2, sp(field2, "0", "x"), lam2, lam2,
-                                  "monic", table2, depth=60)
+        got = main_term(2, sp(field2, "0", "x"), lam2, lam2, "monic", table2,
+                        depth=60)
         want = (float(liouville_local_closed(1, 1, 2))
                 * float(liouville_local_closed(1, 0, 2))
                 * float(liouville_local_closed(2, 0, 2)))
@@ -403,7 +404,7 @@ class TestSmallPrimeProduct:
         # constraint at every prime
         lam = builtin("liouville", field2)
         pair = sp(field2, "x", "x")
-        got = small_prime_product(3, pair, lam, lam, "monic", table2)
+        got = main_term(3, pair, lam, lam, "monic", table2)
         manual = 1.0
         for d in (1, 2, 3):
             w = local_factor(d, None, lam, lam, "monic")
@@ -412,8 +413,7 @@ class TestSmallPrimeProduct:
 
     def test_gamma_zero_empty_product(self, field2, table2):
         lam = builtin("liouville", field2)
-        got = small_prime_product(0, sp(field2, "0", "1"), lam, lam,
-                                  "monic", table2)
+        got = _walk(1, 0, sp(field2, "0", "1"), lam, lam, "monic", table2)
         assert got.value == 1 and got.tail_bound == 0.0
 
     def test_literal_double_sum_oracle_gamma1(self, field2, table2):
@@ -443,32 +443,35 @@ class TestSmallPrimeProduct:
                         direct += (alpha(lam3, 1, a1) * alpha(lam3, 1, b1)
                                    * alpha(lam3, 1, a2) * alpha(lam3, 1, b2)
                                    * w)
-        got = small_prime_product(1, sp(field2, "0", "x"), lam3, lam3,
-                                  "monic", table2, depth=40)
+        # (main_term refuses n = 1 with a shift of degree 1)
+        got = _walk(1, 1, sp(field2, "0", "x"), lam3, lam3, "monic", table2,
+                    depth=40)
         # the oracle itself is truncated at exponent 12; allow its tail
         assert abs(got.value - direct) < 1e-3
 
 
 class TestLargePrimeProduct:
+    """The walk over the large primes, the degrees past g alone."""
+
     def test_constant_one_exact(self, field2, table2):
         one = builtin("one", field2)
         for mode in ("monic", "prime"):
             for n in (8, None):
-                v = large_prime_product(4 if mode == "monic" else 5, n,
-                                        one, one, mode, table2)
+                v = _walk(5 if mode == "monic" else 6, n, None, one, one,
+                          mode, table2)
                 assert v.value == 1.0
                 assert v.tail_bound == 0.0
 
     def test_prime_mode_telescoping_identity(self, field2, table2):
         # each factor 1 - 2/phi(P) + 2 sum q^{-kd} collapses to exactly 1
         one = builtin("one", field2)
-        v = large_prime_product(5, 9, one, one, "prime", table2)
+        v = _walk(6, 9, None, one, one, "prime", table2)
         assert v.value == 1.0
 
     def test_kfree_factor_shape(self, field2, table2):
         # per-degree factor (1 - 2 q^{-2d})^{N_d}
         kf = builtin("kfree", field2, k=2)
-        got = large_prime_product(4, 9, kf, kf, "monic", table2)
+        got = _walk(5, 9, None, kf, kf, "monic", table2)
         want = 1.0
         for d in range(5, 10):
             want *= (1.0 - 2.0 * 4.0 ** -d) ** table2.count(d)
@@ -476,34 +479,34 @@ class TestLargePrimeProduct:
 
     def test_infinite_cutoff_honesty(self, field2, table2):
         pr = builtin("phi_ratio", field2)
-        base = large_prime_product(4, None, pr, pr, "monic", table2)
-        deeper = large_prime_product(4, None, pr, pr, "monic", table2,
-                                     tail_target=1e-15)
+        base = _walk(5, None, None, pr, pr, "monic", table2)
+        deeper = _walk(5, None, None, pr, pr, "monic", table2,
+                       tail_target=1e-15)
         assert deeper.tail_bound < base.tail_bound
         assert abs(deeper.value - base.value) <= base.tail_bound
 
     def test_gamma_below_the_threshold_changes_no_bit(self, field2, table2):
-        # the moebius factor at degree 2 is 1/8, below 1/4, yet gamma 1
-        # below the threshold 4 gives the product of gamma 4
+        # the moebius factor at degree 2 is 1/8, below 1/4, yet the walk
+        # split at degree 1, below the degree 4 where q^g first reaches 9,
+        # composes to the whole product
         mu = builtin("moebius", field2)
         shifts = sp(field2, "0", "1")
-        low, high = (main_term(8, g, shifts, mu, mu, "monic", table2)
-                     for g in (1, 4))
-        assert low == high and low.value != 0
-        head = small_prime_product(1, shifts, mu, mu, "monic", table2)
-        bulk = large_prime_product(1, 8, mu, mu, "monic", table2)
-        assert abs(head.value * bulk.value - low.value) <= low.tail_bound
+        whole = main_term(8, shifts, mu, mu, "monic", table2)
+        assert whole.value != 0
+        head = _walk(1, 1, shifts, mu, mu, "monic", table2)
+        bulk = _walk(2, 8, None, mu, mu, "monic", table2)
+        assert abs(head.value * bulk.value - whole.value) <= whole.tail_bound
 
     def test_trivial_functions_allowed_below_threshold(self, field2, table2):
         lam2 = builtin("liouville_truncated", field2, y=2)
-        v = large_prime_product(2, None, lam2, lam2, "monic", table2)
+        v = _walk(3, None, None, lam2, lam2, "monic", table2)
         assert v.value == 1.0 and v.tail_bound == 0.0
 
     def test_infinite_needs_degree_symmetry(self, field2, table2):
         odd = FunctionSpec("odd", field2, None, False, True, False, None, 1,
                            rule_poly=lambda P, m: 1.0)
         with pytest.raises(MainTermError):
-            large_prime_product(4, None, odd, odd, "monic", table2)
+            _walk(5, None, None, odd, odd, "monic", table2)
 
     def test_non_symmetric_finite_matches_symmetric(self, field2, table2):
         # a rule_poly that is in fact degree-symmetric agrees with the
@@ -512,14 +515,14 @@ class TestLargePrimeProduct:
         slow = FunctionSpec(
             "pr_slow", field2, None, False, True, False, None, 1,
             rule_poly=lambda P, m: 1.0 - 2.0 ** -P.degree)
-        a = large_prime_product(4, 9, pr, pr, "monic", table2)
-        b = large_prime_product(4, 9, slow, slow, "monic", table2)
+        a = _walk(5, 9, None, pr, pr, "monic", table2)
+        b = _walk(5, 9, None, slow, slow, "monic", table2)
         assert abs(a.value - b.value) < 1e-12
 
     def test_divergent_functions_raise(self, field2, table2):
         lam = builtin("liouville", field2)
         with pytest.raises(MainTermError):
-            large_prime_product(4, None, lam, lam, "monic", table2)
+            _walk(5, None, None, lam, lam, "monic", table2)
 
 
 class TestMainTerm:
@@ -527,7 +530,7 @@ class TestMainTerm:
         one = builtin("one", field2)
         for mode, n in (("monic", 14), ("monic", None),
                         ("prime", 9), ("prime", None)):
-            tv = main_term(n, None, sp(field2, "0", "x"), one, one, mode, table2)
+            tv = main_term(n, sp(field2, "0", "x"), one, one, mode, table2)
             assert tv.value == 1.0
 
     def test_truncated_liouville_closed_form(self, field2, table2):
@@ -535,7 +538,7 @@ class TestMainTerm:
         # closed-form local factors
         lam2 = builtin("liouville_truncated", field2, y=2)
         for n in (10, 20, None):
-            tv = main_term(n, 2, sp(field2, "0", "x"), lam2, lam2,
+            tv = main_term(n, sp(field2, "0", "x"), lam2, lam2,
                            "monic", table2, depth=60)
             assert abs(tv.value - (-1.0 / 45.0)) <= tv.tail_bound + 1e-13
 
@@ -546,8 +549,8 @@ class TestMainTerm:
         copy = FunctionSpec("lam2_poly", field2, None, False, True, True, 2,
                             None, rule_poly=lambda P, m: lam2.rule_dm(P.degree, m))
         shifts = sp(field2, "0", "x")
-        a = main_term(7, None, shifts, lam2, lam2, "monic", table2)
-        b = main_term(7, None, shifts, copy, copy, "monic", table2)
+        a = main_term(7, shifts, lam2, lam2, "monic", table2)
+        b = main_term(7, shifts, copy, copy, "monic", table2)
         assert abs(a.value - b.value) <= 1e-12
         reps = [correlate(CorrelationSpec(field2, 7, "monic",
                                           (shifts.h1, shifts.h2), (f, f)), table2)
@@ -558,67 +561,55 @@ class TestMainTerm:
     def test_phi_ratio_infinite_product(self, field2, table2):
         # against an independent high-cutoff evaluation in log space
         pr = builtin("phi_ratio", field2)
-        tv = main_term(None, 4, sp(field2, "0", "1"), pr, pr, "monic", table2)
+        tv = main_term(None, sp(field2, "0", "1"), pr, pr, "monic", table2)
         log_ref = sum(irreducible_count(2, d) * math.log1p(-2.0 * 4.0 ** -d)
                       for d in range(1, 200))
         assert abs(tv.value - math.exp(log_ref)) <= tv.tail_bound + 1e-14
         assert tv.tail_bound <= 1e-10
 
-    def test_gamma_defaults(self, field2):
-        assert threshold_gamma(2, "monic") == 4
-        assert threshold_gamma(2, "prime") == 5
-        assert threshold_gamma(3, "monic") == 2
-        assert threshold_gamma(3, "prime") == 3
-        pair = sp(field2, "0", "x^6+x")
-        assert default_gamma(2, "monic", pair) == 6
-        assert default_gamma(2, "monic", sp(field2, "0", "1")) == 4
-
 
 class TestOneWalk:
-    """main_term, small_prime_product and large_prime_product are one walk
-    over the degrees through one log-space accumulator."""
+    """main_term is one walk over the degrees through one log-space
+    accumulator; the paper's split of it at a degree g, into the small
+    primes 1..g and the large ones past g, composes to the whole."""
 
     SPECS = ("phi_ratio", "kfree:2", "kfree:3", "liouville_trunc:3")
 
     @staticmethod
-    def _same_for_every_gamma(name, mode, n):
-        # gamma only splits the walk, so every gamma from 0 on is safe
-        for q in (2, 3):
-            field = FieldSpec(q)
-            table = build_table(field, 1)
-            psi = parse_function_spec(name, field)
-            shifts = sp(field, "0", "x")
-            got = {main_term(n, g, shifts, psi, psi, mode, table)
-                   for g in range(13)}
-            assert len(got) == 1, (q, got)
+    def _split_composes(name, mode, n, table, splits):
+        psi = parse_function_spec(name, table.field)
+        shifts = sp(table.field, "0", "x")
+        main = main_term(n, shifts, psi, psi, mode, table)
+        for g in splits:
+            head = _walk(1, g, shifts, psi, psi, mode, table)
+            bulk = _walk(g + 1, n, shifts, psi, psi, mode, table)
+            joined = head.times(bulk)
+            assert abs(main.value - joined.value) <= \
+                main.tail_bound + joined.tail_bound, (table.field.p, g)
 
     @pytest.mark.parametrize("mode", ["monic", "prime"])
     @pytest.mark.parametrize("name", SPECS)
     def test_finite_n_is_the_same_for_every_safe_gamma(self, name, mode):
-        self._same_for_every_gamma(name, mode, 9)
+        for q in (2, 3):
+            self._split_composes(name, mode, 9, build_table(FieldSpec(q), 1),
+                                 range(10))
 
     @pytest.mark.parametrize("mode", ["monic", "prime"])
     @pytest.mark.parametrize("name", SPECS)
     def test_infinite_n_is_the_same_for_every_gamma(self, name, mode):
-        self._same_for_every_gamma(name, mode, None)
+        for q in (2, 3):
+            self._split_composes(name, mode, None,
+                                 build_table(FieldSpec(q), 1), range(13))
 
     @pytest.mark.parametrize("q", [2, 3])
     @pytest.mark.parametrize("n", [None, 6])
     @pytest.mark.parametrize("name", SPECS)
     def test_main_term_is_small_times_large(self, name, n, q):
-        field = FieldSpec(q)
-        table = build_table(field, 6)
-        psi = parse_function_spec(name, field)
-        for mode in ("monic", "prime"):
-            shifts = sp(field, "0", "x")
-            gamma = default_gamma(q, mode, shifts)
-            main = main_term(n, gamma, shifts, psi, psi, mode, table)
-            head = small_prime_product(gamma, shifts, psi, psi, mode, table)
-            bulk = large_prime_product(gamma, n, psi, psi, mode, table,
-                                       shifts=shifts)
-            joined = head.times(bulk)
-            assert abs(main.value - joined.value) <= \
-                main.tail_bound + joined.tail_bound
+        # at the paper's split: deg(h2 - h1) = 1, raised until q^g >= 9
+        # (monic) or 17 (prime)
+        table = build_table(FieldSpec(q), 6)
+        for mode, g in zip(("monic", "prime"), {2: (4, 5), 3: (2, 3)}[q]):
+            self._split_composes(name, mode, n, table, [g])
 
     def test_infinite_product_does_not_depend_on_the_table(self, field2):
         # the table gives only the factorization of h2 - h1, to
@@ -628,7 +619,7 @@ class TestOneWalk:
         shifts = sp(field2, "0", "1")
         assert shifts.table_degree == 0
         assert sp(field2, "x", "x^7+1").table_degree == 3
-        small, large = (main_term(None, None, shifts, fast, fast, "monic",
+        small, large = (main_term(None, shifts, fast, fast, "monic",
                                   build_table(field2, d)) for d in (1, 18))
         assert small == large
 
@@ -638,10 +629,10 @@ class TestOneWalk:
         gapped = custom_from_table(field2, {(1, 1): 0.5, (10, 1): -1.0})
         assert gapped.trivial_beyond_degree == 10
         shifts = sp(field2, "0", "1")
-        finite = main_term(30, None, shifts, gapped, gapped, "monic",
+        finite = main_term(30, shifts, gapped, gapped, "monic",
                            build_table(field2, 1))
         for d in (1, 12):
-            inf = main_term(None, None, shifts, gapped, gapped, "monic",
+            inf = main_term(None, shifts, gapped, gapped, "monic",
                             build_table(field2, d))
             assert abs(inf.value - finite.value) <= inf.tail_bound
 
@@ -656,7 +647,7 @@ class TestOneWalk:
         monkeypatch.setattr(ShiftPair, "prime_valuations", spy)
         pr = builtin("phi_ratio", field2)
         for n in (None, 9):
-            main_term(n, None, sp(field2, "0", "x^2+x"), pr, pr, "monic", table2)
+            main_term(n, sp(field2, "0", "x^2+x"), pr, pr, "monic", table2)
         assert len(calls) == 2
 
     def test_negative_factor_keeps_product_real(self, field2, table2):
@@ -664,8 +655,8 @@ class TestOneWalk:
         # apart from the logarithms
         lam2 = builtin("liouville_truncated", field2, y=2)
         shifts = sp(field2, "0", "x")
-        for tv in (small_prime_product(2, shifts, lam2, lam2, "monic", table2),
-                   main_term(None, 2, shifts, lam2, lam2, "monic", table2)):
+        for tv in (main_term(2, shifts, lam2, lam2, "monic", table2),
+                   main_term(None, shifts, lam2, lam2, "monic", table2)):
             assert isinstance(tv.value, float)
             assert abs(tv.value - (-1.0 / 45.0)) <= tv.tail_bound
 
@@ -673,7 +664,7 @@ class TestOneWalk:
     def test_zero_factor_gives_exact_zero(self, n, field2, table2):
         # kfree:2 on the irreducible domain at p = 2: W_P = 0 at degree 1
         kf = builtin("kfree", field2, k=2)
-        tv = main_term(n, None, sp(field2, "0", "1"), kf, kf, "prime", table2)
+        tv = main_term(n, sp(field2, "0", "1"), kf, kf, "prime", table2)
         assert tv.value == 0.0 and isinstance(tv.value, float)
         assert math.isfinite(tv.tail_bound)
 
@@ -692,9 +683,9 @@ class TestOneWalk:
         pr = builtin("phi_ratio", field2)
         for h2 in ("x^3", "x^5"):
             with pytest.raises(MainTermError, match="degree >= n=3"):
-                main_term(3, None, sp(field2, "0", h2), pr, pr, "monic", table2)
-        main_term(None, None, sp(field2, "0", "x^5"), pr, pr, "monic", table2)
-        main_term(3, None, sp(field2, "0", "x^2"), pr, pr, "monic", table2)
+                main_term(3, sp(field2, "0", h2), pr, pr, "monic", table2)
+        main_term(None, sp(field2, "0", "x^5"), pr, pr, "monic", table2)
+        main_term(3, sp(field2, "0", "x^2"), pr, pr, "monic", table2)
 
 
 class TestTruncatedValue:
@@ -769,7 +760,7 @@ class TestLimitCharfnFactors:
         lpr = builtin_additive("log_phi_ratio", field2)
         t = 1.3
         e = exp_additive(lpr, t)
-        tv = main_term(None, 4, sp(field2, "0", "1"), e, e, "monic", table2)
+        tv = main_term(None, sp(field2, "0", "1"), e, e, "monic", table2)
         log_ref = 0j
         for d in range(1, 300):
             v = (1.0 - 2.0 ** -d) ** complex(0, t)

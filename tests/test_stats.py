@@ -136,6 +136,11 @@ class TestCharFn:
         g = limit_charfn(lpr, lpr, pair(field2, "0", "1"), (0.0,), "monic",
                          table2)
         assert g.phi_limit[0].value == 1.0
+        # a positional gamma from an older caller must not pass for the
+        # tail target
+        with pytest.raises(TypeError):
+            limit_charfn(lpr, lpr, pair(field2, "0", "1"), (0.0,), "monic",
+                         table2, 4)
 
     def test_limit_against_direct_product(self, field2, table2):
         # monic-mode limit factors 1 + 2((1-q^{-d})^{it}-1)/q^d

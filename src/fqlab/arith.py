@@ -317,9 +317,14 @@ def value_array(psi: FunctionSpec, table: IrreducibleTable, n: int,
     (scan_degrees; None means all of them).
 
     Primes of degree <= n/2 come from the valuation sieve in (degree,
-    index) order; what remains of the degree names the one larger prime,
-    which comes last.  That is trial division's order, so every float is
-    the one trial division would give.
+    index) order, a block of primes at a time; what remains of the
+    degree names the one larger prime, which comes last.  That is trial
+    division's order, so every float is the one trial division would
+    give: a block is combined by one unbuffered np.multiply.at (np.add.at
+    if additive) over its row-major ravel, which applies the rows in the
+    order of the primes, and the remaining degree falls by one
+    np.subtract.at.  Complex products are taken row by row through _mul,
+    because numpy's complex multiply may fuse multiply-adds.
 
     Where a factor of 1 changes no bit of a product (int64 and Python-int
     arrays, float64 products) and every prime above n/2 is 1, the sieve
@@ -357,10 +362,18 @@ def value_array(psi: FunctionSpec, table: IrreducibleTable, n: int,
 
     out = np.full(table.field.p ** n, neutral, dtype=dtype)
     rest = np.full(len(out), n, dtype=np.int16) if cap > top and not sparse else None
+    by_row = not additive and dtype == np.complex128
+    combine_at = (np.add if additive else np.multiply).at
     for d, idx, v in prime_valuations(table, n, powers):
-        out[idx] = combine(out[idx], small[d][v])
+        values = small[d][v]
+        if by_row:
+            for at, row in zip(idx, values):
+                out[at] = _mul(out[at], row)
+        else:
+            combine_at(out, idx.ravel(), values.ravel())
         if rest is not None:
-            rest[idx] -= d * v
+            # in rest's own dtype: ufunc.at takes a slow path when it casts
+            np.subtract.at(rest, idx.ravel(), (d * v).astype(rest.dtype).ravel())
     if rest is not None:
         # a remaining degree above n/2 is the degree of one prime factor
         idx = np.nonzero((rest > 0) & (rest <= cap))[0]

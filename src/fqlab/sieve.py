@@ -12,16 +12,18 @@ moduli of a degree at once, as int16 digit columns (p = 2: the d bits
 packed into one unsigned integer), in blocks of at most
 SIEVE_BLOCK_CELLS cells.
 
-The same kernel drives the valuation sieve behind the correlate and
-stats scans: prime_valuations lists, for every prime P of the degrees
-asked, the multiples of P^first (the first power whose value is not
-neutral) among all monic polynomials of degree n and v_P there,
-counted only up to the power where the value settles (the multiples
-of P^k sit at positions f // p^(first d) among those of P^first), so
-a scan divides nothing; with every prime above n/2 neutral too, the
-caller keeps no remaining degree.  For p = 2 it keeps the one-prime
-bitmask kernel (_multiples_gf2), which reads v_P(P g) = 1 + v_P(g) one
-level down.  A shift f -> f + h is an index map on that space
+The valuation sieve behind the correlate and stats scans,
+prime_valuations, lists, block by block of the primes P of a degree,
+the multiples of P^first (the first power whose value is not neutral)
+among all monic polynomials of degree n and v_P there, counted only up
+to the power where the value settles, so a scan divides nothing; with
+every prime above n/2 neutral too, the caller keeps no remaining
+degree.  Only how a block is listed depends on p: for odd p the same
+kernel lists the multiples of every power (those of P^k sit at
+positions f // p^(first d) among those of P^first); for p = 2 one
+carry-less product table per block (_gf2_products) lists P^first g in
+the order of g, and v_P(P g) = 1 + v_P(g) is read one level down.  A
+shift f -> f + h is an index map on that space
 (shift_indices) and a domain is an index list (domain_indices, which
 refuses more than DEFAULT_CELL_BUDGET polynomials).  The kernel also
 lists the multiples of every prime modulus of a degree range
@@ -51,7 +53,10 @@ field, the file length against the Moebius counts (so a truncated file
 and trailing bytes are caught before any index is read), every N_d
 against Moebius inversion, every degree's indices strictly ascending in
 [0, p^d), and the necklace identity; each failure is a SieveError that
-names the file.  Each degree of a loaded table is a read-only view of
+names the file.  The counts, ranges and ascents of all degrees are
+compared at once over the payload read as int64 cells, and the first
+failing degree is named (its count before its range before its
+ascent).  Each degree of a loaded table is a read-only view of
 the bytes read.
 """
 
@@ -278,21 +283,6 @@ class _Multiples:
         return out
 
 
-def _multiples_gf2(prime_full: int, m: int, target_deg: int) -> np.ndarray:
-    """Indices of prime*g for all monic g of degree m, in the order of g
-    (p = 2 bit kernel, one prime at a time)."""
-    g = np.arange(1 << m, dtype=np.uint64) | np.uint64(1 << m)
-    acc = np.zeros(1 << m, dtype=np.uint64)
-    b = prime_full
-    shift = 0
-    while b:
-        if b & 1:
-            acc ^= g << np.uint64(shift)
-        b >>= 1
-        shift += 1
-    return acc ^ np.uint64(1 << target_deg)
-
-
 @dataclass(frozen=True)
 class NecklaceReport:
     n: int
@@ -353,14 +343,17 @@ class IrreducibleTable:
         self._validate()
 
     def _validate(self) -> None:
-        q = self.field.p
+        q, counts = self.field.p, self._counts
+        weighted = [0] * (self.max_deg + 1)  # sum_{d|n} d N_d, one pass over d
+        for d in range(1, self.max_deg + 1):
+            for n in range(d, self.max_deg + 1, d):
+                weighted[n] += d * counts[d]
         for n in range(1, self.max_deg + 1):
-            rep = self.necklace_check(n)
-            if not rep.ok:
+            if weighted[n] != q**n:
                 raise SieveError(
                     f"necklace identity fails at n={n}: "
-                    f"{rep.weighted_sum} != {rep.expected}")
-            if abs(n * self._counts[n] - q**n) > 4 * q ** (n / 2):
+                    f"{weighted[n]} != {q**n}")
+            if abs(n * counts[n] - q**n) > 4 * q ** (n / 2):
                 raise SieveError(f"count N_{n} violates the sqrt error shape")
 
     # -- counting ---------------------------------------------------------
@@ -457,19 +450,30 @@ class IrreducibleTable:
                 raise SieveError(f"{path}: truncated cache in degree {d}")
         if end != len(data):
             raise SieveError(f"{path}: {len(data) - end} trailing bytes")
-        by_degree: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-        at = 16
-        for d in range(1, max_deg + 1):
-            (n_d,) = struct.unpack_from("<Q", data, at)
-            if n_d != counts[d]:
-                raise SieveError(f"{path}: wrong prime count at degree {d}")
-            idx = np.frombuffer(data, dtype="<i8", count=n_d, offset=at + 8)
-            if idx[0] < 0 or idx[-1] >= p**d:
-                raise SieveError(f"{path}: degree-{d} index out of range")
-            if not (idx[1:] > idx[:-1]).all():
-                raise SieveError(f"{path}: degree-{d} indices are not strictly ascending")
-            by_degree.append(idx)
-            at += 8 + 8 * n_d
+        # the payload as int64 cells: degree d's count slot, then its
+        # indices; every degree is checked at once, and the first failing
+        # one is named, its count before its range before its ascent
+        payload = np.frombuffer(data, dtype="<i8", offset=16)
+        slots = np.cumsum([1 + c for c in counts[:max_deg]], dtype=np.int64) - 1
+        sizes = np.array(counts[1:], dtype=np.int64)
+        wrong_count = payload[slots] != sizes
+        out_of_range = (payload[slots + 1] < 0) | (
+            payload[slots + sizes] >= np.array([p**d for d in range(1, max_deg + 1)]))
+        ascends = payload[1:] > payload[:-1]
+        ascends[slots[1:] - 1] = ascends[slots] = True  # pairs with a count slot
+        descents = np.zeros(max_deg, dtype=bool)
+        if not ascends.all():
+            descents[np.searchsorted(slots, np.flatnonzero(~ascends), "right") - 1] = True
+        failing = np.flatnonzero(wrong_count | out_of_range | descents)
+        if len(failing):
+            i = failing[0]
+            if wrong_count[i]:
+                raise SieveError(f"{path}: wrong prime count at degree {i + 1}")
+            if out_of_range[i]:
+                raise SieveError(f"{path}: degree-{i + 1} index out of range")
+            raise SieveError(f"{path}: degree-{i + 1} indices are not strictly ascending")
+        by_degree = [np.empty(0, dtype=np.int64)]
+        by_degree += [payload[s + 1:s + 1 + c] for s, c in zip(slots.tolist(), counts[1:])]
         return cls(field, max_deg, by_degree)  # necklace check runs in init
 
 
@@ -550,17 +554,6 @@ def _bits_divmod(a: int, b: int):
             return q, a
         a ^= b << sh
         q |= 1 << sh
-
-
-def _bits_mul(a: int, b: int) -> int:
-    # a times b in GF(2)[x], as bitmasks
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        b >>= 1
-    return out
 
 
 def _factor_bits(bits: int, rows: list[list[int]]):
@@ -650,49 +643,37 @@ def shift_indices(field: FieldSpec, n: int, idx: np.ndarray, h: Poly) -> np.ndar
 
 def prime_valuations(table: IrreducibleTable, n: int,
                      powers: dict[int, tuple[int, int]]):
-    """For every prime P of the degrees d in powers, in (degree, index)
-    order, yield (d, idx, v): idx holds the enumeration indices of the
-    monic f of degree n that P^first divides, and v (int8) is
-    min(v_P(f), settle) at each of them, where (first, settle) =
-    powers[d] with 1 <= first <= settle and first * d <= n.
+    """For the primes P of the degrees d in powers, in (degree, index)
+    order, yield (d, idx, v) block by block: row i of idx holds the
+    enumeration indices of the monic f of degree n that P_i^first
+    divides, for the i-th prime P_i of the block, and v (int8) is
+    min(v_P_i(f), settle) at each of them, where (first, settle) =
+    powers[d] with 1 <= first <= settle and first * d <= n.  A block
+    lists at most SIEVE_BLOCK_CELLS cells (one prime at least).
 
     That is all a rule neutral below P^first and constant from P^settle
     on needs; first = 1 and settle = n // d give exact valuations.
 
-    For odd p the multiples of P^first and of the higher powers come from
-    the sieve kernel, the primes of a degree in blocks sized by the
-    multiples of P^first: idx ascends, v is first plus the number of k in
-    (first, settle] with P^k | f, and a multiple f of P^k sits at
-    position f // p^(first d) among those of P^first (the kernel's j).
-    For p = 2 the bit kernel lists P^first g in the order of g, one
-    prime at a time, and min(v_P(g), settle - first) is read off the
-    listing of P one level down, built up over settle - first levels
-    from zeros (v_P(P g) = 1 + v_P(g)); no level is built when settle =
-    first.
+    Only how a block is listed depends on p.  For odd p the multiples of
+    P^first and of the higher powers come from the sieve kernel: each row
+    ascends, v is first plus the number of k in (first, settle] with P^k
+    | f, and a multiple f of P^k sits at position f // p^(first d) among
+    those of P^first (the kernel's j).  For p = 2 the row of P^first
+    lists P^first g in the order of the monic g of degree m = n - first
+    d, from one carry-less product table (_gf2_products), and
+    min(v_P(g), settle - first) is read off the listing of P one level
+    down, built up over settle - first levels from zeros (v_P(P g) = 1 +
+    v_P(g)); no level is built when settle = first.
     """
     p = table.field.p
-    if p == 2:
-        rows = table.rows(max(powers, default=0))
-        for d, (first, settle) in powers.items():
-            for P in rows[d]:
-                top = n - first * d  # degree of the cofactor g
-                t = max(top - (settle - first) * d, top % d)
-                v = np.zeros(1 << t, dtype=np.int8)
-                while t < top:
-                    t += d
-                    up = np.zeros(1 << t, dtype=np.int8)
-                    up[_multiples_gf2(P, t - d, t)] = 1 + v
-                    v = up
-                power = P
-                for _ in range(first - 1):
-                    power = _bits_mul(power, P)
-                yield d, _multiples_gf2(power, top, n), first + v
-        return
     for d, (first, settle) in powers.items():
         for P in _prime_blocks(table, d, n - first * d):
             base = P
             for _ in range(first - 1):
                 base = _poly_mul(p, base, P)
+            if p == 2:
+                yield d, *_gf2_valuations(P, base, n, first, settle)
+                continue
             idx = _Multiples(p, base, n).rows(n)
             v = np.full(idx.shape, first, dtype=np.int8)
             at = np.arange(len(P))[:, None]
@@ -700,8 +681,43 @@ def prime_valuations(table: IrreducibleTable, n: int,
             for _ in range(first, settle):
                 power = _poly_mul(p, power, P)
                 v[at, _Multiples(p, power, n).rows(n) // p ** (first * d)] += 1
-            for i in range(len(P)):
-                yield d, idx[i], v[i]
+            yield d, idx, v
+
+
+def _gf2_products(b: np.ndarray, m: int) -> np.ndarray:
+    """b_i g in GF(2)[x] for every g < 2^m, as bitmasks, one row per
+    bitmask b_i, in the order of g: doubled up over the bits of g, as
+    b_i (x^k + g) = b_i x^k ^ b_i g for g < 2^k."""
+    out = np.zeros((len(b), 1 << m), dtype=np.int64)
+    for k in range(m):
+        np.bitwise_xor(out[:, :1 << k], (b << k)[:, None],
+                       out=out[:, 1 << k:2 << k])
+    return out
+
+
+def _gf2_valuations(P: np.ndarray, base: np.ndarray, n: int, first: int,
+                    settle: int) -> tuple[np.ndarray, np.ndarray]:
+    """prime_valuations' block for p = 2, from the primes and their
+    first powers as coefficient rows (leading 1 included).  The multiple
+    of degree t of a bitmask b of degree e whose cofactor has low part g
+    is b (x^(t - e) + g), at index (b << (t - e)) ^ 2^t ^ b g."""
+    d = P.shape[1] - 1
+    prime, power = (rows @ (1 << np.arange(rows.shape[1])) for rows in (P, base))
+    top = n - first * d
+    products = _gf2_products(power, top)
+    idx = products ^ ((power << top) ^ (1 << n))[:, None]
+    t = max(top - (settle - first) * d, top % d)
+    v = np.zeros((len(P), 1 << t), dtype=np.int8)
+    if t < top and first > 1:  # the levels list multiples of P itself
+        products = _gf2_products(prime, top - d)
+    at = np.arange(len(P))[:, None]
+    while t < top:
+        t += d
+        up = np.zeros((len(P), 1 << t), dtype=np.int8)
+        low = products[:, :1 << (t - d)]
+        up[at, low ^ ((prime << (t - d)) ^ (1 << t))[:, None]] = 1 + v
+        v = up
+    return idx, first + v
 
 
 def prime_multiples(table: IrreducibleTable, n: int, lo: int, hi: int):

@@ -66,3 +66,10 @@ def cache_flaw(request):
     """(name, spoil): a flaw that loading a cache file must reject, and
     spoil(raw, p, d), which puts it into degree d of a sound file."""
     return request.param, functools.partial(_spoil, how=request.param)
+
+
+@pytest.fixture
+def spoil():
+    """_spoil(raw, p, d, how): one flaw of the kind how in degree d of a
+    sound cache file, for files spoilt in more than one place."""
+    return _spoil

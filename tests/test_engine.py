@@ -31,10 +31,10 @@ from fqlab import (
     factorize,
     parse_poly,
 )
-from fqlab import arith
+from fqlab import arith, sieve
 from fqlab.arith import scan, scan_degrees, shifted_values
 from fqlab.fieldpoly import monic_from_index
-from fqlab.sieve import Factorization, domain_indices
+from fqlab.sieve import Factorization, domain_indices, prime_valuations
 
 # largest degree per p; the tables list primes that far, so the prime
 # domain is available at every degree drawn
@@ -146,6 +146,63 @@ class TestHighValuations:
             ev = eval_additive_on if spec.additive else eval_on
             got = shifted_values(spec, table, n, zero, None, indices).tolist()
             assert got == [ev(f, spec) for f in facts], spec.name
+
+
+class TestBlocks:
+    """The valuation sieve lists the primes of a degree in blocks of at
+    most SIEVE_BLOCK_CELLS cells, and value_array combines a block at
+    once; no block boundary may move a bit."""
+
+    # an order-sensitive float product: two degree-3 primes (p = 2) with
+    # different values on top of a degree-1 factor, where (a b) c and
+    # (a c) b can round apart
+    ORDERED = {(1, 1): 0.7, (1, 2): 0.6, (3, 1): 0.3, (3, 2): 1.3}
+
+    @pytest.mark.parametrize("cells", ["default", "one", "split"])
+    @pytest.mark.parametrize("p, n", [(2, 10), (3, 6)])
+    def test_values_equal_trial_division(self, p, n, cells, monkeypatch):
+        table = _table(p)
+        field = table.field
+        top = n // 2
+        if cells != "default":  # "split": the top degree in blocks of two
+            size = 1 if cells == "one" else 2 * p ** (n - top)
+            monkeypatch.setattr(sieve, "SIEVE_BLOCK_CELLS", size)
+            rows = [len(idx) for d, idx, _ in prime_valuations(
+                table, n, {d: (1, n // d) for d in range(1, top + 1)})
+                if d == top]
+            assert sum(rows) == table.count(top) > 2
+            assert max(rows) == (1 if cells == "one" else 2)
+        h = Poly(field, [1, 1])
+        indices = domain_indices(table, n, "monic")
+        facts = [factorize(monic_from_index(field, n, i) + h, table)
+                 for i in indices.tolist()]
+        for spec in all_specs(field) + [custom_from_table(field, self.ORDERED)]:
+            ev = eval_additive_on if spec.additive else eval_on
+            got = shifted_values(spec, table, n, h, None, indices).tolist()
+            assert got == [ev(f, spec) for f in facts], spec.name
+
+    @pytest.mark.parametrize("first", [1, 2, 3])
+    def test_p2_listing_is_the_multiples_of_the_power(self, first):
+        # row i, column j: P_i^first times the monic g of index j, and
+        # min(v_P_i, settle) there; first = 2 and 3 are kfree:2 and kfree:3
+        n = 10
+        table = _table(2)
+        field = table.field
+        for d in range(1, n // max(first, 2) + 1):
+            settle = n // d
+            blocks = list(prime_valuations(table, n, {d: (first, settle)}))
+            idx = np.concatenate([b for _, b, _ in blocks])
+            v = np.concatenate([b for _, _, b in blocks])
+            primes = table.primes(d)
+            assert idx.shape == v.shape == (len(primes), 2 ** (n - first * d))
+            for P, row, vals in zip(primes, idx.tolist(), v.tolist()):
+                for j, (at, got) in enumerate(zip(row, vals)):
+                    f = P**first * monic_from_index(field, n - first * d, j)
+                    assert at == f.monic_index()
+                    m = 0
+                    while (f % P).is_zero:
+                        f, m = f // P, m + 1
+                    assert got == min(m, settle)
 
 
 class TestScan:

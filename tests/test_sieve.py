@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 
 import numpy as np
@@ -239,6 +240,38 @@ class TestCache:
         path.write_bytes(spoil(path.read_bytes(), 3, 5))
         with pytest.raises(SieveError, match=f"{how}.fqi"):
             IrreducibleTable.load(path)
+
+    # what load says of each flaw, in the order it checks one degree
+    FLAW_MESSAGES = {
+        "wrong-count": "wrong prime count at degree {d}",
+        "index-too-large": "degree-{d} index out of range",
+        "negative-index": "degree-{d} index out of range",
+        "repeated-index": "degree-{d} indices are not strictly ascending",
+        "descending-pair": "degree-{d} indices are not strictly ascending",
+    }
+
+    @pytest.mark.parametrize("low, high", itertools.permutations(FLAW_MESSAGES, 2))
+    def test_two_flaws_name_the_lower_degree(self, low, high, spoil, table3,
+                                             tmp_path):
+        path = tmp_path / "two.fqi"
+        table3.save(path)
+        path.write_bytes(spoil(spoil(path.read_bytes(), 3, 5, high), 3, 3, low))
+        with pytest.raises(SieveError) as err:
+            IrreducibleTable.load(path)
+        assert str(err.value) == f"{path}: " + self.FLAW_MESSAGES[low].format(d=3)
+
+    @pytest.mark.parametrize("one, other", [
+        pair for pair in itertools.combinations(FLAW_MESSAGES, 2)
+        # these two pairs spoil the same index
+        if set(pair) not in ({"index-too-large", "repeated-index"},
+                             {"negative-index", "descending-pair"})])
+    def test_two_flaws_in_one_degree(self, one, other, spoil, table3, tmp_path):
+        path = tmp_path / "two.fqi"
+        table3.save(path)
+        path.write_bytes(spoil(spoil(path.read_bytes(), 3, 4, other), 3, 4, one))
+        with pytest.raises(SieveError) as err:
+            IrreducibleTable.load(path)
+        assert str(err.value) == f"{path}: " + self.FLAW_MESSAGES[one].format(d=4)
 
     def test_trailing_bytes_rejected(self, table3, tmp_path):
         path = tmp_path / "long.fqi"

@@ -8,9 +8,10 @@ degree m, so they are read off the residue map: the one with high part
 g_j (index j) sits at index j p^d + key_j, and key_j, the encoding of
 -(x^d g_j mod M), is affine in the digits of j.  One kernel
 (_Multiples) doubles the keys up over the digits of j for all
-moduli of a degree at once, as int16 digit columns (p = 2: the d bits
-packed into one unsigned integer), in blocks of at most
-SIEVE_BLOCK_CELLS cells.
+moduli of a degree at once, as digit columns kept reduced below p in
+the smallest unsigned dtype that holds 2p - 2, uint8 up to p = 127
+(p = 2: the d bits packed into one unsigned integer), in blocks of at
+most SIEVE_BLOCK_CELLS cells.
 
 The valuation sieve behind the correlate and stats scans,
 prime_valuations, lists, block by block of the primes P of a degree,
@@ -133,8 +134,8 @@ def irreducible_count(q: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 # Most cells (moduli x multiples) one block of the multiples kernel holds;
-# it bounds the kernel's working set: d int16 digits (p = 2: d packed
-# bits) and one int64 index per cell.
+# it bounds the kernel's working set: d uint8 or uint16 digits (p = 2: d
+# packed bits) and one int64 index per cell.
 SIEVE_BLOCK_CELLS = 1 << 18
 
 
@@ -169,20 +170,43 @@ def _poly_mul(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _powers_mod(p: int, n: int, low: np.ndarray) -> np.ndarray:
-    """Digits of x^i mod M for i = d..n and every monic M of degree d <= n
-    whose low coefficients c_0..c_{d-1} are the rows of low: out[i - d, b]
-    holds the d digits for the modulus in row b (int64).  x^d is
-    -(c_0 + ... + c_{d-1} x^{d-1}); from there on x^(i+1) = x * x^i, with
-    x^d replaced again."""
-    count, d = low.shape
-    out = np.zeros((n - d + 1, count, d), dtype=np.int64)
-    out[0] = -low % p
+    """Digits of -(x^i mod M) for i = d..n and every monic M of degree d <=
+    n whose low coefficients c_0..c_{d-1} are the columns of low (one row
+    per coefficient): out[i - d, :, b] holds the d digits for the modulus
+    in column b (int64).  -x^d mod M is c_0 + ... + c_{d-1} x^{d-1}; from
+    there on -x^(i+1) = x (-x^i), whose x^d term is replaced again: the
+    top digit w times -c, plus the other digits shifted up."""
+    d, count = low.shape
+    out = np.empty((n - d + 1, d, count), dtype=np.int64)
+    out[0] = low
+    neg = -low % p
     for i in range(1, n - d + 1):
         prev, cur = out[i - 1], out[i]
-        cur[:, 1:] = prev[:, :-1]
-        cur -= prev[:, -1:] * low
+        np.multiply(prev[-1], neg, out=cur)
+        cur[1:] += prev[:-1]
         cur %= p
     return out
+
+
+@functools.cache
+def _digit_products(p: int) -> np.ndarray:
+    """out[a, c] = a c mod p for odd p, in the kernel's digit dtype: the
+    smallest unsigned one that holds 2p - 2, the most a digit-wise sum of
+    two reduced digits reaches; read-only, as every kernel shares it."""
+    digits = np.arange(p)
+    out = (digits[:, None] * digits % p).astype(np.uint8 if p <= 128 else np.uint16)
+    out.flags.writeable = False
+    return out
+
+
+def _add_digits(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Digit-wise a + b of two keys: XOR of the packed bits for p = 2;
+    otherwise of digits below p, reduced below p in place, as a + b - p
+    wraps past a + b in the unsigned digit dtype exactly when a + b < p."""
+    if p == 2:
+        return a ^ b
+    out = a + b
+    return np.minimum(out, out - p, out=out)
 
 
 class _Multiples:
@@ -197,36 +221,36 @@ class _Multiples:
     are u_m + sum_k a_k u_k (mod p, digit-wise), u_k = -(x^(d+k) mod M).
     The keys of the low s digits of j are doubled up digit by digit for a
     block of moduli, and each value of the top m - s digits adds its own
-    offset.  Digits are int16 columns, reduced mod p only at the end
-    ((s + 1)(p - 1) < 2^15); for p = 2 the d bits are packed into one
-    unsigned integer of the smallest width and digit-wise addition is
-    XOR.  While one block holds every
-    modulus, the doubled keys are kept for the next, larger t.
+    offset.  Every digit stays reduced below p, in the smallest unsigned
+    dtype that holds 2p - 2 (uint8 up to p = 127, uint16 above), and a key
+    is read by Horner's rule in the smallest unsigned dtype that holds
+    p^d - 1; for p = 2 the d bits are packed into one unsigned integer of
+    the smallest width and digit-wise addition is XOR.  While one block
+    holds every modulus, the doubled keys are kept for the next, larger t.
     """
 
     def __init__(self, p: int, moduli: np.ndarray, t_max: int):
         d = moduli.shape[1] - 1
-        u = -_powers_mod(p, t_max, moduli[:, :d]) % p  # (m + 1, count, d)
+        u = _powers_mod(p, t_max, moduli[:, :d].T)  # (m + 1, d, count)
         if p == 2:
-            u = (u << np.arange(d)).sum(axis=2)[:, None]  # (m + 1, 1, count)
-            self._add, self._dtype = np.bitwise_xor, np.min_scalar_type((1 << d) - 1)
+            u = ((1 << np.arange(d)) @ u)[:, None]  # (m + 1, 1, count)
+            steps = (u[..., None] * np.arange(2)).astype(np.min_scalar_type((1 << d) - 1))
         else:
-            u = u.transpose(0, 2, 1)  # (m + 1, d, count): one column per digit
-            self._add, self._dtype = np.add, np.int16
-        steps = u[..., None] * np.arange(p)  # c u_k for every digit c
-        self._steps = (steps if p == 2 else steps % p).astype(self._dtype)
-        self.p, self.d, self.count, self._u = p, d, len(moduli), u
+            steps = _digit_products(p)[u]
+        self._steps = steps  # c u_k for every digit c: (m + 1, d or 1, count, p)
+        self.p, self.d, self.count = p, d, len(moduli)
         self._kept, self._kept_digits = self._zeros(self.count), 0
 
     def _zeros(self, count: int) -> np.ndarray:
-        return np.zeros((self._u.shape[1], count, 1), dtype=self._dtype)
+        return np.zeros((self._steps.shape[1], count, 1), dtype=self._steps.dtype)
 
     def _double(self, keys: np.ndarray, have: int, lo: int, s: int) -> np.ndarray:
         """Extend keys, those of j < p^have for the block of moduli at lo,
         to every j < p^s."""
         for k in range(have, s):  # j = c p^k + j_low
             step = self._steps[k, :, lo:lo + keys.shape[1], :, None]
-            keys = self._add(step, keys[..., None, :]).reshape(keys.shape[:2] + (-1,))
+            keys = _add_digits(self.p, step, keys[..., None, :])
+            keys = keys.reshape(keys.shape[:2] + (-1,))
         return keys
 
     def blocks(self, t: int):
@@ -241,33 +265,29 @@ class _Multiples:
         width = p**s
         chunk = max(1, SIEVE_BLOCK_CELLS // width)
         base = np.arange(width, dtype=np.int64) * p**d
+        horner = np.min_scalar_type(p**d - 1)
         for lo in range(0, self.count, chunk):
-            uc = self._u[:, :, lo:lo + chunk]
+            steps = self._steps[:, :, lo:lo + chunk]
             if chunk >= self.count:  # one block: keep the keys for a larger t
                 if self._kept_digits < s:
                     self._kept = self._double(self._kept, self._kept_digits, 0, s)
                     self._kept_digits = s
                 keys = self._kept[..., :width]
             else:
-                keys = self._double(self._zeros(uc.shape[2]), 0, lo, s)
+                keys = self._double(self._zeros(steps.shape[2]), 0, lo, s)
             for hi in range(p ** (m - s)):
-                off, rest, k = uc[m], hi, s
+                off, rest, k = steps[m, ..., 1:2], hi, s  # u_m, then the top digits
                 while rest:
                     rest, a = divmod(rest, p)
-                    off = self._add(off, a * uc[k])
+                    off = _add_digits(p, off, steps[k, ..., a:a + 1])
                     k += 1
-                off = (off if p == 2 else off % p).astype(self._dtype)
-                block = self._add(keys, off[..., None])
-                if p == 2:
-                    idx = block[0].astype(np.int64)
-                else:
-                    block %= p
-                    idx = block[d - 1].astype(np.int64)
-                    for i in range(d - 2, -1, -1):  # Horner over the digits
-                        idx *= p
-                        idx += block[i]
-                idx += base + hi * width * p**d
-                yield lo, hi * width, idx
+                block = _add_digits(p, keys, off)
+                key = block[-1].astype(horner, copy=False)
+                for i in range(len(block) - 2, -1, -1):  # p = 2: one packed row
+                    key *= p
+                    key += block[i]
+                yield lo, hi * width, np.add(key, base + hi * width * p**d,
+                                             dtype=np.int64)
 
     def rows(self, t: int) -> np.ndarray:
         """The degree-t multiples as one (count, p^(t - d)) matrix, each

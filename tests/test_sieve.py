@@ -1,6 +1,8 @@
 import functools
+import gc
 import itertools
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -461,6 +463,49 @@ class TestMultiplesKernel:
         kernel = _Multiples(p, moduli, 8)
         kernel.rows(8)
         assert (kernel.rows(5) == _Multiples(p, moduli, 5).rows(5)).all()
+
+    @pytest.mark.parametrize("p", [127, 131, 251])
+    def test_digit_dtype_boundary(self, p, monkeypatch):
+        # a digit-wise sum of two digits below p reaches 2p - 2: 252 fits
+        # a uint8 at p = 127, while p = 131 and 251 need uint16; sampled
+        # moduli, all in one block, then split over moduli and top digits
+        assert sieve._digit_products(p).dtype == (np.uint8 if p < 128 else np.uint16)
+        field = FieldSpec(p)
+        rng = random.Random(p)
+        for d in (1, 2):
+            idx = np.array(sorted(rng.sample(range(p**d), 4)))
+            moduli = _monic_digits(p, idx, d)
+            kernel = _Multiples(p, moduli, d + 1)
+            want = kernel.rows(d + 1)
+            for t, rows in ((d + 1, want), (d, kernel.rows(d))):
+                for row, i in zip(rows, idx.tolist()):
+                    M = monic_from_index(field, d, i)
+                    assert row.tolist() == _multiples_by_poly(field, M, t)
+            monkeypatch.setattr(sieve, "SIEVE_BLOCK_CELLS", 2)
+            shapes = [b.shape for _, _, b in _Multiples(p, moduli, d + 1).blocks(d + 1)]
+            assert shapes == [(2, 1)] * (2 * p)
+            assert (_Multiples(p, moduli, d + 1).rows(d + 1) == want).all()
+            monkeypatch.undo()
+
+
+def test_kernels_hold_no_reference_cycle():
+    # with the cyclic collector off, a kernel and its kept keys are freed
+    # as soon as the last reference goes, so a cycle through one (say a
+    # bound method kept on it) cannot pile up dead kernels between runs
+    # of the collector
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        dead = []
+        for p in (3, 2):
+            kernel = _Multiples(p, _monic_digits(p, np.arange(p**2), 2), 6)
+            kernel.rows(6)
+            dead.append(weakref.ref(kernel))
+            del kernel
+        assert [ref() for ref in dead] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _sympy_irreducible(field, d, i):

@@ -15,14 +15,13 @@ instead of products and 0 as the neutral value.
 
 The evaluation engine behind the correlate and stats scans is
 value_array: psi(f) for every monic f of degree n at once, from the
-valuation sieve, in the dtype that reproduces Python's own arithmetic
-(int64, float64, complex128, or object where those would round or
-overflow).  shifted_values reads it through a shift's index map; scan,
-the one front door of every scan, builds the shifted columns over a
-domain, reading primes only as far as scan_degrees says; product_sum
-sums products of such columns exactly (integers) or correctly rounded
-(floats).  Functions without degree symmetry are evaluated through
-factorize, one polynomial at a time.
+valuation sieve over the primes up to psi's own trivial_beyond_degree,
+in the dtype that reproduces Python's own arithmetic (int64, float64,
+complex128, or object where those would round or overflow), for every
+spec alike.  scan, the one front door of every scan, reads one such
+array per function through each shift's index map over a domain, on a
+table as large as scan_degrees says; product_sum sums products of such
+columns exactly (integers) or correctly rounded (floats).
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fieldpoly import FieldSpec, Poly, monic_from_index
+from .fieldpoly import FieldSpec, Poly
 from .sieve import (
     Factorization,
     IrreducibleTable,
@@ -258,16 +257,25 @@ def eval_on(fact: Factorization, spec: FunctionSpec):
 eval_additive_on = eval_on
 
 
-def scan_degrees(functions, n: int, domain: str) -> tuple[int | None, int]:
-    """(limit, need) at degree n: limit, the largest prime degree the
-    sieve reports, is None (factor fully) unless every function is neutral
-    on primes above some degree, where the cofactor changes no value;
-    need, the table degree the scan reads, is limit (n // 2 if None) on
-    the monic domain and n, its listing, on the prime one."""
-    bounds = [psi.trivial_beyond_degree for psi in functions]
-    limit = None if None in bounds else min(max(bounds), n // 2)
-    need = n // 2 if limit is None else limit
-    return limit, n if domain == "prime" else need
+def _by_degree(psi: FunctionSpec) -> bool:
+    return psi.degree_symmetric and psi.rule_dm is not None
+
+
+def _reach(psi: FunctionSpec, n: int) -> int:
+    """The largest degree of a prime that can move psi at degree n."""
+    bound = psi.trivial_beyond_degree
+    return n if bound is None else min(bound, n)
+
+
+def scan_degrees(functions, n: int, domain: str) -> int:
+    """The table degree a scan of these functions at degree n reads: n,
+    its listing, on the prime domain; on the monic one the largest
+    _reach, capped at n // 2 when every rule is degree-symmetric (a
+    larger prime is then read off the remaining degree)."""
+    if domain == "prime":
+        return n
+    reach = max(_reach(psi, n) for psi in functions)
+    return min(reach, n // 2) if all(map(_by_degree, functions)) else reach
 
 
 def _dtype(rated, n: int, additive: bool):
@@ -309,42 +317,49 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def value_array(psi: FunctionSpec, table: IrreducibleTable, n: int,
-                limit: int | None) -> np.ndarray:
-    """psi(f) for every monic f of degree n, in enumeration order, from a
-    degree-symmetric rule: the product (the sum, if psi is additive) of
-    rule_dm(deg P, v_P(f)) over the primes P of degree <= limit
-    (scan_degrees; None means all of them).
+def value_array(psi: FunctionSpec, table: IrreducibleTable,
+                n: int) -> np.ndarray:
+    """psi(f) for every monic f of degree n, in enumeration order: the
+    product (the sum, if psi is additive) of psi(P^v_P(f)) over the
+    primes P of degree <= cap = min(trivial_beyond_degree, n).  A
+    degree-symmetric rule gives one row rule_dm(d, m) per degree d, any
+    other spec one row value_at(P, m) per prime P.
 
-    Primes of degree <= n/2 come from the valuation sieve in (degree,
-    index) order, a block of primes at a time; what remains of the
-    degree names the one larger prime, which comes last.  That is trial
-    division's order, so every float is the one trial division would
-    give: a block is combined by one unbuffered np.multiply.at (np.add.at
-    if additive) over its row-major ravel, which applies the rows in the
-    order of the primes, and the remaining degree falls by one
-    np.subtract.at.  Complex products are taken row by row through _mul,
-    because numpy's complex multiply may fuse multiply-adds.
+    The valuation sieve lists the primes of degree <= top (cap, or at
+    most n/2 for a degree-symmetric rule) in (degree, index) order, a
+    block of primes at a time, and a block reads the rows of its primes;
+    what remains of the degree names the one larger prime, which comes
+    last.  That is trial division's order, so every float is the one
+    trial division would give: a block is combined by one unbuffered
+    np.multiply.at (np.add.at if additive) over its row-major ravel,
+    which applies the rows in the order of the primes, and the remaining
+    degree falls by one np.subtract.at.  Complex products are taken row
+    by row through _mul, because numpy's complex multiply may fuse
+    multiply-adds.
 
     Where a factor of 1 changes no bit of a product (int64 and Python-int
-    arrays, float64 products) and every prime above n/2 is 1, the sieve
+    arrays, float64 products) and every prime above top is 1, the sieve
     lists, per degree, only the multiples of the first power P^k whose
     value is not 1, counts valuations only up to power_settle, and keeps
     no remaining degree.  Everything else (complex arrays, sums, a prime
-    above n/2 that changes the value) gets exact valuations from P on.
+    above top that changes the value) gets exact valuations from P on.
     """
     check_enumeration(table.field.p, n)
     additive, neutral = psi.additive, psi.neutral
-    top = n // 2 if limit is None else min(limit, n // 2)
-    cap = n if limit is None else min(limit, n)
-    rule = psi.rule_dm
-    rows = {d: [neutral] + [rule(d, m) for m in range(1, n // d + 1)]
+    cap = _reach(psi, n)
+    if _by_degree(psi):
+        top, keys, value = min(cap, n // 2), lambda d: [d], psi.value_dm
+    else:
+        top, keys, value = cap, table.primes, psi.value_at
+    rows = {d: [[value(key, m) for m in range(n // d + 1)] for key in keys(d)]
             for d in range(1, top + 1)}
-    large = [neutral] * (top + 1) + [rule(d, 1) for d in range(top + 1, cap + 1)]
-    rated = [(v, d * m) for d, row in rows.items() for m, v in enumerate(row)]
+    large = [neutral] * (top + 1) + [psi.value_dm(d, 1)
+                                     for d in range(top + 1, cap + 1)]
+    rated = [(v, d * m) for d, block in rows.items() for row in block
+             for m, v in enumerate(row)]
     rated += [(v, d) for d, v in enumerate(large)]
     dtype = _dtype(rated, n, additive)
-    small = {d: np.array(row, dtype=dtype) for d, row in rows.items()}
+    small = {d: np.array(block, dtype=dtype) for d, block in rows.items()}
     combine = np.add if additive else _mul
 
     inert = not additive and (dtype in (np.int64, np.float64)
@@ -353,8 +368,9 @@ def value_array(psi: FunctionSpec, table: IrreducibleTable, n: int,
     if sparse:  # from the first power whose value is not 1, to power_settle
         settle = n if psi.power_settle is None else psi.power_settle
         powers = {}
-        for d, row in rows.items():
-            first = next((m for m, v in enumerate(row) if m and v != neutral), 0)
+        for d, block in rows.items():
+            first = next((m for m in range(1, n // d + 1)
+                          if any(row[m] != neutral for row in block)), 0)
             if first:
                 powers[d] = (first, min(max(first, settle), n // d))
     else:
@@ -364,8 +380,14 @@ def value_array(psi: FunctionSpec, table: IrreducibleTable, n: int,
     rest = np.full(len(out), n, dtype=np.int16) if cap > top and not sparse else None
     by_row = not additive and dtype == np.complex128
     combine_at = (np.add if additive else np.multiply).at
+    read = dict.fromkeys(rows, 0)  # primes of each degree gathered so far
     for d, idx, v in prime_valuations(table, n, powers):
-        values = small[d][v]
+        # the rows of the block's primes: row 0 is every prime's under a
+        # degree-symmetric rule, and the only prime's of a degree with one
+        which = np.arange(read[d], read[d] + len(idx))[:, None] \
+            if len(small[d]) > 1 else 0
+        read[d] += len(idx)
+        values = small[d][which, v]
         if by_row:
             for at, row in zip(idx, values):
                 out[at] = _mul(out[at], row)
@@ -381,43 +403,22 @@ def value_array(psi: FunctionSpec, table: IrreducibleTable, n: int,
     return out
 
 
-def shifted_values(psi: FunctionSpec, table: IrreducibleTable, n: int,
-                   h: Poly, limit: int | None, indices: np.ndarray,
-                   cache: dict | None = None) -> np.ndarray:
-    """psi(f + h) for the monic f of degree n at the given enumeration
-    indices, as a numpy array (see value_array for limit).
-
-    A degree-symmetric psi is read from its value array through the
-    shift's index map; cache, shared by calls at the same n and limit,
-    keeps one array per psi.  Any other psi is evaluated through
-    factorize at the requested indices only, in an object array.
-    """
-    at = shift_indices(table.field, n, indices, h)
-    if psi.degree_symmetric and psi.rule_dm is not None:
-        cache = {} if cache is None else cache
-        if id(psi) not in cache:
-            cache[id(psi)] = value_array(psi, table, n, limit)
-        return cache[id(psi)][at]
-    field = table.field
-    return np.array([eval_on(factorize(monic_from_index(field, n, j), table), psi)
-                     for j in at.tolist()], dtype=object)
-
-
 def scan(functions, shifts, n: int, domain: str,
          table: IrreducibleTable) -> list[np.ndarray]:
     """The column psi_i(f + h_i) over the domain ("monic" or "prime"
     polynomials of degree n, in ascending index order) for each pair of
-    functions[i] and shifts[i].  One value array serves every shift of
-    the same function object.  Refuses an unknown domain or a scan past
-    the cell budget (domain_indices), then a table that lists fewer
-    primes than scan_degrees needs."""
+    functions[i] and shifts[i]: the value array of psi_i, one per
+    function object, read through the index map of h_i.  Refuses an
+    unknown domain or a scan past the cell budget (domain_indices), then,
+    before anything is sieved, a table smaller than scan_degrees says."""
     source = domain_indices(table, n, domain)
-    limit, need = scan_degrees(functions, n, domain)
+    need = scan_degrees(functions, n, domain)
     if table.max_deg < need:
         raise TableTooSmallError(
             f"need primes to degree {need}, table has {table.max_deg}")
-    cache: dict = {}
-    return [shifted_values(psi, table, n, h, limit, source, cache)
+    distinct = {id(psi): psi for psi in functions}
+    values = {key: value_array(psi, table, n) for key, psi in distinct.items()}
+    return [values[id(psi)][shift_indices(table.field, n, source, h)]
             for psi, h in zip(functions, shifts)]
 
 
@@ -477,7 +478,7 @@ def phi_values(table: IrreducibleTable, d: int) -> np.ndarray:
     totient = FunctionSpec("phi", table.field,
                            lambda e, m: q ** (m * e) - q ** ((m - 1) * e),
                            True, False, True, None, None)
-    return value_array(totient, table, d, None).astype(np.int64)
+    return value_array(totient, table, d).astype(np.int64)
 
 
 def _spot_check_symmetry(spec, table: IrreducibleTable) -> None:

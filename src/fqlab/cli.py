@@ -410,12 +410,11 @@ def _cmd_correlate(a) -> int:
 def _scan_table(a, n, functions, domain, pair=None):
     """The table for a scan of these functions at degree n over the
     domain, after the --budget check of a monic scan (the prime domain is
-    bounded by its degree-n table instead): to the degree scan_degrees
-    needs, and, given a ShiftPair, to the table_degree its main term
-    reads."""
+    bounded by its degree-n table instead): to scan_degrees, and to the
+    table_degree of the main term of a given ShiftPair."""
     if domain == "monic":
         check_enumeration(a.p, n, a.budget)
-    need = scan_degrees(functions, n, domain)[1]
+    need = scan_degrees(functions, n, domain)
     if pair is not None:
         need = max(need, pair.table_degree)
     return get_table(a.p, max(1, need), a.cache_dir, a.budget)

@@ -9,14 +9,13 @@ gathers it at the domain.  Integer-valued function sets sum exactly;
 everything else is summed correctly rounded (math.fsum), so no value
 depends on the order of summation.
 
-The sieve stops early when every function in play is identically 1 on
-primes above some degree: the primes left out then contribute an exact
-factor of 1, so the value is unchanged and only the handful of primes
-that matter are visited.  Where a factor of 1 changes no bit (integer
-and float64 products), each value array also lists only the multiples
-of the first power P^k whose value is not 1 (the squares, for kfree:2),
-counts valuations only up to the power where the value settles, and
-keeps no remaining degree when every prime above n/2 is 1.
+Each value array stops at the degree past which its function is
+identically 1 (trivial_beyond_degree): the primes left out contribute an
+exact factor of 1.  Where a factor of 1 changes no bit (integer and
+float64 products), it also lists only the multiples of the first power
+P^k whose value is not 1 (the squares, for kfree:2), counts valuations
+only up to the power where the value settles, and keeps no remaining
+degree when every prime above n/2 is 1.
 """
 
 from __future__ import annotations

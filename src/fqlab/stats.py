@@ -297,7 +297,7 @@ def squarefree_weight_sum(n: int, table: IrreducibleTable) -> Fraction:
     weight = FunctionSpec("mu^2 3^omega", table.field,
                           lambda d, m: 3 if m == 1 else 0,
                           True, False, True, None, 2)
-    return Fraction(product_sum([value_array(weight, table, n, None)], True),
+    return Fraction(product_sum([value_array(weight, table, n)], True),
                     q**n)
 
 
@@ -359,9 +359,9 @@ def sieve_diagnostics(n: int, h: Poly, t: float,
     # each D, then at most n + 1 exact fractions
     num = value_array(FunctionSpec("divisor product numerator", field,
                                    lambda d, m: q**d + 1,
-                                   True, False, True, None, 1), table, n, None)
+                                   True, False, True, None, 1), table, n)
     rad = value_array(AdditiveSpec("radical degree", field, lambda d, m: d,
-                                   True, None, 1), table, n, None)
+                                   True, None, 1), table, n)
     top = np.zeros(n + 1, dtype=np.int64)
     np.maximum.at(top, rad.astype(np.int64), num)
     best = max(Fraction(v, q**D) for D, v in enumerate(top.tolist()) if v)

@@ -105,9 +105,9 @@ class TestBasicSums:
     @pytest.mark.parametrize("domain", ["monic", "prime"])
     def test_function_without_degree_symmetry(self, domain, field2, field3,
                                               table2, table3):
-        # a sign on the constant term: not degree-symmetric, so it takes
-        # the factorize fallback next to a symmetric partner (flagged not
-        # unit-bounded to leave the main term out)
+        # a sign on the constant term: not degree-symmetric, so its value
+        # array reads one row per prime, next to a symmetric partner
+        # (flagged not unit-bounded to leave the main term out)
         for field, table, n in ((field2, table2, 7), (field3, table3, 4)):
             sign = FunctionSpec(
                 "sign", field, None, False, False, True, None, 2,
@@ -118,6 +118,27 @@ class TestBasicSums:
                             table)
             assert rep.raw_sum == brute_correlation(field, n, domain, shifts,
                                                     fns, table)
+
+    @pytest.mark.parametrize("n, want", [(11, 144), (13, 80)])
+    def test_truncation_between_half_n_and_n(self, n, want, field2, table2):
+        # liouville_trunc:8 moves at primes of degree in (n/2, 8], which a
+        # sieve capped at n/2 once dropped (raw sums 0 and 16)
+        lt8 = builtin("liouville_truncated", field2, y=8)
+        shifts = (parse_poly("0", field2), parse_poly("1", field2))
+        rep = correlate(CorrelationSpec(field2, n, "monic", shifts,
+                                        (lt8, lt8)), table2)
+        assert rep.raw_sum == want == brute_correlation(
+            field2, n, "monic", shifts, (lt8, lt8), table2)
+
+    def test_custom_table_past_half_n(self, field3, table3):
+        # a value at the degree-3 primes, which divide a quintic at most
+        # once (once 147)
+        psi = custom_from_table(field3, {(3, 1): -1, (1, 2): 0})
+        shifts = (parse_poly("0", field3), parse_poly("1", field3))
+        rep = correlate(CorrelationSpec(field3, 5, "monic", shifts,
+                                        (psi, psi)), table3)
+        assert rep.raw_sum == 27 == brute_correlation(
+            field3, 5, "monic", shifts, (psi, psi), table3)
 
     def test_integer_sum_beyond_int64(self, field2, table2):
         # a value of 1000 at each degree-1 prime that divides f exactly

@@ -1,7 +1,8 @@
-"""The valuation-sieve engine (arith.shifted_values, and arith.scan that
-gathers its columns) against per-polynomial trial division and against
-sympy."""
+"""The valuation-sieve engine (arith.value_array, and arith.scan that
+gathers its columns through the shifts' index maps) against
+per-polynomial trial division and against sympy."""
 
+import dataclasses
 import functools
 import random
 import time
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from fqlab import (
     CorrelationSpec,
     FieldSpec,
+    FunctionSpec,
     MemoryBudgetError,
     Poly,
     ShiftPair,
@@ -32,9 +34,9 @@ from fqlab import (
     parse_poly,
 )
 from fqlab import arith, sieve
-from fqlab.arith import scan, scan_degrees, shifted_values
+from fqlab.arith import AdditiveSpec, scan, scan_degrees, value_array
 from fqlab.fieldpoly import monic_from_index
-from fqlab.sieve import Factorization, domain_indices, prime_valuations
+from fqlab.sieve import domain_indices, prime_valuations, shift_indices
 
 # largest degree per p; the tables list primes that far, so the prime
 # domain is available at every degree drawn
@@ -46,13 +48,31 @@ def _table(p):
     return build_table(FieldSpec(p), TABLE_DEGREES[p])
 
 
+def _legendre(p, c):
+    return 0 if c == 0 else 1 if pow(c, (p - 1) // 2, p) == 1 else -1
+
+
+def asymmetric_specs(field):
+    """Specs with no degree-symmetric rule: chi(f), the quadratic
+    character of f(0) (integer valued), an additive weight that depends
+    on P and is 0 past degree 3, and its complex exponential."""
+    p = field.p
+    chi = FunctionSpec("chi", field, None, False, True, True, None, None,
+                       rule_poly=lambda P, m: _legendre(p, P.coeffs[0]) ** m)
+    weight = AdditiveSpec(
+        "weight", field, None, False, 3, None,
+        rule_poly=lambda P, m: m * (P.coeffs[0] + 0.5) / P.degree
+        if P.degree <= 3 else 0.0)
+    return [chi, weight, exp_additive(weight, 0.7)]
+
+
 def all_specs(field):
     """Every builtin multiplicative and additive spec, a custom table with
     integer, float and complex values, two tables that are 1 at every
     prime (an integer one that settles at the fourth power, a float one),
-    and a complex exponential."""
+    a complex exponential, and the asymmetric_specs."""
     lpr = builtin_additive("log_phi_ratio", field)
-    return [
+    return asymmetric_specs(field) + [
         builtin("one", field), builtin("moebius", field),
         builtin("kfree", field, k=2), builtin("kfree", field, k=3),
         builtin("kfree", field, k=4),
@@ -77,8 +97,14 @@ def cases(draw):
     n = draw(st.integers(1, TABLE_DEGREES[p]))
     h = Poly(FieldSpec(p), draw(st.lists(st.integers(0, p - 1), max_size=n)))
     domain = draw(st.sampled_from(["monic", "prime"]))
-    limit = draw(st.sampled_from([None, *range(n // 2 + 1)]))
-    return p, n, h, domain, limit
+    y = draw(st.integers(n // 2 + 1, n))  # a truncation past n/2
+    return p, n, h, domain, y
+
+
+def shifted(spec, table, n, h, indices):
+    """psi(f + h) for the monic f of degree n at indices, as scan reads
+    it."""
+    return value_array(spec, table, n)[shift_indices(table.field, n, indices, h)]
 
 
 def sympy_big_omega(f):
@@ -92,20 +118,18 @@ class TestOracles:
     @settings(max_examples=150, deadline=None)
     @given(cases())
     def test_values_equal_trial_division(self, case):
-        # every value bit for bit; a trial limit drops the primes above it
-        p, n, h, domain, limit = case
+        # every value bit for bit, also where a prime above n/2 is the
+        # last to change it (liouville truncated at y > n/2)
+        p, n, h, domain, y = case
         table = _table(p)
         field = table.field
         indices = domain_indices(table, n, domain)
         facts = [factorize(monic_from_index(field, n, i) + h, table)
                  for i in indices.tolist()]
-        if limit is not None:
-            facts = [Factorization(tuple((P, m) for P, m in f.factors
-                                         if P.degree <= limit))
-                     for f in facts]
-        for spec in all_specs(field):
+        for spec in all_specs(field) + [builtin("liouville_truncated", field,
+                                                y=y)]:
             ev = eval_additive_on if spec.additive else eval_on
-            got = shifted_values(spec, table, n, h, limit, indices).tolist()
+            got = shifted(spec, table, n, h, indices).tolist()
             assert got == [ev(f, spec) for f in facts], spec.name
 
     @settings(max_examples=50, deadline=None)
@@ -115,11 +139,26 @@ class TestOracles:
         table = _table(p)
         field = table.field
         indices = domain_indices(table, n, domain)
-        omega = shifted_values(builtin_additive("big_omega", field), table, n,
-                               h, None, indices)
+        omega = shifted(builtin_additive("big_omega", field), table, n, h,
+                        indices)
         for k in range(0, len(indices), max(1, len(indices) // 6)):
             f = monic_from_index(field, n, int(indices[k])) + h
             assert omega[k] == sympy_big_omega(f)
+
+    @pytest.mark.parametrize("p, n", [(2, 9), (3, 6), (5, 4)])
+    def test_rows_per_prime_equal_rows_per_degree(self, p, n):
+        # each degree-symmetric spec, its rule given prime by prime: the
+        # same array, though its primes above n/2 are listed, not read
+        # off the remaining degree
+        table = _table(p)
+        for spec in all_specs(table.field):
+            if spec.degree_symmetric:
+                asym = dataclasses.replace(
+                    spec, rule_dm=None, degree_symmetric=False,
+                    rule_poly=lambda P, m, _r=spec.rule_dm: _r(P.degree, m))
+                got, want = (value_array(s, table, n) for s in (asym, spec))
+                assert got.dtype == want.dtype, spec.name
+                assert got.tolist() == want.tolist(), spec.name
 
 
 class TestHighValuations:
@@ -129,7 +168,7 @@ class TestHighValuations:
     @pytest.mark.parametrize("p, n", [(2, 12), (3, 7), (5, 6), (7, 6)])
     def test_values_at_cubes(self, p, n):
         field = FieldSpec(p)
-        table = build_table(field, n // 2)
+        table = build_table(field, n)  # the asymmetric specs read degree n
         picks = set(random.Random(p).sample(range(p**n), 200))
         for d in range(2, n // 3 + 1):
             for P in table.primes(d):
@@ -144,14 +183,15 @@ class TestHighValuations:
         zero = Poly(field, [])
         for spec in all_specs(field):
             ev = eval_additive_on if spec.additive else eval_on
-            got = shifted_values(spec, table, n, zero, None, indices).tolist()
+            got = shifted(spec, table, n, zero, indices).tolist()
             assert got == [ev(f, spec) for f in facts], spec.name
 
 
 class TestBlocks:
     """The valuation sieve lists the primes of a degree in blocks of at
     most SIEVE_BLOCK_CELLS cells, and value_array combines a block at
-    once; no block boundary may move a bit."""
+    once, each of its primes reading its own row where the spec has no
+    degree-symmetric rule; no block boundary may move a bit."""
 
     # an order-sensitive float product: two degree-3 primes (p = 2) with
     # different values on top of a degree-1 factor, where (a b) c and
@@ -161,7 +201,7 @@ class TestBlocks:
     @pytest.mark.parametrize("cells", ["default", "one", "split"])
     @pytest.mark.parametrize("p, n", [(2, 10), (3, 6)])
     def test_values_equal_trial_division(self, p, n, cells, monkeypatch):
-        table = _table(p)
+        table = build_table(FieldSpec(p), n)  # the asymmetric specs read n
         field = table.field
         top = n // 2
         if cells != "default":  # "split": the top degree in blocks of two
@@ -178,7 +218,7 @@ class TestBlocks:
                  for i in indices.tolist()]
         for spec in all_specs(field) + [custom_from_table(field, self.ORDERED)]:
             ev = eval_additive_on if spec.additive else eval_on
-            got = shifted_values(spec, table, n, h, None, indices).tolist()
+            got = shifted(spec, table, n, h, indices).tolist()
             assert got == [ev(f, spec) for f in facts], spec.name
 
     @pytest.mark.parametrize("first", [1, 2, 3])
@@ -206,8 +246,8 @@ class TestBlocks:
 
 
 class TestScan:
-    """arith.scan, the front door of every scan, against the per-function
-    columns it gathers."""
+    """arith.scan, the front door of every scan, against the value arrays
+    it gathers through the shifts' index maps."""
 
     SHIFTS = {2: ("x+1", "x^3+x"), 3: ("2x+1", "x^2+2")}
 
@@ -219,48 +259,62 @@ class TestScan:
         h1, h2 = (parse_poly(h, field) for h in self.SHIFTS[p])
         indices = domain_indices(table, n, domain)
         specs = all_specs(field)
+        want = {id(spec): [shifted(spec, table, n, h, indices)
+                           for h in (h1, h2)] for spec in specs}
         built = []
-        value_array = arith.value_array
 
         def spy(psi, *rest):
             built.append(id(psi))
             return value_array(psi, *rest)
 
         monkeypatch.setattr(arith, "value_array", spy)
-        # every spec alone (its own limit) with two shifts: one array
+        # every spec alone with two shifts: one array
         for spec in specs:
             built.clear()
             got = scan((spec, spec), (h1, h2), n, domain, table)
             assert built == [id(spec)], spec.name
-            limit = scan_degrees((spec,), n, domain)[0]
-            want = [shifted_values(spec, table, n, h, limit, indices)
-                    for h in (h1, h2)]
-            for g, w in zip(got, want):
+            for g, w in zip(got, want[id(spec)]):
                 assert g.dtype == w.dtype and g.tolist() == w.tolist(), spec.name
-        # every spec at once, at the limit of the whole set
+        # every spec at once: still one array each
         built.clear()
         got = scan(specs * 2, [h1] * len(specs) + [h2] * len(specs), n,
                    domain, table)
         assert sorted(built) == sorted(map(id, specs))
-        limit = scan_degrees(specs, n, domain)[0]
         for i, spec in enumerate(specs * 2):
-            h = h1 if i < len(specs) else h2
-            want = shifted_values(spec, table, n, h, limit, indices)
-            assert got[i].tolist() == want.tolist(), spec.name
+            w = want[id(spec)][i >= len(specs)]
+            assert got[i].tolist() == w.tolist(), spec.name
 
-    def test_table_degree(self, field2):
-        # the prime domain reads its listing, the monic one only the primes
-        # the functions see
+    def test_table_degree(self, field2, monkeypatch):
+        # the prime domain reads its listing; the monic one the primes the
+        # functions see, to n // 2 when every rule is degree-symmetric
+        # (the remaining degree names a larger prime), else to degree n
         kf, lt = builtin("kfree", field2, k=2), builtin("liouville_truncated",
                                                         field2, y=2)
-        assert scan_degrees((kf, lt), 12, "monic") == (None, 6)
-        assert scan_degrees((lt, lt), 12, "monic") == (2, 2)
-        assert scan_degrees((lt, lt), 12, "prime") == (2, 12)
+        lt8 = builtin("liouville_truncated", field2, y=8)
+        chi, weight, _ = asymmetric_specs(field2)
+        assert scan_degrees((kf, lt), 12, "monic") == 6
+        assert scan_degrees((lt, lt), 12, "monic") == 2
+        assert scan_degrees((lt8, lt), 12, "monic") == 6
+        assert scan_degrees((lt8, lt), 7, "monic") == 3
+        assert scan_degrees((lt, lt), 12, "prime") == 12
+        assert scan_degrees((lt, chi), 12, "monic") == 12
+        assert scan_degrees((lt, weight), 12, "monic") == 3
+        assert scan_degrees((lt, weight), 2, "monic") == 2
         zero = parse_poly("0", field2)
         with pytest.raises(TableTooSmallError, match="degree 6"):
             scan((kf,), (zero,), 12, "monic", build_table(field2, 5))
         assert len(scan((lt,), (zero,), 12, "monic", build_table(field2, 2))[0]) \
             == 2**12
+        # a monic scan of chi needs degree n, and a smaller table is
+        # refused before anything is sieved
+        built = []
+        monkeypatch.setattr(arith, "value_array", lambda *a: built.append(a))
+        with pytest.raises(TableTooSmallError, match="degree 8"):
+            scan((chi, lt), (zero, zero), 8, "monic", build_table(field2, 7))
+        assert built == []
+        monkeypatch.undo()
+        assert len(scan((chi,), (zero,), 8, "monic", build_table(field2, 8))[0]) \
+            == 2**8
 
 
 class TestEnumerationGuard:

@@ -1,17 +1,19 @@
 """Monic irreducibles over F_p: sieve, counting, factorization, primes in APs.
 
-The sieve marks, degree by degree, the monic multiples of every
-lower-degree irreducible; the unmarked indices of degree d are exactly
-the irreducibles.  The monic multiples of degree m + d of a monic
-modulus M of degree d are x^d g - (x^d g mod M) for the monic g of
-degree m, so they are read off the residue map: the one with high part
-g_j (index j) sits at index j p^d + key_j, and key_j, the encoding of
--(x^d g_j mod M), is affine in the digits of j.  One kernel
-(_Multiples) doubles the keys up over the digits of j for all
-moduli of a degree at once, as digit columns kept reduced below p in
-the smallest unsigned dtype that holds 2p - 2, uint8 up to p = 127
-(p = 2: the d bits packed into one unsigned integer), in blocks of at
-most SIEVE_BLOCK_CELLS cells.
+The table sieve (build_table) marks, degree by degree, the monic
+multiples of every lower-degree irreducible; the unmarked indices of
+degree d are exactly the irreducibles.  At p = 2 it is one Eratosthenes
+pass over the odd bitmasks, off the carry-less product table
+(_gf2_listing).  At odd p it goes one target degree at a time: the
+monic multiples of degree m + d of a monic modulus M of degree d are
+x^d g - (x^d g mod M) for the monic g of degree m, so they are read off
+the residue map: the one with high part g_j (index j) sits at index j
+p^d + key_j, and key_j, the encoding of -(x^d g_j mod M), is affine in
+the digits of j.  One kernel (_Multiples) doubles the keys up over the
+digits of j for all moduli of a degree at once, as digit columns kept
+reduced below p in the smallest unsigned dtype that holds 2p - 2, uint8
+up to p = 127 (p = 2: the d bits packed into one unsigned integer), in
+blocks of at most SIEVE_BLOCK_CELLS cells, as the p = 2 pass.
 
 The valuation sieve behind the correlate and stats scans,
 prime_valuations, lists, block by block of the primes P of a degree,
@@ -133,9 +135,9 @@ def irreducible_count(q: int, n: int) -> int:
 # sieve kernel: the monic multiples of a modulus, read off the residue map
 # ---------------------------------------------------------------------------
 
-# Most cells (moduli x multiples) one block of the multiples kernel holds;
-# it bounds the kernel's working set: d uint8 or uint16 digits (p = 2: d
-# packed bits) and one int64 index per cell.
+# Most cells (moduli x multiples) one block of a sieve holds; it bounds the
+# residue kernel's working set, d uint8 or uint16 digits (p = 2: d packed
+# bits) and one int64 index per cell, and the p = 2 table pass's int64 cells.
 SIEVE_BLOCK_CELLS = 1 << 18
 
 
@@ -210,9 +212,10 @@ def _add_digits(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _Multiples:
-    """The sieve kernel: indices of the monic multiples of degree t <=
+    """The residue kernel: indices of the monic multiples of degree t <=
     t_max of the monic moduli M of degree d whose coefficient rows
-    (leading 1 included) are the rows of moduli.
+    (leading 1 included) are the rows of moduli.  It sieves the odd-p
+    table only; it lists prime_multiples and _kernel_rows at every p.
 
     With m = t - d, the multiples are x^d g_j - (x^d g_j mod M) for the
     monic g_j of degree m at index j, so the multiple of M with high part
@@ -504,7 +507,8 @@ def necklace_check(table: IrreducibleTable, n: int) -> NecklaceReport:
 
 def build_table(field: FieldSpec, max_deg: int,
                 cell_budget: int = DEFAULT_CELL_BUDGET) -> IrreducibleTable:
-    """Sieve all monic irreducibles of degree <= max_deg."""
+    """Sieve all monic irreducibles of degree <= max_deg: in one pass at
+    p = 2, one target degree at a time through _Multiples at odd p."""
     if max_deg < 1:
         raise SieveError("max_deg must be >= 1")
     p = field.p
@@ -515,6 +519,8 @@ def build_table(field: FieldSpec, max_deg: int,
             raise MemoryBudgetError(
                 f"p={p}, max_deg={max_deg} needs more than the budget of "
                 f"{cell_budget} cells")
+    if p == 2:
+        return IrreducibleTable(field, max_deg, _gf2_listing(max_deg))
 
     by_degree: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
     kernels: list[_Multiples | None] = [None]
@@ -705,14 +711,43 @@ def prime_valuations(table: IrreducibleTable, n: int,
 
 
 def _gf2_products(b: np.ndarray, m: int) -> np.ndarray:
-    """b_i g in GF(2)[x] for every g < 2^m, as bitmasks, one row per
-    bitmask b_i, in the order of g: doubled up over the bits of g, as
-    b_i (x^k + g) = b_i x^k ^ b_i g for g < 2^k."""
+    """b_i g in GF(2)[x] for every g < 2^m, as bitmasks, one row per b_i,
+    in the order of g, for both p = 2 sieves: doubled up over the bits of
+    g, as b_i (x^k + g) = b_i x^k ^ b_i g for g < 2^k."""
     out = np.zeros((len(b), 1 << m), dtype=np.int64)
     for k in range(m):
         np.bitwise_xor(out[:, :1 << k], (b << k)[:, None],
                        out=out[:, 1 << k:2 << k])
     return out
+
+
+def _gf2_listing(max_deg: int) -> list[np.ndarray]:
+    """build_table's listing at p = 2: one Eratosthenes pass over a bool
+    per odd f of degree <= max_deg, at f >> 1; degree d's cells are final
+    once the degrees up to d/2 have sieved.  A prime b of degree d marks
+    b (2g + 1) >> 1 = b g ^ (b >> 1) for g < 2^(max_deg - d), b itself at
+    g = 0, in blocks over the low s bits of g, each later one the last XOR
+    b x^k for the bit k of g that flips in Gray-code order."""
+    unmarked = np.ones(1 << max_deg, dtype=bool)
+    by_degree = [np.empty(0, dtype=np.int64), np.arange(2, dtype=np.int64)]
+    for d in range(1, max_deg + 1):
+        if d > 1:  # cell c holds the index 2 (c - 2^(d-1)) + 1
+            by_degree.append(2 * np.flatnonzero(unmarked[1 << (d - 1):1 << d]) + 1)
+        if 2 * d > max_deg:
+            continue
+        primes = by_degree[d][by_degree[d] & 1 == 1] | (1 << d)  # x sieves no odd f
+        s = min(max_deg - d, SIEVE_BLOCK_CELLS.bit_length() - 1)
+        chunk = max(1, SIEVE_BLOCK_CELLS >> s)
+        for lo in range(0, len(primes), chunk):
+            b = primes[lo:lo + chunk]
+            cells = _gf2_products(b, s)
+            cells ^= (b >> 1)[:, None]
+            unmarked[cells] = False
+            for hi in range(1, 1 << (max_deg - d - s)):
+                cells ^= (b << (s + (hi & -hi).bit_length() - 1))[:, None]
+                unmarked[cells] = False
+            del cells  # freed before the next block is allocated
+    return by_degree
 
 
 def _gf2_valuations(P: np.ndarray, base: np.ndarray, n: int, first: int,

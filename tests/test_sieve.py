@@ -2,6 +2,7 @@ import functools
 import gc
 import itertools
 import random
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -531,3 +532,73 @@ class TestListingsLargerP:
             got = set(table.prime_indices(4).tolist())
             for i in random.Random(p).sample(range(p**4), 200):
                 assert (i in got) == _sympy_irreducible(field, 4, i)
+
+
+def _per_target_listing_p2(max_deg):
+    """The p = 2 listing sieved one target degree at a time, marking the
+    residue kernel's multiples of every prime up to half the target."""
+    by_degree = [None]
+    for t in range(1, max_deg + 1):
+        composite = np.zeros(2**t, dtype=bool)
+        for d in range(1, t // 2 + 1):
+            kernel = _Multiples(2, _monic_digits(2, by_degree[d], d), t)
+            for _, _, idx in kernel.blocks(t):
+                composite[idx] = True
+        by_degree.append(np.flatnonzero(~composite))
+    return by_degree
+
+
+class TestListingsP2:
+    """The one-pass p = 2 table sieve against the per-target sieve and sympy."""
+
+    def test_every_max_deg_matches_per_target_sieve(self):
+        # a per-target listing does not depend on max_deg; max_deg 1 and 2
+        # sieve nothing or only with x + 1
+        want = _per_target_listing_p2(20)
+        for max_deg in range(1, 21):
+            table = build_table(FieldSpec(2), max_deg)
+            for d in range(1, max_deg + 1):
+                assert np.array_equal(table.prime_indices(d), want[d]), (max_deg, d)
+
+    def test_listings_agree_with_sympy(self):
+        # every monic polynomial of degree <= 10
+        field = FieldSpec(2)
+        table = build_table(field, 10)
+        for d in range(1, 11):
+            want = [i for i in range(2**d) if _sympy_irreducible(field, d, i)]
+            assert table.prime_indices(d).tolist() == want
+
+    @pytest.mark.parametrize("cap", [8, 64, 512])
+    def test_small_blocks_split_primes_and_cofactors(self, cap, monkeypatch):
+        want = build_table(FieldSpec(2), 12)
+        products, blocks = sieve._gf2_products, []
+
+        def spy(b, m):
+            blocks.append((int(b[0]).bit_length() - 1, len(b), m))
+            return products(b, m)
+
+        monkeypatch.setattr(sieve, "SIEVE_BLOCK_CELLS", cap)
+        monkeypatch.setattr(sieve, "_gf2_products", spy)
+        built = build_table(FieldSpec(2), 12)
+        assert all(rows << m <= cap for _, rows, m in blocks)
+        odd = [0] + [len(want.prime_indices(d)) - (d == 1) for d in range(1, 13)]
+        assert any(rows < odd[d] for d, rows, _ in blocks)  # split across primes
+        assert any(m < 12 - d for d, _, m in blocks)  # and across cofactors
+        for d in range(1, 13):
+            assert np.array_equal(built.prime_indices(d), want.prime_indices(d))
+
+
+def test_p2_build_memory_bound():
+    # the one-pass p = 2 sieve holds a bool per odd bitmask, the listing
+    # and at most three blocks of int64 cells; sieving one target degree
+    # at a time peaked at 11 MiB here
+    max_deg = 20
+    listing = 8 * sum(irreducible_count(2, d) for d in range(1, max_deg + 1))
+    bound = 2**max_deg + listing + 3 * 8 * sieve.SIEVE_BLOCK_CELLS
+    tracemalloc.start()
+    try:
+        build_table(FieldSpec(2), max_deg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)

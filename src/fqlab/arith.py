@@ -343,7 +343,10 @@ def value_array(psi: FunctionSpec, table: IrreducibleTable,
     value is not 1, counts valuations only up to power_settle, and keeps
     no remaining degree.  Everything else (complex arrays, sums, a prime
     above top that changes the value) gets exact valuations from P on.
+    A spec over another field than the table's is refused.
     """
+    if psi.field != table.field:
+        raise SpecError(f"{psi.name} is over F_{psi.field.p}, the table over F_{table.field.p}")
     check_enumeration(table.field.p, n)
     additive, neutral = psi.additive, psi.neutral
     cap = _reach(psi, n)

@@ -2,18 +2,20 @@
 
 The table sieve (build_table) marks, degree by degree, the monic
 multiples of every lower-degree irreducible; the unmarked indices of
-degree d are exactly the irreducibles.  At p = 2 it is one Eratosthenes
-pass over the odd bitmasks, off the carry-less product table
-(_gf2_listing).  At odd p it goes one target degree at a time: the
-monic multiples of degree m + d of a monic modulus M of degree d are
-x^d g - (x^d g mod M) for the monic g of degree m, so they are read off
-the residue map: the one with high part g_j (index j) sits at index j
-p^d + key_j, and key_j, the encoding of -(x^d g_j mod M), is affine in
-the digits of j.  One kernel (_Multiples) doubles the keys up over the
-digits of j for all moduli of a degree at once, as digit columns kept
-reduced below p in the smallest unsigned dtype that holds 2p - 2, uint8
-up to p = 127 (p = 2: the d bits packed into one unsigned integer), in
-blocks of at most SIEVE_BLOCK_CELLS cells, as the p = 2 pass.
+degree d are exactly the irreducibles.  At p = 2 every listing of
+multiples is one XOR span (_gf2_span: b (x^m + g) for every g of degree
+< m, doubled up over the bits of g), and the table sieve is one
+Eratosthenes pass over the odd bitmasks (_gf2_listing).  At odd p it
+goes one target degree at a time: the monic multiples of degree m + d
+of a monic modulus M of degree d are x^d g - (x^d g mod M) for the
+monic g of degree m, so they are read off the residue map: the one with
+high part g_j (index j) sits at index j p^d + key_j, and key_j, the
+encoding of -(x^d g_j mod M), is affine in the digits of j.  One kernel
+(_Multiples, odd-p code that the tests also run at p = 2) doubles the
+keys up over the digits of j for all moduli of a degree at once, as
+digit columns kept reduced below p in the smallest unsigned dtype that
+holds 2p - 2, uint8 up to p = 127, in blocks of at most
+SIEVE_BLOCK_CELLS cells, as the p = 2 pass.
 
 The valuation sieve behind the correlate and stats scans,
 prime_valuations, lists, block by block of the primes P of a degree,
@@ -21,21 +23,20 @@ the multiples of P^first (the first power whose value is not neutral)
 among all monic polynomials of degree n and v_P there, counted only up
 to the power where the value settles, so a scan divides nothing; with
 every prime above n/2 neutral too, the caller keeps no remaining
-degree.  Only how a block is listed depends on p: for odd p the same
-kernel lists the multiples of every power (those of P^k sit at
-positions f // p^(first d) among those of P^first); for p = 2 one
-carry-less product table per block (_gf2_products) lists P^first g in
-the order of g, and v_P(P g) = 1 + v_P(g) is read one level down.  A
-shift f -> f + h is an index map on that space
-(shift_indices) and a domain is an index list (domain_indices, which
-refuses more than DEFAULT_CELL_BUDGET polynomials).  The kernel also
-lists the multiples of every prime modulus of a degree range
-(prime_multiples), and its listing holds every residue: the multiple
-of M at position j = f // p^d agrees with f from x^d up, so f mod M is
-f minus that multiple, digit by digit (XOR for p = 2; _residues).
-residue_counts lists the multiples of every modulus of a degree with
-one kernel and yields the class counts of the primes block by block of
-moduli, residue_histogram those of one modulus.
+degree; first = settle = 1 lists the multiples of the primes.  Only how
+a block is listed depends on p: for odd p the same kernel lists the
+multiples of every power (those of P^k sit at positions f // p^(first
+d) among those of P^first); for p = 2 one span per block lists P^first
+g in the order of g, and v_P(P g) = 1 + v_P(g) is read one level down.
+A shift f -> f + h is an index map on that space (shift_indices) and a
+domain is an index list (domain_indices, which refuses more than
+DEFAULT_CELL_BUDGET polynomials).  The multiples of every modulus of a
+degree (_kernel_rows: the kernel at odd p, one span at p = 2) hold every
+residue: the multiple of M at position j = f // p^d agrees with f from
+x^d up, so f mod M is f minus that multiple, digit by digit (XOR for p
+= 2; _residues).  residue_counts lists them once per degree pair and
+yields the class counts of the primes block by block of moduli,
+residue_histogram those of one modulus.
 Factorization of a single polynomial (factorize) runs one
 trial-division loop over a bitmask division (p = 2) or fieldpoly's
 coefficient-tuple long division (odd p).
@@ -136,8 +137,8 @@ def irreducible_count(q: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 # Most cells (moduli x multiples) one block of a sieve holds; it bounds the
-# residue kernel's working set, d uint8 or uint16 digits (p = 2: d packed
-# bits) and one int64 index per cell, and the p = 2 table pass's int64 cells.
+# residue kernel's working set, d uint8 or uint16 digits and one int64
+# index per cell, and the int64 cells of a span of the p = 2 table pass.
 SIEVE_BLOCK_CELLS = 1 << 18
 
 
@@ -192,7 +193,7 @@ def _powers_mod(p: int, n: int, low: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _digit_products(p: int) -> np.ndarray:
-    """out[a, c] = a c mod p for odd p, in the kernel's digit dtype: the
+    """out[a, c] = a c mod p, in the kernel's digit dtype: the
     smallest unsigned one that holds 2p - 2, the most a digit-wise sum of
     two reduced digits reaches; read-only, as every kernel shares it."""
     digits = np.arange(p)
@@ -202,11 +203,9 @@ def _digit_products(p: int) -> np.ndarray:
 
 
 def _add_digits(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Digit-wise a + b of two keys: XOR of the packed bits for p = 2;
-    otherwise of digits below p, reduced below p in place, as a + b - p
-    wraps past a + b in the unsigned digit dtype exactly when a + b < p."""
-    if p == 2:
-        return a ^ b
+    """Digit-wise a + b of two keys of digits below p, reduced below p in
+    place, as a + b - p wraps past a + b in the unsigned digit dtype
+    exactly when a + b < p."""
     out = a + b
     return np.minimum(out, out - p, out=out)
 
@@ -214,8 +213,8 @@ def _add_digits(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _Multiples:
     """The residue kernel: indices of the monic multiples of degree t <=
     t_max of the monic moduli M of degree d whose coefficient rows
-    (leading 1 included) are the rows of moduli.  It sieves the odd-p
-    table only; it lists prime_multiples and _kernel_rows at every p.
+    (leading 1 included) are the rows of moduli.  The library runs it at
+    odd p only; at p = 2 it is the tests' reference for the spans.
 
     With m = t - d, the multiples are x^d g_j - (x^d g_j mod M) for the
     monic g_j of degree m at index j, so the multiple of M with high part
@@ -227,25 +226,19 @@ class _Multiples:
     offset.  Every digit stays reduced below p, in the smallest unsigned
     dtype that holds 2p - 2 (uint8 up to p = 127, uint16 above), and a key
     is read by Horner's rule in the smallest unsigned dtype that holds
-    p^d - 1; for p = 2 the d bits are packed into one unsigned integer of
-    the smallest width and digit-wise addition is XOR.  While one block
-    holds every modulus, the doubled keys are kept for the next, larger t.
+    p^d - 1.  While one block holds every modulus, the doubled keys are
+    kept for the next, larger t.
     """
 
     def __init__(self, p: int, moduli: np.ndarray, t_max: int):
         d = moduli.shape[1] - 1
         u = _powers_mod(p, t_max, moduli[:, :d].T)  # (m + 1, d, count)
-        if p == 2:
-            u = ((1 << np.arange(d)) @ u)[:, None]  # (m + 1, 1, count)
-            steps = (u[..., None] * np.arange(2)).astype(np.min_scalar_type((1 << d) - 1))
-        else:
-            steps = _digit_products(p)[u]
-        self._steps = steps  # c u_k for every digit c: (m + 1, d or 1, count, p)
+        self._steps = _digit_products(p)[u]  # c u_k for every digit c: (m + 1, d, count, p)
         self.p, self.d, self.count = p, d, len(moduli)
         self._kept, self._kept_digits = self._zeros(self.count), 0
 
     def _zeros(self, count: int) -> np.ndarray:
-        return np.zeros((self._steps.shape[1], count, 1), dtype=self._steps.dtype)
+        return np.zeros((self.d, count, 1), dtype=self._steps.dtype)
 
     def _double(self, keys: np.ndarray, have: int, lo: int, s: int) -> np.ndarray:
         """Extend keys, those of j < p^have for the block of moduli at lo,
@@ -286,7 +279,7 @@ class _Multiples:
                     k += 1
                 block = _add_digits(p, keys, off)
                 key = block[-1].astype(horner, copy=False)
-                for i in range(len(block) - 2, -1, -1):  # p = 2: one packed row
+                for i in range(len(block) - 2, -1, -1):
                     key *= p
                     key += block[i]
                 yield lo, hi * width, np.add(key, base + hi * width * p**d,
@@ -651,7 +644,9 @@ def domain_indices(table: IrreducibleTable, n: int, domain: str) -> np.ndarray:
 def shift_indices(field: FieldSpec, n: int, idx: np.ndarray, h: Poly) -> np.ndarray:
     """Enumeration indices of f + h for the monic f of degree n at idx: an
     XOR with the bits of h for p = 2, digit-wise addition mod p otherwise.
-    h must be zero or of degree < n."""
+    h must be over field, and zero or of degree < n."""
+    if h.field != field:
+        raise SieveError(f"shift over F_{h.field.p}, polynomials over F_{field.p}")
     if h.is_zero:
         return idx
     if h.degree >= n:
@@ -686,10 +681,10 @@ def prime_valuations(table: IrreducibleTable, n: int,
     | f, and a multiple f of P^k sits at position f // p^(first d) among
     those of P^first (the kernel's j).  For p = 2 the row of P^first
     lists P^first g in the order of the monic g of degree m = n - first
-    d, from one carry-less product table (_gf2_products), and
-    min(v_P(g), settle - first) is read off the listing of P one level
-    down, built up over settle - first levels from zeros (v_P(P g) = 1 +
-    v_P(g)); no level is built when settle = first.
+    d, from one span (_gf2_span), and min(v_P(g), settle - first) is
+    read off the listing of P one level down, built up over settle -
+    first levels from zeros (v_P(P g) = 1 + v_P(g)); no level is built
+    when settle = first.
     """
     p = table.field.p
     for d, (first, settle) in powers.items():
@@ -710,13 +705,14 @@ def prime_valuations(table: IrreducibleTable, n: int,
             yield d, idx, v
 
 
-def _gf2_products(b: np.ndarray, m: int) -> np.ndarray:
-    """b_i g in GF(2)[x] for every g < 2^m, as bitmasks, one row per b_i,
-    in the order of g, for both p = 2 sieves: doubled up over the bits of
-    g, as b_i (x^k + g) = b_i x^k ^ b_i g for g < 2^k."""
-    out = np.zeros((len(b), 1 << m), dtype=np.int64)
-    for k in range(m):
-        np.bitwise_xor(out[:, :1 << k], (b << k)[:, None],
+def _gf2_span(first: np.ndarray | int, gens: np.ndarray) -> np.ndarray:
+    """out[i, j] = first[i] XOR the gens[i, k] for the bits k set in j,
+    for every j below 2 to the number of columns of gens: the one listing
+    of multiples at p = 2, doubled up in place over the bits of j."""
+    out = np.empty((len(gens), 1 << gens.shape[1]), dtype=np.int64)
+    out[:, 0] = first
+    for k in range(gens.shape[1]):
+        np.bitwise_xor(out[:, :1 << k], gens[:, k:k + 1],
                        out=out[:, 1 << k:2 << k])
     return out
 
@@ -726,13 +722,17 @@ def _gf2_listing(max_deg: int) -> list[np.ndarray]:
     per odd f of degree <= max_deg, at f >> 1; degree d's cells are final
     once the degrees up to d/2 have sieved.  A prime b of degree d marks
     b (2g + 1) >> 1 = b g ^ (b >> 1) for g < 2^(max_deg - d), b itself at
-    g = 0, in blocks over the low s bits of g, each later one the last XOR
-    b x^k for the bit k of g that flips in Gray-code order."""
+    g = 0, in blocks over the low s bits of g (the span of b x^k from
+    b >> 1), each later one the last XOR b x^k for the bit k of g that
+    flips in Gray-code order."""
     unmarked = np.ones(1 << max_deg, dtype=bool)
     by_degree = [np.empty(0, dtype=np.int64), np.arange(2, dtype=np.int64)]
     for d in range(1, max_deg + 1):
         if d > 1:  # cell c holds the index 2 (c - 2^(d-1)) + 1
-            by_degree.append(2 * np.flatnonzero(unmarked[1 << (d - 1):1 << d]) + 1)
+            listed = np.flatnonzero(unmarked[1 << (d - 1):1 << d])
+            listed <<= 1
+            listed |= 1
+            by_degree.append(listed)
         if 2 * d > max_deg:
             continue
         primes = by_degree[d][by_degree[d] & 1 == 1] | (1 << d)  # x sieves no odd f
@@ -740,8 +740,7 @@ def _gf2_listing(max_deg: int) -> list[np.ndarray]:
         chunk = max(1, SIEVE_BLOCK_CELLS >> s)
         for lo in range(0, len(primes), chunk):
             b = primes[lo:lo + chunk]
-            cells = _gf2_products(b, s)
-            cells ^= (b >> 1)[:, None]
+            cells = _gf2_span(b >> 1, b[:, None] << np.arange(s))
             unmarked[cells] = False
             for hi in range(1, 1 << (max_deg - d - s)):
                 cells ^= (b << (s + (hi & -hi).bit_length() - 1))[:, None]
@@ -755,34 +754,27 @@ def _gf2_valuations(P: np.ndarray, base: np.ndarray, n: int, first: int,
     """prime_valuations' block for p = 2, from the primes and their
     first powers as coefficient rows (leading 1 included).  The multiple
     of degree t of a bitmask b of degree e whose cofactor has low part g
-    is b (x^(t - e) + g), at index (b << (t - e)) ^ 2^t ^ b g."""
+    is b (x^(t - e) + g), at index (b << (t - e)) ^ 2^t ^ b g: the span
+    of the b x^k, k < t - e, from (b << (t - e)) ^ 2^t.  A level of P
+    reads the head of one span of the P x^k (idx itself when first = 1)
+    with one XOR, not a span of its own."""
     d = P.shape[1] - 1
     prime, power = (rows @ (1 << np.arange(rows.shape[1])) for rows in (P, base))
     top = n - first * d
-    products = _gf2_products(power, top)
-    idx = products ^ ((power << top) ^ (1 << n))[:, None]
+    idx = _gf2_span((power << top) ^ (1 << n), power[:, None] << np.arange(top))
     t = max(top - (settle - first) * d, top % d)
     v = np.zeros((len(P), 1 << t), dtype=np.int8)
-    if t < top and first > 1:  # the levels list multiples of P itself
-        products = _gf2_products(prime, top - d)
+    span, start = idx, (prime << top) ^ (1 << n)  # the levels list multiples of P
+    if t < top and first > 1:
+        span, start = _gf2_span(0, prime[:, None] << np.arange(top - d)), 0
     at = np.arange(len(P))[:, None]
     while t < top:
         t += d
         up = np.zeros((len(P), 1 << t), dtype=np.int8)
-        low = products[:, :1 << (t - d)]
-        up[at, low ^ ((prime << (t - d)) ^ (1 << t))[:, None]] = 1 + v
+        low = span[:, :1 << (t - d)]
+        up[at, low ^ (start ^ (prime << (t - d)) ^ (1 << t))[:, None]] = 1 + v
         v = up
     return idx, first + v
-
-
-def prime_multiples(table: IrreducibleTable, n: int, lo: int, hi: int):
-    """For the primes P with lo <= deg P <= hi <= n, in (degree, index)
-    order, yield (deg P, idx) block by block: row i of idx holds the
-    enumeration indices of the monic multiples of degree n of the i-th
-    prime of the block, ascending."""
-    for d in range(lo, hi + 1):
-        for P in _prime_blocks(table, d, n - d):
-            yield d, _Multiples(table.field.p, P, n).rows(n)
 
 
 def _prime_blocks(table: IrreducibleTable, d: int, m: int):
@@ -807,12 +799,19 @@ RESIDUE_BLOCK_CELLS = 1 << 13
 
 def _kernel_rows(p: int, n: int, moduli: np.ndarray) -> np.ndarray:
     """The degree-n multiples of the monic moduli whose coefficient rows
-    (leading 1 included) are the rows of moduli, one row each, from one
-    sieve kernel; a modulus of degree above n has none (empty rows)."""
+    (leading 1 included) are the rows of moduli, one row each, ascending
+    in the high part j; a modulus of degree above n has none (empty
+    rows).  Odd p runs one sieve kernel.  At p = 2 the multiple of M with
+    high part j is x^d g_j ^ (x^d g_j mod M), g_j = x^(n - d) + j: one
+    span from x^n mod M over M (x^(d+k) div M) = x^(d+k) ^ (x^(d+k) mod
+    M), k < n - d, the x^i mod M packed from _powers_mod."""
     d = moduli.shape[1] - 1
     if d > n:
         return np.empty((len(moduli), 0), dtype=np.int64)
-    return _Multiples(p, moduli, n).rows(n)
+    if p > 2:
+        return _Multiples(p, moduli, n).rows(n)
+    rem = (1 << np.arange(d)) @ _powers_mod(2, n, moduli[:, :d].T)  # (n - d + 1, count)
+    return _gf2_span(rem[-1], rem[:-1].T ^ (1 << np.arange(d, n)))
 
 
 def _residues(p: int, n: int, d: int, idx: np.ndarray,
@@ -883,6 +882,8 @@ def residue_histogram(n: int, modulus: Poly, table: IrreducibleTable) -> dict[in
     """
     if modulus.is_zero or not modulus.is_monic or modulus.degree < 1:
         raise SieveError("modulus must be monic of degree >= 1")
+    if modulus.field != table.field:
+        raise SieveError("modulus and table fields differ")
     p = table.field.p
     rows = _kernel_rows(p, n, np.array([modulus.coeffs], dtype=np.int64))
     keys = _residues(p, n, modulus.degree, table.prime_indices(n), rows)[0]

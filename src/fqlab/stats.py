@@ -10,9 +10,9 @@ correlate reads too (arith.scan over the valuation sieve): the
 value multiset is one np.unique, the weight sums one exact sum, the
 divisor-product maximum one max.  The progression statistics (Theta, the
 Bombieri-Vinogradov sum, Brun-Titchmarsh) count primes per residue class
-(sieve.residue_counts, read off the sieve kernel's multiples) and use the
-multiples of each prime modulus (sieve.prime_multiples), with no
-per-prime division.
+(sieve.residue_counts, read off the multiples of every modulus) and use
+the multiples of each prime modulus (sieve.prime_valuations at the first
+power), with no per-prime division.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .mainterm import INF_TAIL_TARGET, ShiftPair, TruncatedValue, main_term
 from .sieve import (
     IrreducibleTable,
     TableTooSmallError,
-    prime_multiples,
+    prime_valuations,
     residue_counts,
     residue_histogram,
     shift_indices,
@@ -324,7 +324,8 @@ def sieve_diagnostics(n: int, h: Poly, t: float,
     if not h.is_zero:  # -h = 0 is invertible mod nothing: empty sum
         is_prime = np.zeros(q**n, dtype=bool)
         is_prime[table.prime_indices(n)] = True
-        for dq, idx in prime_multiples(table, n, n // 2 + 1, n):
+        large = dict.fromkeys(range(n // 2 + 1, n + 1), (1, 1))
+        for dq, idx, _ in prime_valuations(table, n, large):
             cnt = np.count_nonzero(is_prime[shift_indices(field, n, idx, -h)],
                                    axis=1)
             theta += (q**dq - 1) * sum(c * c for c in cnt.tolist())  # phi(Q)

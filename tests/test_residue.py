@@ -152,20 +152,24 @@ class TestResidueMap:
     @staticmethod
     def _spy(monkeypatch):
         """Record (moduli, primes, residue classes, multiples) of every call
-        of the residue helper, and the arguments of every sieve kernel."""
+        of the residue helper, and the arguments of every listing of
+        multiples: the sieve kernel at odd p, a span at p = 2."""
         calls, kernels = [], []
-        residues, multiples = sieve._residues, sieve._Multiples
+        residues = sieve._residues
 
         def spy(p, n, d, idx, rows):
             calls.append((len(rows), len(idx), p**d, rows.size))
             return residues(p, n, d, idx, rows)
 
-        def kernel(*args):
-            kernels.append(args)
-            return multiples(*args)
+        def lister(listing):
+            def kernel(*args):
+                kernels.append(args)
+                return listing(*args)
+            return kernel
 
         monkeypatch.setattr(sieve, "_residues", spy)
-        monkeypatch.setattr(sieve, "_Multiples", kernel)
+        for name in ("_Multiples", "_gf2_span"):
+            monkeypatch.setattr(sieve, name, lister(getattr(sieve, name)))
         return calls, kernels
 
     @staticmethod
@@ -203,7 +207,8 @@ class TestResidueMap:
     @pytest.mark.parametrize("p, n, d", [(2, 10, 7), (3, 6, 4), (5, 4, 3),
                                          (3, 6, 1)])
     def test_one_kernel_per_call(self, p, n, d, monkeypatch):
-        # the blocks of moduli are slices of one kernel's p^n multiples
+        # the blocks of moduli are slices of one kernel's (p = 2: one
+        # span's) p^n multiples
         table = _table(p)  # its sieve builds kernels of its own
         calls, kernels = self._spy(monkeypatch)
         blocks = list(residue_counts(table, n, d))
@@ -226,6 +231,24 @@ class TestStatisticsAgainstLoops:
         diag = sieve_diagnostics(n, h, t, table)
         assert diag.theta == theta_oracle(n, h, table)
         assert diag.bv_sum == bv_oracle(n, t, table)
+
+    @pytest.mark.parametrize("p, n, cap", [(2, 8, 16), (3, 5, 27)])
+    def test_theta_over_split_blocks(self, p, n, cap, monkeypatch):
+        # a cap this small splits the primes of degree n // 2 + 1 (6 at
+        # p = 2, 8 at p = 3) over several blocks of prime_valuations
+        table = _table(p)
+        h = parse_poly("x", table.field)
+        valuations, blocks = stats.prime_valuations, []
+
+        def spy(*args):
+            for d, idx, v in valuations(*args):
+                blocks.append(d)
+                yield d, idx, v
+
+        monkeypatch.setattr(sieve, "SIEVE_BLOCK_CELLS", cap)
+        monkeypatch.setattr(stats, "prime_valuations", spy)
+        assert sieve_diagnostics(n, h, 1.0, table).theta == theta_oracle(n, h, table)
+        assert blocks.count(n // 2 + 1) > 1
 
     @pytest.mark.parametrize("p, n_max", [(2, 8), (3, 5), (5, 3)])
     def test_brun_titchmarsh_list(self, p, n_max):

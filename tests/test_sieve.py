@@ -571,14 +571,15 @@ class TestListingsP2:
     @pytest.mark.parametrize("cap", [8, 64, 512])
     def test_small_blocks_split_primes_and_cofactors(self, cap, monkeypatch):
         want = build_table(FieldSpec(2), 12)
-        products, blocks = sieve._gf2_products, []
+        span, blocks = sieve._gf2_span, []
 
-        def spy(b, m):
-            blocks.append((int(b[0]).bit_length() - 1, len(b), m))
-            return products(b, m)
+        def spy(first, gens):
+            # a block of primes b of degree d spans from b >> 1
+            blocks.append((int(first[0]).bit_length(), *gens.shape))
+            return span(first, gens)
 
         monkeypatch.setattr(sieve, "SIEVE_BLOCK_CELLS", cap)
-        monkeypatch.setattr(sieve, "_gf2_products", spy)
+        monkeypatch.setattr(sieve, "_gf2_span", spy)
         built = build_table(FieldSpec(2), 12)
         assert all(rows << m <= cap for _, rows, m in blocks)
         odd = [0] + [len(want.prime_indices(d)) - (d == 1) for d in range(1, 13)]
@@ -586,6 +587,70 @@ class TestListingsP2:
         assert any(m < 12 - d for d, _, m in blocks)  # and across cofactors
         for d in range(1, 13):
             assert np.array_equal(built.prime_indices(d), want.prime_indices(d))
+
+
+class TestKernelRowsP2:
+    """The multiples of every modulus at p = 2, one span each, against
+    Poly multiplication and the residue kernel."""
+
+    def test_every_modulus_up_to_degree_3(self):
+        # d = n lists M itself, d > n lists nothing
+        field = FieldSpec(2)
+        for d in range(1, 4):
+            moduli = _monic_digits(2, np.arange(2**d), d)
+            for n in range(1, 7):
+                rows = sieve._kernel_rows(2, n, moduli)
+                assert rows.shape == (2**d, 2 ** (n - d) if n >= d else 0)
+                if n < d:
+                    continue
+                assert (np.diff(rows, axis=1) > 0).all()
+                for i in range(2**d):
+                    M = monic_from_index(field, d, i)
+                    assert rows[i].tolist() == _multiples_by_poly(field, M, n)
+
+    def test_equal_to_the_residue_kernel(self):
+        for d, n in ((1, 12), (4, 12), (6, 13), (7, 7)):
+            moduli = _monic_digits(2, np.arange(2**d), d)
+            assert np.array_equal(sieve._kernel_rows(2, n, moduli),
+                                  _Multiples(2, moduli, n).rows(n))
+
+    def test_memory_bound(self):
+        # the span fills its rows in place; the packed-bit residue kernel
+        # peaked at 12.8 MiB here, for 8 MiB of rows
+        moduli = _monic_digits(2, np.arange(2**6), 6)
+        tracemalloc.start()
+        try:
+            rows = sieve._kernel_rows(2, 20, moduli)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= rows.nbytes + 2**20, (peak, rows.nbytes)
+
+
+def test_library_builds_no_residue_kernel_at_p2(monkeypatch):
+    # p = 2 lists every multiple through _gf2_span; the residue kernel
+    # (odd-p code) is built only at odd p
+    from fqlab import arith, crt_count_enumerated, stats
+    built, kernel = [], sieve._Multiples
+
+    def spy(p, *args):
+        built.append(p)
+        return kernel(p, *args)
+
+    monkeypatch.setattr(sieve, "_Multiples", spy)
+    for p in (2, 3):
+        field = FieldSpec(p)
+        table = build_table(field, 6 if p == 2 else 4)
+        one, x = parse_poly("1", field), parse_poly("x", field)
+        stats.sieve_diagnostics(6 if p == 2 else 4, one, 0.0, table)
+        stats.brun_titchmarsh_violations(5 if p == 2 else 3, table)
+        prime_count_ap(4, parse_poly("x^2+x+1", field), one, table)
+        crt_count_enumerated(x, x + one, one, x, 5)
+        for spec in ("moebius", "kfree:2", "phi_ratio"):
+            psi = arith.parse_function_spec(spec, field)
+            arith.scan([psi, psi], [one, x], 4, "monic", table)
+            arith.scan([psi, psi], [one, x], 4, "prime", table)
+        assert (p in built) == (p > 2), built
 
 
 def test_p2_build_memory_bound():

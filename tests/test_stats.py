@@ -7,8 +7,10 @@ import pytest
 from fqlab import (
     AdditiveSpec,
     EmpiricalDistribution,
+    Poly,
     ShiftPair,
     SieveError,
+    SpecError,
     StatsError,
     brun_titchmarsh_violations,
     builtin_additive,
@@ -20,11 +22,14 @@ from fqlab import (
     ks_distance,
     limit_charfn,
     parse_poly,
+    prime_count_ap,
+    residue_histogram,
     sieve_diagnostics,
     squarefree_weight_sum,
     tk_ratio,
 )
 from fqlab.fieldpoly import monic_from_index
+from fqlab.sieve import shift_indices
 
 
 def pair(field, a, b):
@@ -282,6 +287,35 @@ class TestSieveDiagnostics:
         diag = sieve_diagnostics(8, parse_poly("1", field2), 0.5, table2)
         assert isinstance(diag.bv_sum, Fraction)
         assert diag.bv_sum >= 0
+
+
+class TestOtherFieldRefused:
+    """An input over F_3 given with an F_2 table is refused, where it
+    was once computed as if it were over F_2."""
+
+    def test_value_array_refuses_the_spec(self, field2, field3, table2):
+        # the law of F_3 log_phi_ratio once came out with q = 3
+        psi = builtin_additive("log_phi_ratio", field3)
+        with pytest.raises(SpecError):
+            empirical_distribution(psi, psi, pair(field2, "0", "1"), 6,
+                                   "monic", table2)
+
+    def test_shift_indices_refuses_the_shift(self, field2, field3, table2):
+        idx = table2.prime_indices(6)
+        for h in (Poly(field3, ()), parse_poly("x+2", field3)):
+            with pytest.raises(SieveError):
+                shift_indices(field2, 6, idx, h)
+            with pytest.raises(SieveError):  # once a report
+                tk_ratio(lambda d, m: 1.0, h, 6, "monic", table2)
+        with pytest.raises(SieveError):  # once theta = 15
+            sieve_diagnostics(6, parse_poly("x+2", field3), 1.0, table2)
+
+    def test_residue_histogram_refuses_the_modulus(self, field3, table2):
+        M = parse_poly("x+2", field3)
+        with pytest.raises(SieveError):  # once {7: 1, 1: 1, 31: 1}
+            residue_histogram(4, M, table2)
+        with pytest.raises(SieveError):
+            prime_count_ap(4, M, parse_poly("1", field3), table2)
 
 
 class TestBrunTitchmarsh:

@@ -29,6 +29,7 @@ from .arith import FunctionSpec, product_sum, scan
 from .fieldpoly import (
     FieldSpec,
     Poly,
+    PolyError,
     ext_gcd,
     format_poly,
     poly_gcd_lcm,
@@ -155,6 +156,16 @@ def correlate(spec: CorrelationSpec, table: IrreducibleTable) -> CorrelationRepo
 # exact counting of the congruence system behind the main term
 # ---------------------------------------------------------------------------
 
+def _check_congruence(g1: Poly, g2: Poly, h1: Poly, h2: Poly) -> None:
+    """The inputs crt_count and crt_count_enumerated both refuse: a zero
+    or non-monic modulus, or polynomials from more than one field."""
+    for g in (g1, g2):
+        if g.is_zero or not g.is_monic:
+            raise EngineError("moduli must be monic nonzero")
+    if any(h.field != g1.field for h in (g2, h1, h2)):
+        raise PolyError("operands live in different fields")
+
+
 def crt_count(g1: Poly, g2: Poly, h1: Poly, h2: Poly, n: int) -> int:
     """|{f monic of degree n : g1 | f + h1 and g2 | f + h2}| exactly.
 
@@ -163,9 +174,7 @@ def crt_count(g1: Poly, g2: Poly, h1: Poly, h2: Poly, n: int) -> int:
     q^{n - deg lcm} when deg lcm <= n, else 0 or 1 according to whether
     the unique residue is itself monic of degree n.
     """
-    for g in (g1, g2):
-        if g.is_zero or not g.is_monic:
-            raise EngineError("moduli must be monic nonzero")
+    _check_congruence(g1, g2, h1, h2)
     field = g1.field
     q = field.p
     g, lcm = poly_gcd_lcm(g1, g2)
@@ -190,6 +199,7 @@ def crt_count_enumerated(g1: Poly, g2: Poly, h1: Poly, h2: Poly, n: int) -> int:
     of degree n mod g1 and mod g2 (read off the multiples of each modulus,
     sieve._residues) and counts those with f = -h1 mod g1 and f = -h2 mod
     g2."""
+    _check_congruence(g1, g2, h1, h2)
     p = g1.field.p
     check_enumeration(p, n)
     idx = np.arange(p**n, dtype=np.int64)

@@ -39,13 +39,14 @@ yields the class counts of the primes block by block of moduli,
 residue_histogram those of one modulus.
 Factorization of a single polynomial (factorize) runs one
 trial-division loop over a bitmask division (p = 2) or fieldpoly's
-coefficient-tuple long division (odd p).
+coefficient-tuple long division (odd p), converting the primes of a
+degree only when the loop reaches it.
 
-Counts are validated against the necklace identity sum_{d|n} d*N_d = q^n
-(the coefficient form of the zeta function's Euler product) and against
-the square-root error shape |n*N_n - q^n| <= 4*q^{n/2}.  Counts beyond
-the tabulated range are produced exactly by Moebius inversion of the
-necklace identity; only listings are capped by the memory budget.
+A table checks every N_d against Moebius inversion of the necklace
+identity sum_{d|n} d*N_d = q^n (the coefficient form of the zeta
+function's Euler product), which is that identity for every n <=
+max_deg.  Counts beyond the tabulated range are produced exactly by the
+same inversion; only listings are capped by the memory budget.
 
 The cache file layout (little endian) is:
   magic "FFQI", u32 format version (2), u32 p, u32 max_deg,
@@ -55,13 +56,13 @@ A file is written under a temporary name and renamed into place.
 Loading checks the whole file before it returns: magic, version and
 field, the file length against the Moebius counts (so a truncated file
 and trailing bytes are caught before any index is read), every N_d
-against Moebius inversion, every degree's indices strictly ascending in
-[0, p^d), and the necklace identity; each failure is a SieveError that
-names the file.  The counts, ranges and ascents of all degrees are
-compared at once over the payload read as int64 cells, and the first
-failing degree is named (its count before its range before its
-ascent).  Each degree of a loaded table is a read-only view of
-the bytes read.
+against Moebius inversion (the necklace identity for every n <=
+max_deg), and every degree's indices strictly ascending in [0, p^d);
+each failure is a SieveError that names the file.  The counts, ranges
+and ascents of all degrees are compared at once over the payload read
+as int64 cells, and the first failing degree is named (its count before
+its range before its ascent).  Each degree of a loaded table is a
+read-only view of the bytes read.
 """
 
 from __future__ import annotations
@@ -343,7 +344,9 @@ class IrreducibleTable:
 
     by_degree[d] holds the enumeration indices of the degree-d primes,
     ascending, as a read-only int64 array: the sieve's listing, or a view
-    of the bytes of a cache file.  Immutable after build, safe for
+    of the bytes of a cache file.  Construction refuses a listing whose
+    length differs from the Moebius count of its degree.  The table is
+    that checked data and nothing more: immutable after build, safe for
     concurrent reads.
     """
 
@@ -355,22 +358,13 @@ class IrreducibleTable:
         for idx in self._by_degree:
             idx.flags.writeable = False
         self._counts = [0] + [len(a) for a in by_degree[1:]]
-        self._prime_rows: list[list] = [[]]
-        self._validate()
-
-    def _validate(self) -> None:
-        q, counts = self.field.p, self._counts
-        weighted = [0] * (self.max_deg + 1)  # sum_{d|n} d N_d, one pass over d
-        for d in range(1, self.max_deg + 1):
-            for n in range(d, self.max_deg + 1, d):
-                weighted[n] += d * counts[d]
-        for n in range(1, self.max_deg + 1):
-            if weighted[n] != q**n:
-                raise SieveError(
-                    f"necklace identity fails at n={n}: "
-                    f"{weighted[n]} != {q**n}")
-            if abs(n * counts[n] - q**n) > 4 * q ** (n / 2):
-                raise SieveError(f"count N_{n} violates the sqrt error shape")
+        # every N_d equal to its Moebius inversion is the necklace identity
+        # sum_{d|n} d N_d = q^n for every n <= max_deg (the identities fix
+        # N_1, N_2, ... one after another), and the true counts meet
+        # |n N_n - q^n| < 2 q^{n/2}, so no square-root shape test can fail
+        for d in range(1, max_deg + 1):
+            if self._counts[d] != irreducible_count(field.p, d):
+                raise SieveError(f"wrong prime count at degree {d}")
 
     # -- counting ---------------------------------------------------------
 
@@ -400,26 +394,6 @@ class IrreducibleTable:
     def primes(self, d: int) -> list[Poly]:
         return [monic_from_index(self.field, d, int(i))
                 for i in self.prime_indices(d)]
-
-    def rows(self, limit: int) -> list[list]:
-        """rows[d] for d <= limit: the degree-d primes as bitmasks with the
-        leading bit set (p=2) or as coefficient tuples with the leading 1
-        (odd p).  Built one degree at a time, only as far as asked."""
-        if limit > self.max_deg:
-            raise TableTooSmallError(f"need primes to degree {limit}, have {self.max_deg}")
-        rows = self._prime_rows
-        if len(rows) <= limit:
-            p = self.field.p
-            rows = list(rows)  # readers keep the list they were handed
-            for d in range(len(rows), limit + 1):
-                idx = self.prime_indices(d)
-                if p == 2:
-                    rows.append([i | (1 << d) for i in idx.tolist()])
-                else:
-                    rows.append([tuple(cs) + (1,) for cs in
-                                 _digit_matrix(p, idx, d, np.uint8).tolist()])
-            self._prime_rows = rows
-        return rows
 
     # -- cache ------------------------------------------------------------
 
@@ -490,7 +464,7 @@ class IrreducibleTable:
             raise SieveError(f"{path}: degree-{i + 1} indices are not strictly ascending")
         by_degree = [np.empty(0, dtype=np.int64)]
         by_degree += [payload[s + 1:s + 1 + c] for s, c in zip(slots.tolist(), counts[1:])]
-        return cls(field, max_deg, by_degree)  # necklace check runs in init
+        return cls(field, max_deg, by_degree)
 
 
 def necklace_check(table: IrreducibleTable, n: int) -> NecklaceReport:
@@ -533,18 +507,18 @@ def build_table(field: FieldSpec, max_deg: int,
 # factorization by trial division
 # ---------------------------------------------------------------------------
 
-def _trial_division(a, rows, divmod_, degree):
-    """Trial division of the monic a by the primes in rows (rows[d] lists
-    those of degree d, up to half the degree of a); returns [(prime,
-    mult)] sorted by (degree, index).  The final cofactor, if any, is
-    irreducible because no prime up to half its degree divides it.
-    divmod_(a, P) gives the quotient and a remainder that is falsy when
-    zero; degree(a) gives the degree."""
+def _trial_division(a, primes, divmod_, degree):
+    """Trial division of the monic a by the primes up to half its degree,
+    primes(d) listing those of degree d; returns [(prime, mult)] sorted by
+    (degree, index).  primes(d) is asked only for the degrees the loop
+    reaches.  The final cofactor, if any, is irreducible because no prime
+    up to half its degree divides it.  divmod_(a, P) gives the quotient
+    and a remainder that is falsy when zero; degree(a) gives the degree."""
     out = []
     deg = degree(a)
     d = 1
     while 2 * d <= deg:
-        for P in rows[d]:
+        for P in primes(d):
             q, r = divmod_(a, P)
             if r:
                 continue
@@ -575,24 +549,14 @@ def _bits_divmod(a: int, b: int):
         q |= 1 << sh
 
 
-def _factor_bits(bits: int, rows: list[list[int]]):
-    """Trial division of a monic GF(2) bitmask by prime bitmasks."""
-    return _trial_division(bits, rows, _bits_divmod, lambda a: a.bit_length() - 1)
-
-
-def _factor_coeffs(p: int, coeffs: list[int],
-                   rows: list[list[tuple[int, ...]]]):
-    """Generic-p trial division on coefficient tuples, as the p=2 kernel."""
-    return _trial_division(tuple(coeffs), rows,
-                           lambda a, b: _c_divmod(p, a, b),
-                           lambda a: len(a) - 1)
-
-
 def factorize(f: Poly, table: IrreducibleTable) -> Factorization:
     """Prime-power factorization of a monic nonzero polynomial.
 
     Requires table.max_deg >= floor(deg(f)/2); re-multiplication of the
-    result equals f exactly.
+    result equals f exactly.  One trial-division loop runs on bitmasks at
+    p = 2 and on coefficient tuples at odd p; the primes of a degree are
+    converted to that form when the loop first reaches it, and the table
+    keeps nothing of them.
     """
     if f.is_zero or not f.is_monic:
         raise SieveError("factorize requires a monic nonzero polynomial")
@@ -606,14 +570,19 @@ def factorize(f: Poly, table: IrreducibleTable) -> Factorization:
             f"factoring degree {n} needs primes to degree {n // 2}, "
             f"table has {table.max_deg}")
     field = f.field
-    rows = table.rows(max(1, n // 2))
-    if field.p == 2:
-        factors = [(poly_from_encoding(field, pb), m)
-                   for pb, m in _factor_bits(f.encode(), rows)]
-    else:
-        factors = [(Poly(field, pc), m)
-                   for pc, m in _factor_coeffs(field.p, f.coeffs, rows)]
-    return Factorization(tuple(factors))
+    p = field.p
+    if p == 2:
+        factors = _trial_division(
+            f.encode(), lambda d: (table.prime_indices(d) | 1 << d).tolist(),
+            _bits_divmod, lambda a: a.bit_length() - 1)
+        return Factorization(tuple((poly_from_encoding(field, pb), m)
+                                   for pb, m in factors))
+    factors = _trial_division(
+        f.coeffs,
+        lambda d: [(*cs, 1) for cs in _digit_matrix(
+            p, table.prime_indices(d), d, np.uint8).tolist()],
+        lambda a, b: _c_divmod(p, a, b), lambda a: len(a) - 1)
+    return Factorization(tuple((Poly(field, pc), m) for pc, m in factors))
 
 
 def check_enumeration(p: int, n: int, budget: int = DEFAULT_CELL_BUDGET) -> None:

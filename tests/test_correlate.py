@@ -19,7 +19,7 @@ from fqlab import (
     factorize,
     parse_poly,
 )
-from fqlab.fieldpoly import monic_from_index, poly_from_encoding
+from fqlab.fieldpoly import PolyError, monic_from_index, poly_from_encoding
 
 
 def brute_correlation(field, n, domain, shifts, functions, table):
@@ -319,6 +319,19 @@ class TestCrtCount:
         zero = parse_poly("0", field3)
         with pytest.raises(EngineError):
             crt_count(g, g, zero, zero, 3)
+
+    @pytest.mark.parametrize("texts, ps, error", [
+        (("0", "x", "0", "0"), (3, 3, 3, 3), EngineError),
+        (("2x+1", "2x+1", "0", "1"), (3, 3, 3, 3), EngineError),
+        (("2x^2+1", "x", "0", "0"), (3, 3, 3, 3), EngineError),
+        (("x", "x+2", "1", "1"), (2, 3, 2, 3), PolyError),
+    ])
+    def test_enumeration_refuses_alike(self, texts, ps, error):
+        # the oracle once counted 27, 0, 3 and 0 where crt_count refuses
+        polys = [parse_poly(t, FieldSpec(p)) for t, p in zip(texts, ps)]
+        for count in (crt_count, crt_count_enumerated):
+            with pytest.raises(error):
+                count(*polys, 4)
 
 
 class TestDeviationScan:

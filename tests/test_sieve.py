@@ -26,14 +26,14 @@ from fqlab import (
     prime_count_ap,
     residue_histogram,
 )
-from fqlab.fieldpoly import monic_from_index
+from fqlab.fieldpoly import _c_divmod, monic_from_index
 from fqlab import sieve
 from fqlab.sieve import (
     IrreducibleTable,
-    _factor_bits,
-    _factor_coeffs,
+    _bits_divmod,
     _monic_digits,
     _Multiples,
+    _trial_division,
 )
 
 
@@ -113,6 +113,15 @@ class TestNecklace:
             q = tab.field.p
             for n in range(1, tab.max_deg + 1):
                 assert abs(n * tab.count(n) - q ** n) <= 4 * q ** (n / 2)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_construction_refuses_a_dropped_prime(self, p):
+        built = build_table(FieldSpec(p), 4)
+        by_degree = [np.empty(0, dtype=np.int64)]
+        by_degree += [built.prime_indices(d) for d in range(1, 5)]
+        by_degree[3] = by_degree[3][1:]
+        with pytest.raises(SieveError, match="^wrong prime count at degree 3$"):
+            IrreducibleTable(built.field, 4, by_degree)
 
 
 class TestFactorize:
@@ -404,18 +413,50 @@ class TestOracles:
         assert sorted((P.coeffs, m) for P, m in fact.factors) == sympy_factors(f)
 
     def test_bit_kernel_matches_digit_kernel(self, table2):
-        # every degree-10 polynomial over F_2, factored by the bitmask
-        # kernel and by the digit kernel
+        # every degree-10 polynomial over F_2, factored by trial division
+        # on bitmask rows and on coefficient-tuple rows
         n = 10
-        bit_rows = table2.rows(n // 2)
+        bit_rows = [[]] + [(table2.prime_indices(d) | 1 << d).tolist()
+                           for d in range(1, n // 2 + 1)]
         coeff_rows = [[tuple((pb >> i) & 1 for i in range(d + 1)) for pb in row]
                       for d, row in enumerate(bit_rows)]
         for idx in range(1 << n):
             bits = idx | (1 << n)
-            coeffs = [(bits >> i) & 1 for i in range(n + 1)]
+            coeffs = tuple((bits >> i) & 1 for i in range(n + 1))
             got = [(tuple((pb >> i) & 1 for i in range(pb.bit_length())), m)
-                   for pb, m in _factor_bits(bits, bit_rows)]
-            assert got == _factor_coeffs(2, coeffs, coeff_rows)
+                   for pb, m in _trial_division(bits, bit_rows.__getitem__, _bits_divmod,
+                                                lambda a: a.bit_length() - 1)]
+            assert got == _trial_division(coeffs, coeff_rows.__getitem__,
+                                          lambda a, b: _c_divmod(2, a, b),
+                                          lambda a: len(a) - 1)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_factorize_leaves_the_table_as_it_was(self, p):
+        table = build_table(FieldSpec(p), 6)
+
+        def contents():  # each attribute, and the objects a list holds
+            return {k: [id(x) for x in v] if isinstance(v, list) else v
+                    for k, v in vars(table).items()}
+
+        before = contents()
+        for idx in range(0, p**12, p**12 // 50):
+            factorize(monic_from_index(table.field, 12, idx), table)
+        assert contents() == before
+
+    @pytest.mark.parametrize("p, n", [(2, 16), (3, 12)])
+    def test_factorize_reads_only_the_degrees_it_reaches(self, p, n, monkeypatch):
+        # x^n has every factor in degree 1, so trial division stops there
+        table = build_table(FieldSpec(p), n // 2)
+        read, prime_indices = [], IrreducibleTable.prime_indices
+
+        def spy(self, d):
+            read.append(d)
+            return prime_indices(self, d)
+
+        monkeypatch.setattr(IrreducibleTable, "prime_indices", spy)
+        fact = factorize(parse_poly(f"x^{n}", table.field), table)
+        assert fact.degree_mult_pairs() == ((1, n),)
+        assert read == [1]
 
 
 def _multiples_by_poly(field, M, t):

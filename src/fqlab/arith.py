@@ -19,9 +19,10 @@ valuation sieve over the primes up to psi's own trivial_beyond_degree,
 in the dtype that reproduces Python's own arithmetic (int64, float64,
 complex128, or object where those would round or overflow), for every
 spec alike.  scan, the one front door of every scan, reads one such
-array per function through each shift's index map over a domain, on a
-table as large as scan_degrees says; product_sum sums products of such
-columns exactly (integers) or correctly rounded (floats).
+array per function at f + h for each shift h (sieve.shifted) over a
+domain, on a table as large as scan_degrees says; product_sum sums
+products of such columns exactly (integers) or correctly rounded
+(floats).
 """
 
 from __future__ import annotations
@@ -38,12 +39,12 @@ from .fieldpoly import FieldSpec, Poly
 from .sieve import (
     Factorization,
     IrreducibleTable,
+    SieveError,
     TableTooSmallError,
     check_enumeration,
-    domain_indices,
     factorize,
     prime_valuations,
-    shift_indices,
+    shifted,
 )
 
 
@@ -411,18 +412,26 @@ def scan(functions, shifts, n: int, domain: str,
     """The column psi_i(f + h_i) over the domain ("monic" or "prime"
     polynomials of degree n, in ascending index order) for each pair of
     functions[i] and shifts[i]: the value array of psi_i, one per
-    function object, read through the index map of h_i.  Refuses an
-    unknown domain or a scan past the cell budget (domain_indices), then,
-    before anything is sieved, a table smaller than scan_degrees says."""
-    source = domain_indices(table, n, domain)
+    function object, shifted by h_i (sieve.shifted) and, on the prime
+    domain, read at the primes.  Refuses unpaired inputs, an unknown
+    domain, a scan past the cell budget and then a table smaller than
+    scan_degrees says, before anything is sieved."""
+    if len(functions) != len(shifts):
+        raise SpecError(f"{len(functions)} functions for {len(shifts)} shifts")
+    if domain not in ("monic", "prime"):
+        raise SieveError(f"domain must be monic or prime, got {domain!r}")
+    check_enumeration(table.field.p, n)
     need = scan_degrees(functions, n, domain)
     if table.max_deg < need:
         raise TableTooSmallError(
             f"need primes to degree {need}, table has {table.max_deg}")
     distinct = {id(psi): psi for psi in functions}
     values = {key: value_array(psi, table, n) for key, psi in distinct.items()}
-    return [values[id(psi)][shift_indices(table.field, n, source, h)]
-            for psi, h in zip(functions, shifts)]
+    columns = [shifted(values[id(psi)], table.field, n, h)
+               for psi, h in zip(functions, shifts)]
+    if domain == "prime":
+        columns = [c[table.prime_indices(n)] for c in columns]
+    return columns
 
 
 def product_sum(columns: list[np.ndarray], integer: bool):

@@ -4,10 +4,10 @@ correlate() evaluates sum over the domain of prod_i psi_i(f + h_i) by
 exhaustive enumeration on the evaluation engine that the stats module
 shares: arith.scan builds one value array psi(f) over every monic f of
 degree n with the valuation sieve (arith.value_array over
-sieve.prime_valuations), reads it through each shift's index map and
-gathers it at the domain.  Integer-valued function sets sum exactly;
-everything else is summed correctly rounded (math.fsum), so no value
-depends on the order of summation.
+sieve.prime_valuations), reads it at f + h for each shift
+(sieve.shifted) and gathers it at the domain.  Integer-valued function
+sets sum exactly; everything else is summed correctly rounded
+(math.fsum), so no value depends on the order of summation.
 
 Each value array stops at the degree past which its function is
 identically 1 (trivial_beyond_degree): the primes left out contribute an

@@ -28,9 +28,9 @@ a block is listed depends on p: for odd p the same kernel lists the
 multiples of every power (those of P^k sit at positions f // p^(first
 d) among those of P^first); for p = 2 one span per block lists P^first
 g in the order of g, and v_P(P g) = 1 + v_P(g) is read one level down.
-A shift f -> f + h is an index map on that space (shift_indices) and a
-domain is an index list (domain_indices, which refuses more than
-DEFAULT_CELL_BUDGET polynomials).  The multiples of every modulus of a
+A shift f -> f + h is a translation of that space (shifted): an array
+over it, reshaped to (p,)*n, has one axis per coefficient, and h moves
+each axis of a nonzero digit.  The multiples of every modulus of a
 degree (_kernel_rows: the kernel at odd p, one span at p = 2) hold every
 residue: the multiple of M at position j = f // p^d agrees with f from
 x^d up, so f mod M is f minus that multiple, digit by digit (XOR for p
@@ -598,37 +598,25 @@ def check_enumeration(p: int, n: int, budget: int = DEFAULT_CELL_BUDGET) -> None
             f"exceeds the budget {budget}")
 
 
-def domain_indices(table: IrreducibleTable, n: int, domain: str) -> np.ndarray:
-    """Enumeration indices of the monic ("monic") or irreducible
-    ("prime") polynomials of degree n, in ascending order; any other
-    domain is refused."""
-    if domain not in ("monic", "prime"):
-        raise SieveError(f"domain must be monic or prime, got {domain!r}")
-    check_enumeration(table.field.p, n)
-    if domain == "monic":
-        return np.arange(table.field.p ** n, dtype=np.int64)
-    return table.prime_indices(n)
-
-
-def shift_indices(field: FieldSpec, n: int, idx: np.ndarray, h: Poly) -> np.ndarray:
-    """Enumeration indices of f + h for the monic f of degree n at idx: an
-    XOR with the bits of h for p = 2, digit-wise addition mod p otherwise.
-    h must be over field, and zero or of degree < n."""
+def shifted(values: np.ndarray, field: FieldSpec, n: int, h: Poly) -> np.ndarray:
+    """out[index(f)] = values[index(f + h)] for every monic f of degree n,
+    read off values.reshape((p,)*n), where axis n - 1 - i holds the
+    coefficient of x^i: a flip of the axes of h's set bits for p = 2, a
+    take of (arange(p) + c) % p along the axis of each nonzero digit c
+    otherwise.  h must be over field, and zero or of degree < n."""
     if h.field != field:
         raise SieveError(f"shift over F_{h.field.p}, polynomials over F_{field.p}")
     if h.is_zero:
-        return idx
+        return values
     if h.degree >= n:
         raise SieveError(f"shift of degree {h.degree} is not below n={n}")
     p = field.p
-    if p == 2:
-        return idx ^ h.encode()
-    out = idx.copy()
+    cube = values.reshape((p,) * n)
     for i, c in enumerate(h.coeffs):
-        if c:
-            digit = idx // p**i % p
-            out += ((digit + c) % p - digit) * p**i
-    return out
+        if c:  # at p = 2 a view, copied once by the reshape
+            cube = (np.flip(cube, n - 1 - i) if p == 2 else
+                    cube.take((np.arange(p) + c) % p, axis=n - 1 - i))
+    return cube.reshape(-1)
 
 
 def prime_valuations(table: IrreducibleTable, n: int,

@@ -43,7 +43,7 @@ from .sieve import (
     prime_valuations,
     residue_counts,
     residue_histogram,
-    shift_indices,
+    shifted,
 )
 from .correlate import CorrelationSpec, correlate
 
@@ -319,15 +319,16 @@ def sieve_diagnostics(n: int, h: Poly, t: float,
         raise TableTooSmallError("diagnostics need prime listings to degree n")
 
     # Theta: P + h is monic of degree n, so Q | P + h means P = Q g - h
-    # for a monic g of degree n - deg Q
+    # for a monic g of degree n - deg Q: the prime mask shifted by -h once
+    # (refusing a shift over another field, zero too), read at each Q g
+    is_prime = np.zeros(q**n, dtype=bool)
+    is_prime[table.prime_indices(n)] = True
+    shifted_prime = shifted(is_prime, field, n, -h)
     theta = 0
     if not h.is_zero:  # -h = 0 is invertible mod nothing: empty sum
-        is_prime = np.zeros(q**n, dtype=bool)
-        is_prime[table.prime_indices(n)] = True
         large = dict.fromkeys(range(n // 2 + 1, n + 1), (1, 1))
         for dq, idx, _ in prime_valuations(table, n, large):
-            cnt = np.count_nonzero(is_prime[shift_indices(field, n, idx, -h)],
-                                   axis=1)
+            cnt = np.count_nonzero(shifted_prime[idx], axis=1)
             theta += (q**dq - 1) * sum(c * c for c in cnt.tolist())  # phi(Q)
     npq = table.count(n)
     theta_ratio = Fraction(theta, npq * npq)

@@ -1,6 +1,7 @@
 """The valuation-sieve engine (arith.value_array, and arith.scan that
-gathers its columns through the shifts' index maps) against
-per-polynomial trial division and against sympy."""
+reads its columns at f + h off each value array's coefficient axes,
+sieve.shifted) against per-polynomial trial division, against sympy and
+against index maps over the enumeration indices."""
 
 import dataclasses
 import functools
@@ -33,10 +34,10 @@ from fqlab import (
     factorize,
     parse_poly,
 )
-from fqlab import arith, sieve
+from fqlab import SpecError, arith, sieve
 from fqlab.arith import AdditiveSpec, scan, scan_degrees, value_array
 from fqlab.fieldpoly import monic_from_index
-from fqlab.sieve import domain_indices, prime_valuations, shift_indices
+from fqlab.sieve import prime_valuations
 
 # largest degree per p; the tables list primes that far, so the prime
 # domain is available at every degree drawn
@@ -101,9 +102,34 @@ def cases(draw):
     return p, n, h, domain, y
 
 
+def domain_indices(table, n, domain):
+    """Enumeration indices of the monic or prime polynomials of degree n,
+    ascending: the oracle for scan's domains."""
+    if domain == "monic":
+        return np.arange(table.field.p ** n, dtype=np.int64)
+    return table.prime_indices(n)
+
+
+def shift_indices(field, n, idx, h):
+    """Enumeration indices of f + h for the monic f of degree n at idx,
+    digit by digit (an XOR with the bits of h at p = 2): the index-map
+    oracle for sieve.shifted."""
+    if h.is_zero:
+        return idx
+    p = field.p
+    if p == 2:
+        return idx ^ h.encode()
+    out = idx.copy()
+    for i, c in enumerate(h.coeffs):
+        if c:
+            digit = idx // p**i % p
+            out += ((digit + c) % p - digit) * p**i
+    return out
+
+
 def shifted(spec, table, n, h, indices):
-    """psi(f + h) for the monic f of degree n at indices, as scan reads
-    it."""
+    """psi(f + h) for the monic f of degree n at indices, through the
+    index-map oracle."""
     return value_array(spec, table, n)[shift_indices(table.field, n, indices, h)]
 
 
@@ -246,21 +272,26 @@ class TestBlocks:
 
 
 class TestScan:
-    """arith.scan, the front door of every scan, against the value arrays
-    it gathers through the shifts' index maps."""
+    """arith.scan, the front door of every scan, bit for bit against the
+    value arrays read through the index-map oracle."""
 
-    SHIFTS = {2: ("x+1", "x^3+x"), 3: ("2x+1", "x^2+2")}
+    # per p a low shift, one of degree n - 1 with every digit nonzero, and
+    # alternating bits at p = 2, a zero shift or x^2 elsewhere
+    SHIFTS = {2: ("x+1", "x^8+x^7+x^6+x^5+x^4+x^3+x^2+x+1", "x^7+x^5+x^3+x"),
+              3: ("2x+1", "2x^5+x^4+2x^3+x^2+2x+1", "0"),
+              5: ("4x+2", "3x^3+x^2+4x+2", "x^2"),
+              7: ("3x+5", "6x^3+2x^2+5x+3", "0")}
 
     @pytest.mark.parametrize("domain", ["monic", "prime"])
-    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_columns_equal_shifted_values(self, p, domain, monkeypatch):
         table = _table(p)
         field, n = table.field, TABLE_DEGREES[p]
-        h1, h2 = (parse_poly(h, field) for h in self.SHIFTS[p])
+        hs = [parse_poly(h, field) for h in self.SHIFTS[p]]
         indices = domain_indices(table, n, domain)
         specs = all_specs(field)
-        want = {id(spec): [shifted(spec, table, n, h, indices)
-                           for h in (h1, h2)] for spec in specs}
+        want = {id(spec): [shifted(spec, table, n, h, indices) for h in hs]
+                for spec in specs}
         built = []
 
         def spy(psi, *rest):
@@ -268,21 +299,29 @@ class TestScan:
             return value_array(psi, *rest)
 
         monkeypatch.setattr(arith, "value_array", spy)
-        # every spec alone with two shifts: one array
+        # every spec alone in a 3-point scan: one array
         for spec in specs:
             built.clear()
-            got = scan((spec, spec), (h1, h2), n, domain, table)
+            got = scan((spec,) * len(hs), hs, n, domain, table)
             assert built == [id(spec)], spec.name
             for g, w in zip(got, want[id(spec)]):
                 assert g.dtype == w.dtype and g.tolist() == w.tolist(), spec.name
         # every spec at once: still one array each
         built.clear()
-        got = scan(specs * 2, [h1] * len(specs) + [h2] * len(specs), n,
+        got = scan(specs * len(hs), [h for h in hs for _ in specs], n,
                    domain, table)
         assert sorted(built) == sorted(map(id, specs))
-        for i, spec in enumerate(specs * 2):
-            w = want[id(spec)][i >= len(specs)]
+        for i, spec in enumerate(specs * len(hs)):
+            w = want[id(spec)][i // len(specs)]
             assert got[i].tolist() == w.tolist(), spec.name
+
+    @pytest.mark.parametrize("functions, shifts", [(2, 1), (1, 2), (0, 1)])
+    def test_unpaired_inputs_refused(self, field2, table2, functions, shifts):
+        # once cut to the shorter side by zip
+        psi = builtin("moebius", field2)
+        with pytest.raises(SpecError, match="functions for"):
+            scan([psi] * functions, [parse_poly("x", field2)] * shifts, 4,
+                 "monic", table2)
 
     def test_table_degree(self, field2, monkeypatch):
         # the prime domain reads its listing; the monic one the primes the

@@ -27,7 +27,8 @@ from fqlab import (
     residue_histogram,
 )
 from fqlab.fieldpoly import _c_divmod, monic_from_index
-from fqlab import sieve
+from fqlab import arith, builtin, sieve
+from fqlab.arith import scan
 from fqlab.sieve import (
     IrreducibleTable,
     _bits_divmod,
@@ -360,16 +361,29 @@ class TestBudget:
 
 
 class TestDomainIndices:
-    def test_domains(self, table2):
-        assert sieve.domain_indices(table2, 4, "monic").tolist() == list(range(16))
-        assert (sieve.domain_indices(table2, 4, "prime").tolist()
-                == table2.prime_indices(4).tolist())
+    """arith.scan's two domains: every monic polynomial of degree n in
+    index order, or the primes among them; anything else, and a domain
+    past the cell budget, is refused before any value array is built."""
+
+    def test_domains(self, field2, table2):
+        mu, h = builtin("moebius", field2), parse_poly("x+1", field2)
+        (monic,) = scan((mu,), (h,), 4, "monic", table2)
+        (prime,) = scan((mu,), (h,), 4, "prime", table2)
+        assert len(monic) == 16
+        assert prime.tolist() == monic[table2.prime_indices(4)].tolist()
 
     @pytest.mark.parametrize("domain", ["primes", "all", ""])
-    def test_unknown_domain_refused(self, table2, domain):
+    def test_unknown_domain_refused(self, field2, table2, domain, monkeypatch):
         # once read as the prime domain
+        built = []
+        monkeypatch.setattr(arith, "value_array", lambda *a: built.append(a))
+        mu, zero = builtin("moebius", field2), parse_poly("0", field2)
         with pytest.raises(SieveError, match=f"got {domain!r}"):
-            sieve.domain_indices(table2, 4, domain)
+            scan((mu,), (zero,), 4, domain, table2)
+        for known in ("monic", "prime"):
+            with pytest.raises(MemoryBudgetError):
+                scan((mu,), (zero,), 40, known, table2)
+        assert built == []
 
 
 # maximal input degree per p for the sympy comparison; the tables below

@@ -2,6 +2,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fqlab import (
@@ -29,7 +30,7 @@ from fqlab import (
     tk_ratio,
 )
 from fqlab.fieldpoly import monic_from_index
-from fqlab.sieve import shift_indices
+from fqlab.sieve import shifted
 
 
 def pair(field, a, b):
@@ -300,15 +301,17 @@ class TestOtherFieldRefused:
             empirical_distribution(psi, psi, pair(field2, "0", "1"), 6,
                                    "monic", table2)
 
-    def test_shift_indices_refuses_the_shift(self, field2, field3, table2):
-        idx = table2.prime_indices(6)
+    def test_shifted_refuses_the_shift(self, field2, field3, table2):
+        values = np.zeros(2**6)
         for h in (Poly(field3, ()), parse_poly("x+2", field3)):
             with pytest.raises(SieveError):
-                shift_indices(field2, 6, idx, h)
+                shifted(values, field2, 6, h)
             with pytest.raises(SieveError):  # once a report
                 tk_ratio(lambda d, m: 1.0, h, 6, "monic", table2)
-        with pytest.raises(SieveError):  # once theta = 15
-            sieve_diagnostics(6, parse_poly("x+2", field3), 1.0, table2)
+            with pytest.raises(SieveError):  # once theta 15, and 0 at h = 0
+                sieve_diagnostics(6, h, 1.0, table2)
+        with pytest.raises(SieveError, match="degree 6"):
+            shifted(values, field2, 6, parse_poly("x^6", field2))
 
     def test_residue_histogram_refuses_the_modulus(self, field3, table2):
         M = parse_poly("x+2", field3)

@@ -11,10 +11,10 @@ each key up in the flat key=value config file named by --config (a flag
 wins on conflict), and converts every value, so a bad value is invalid
 input whichever way it came.  Every degree is an integer >= 1 (mainterm's
 finite n at most MAX_PARSE_DEGREE), and so are y and budget; depth is
->= 2, and t and C are finite.  gamma, the degree where the paper splits
-the Euler product, changes no main term; correlate and mainterm accept
-it (checked >= 0) so that old command lines and config files still run,
-and no handler reads it.  A handler sees only the
+>= 2, t and C are finite, and t is >= 0.  gamma, the degree where the
+paper splits the Euler product, changes no main term; correlate and
+mainterm accept it (checked >= 0) so that old command lines and config
+files still run, and no handler reads it.  A handler sees only the
 resolved namespace.  Each run writes a CSV artifact plus a JSON mirror
 with identical field names, both renamed into place once written, and
 prints a short human summary.  Exit codes: 0 success, 1 invalid input
@@ -122,6 +122,12 @@ _degree = _at_least(1)
 def _finite(text) -> float:
     if not math.isfinite(x := float(text)):
         raise ValueError(f"must be finite, got {x}")
+    return x
+
+
+def _finite_nonnegative(text) -> float:
+    if (x := _finite(text)) < 0:
+        raise ValueError(f"must be >= 0, got {x}")
     return x
 
 
@@ -540,7 +546,7 @@ def _cmd_tk(a) -> int:
 
 
 @_command("diagnostics", lambda a: f"diagnostics_p{a.p}_n{a.n}",
-          n=(_degree, 8), h=(str, "1"), t=(_finite, 1.0))
+          n=(_degree, 8), h=(str, "1"), t=(_finite_nonnegative, 1.0))
 def _cmd_diagnostics(a) -> int:
     h = parse_poly(a.h, FieldSpec(a.p))
     check_enumeration(a.p, a.n, a.budget)

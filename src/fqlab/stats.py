@@ -265,8 +265,9 @@ def tk_ratio(psi, h: Poly, n: int, domain: str,
         rhs = table.count(n) * math.sqrt(b2)
 
     dev = np.abs(values - center).astype(np.float64)
-    if domain == "monic":
-        dev = _POW(dev, 2).astype(np.float64)
+    if domain == "monic":  # a deviation takes few values: square each once
+        distinct, inverse = np.unique(dev, return_inverse=True)
+        dev = _POW(distinct, 2).astype(np.float64)[inverse]
     # left to right, not fsum: tk artifacts pin the rounding of this order
     lhs = float(np.cumsum(dev)[-1])
     return TKReport(domain, n, lhs, rhs)
@@ -309,10 +310,14 @@ def sieve_diagnostics(n: int, h: Poly, t: float,
     (n/2, n].  The classes with gcd(-h, Q) != 1 count nothing: Q | P + h
     and Q | h give Q | P with deg Q <= deg h < n, impossible for a prime P.
     bv_sum adds, over every modulus M of degree < n/2 - t log_q n, the
-    worst deviation |pi - q^n/(n phi(M))| across invertible residues.
+    worst deviation |pi - q^n/(n phi(M))| across invertible residues:
+    the level Q <= q^{n/2}/n^t, which needs t >= 0 (a negative t is
+    refused).
     """
     q = table.field.p
     field = table.field
+    if not t >= 0:
+        raise StatsError(f"t must be >= 0, got {t}")
     if not h.is_zero and h.degree >= n:
         raise StatsError("shift degree must be < n")
     if table.max_deg < n:

@@ -925,6 +925,9 @@ HOSTILE = [
     # t and C are finite; gamma >= 0, depth >= 2, y >= 1 and budget >= 1
     (["diagnostics", "--p", "2", "--n", "4", "--t", "nan"], 1, "--t"),
     (["diagnostics", "--p", "2", "--n", "4", "--t=-inf"], 1, "--t"),
+    # Q <= q^{n/2}/n^t needs t >= 0: the Bombieri-Vinogradov walk once
+    # went past n, without end on a cache of degree >= n
+    (["diagnostics", "--p", "2", "--n", "4", "--t=-20"], 1, "--t"),
     (["chowla", "--p", "2", "--C", "nan", "--n-range", "4:5"], 1, "--C"),
     (["chowla", "--p", "2", "--C", "inf", "--n-range", "4:5"], 1, "--C"),
     (["correlate", "--p", "2", "--n", "4", "--gamma", "-1"], 1, "--gamma"),
@@ -960,6 +963,16 @@ class TestHostileInputs:
         assert rc == code
         if flag is not None:
             assert f"invalid input: {flag}: " in capsys.readouterr().err
+
+    def test_negative_t_on_a_cache_of_degree_12(self, tmp_path, monkeypatch,
+                                                capsys):
+        # on an empty cache the walk stopped at the first degree past the
+        # table; a saved degree-12 table let it run for minutes
+        assert run(["sieve", "--p", "2", "--max-deg", "12", "--out", "s"],
+                   tmp_path, monkeypatch) == 0
+        self.test_exit_code_within_seconds(
+            ["diagnostics", "--p", "2", "--n", "4", "--t=-20"], 1, "--t",
+            tmp_path, monkeypatch, capsys)
 
 
 # a key's hostile values; the budget is never the huge one, so that the

@@ -1,4 +1,6 @@
+import cmath
 import math
+import struct
 from collections import Counter
 from fractions import Fraction
 
@@ -8,12 +10,16 @@ import pytest
 from fqlab import (
     AdditiveSpec,
     EmpiricalDistribution,
+    FieldSpec,
+    MemoryBudgetError,
     Poly,
     ShiftPair,
     SieveError,
     SpecError,
     StatsError,
+    TableTooSmallError,
     brun_titchmarsh_violations,
+    build_table,
     builtin_additive,
     charfn_comparison,
     empirical_charfn,
@@ -29,6 +35,8 @@ from fqlab import (
     squarefree_weight_sum,
     tk_ratio,
 )
+from fqlab import stats
+from fqlab.cli import _TK_RULES
 from fqlab.fieldpoly import monic_from_index
 from fqlab.sieve import shifted
 
@@ -289,6 +297,14 @@ class TestSieveDiagnostics:
         assert isinstance(diag.bv_sum, Fraction)
         assert diag.bv_sum >= 0
 
+    def test_negative_t_refused(self, field2):
+        # the level Q <= q^{n/2}/n^t needs t >= 0; a negative t once
+        # walked modulus degrees past n, here until degree 5 left the table
+        table = build_table(field2, 4)
+        for t in (-20.0, -1e-9, math.nan):
+            with pytest.raises(StatsError, match="t must be >= 0"):
+                sieve_diagnostics(4, parse_poly("1", field2), t, table)
+
 
 class TestOtherFieldRefused:
     """An input over F_3 given with an F_2 table is refused, where it
@@ -413,3 +429,103 @@ class TestScansAgainstBruteForce:
         assert list(diag.h_sequence) == h_seq
         assert diag.divprod_max == best
         assert squarefree_weight_sum(n, table3) == h_seq[-1]
+
+
+def euler_product_weights(n, table):
+    """q^m H(m) for m = 0..n: the coefficients of prod_P (1 + 3 u^deg P)
+    = prod_{d <= n} (1 + 3 u^d)^{N_d} to u^n, exact integers."""
+    coeffs = [1] + [0] * n
+    for d in range(1, n + 1):
+        nd = table.count(d)
+        for m in range(n, d - 1, -1):  # downward: coeffs[< m] not yet updated
+            coeffs[m] += sum(math.comb(nd, j) * 3**j * coeffs[m - j * d]
+                             for j in range(1, m // d + 1))
+    return coeffs
+
+
+class TestSquarefreeWeightSum:
+    """H(m) from the valuation sieve against the count of mu^2(f)
+    3^omega(f) over every monic f of degree m and against the Euler
+    product prod_d (1 + 3u^d)^{N_d}."""
+
+    @pytest.mark.parametrize("p, n_max, table_deg", [(2, 10, 5), (3, 6, 3),
+                                                     (5, 4, 2)])
+    def test_equals_the_count_and_the_euler_product(self, p, n_max, table_deg):
+        field = FieldSpec(p)
+        table = build_table(field, table_deg)
+        weights = euler_product_weights(n_max, table)
+        assert squarefree_weight_sum(0, table) == 1 == weights[0]
+        for m in range(n_max + 1):
+            total = 0
+            for f in brute_source(field, m, "monic", table):
+                factors = factorize(f, table).factors
+                if all(e == 1 for _, e in factors):
+                    total += 3 ** len(factors)
+            assert total == weights[m]
+            assert squarefree_weight_sum(m, table) == Fraction(total, p ** m)
+
+    @pytest.mark.parametrize("n, error, message", [
+        (-1, SieveError, "degree must be >= 0, got -1"),
+        (28, MemoryBudgetError, "enumerating the 2^28 monic polynomials of "
+                                "degree 28 exceeds the budget 134217728"),
+        (18, TableTooSmallError, "degree 9 not tabulated (max 8)"),
+    ])
+    def test_refusals_in_order(self, n, error, message, field2):
+        # a negative n, then q^n past the cell budget, then a table
+        # below n // 2, each before any cell is built
+        with pytest.raises(error) as caught:
+            squarefree_weight_sum(n, build_table(field2, 8))
+        assert type(caught.value) is error and str(caught.value) == message
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def tk_lhs_bits(rule, h, n, domain, table, monkeypatch):
+    """The bits of tk_ratio's lhs, and of the lhs it gives when
+    np.unique hands back every cell as its own distinct value, so that
+    each cell is squared by its own _POW call."""
+    unique = np.unique
+
+    def every_cell_distinct(a, return_inverse=False, **kw):
+        if not return_inverse:
+            return unique(a, **kw)
+        return a, np.arange(a.size)
+
+    fast = tk_ratio(rule, h, n, domain, table).lhs
+    with monkeypatch.context() as m:
+        m.setattr(stats.np, "unique", every_cell_distinct)
+        per_cell = tk_ratio(rule, h, n, domain, table).lhs
+    return bits(fast), bits(per_cell)
+
+
+class TestTuranKubiliusBits:
+    """Squaring each distinct deviation once gives every cell the bits
+    of its own pow: lhs is the per-cell path's, bit for bit."""
+
+    @pytest.mark.parametrize("domain", ["monic", "prime"])
+    @pytest.mark.parametrize("rule", sorted(_TK_RULES))
+    @pytest.mark.parametrize("h", ["0", "1", "x^2+1"])
+    def test_p2_cli_rules(self, domain, rule, h, field2, table2_14,
+                          monkeypatch):
+        shift = parse_poly(h, field2)
+        for n in range(6, 14):
+            fast, per_cell = tk_lhs_bits(_TK_RULES[rule], shift, n, domain,
+                                         table2_14, monkeypatch)
+            assert fast == per_cell
+
+    @pytest.mark.parametrize("rule, nan", [
+        (lambda d, m: cmath.exp(1j * d) / m, False),
+        (lambda d, m: math.nan if d == 2 else 1.0, True),
+        (lambda d, m: math.inf if m == 2 else 1.0, True),
+    ], ids=["complex", "nan", "inf"])
+    def test_p3_complex_nan_and_inf(self, rule, nan, field3, table3,
+                                    monkeypatch):
+        h = parse_poly("x+1", field3)
+        for n in range(2, 9):
+            for domain in ("monic", "prime") if n <= 6 else ("monic",):
+                fast, per_cell = tk_lhs_bits(rule, h, n, domain, table3,
+                                             monkeypatch)
+                assert fast == per_cell
+                assert math.isnan(struct.unpack("<d", fast)[0]) == nan

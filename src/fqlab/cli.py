@@ -10,11 +10,12 @@ _read_flags reads them as argparse did, with no parser built), looks
 each key up in the flat key=value config file named by --config (a flag
 wins on conflict), and converts every value, so a bad value is invalid
 input whichever way it came.  Every degree is an integer >= 1 (mainterm's
-finite n at most MAX_PARSE_DEGREE), and so are y and budget; depth is
->= 2, t and C are finite, and t is >= 0.  gamma, the degree where the
-paper splits the Euler product, changes no main term; correlate and
-mainterm accept it (checked >= 0) so that old command lines and config
-files still run, and no handler reads it.  A handler sees only the
+finite n at most MAX_PARSE_DEGREE), and so are y and budget; t and C are
+finite, and t is >= 0.  gamma, the degree where the paper splits the
+Euler product, and depth, where main terms once cut each local factor
+short, change no main term; correlate and mainterm accept them (gamma
+checked >= 0, depth >= 2) so that old command lines and config files
+still run, and no handler reads them.  A handler sees only the
 resolved namespace.  Each run writes a CSV artifact plus a JSON mirror
 with identical field names, both renamed into place once written, and
 prints a short human summary.  Exit codes: 0 success, 1 invalid input
@@ -363,13 +364,13 @@ def _cmd_factor(a) -> int:
     return 0
 
 
-# the shifted pair, or k-point lists, of correlate and mainterm; gamma is
-# checked and read by no handler (see the module docstring)
+# the shifted pair, or k-point lists, of correlate and mainterm; gamma and
+# depth are checked and read by no handler (see the module docstring)
 _EXPERIMENT = {
     "domain": (_domain, "monic"), "f": (str, "one"), "g": (str, "one"),
     "h1": (str, "0"), "h2": (str, "0"), "functions": (str, None),
     "shifts": (str, None), "gamma": (_at_least(0), None),
-    "depth": (_at_least(2), 30),
+    "depth": (_at_least(2), None),
 }
 
 
@@ -401,8 +402,7 @@ def _cmd_correlate(a) -> int:
                         main_term_pair(functions, shifts))
     rows = []
     for n in ns:
-        spec = CorrelationSpec(field, n, a.domain, shifts, functions,
-                               depth=a.depth)
+        spec = CorrelationSpec(field, n, a.domain, shifts, functions)
         rep = correlate(spec, table)
         rows.append(_report_row(rep, a.omit_timing))
     last = rows[-1]
@@ -436,8 +436,7 @@ def _cmd_mainterm(a) -> int:
     n = None if a.n in ("inf", "none") else int(a.n)
     pair = ShiftPair(*shifts)
     table = get_table(a.p, max(1, pair.table_degree), a.cache_dir, a.budget)
-    tv = main_term(n, pair, functions[0], functions[1], a.domain, table,
-                   depth=a.depth)
+    tv = main_term(n, pair, functions[0], functions[1], a.domain, table)
     rows = [{"q": a.p, "n": a.n, "mode": a.domain,
              "functions": ";".join(f.name for f in functions),
              "h_list": ";".join(format_poly(h) for h in shifts),

@@ -21,7 +21,7 @@ degree when every prime above n/2 is 1.
 from __future__ import annotations
 
 import time
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .fieldpoly import (
     poly_gcd_lcm,
 )
 from .mainterm import (
-    LOCAL_DEPTH_DEFAULT,
     ShiftPair,
     TruncatedValue,
     error_bound_shape,
@@ -60,8 +59,8 @@ class CorrelationSpec:
 
     shifts and functions are parallel lists (k-point sums allowed; main
     terms only attach for k = 2).  Shifts may deliberately coincide; each
-    must have degree < n.  depth, given by keyword, overrides the
-    main-term default.
+    must have degree < n.  The main term has no knob: each local factor
+    is summed to double precision.
     """
 
     field: FieldSpec
@@ -69,8 +68,6 @@ class CorrelationSpec:
     domain: str  # "monic" | "prime"
     shifts: tuple[Poly, ...]
     functions: tuple[FunctionSpec, ...]
-    _: KW_ONLY  # so that a positional gamma from older callers fails
-    depth: int = LOCAL_DEPTH_DEFAULT
 
     def __post_init__(self):
         object.__setattr__(self, "shifts", tuple(self.shifts))
@@ -140,7 +137,7 @@ def correlate(spec: CorrelationSpec, table: IrreducibleTable) -> CorrelationRepo
     deviation: float | None = None
     if (shifts := main_term_pair(spec.functions, spec.shifts)) is not None:
         main = main_term(n, shifts, spec.functions[0], spec.functions[1],
-                         spec.domain, table, depth=spec.depth)
+                         spec.domain, table)
         deviation = abs(normalized - main.value)
 
     return CorrelationReport(
@@ -231,7 +228,7 @@ def deviation_scan(spec: CorrelationSpec, n_range, table: IrreducibleTable,
     points = []
     for n in n_range:
         s = CorrelationSpec(spec.field, n, spec.domain, spec.shifts,
-                            spec.functions, depth=spec.depth)
+                            spec.functions)
         rep = correlate(s, table)
         overlay = None
         if overlay_alpha is not None and len(spec.functions) == 2 and \

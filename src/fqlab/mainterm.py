@@ -17,10 +17,12 @@ function, _factor, evaluates it grouped by M = max(m1, m2):
                                  + [M <= k] a1(M) a2(M)),
     b_j(M) = psi_j(P^{min(k, M - 1)}),
 
-in O(depth) steps, exactly when both rules settle by depth; the literal
-double sum survives as a test oracle.  It returns the deviation W_P - 1,
-so deviations far below machine epsilon are kept.  The constant function
-gives exactly 1.
+summed to double precision: a rule that has not settled by
+M_d = 1 + (the first m with 1.0 + q^{-m d} == 1.0), which depends on
+q^{-d} alone, is read up to M_d, and the bound on what lies past it
+enters the tail.  The literal double sum survives as a test oracle.  It
+returns the deviation W_P - 1, so deviations far below machine epsilon
+are kept.  The constant function gives exactly 1.
 
 One product walk, one accumulator, one certified stop.  main_term runs
 one walk over the degrees 1..n that multiplies the factors in log space
@@ -32,10 +34,13 @@ range of that walk, so no argument names it.  At n = infinity the walk
 stops at the first degree D past D0 = max(deg(h2 - h1), each
 trivial_beyond_degree) where the declared decay bounds (C_j, a_j) of
 FunctionSpec.decay put the remainder sum_{e > D} N_e |W_e - 1| below the
-tail target; from N_e <= q^e / e and |W_e - 1| <= 3 s sum_j C_j q^{-a_j e}
-(s = 1 monic, 2 prime) it is at most
-sum_j 3 s C_j q^{(1 - a_j)(D + 1)} / ((D + 1)(1 - q^{1 - a_j})).  Each
-result carries a rigorous bound on everything dropped.
+fixed target INF_TAIL_TARGET; from N_e <= q^e / e and
+|W_e - 1| <= 3 s sum_j C_j q^{-a_j e} (s = 1 monic, 2 prime) it is at
+most sum_j 3 s C_j q^{(1 - a_j)(D + 1)} / ((D + 1)(1 - q^{1 - a_j})).
+Each result carries a rigorous bound on everything dropped.  A walk
+that reaches the first degree d with q^{-d} below the normal floats is
+refused unless every function not neutral there has a decay bound: past
+it each factor reads exactly 1 while N_d |W_d - 1| need not be small.
 
 On the irreducible domain the weight 1/phi(Q^m) is right only at primes
 Q that divide neither h1 nor h2: if Q | h then Q never divides P + h for
@@ -50,6 +55,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,7 +63,6 @@ from .arith import FunctionSpec
 from .fieldpoly import Poly, format_poly
 from .sieve import IrreducibleTable, factorize
 
-LOCAL_DEPTH_DEFAULT = 30
 INF_TAIL_TARGET = 1e-12
 _EXTEND_LIMIT = 400
 
@@ -130,24 +135,22 @@ def _require_unit(psi1: FunctionSpec, psi2: FunctionSpec) -> None:
 
 
 def _factor(psi1: FunctionSpec, psi2: FunctionSpec, P, k: int | None,
-            mode: str, depth: int) -> tuple[complex, float]:
+            mode: str) -> tuple[complex, float]:
     """(W_P - 1, tail) at the prime P, a Poly or a bare degree read through
     the degree-symmetric rules, with shift valuation k (None: no
     constraint); see the module docstring for the grouped sum.
 
     A rule is read up to its settle power (0 past trivial_beyond_degree)
-    and held there; the sum stops at M = depth unless both rules settle
-    by then, and is exact otherwise.  With |psi| <= 1, summation by parts
-    bounds what M > depth adds by 2 w(depth + 1) per unsettled rule
-    (q^{-deg P} <= 1/2 covers k > depth with both rules unsettled).
-    Past the first M with w(M) = 0.0 in floating point every term and the
-    tail are exactly 0.0, so no rule is read beyond it and every larger
-    depth gives the same bits.
+    and held there; the sum stops at M = M_d (see _depth) unless both
+    rules settle by then, and is exact otherwise.  With |psi| <= 1,
+    summation by parts bounds what M > M_d adds by 2 w(M_d + 1) per
+    unsettled rule, below an ulp of 1 (q^{-deg P} <= 1/2 covers k > M_d
+    with both rules unsettled).
     """
     is_poly = isinstance(P, Poly)
     d = P.degree if is_poly else P
     x = float(psi1.field.p) ** -d
-    depth = min(depth, _underflow_power(x))
+    depth = _depth(x)
     rows, unsettled = [], 0
     for spec in (psi1, psi2):
         last = spec.power_settle
@@ -181,17 +184,19 @@ def _factor(psi1: FunctionSpec, psi2: FunctionSpec, P, k: int | None,
 
 
 @functools.cache
-def _underflow_power(x: float) -> int:
-    """The first M with x**M == 0.0; at most 1075 for x <= 1/2."""
+def _depth(x: float) -> int:
+    """M_d for x = q^{-d}: one past the first m with 1.0 + x**m == 1.0;
+    54 for x = 1/2, 2 once 1.0 + x == 1.0."""
     m = 1
-    while x**m:
+    while 1.0 + x**m != 1.0:
         m += 1
-    return m
+    return m + 1
 
 
 def local_factor(P, k: int | None, psi1: FunctionSpec, psi2: FunctionSpec,
-                 mode: str, depth: int = LOCAL_DEPTH_DEFAULT) -> TruncatedValue:
-    """Shift-constrained local factor W_P.
+                 mode: str) -> TruncatedValue:
+    """Shift-constrained local factor W_P, summed to double precision (see
+    _factor).
 
     P is a monic irreducible Poly or a bare degree (degree-symmetric
     functions only); k is the valuation constraint, None meaning
@@ -199,19 +204,16 @@ def local_factor(P, k: int | None, psi1: FunctionSpec, psi2: FunctionSpec,
     """
     _check_mode(mode)
     _require_unit(psi1, psi2)
-    if depth < 2:
-        raise MainTermError("depth must be >= 2")
     d = P.degree if isinstance(P, Poly) else int(P)
     if d < 1:
         raise MainTermError("local factors live at primes of degree >= 1")
-    dev, tail = _factor(psi1, psi2, P if isinstance(P, Poly) else d, k, mode,
-                        depth)
+    dev, tail = _factor(psi1, psi2, P if isinstance(P, Poly) else d, k, mode)
     return TruncatedValue(1 + dev, tail)
 
 
 def _degree_factors(d: int, vals: dict[Poly, int] | None,
                     psi1: FunctionSpec, psi2: FunctionSpec, mode: str,
-                    table: IrreducibleTable, depth: int):
+                    table: IrreducibleTable):
     """(W_P - 1, tail, power) covering every prime P of degree d, given the
     shift valuations vals (None: h1 = h2).  Degree-symmetric rules give
     the primes dividing h2 - h1 one at a time, then one factor for the
@@ -219,13 +221,13 @@ def _degree_factors(d: int, vals: dict[Poly, int] | None,
     if psi1.degree_symmetric and psi2.degree_symmetric:
         special = [k for P, k in (vals or {}).items() if P.degree == d]
         for k in special:
-            yield (*_factor(psi1, psi2, d, k, mode, depth), 1)
-        yield (*_factor(psi1, psi2, d, None if vals is None else 0, mode, depth),
+            yield (*_factor(psi1, psi2, d, k, mode), 1)
+        yield (*_factor(psi1, psi2, d, None if vals is None else 0, mode),
                table.count(d) - len(special))
     else:
         for P in table.primes(d):
             k = None if vals is None else vals.get(P, 0)
-            yield (*_factor(psi1, psi2, P, k, mode, depth), 1)
+            yield (*_factor(psi1, psi2, P, k, mode), 1)
 
 
 class _LogProduct:
@@ -305,20 +307,30 @@ def _stop(start: int, psi1: FunctionSpec, psi2: FunctionSpec, q: int,
                         f"within {_EXTEND_LIMIT} degrees past degree {start}")
 
 
+@functools.cache
+def _subnormal_degree(q: int) -> int:
+    """The first d with q^{-d} below sys.float_info.min: 1023 at q = 2,
+    645 at q = 3, 129 at q = 251."""
+    d = 1
+    while float(q) ** -d >= sys.float_info.min:
+        d += 1
+    return d
+
+
 def _walk(first: int, last: int | None, shifts: ShiftPair | None,
           psi1: FunctionSpec, psi2: FunctionSpec, mode: str,
-          table: IrreducibleTable, depth: int = LOCAL_DEPTH_DEFAULT,
+          table: IrreducibleTable,
           tail_target: float = INF_TAIL_TARGET) -> TruncatedValue:
     """The product of the local factors over first <= deg P <= last (last
     = None: on to the certified stop, whose remainder enters the tail).
     main_term starts at degree 1; a later first leaves a window of the
-    same product for the oracles to check.  An infinite walk refuses a
-    generic factor whose |W - 1| exceeds its declared bound by more than
-    the factor's own tail."""
+    same product for the oracles to check.  A range that reaches the
+    first degree whose q^{-d} is below the normal floats is refused
+    unless every function not neutral there has a decay bound with
+    a > 1.  An infinite walk also refuses a generic factor whose |W - 1|
+    exceeds its declared bound by more than the factor's own tail."""
     _check_mode(mode)
     _require_unit(psi1, psi2)
-    if depth < 2:
-        raise MainTermError("depth must be >= 2")
     q = table.field.p
     if psi1.field.p != q or psi2.field.p != q:
         raise MainTermError("function specs bound to a different field")
@@ -338,11 +350,18 @@ def _walk(first: int, last: int | None, shifts: ShiftPair | None,
         last, rem = _stop(max(delta, first - 1, *(spec.trivial_beyond_degree or 0
                                                   for spec in (psi1, psi2))),
                           psi1, psi2, q, s, tail_target)
+    low = max(first, _subnormal_degree(q))
+    if last >= low and any(c is None or c[1] <= 1
+                           for c in _decays(low, psi1, psi2)):
+        raise MainTermError(
+            f"q^-d leaves the normal floats at degree {low}, and not every "
+            "function there declares a decay bound (C, a) with a > 1; "
+            "evaluate with n below that degree")
     vals = {} if shifts is None else shifts.prime_valuations(table)
     acc = _LogProduct()
     for d in range(first, last + 1):
         for dev, t, power in _degree_factors(d, vals, psi1, psi2, mode,
-                                             table, depth):
+                                             table):
             acc.mul(dev, t, power)
         terms = _decays(d, psi1, psi2)
         bound = 3 * s * sum(C * float(q) ** (-a * d) for C, a in terms) \
@@ -357,21 +376,20 @@ def _walk(first: int, last: int | None, shifts: ShiftPair | None,
 
 def main_term(n: int | None, shifts: ShiftPair | None,
               psi1: FunctionSpec, psi2: FunctionSpec, mode: str,
-              table: IrreducibleTable,
-              depth: int = LOCAL_DEPTH_DEFAULT,
-              tail_target: float = INF_TAIL_TARGET) -> TruncatedValue:
+              table: IrreducibleTable) -> TruncatedValue:
     """Predicted normalized limit: the product of the constrained local
     factors over deg P <= n, walked once from degree 1; n = None walks to
     the certified stop of the declared decay bounds (see the module
     docstring) and refuses a function without one.  A finite n refuses a
-    shift of degree >= n, as the sums do.  On the irreducible domain it
-    is the limit only when neither shift is divisible by a prime (see the
-    module docstring)."""
+    shift of degree >= n, as the sums do, and a walk past the normal
+    floats of q^{-d} without decay bounds (see _walk).  On the irreducible
+    domain it is the limit only when neither shift is divisible by a prime
+    (see the module docstring)."""
     if n is not None and shifts is not None:
         for h in (shifts.h1, shifts.h2):
             if not h.is_zero and h.degree >= n:
                 raise MainTermError(f"shift {format_poly(h)} has degree >= n={n}")
-    return _walk(1, n, shifts, psi1, psi2, mode, table, depth, tail_target)
+    return _walk(1, n, shifts, psi1, psi2, mode, table)
 
 
 def liouville_local_closed(d: int, k: int, q: int) -> Fraction:

@@ -36,7 +36,7 @@ from .arith import (
     value_array,
 )
 from .fieldpoly import Poly, monic_from_index
-from .mainterm import INF_TAIL_TARGET, ShiftPair, TruncatedValue, main_term
+from .mainterm import ShiftPair, TruncatedValue, main_term
 from .sieve import (
     IrreducibleTable,
     TableTooSmallError,
@@ -170,21 +170,20 @@ def empirical_charfn(psi1: FunctionSpec, psi2: FunctionSpec, shifts: ShiftPair,
 
 
 def limit_charfn(psi1: FunctionSpec, psi2: FunctionSpec, shifts: ShiftPair,
-                 t_grid, mode: str, table: IrreducibleTable, *,
-                 tail_target: float = INF_TAIL_TARGET) -> CharFunctionGrid:
+                 t_grid, mode: str, table: IrreducibleTable) -> CharFunctionGrid:
     """phi(t): the predicted limiting characteristic function, evaluated
     per t as the main term of the exponentiated additive functions: the
     infinite-degree product, stopped where the decay bound (|t| C, a) of
-    exp_additive puts the remainder below tail_target.  At every t != 0,
-    an additive function with neither a decay bound (a > 1) nor a trivial
-    degree, such as omega, raises MainTermError before any degree is
-    walked."""
+    exp_additive puts the remainder below mainterm.INF_TAIL_TARGET
+    (1e-12); each local factor is summed to double precision.  At every
+    t != 0, an additive function with neither a decay bound (a > 1) nor a
+    trivial degree, such as omega, raises MainTermError before any degree
+    is walked."""
     out = []
     for t in t_grid:
         e1 = exp_additive(psi1, float(t))
         e2 = exp_additive(psi2, float(t))
-        out.append(main_term(None, shifts, e1, e2, mode, table,
-                             tail_target=tail_target))
+        out.append(main_term(None, shifts, e1, e2, mode, table))
     return CharFunctionGrid(tuple(float(t) for t in t_grid),
                             phi_limit=tuple(out))
 

@@ -140,7 +140,7 @@ def test_criterion_05_liouville_closed_form():
         lam = builtin("liouville_truncated", field, y=6)
         for d in range(1, 7):
             for k in range(0, 4):
-                got = local_factor(d, k, lam, lam, "monic", depth=64)
+                got = local_factor(d, k, lam, lam, "monic")
                 want = float(liouville_local_closed(d, k, q))
                 err = abs(got.value - want)
                 assert err <= 1e-12, (q, d, k, err)
@@ -162,7 +162,7 @@ def test_criterion_07_phi_ratio_product(field2, table2):
     pr = builtin("phi_ratio", field2)
     zero, one_h = parse_poly("0", field2), parse_poly("1", field2)
     target = main_term(None, ShiftPair(zero, one_h), pr, pr, "monic",
-                       table2, tail_target=1e-12)
+                       table2)
     assert target.tail_bound <= 1e-10
     devs = []
     for n in (8, 10, 12, 14, 16, 18):

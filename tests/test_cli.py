@@ -350,16 +350,34 @@ class TestCorrelateCommand:
     ], ids=["correlate", "mainterm"])
     def test_gamma_changes_no_byte(self, argv, tmp_path, monkeypatch):
         # gamma is checked and read by no handler, from a flag or a file
-        cfg = tmp_path / "gamma.cfg"
-        cfg.write_text("gamma=4\n")
-        pairs = []
-        for i, extra in enumerate(([], ["--gamma", "4"],
-                                   ["--config", str(cfg)])):
-            assert run([*argv, *extra, "--out", f"o{i}"],
-                       tmp_path, monkeypatch) == 0
-            pairs.append([(tmp_path / f"o{i}{ext}").read_bytes()
-                          for ext in (".csv", ".json")])
-        assert pairs[0] == pairs[1] == pairs[2]
+        _assert_inert(argv, "gamma", "4", tmp_path, monkeypatch)
+
+    @pytest.mark.parametrize("argv", [
+        ["correlate", "--p", "2", "--n-range", "6:8:2", "--f", "liouville",
+         "--g", "liouville_trunc:3", "--h1", "0", "--h2", "x",
+         "--omit-timing", "1"],
+        ["mainterm", "--p", "2", "--n", "inf", "--f", "liouville_trunc:8",
+         "--g", "liouville_trunc:8", "--h1", "0", "--h2", "1"],
+    ], ids=["correlate", "mainterm"])
+    def test_depth_changes_no_byte(self, argv, tmp_path, monkeypatch):
+        # each local factor is summed to double precision; depth, once
+        # its truncation, is checked and read by no handler
+        _assert_inert(argv, "depth", "25", tmp_path, monkeypatch)
+
+
+def _assert_inert(argv, key, value, tmp_path, monkeypatch):
+    """The run writes the same bytes without key, with --key value and
+    with key=value in a config file."""
+    cfg = tmp_path / f"{key}.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    pairs = []
+    for i, extra in enumerate(([], [f"--{key}", value],
+                               ["--config", str(cfg)])):
+        assert run([*argv, *extra, "--out", f"o{i}"],
+                   tmp_path, monkeypatch) == 0
+        pairs.append([(tmp_path / f"o{i}{ext}").read_bytes()
+                      for ext in (".csv", ".json")])
+    assert pairs[0] == pairs[1] == pairs[2]
 
 
 class TestChowlaCommand:
@@ -942,6 +960,16 @@ HOSTILE = [
     # correlate does
     (["mainterm", "--p", "2", "--n", "3", "--f", "phi_ratio",
       "--g", "phi_ratio", "--h2", "x^5"], 1, None),
+    # a main term whose walk reaches a q^-d below the normal floats
+    # without decay bounds is refused (once an OverflowError from N_d)
+    (["mainterm", "--p", "2", "--n", "1040", "--f", "moebius",
+      "--g", "moebius", "--h1", "0", "--h2", "1"], 1, None),
+    (["mainterm", "--p", "3", "--n", "700", "--f", "moebius",
+      "--g", "moebius", "--h1", "0", "--h2", "1"], 1, None),
+    (["mainterm", "--p", "251", "--n", "140", "--f", "moebius",
+      "--g", "one", "--h1", "0", "--h2", "1"], 1, None),
+    (["mainterm", "--p", "2", "--n", "inf", "--f", "liouville_trunc:1040",
+      "--g", "one", "--h1", "0", "--h2", "1"], 1, None),
 ]
 
 

@@ -239,12 +239,12 @@ class TestValidation:
                             (omega,))
 
     def test_depth_only_by_keyword(self, field2):
-        # a positional gamma from an older caller must not pass for depth
+        # a positional gamma or depth from an older caller must not pass
+        # silently: the spec has no sixth field
         one = builtin("one", field2)
         args = (field2, 4, "monic", (parse_poly("0", field2),), (one,))
         with pytest.raises(TypeError):
             CorrelationSpec(*args, 4)
-        assert CorrelationSpec(*args, depth=4).depth == 4
 
     def test_wrong_field_table(self, field2, table3):
         one = builtin("one", field2)

@@ -1,7 +1,8 @@
 import math
-import time
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fqlab import (
@@ -26,10 +27,11 @@ from fqlab import (
 )
 from fqlab.arith import FunctionSpec
 from fqlab.mainterm import (
-    LOCAL_DEPTH_DEFAULT,
     _degree_factors,
+    _depth,
     _factor,
     _LogProduct,
+    _subnormal_degree,
     _walk,
 )
 
@@ -57,14 +59,34 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_local_factor_matches_closed_form(self, q):
-        # the generic double sum against the exact rational, at depth 64
+        # the generic double sum against the exact rational
         field = FieldSpec(q)
         lam = builtin("liouville_truncated", field, y=6)
         for d in range(1, 7):
             for k in range(0, 4):
-                got = local_factor(d, k, lam, lam, "monic", depth=64)
+                got = local_factor(d, k, lam, lam, "monic")
                 want = float(liouville_local_closed(d, k, q))
                 assert abs(got.value - want) <= 1e-12
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_summed_to_double_precision(self, q):
+        # with no depth to ask for, a rule that never settles is summed
+        # until its terms fall below an ulp of 1
+        field = FieldSpec(q)
+        lam = builtin("liouville_truncated", field, y=6)
+        for d in range(1, 7):
+            for k in (None, 0, 1, 2, 3, 40):
+                got = local_factor(d, k, lam, lam, "monic")
+                # unconstrained: lambda^2 = 1, the limit k -> infinity
+                want = 1.0 if k is None else float(liouville_local_closed(d, k, q))
+                assert abs(got.value - want) <= 4e-16, (d, k)
+                assert got.tail_bound <= 2.0**-53
+
+    def test_depth_is_derived_from_q_to_the_minus_d(self):
+        # one past the first m with 1.0 + q^{-m d} == 1.0
+        assert [_depth(float(q) ** -d) for q, d in
+                ((2, 1), (2, 2), (3, 1), (5, 1), (251, 1), (2, 53), (2, 2000))] \
+            == [54, 28, 35, 24, 8, 2, 2]
 
 
 class TestLocalFactor:
@@ -76,8 +98,8 @@ class TestLocalFactor:
 
     def test_unconstrained_equals_huge_k(self, field2):
         lam = builtin("liouville", field2)
-        a = local_factor(2, None, lam, lam, "monic", depth=24)
-        b = local_factor(2, 40, lam, lam, "monic", depth=24)
+        a = local_factor(2, None, lam, lam, "monic")
+        b = local_factor(2, 40, lam, lam, "monic")
         assert a.value == b.value
 
     def test_unconstrained_against_direct_double_sum(self, field2):
@@ -86,55 +108,45 @@ class TestLocalFactor:
         for d in (1, 2, 3):
             x = 2.0 ** -d
             direct = 0.0
-            for m1 in range(0, 31):
+            for m1 in range(0, 81):
                 a1 = 1.0 if m1 == 0 else 2.0 * (-1) ** m1
-                for m2 in range(0, 31):
+                for m2 in range(0, 81):
                     a2 = 1.0 if m2 == 0 else 2.0 * (-1) ** m2
                     direct += a1 * a2 * x ** max(m1, m2)
             lam = builtin("liouville", field2)
-            got = local_factor(d, None, lam, lam, "monic", depth=30)
+            got = local_factor(d, None, lam, lam, "monic")
             assert abs(got.value - direct) < 1e-13
 
     def test_prime_mode_weights(self, field3):
         # weight 1/phi(P^M) with phi(P^0) = 1: spot check k-free rule
         kf = builtin("kfree", field3, k=2)
-        w = local_factor(1, 0, kf, kf, "prime", depth=16)
+        w = local_factor(1, 0, kf, kf, "prime")
         # pairs (0,0) -> 1; (0,2),(2,0) -> alpha(2) = -1 weight 1/phi(P^2)=1/6
         assert abs(w.value - (1 - 2.0 / 6.0)) < 1e-15
         assert w.tail_bound == 0.0  # settled rule: exact
-
-    def test_depth_validation(self, field2):
-        lam = builtin("liouville", field2)
-        with pytest.raises(MainTermError):
-            local_factor(1, 0, lam, lam, "monic", depth=1)
 
     def test_non_unit_bounded_rejected(self, field2):
         big = custom_from_table(field2, {(1, 1): 1.5})
         with pytest.raises(MainTermError):
             local_factor(1, 0, big, big, "monic")
 
-    def test_honesty_doubling_depth(self, field2):
-        lam = builtin("liouville", field2)
-        for d in (1, 2):
-            shallow = local_factor(d, 1, lam, lam, "monic", depth=12)
-            deep = local_factor(d, 1, lam, lam, "monic", depth=24)
-            assert abs(deep.value - shallow.value) <= shallow.tail_bound
-
 
 def _literal_factor(psi1, psi2, d, k, mode, depth):
     """The defining double sum of W_P over m1, m2 <= depth with
     min(m1, m2) <= k (k None: no constraint)."""
     x = float(psi1.field.p) ** -d
+    m = np.arange(depth + 1)
 
-    def alpha(spec, m):
-        return 1 if m == 0 else spec.value_dm(d, m) - spec.value_dm(d, m - 1)
+    def alpha(spec):
+        v = [1] + [spec.value_dm(d, j) for j in range(1, depth + 1)]
+        return np.array([1] + [v[j] - v[j - 1] for j in range(1, depth + 1)],
+                        dtype=complex)
 
-    def weight(M):
-        return x**M if mode == "monic" or M == 0 else x**M / (1.0 - x)
-
-    return sum(alpha(psi1, m1) * alpha(psi2, m2) * weight(max(m1, m2))
-               for m1 in range(depth + 1) for m2 in range(depth + 1)
-               if k is None or min(m1, m2) <= k)
+    w = np.array([x**M if mode == "monic" or M == 0 else x**M / (1.0 - x)
+                  for M in m])[np.maximum.outer(m, m)]
+    if k is not None:
+        w[np.minimum.outer(m, m) > k] = 0.0
+    return complex(np.sum(np.outer(alpha(psi1), alpha(psi2)) * w))
 
 
 def _all_builtins(field):
@@ -149,7 +161,7 @@ def _all_builtins(field):
 class TestFactorOracle:
     """_factor's grouped sum against the literal double sum."""
 
-    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("q", [2, 3, 251])
     @pytest.mark.parametrize("mode", ["monic", "prime"])
     def test_grouped_sum_equals_double_sum(self, q, mode):
         specs = _all_builtins(FieldSpec(q))
@@ -158,13 +170,14 @@ class TestFactorOracle:
         for psi1, psi2 in pairs:
             for k in (None, 0, 1, 2, 5):
                 for d in (1, 2, 3, 5, 9):
-                    dev, tail = _factor(psi1, psi2, d, k, mode, 12)
-                    want = _literal_factor(psi1, psi2, d, k, mode, 12)
+                    dev, tail = _factor(psi1, psi2, d, k, mode)
+                    want = _literal_factor(psi1, psi2, d, k, mode, 80)
                     assert abs(1 + dev - want) <= 1e-13, (psi1.name, psi2.name, k, d)
-                    if None not in (psi1.power_settle, psi2.power_settle):
-                        assert tail == 0.0  # both rules settle by depth 12
-                    # the tail covers everything past depth 12
-                    deep = _literal_factor(psi1, psi2, d, k, mode, 30)
+                    settle = (psi1.power_settle, psi2.power_settle)
+                    if None not in settle and max(settle) <= _depth(float(q) ** -d):
+                        assert tail == 0.0  # both rules settle by M_d
+                    # the tail covers everything past M_d
+                    deep = _literal_factor(psi1, psi2, d, k, mode, 120)
                     assert abs(1 + dev - deep) <= tail + 1e-13, \
                         (psi1.name, psi2.name, k, d)
 
@@ -231,7 +244,7 @@ class TestTailOracle:
         with mpmath.workdps(60):
             log = mpmath.mpf(0)
             for d in range(g + 1, len(counts)):
-                dev, _ = _factor(psi, psi, d, k, mode, LOCAL_DEPTH_DEFAULT)
+                dev, _ = _factor(psi, psi, d, k, mode)
                 log += counts[d] * mpmath.log1p(mpmath.mpf(dev))
             return mpmath.exp(log)
 
@@ -264,7 +277,7 @@ class TestTailOracle:
             log, sign = mpmath.mpf(0), 1
             for d in range(1, top + 1):
                 for dev, _, power in _degree_factors(d, vals, psi, psi, mode,
-                                                     table, LOCAL_DEPTH_DEFAULT):
+                                                     table):
                     if power == 0:  # every prime of degree d is special
                         continue
                     f = 1 + mpmath.mpf(dev)
@@ -292,7 +305,7 @@ class TestTailOracle:
     def test_rounding_cushion_covers_a_factor_below_a_quarter(self, field2):
         # a factor below 1/4 (1/8 at degree 2) enters the log-space sum
         mu = builtin("moebius", field2)
-        dev, tail = _factor(mu, mu, 2, 0, "monic", LOCAL_DEPTH_DEFAULT)
+        dev, tail = _factor(mu, mu, 2, 0, "monic")
         assert (1 + dev, tail) == (0.125, 0.0)
         tv = main_term(8, sp(field2, "0", "1"), mu, mu, "monic",
                        build_table(field2, 1))
@@ -391,8 +404,7 @@ class TestSmallPrimeProduct:
     def test_liouville_shift_x_factors(self, field2, table2):
         # shift difference x: valuation 1 at P = x, 0 elsewhere
         lam2 = builtin("liouville_truncated", field2, y=2)
-        got = main_term(2, sp(field2, "0", "x"), lam2, lam2, "monic", table2,
-                        depth=60)
+        got = main_term(2, sp(field2, "0", "x"), lam2, lam2, "monic", table2)
         want = (float(liouville_local_closed(1, 1, 2))
                 * float(liouville_local_closed(1, 0, 2))
                 * float(liouville_local_closed(2, 0, 2)))
@@ -444,8 +456,7 @@ class TestSmallPrimeProduct:
                                    * alpha(lam3, 1, a2) * alpha(lam3, 1, b2)
                                    * w)
         # (main_term refuses n = 1 with a shift of degree 1)
-        got = _walk(1, 1, sp(field2, "0", "x"), lam3, lam3, "monic", table2,
-                    depth=40)
+        got = _walk(1, 1, sp(field2, "0", "x"), lam3, lam3, "monic", table2)
         # the oracle itself is truncated at exponent 12; allow its tail
         assert abs(got.value - direct) < 1e-3
 
@@ -539,7 +550,7 @@ class TestMainTerm:
         lam2 = builtin("liouville_truncated", field2, y=2)
         for n in (10, 20, None):
             tv = main_term(n, sp(field2, "0", "x"), lam2, lam2,
-                           "monic", table2, depth=60)
+                           "monic", table2)
             assert abs(tv.value - (-1.0 / 45.0)) <= tv.tail_bound + 1e-13
 
     def test_rule_poly_copy_matches_builtin(self, field2, table2):
@@ -688,6 +699,46 @@ class TestOneWalk:
         main_term(3, sp(field2, "0", "x^2"), pr, pr, "monic", table2)
 
 
+class TestFloatRange:
+    """Past the first degree whose q^{-d} is below the normal floats each
+    factor reads exactly 1, while N_d |W_d - 1| is about 4/d for moebius."""
+
+    def test_first_subnormal_degree(self):
+        assert [_subnormal_degree(q) for q in (2, 3, 251)] == [1023, 645, 129]
+        for q in (2, 3, 251):
+            d = _subnormal_degree(q)
+            assert float(q) ** -d < sys.float_info.min <= float(q) ** (1 - d)
+
+    def test_walk_without_decay_bound_is_refused(self, field2):
+        table = build_table(field2, 1)
+        shifts = sp(field2, "0", "1")
+        mu = builtin("moebius", field2)
+        tv = main_term(1022, shifts, mu, mu, "monic", table)
+        assert 0 < tv.value < 1e-11 and tv.tail_bound < 1e-10 * tv.value
+        for n in (1023, 1040):
+            with pytest.raises(MainTermError, match="normal floats"):
+                main_term(n, shifts, mu, mu, "monic", table)
+        with pytest.raises(MainTermError, match="normal floats"):
+            _walk(1030, 1031, shifts, mu, mu, "monic", table)
+        # an infinite walk past y, which starts beyond degree 1023
+        one = builtin("one", field2)
+        lt = builtin("liouville_truncated", field2, y=1040)
+        with pytest.raises(MainTermError, match="normal floats"):
+            main_term(None, shifts, lt, one, "monic", table)
+        # a function neutral from degree 1023 on walks on
+        lt = builtin("liouville_truncated", field2, y=1022)
+        assert main_term(1100, shifts, lt, one, "monic", table) == \
+            main_term(1022, shifts, lt, one, "monic", table)
+
+    def test_walk_with_decay_bounds_goes_on(self, field2):
+        table = build_table(field2, 1)
+        shifts = sp(field2, "0", "1")
+        pr = builtin("phi_ratio", field2)
+        tv = main_term(1100, shifts, pr, pr, "monic", table)
+        assert tv == main_term(100, shifts, pr, pr, "monic", table)
+        assert tv.value == 0.19654355212758212
+
+
 class TestTruncatedValue:
     def test_tail_must_be_finite(self):
         with pytest.raises(MainTermError):
@@ -770,17 +821,3 @@ class TestLimitCharfnFactors:
         import cmath
         ref = cmath.exp(log_ref)
         assert abs(tv.value - ref) <= tv.tail_bound + 1e-12
-
-
-class TestDepthCap:
-    def test_huge_depth_is_bit_identical_and_quick(self):
-        # 0.5**1075 is the first power of 1/2 that rounds to 0.0
-        for p, d in ((2, 1), (3, 2), (251, 1)):
-            field = FieldSpec(p)
-            lam, pr = builtin("liouville", field), builtin("phi_ratio", field)
-            for k in (None, 0, 3):
-                for mode in ("monic", "prime"):
-                    t0 = time.perf_counter()
-                    huge = local_factor(d, k, lam, pr, mode, depth=10**9)
-                    assert time.perf_counter() - t0 < 1.0
-                    assert huge == local_factor(d, k, lam, pr, mode, depth=1075)

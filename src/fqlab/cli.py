@@ -203,11 +203,12 @@ def _cache_path(text: str) -> Path:
 
 def get_table(p: int, need_deg: int, cache: Path,
               budget: int = DEFAULT_CELL_BUDGET) -> IrreducibleTable:
-    """Load the smallest adequate cached table, else build and cache.  A
-    cached file that fails to load, or whose header disagrees with its
-    name, is deleted and replaced by a fresh build; the file is deleted
-    only while the path still names the file that was read, so a sound
-    table another run has just renamed into place stays."""
+    """The table through need_deg: read from the smallest adequate cached
+    file only that far, else built and cached.  A cached file that fails
+    to load, or whose header disagrees with its name, is deleted and
+    replaced by a fresh build; the file is deleted only while the path
+    still names the file that was read, so a sound table another run has
+    just renamed into place stays."""
     best = None
     for f in sorted(cache.glob(f"p{p}_d*.fqi")):
         try:
@@ -220,11 +221,7 @@ def get_table(p: int, need_deg: int, cache: Path,
         d, path = best
         read = _file_identity(path)
         try:
-            table = IrreducibleTable.load(path)
-            if (table.field.p, table.max_deg) != (p, d):
-                raise SieveError(f"{path}: header says p={table.field.p}, "
-                                 f"max_deg={table.max_deg}")
-            return table
+            return IrreducibleTable.load(path, need_deg, (p, d))
         except SieveError as exc:
             print(f"rebuilding bad cache file: {exc}", file=sys.stderr)
             if _file_identity(path) == read:

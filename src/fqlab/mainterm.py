@@ -327,7 +327,7 @@ def _walk(first: int, last: int | None, shifts: ShiftPair | None,
     same product for the oracles to check.  A range that reaches the
     first degree whose q^{-d} is below the normal floats is refused
     unless every function not neutral there has a decay bound with
-    a > 1.  An infinite walk also refuses a generic factor whose |W - 1|
+    a > 1.  Every walk also refuses a generic factor whose |W - 1|
     exceeds its declared bound by more than the factor's own tail."""
     _check_mode(mode)
     _require_unit(psi1, psi2)
@@ -344,8 +344,8 @@ def _walk(first: int, last: int | None, shifts: ShiftPair | None,
                 f"degree {last} beyond table degree {table.max_deg} needs "
                 "degree-symmetric functions")
     s = 1 if mode == "monic" else 2
-    infinite, rem = last is None, 0.0
-    if infinite:
+    rem = 0.0
+    if last is None:
         delta = 0 if shifts is None or shifts.delta.is_zero else shifts.delta.degree
         last, rem = _stop(max(delta, first - 1, *(spec.trivial_beyond_degree or 0
                                                   for spec in (psi1, psi2))),
@@ -365,7 +365,7 @@ def _walk(first: int, last: int | None, shifts: ShiftPair | None,
             acc.mul(dev, t, power)
         terms = _decays(d, psi1, psi2)
         bound = 3 * s * sum(C * float(q) ** (-a * d) for C, a in terms) \
-            if infinite and None not in terms else math.inf
+            if None not in terms else math.inf
         if abs(dev) > bound + t:  # dev: the generic factor of degree d
             raise MainTermError(
                 f"the factor at degree {d} deviates from 1 by {abs(dev):.3g}, "

@@ -53,16 +53,19 @@ The cache file layout (little endian) is:
   then for d = 1..max_deg: u64 N_d, then the N_d enumeration indices of
   the degree-d primes as int64, ascending.
 A file is written under a temporary name and renamed into place.
-Loading checks the whole file before it returns: magic, version and
-field, the file length against the Moebius counts (so a truncated file
-and trailing bytes are caught before any index is read), every N_d
-against Moebius inversion (the necklace identity for every n <=
-max_deg), and every degree's indices strictly ascending in [0, p^d);
-each failure is a SieveError that names the file.  The counts, ranges
-and ascents of all degrees are compared at once over the payload read
-as int64 cells, and the first failing degree is named (its count before
-its range before its ascent).  Each degree of a loaded table is a
-read-only view of the bytes read.
+A load through degree k (upto; the whole table without it) reads in
+full only the degrees <= k, and checks before it returns: magic,
+version and field, the file length against the Moebius counts (so a
+truncated file and trailing bytes are caught before any index is read),
+every N_d slot against Moebius inversion (the necklace identity for
+every n <= max_deg) and every degree's first and last index in [0,
+p^d), both from three cells per degree past k, and the indices of the
+degrees <= k strictly ascending; each failure is a SieveError that names
+the file.  The counts, ranges and ascents are compared at once for all
+degrees, and the first failing degree is named (its count before its
+range before its ascent).  Each degree of a loaded table is a read-only
+view of bytes read into memory, never a mapping of a file that another
+run may rewrite in place.
 """
 
 from __future__ import annotations
@@ -344,10 +347,10 @@ class IrreducibleTable:
 
     by_degree[d] holds the enumeration indices of the degree-d primes,
     ascending, as a read-only int64 array: the sieve's listing, or a view
-    of the bytes of a cache file.  Construction refuses a listing whose
-    length differs from the Moebius count of its degree.  The table is
-    that checked data and nothing more: immutable after build, safe for
-    concurrent reads.
+    of the bytes read from a cache file.  Construction refuses a listing
+    whose length differs from the Moebius count of its degree.  The table
+    is that checked data and nothing more: immutable after build, safe
+    for concurrent reads.
     """
 
     def __init__(self, field: FieldSpec, max_deg: int,
@@ -415,42 +418,74 @@ class IrreducibleTable:
             raise
 
     @classmethod
-    def load(cls, path: str | Path) -> "IrreducibleTable":
+    def load(cls, path: str | Path, upto: int | None = None,
+             header: tuple[int, int] | None = None) -> "IrreducibleTable":
         """Read and check a cache file; any malformed content raises
-        SieveError naming the file."""
-        data = Path(path).read_bytes()
-        if data[:4] != CACHE_MAGIC:
-            raise SieveError(f"{path}: bad magic")
-        if len(data) < 16:
-            raise SieveError(f"{path}: truncated cache in header")
-        version, p, max_deg = struct.unpack_from("<III", data, 4)
-        if version != CACHE_VERSION:
-            raise SieveError(f"{path}: unsupported cache version {version}")
-        try:
-            field = FieldSpec(p)
-        except PolyError as exc:
-            raise SieveError(f"{path}: {exc}") from exc
-        # the length follows from the Moebius counts; the sum stops once
-        # it passes the file, so a forged max_deg costs nothing
-        counts, end = [0], 16
-        for d in range(1, max_deg + 1):
-            counts.append(irreducible_count(p, d))
-            end += 8 + 8 * counts[d]
-            if end > len(data):
-                raise SieveError(f"{path}: truncated cache in degree {d}")
-        if end != len(data):
-            raise SieveError(f"{path}: {len(data) - end} trailing bytes")
-        # the payload as int64 cells: degree d's count slot, then its
-        # indices; every degree is checked at once, and the first failing
-        # one is named, its count before its range before its ascent
-        payload = np.frombuffer(data, dtype="<i8", offset=16)
-        slots = np.cumsum([1 + c for c in counts[:max_deg]], dtype=np.int64) - 1
-        sizes = np.array(counts[1:], dtype=np.int64)
-        wrong_count = payload[slots] != sizes
-        out_of_range = (payload[slots + 1] < 0) | (
-            payload[slots + sizes] >= np.array([p**d for d in range(1, max_deg + 1)]))
+        SieveError naming the file.  upto = k returns the table through
+        degree min(k, max_deg), read in full only that far (see the module
+        docstring); header = (p, max_deg) refuses a file whose header
+        states other values."""
+        with open(path, "rb") as fh:
+            fd = fh.fileno()
+
+            def read(size: int, at: int) -> bytes:
+                raw = os.pread(fd, size, at)
+                if len(raw) != size:
+                    raise SieveError(f"{path}: cache shrank while read")
+                return raw
+
+            data = os.pread(fd, 16, 0)
+            if data[:4] != CACHE_MAGIC:
+                raise SieveError(f"{path}: bad magic")
+            if len(data) < 16:
+                raise SieveError(f"{path}: truncated cache in header")
+            version, p, max_deg = struct.unpack_from("<III", data, 4)
+            if version != CACHE_VERSION:
+                raise SieveError(f"{path}: unsupported cache version {version}")
+            try:
+                field = FieldSpec(p)
+            except PolyError as exc:
+                raise SieveError(f"{path}: {exc}") from exc
+            if header is not None and (p, max_deg) != header:
+                raise SieveError(f"{path}: header says p={p}, max_deg={max_deg}")
+            # the length follows from the Moebius counts; the sum stops
+            # once it passes the file, so a forged max_deg costs nothing
+            size = os.fstat(fd).st_size
+            counts, end = [0], 16
+            for d in range(1, max_deg + 1):
+                counts.append(irreducible_count(p, d))
+                end += 8 + 8 * counts[d]
+                if end > size:
+                    raise SieveError(f"{path}: truncated cache in degree {d}")
+            if end != size:
+                raise SieveError(f"{path}: {size - end} trailing bytes")
+            # the payload as int64 cells: degree d's count slot, then its
+            # indices; degrees 1..top are read in full, and of each later
+            # one only its count slot and its first and last index
+            top = max_deg if upto is None else max(0, min(upto, max_deg))
+            slots = np.cumsum([1 + c for c in counts], dtype=np.int64) - 1
+            sizes = np.array(counts[1:], dtype=np.int64)
+            payload = np.frombuffer(read(8 * int(slots[top]), 16), dtype="<i8")
+            at = slots[:top]
+            heads, firsts, lasts = payload[at], payload[at + 1], payload[at + sizes[:top]]
+            if top < max_deg:
+                # for d = top + 1..max_deg, the 3 cells from the last index
+                # of degree d - 1 to the first of degree d, then the last
+                # index of max_deg
+                rest = np.frombuffer(b"".join(
+                    [read(24, 8 + 8 * s) for s in slots[top:-1].tolist()]
+                    + [read(8, end - 8)]), dtype="<i8")
+                heads = np.concatenate([heads, rest[1::3]])
+                firsts = np.concatenate([firsts, rest[2::3]])
+                lasts = np.concatenate([lasts, rest[3::3]])
+        # every degree's count and range are checked, the ascent of the
+        # degrees read in full, and the first failing degree is named, its
+        # count before its range before its ascent
+        wrong_count = heads != sizes
+        out_of_range = (firsts < 0) | (
+            lasts >= np.array([p**d for d in range(1, max_deg + 1)]))
         ascends = payload[1:] > payload[:-1]
-        ascends[slots[1:] - 1] = ascends[slots] = True  # pairs with a count slot
+        ascends[at[1:] - 1] = ascends[at] = True  # pairs with a count slot
         descents = np.zeros(max_deg, dtype=bool)
         if not ascends.all():
             descents[np.searchsorted(slots, np.flatnonzero(~ascends), "right") - 1] = True
@@ -463,8 +498,8 @@ class IrreducibleTable:
                 raise SieveError(f"{path}: degree-{i + 1} index out of range")
             raise SieveError(f"{path}: degree-{i + 1} indices are not strictly ascending")
         by_degree = [np.empty(0, dtype=np.int64)]
-        by_degree += [payload[s + 1:s + 1 + c] for s, c in zip(slots.tolist(), counts[1:])]
-        return cls(field, max_deg, by_degree)
+        by_degree += [payload[s + 1:s + 1 + c] for s, c in zip(at.tolist(), counts[1:])]
+        return cls(field, top, by_degree)
 
 
 def necklace_check(table: IrreducibleTable, n: int) -> NecklaceReport:

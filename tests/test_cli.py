@@ -508,6 +508,16 @@ class TestCacheReuse:
         assert (other / "p3_d4.fqi").exists()
         assert not (tmp_path / "cache" / "p3_d4.fqi").exists()
 
+    @pytest.mark.parametrize("cached", [None, 8, 20])
+    def test_table_has_the_needed_degree(self, cached, tmp_path):
+        sound = build_table(FieldSpec(2), cached) if cached else None
+        for k in range(1, 9):
+            cache = tmp_path / f"c{k}"
+            cache.mkdir()
+            if sound is not None:
+                sound.save(cache / f"p2_d{cached}.fqi")
+            assert cli.get_table(2, k, cache).max_deg == k
+
 
 class TestScanTables:
     # (argv, the table built on an empty cache, the larger table once built)
@@ -711,9 +721,9 @@ class TestCacheRecovery:
         bad.write_bytes(sound[:-1] + b"\x02")
         load = IrreducibleTable.load.__func__
 
-        def racing(cls, path):
+        def racing(cls, path, *rest):
             try:
-                return load(cls, path)
+                return load(cls, path, *rest)
             except SieveError:
                 os.replace(good, path)
                 raise
@@ -739,6 +749,38 @@ class TestCacheRecovery:
         assert rc == 0
         assert capsys.readouterr().err.count("rebuilding bad cache file") == 1
         assert IrreducibleTable.load(cache / "p2_d8.fqi").max_deg == 8
+
+    def test_flaw_past_the_needed_degree(self, cache_flaw, tmp_path,
+                                         monkeypatch, capsys):
+        # factoring a quartic reads p2_d8.fqi in full only through degree
+        # 2, yet every load checks the file's length and every degree's
+        # count and end indices; a broken ascent in degree 5 waits for the
+        # first command that needs degree 5
+        how, spoil = cache_flaw
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        bad = cache / "p2_d8.fqi"
+        build_table(FieldSpec(2), 8).save(bad)
+        bad.write_bytes(spoil(bad.read_bytes(), 2, 5))
+        ascent_only = how in ("repeated-index", "descending-pair")
+        assert run(["factor", "--p", "2", "--poly", "x^4+x^2", "--out", "f1"],
+                   tmp_path, monkeypatch) == 0
+        rows = read_csv(tmp_path / "f1.csv")
+        assert [(r["prime"], r["multiplicity"]) for r in rows] == \
+            [("x", "2"), ("x+1", "2")]
+        err = capsys.readouterr().err
+        assert err.count("rebuilding bad cache file") == (not ascent_only)
+        assert bad.exists() == ascent_only
+        if ascent_only:
+            assert run(["factor", "--p", "2", "--poly", "x^10+x", "--out",
+                        "f2"], tmp_path, monkeypatch) == 0
+            rows = read_csv(tmp_path / "f2.csv")
+            assert [r["prime"] for r in rows] == \
+                ["x", "x+1", "x^2+x+1", "x^6+x^3+1"]
+            err = capsys.readouterr().err
+            assert err.count("rebuilding bad cache file") == 1
+            assert "not strictly ascending" in err
+            assert not bad.exists()
 
     def test_version_1_file_is_rebuilt(self, tmp_path, monkeypatch, capsys):
         # the earlier layout: per degree a u64 N_d, then N_d records of d

@@ -380,6 +380,13 @@ class TestDecayBound:
                 main_term(None, sp(field2, "0", "1"), liar, liar, mode,
                           table2)
 
+    def test_finite_walk_checks_the_declared_bound(self, field2, table2):
+        # without the check this walk leaves the float range (OverflowError)
+        liar = FunctionSpec("liar", field2, lambda d, m: 0.5,
+                            True, True, False, None, 1, decay=(1, 3))
+        with pytest.raises(MainTermError, match="degree 2 deviates"):
+            main_term(1040, sp(field2, "0", "1"), liar, liar, "monic", table2)
+
     def test_stop_is_the_first_certified_degree(self, field2, table2,
                                                 monkeypatch):
         # phi_ratio at q = 2: 12 * 2^{-(D + 1)} / (D + 1) <= 1e-12 first at D = 38

@@ -1,6 +1,7 @@
 import functools
 import gc
 import itertools
+import os
 import random
 import tracemalloc
 import weakref
@@ -245,6 +246,67 @@ class TestCache:
             assert (loaded.prime_indices(d) == built.prime_indices(d)).all()
         loaded.save(again)
         assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("p,max_deg", BENCHMARK_TABLES)
+    def test_prefix_load_equals_built(self, p, max_deg, tmp_path):
+        path = tmp_path / "t.fqi"
+        build_table(FieldSpec(p), max_deg).save(path)
+        for k in range(1, max_deg + 2):
+            loaded = IrreducibleTable.load(path, upto=k)
+            built = build_table(FieldSpec(p), min(k, max_deg))
+            assert loaded.max_deg == built.max_deg
+            for d in range(1, built.max_deg + 1):
+                assert (loaded.prime_indices(d) == built.prime_indices(d)).all()
+
+    @pytest.mark.parametrize("upto", [None, 1, 4])
+    def test_rewrite_in_place_leaves_a_loaded_table(self, upto, table3,
+                                                    tmp_path):
+        path = tmp_path / "t.fqi"
+        table3.save(path)
+        loaded = IrreducibleTable.load(path, upto=upto)
+        size = path.stat().st_size
+        with open(path, "r+b") as fh:
+            fh.seek(16)
+            fh.write(b"\xff" * (size - 16))
+        for d in range(1, loaded.max_deg + 1):
+            assert (loaded.prime_indices(d) == table3.prime_indices(d)).all()
+
+    def test_prefix_load_checks_every_count_range_and_length(
+            self, cache_flaw, table3, tmp_path):
+        # a flaw in degree 5: a load through degree 4 still finds all but
+        # a broken ascent, which only a load through degree 5 reads
+        how, spoil = cache_flaw
+        path = tmp_path / f"{how}.fqi"
+        table3.save(path)
+        path.write_bytes(spoil(path.read_bytes(), 3, 5))
+        if how in ("repeated-index", "descending-pair"):
+            loaded = IrreducibleTable.load(path, upto=4)
+            assert loaded.max_deg == 4
+        else:
+            with pytest.raises(SieveError, match=f"{how}.fqi"):
+                IrreducibleTable.load(path, upto=4)
+        for upto in (5, None):
+            with pytest.raises(SieveError, match=f"{how}.fqi"):
+                IrreducibleTable.load(path, upto=upto)
+
+    @pytest.mark.parametrize("upto", [None, 2])
+    def test_file_shrinking_while_read_is_refused(self, upto, table3,
+                                                  tmp_path, monkeypatch):
+        path = tmp_path / "t.fqi"
+        table3.save(path)
+        pread = os.pread
+        monkeypatch.setattr(sieve.os, "pread",
+                            lambda fd, n, at: pread(fd, n, at)[:max(16, n - 8)])
+        with pytest.raises(SieveError, match="shrank while read"):
+            IrreducibleTable.load(path, upto)
+
+    def test_header_must_match(self, table3, tmp_path):
+        path = tmp_path / "t.fqi"
+        table3.save(path)
+        assert IrreducibleTable.load(path, 2, header=(3, 6)).max_deg == 2
+        for header in ((3, 7), (2, 6)):
+            with pytest.raises(SieveError, match="header says p=3, max_deg=6"):
+                IrreducibleTable.load(path, 2, header=header)
 
     def test_flaw_rejected_at_load(self, cache_flaw, table3, tmp_path):
         how, spoil = cache_flaw

@@ -208,7 +208,10 @@ def get_table(p: int, need_deg: int, cache: Path,
     to load, or whose header disagrees with its name, is deleted and
     replaced by a fresh build; the file is deleted only while the path
     still names the file that was read, so a sound table another run has
-    just renamed into place stays."""
+    just renamed into place stays.  A file gone before it is opened (a
+    bad one another run deleted, or a cleared cache) counts as none."""
+    if need_deg < 1:  # load refuses it too, which would unlink a sound file
+        raise SieveError(f"need_deg must be >= 1, got {need_deg}")
     best = None
     for f in sorted(cache.glob(f"p{p}_d*.fqi")):
         try:
@@ -222,6 +225,8 @@ def get_table(p: int, need_deg: int, cache: Path,
         read = _file_identity(path)
         try:
             return IrreducibleTable.load(path, need_deg, (p, d))
+        except FileNotFoundError:
+            pass
         except SieveError as exc:
             print(f"rebuilding bad cache file: {exc}", file=sys.stderr)
             if _file_identity(path) == read:

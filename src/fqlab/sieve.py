@@ -53,19 +53,19 @@ The cache file layout (little endian) is:
   then for d = 1..max_deg: u64 N_d, then the N_d enumeration indices of
   the degree-d primes as int64, ascending.
 A file is written under a temporary name and renamed into place.
-A load through degree k (upto; the whole table without it) reads in
-full only the degrees <= k, and checks before it returns: magic,
+A load through degree k (upto >= 1; the whole table without it) reads
+in full only the degrees <= k, and checks before it returns: magic,
 version and field, the file length against the Moebius counts (so a
 truncated file and trailing bytes are caught before any index is read),
-every N_d slot against Moebius inversion (the necklace identity for
-every n <= max_deg) and every degree's first and last index in [0,
-p^d), both from three cells per degree past k, and the indices of the
-degrees <= k strictly ascending; each failure is a SieveError that names
-the file.  The counts, ranges and ascents are compared at once for all
-degrees, and the first failing degree is named (its count before its
-range before its ascent).  Each degree of a loaded table is a read-only
-view of bytes read into memory, never a mapping of a file that another
-run may rewrite in place.
+then one degree at a time from 1 to max_deg: its N_d slot against
+Moebius inversion (the necklace identity for every n <= max_deg), its
+first and last index in [0, p^d) (of a degree past k only these three
+cells are read), and, for d <= k, its indices strictly ascending.  The
+first check to fail raises a SieveError that names the file, so the
+lowest failing degree is named, its count before its range before its
+ascent.  Each degree of a loaded table is a read-only view of bytes read
+into memory, never a mapping of a file that another run may rewrite in
+place.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ import functools
 import os
 import struct
 import uuid
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -421,10 +422,12 @@ class IrreducibleTable:
     def load(cls, path: str | Path, upto: int | None = None,
              header: tuple[int, int] | None = None) -> "IrreducibleTable":
         """Read and check a cache file; any malformed content raises
-        SieveError naming the file.  upto = k returns the table through
-        degree min(k, max_deg), read in full only that far (see the module
-        docstring); header = (p, max_deg) refuses a file whose header
-        states other values."""
+        SieveError naming the file.  upto = k >= 1 returns the table
+        through degree min(k, max_deg), read in full only that far (see the
+        module docstring); header = (p, max_deg) refuses a file whose
+        header states other values."""
+        if upto is not None and upto < 1:
+            raise SieveError("upto must be >= 1")
         with open(path, "rb") as fh:
             fd = fh.fileno()
 
@@ -459,46 +462,36 @@ class IrreducibleTable:
                     raise SieveError(f"{path}: truncated cache in degree {d}")
             if end != size:
                 raise SieveError(f"{path}: {size - end} trailing bytes")
-            # the payload as int64 cells: degree d's count slot, then its
-            # indices; degrees 1..top are read in full, and of each later
-            # one only its count slot and its first and last index
-            top = max_deg if upto is None else max(0, min(upto, max_deg))
-            slots = np.cumsum([1 + c for c in counts], dtype=np.int64) - 1
-            sizes = np.array(counts[1:], dtype=np.int64)
-            payload = np.frombuffer(read(8 * int(slots[top]), 16), dtype="<i8")
-            at = slots[:top]
-            heads, firsts, lasts = payload[at], payload[at + 1], payload[at + sizes[:top]]
-            if top < max_deg:
-                # for d = top + 1..max_deg, the 3 cells from the last index
-                # of degree d - 1 to the first of degree d, then the last
-                # index of max_deg
-                rest = np.frombuffer(b"".join(
-                    [read(24, 8 + 8 * s) for s in slots[top:-1].tolist()]
-                    + [read(8, end - 8)]), dtype="<i8")
-                heads = np.concatenate([heads, rest[1::3]])
-                firsts = np.concatenate([firsts, rest[2::3]])
-                lasts = np.concatenate([lasts, rest[3::3]])
-        # every degree's count and range are checked, the ascent of the
-        # degrees read in full, and the first failing degree is named, its
-        # count before its range before its ascent
-        wrong_count = heads != sizes
-        out_of_range = (firsts < 0) | (
-            lasts >= np.array([p**d for d in range(1, max_deg + 1)]))
-        ascends = payload[1:] > payload[:-1]
-        ascends[at[1:] - 1] = ascends[at] = True  # pairs with a count slot
-        descents = np.zeros(max_deg, dtype=bool)
-        if not ascends.all():
-            descents[np.searchsorted(slots, np.flatnonzero(~ascends), "right") - 1] = True
-        failing = np.flatnonzero(wrong_count | out_of_range | descents)
-        if len(failing):
-            i = failing[0]
-            if wrong_count[i]:
-                raise SieveError(f"{path}: wrong prime count at degree {i + 1}")
-            if out_of_range[i]:
-                raise SieveError(f"{path}: degree-{i + 1} index out of range")
-            raise SieveError(f"{path}: degree-{i + 1} indices are not strictly ascending")
-        by_degree = [np.empty(0, dtype=np.int64)]
-        by_degree += [payload[s + 1:s + 1 + c] for s, c in zip(at.tolist(), counts[1:])]
+            # degree d's count slot, then its indices, as int64 cells;
+            # degrees 1..top are read in full, and of each later one only
+            # its count slot and its first and last index
+            top = max_deg if upto is None else min(upto, max_deg)
+            at = 16 + 8 * sum(1 + c for c in counts[1:top + 1])
+            payload = np.frombuffer(read(at - 16, 16), dtype="<i8")
+            descents = np.flatnonzero(payload[1:] <= payload[:-1]).tolist()
+            by_degree, slot = [np.empty(0, dtype=np.int64)], 0
+            # each degree is checked in turn: its count, then its range,
+            # then (when read in full) its ascent
+            for d in range(1, max_deg + 1):
+                c = counts[d]
+                if d <= top:
+                    head, first = payload[slot:slot + 2].tolist()
+                    last = int(payload[slot + c])
+                else:
+                    head, first = struct.unpack("<qq", read(16, at))
+                    last, = struct.unpack("<q", read(8, at + 8 * c))
+                    at += 8 + 8 * c
+                if head != c:
+                    raise SieveError(f"{path}: wrong prime count at degree {d}")
+                if first < 0 or last >= p**d:
+                    raise SieveError(f"{path}: degree-{d} index out of range")
+                if d <= top:
+                    # a descent i (cell i + 1 <= cell i) between two of its indices
+                    if bisect_right(descents, slot) < bisect_left(descents, slot + c):
+                        raise SieveError(
+                            f"{path}: degree-{d} indices are not strictly ascending")
+                    by_degree.append(payload[slot + 1:slot + 1 + c])
+                    slot += 1 + c
         return cls(field, top, by_degree)
 
 

@@ -518,6 +518,15 @@ class TestCacheReuse:
                 sound.save(cache / f"p2_d{cached}.fqi")
             assert cli.get_table(2, k, cache).max_deg == k
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_degree_below_one_leaves_the_cache(self, k, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        build_table(FieldSpec(2), 4).save(cache / "p2_d4.fqi")
+        with pytest.raises(SieveError, match="need_deg must be >= 1"):
+            cli.get_table(2, k, cache)
+        assert sorted(f.name for f in cache.iterdir()) == ["p2_d4.fqi"]
+
 
 class TestScanTables:
     # (argv, the table built on an empty cache, the larger table once built)
@@ -735,6 +744,39 @@ class TestCacheRecovery:
         assert bad.read_bytes() == sound
         assert sorted(f.name for f in cache.iterdir()) == \
             ["p2_d2.fqi", "p2_d8.fqi"]
+
+    @pytest.mark.parametrize("gone", [True, False])
+    def test_file_gone_before_it_is_read(self, gone, tmp_path, monkeypatch,
+                                         capsys):
+        # the cached file is deleted (by another run, or a cleared cache)
+        # between the glob and the open: the table is built as on an empty
+        # cache; a file that is there yet cannot be read still exits 1
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        cached = cache / "p2_d8.fqi"
+        build_table(FieldSpec(2), 8).save(cached)
+        load = IrreducibleTable.load.__func__
+
+        def racing(cls, path, *rest):
+            if not gone:
+                raise PermissionError(13, "Permission denied", str(path))
+            os.unlink(path)
+            return load(cls, path, *rest)
+
+        monkeypatch.setattr(IrreducibleTable, "load", classmethod(racing))
+        rc = run(["factor", "--p", "2", "--poly", "x^4+x^2", "--out", "f"],
+                 tmp_path, monkeypatch)
+        err = capsys.readouterr().err
+        assert "rebuilding bad cache file" not in err
+        if not gone:
+            assert rc == 1 and "Permission denied" in err
+            assert sorted(f.name for f in cache.iterdir()) == ["p2_d8.fqi"]
+            return
+        assert rc == 0
+        rows = read_csv(tmp_path / "f.csv")
+        assert [(r["prime"], r["multiplicity"]) for r in rows] == \
+            [("x", "2"), ("x+1", "2")]
+        assert sorted(f.name for f in cache.iterdir()) == ["p2_d2.fqi"]
 
     def test_flawed_file_is_rebuilt(self, cache_flaw, tmp_path, monkeypatch,
                                     capsys):

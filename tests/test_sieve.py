@@ -300,6 +300,13 @@ class TestCache:
         with pytest.raises(SieveError, match="shrank while read"):
             IrreducibleTable.load(path, upto)
 
+    @pytest.mark.parametrize("upto", [0, -4])
+    def test_upto_below_one_refused(self, upto, table3, tmp_path):
+        path = tmp_path / "t.fqi"
+        table3.save(path)
+        with pytest.raises(SieveError, match="upto must be >= 1"):
+            IrreducibleTable.load(path, upto)
+
     def test_header_must_match(self, table3, tmp_path):
         path = tmp_path / "t.fqi"
         table3.save(path)
@@ -325,15 +332,30 @@ class TestCache:
         "descending-pair": "degree-{d} indices are not strictly ascending",
     }
 
-    @pytest.mark.parametrize("low, high", itertools.permutations(FLAW_MESSAGES, 2))
-    def test_two_flaws_name_the_lower_degree(self, low, high, spoil, table3,
-                                             tmp_path):
+    # loads in full, through degree 4 (between the flaws) and through
+    # degree 2 (below both); a load in full keeps the plain ids
+    TWO_FLAWS = [(low, high, upto) for upto, (low, high) in itertools.product(
+        (None, 4, 2), itertools.permutations(FLAW_MESSAGES, 2))]
+
+    @pytest.mark.parametrize("low, high, upto", TWO_FLAWS, ids=[
+        "-".join([low, high] + [f"upto{upto}"] * (upto is not None))
+        for low, high, upto in TWO_FLAWS])
+    def test_two_flaws_name_the_lower_degree(self, low, high, upto, spoil,
+                                             table3, tmp_path):
         path = tmp_path / "two.fqi"
         table3.save(path)
         path.write_bytes(spoil(spoil(path.read_bytes(), 3, 5, high), 3, 3, low))
+        flaws = [(low, 3), (high, 5)]
+        if upto == 2:  # past degree 2 an ascent flaw is not read
+            flaws = [(how, d) for how, d in flaws
+                     if "ascending" not in self.FLAW_MESSAGES[how]]
+        if not flaws:
+            assert IrreducibleTable.load(path, upto).max_deg == 2
+            return
         with pytest.raises(SieveError) as err:
-            IrreducibleTable.load(path)
-        assert str(err.value) == f"{path}: " + self.FLAW_MESSAGES[low].format(d=3)
+            IrreducibleTable.load(path, upto)
+        how, d = flaws[0]
+        assert str(err.value) == f"{path}: " + self.FLAW_MESSAGES[how].format(d=d)
 
     @pytest.mark.parametrize("one, other", [
         pair for pair in itertools.combinations(FLAW_MESSAGES, 2)

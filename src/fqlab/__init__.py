@@ -4,12 +4,10 @@ from .fieldpoly import (
     FieldSpec,
     Poly,
     PolyError,
-    enumerate_monic,
     format_poly,
     monic_from_index,
     norm,
     parse_poly,
-    poly_arith,
     poly_gcd_lcm,
 )
 from .sieve import (
@@ -22,7 +20,6 @@ from .sieve import (
     factorize,
     irreducible_count,
     necklace_check,
-    prime_count_ap,
     residue_histogram,
 )
 from .arith import (
@@ -31,13 +28,9 @@ from .arith import (
     SpecError,
     builtin,
     builtin_additive,
-    closeness_partial_sums,
     custom_from_table,
-    distance,
-    eval_additive_on,
     eval_on,
     exp_additive,
-    mertens_sum,
     parse_additive_spec,
     parse_function_spec,
     phi,
@@ -46,20 +39,14 @@ from .mainterm import (
     MainTermError,
     ShiftPair,
     TruncatedValue,
-    error_bound_shape,
-    liouville_local_closed,
-    local_factor,
     main_term,
 )
 from .correlate import (
     CorrelationReport,
     CorrelationSpec,
     EngineError,
-    ScanPoint,
     correlate,
     crt_count,
-    crt_count_enumerated,
-    deviation_scan,
 )
 from .stats import (
     CharFunctionGrid,

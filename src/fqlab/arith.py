@@ -1,4 +1,4 @@
-"""Multiplicative and additive functions on F_p[x], and closeness metrics.
+"""Multiplicative and additive functions on F_p[x], and their evaluation.
 
 A multiplicative function is determined by its values on prime powers
 P^m; a FunctionSpec carries that rule plus the flags the evaluation
@@ -255,8 +255,6 @@ def eval_on(fact: Factorization, spec: FunctionSpec):
     return sum(values) if spec.additive else math.prod(values)
 
 
-eval_additive_on = eval_on
-
 
 def _by_degree(psi: FunctionSpec) -> bool:
     return psi.degree_symmetric and psi.rule_dm is not None
@@ -491,90 +489,6 @@ def phi_values(table: IrreducibleTable, d: int) -> np.ndarray:
                            lambda e, m: q ** (m * e) - q ** ((m - 1) * e),
                            True, False, True, None, None)
     return value_array(totient, table, d).astype(np.int64)
-
-
-def _spot_check_symmetry(spec, table: IrreducibleTable) -> None:
-    # degree_symmetric is trusted but sampled: two primes of equal degree
-    # must agree at m = 1 and m = 2
-    if spec.rule_poly is None:
-        return
-    for d in range(1, min(3, table.max_deg) + 1):
-        primes = table.primes(d)
-        if len(primes) < 2:
-            continue
-        for m in (1, 2):
-            a, b = spec.value_at(primes[0], m), spec.value_at(primes[1], m)
-            if abs(a - b) > 1e-12:
-                raise SpecError(
-                    f"{spec.name} claims degree symmetry but differs at "
-                    f"degree {d}, m={m}")
-
-
-# ---------------------------------------------------------------------------
-# pretentiousness metrics
-# ---------------------------------------------------------------------------
-
-def distance(psi1: FunctionSpec, psi2: FunctionSpec, m: int, n: int,
-             table: IrreducibleTable) -> float:
-    """Distance between two unit-bounded multiplicative functions over the
-    degree window [m, n]:
-
-        D^2 = sum over primes with m <= deg P <= n of
-              (1 - Re(psi1(P) * conj(psi2(P)))) / q^{deg P}
-
-    Returns D (the square root).  With two degree-symmetric specs the
-    per-degree term is the count N_d times the common value, which also
-    lets the window extend past the tabulated listings.
-    """
-    if not (psi1.unit_bounded and psi2.unit_bounded):
-        raise SpecError("distance requires unit-bounded functions")
-    if m > n:
-        raise SpecError("empty degree window")
-    q = table.field.p
-    total = 0.0
-    if psi1.degree_symmetric and psi2.degree_symmetric:
-        _spot_check_symmetry(psi1, table)
-        _spot_check_symmetry(psi2, table)
-        for d in range(m, n + 1):
-            v = complex(psi1.value_dm(d, 1)) * complex(psi2.value_dm(d, 1)).conjugate()
-            total += table.count(d) * (1.0 - v.real) / q**d
-    else:
-        if n > table.max_deg:
-            raise SpecError("window beyond table for non-degree-symmetric specs")
-        for d in range(m, n + 1):
-            w = q ** (-d)
-            for P in table.primes(d):
-                v = complex(psi1.value_at(P, 1)) * complex(psi2.value_at(P, 1)).conjugate()
-                total += (1.0 - v.real) * w
-    return math.sqrt(max(total, 0.0))
-
-
-def closeness_partial_sums(psi: FunctionSpec, N: int,
-                           table: IrreducibleTable) -> list[complex]:
-    """Partial sums S_D = sum_{deg P <= D} (psi(P) - 1)/q^{deg P} for
-    D = 1..N; the sequence converging is the closeness-to-1 hypothesis."""
-    q = table.field.p
-    sums: list[complex] = []
-    run = 0j
-    if psi.degree_symmetric:
-        _spot_check_symmetry(psi, table)
-        for d in range(1, N + 1):
-            run += table.count(d) * (complex(psi.value_dm(d, 1)) - 1) / q**d
-            sums.append(run)
-    else:
-        if N > table.max_deg:
-            raise SpecError("window beyond table for non-degree-symmetric spec")
-        for d in range(1, N + 1):
-            for P in table.primes(d):
-                run += (complex(psi.value_at(P, 1)) - 1) / q**d
-            sums.append(run)
-    return sums
-
-
-def mertens_sum(n: int, table: IrreducibleTable) -> float:
-    """sum_{deg P <= n} q^{-deg P}; grows like log n plus a constant."""
-    q = table.field.p
-    return sum(table.count(d) * q ** (-d) for d in range(1, n + 1))
 
 
 def exp_additive(psi_tilde: FunctionSpec, t: float) -> FunctionSpec:

@@ -23,8 +23,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .arith import FunctionSpec, product_sum, scan
 from .fieldpoly import (
     FieldSpec,
@@ -34,19 +32,8 @@ from .fieldpoly import (
     format_poly,
     poly_gcd_lcm,
 )
-from .mainterm import (
-    ShiftPair,
-    TruncatedValue,
-    error_bound_shape,
-    main_term,
-)
-from .sieve import (
-    IrreducibleTable,
-    _kernel_rows,
-    _residues,
-    check_enumeration,
-)
-from . import arith
+from .mainterm import ShiftPair, TruncatedValue, main_term
+from .sieve import IrreducibleTable
 
 
 class EngineError(ValueError):
@@ -153,25 +140,20 @@ def correlate(spec: CorrelationSpec, table: IrreducibleTable) -> CorrelationRepo
 # exact counting of the congruence system behind the main term
 # ---------------------------------------------------------------------------
 
-def _check_congruence(g1: Poly, g2: Poly, h1: Poly, h2: Poly) -> None:
-    """The inputs crt_count and crt_count_enumerated both refuse: a zero
-    or non-monic modulus, or polynomials from more than one field."""
-    for g in (g1, g2):
-        if g.is_zero or not g.is_monic:
-            raise EngineError("moduli must be monic nonzero")
-    if any(h.field != g1.field for h in (g2, h1, h2)):
-        raise PolyError("operands live in different fields")
-
-
 def crt_count(g1: Poly, g2: Poly, h1: Poly, h2: Poly, n: int) -> int:
     """|{f monic of degree n : g1 | f + h1 and g2 | f + h2}| exactly.
 
     The system has solutions iff gcd(g1, g2) divides h2 - h1, and then
     fills exactly one residue class mod lcm(g1, g2): the count is
     q^{n - deg lcm} when deg lcm <= n, else 0 or 1 according to whether
-    the unique residue is itself monic of degree n.
+    the unique residue is itself monic of degree n.  A zero or non-monic
+    modulus, or polynomials from more than one field, are refused.
     """
-    _check_congruence(g1, g2, h1, h2)
+    for g in (g1, g2):
+        if g.is_zero or not g.is_monic:
+            raise EngineError("moduli must be monic nonzero")
+    if any(h.field != g1.field for h in (g2, h1, h2)):
+        raise PolyError("operands live in different fields")
     field = g1.field
     q = field.p
     g, lcm = poly_gcd_lcm(g1, g2)
@@ -188,64 +170,3 @@ def crt_count(g1: Poly, g2: Poly, h1: Poly, h2: Poly, n: int) -> int:
     t0 = (s * quot) % (g2 // gg)
     f0 = (-h1 + g1 * t0) % lcm
     return 1 if (not f0.is_zero and f0.is_monic and f0.degree == n) else 0
-
-
-def crt_count_enumerated(g1: Poly, g2: Poly, h1: Poly, h2: Poly, n: int) -> int:
-    """Brute-force twin of crt_count (test oracle; O(q^n) time and memory,
-    refused past the cell budget like every scan): reduces every monic f
-    of degree n mod g1 and mod g2 (read off the multiples of each modulus,
-    sieve._residues) and counts those with f = -h1 mod g1 and f = -h2 mod
-    g2."""
-    _check_congruence(g1, g2, h1, h2)
-    p = g1.field.p
-    check_enumeration(p, n)
-    idx = np.arange(p**n, dtype=np.int64)
-    hit = np.ones(p**n, dtype=bool)
-    for g, h in ((g1, h1), (g2, h2)):
-        if g.degree:  # every f is 0 mod a constant
-            rows = _kernel_rows(p, n, np.array([g.coeffs], dtype=np.int64))
-            hit &= _residues(p, n, g.degree, idx, rows)[0] == ((-h) % g).encode()
-    return int(np.count_nonzero(hit))
-
-
-# ---------------------------------------------------------------------------
-# trend scans
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScanPoint:
-    n: int
-    report: CorrelationReport
-    bound_overlay: float | None
-
-
-def deviation_scan(spec: CorrelationSpec, n_range, table: IrreducibleTable,
-                   overlay_alpha: float | None = 0.75,
-                   overlay_c: float = 1.0,
-                   overlay_r: int | None = None) -> list[ScanPoint]:
-    """Run the same experiment across a range of degrees and pair every
-    measured deviation with the theoretical bound shape at that degree."""
-    points = []
-    for n in n_range:
-        s = CorrelationSpec(spec.field, n, spec.domain, spec.shifts,
-                            spec.functions)
-        rep = correlate(s, table)
-        overlay = None
-        if overlay_alpha is not None and len(spec.functions) == 2 and \
-                all(p.unit_bounded and p.degree_symmetric for p in spec.functions):
-            r = overlay_r
-            if r is None:  # deg(h2 - h1), raised until q^r >= 9 (17 prime)
-                delta = spec.shifts[1] - spec.shifts[0]
-                r = 0 if delta.is_zero else delta.degree
-                while spec.field.p ** r < (9 if spec.domain == "monic" else 17):
-                    r += 1
-            r = max(1, min(r, n))
-            d1 = arith.distance(spec.functions[0],
-                                arith.builtin("one", spec.field), r, n, table)
-            d2 = arith.distance(spec.functions[1],
-                                arith.builtin("one", spec.field), r, n, table)
-            overlay = error_bound_shape(spec.domain, r, n, overlay_alpha,
-                                        spec.field.p, c=overlay_c,
-                                        dist1=d1, dist2=d2)
-        points.append(ScanPoint(n, rep, overlay))
-    return points

@@ -263,11 +263,6 @@ def monic_from_index(field: FieldSpec, n: int, index: int) -> Poly:
     return Poly(field, coeffs)
 
 
-def enumerate_monic(field: FieldSpec, n: int) -> list[Poly]:
-    """All monic polynomials of degree n in fixed index order."""
-    return [monic_from_index(field, n, i) for i in range(field.p ** n)]
-
-
 def norm(f: Poly) -> int:
     """q^{deg f}, and 0 for the zero polynomial."""
     if f.is_zero:
@@ -366,13 +361,3 @@ def parse_poly(text: str, field: FieldSpec) -> Poly:
         out[d] = c
     return Poly(field, out)
 
-
-def poly_arith(op: str, a: Poly, b: Poly):
-    """Dispatch form of the ring operations: op in {add, mul, divmod}."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "divmod":
-        return divmod(a, b)
-    raise PolyError(f"unknown op {op!r}")

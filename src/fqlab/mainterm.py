@@ -57,7 +57,6 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import FunctionSpec
 from .fieldpoly import Poly, format_poly
@@ -193,24 +192,6 @@ def _depth(x: float) -> int:
     return m + 1
 
 
-def local_factor(P, k: int | None, psi1: FunctionSpec, psi2: FunctionSpec,
-                 mode: str) -> TruncatedValue:
-    """Shift-constrained local factor W_P, summed to double precision (see
-    _factor).
-
-    P is a monic irreducible Poly or a bare degree (degree-symmetric
-    functions only); k is the valuation constraint, None meaning
-    unconstrained (zero shift difference).
-    """
-    _check_mode(mode)
-    _require_unit(psi1, psi2)
-    d = P.degree if isinstance(P, Poly) else int(P)
-    if d < 1:
-        raise MainTermError("local factors live at primes of degree >= 1")
-    dev, tail = _factor(psi1, psi2, P if isinstance(P, Poly) else d, k, mode)
-    return TruncatedValue(1 + dev, tail)
-
-
 def _degree_factors(d: int, vals: dict[Poly, int] | None,
                     psi1: FunctionSpec, psi2: FunctionSpec, mode: str,
                     table: IrreducibleTable):
@@ -286,10 +267,11 @@ def _decays(d: int, psi1: FunctionSpec, psi2: FunctionSpec) -> list:
 
 
 def _stop(start: int, psi1: FunctionSpec, psi2: FunctionSpec, q: int,
-          s: int, tail_target: float) -> tuple[int, float]:
+          s: int) -> tuple[int, float]:
     """(D, r): the first degree D >= start (start >= D0) whose remainder
-    bound r (see the module docstring) is at most tail_target.  Refuses a
-    function not trivial past D0 without a decay bound with a > 1."""
+    bound r (see the module docstring) is at most INF_TAIL_TARGET.
+    Refuses a function not trivial past D0 without a decay bound with
+    a > 1."""
     for spec in (psi1, psi2):
         if spec.trivial_beyond_degree is None and (
                 spec.decay is None or spec.decay[1] <= 1):
@@ -301,9 +283,9 @@ def _stop(start: int, psi1: FunctionSpec, psi2: FunctionSpec, q: int,
         r = sum(3 * s * C * float(q) ** ((1 - a) * (D + 1))
                 / ((D + 1) * (1 - float(q) ** (1 - a)))
                 for C, a in _decays(D + 1, psi1, psi2))
-        if r <= min(tail_target, 0.5):
+        if r <= INF_TAIL_TARGET:
             return D, r
-    raise MainTermError(f"the decay bounds do not reach {tail_target:g} "
+    raise MainTermError(f"the decay bounds do not reach {INF_TAIL_TARGET:g} "
                         f"within {_EXTEND_LIMIT} degrees past degree {start}")
 
 
@@ -319,8 +301,7 @@ def _subnormal_degree(q: int) -> int:
 
 def _walk(first: int, last: int | None, shifts: ShiftPair | None,
           psi1: FunctionSpec, psi2: FunctionSpec, mode: str,
-          table: IrreducibleTable,
-          tail_target: float = INF_TAIL_TARGET) -> TruncatedValue:
+          table: IrreducibleTable) -> TruncatedValue:
     """The product of the local factors over first <= deg P <= last (last
     = None: on to the certified stop, whose remainder enters the tail).
     main_term starts at degree 1; a later first leaves a window of the
@@ -349,7 +330,7 @@ def _walk(first: int, last: int | None, shifts: ShiftPair | None,
         delta = 0 if shifts is None or shifts.delta.is_zero else shifts.delta.degree
         last, rem = _stop(max(delta, first - 1, *(spec.trivial_beyond_degree or 0
                                                   for spec in (psi1, psi2))),
-                          psi1, psi2, q, s, tail_target)
+                          psi1, psi2, q, s)
     low = max(first, _subnormal_degree(q))
     if last >= low and any(c is None or c[1] <= 1
                            for c in _decays(low, psi1, psi2)):
@@ -384,45 +365,13 @@ def main_term(n: int | None, shifts: ShiftPair | None,
     shift of degree >= n, as the sums do, and a walk past the normal
     floats of q^{-d} without decay bounds (see _walk).  On the irreducible
     domain it is the limit only when neither shift is divisible by a prime
-    (see the module docstring)."""
+    (see the module docstring).  A finite n below 1 is refused, as the
+    sums refuse it."""
+    if n is not None and n < 1:
+        raise MainTermError("n must be >= 1")
     if n is not None and shifts is not None:
         for h in (shifts.h1, shifts.h2):
             if not h.is_zero and h.degree >= n:
                 raise MainTermError(f"shift {format_poly(h)} has degree >= n={n}")
     return _walk(1, n, shifts, psi1, psi2, mode, table)
 
-
-def liouville_local_closed(d: int, k: int, q: int) -> Fraction:
-    """Closed form of the truncated-Liouville local factor at a prime of
-    degree d with shift valuation k: 1 - 4/(q^{k d} (q^d + 1))."""
-    if d < 1 or k < 0:
-        raise MainTermError("need d >= 1 and k >= 0")
-    return 1 - Fraction(4, q ** (k * d) * (q**d + 1))
-
-
-def error_bound_shape(mode: str, r: int, n: int, alpha: float, q: int,
-                      c: float = 1.0, A: float = 1.0,
-                      dist1: float = 0.0, dist2: float = 0.0) -> float:
-    """Shape of the theoretical deviation bound, for plotting against
-    measured deviations.
-
-    monic: dist1 + dist2 + q^{(1-2a)n} exp(c q^{a r}/r) + (r q^r)^{-1/2}
-    prime: the middle term becomes n^{-A} exp(c q^{a r}/r).
-
-    The absolute constants c and A are unknown; callers supply their own
-    guesses and no correctness is claimed for the overlay.
-    """
-    _check_mode(mode)
-    if not 0.5 < alpha < 1.0:
-        raise MainTermError("alpha must lie in (1/2, 1)")
-    if not 1 <= r <= n:
-        raise MainTermError("need 1 <= r <= n")
-    try:
-        grow = math.exp(c * q ** (alpha * r) / r)
-    except OverflowError:
-        return math.inf
-    if mode == "monic":
-        mid = q ** ((1.0 - 2.0 * alpha) * n) * grow
-    else:
-        mid = n ** (-A) * grow
-    return dist1 + dist2 + mid + (r * float(q) ** r) ** -0.5

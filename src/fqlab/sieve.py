@@ -87,7 +87,6 @@ from .fieldpoly import (
     _c_divmod,
     monic_from_index,
     poly_from_encoding,
-    poly_gcd_lcm,
 )
 
 CACHE_MAGIC = b"FFQI"
@@ -876,11 +875,3 @@ def residue_histogram(n: int, modulus: Poly, table: IrreducibleTable) -> dict[in
     order = np.argsort(first)
     return dict(zip(found[order].tolist(), counts[order].tolist()))
 
-
-def prime_count_ap(n: int, modulus: Poly, residue: Poly,
-                   table: IrreducibleTable) -> int:
-    """Exact number of degree-n monic irreducibles congruent to the given
-    residue; the residue must be coprime to the modulus."""
-    if residue.is_zero or poly_gcd_lcm(modulus, residue)[0].degree != 0:
-        raise SieveError("residue not coprime to modulus")
-    return residue_histogram(n, modulus, table).get((residue % modulus).encode(), 0)

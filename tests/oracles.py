@@ -1,0 +1,270 @@
+"""Reference code the tests compare fqlab against: brute-force and
+closed-form twins of what the library computes another way, and the
+pretentiousness metrics and trend scan that left the library for want of
+a caller (kept here with their tests).  Nothing in the library calls
+them."""
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+
+from fqlab import (
+    CorrelationReport,
+    CorrelationSpec,
+    EngineError,
+    FunctionSpec,
+    IrreducibleTable,
+    MainTermError,
+    Poly,
+    PolyError,
+    SpecError,
+    TruncatedValue,
+    builtin,
+    correlate,
+)
+from fqlab.fieldpoly import FieldSpec, monic_from_index, poly_from_encoding
+from fqlab.mainterm import _check_mode, _factor, _require_unit
+from fqlab.sieve import _kernel_rows, _residues, check_enumeration
+
+
+def enumerate_monic(field: FieldSpec, n: int) -> list[Poly]:
+    """All monic polynomials of degree n in fixed index order."""
+    return [monic_from_index(field, n, i) for i in range(field.p ** n)]
+
+
+def liouville_local_closed(d: int, k: int, q: int) -> Fraction:
+    """Closed form of the truncated-Liouville local factor at a prime of
+    degree d with shift valuation k: 1 - 4/(q^{k d} (q^d + 1))."""
+    if d < 1 or k < 0:
+        raise MainTermError("need d >= 1 and k >= 0")
+    return 1 - Fraction(4, q ** (k * d) * (q**d + 1))
+
+
+def local_factor(P, k, psi1, psi2, mode: str) -> TruncatedValue:
+    """The local factor W_P of mainterm._factor, at a monic irreducible
+    Poly or a bare degree (degree-symmetric functions only); k is the
+    shift valuation, None meaning unconstrained."""
+    _check_mode(mode)
+    _require_unit(psi1, psi2)
+    d = P.degree if isinstance(P, Poly) else int(P)
+    if d < 1:
+        raise MainTermError("local factors live at primes of degree >= 1")
+    dev, tail = _factor(psi1, psi2, P if isinstance(P, Poly) else d, k, mode)
+    return TruncatedValue(1 + dev, tail)
+
+
+def crt_count_enumerated(g1: Poly, g2: Poly, h1: Poly, h2: Poly, n: int) -> int:
+    """Brute-force twin of crt_count (O(q^n) time and memory, refused past
+    the cell budget like every scan): reduces every monic f of degree n
+    mod g1 and mod g2 (read off the multiples of each modulus,
+    sieve._residues) and counts those with f = -h1 mod g1 and f = -h2 mod
+    g2.  Refuses what crt_count refuses."""
+    for g in (g1, g2):
+        if g.is_zero or not g.is_monic:
+            raise EngineError("moduli must be monic nonzero")
+    if any(h.field != g1.field for h in (g2, h1, h2)):
+        raise PolyError("operands live in different fields")
+    p = g1.field.p
+    check_enumeration(p, n)
+    idx = np.arange(p**n, dtype=np.int64)
+    hit = np.ones(p**n, dtype=bool)
+    for g, h in ((g1, h1), (g2, h2)):
+        if g.degree:  # every f is 0 mod a constant
+            rows = _kernel_rows(p, n, np.array([g.coeffs], dtype=np.int64))
+            hit &= _residues(p, n, g.degree, idx, rows)[0] == ((-h) % g).encode()
+    return int(np.count_nonzero(hit))
+
+
+def residue_average(psi1, psi2, h1: Poly, h2: Poly, M: Poly) -> Fraction:
+    """The exact average of psi1(r + h1) psi2(r + h2) over all residues r
+    mod M = prod_{deg P <= y} P^s, for specs trivial beyond degree y that
+    settle by the power s: there psi(f) depends only on the valuations
+    min(v_P(f), s), that is on f mod M, so it is the normalized sum over
+    any degree n >= deg M.
+
+    M is split into its prime powers by trial division over the monic
+    polynomials of rising degree.  By the Chinese remainder theorem the
+    average is the product over P^s || M of the average over the residues
+    u mod P^s, where u = 0 has valuation s."""
+    if not M.is_monic:
+        raise ValueError("M must be monic")
+    field = M.field
+    powers, rest = [], M
+    d = 1
+    while rest.degree >= d:  # a factor of the lowest degree left is prime
+        for P in enumerate_monic(field, d):
+            s = 0
+            while (rest % P).is_zero:
+                rest, s = rest // P, s + 1
+            if s:
+                powers.append((P, s))
+        d += 1
+
+    def value(psi, P, u, s):
+        m = 0
+        while m < s and (u % P).is_zero:
+            u, m = u // P, m + 1
+        return Fraction(psi.value_at(P, m))
+
+    out = Fraction(1)
+    for P, s in powers:
+        Q = P**s
+        size = field.p ** Q.degree
+        total = Fraction(0)
+        for e in range(size):
+            r = poly_from_encoding(field, e)
+            total += (value(psi1, P, (r + h1) % Q, s)
+                      * value(psi2, P, (r + h2) % Q, s))
+        out *= total / size
+    return out
+
+
+# ---------------------------------------------------------------------------
+# pretentiousness metrics and trend scans
+# ---------------------------------------------------------------------------
+
+def _spot_check_symmetry(spec: FunctionSpec, table: IrreducibleTable) -> None:
+    # degree_symmetric is trusted but sampled: two primes of equal degree
+    # must agree at m = 1 and m = 2
+    if spec.rule_poly is None:
+        return
+    for d in range(1, min(3, table.max_deg) + 1):
+        primes = table.primes(d)
+        if len(primes) < 2:
+            continue
+        for m in (1, 2):
+            a, b = spec.value_at(primes[0], m), spec.value_at(primes[1], m)
+            if abs(a - b) > 1e-12:
+                raise SpecError(
+                    f"{spec.name} claims degree symmetry but differs at "
+                    f"degree {d}, m={m}")
+
+
+def distance(psi1: FunctionSpec, psi2: FunctionSpec, m: int, n: int,
+             table: IrreducibleTable) -> float:
+    """Distance between two unit-bounded multiplicative functions over the
+    degree window [m, n]:
+
+        D^2 = sum over primes with m <= deg P <= n of
+              (1 - Re(psi1(P) * conj(psi2(P)))) / q^{deg P}
+
+    Returns D (the square root).  With two degree-symmetric specs the
+    per-degree term is the count N_d times the common value, which also
+    lets the window extend past the tabulated listings.
+    """
+    if not (psi1.unit_bounded and psi2.unit_bounded):
+        raise SpecError("distance requires unit-bounded functions")
+    if m > n:
+        raise SpecError("empty degree window")
+    q = table.field.p
+    total = 0.0
+    if psi1.degree_symmetric and psi2.degree_symmetric:
+        _spot_check_symmetry(psi1, table)
+        _spot_check_symmetry(psi2, table)
+        for d in range(m, n + 1):
+            v = complex(psi1.value_dm(d, 1)) * complex(psi2.value_dm(d, 1)).conjugate()
+            total += table.count(d) * (1.0 - v.real) / q**d
+    else:
+        if n > table.max_deg:
+            raise SpecError("window beyond table for non-degree-symmetric specs")
+        for d in range(m, n + 1):
+            w = q ** (-d)
+            for P in table.primes(d):
+                v = complex(psi1.value_at(P, 1)) * complex(psi2.value_at(P, 1)).conjugate()
+                total += (1.0 - v.real) * w
+    return math.sqrt(max(total, 0.0))
+
+
+def closeness_partial_sums(psi: FunctionSpec, N: int,
+                           table: IrreducibleTable) -> list[complex]:
+    """Partial sums S_D = sum_{deg P <= D} (psi(P) - 1)/q^{deg P} for
+    D = 1..N; the sequence converging is the closeness-to-1 hypothesis."""
+    q = table.field.p
+    sums: list[complex] = []
+    run = 0j
+    if psi.degree_symmetric:
+        _spot_check_symmetry(psi, table)
+        for d in range(1, N + 1):
+            run += table.count(d) * (complex(psi.value_dm(d, 1)) - 1) / q**d
+            sums.append(run)
+    else:
+        if N > table.max_deg:
+            raise SpecError("window beyond table for non-degree-symmetric spec")
+        for d in range(1, N + 1):
+            for P in table.primes(d):
+                run += (complex(psi.value_at(P, 1)) - 1) / q**d
+            sums.append(run)
+    return sums
+
+
+def mertens_sum(n: int, table: IrreducibleTable) -> float:
+    """sum_{deg P <= n} q^{-deg P}; grows like log n plus a constant."""
+    q = table.field.p
+    return sum(table.count(d) * q ** (-d) for d in range(1, n + 1))
+
+
+def error_bound_shape(mode: str, r: int, n: int, alpha: float, q: int,
+                      c: float = 1.0, A: float = 1.0,
+                      dist1: float = 0.0, dist2: float = 0.0) -> float:
+    """Shape of the theoretical deviation bound, for plotting against
+    measured deviations.
+
+    monic: dist1 + dist2 + q^{(1-2a)n} exp(c q^{a r}/r) + (r q^r)^{-1/2}
+    prime: the middle term becomes n^{-A} exp(c q^{a r}/r).
+
+    The absolute constants c and A are unknown; callers supply their own
+    guesses and no correctness is claimed for the overlay.
+    """
+    _check_mode(mode)
+    if not 0.5 < alpha < 1.0:
+        raise MainTermError("alpha must lie in (1/2, 1)")
+    if not 1 <= r <= n:
+        raise MainTermError("need 1 <= r <= n")
+    try:
+        grow = math.exp(c * q ** (alpha * r) / r)
+    except OverflowError:
+        return math.inf
+    if mode == "monic":
+        mid = q ** ((1.0 - 2.0 * alpha) * n) * grow
+    else:
+        mid = n ** (-A) * grow
+    return dist1 + dist2 + mid + (r * float(q) ** r) ** -0.5
+
+
+@dataclass(frozen=True)
+class ScanPoint:
+    n: int
+    report: CorrelationReport
+    bound_overlay: float | None
+
+
+def deviation_scan(spec: CorrelationSpec, n_range, table: IrreducibleTable,
+                   overlay_alpha: float | None = 0.75,
+                   overlay_c: float = 1.0,
+                   overlay_r: int | None = None) -> list[ScanPoint]:
+    """Run the same experiment across a range of degrees and pair every
+    measured deviation with the theoretical bound shape at that degree."""
+    points = []
+    for n in n_range:
+        s = CorrelationSpec(spec.field, n, spec.domain, spec.shifts,
+                            spec.functions)
+        rep = correlate(s, table)
+        overlay = None
+        if overlay_alpha is not None and len(spec.functions) == 2 and \
+                all(p.unit_bounded and p.degree_symmetric for p in spec.functions):
+            r = overlay_r
+            if r is None:  # deg(h2 - h1), raised until q^r >= 9 (17 prime)
+                delta = spec.shifts[1] - spec.shifts[0]
+                r = 0 if delta.is_zero else delta.degree
+                while spec.field.p ** r < (9 if spec.domain == "monic" else 17):
+                    r += 1
+            r = max(1, min(r, n))
+            d1 = distance(spec.functions[0], builtin("one", spec.field), r, n, table)
+            d2 = distance(spec.functions[1], builtin("one", spec.field), r, n, table)
+            overlay = error_bound_shape(spec.domain, r, n, overlay_alpha,
+                                        spec.field.p, c=overlay_c,
+                                        dist1=d1, dist2=d2)
+        points.append(ScanPoint(n, rep, overlay))
+    return points

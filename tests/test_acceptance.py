@@ -23,15 +23,13 @@ from fqlab import (
     charfn_comparison,
     correlate,
     crt_count,
-    crt_count_enumerated,
-    liouville_local_closed,
-    local_factor,
     main_term,
     parse_poly,
     tk_ratio,
 )
 from fqlab.arith import product_sum, scan
 from fqlab.fieldpoly import monic_from_index, poly_from_encoding
+from oracles import crt_count_enumerated, liouville_local_closed, local_factor
 
 
 def report(num, text):

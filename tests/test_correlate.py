@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,19 +8,21 @@ from fqlab import (
     EngineError,
     FieldSpec,
     FunctionSpec,
+    ShiftPair,
+    build_table,
     builtin,
     builtin_additive,
     correlate,
     custom_from_table,
     crt_count,
-    crt_count_enumerated,
-    deviation_scan,
     eval_on,
     exp_additive,
     factorize,
+    main_term,
     parse_poly,
 )
 from fqlab.fieldpoly import PolyError, monic_from_index, poly_from_encoding
+from oracles import crt_count_enumerated, deviation_scan, residue_average
 
 
 def brute_correlation(field, n, domain, shifts, functions, table):
@@ -366,3 +369,44 @@ class TestDeviationScan:
                         for given in (None, r))
         assert [p.bound_overlay for p in auto] == \
             [p.bound_overlay for p in pinned]
+
+
+def finite_support_specs(field, y):
+    """mu_y (psi(P) = -1, psi(P^m) = 0 for m >= 2) and the squarefree
+    indicator, both 1 at every prime of degree > y."""
+    return (FunctionSpec(f"mu_{y}", field, lambda d, m: -1 if m == 1 else 0,
+                         True, True, True, y, 2),
+            FunctionSpec(f"sqfree_{y}", field, lambda d, m: 1 if m == 1 else 0,
+                         True, True, True, y, 2))
+
+
+class TestResidueClassAverage:
+    """Specs trivial beyond degree y that settle by the power s depend only
+    on f mod M = prod_{deg P <= y} P^s, and on the monic domain f + h runs
+    over every residue mod M equally often once n >= deg M: there the
+    normalized sum is the residue average exactly, and every main term
+    lies within its tail of it."""
+
+    @pytest.mark.parametrize("p, y, n_max", [(2, 2, 12), (3, 1, 8), (5, 1, 10)])
+    @pytest.mark.parametrize("h1, h2", [("0", "1"), ("0", "x"), ("1", "x^2+1")])
+    def test_sum_is_the_average_and_main_terms_lie_within_tails(
+            self, p, y, n_max, h1, h2):
+        field = FieldSpec(p)
+        table = build_table(field, 2)
+        h1, h2 = parse_poly(h1, field), parse_poly(h2, field)
+        M = parse_poly("1", field)
+        for d in range(1, y + 1):
+            for P in table.primes(d):
+                M = M * P * P
+        ns = range(M.degree, n_max + 1)  # deg M = 8, 6 and 10
+        mu, sqfree = finite_support_specs(field, y)
+        for f1, f2 in ((mu, mu), (sqfree, sqfree), (mu, sqfree)):
+            want = residue_average(f1, f2, h1, h2, M)
+            for n in ns:
+                rep = correlate(CorrelationSpec(field, n, "monic", (h1, h2),
+                                                (f1, f2)), table)
+                assert Fraction(rep.raw_sum, p**n) == want, (f1.name, f2.name, n)
+            for n in (ns[-1], None):
+                main = main_term(n, ShiftPair(h1, h2), f1, f2, "monic", table)
+                assert abs(Fraction(main.value) - want) <= \
+                    Fraction(main.tail_bound), (f1.name, f2.name, n)

@@ -28,7 +28,6 @@ from fqlab import (
     correlate,
     custom_from_table,
     empirical_distribution,
-    eval_additive_on,
     eval_on,
     exp_additive,
     factorize,
@@ -154,9 +153,8 @@ class TestOracles:
                  for i in indices.tolist()]
         for spec in all_specs(field) + [builtin("liouville_truncated", field,
                                                 y=y)]:
-            ev = eval_additive_on if spec.additive else eval_on
             got = shifted(spec, table, n, h, indices).tolist()
-            assert got == [ev(f, spec) for f in facts], spec.name
+            assert got == [eval_on(f, spec) for f in facts], spec.name
 
     @settings(max_examples=50, deadline=None)
     @given(cases())
@@ -208,9 +206,8 @@ class TestHighValuations:
         assert max(m for f in facts for P, m in f.factors if P.degree >= 2) >= 3
         zero = Poly(field, [])
         for spec in all_specs(field):
-            ev = eval_additive_on if spec.additive else eval_on
             got = shifted(spec, table, n, zero, indices).tolist()
-            assert got == [ev(f, spec) for f in facts], spec.name
+            assert got == [eval_on(f, spec) for f in facts], spec.name
 
 
 class TestBlocks:
@@ -243,9 +240,8 @@ class TestBlocks:
         facts = [factorize(monic_from_index(field, n, i) + h, table)
                  for i in indices.tolist()]
         for spec in all_specs(field) + [custom_from_table(field, self.ORDERED)]:
-            ev = eval_additive_on if spec.additive else eval_on
             got = shifted(spec, table, n, h, indices).tolist()
-            assert got == [ev(f, spec) for f in facts], spec.name
+            assert got == [eval_on(f, spec) for f in facts], spec.name
 
     @pytest.mark.parametrize("first", [1, 2, 3])
     def test_p2_listing_is_the_multiples_of_the_power(self, first):

@@ -16,11 +16,8 @@ from fqlab import (
     builtin_additive,
     correlate,
     custom_from_table,
-    error_bound_shape,
     exp_additive,
     irreducible_count,
-    liouville_local_closed,
-    local_factor,
     main_term,
     parse_function_spec,
     parse_poly,
@@ -33,6 +30,12 @@ from fqlab.mainterm import (
     _LogProduct,
     _subnormal_degree,
     _walk,
+)
+from oracles import (
+    distance,
+    error_bound_shape,
+    liouville_local_closed,
+    local_factor,
 )
 
 
@@ -496,12 +499,14 @@ class TestLargePrimeProduct:
         assert abs(got.value - want) < 1e-13
 
     def test_infinite_cutoff_honesty(self, field2, table2):
+        # the finite walk to degree 60 lies within the infinite walk's tail
+        # of it and has the smaller tail (1.8e-13 apart, tails 6.1e-13 and
+        # 9.2e-14)
         pr = builtin("phi_ratio", field2)
-        base = _walk(5, None, None, pr, pr, "monic", table2)
-        deeper = _walk(5, None, None, pr, pr, "monic", table2,
-                       tail_target=1e-15)
-        assert deeper.tail_bound < base.tail_bound
-        assert abs(deeper.value - base.value) <= base.tail_bound
+        limit = _walk(5, None, None, pr, pr, "monic", table2)
+        finite = _walk(5, 60, None, pr, pr, "monic", table2)
+        assert finite.tail_bound < limit.tail_bound
+        assert abs(finite.value - limit.value) <= limit.tail_bound
 
     def test_gamma_below_the_threshold_changes_no_bit(self, field2, table2):
         # the moebius factor at degree 2 is 1/8, below 1/4, yet the walk
@@ -705,6 +710,24 @@ class TestOneWalk:
         main_term(None, sp(field2, "0", "x^5"), pr, pr, "monic", table2)
         main_term(3, sp(field2, "0", "x^2"), pr, pr, "monic", table2)
 
+    @pytest.mark.parametrize("n, h", [(0, None), (-5, ("0", "0")),
+                                      (0, ("0", "1"))],
+                             ids=["no-shifts", "equal-shifts", "unequal-shifts"])
+    def test_finite_n_below_one_refused(self, n, h, field2, table2):
+        # correlate refuses these n; the first two once gave 1.0 with tail
+        # 0, the third named the shift 1 as of degree >= n=0
+        kf = builtin("kfree", field2, k=2)
+        shifts = None if h is None else sp(field2, *h)
+        for mode in ("monic", "prime"):
+            with pytest.raises(MainTermError, match="n must be >= 1"):
+                main_term(n, shifts, kf, kf, mode, table2)
+
+    def test_non_unit_bounded_refused(self, field2, table2):
+        big = custom_from_table(field2, {(1, 1): 1.5})
+        for n in (4, None):
+            with pytest.raises(MainTermError, match="unit-bounded"):
+                main_term(n, sp(field2, "0", "1"), big, big, "monic", table2)
+
 
 class TestFloatRange:
     """Past the first degree whose q^{-d} is below the normal floats each
@@ -784,7 +807,6 @@ class TestErrorBoundShape:
         assert b < a
 
     def test_distance_terms_added(self, field2, table2):
-        from fqlab import distance
         pr = builtin("phi_ratio", field2)
         one = builtin("one", field2)
         d1 = distance(pr, one, 4, 10, table2)
@@ -793,7 +815,6 @@ class TestErrorBoundShape:
         assert abs((v1 - v0) - 2 * d1) < 1e-12
 
     def test_pretender_distance_shrinks_with_r(self, field2, table2):
-        from fqlab import distance
         pr = builtin("phi_ratio", field2)
         one = builtin("one", field2)
         d_small = distance(pr, one, 2, 10, table2)

@@ -20,11 +20,9 @@ from fqlab import (
     SieveError,
     TableTooSmallError,
     build_table,
-    enumerate_monic,
     factorize,
     irreducible_count,
     parse_poly,
-    prime_count_ap,
     residue_histogram,
 )
 from fqlab.fieldpoly import _c_divmod, monic_from_index
@@ -37,6 +35,7 @@ from fqlab.sieve import (
     _Multiples,
     _trial_division,
 )
+from oracles import crt_count_enumerated, enumerate_monic
 
 
 def brute_irreducible(f):
@@ -180,12 +179,12 @@ class TestFactorize:
 class TestPrimesInAP:
     def test_example_n2_mod_x(self, field2, table2):
         M, B = parse_poly("x", field2), parse_poly("1", field2)
-        assert prime_count_ap(2, M, B, table2) == 1  # only x^2+x+1
+        assert residue_histogram(2, M, table2).get(B.encode(), 0) == 1  # only x^2+x+1
 
     def test_example_n3_mod_quadratic(self, field2, table2):
         M = parse_poly("x^2+x+1", field2)
         B = parse_poly("x", field2)
-        assert prime_count_ap(3, M, B, table2) == 1  # x^3+x+1
+        assert residue_histogram(3, M, table2).get(B.encode(), 0) == 1  # x^3+x+1
 
     def test_partition_property(self, field2, table2):
         # summing pi over all invertible residues recovers N_n minus the
@@ -207,15 +206,9 @@ class TestPrimesInAP:
             dividing = sum(1 for Pf in table2.primes(n) if (M % Pf).is_zero)
             assert coprime_total == table2.count(n) - dividing
 
-    def test_non_coprime_rejected(self, field2, table2):
-        M = parse_poly("x^2+x", field2)
-        with pytest.raises(SieveError):
-            prime_count_ap(3, M, parse_poly("x", field2), table2)
-
     def test_bad_modulus(self, field2, table2):
         with pytest.raises(SieveError):
-            prime_count_ap(3, parse_poly("1", field2),
-                           parse_poly("0", field2), table2)
+            residue_histogram(3, parse_poly("1", field2), table2)
 
 
 # every table the benchmark builds
@@ -769,7 +762,7 @@ class TestKernelRowsP2:
 def test_library_builds_no_residue_kernel_at_p2(monkeypatch):
     # p = 2 lists every multiple through _gf2_span; the residue kernel
     # (odd-p code) is built only at odd p
-    from fqlab import arith, crt_count_enumerated, stats
+    from fqlab import arith, stats
     built, kernel = [], sieve._Multiples
 
     def spy(p, *args):
@@ -783,7 +776,7 @@ def test_library_builds_no_residue_kernel_at_p2(monkeypatch):
         one, x = parse_poly("1", field), parse_poly("x", field)
         stats.sieve_diagnostics(6 if p == 2 else 4, one, 0.0, table)
         stats.brun_titchmarsh_violations(5 if p == 2 else 3, table)
-        prime_count_ap(4, parse_poly("x^2+x+1", field), one, table)
+        residue_histogram(4, parse_poly("x^2+x+1", field), table)
         crt_count_enumerated(x, x + one, one, x, 5)
         for spec in ("moebius", "kfree:2", "phi_ratio"):
             psi = arith.parse_function_spec(spec, field)

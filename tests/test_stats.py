@@ -24,12 +24,11 @@ from fqlab import (
     charfn_comparison,
     empirical_charfn,
     empirical_distribution,
-    eval_additive_on,
+    eval_on,
     factorize,
     ks_distance,
     limit_charfn,
     parse_poly,
-    prime_count_ap,
     residue_histogram,
     sieve_diagnostics,
     squarefree_weight_sum,
@@ -333,8 +332,6 @@ class TestOtherFieldRefused:
         M = parse_poly("x+2", field3)
         with pytest.raises(SieveError):  # once {7: 1, 1: 1, 31: 1}
             residue_histogram(4, M, table2)
-        with pytest.raises(SieveError):
-            prime_count_ap(4, M, parse_poly("1", field3), table2)
 
 
 class TestBrunTitchmarsh:
@@ -359,8 +356,8 @@ def brute_source(field, n, domain, table):
 def brute_distribution(psi1, psi2, h1, h2, n, domain, table):
     counts = Counter()
     for f in brute_source(table.field, n, domain, table):
-        counts[eval_additive_on(factorize(f + h1, table), psi1)
-               + eval_additive_on(factorize(f + h2, table), psi2)] += 1
+        counts[eval_on(factorize(f + h1, table), psi1)
+               + eval_on(factorize(f + h2, table), psi2)] += 1
     return sorted(counts.items())
 
 

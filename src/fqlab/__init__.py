@@ -19,7 +19,6 @@ from .sieve import (
     build_table,
     factorize,
     irreducible_count,
-    necklace_check,
     residue_histogram,
 )
 from .arith import (
@@ -29,7 +28,6 @@ from .arith import (
     builtin,
     builtin_additive,
     custom_from_table,
-    eval_on,
     exp_additive,
     parse_additive_spec,
     parse_function_spec,

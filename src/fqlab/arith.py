@@ -1,8 +1,10 @@
 """Multiplicative and additive functions on F_p[x], and their evaluation.
 
 A multiplicative function is determined by its values on prime powers
-P^m; a FunctionSpec carries that rule plus the flags the evaluation
-machinery relies on (degree symmetry, |value| <= 1, integrality, and three
+P^m; a FunctionSpec carries exactly one rule for them, by degree
+(rule_dm) or by prime (rule_poly), and its degree symmetry is which of the
+two it is.  Beside the rule it carries, as keywords, the flags the
+evaluation machinery relies on (|value| <= 1, integrality, and three
 structural bounds: the degree beyond which the rule is identically 1,
 the power beyond which the value stops changing, and a decay bound on
 its distance from 1).  The structural bounds are what let truncated
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -57,11 +59,13 @@ class FunctionSpec:
     """Multiplicative function given by its rule on prime powers, or,
     with additive = True, a real additive function.
 
-    rule_dm(d, m) is the value at P^m for any prime P of degree d (only
-    meaningful when degree_symmetric); rule_poly(P, m) is the general
-    form.  The value at m = 0 is the neutral one, 1 (0.0 if additive),
-    and is supplied by the accessors, not the rules.  The value at f is
-    the product (the sum, if additive) of its prime-power values.
+    Exactly one rule is given: rule_dm(d, m), the value at P^m for every
+    prime P of degree d (a degree-symmetric spec), or rule_poly(P, m), the
+    general form; both or neither is refused, and degree_symmetric says
+    which one it is.  Every field after rule_dm is keyword-only.  The
+    value at m = 0 is the neutral one, 1 (0.0 if additive), and is
+    supplied by the accessors, not the rules.  The value at f is the
+    product (the sum, if additive) of its prime-power values.
     trivial_beyond_degree = R means the value is exactly neutral whenever
     deg P > R (None: no such bound); power_settle = s means the value at
     P^m equals the value at P^s for all m >= s.  decay = (C, a) declares
@@ -73,7 +77,7 @@ class FunctionSpec:
     name: str
     field: FieldSpec
     rule_dm: Callable[[int, int], complex] | None
-    degree_symmetric: bool
+    _: KW_ONLY
     unit_bounded: bool
     integer_valued: bool
     trivial_beyond_degree: int | None
@@ -82,16 +86,21 @@ class FunctionSpec:
     additive: bool = False
     decay: tuple[float, float] | None = None
 
+    def __post_init__(self):
+        if (self.rule_dm is None) == (self.rule_poly is None):
+            raise SpecError(
+                f"{self.name} needs exactly one of rule_dm and rule_poly")
+
+    @property
+    def degree_symmetric(self) -> bool:
+        return self.rule_poly is None
+
     @property
     def neutral(self):
         return 0.0 if self.additive else 1
 
     def value_dm(self, d: int, m: int):
-        if m == 0:
-            return self.neutral
-        if not self.degree_symmetric or self.rule_dm is None:
-            raise SpecError(f"{self.name} has no degree-symmetric rule")
-        return self.rule_dm(d, m)
+        return self.neutral if m == 0 else self.rule_dm(d, m)
 
     def value_at(self, P: Poly, m: int):
         if m == 0:
@@ -102,15 +111,17 @@ class FunctionSpec:
 
 
 def AdditiveSpec(name: str, field: FieldSpec,
-                 rule_dm: Callable[[int, int], float] | None,
-                 degree_symmetric: bool, trivial_beyond_degree: int | None,
-                 power_settle: int | None,
+                 rule_dm: Callable[[int, int], float] | None, *,
+                 trivial_beyond_degree: int | None, power_settle: int | None,
                  rule_poly: Callable[[Poly, int], float] | None = None,
                  decay: tuple[float, float] | None = None) -> FunctionSpec:
     """Real-valued additive function: the FunctionSpec with additive=True
-    (trivial_beyond_degree bounds where the rule is 0)."""
-    return FunctionSpec(name, field, rule_dm, degree_symmetric, False, False,
-                        trivial_beyond_degree, power_settle, rule_poly,
+    (trivial_beyond_degree bounds where the rule is 0), again with exactly
+    one rule and keyword flags."""
+    return FunctionSpec(name, field, rule_dm, unit_bounded=False,
+                        integer_valued=False,
+                        trivial_beyond_degree=trivial_beyond_degree,
+                        power_settle=power_settle, rule_poly=rule_poly,
                         additive=True, decay=decay)
 
 
@@ -127,38 +138,43 @@ def builtin(kind: str, field: FieldSpec, *, k: int | None = None,
 
     On non-squarefree input moebius evaluates to 0, the standard
     convention (this is what makes the squarefree densities come out
-    right, and what eval_on relies on).
+    right).
     """
     q = field.p
+    unit_int = dict(unit_bounded=True, integer_valued=True)
     if kind == "one":
-        return FunctionSpec("one", field, lambda d, m: 1, True, True, True, 0, 0)
+        return FunctionSpec("one", field, lambda d, m: 1, **unit_int,
+                            trivial_beyond_degree=0, power_settle=0)
     if kind == "moebius":
-        return FunctionSpec("moebius", field,
-                            lambda d, m: -1 if m == 1 else 0,
-                            True, True, True, None, 2)
+        return FunctionSpec("moebius", field, lambda d, m: -1 if m == 1 else 0,
+                            **unit_int, trivial_beyond_degree=None,
+                            power_settle=2)
     if kind == "kfree":
         if k is None or k < 2:
             raise SpecError("kfree needs k >= 2")
         return FunctionSpec(f"kfree:{k}", field,
-                            lambda d, m, _k=k: 1 if m < _k else 0,
-                            True, True, True, None, k, decay=(1, k))
+                            lambda d, m, _k=k: 1 if m < _k else 0, **unit_int,
+                            trivial_beyond_degree=None, power_settle=k,
+                            decay=(1, k))
     if kind == "liouville":
-        return FunctionSpec("liouville", field,
-                            lambda d, m: -1 if m & 1 else 1,
-                            True, True, True, None, None)
+        return FunctionSpec("liouville", field, lambda d, m: -1 if m & 1 else 1,
+                            **unit_int, trivial_beyond_degree=None,
+                            power_settle=None)
     if kind == "liouville_truncated":
         if y is None or y < 1:
             raise SpecError("liouville_truncated needs y >= 1")
         return FunctionSpec(
             f"liouville_trunc:{y}", field,
             lambda d, m, _y=y: (-1 if m & 1 else 1) if d <= _y else 1,
-            True, True, True, y, None)
+            **unit_int, trivial_beyond_degree=y, power_settle=None)
     if kind == "phi_ratio":
         # multiplicative form of Phi(f)/|f|: value 1 - q^{-d} at every P^m,
         # so the decay sum is q^{-d} q^{-d}
         return FunctionSpec("phi_ratio", field,
                             lambda d, m, _q=q: 1.0 - _q ** (-d),
-                            True, True, False, None, 1, decay=(1, 2))
+                            unit_bounded=True, integer_valued=False,
+                            trivial_beyond_degree=None, power_settle=1,
+                            decay=(1, 2))
     raise SpecError(f"unknown builtin kind {kind!r}")
 
 
@@ -167,17 +183,20 @@ def builtin_additive(kind: str, field: FieldSpec) -> FunctionSpec:
     big_omega (with multiplicity), log_phi_ratio (log of Phi(f)/|f|)."""
     q = field.p
     if kind == "zero":
-        return AdditiveSpec("zero", field, lambda d, m: 0.0, True, 0, 0)
+        return AdditiveSpec("zero", field, lambda d, m: 0.0,
+                            trivial_beyond_degree=0, power_settle=0)
     if kind == "omega":
-        return AdditiveSpec("omega", field, lambda d, m: 1.0, True, None, 1)
+        return AdditiveSpec("omega", field, lambda d, m: 1.0,
+                            trivial_beyond_degree=None, power_settle=1)
     if kind == "big_omega":
         return AdditiveSpec("big_omega", field, lambda d, m: float(m),
-                            True, None, None)
+                            trivial_beyond_degree=None, power_settle=None)
     if kind == "log_phi_ratio":
         # |log(1 - x)| <= 2x for x <= 1/2
         return AdditiveSpec("log_phi_ratio", field,
                             lambda d, m, _q=q: math.log(1.0 - _q ** (-d)),
-                            True, None, 1, decay=(2, 2))
+                            trivial_beyond_degree=None, power_settle=1,
+                            decay=(2, 2))
     raise SpecError(f"unknown additive kind {kind!r}")
 
 
@@ -198,7 +217,9 @@ def custom_from_table(field: FieldSpec, entries: dict[tuple[int, int], complex],
     max_m = max(m for _, m in table)
     def rule(d, m, _t=table):
         return _t.get((d, m), 1)
-    return FunctionSpec(name, field, rule, True, unit, integer, max_d, max_m + 1)
+    return FunctionSpec(name, field, rule, unit_bounded=unit,
+                        integer_valued=integer, trivial_beyond_degree=max_d,
+                        power_settle=max_m + 1)
 
 
 def load_custom_file(path: str | Path, field: FieldSpec) -> FunctionSpec:
@@ -247,19 +268,6 @@ def parse_additive_spec(text: str, field: FieldSpec) -> FunctionSpec:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def eval_on(fact: Factorization, spec: FunctionSpec):
-    """Value at a monic polynomial given its factorization: the product of
-    its prime-power values, or their sum if spec is additive (an empty
-    factorization gives 1, or 0)."""
-    values = (spec.value_at(P, m) for P, m in fact.factors)
-    return sum(values) if spec.additive else math.prod(values)
-
-
-
-def _by_degree(psi: FunctionSpec) -> bool:
-    return psi.degree_symmetric and psi.rule_dm is not None
-
-
 def _reach(psi: FunctionSpec, n: int) -> int:
     """The largest degree of a prime that can move psi at degree n."""
     bound = psi.trivial_beyond_degree
@@ -274,7 +282,8 @@ def scan_degrees(functions, n: int, domain: str) -> int:
     if domain == "prime":
         return n
     reach = max(_reach(psi, n) for psi in functions)
-    return min(reach, n // 2) if all(map(_by_degree, functions)) else reach
+    symmetric = all(psi.degree_symmetric for psi in functions)
+    return min(reach, n // 2) if symmetric else reach
 
 
 def _dtype(rated, n: int, additive: bool):
@@ -321,8 +330,8 @@ def value_array(psi: FunctionSpec, table: IrreducibleTable,
     """psi(f) for every monic f of degree n, in enumeration order: the
     product (the sum, if psi is additive) of psi(P^v_P(f)) over the
     primes P of degree <= cap = min(trivial_beyond_degree, n).  A
-    degree-symmetric rule gives one row rule_dm(d, m) per degree d, any
-    other spec one row value_at(P, m) per prime P.
+    rule_dm (degree-symmetric) spec gives one row rule_dm(d, m) per
+    degree d, a rule_poly spec one row rule_poly(P, m) per prime P.
 
     The valuation sieve lists the primes of degree <= top (cap, or at
     most n/2 for a degree-symmetric rule) in (degree, index) order, a
@@ -349,7 +358,7 @@ def value_array(psi: FunctionSpec, table: IrreducibleTable,
     check_enumeration(table.field.p, n)
     additive, neutral = psi.additive, psi.neutral
     cap = _reach(psi, n)
-    if _by_degree(psi):
+    if psi.degree_symmetric:
         top, keys, value = min(cap, n // 2), lambda d: [d], psi.value_dm
     else:
         top, keys, value = cap, table.primes, psi.value_at
@@ -487,7 +496,8 @@ def phi_values(table: IrreducibleTable, d: int) -> np.ndarray:
     q = table.field.p
     totient = FunctionSpec("phi", table.field,
                            lambda e, m: q ** (m * e) - q ** ((m - 1) * e),
-                           True, False, True, None, None)
+                           unit_bounded=False, integer_valued=True,
+                           trivial_beyond_degree=None, power_settle=None)
     return value_array(totient, table, d).astype(np.int64)
 
 
@@ -498,19 +508,15 @@ def exp_additive(psi_tilde: FunctionSpec, t: float) -> FunctionSpec:
     <= |t| |u - v|."""
     if t == 0:
         return builtin("one", psi_tilde.field)
-    name = f"exp({t:g}*{psi_tilde.name})"
-    rule_dm = None
-    if psi_tilde.rule_dm is not None:
-        base = psi_tilde.rule_dm
-        rule_dm = lambda d, m, _b=base, _t=t: cmath.exp(1j * _t * _b(d, m))
-    rule_poly = None
-    if psi_tilde.rule_poly is not None:
-        basep = psi_tilde.rule_poly
-        rule_poly = lambda P, m, _b=basep, _t=t: cmath.exp(1j * _t * _b(P, m))
+    base = psi_tilde.rule_dm or psi_tilde.rule_poly
+    rule = lambda key, m, _b=base, _t=t: cmath.exp(1j * _t * _b(key, m))
     decay = psi_tilde.decay
     if decay is not None:
         decay = (abs(t) * decay[0], decay[1])
-    return FunctionSpec(name, psi_tilde.field, rule_dm,
-                        psi_tilde.degree_symmetric, True, False,
-                        psi_tilde.trivial_beyond_degree,
-                        psi_tilde.power_settle, rule_poly, decay=decay)
+    by_degree = psi_tilde.degree_symmetric
+    return FunctionSpec(f"exp({t:g}*{psi_tilde.name})", psi_tilde.field,
+                        rule if by_degree else None, unit_bounded=True,
+                        integer_valued=False,
+                        trivial_beyond_degree=psi_tilde.trivial_beyond_degree,
+                        power_settle=psi_tilde.power_settle,
+                        rule_poly=None if by_degree else rule, decay=decay)

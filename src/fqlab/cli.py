@@ -533,7 +533,8 @@ _TK_RULES = {
 def _cmd_tk(a) -> int:
     field = FieldSpec(a.p)
     h = parse_poly(a.h, field)
-    psi = AdditiveSpec(a.psi, field, _TK_RULES[a.psi], True, None, None)
+    psi = AdditiveSpec(a.psi, field, _TK_RULES[a.psi],
+                       trivial_beyond_degree=None, power_settle=None)
     ns = [a.n] if a.n_range is None else a.n_range
     table = _scan_table(a, ns[-1], (psi,), a.domain)
     rows = []

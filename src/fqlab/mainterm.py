@@ -86,13 +86,6 @@ class TruncatedValue:
         if not math.isfinite(self.tail_bound) or self.tail_bound < 0:
             raise MainTermError(f"tail bound {self.tail_bound} not certifiable")
 
-    def times(self, other: "TruncatedValue") -> "TruncatedValue":
-        v = self.value * other.value
-        t = (abs(self.value) * other.tail_bound
-             + abs(other.value) * self.tail_bound
-             + self.tail_bound * other.tail_bound)
-        return TruncatedValue(v, t)
-
 
 @dataclass(frozen=True)
 class ShiftPair:
@@ -299,13 +292,14 @@ def _subnormal_degree(q: int) -> int:
     return d
 
 
-def _walk(first: int, last: int | None, shifts: ShiftPair | None,
+def _walk(first: int, last: int | None, shifts: ShiftPair,
           psi1: FunctionSpec, psi2: FunctionSpec, mode: str,
           table: IrreducibleTable) -> TruncatedValue:
     """The product of the local factors over first <= deg P <= last (last
-    = None: on to the certified stop, whose remainder enters the tail).
-    main_term starts at degree 1; a later first leaves a window of the
-    same product for the oracles to check.  A range that reaches the
+    = None: on to the certified stop, whose remainder enters the tail),
+    each constrained by v_P(h2 - h1) of the shift pair.  main_term starts
+    at degree 1; a later first leaves a window of the same product for the
+    oracles to check.  A range that reaches the
     first degree whose q^{-d} is below the normal floats is refused
     unless every function not neutral there has a decay bound with
     a > 1.  Every walk also refuses a generic factor whose |W - 1|
@@ -327,7 +321,7 @@ def _walk(first: int, last: int | None, shifts: ShiftPair | None,
     s = 1 if mode == "monic" else 2
     rem = 0.0
     if last is None:
-        delta = 0 if shifts is None or shifts.delta.is_zero else shifts.delta.degree
+        delta = 0 if shifts.delta.is_zero else shifts.delta.degree
         last, rem = _stop(max(delta, first - 1, *(spec.trivial_beyond_degree or 0
                                                   for spec in (psi1, psi2))),
                           psi1, psi2, q, s)
@@ -338,7 +332,7 @@ def _walk(first: int, last: int | None, shifts: ShiftPair | None,
             f"q^-d leaves the normal floats at degree {low}, and not every "
             "function there declares a decay bound (C, a) with a > 1; "
             "evaluate with n below that degree")
-    vals = {} if shifts is None else shifts.prime_valuations(table)
+    vals = shifts.prime_valuations(table)
     acc = _LogProduct()
     for d in range(first, last + 1):
         for dev, t, power in _degree_factors(d, vals, psi1, psi2, mode,
@@ -355,21 +349,21 @@ def _walk(first: int, last: int | None, shifts: ShiftPair | None,
     return acc.result(extra_rel=math.expm1(rem / (1 - rem)))
 
 
-def main_term(n: int | None, shifts: ShiftPair | None,
+def main_term(n: int | None, shifts: ShiftPair,
               psi1: FunctionSpec, psi2: FunctionSpec, mode: str,
               table: IrreducibleTable) -> TruncatedValue:
-    """Predicted normalized limit: the product of the constrained local
-    factors over deg P <= n, walked once from degree 1; n = None walks to
-    the certified stop of the declared decay bounds (see the module
-    docstring) and refuses a function without one.  A finite n refuses a
-    shift of degree >= n, as the sums do, and a walk past the normal
-    floats of q^{-d} without decay bounds (see _walk).  On the irreducible
-    domain it is the limit only when neither shift is divisible by a prime
-    (see the module docstring).  A finite n below 1 is refused, as the
-    sums refuse it."""
-    if n is not None and n < 1:
-        raise MainTermError("n must be >= 1")
-    if n is not None and shifts is not None:
+    """Predicted normalized limit at the shift pair (h1, h2): the product
+    of the local factors over deg P <= n, each constrained by v_P(h2 - h1),
+    walked once from degree 1; n = None walks to the certified stop of the
+    declared decay bounds (see the module docstring) and refuses a
+    function without one.  A finite n refuses a shift of degree >= n, as
+    the sums do, and a walk past the normal floats of q^{-d} without decay
+    bounds (see _walk).  On the irreducible domain it is the limit only
+    when neither shift is divisible by a prime (see the module docstring).
+    A finite n below 1 is refused, as the sums refuse it."""
+    if n is not None:
+        if n < 1:
+            raise MainTermError("n must be >= 1")
         for h in (shifts.h1, shifts.h2):
             if not h.is_zero and h.degree >= n:
                 raise MainTermError(f"shift {format_poly(h)} has degree >= n={n}")

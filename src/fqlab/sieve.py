@@ -494,11 +494,6 @@ class IrreducibleTable:
         return cls(field, top, by_degree)
 
 
-def necklace_check(table: IrreducibleTable, n: int) -> NecklaceReport:
-    """Free-function form of the identity check sum_{d|n} d N_d = q^n."""
-    return table.necklace_check(n)
-
-
 def build_table(field: FieldSpec, max_deg: int,
                 cell_budget: int = DEFAULT_CELL_BUDGET) -> IrreducibleTable:
     """Sieve all monic irreducibles of degree <= max_deg: in one pass at

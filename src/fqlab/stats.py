@@ -45,7 +45,6 @@ from .sieve import (
     residue_histogram,
     shifted,
 )
-from .correlate import CorrelationSpec, correlate
 
 
 class StatsError(ValueError):
@@ -142,31 +141,14 @@ class CharFunctionGrid:
 
 
 def empirical_charfn(psi1: FunctionSpec, psi2: FunctionSpec, shifts: ShiftPair,
-                     n: int, domain: str, t_grid, table: IrreducibleTable,
-                     via: str = "distribution") -> CharFunctionGrid:
-    """phi_n(t): the normalized sum of exp(i t (psi1(f+h1)+psi2(f+h2))).
-
-    via="correlate" runs one correlation per t with the exponentiated
-    multiplicative functions; via="distribution" groups the identical
-    additive values first and applies the same exponentials to the
-    grouped multiset (one enumeration pass for the whole grid).  The two
-    paths agree to floating-point rounding.
-    """
+                     n: int, domain: str, t_grid,
+                     table: IrreducibleTable) -> CharFunctionGrid:
+    """phi_n(t): the normalized sum of exp(i t (psi1(f+h1)+psi2(f+h2))),
+    from the grouped multiset of the additive values (one enumeration
+    pass for the whole grid)."""
     ts = tuple(float(t) for t in t_grid)
-    if via == "distribution":
-        dist = empirical_distribution(psi1, psi2, shifts, n, domain, table)
-        vals = tuple(dist.char_value(t) for t in ts)
-    elif via == "correlate":
-        vals_l = []
-        for t in ts:
-            spec = CorrelationSpec(
-                table.field, n, domain, (shifts.h1, shifts.h2),
-                (exp_additive(psi1, t), exp_additive(psi2, t)))
-            vals_l.append(complex(correlate(spec, table).normalized))
-        vals = tuple(vals_l)
-    else:
-        raise StatsError(f"unknown evaluation path {via!r}")
-    return CharFunctionGrid(ts, phi_empirical=vals)
+    dist = empirical_distribution(psi1, psi2, shifts, n, domain, table)
+    return CharFunctionGrid(ts, tuple(dist.char_value(t) for t in ts))
 
 
 def limit_charfn(psi1: FunctionSpec, psi2: FunctionSpec, shifts: ShiftPair,
@@ -214,13 +196,11 @@ class TKReport:
         return self.lhs / self.rhs
 
 
-def _as_rule(psi) -> "callable":
-    return psi.rule_dm if hasattr(psi, "rule_dm") else psi
-
-
-def tk_ratio(psi, h: Poly, n: int, domain: str,
+def tk_ratio(psi: FunctionSpec, h: Poly, n: int, domain: str,
              table: IrreducibleTable) -> TKReport:
-    """Shifted Turan-Kubilius statistic for a prime-power rule psi(P^m).
+    """Shifted Turan-Kubilius statistic for an additive spec psi with a
+    degree rule psi(P^m) = rule_dm(deg P, m); a multiplicative spec and a
+    rule_poly one are refused.
 
     monic domain (variance form):
       lhs = sum_f |sum_{P^m || f+h} psi - E_n|^2,
@@ -234,10 +214,12 @@ def tk_ratio(psi, h: Poly, n: int, domain: str,
 
     The content of the inequality is that lhs/rhs stays bounded as n grows.
     """
-    rule = _as_rule(psi)
+    if not psi.additive or not psi.degree_symmetric:
+        raise StatsError("tk_ratio takes an additive spec with a degree rule, "
+                         f"not {psi.name}")
+    rule = psi.rule_dm
     q = table.field.p
-    (values,) = scan([AdditiveSpec("tk", table.field, rule, True, None, None)],
-                     [h], n, domain, table)
+    (values,) = scan([psi], [h], n, domain, table)
     center = 0j
     if domain == "monic":
         rhs = 0.0
@@ -295,8 +277,9 @@ def squarefree_weight_sum(n: int, table: IrreducibleTable) -> Fraction:
     """H(n) = sum over monic f of degree n of mu^2(f) 3^omega(f) / q^n."""
     q = table.field.p
     weight = FunctionSpec("mu^2 3^omega", table.field,
-                          lambda d, m: 3 if m == 1 else 0,
-                          True, False, True, None, 2)
+                          lambda d, m: 3 if m == 1 else 0, unit_bounded=False,
+                          integer_valued=True, trivial_beyond_degree=None,
+                          power_settle=2)
     return Fraction(product_sum([value_array(weight, table, n)], True),
                     q**n)
 
@@ -363,11 +346,13 @@ def sieve_diagnostics(n: int, h: Poly, t: float,
     # prod_{P | f} (1 + 1/|P|) = num(f) / q^D(f), with num(f) the product
     # of |P| + 1 and D(f) the sum of deg P over P | f: the largest num of
     # each D, then at most n + 1 exact fractions
-    num = value_array(FunctionSpec("divisor product numerator", field,
-                                   lambda d, m: q**d + 1,
-                                   True, False, True, None, 1), table, n)
+    num = value_array(FunctionSpec(
+        "divisor product numerator", field, lambda d, m: q**d + 1,
+        unit_bounded=False, integer_valued=True, trivial_beyond_degree=None,
+        power_settle=1), table, n)
     rad = value_array(AdditiveSpec("radical degree", field, lambda d, m: d,
-                                   True, None, 1), table, n)
+                                   trivial_beyond_degree=None, power_settle=1),
+                      table, n)
     top = np.zeros(n + 1, dtype=np.int64)
     np.maximum.at(top, rad.astype(np.int64), num)
     best = max(Fraction(v, q**D) for D, v in enumerate(top.tolist()) if v)

@@ -11,18 +11,22 @@ from fractions import Fraction
 import numpy as np
 
 from fqlab import (
+    CharFunctionGrid,
     CorrelationReport,
     CorrelationSpec,
     EngineError,
+    Factorization,
     FunctionSpec,
     IrreducibleTable,
     MainTermError,
     Poly,
     PolyError,
+    ShiftPair,
     SpecError,
     TruncatedValue,
     builtin,
     correlate,
+    exp_additive,
 )
 from fqlab.fieldpoly import FieldSpec, monic_from_index, poly_from_encoding
 from fqlab.mainterm import _check_mode, _factor, _require_unit
@@ -32,6 +36,36 @@ from fqlab.sieve import _kernel_rows, _residues, check_enumeration
 def enumerate_monic(field: FieldSpec, n: int) -> list[Poly]:
     """All monic polynomials of degree n in fixed index order."""
     return [monic_from_index(field, n, i) for i in range(field.p ** n)]
+
+
+def eval_on(fact: Factorization, spec: FunctionSpec):
+    """Value at a monic polynomial given its factorization: the product of
+    its prime-power values, or their sum if spec is additive (an empty
+    factorization gives 1, or 0); the per-factorization twin of
+    arith.value_array."""
+    values = (spec.value_at(P, m) for P, m in fact.factors)
+    return sum(values) if spec.additive else math.prod(values)
+
+
+def truncated_times(a: TruncatedValue, b: TruncatedValue) -> TruncatedValue:
+    """The product of two truncated values, with the bound that covers
+    every pair of values within their tails."""
+    tail = (abs(a.value) * b.tail_bound + abs(b.value) * a.tail_bound
+            + a.tail_bound * b.tail_bound)
+    return TruncatedValue(a.value * b.value, tail)
+
+
+def charfn_by_correlate(psi1: FunctionSpec, psi2: FunctionSpec,
+                        shifts: ShiftPair, n: int, domain: str, t_grid,
+                        table: IrreducibleTable) -> CharFunctionGrid:
+    """Twin of stats.empirical_charfn: one correlation per t of the
+    exponentiated multiplicative functions exp(i t psi_j)."""
+    ts = tuple(float(t) for t in t_grid)
+    vals = tuple(complex(correlate(CorrelationSpec(
+        table.field, n, domain, (shifts.h1, shifts.h2),
+        (exp_additive(psi1, t), exp_additive(psi2, t))), table).normalized)
+        for t in ts)
+    return CharFunctionGrid(ts, phi_empirical=vals)
 
 
 def liouville_local_closed(d: int, k: int, q: int) -> Fraction:
@@ -125,23 +159,6 @@ def residue_average(psi1, psi2, h1: Poly, h2: Poly, M: Poly) -> Fraction:
 # pretentiousness metrics and trend scans
 # ---------------------------------------------------------------------------
 
-def _spot_check_symmetry(spec: FunctionSpec, table: IrreducibleTable) -> None:
-    # degree_symmetric is trusted but sampled: two primes of equal degree
-    # must agree at m = 1 and m = 2
-    if spec.rule_poly is None:
-        return
-    for d in range(1, min(3, table.max_deg) + 1):
-        primes = table.primes(d)
-        if len(primes) < 2:
-            continue
-        for m in (1, 2):
-            a, b = spec.value_at(primes[0], m), spec.value_at(primes[1], m)
-            if abs(a - b) > 1e-12:
-                raise SpecError(
-                    f"{spec.name} claims degree symmetry but differs at "
-                    f"degree {d}, m={m}")
-
-
 def distance(psi1: FunctionSpec, psi2: FunctionSpec, m: int, n: int,
              table: IrreducibleTable) -> float:
     """Distance between two unit-bounded multiplicative functions over the
@@ -161,8 +178,6 @@ def distance(psi1: FunctionSpec, psi2: FunctionSpec, m: int, n: int,
     q = table.field.p
     total = 0.0
     if psi1.degree_symmetric and psi2.degree_symmetric:
-        _spot_check_symmetry(psi1, table)
-        _spot_check_symmetry(psi2, table)
         for d in range(m, n + 1):
             v = complex(psi1.value_dm(d, 1)) * complex(psi2.value_dm(d, 1)).conjugate()
             total += table.count(d) * (1.0 - v.real) / q**d
@@ -185,7 +200,6 @@ def closeness_partial_sums(psi: FunctionSpec, N: int,
     sums: list[complex] = []
     run = 0j
     if psi.degree_symmetric:
-        _spot_check_symmetry(psi, table)
         for d in range(1, N + 1):
             run += table.count(d) * (complex(psi.value_dm(d, 1)) - 1) / q**d
             sums.append(run)

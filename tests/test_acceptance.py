@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from fqlab import (
+    AdditiveSpec,
     CorrelationSpec,
     FieldSpec,
     ShiftPair,
@@ -184,7 +185,9 @@ def test_criterion_08_turan_kubilius_bounded(field2, table2_14):
     oracle_n8 = {"ones": 0.160084221494912, "first_power": 0.33814604954211575}
     growth = {}
     for name, rule in rules.items():
-        ratios = [tk_ratio(rule, zero, n, "monic", table2_14).ratio
+        psi = AdditiveSpec(name, field2, rule, trivial_beyond_degree=None,
+                           power_settle=None)
+        ratios = [tk_ratio(psi, zero, n, "monic", table2_14).ratio
                   for n in range(6, 15)]
         assert abs(ratios[2] - oracle_n8[name]) < 1e-9  # n=8 spot check
         assert max(ratios) <= 2.0 * ratios[0]

@@ -1,16 +1,17 @@
 import cmath
+import dataclasses
 import math
 import random
 
 import pytest
 
 from fqlab import (
+    AdditiveSpec,
     SpecError,
     FunctionSpec,
     builtin,
     builtin_additive,
     custom_from_table,
-    eval_on,
     exp_additive,
     factorize,
     parse_additive_spec,
@@ -25,6 +26,7 @@ from oracles import (
     closeness_partial_sums,
     distance,
     enumerate_monic,
+    eval_on,
     mertens_sum,
 )
 
@@ -72,6 +74,48 @@ class TestBuiltinRules:
             for d in (1, 2, 5):
                 for m in (1, 2, 3):
                     assert abs(spec.value_dm(d, m)) <= 1
+
+
+class TestSpecContract:
+    """A spec carries exactly one rule, its degree symmetry is read off
+    which one, and its flags are keywords."""
+
+    FLAGS = dict(unit_bounded=True, integer_valued=True,
+                 trivial_beyond_degree=None, power_settle=None)
+    ADDITIVE = dict(trivial_beyond_degree=None, power_settle=None)
+
+    def test_both_rules_or_neither_refused(self, field2):
+        by_d, by_p = (lambda d, m: 1), (lambda P, m: 1)
+        for rule_dm, rule_poly in ((by_d, by_p), (None, None)):
+            with pytest.raises(SpecError, match="exactly one"):
+                FunctionSpec("s", field2, rule_dm, **self.FLAGS,
+                             rule_poly=rule_poly)
+            with pytest.raises(SpecError, match="exactly one"):
+                AdditiveSpec("a", field2, rule_dm, **self.ADDITIVE,
+                             rule_poly=rule_poly)
+        with pytest.raises(SpecError, match="exactly one"):
+            dataclasses.replace(builtin("moebius", field2), rule_poly=by_p)
+
+    def test_old_positional_call_refused(self, field2):
+        # the old signature put degree_symmetric right after rule_dm
+        with pytest.raises(TypeError):
+            FunctionSpec("s", field2, lambda d, m: 1, True, True, True,
+                         None, None)
+        with pytest.raises(TypeError):
+            AdditiveSpec("a", field2, lambda d, m: 1.0, True, None, None)
+
+    def test_degree_symmetry_follows_from_the_rule(self, field2):
+        by_d = FunctionSpec("d", field2, lambda d, m: 1, **self.FLAGS)
+        by_p = FunctionSpec("p", field2, None, **self.FLAGS,
+                            rule_poly=lambda P, m: 1)
+        assert by_d.degree_symmetric and not by_p.degree_symmetric
+        assert not exp_additive(AdditiveSpec(
+            "a", field2, None, **self.ADDITIVE,
+            rule_poly=lambda P, m: 1.0), 0.5).degree_symmetric
+        with pytest.raises(AttributeError):
+            by_p.degree_symmetric = True
+        with pytest.raises(TypeError):
+            dataclasses.replace(by_p, degree_symmetric=True)
 
 
 class TestEval:
@@ -201,14 +245,6 @@ class TestDistance:
         assert not big.unit_bounded
         with pytest.raises(SpecError):
             distance(big, builtin("one", field2), 1, 4, table2)
-
-    def test_symmetry_spot_check_catches_lies(self, field2, table2):
-        # rule_poly that secretly depends on the prime, flagged symmetric
-        liar = FunctionSpec(
-            "liar", field2, None, True, True, False, None, 1,
-            rule_poly=lambda P, m: 1.0 if P.coeffs[0] == 0 else 0.5)
-        with pytest.raises(SpecError):
-            distance(liar, builtin("one", field2), 1, 4, table2)
 
 
 class TestClosenessAndMertens:

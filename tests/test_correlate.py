@@ -15,14 +15,18 @@ from fqlab import (
     correlate,
     custom_from_table,
     crt_count,
-    eval_on,
     exp_additive,
     factorize,
     main_term,
     parse_poly,
 )
 from fqlab.fieldpoly import PolyError, monic_from_index, poly_from_encoding
-from oracles import crt_count_enumerated, deviation_scan, residue_average
+from oracles import (
+    crt_count_enumerated,
+    deviation_scan,
+    eval_on,
+    residue_average,
+)
 
 
 def brute_correlation(field, n, domain, shifts, functions, table):
@@ -113,7 +117,8 @@ class TestBasicSums:
         # (flagged not unit-bounded to leave the main term out)
         for field, table, n in ((field2, table2, 7), (field3, table3, 4)):
             sign = FunctionSpec(
-                "sign", field, None, False, False, True, None, 2,
+                "sign", field, None, unit_bounded=False, integer_valued=True,
+                trivial_beyond_degree=None, power_settle=2,
                 rule_poly=lambda P, m: (-1 if P.coeffs[0] == 1 else 1) if m == 1 else 0)
             fns = (sign, builtin("liouville_truncated", field, y=1))
             shifts = (parse_poly("0", field), parse_poly("x+1", field))
@@ -374,10 +379,12 @@ class TestDeviationScan:
 def finite_support_specs(field, y):
     """mu_y (psi(P) = -1, psi(P^m) = 0 for m >= 2) and the squarefree
     indicator, both 1 at every prime of degree > y."""
+    flags = dict(unit_bounded=True, integer_valued=True,
+                 trivial_beyond_degree=y, power_settle=2)
     return (FunctionSpec(f"mu_{y}", field, lambda d, m: -1 if m == 1 else 0,
-                         True, True, True, y, 2),
+                         **flags),
             FunctionSpec(f"sqfree_{y}", field, lambda d, m: 1 if m == 1 else 0,
-                         True, True, True, y, 2))
+                         **flags))
 
 
 class TestResidueClassAverage:

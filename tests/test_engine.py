@@ -28,7 +28,6 @@ from fqlab import (
     correlate,
     custom_from_table,
     empirical_distribution,
-    eval_on,
     exp_additive,
     factorize,
     parse_poly,
@@ -37,6 +36,7 @@ from fqlab import SpecError, arith, sieve
 from fqlab.arith import AdditiveSpec, scan, scan_degrees, value_array
 from fqlab.fieldpoly import monic_from_index
 from fqlab.sieve import prime_valuations
+from oracles import eval_on
 
 # largest degree per p; the tables list primes that far, so the prime
 # domain is available at every degree drawn
@@ -57,10 +57,12 @@ def asymmetric_specs(field):
     character of f(0) (integer valued), an additive weight that depends
     on P and is 0 past degree 3, and its complex exponential."""
     p = field.p
-    chi = FunctionSpec("chi", field, None, False, True, True, None, None,
+    chi = FunctionSpec("chi", field, None, unit_bounded=True,
+                       integer_valued=True, trivial_beyond_degree=None,
+                       power_settle=None,
                        rule_poly=lambda P, m: _legendre(p, P.coeffs[0]) ** m)
     weight = AdditiveSpec(
-        "weight", field, None, False, 3, None,
+        "weight", field, None, trivial_beyond_degree=3, power_settle=None,
         rule_poly=lambda P, m: m * (P.coeffs[0] + 0.5) / P.degree
         if P.degree <= 3 else 0.0)
     return [chi, weight, exp_additive(weight, 0.7)]
@@ -178,8 +180,9 @@ class TestOracles:
         for spec in all_specs(table.field):
             if spec.degree_symmetric:
                 asym = dataclasses.replace(
-                    spec, rule_dm=None, degree_symmetric=False,
+                    spec, rule_dm=None,
                     rule_poly=lambda P, m, _r=spec.rule_dm: _r(P.degree, m))
+                assert not asym.degree_symmetric
                 got, want = (value_array(s, table, n) for s in (asym, spec))
                 assert got.dtype == want.dtype, spec.name
                 assert got.tolist() == want.tolist(), spec.name

@@ -36,6 +36,7 @@ from oracles import (
     error_bound_shape,
     liouville_local_closed,
     local_factor,
+    truncated_times,
 )
 
 
@@ -219,12 +220,14 @@ class TestEqualShifts:
         assert rep.deviation < 1e-5
 
     def test_large_prime_shift_keyword(self, field2, table2):
-        # without shifts every k(P) is 0, as with a unit shift difference
+        # a unit shift difference makes every k(P) 0, and so does any
+        # difference with no prime factor of degree 5..12; equal shifts
+        # leave every prime unconstrained
         kf = builtin("kfree", field2, k=2)
-        plain = _walk(5, 12, None, kf, kf, "monic", table2)
         unit = _walk(5, 12, sp(field2, "0", "1"), kf, kf, "monic", table2)
+        small = _walk(5, 12, sp(field2, "0", "x^2"), kf, kf, "monic", table2)
         equal = _walk(5, 12, sp(field2, "x", "x"), kf, kf, "monic", table2)
-        assert plain == unit
+        assert small == unit != equal
         want = 1.0
         for d in range(5, 13):
             want *= (1.0 - 2.0 ** (-2 * d)) ** irreducible_count(2, d)
@@ -256,14 +259,15 @@ class TestTailOracle:
         field = FieldSpec(q)
         table = build_table(field, 2)
         x = parse_poly("x", field)
+        unit = ShiftPair(parse_poly("0", field), parse_poly("1", field))
         specs = [builtin("phi_ratio", field), builtin("kfree", field, k=2),
                  builtin("kfree", field, k=3)]
         counts = [0] + [irreducible_count(q, d) for d in range(1, 301)]
         misses = []
         for psi in specs:
             for mode, g in zip(("monic", "prime"), self.SPLIT[q]):
-                # no shifts: every k(P) is 0; h1 = h2: no constraint
-                for shifts, k in ((None, 0), (ShiftPair(x, x), None)):
+                # a unit difference: every k(P) is 0; h1 = h2: no constraint
+                for shifts, k in ((unit, 0), (ShiftPair(x, x), None)):
                     tv = _walk(g + 1, None, shifts, psi, psi, mode, table)
                     err = abs(tv.value - self._exact(psi, mode, g, k, counts))
                     if err > tv.tail_bound:
@@ -355,17 +359,17 @@ class TestDecayBound:
             return 1.0 - 2.0 ** (-2 * d)
 
         shifts = sp(field2, "0", "x^3")
-        weak = FunctionSpec("weak", field2, rule, True, True, False, None, 1,
-                            decay=(1, 1))
-        bare = FunctionSpec("bare", field2, rule, True, True, False, None, 1)
+        flags = dict(unit_bounded=True, integer_valued=False,
+                     trivial_beyond_degree=None, power_settle=1)
+        weak = FunctionSpec("weak", field2, rule, **flags, decay=(1, 1))
+        bare = FunctionSpec("bare", field2, rule, **flags)
         for psi in (bare, weak, builtin("moebius", field2),
                     builtin("liouville", field2)):
             with pytest.raises(MainTermError, match="no decay bound"):
                 main_term(None, shifts, psi, psi, "monic", table2)
         assert seen == []
         # a bound too slow to reach the target within _EXTEND_LIMIT degrees
-        slow = FunctionSpec("slow", field2, rule, True, True, False, None, 1,
-                            decay=(1, 1.01))
+        slow = FunctionSpec("slow", field2, rule, **flags, decay=(1, 1.01))
         with pytest.raises(MainTermError, match="do not reach"):
             main_term(None, shifts, slow, slow, "monic", table2)
         assert seen == []
@@ -377,7 +381,9 @@ class TestDecayBound:
         # 1 - 2^{-d} has decay sum 4^{-d}, which (1, 3) contradicts from
         # d = 2 (monic) and d = 3 (prime, where the bound doubles)
         liar = FunctionSpec("liar", field2, lambda d, m: 1.0 - 2.0 ** -d,
-                            True, True, False, None, 1, decay=(1, 3))
+                            unit_bounded=True, integer_valued=False,
+                            trivial_beyond_degree=None, power_settle=1,
+                            decay=(1, 3))
         for mode, d in (("monic", 2), ("prime", 3)):
             with pytest.raises(MainTermError, match=f"degree {d} deviates"):
                 main_term(None, sp(field2, "0", "1"), liar, liar, mode,
@@ -386,7 +392,9 @@ class TestDecayBound:
     def test_finite_walk_checks_the_declared_bound(self, field2, table2):
         # without the check this walk leaves the float range (OverflowError)
         liar = FunctionSpec("liar", field2, lambda d, m: 0.5,
-                            True, True, False, None, 1, decay=(1, 3))
+                            unit_bounded=True, integer_valued=False,
+                            trivial_beyond_degree=None, power_settle=1,
+                            decay=(1, 3))
         with pytest.raises(MainTermError, match="degree 2 deviates"):
             main_term(1040, sp(field2, "0", "1"), liar, liar, "monic", table2)
 
@@ -475,10 +483,10 @@ class TestLargePrimeProduct:
     """The walk over the large primes, the degrees past g alone."""
 
     def test_constant_one_exact(self, field2, table2):
-        one = builtin("one", field2)
+        one, shifts = builtin("one", field2), sp(field2, "0", "1")
         for mode in ("monic", "prime"):
             for n in (8, None):
-                v = _walk(5 if mode == "monic" else 6, n, None, one, one,
+                v = _walk(5 if mode == "monic" else 6, n, shifts, one, one,
                           mode, table2)
                 assert v.value == 1.0
                 assert v.tail_bound == 0.0
@@ -486,13 +494,13 @@ class TestLargePrimeProduct:
     def test_prime_mode_telescoping_identity(self, field2, table2):
         # each factor 1 - 2/phi(P) + 2 sum q^{-kd} collapses to exactly 1
         one = builtin("one", field2)
-        v = _walk(6, 9, None, one, one, "prime", table2)
+        v = _walk(6, 9, sp(field2, "0", "1"), one, one, "prime", table2)
         assert v.value == 1.0
 
     def test_kfree_factor_shape(self, field2, table2):
         # per-degree factor (1 - 2 q^{-2d})^{N_d}
         kf = builtin("kfree", field2, k=2)
-        got = _walk(5, 9, None, kf, kf, "monic", table2)
+        got = _walk(5, 9, sp(field2, "0", "1"), kf, kf, "monic", table2)
         want = 1.0
         for d in range(5, 10):
             want *= (1.0 - 2.0 * 4.0 ** -d) ** table2.count(d)
@@ -503,8 +511,8 @@ class TestLargePrimeProduct:
         # of it and has the smaller tail (1.8e-13 apart, tails 6.1e-13 and
         # 9.2e-14)
         pr = builtin("phi_ratio", field2)
-        limit = _walk(5, None, None, pr, pr, "monic", table2)
-        finite = _walk(5, 60, None, pr, pr, "monic", table2)
+        limit = _walk(5, None, sp(field2, "0", "1"), pr, pr, "monic", table2)
+        finite = _walk(5, 60, sp(field2, "0", "1"), pr, pr, "monic", table2)
         assert finite.tail_bound < limit.tail_bound
         assert abs(finite.value - limit.value) <= limit.tail_bound
 
@@ -517,35 +525,37 @@ class TestLargePrimeProduct:
         whole = main_term(8, shifts, mu, mu, "monic", table2)
         assert whole.value != 0
         head = _walk(1, 1, shifts, mu, mu, "monic", table2)
-        bulk = _walk(2, 8, None, mu, mu, "monic", table2)
+        bulk = _walk(2, 8, shifts, mu, mu, "monic", table2)
         assert abs(head.value * bulk.value - whole.value) <= whole.tail_bound
 
     def test_trivial_functions_allowed_below_threshold(self, field2, table2):
         lam2 = builtin("liouville_truncated", field2, y=2)
-        v = _walk(3, None, None, lam2, lam2, "monic", table2)
+        v = _walk(3, None, sp(field2, "0", "1"), lam2, lam2, "monic", table2)
         assert v.value == 1.0 and v.tail_bound == 0.0
 
     def test_infinite_needs_degree_symmetry(self, field2, table2):
-        odd = FunctionSpec("odd", field2, None, False, True, False, None, 1,
-                           rule_poly=lambda P, m: 1.0)
+        odd = FunctionSpec("odd", field2, None, unit_bounded=True,
+                           integer_valued=False, trivial_beyond_degree=None,
+                           power_settle=1, rule_poly=lambda P, m: 1.0)
         with pytest.raises(MainTermError):
-            _walk(5, None, None, odd, odd, "monic", table2)
+            _walk(5, None, sp(field2, "0", "1"), odd, odd, "monic", table2)
 
     def test_non_symmetric_finite_matches_symmetric(self, field2, table2):
         # a rule_poly that is in fact degree-symmetric agrees with the
         # degree-indexed fast path
         pr = builtin("phi_ratio", field2)
         slow = FunctionSpec(
-            "pr_slow", field2, None, False, True, False, None, 1,
+            "pr_slow", field2, None, unit_bounded=True, integer_valued=False,
+            trivial_beyond_degree=None, power_settle=1,
             rule_poly=lambda P, m: 1.0 - 2.0 ** -P.degree)
-        a = _walk(5, 9, None, pr, pr, "monic", table2)
-        b = _walk(5, 9, None, slow, slow, "monic", table2)
+        a = _walk(5, 9, sp(field2, "0", "1"), pr, pr, "monic", table2)
+        b = _walk(5, 9, sp(field2, "0", "1"), slow, slow, "monic", table2)
         assert abs(a.value - b.value) < 1e-12
 
     def test_divergent_functions_raise(self, field2, table2):
         lam = builtin("liouville", field2)
         with pytest.raises(MainTermError):
-            _walk(5, None, None, lam, lam, "monic", table2)
+            _walk(5, None, sp(field2, "0", "1"), lam, lam, "monic", table2)
 
 
 class TestMainTerm:
@@ -569,8 +579,10 @@ class TestMainTerm:
         # the same truncated Liouville function given only by rule_poly
         # takes the per-prime paths of both products and of correlate
         lam2 = builtin("liouville_truncated", field2, y=2)
-        copy = FunctionSpec("lam2_poly", field2, None, False, True, True, 2,
-                            None, rule_poly=lambda P, m: lam2.rule_dm(P.degree, m))
+        copy = FunctionSpec("lam2_poly", field2, None, unit_bounded=True,
+                            integer_valued=True, trivial_beyond_degree=2,
+                            power_settle=None,
+                            rule_poly=lambda P, m: lam2.rule_dm(P.degree, m))
         shifts = sp(field2, "0", "x")
         a = main_term(7, shifts, lam2, lam2, "monic", table2)
         b = main_term(7, shifts, copy, copy, "monic", table2)
@@ -606,7 +618,7 @@ class TestOneWalk:
         for g in splits:
             head = _walk(1, g, shifts, psi, psi, mode, table)
             bulk = _walk(g + 1, n, shifts, psi, psi, mode, table)
-            joined = head.times(bulk)
+            joined = truncated_times(head, bulk)
             assert abs(main.value - joined.value) <= \
                 main.tail_bound + joined.tail_bound, (table.field.p, g)
 
@@ -638,7 +650,9 @@ class TestOneWalk:
         # the table gives only the factorization of h2 - h1, to
         # ShiftPair.table_degree
         fast = FunctionSpec("fast", field2, lambda d, m: 1.0 - 2.0 ** (-3 * d),
-                            True, True, False, None, 1, decay=(1, 4))
+                            unit_bounded=True, integer_valued=False,
+                            trivial_beyond_degree=None, power_settle=1,
+                            decay=(1, 4))
         shifts = sp(field2, "0", "1")
         assert shifts.table_degree == 0
         assert sp(field2, "x", "x^7+1").table_degree == 3
@@ -782,7 +796,7 @@ class TestTruncatedValue:
         for _ in range(500):
             a = TruncatedValue(rng.uniform(-2, 2), rng.uniform(0, 0.1))
             b = TruncatedValue(rng.uniform(-2, 2), rng.uniform(0, 0.1))
-            c = a.times(b)
+            c = truncated_times(a, b)
             # worst-case perturbed product stays inside the bound
             pa = a.value + rng.choice((-1, 1)) * a.tail_bound
             pb = b.value + rng.choice((-1, 1)) * b.tail_bound

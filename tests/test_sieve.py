@@ -16,7 +16,6 @@ from fqlab import (
     FieldSpec,
     MemoryBudgetError,
     Poly,
-    necklace_check,
     SieveError,
     TableTooSmallError,
     build_table,
@@ -102,7 +101,7 @@ class TestNecklace:
         assert rep.ok
 
     def test_example_p2_n1(self, table2):
-        rep = necklace_check(table2, 1)
+        rep = table2.necklace_check(1)
         assert rep.weighted_sum == 2 == rep.expected
 
     def test_out_of_range(self, table2):

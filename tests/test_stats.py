@@ -20,11 +20,11 @@ from fqlab import (
     TableTooSmallError,
     brun_titchmarsh_violations,
     build_table,
+    builtin,
     builtin_additive,
     charfn_comparison,
     empirical_charfn,
     empirical_distribution,
-    eval_on,
     factorize,
     ks_distance,
     limit_charfn,
@@ -38,10 +38,17 @@ from fqlab import stats
 from fqlab.cli import _TK_RULES
 from fqlab.fieldpoly import monic_from_index
 from fqlab.sieve import shifted
+from oracles import charfn_by_correlate, eval_on
 
 
 def pair(field, a, b):
     return ShiftPair(parse_poly(a, field), parse_poly(b, field))
+
+
+def tk_spec(field, rule):
+    """The additive spec of a degree rule, as the tk command builds it."""
+    return AdditiveSpec("tk", field, rule, trivial_beyond_degree=None,
+                        power_settle=None)
 
 
 class TestEmpiricalDistribution:
@@ -133,16 +140,9 @@ class TestCharFn:
         sh = pair(field2, "0", "1")
         grid = (-1.5, 0.7, 2.0)
         a = empirical_charfn(lpr, lpr, sh, 6, "monic", grid, table2)
-        b = empirical_charfn(lpr, lpr, sh, 6, "monic", grid, table2,
-                             via="correlate")
+        b = charfn_by_correlate(lpr, lpr, sh, 6, "monic", grid, table2)
         for va, vb in zip(a.phi_empirical, b.phi_empirical):
             assert abs(va - vb) <= 1e-10
-
-    def test_unknown_path_rejected(self, field2, table2):
-        lpr = builtin_additive("log_phi_ratio", field2)
-        with pytest.raises(StatsError):
-            empirical_charfn(lpr, lpr, pair(field2, "0", "1"), 4, "monic",
-                             (0.0,), table2, via="magic")
 
     def test_limit_at_zero_is_one(self, field2, table2):
         lpr = builtin_additive("log_phi_ratio", field2)
@@ -206,7 +206,8 @@ class TestCharFn:
             seen.append(d)
             return 2.0 ** (d / 2.0)
 
-        bad = AdditiveSpec("growing", field2, growing, True, None, None)
+        bad = AdditiveSpec("growing", field2, growing,
+                           trivial_beyond_degree=None, power_settle=None)
         with pytest.raises(MainTermError, match="no decay bound"):
             limit_charfn(bad, bad, pair(field2, "0", "1"), (1.0,),
                          "monic", table2)
@@ -215,49 +216,60 @@ class TestCharFn:
 
 class TestTuranKubilius:
     def test_zero_rule(self, field2, table2):
-        rep = tk_ratio(lambda d, m: 0.0, parse_poly("0", field2), 8, "monic",
-                       table2)
+        zero = tk_spec(field2, lambda d, m: 0.0)
+        rep = tk_ratio(zero, parse_poly("0", field2), 8, "monic", table2)
         assert rep.lhs == 0.0 and rep.ratio == 0.0
 
     def test_frozen_oracle_constants_n8(self, field2, table2):
         # frozen from the naive-factorization oracle (trial division by all
         # monic polynomials, no sieve table involved)
-        rep = tk_ratio(lambda d, m: 1.0, parse_poly("0", field2), 8, "monic",
-                       table2)
+        ones = tk_spec(field2, lambda d, m: 1.0)
+        rep = tk_ratio(ones, parse_poly("0", field2), 8, "monic", table2)
         assert abs(rep.lhs - 138.95310425758362) < 1e-8
         assert abs(rep.rhs - 868.0) < 1e-9
         assert abs(rep.ratio - 0.160084221494912) < 1e-10
-        rep = tk_ratio(lambda d, m: 1.0 if m == 1 else 0.0,
-                       parse_poly("0", field2), 8, "monic", table2)
+        first = tk_spec(field2, lambda d, m: 1.0 if m == 1 else 0.0)
+        rep = tk_ratio(first, parse_poly("0", field2), 8, "monic", table2)
         assert abs(rep.lhs - 196.80100083351135) < 1e-8
         assert abs(rep.rhs - 582.0) < 1e-9
 
     def test_ratio_non_growth_window(self, field2, table2):
-        zero = parse_poly("0", field2)
-        ratios = [tk_ratio(lambda d, m: 1.0, zero, n, "monic", table2).ratio
+        zero, ones = parse_poly("0", field2), tk_spec(field2, lambda d, m: 1.0)
+        ratios = [tk_ratio(ones, zero, n, "monic", table2).ratio
                   for n in range(6, 11)]
         assert max(ratios) <= 2.0 * ratios[0]
 
     def test_prime_domain_first_moment(self, field2, table2):
-        rep = tk_ratio(lambda d, m: 1.0, parse_poly("1", field2), 7, "prime",
-                       table2)
+        ones = tk_spec(field2, lambda d, m: 1.0)
+        rep = tk_ratio(ones, parse_poly("1", field2), 7, "prime", table2)
         assert rep.rhs > 0 and rep.lhs >= 0
         assert rep.ratio < 2.0  # sanity envelope for the O(1) bound
 
     def test_shifted_rule(self, field2, table2):
         # shifting h changes nothing for the bound's validity
-        a = tk_ratio(lambda d, m: 1.0, parse_poly("0", field2), 8, "monic",
-                     table2)
-        b = tk_ratio(lambda d, m: 1.0, parse_poly("x^2+1", field2), 8,
-                     "monic", table2)
+        ones = tk_spec(field2, lambda d, m: 1.0)
+        a = tk_ratio(ones, parse_poly("0", field2), 8, "monic", table2)
+        b = tk_ratio(ones, parse_poly("x^2+1", field2), 8, "monic", table2)
         assert abs(a.lhs - b.lhs) < 1e-9  # shift is a bijection of the domain
 
+    def test_multiplicative_spec_refused(self, field2, table2):
+        # once read as additive: lhs 196.80, rhs 582.0 for moebius
+        mu = builtin("moebius", field2)
+        with pytest.raises(StatsError, match="additive"):
+            tk_ratio(mu, parse_poly("0", field2), 8, "monic", table2)
+
+    def test_rule_poly_spec_refused(self, field2, table2):
+        # once a TypeError: 'NoneType' object is not callable
+        by_prime = AdditiveSpec("p", field2, None, trivial_beyond_degree=None,
+                                power_settle=None, rule_poly=lambda P, m: 1.0)
+        with pytest.raises(StatsError, match="degree rule"):
+            tk_ratio(by_prime, parse_poly("0", field2), 8, "monic", table2)
 
     def test_shift_degree_validated(self, field2, field3, table2, table3):
         for field, table in ((field2, table2), (field3, table3)):
+            ones = tk_spec(field, lambda d, m: 1.0)
             with pytest.raises(SieveError):
-                tk_ratio(lambda d, m: 1.0, parse_poly("x^6", field), 6,
-                         "monic", table)
+                tk_ratio(ones, parse_poly("x^6", field), 6, "monic", table)
 
 
 class TestSieveDiagnostics:
@@ -322,7 +334,8 @@ class TestOtherFieldRefused:
             with pytest.raises(SieveError):
                 shifted(values, field2, 6, h)
             with pytest.raises(SieveError):  # once a report
-                tk_ratio(lambda d, m: 1.0, h, 6, "monic", table2)
+                tk_ratio(tk_spec(field2, lambda d, m: 1.0), h, 6, "monic",
+                         table2)
             with pytest.raises(SieveError):  # once theta 15, and 0 at h = 0
                 sieve_diagnostics(6, h, 1.0, table2)
         with pytest.raises(SieveError, match="degree 6"):
@@ -390,8 +403,8 @@ class TestScansAgainstBruteForce:
     @pytest.mark.parametrize("domain", ["monic", "prime"])
     def test_distribution_without_degree_symmetry(self, domain, field2, table2):
         # weight 1 on primes with a nonzero constant term, 2 on x
-        odd = AdditiveSpec("odd", field2, None, False, None, None,
-                           rule_poly=lambda P, m: float(m) * (2 - (P.coeffs[0] > 0)))
+        odd = AdditiveSpec("odd", field2, None, trivial_beyond_degree=None,
+                           power_settle=None, rule_poly=lambda P, m: float(m) * (2 - (P.coeffs[0] > 0)))
         lpr = builtin_additive("log_phi_ratio", field2)
         h1, h2 = parse_poly("1", field2), parse_poly("x", field2)
         d = empirical_distribution(odd, lpr, ShiftPair(h1, h2), 7, domain, table2)
@@ -402,7 +415,7 @@ class TestScansAgainstBruteForce:
     def test_tk_p3(self, domain, field3, table3):
         rule = lambda d, m: 1.0 if m == 1 else 0.25 * d
         h = parse_poly("x^2+1", field3)
-        rep = tk_ratio(rule, h, 5, domain, table3)
+        rep = tk_ratio(tk_spec(field3, rule), h, 5, domain, table3)
         want = brute_tk(rule, h, 5, domain, table3)
         assert abs(rep.lhs - want) <= 1e-9 * want
 
@@ -490,10 +503,11 @@ def tk_lhs_bits(rule, h, n, domain, table, monkeypatch):
             return unique(a, **kw)
         return a, np.arange(a.size)
 
-    fast = tk_ratio(rule, h, n, domain, table).lhs
+    psi = tk_spec(table.field, rule)
+    fast = tk_ratio(psi, h, n, domain, table).lhs
     with monkeypatch.context() as m:
         m.setattr(stats.np, "unique", every_cell_distinct)
-        per_cell = tk_ratio(rule, h, n, domain, table).lhs
+        per_cell = tk_ratio(psi, h, n, domain, table).lhs
     return bits(fast), bits(per_cell)
 
 

@@ -419,8 +419,8 @@ def scan(functions, shifts, n: int, domain: str,
     """The column psi_i(f + h_i) over the domain ("monic" or "prime"
     polynomials of degree n, in ascending index order) for each pair of
     functions[i] and shifts[i]: the value array of psi_i, one per
-    function object, shifted by h_i (sieve.shifted) and, on the prime
-    domain, read at the primes.  Refuses unpaired inputs, an unknown
+    function object, shifted by h_i (sieve.shifted), on the prime domain
+    read only at the primes.  Refuses unpaired inputs, an unknown
     domain, a scan past the cell budget and then a table smaller than
     scan_degrees says, before anything is sieved."""
     if len(functions) != len(shifts):
@@ -434,11 +434,9 @@ def scan(functions, shifts, n: int, domain: str,
             f"need primes to degree {need}, table has {table.max_deg}")
     distinct = {id(psi): psi for psi in functions}
     values = {key: value_array(psi, table, n) for key, psi in distinct.items()}
-    columns = [shifted(values[id(psi)], table.field, n, h)
-               for psi, h in zip(functions, shifts)]
-    if domain == "prime":
-        columns = [c[table.prime_indices(n)] for c in columns]
-    return columns
+    at = table.prime_indices(n) if domain == "prime" else None
+    return [shifted(values[id(psi)], table.field, n, h, at)
+            for psi, h in zip(functions, shifts)]
 
 
 def product_sum(columns: list[np.ndarray], integer: bool):

@@ -4,8 +4,8 @@ correlate() evaluates sum over the domain of prod_i psi_i(f + h_i) by
 exhaustive enumeration on the evaluation engine that the stats module
 shares: arith.scan builds one value array psi(f) over every monic f of
 degree n with the valuation sieve (arith.value_array over
-sieve.prime_valuations), reads it at f + h for each shift
-(sieve.shifted) and gathers it at the domain.  Integer-valued function
+sieve.prime_valuations) and reads it at f + h for each shift
+(sieve.shifted), on the prime domain only at the primes.  Integer-valued function
 sets sum exactly; everything else is summed correctly rounded
 (math.fsum), so no value depends on the order of summation.
 

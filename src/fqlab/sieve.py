@@ -30,13 +30,18 @@ d) among those of P^first); for p = 2 one span per block lists P^first
 g in the order of g, and v_P(P g) = 1 + v_P(g) is read one level down.
 A shift f -> f + h is a translation of that space (shifted): an array
 over it, reshaped to (p,)*n, has one axis per coefficient, and h moves
-each axis of a nonzero digit.  The multiples of every modulus of a
-degree (_kernel_rows: the kernel at odd p, one span at p = 2) hold every
-residue: the multiple of M at position j = f // p^d agrees with f from
-x^d up, so f mod M is f minus that multiple, digit by digit (XOR for p
-= 2; _residues).  residue_counts lists them once per degree pair and
-yields the class counts of the primes block by block of moduli,
-residue_histogram those of one modulus.
+each axis of a nonzero digit; read only at some indices, it moves the
+indices instead (an XOR at p = 2, digit by digit at odd p), with no
+p^n copy.  The multiples of every modulus of a degree (_kernel: the
+kernel at odd p, one span at p = 2) hold every residue: the multiple of
+M at position j = f // p^d agrees with f from x^d up, so f mod M is f
+minus that multiple, digit by digit (XOR for p = 2; _residues).  One
+kernel per modulus degree serves every target degree: at p = 2 the
+degree-n rows are the span's first 2^(n - d) columns XOR x^n mod M, at
+odd p the kernel keeps its keys as n grows.  residue_counts lists them
+once per call and yields the class counts of the primes block by block
+of moduli, residue_counts_by_degree once for all the target degrees it
+is given, residue_histogram those of one modulus.
 Factorization of a single polynomial (factorize) runs one
 trial-division loop over a bitmask division (p = 2) or fieldpoly's
 coefficient-tuple long division (odd p), converting the primes of a
@@ -620,18 +625,27 @@ def check_enumeration(p: int, n: int, budget: int = DEFAULT_CELL_BUDGET) -> None
             f"exceeds the budget {budget}")
 
 
-def shifted(values: np.ndarray, field: FieldSpec, n: int, h: Poly) -> np.ndarray:
+def shifted(values: np.ndarray, field: FieldSpec, n: int, h: Poly,
+            idx: np.ndarray | None = None) -> np.ndarray:
     """out[index(f)] = values[index(f + h)] for every monic f of degree n,
     read off values.reshape((p,)*n), where axis n - 1 - i holds the
     coefficient of x^i: a flip of the axes of h's set bits for p = 2, a
     take of (arange(p) + c) % p along the axis of each nonzero digit c
-    otherwise.  h must be over field, and zero or of degree < n."""
+    otherwise.  h must be over field, and zero or of degree < n.
+
+    Given an index array idx, only the f at idx are read, as
+    shifted(values, field, n, h)[idx] but with no p^n copy: index(f + h)
+    is index(f) XOR the bits of h at p = 2; at odd p it adds (c - p) p^i
+    or c p^i for each nonzero digit c of h at x^i, as the digit of f there
+    reaches p - c or not (digits read in float64, as _digit_matrix)."""
     if h.field != field:
         raise SieveError(f"shift over F_{h.field.p}, polynomials over F_{field.p}")
+    if not h.is_zero and h.degree >= n:
+        raise SieveError(f"shift of degree {h.degree} is not below n={n}")
+    if idx is not None:
+        return values[_shifted_indices(field.p, h, idx)]
     if h.is_zero:
         return values
-    if h.degree >= n:
-        raise SieveError(f"shift of degree {h.degree} is not below n={n}")
     p = field.p
     cube = values.reshape((p,) * n)
     for i, c in enumerate(h.coeffs):
@@ -639,6 +653,22 @@ def shifted(values: np.ndarray, field: FieldSpec, n: int, h: Poly) -> np.ndarray
             cube = (np.flip(cube, n - 1 - i) if p == 2 else
                     cube.take((np.arange(p) + c) % p, axis=n - 1 - i))
     return cube.reshape(-1)
+
+
+def _shifted_indices(p: int, h: Poly, idx: np.ndarray) -> np.ndarray:
+    """index(f + h) for the monic f at idx (shifted's rule)."""
+    if h.is_zero:
+        return idx
+    if p == 2:
+        return idx ^ h.encode()
+    out = idx.copy()
+    x = idx.astype(np.float64)
+    for i, c in enumerate(h.coeffs):
+        quot = np.floor(x / p)
+        if c:
+            out += np.where(x - quot * p >= p - c, (c - p) * p**i, c * p**i)
+        x = quot
+    return out
 
 
 def prime_valuations(table: IrreducibleTable, n: int,
@@ -776,21 +806,45 @@ def _prime_blocks(table: IrreducibleTable, d: int, m: int):
 RESIDUE_BLOCK_CELLS = 1 << 13
 
 
+class _Gf2Multiples:
+    """_Multiples at p = 2, as one span: the multiple of degree t of M
+    with high part j is x^d g_j ^ (x^d g_j mod M), g_j = x^(t - d) + j,
+    so its index is x^t mod M XOR M (x^(d+k) div M) = x^(d+k) ^ (x^(d+k)
+    mod M) for every bit k of j, the x^i mod M packed from _powers_mod.
+    The generators do not depend on t: the span to t_max starts at
+    x^t_max mod M, and the rows of a smaller t are its first 2^(t - d)
+    columns XOR the change of start."""
+
+    def __init__(self, moduli: np.ndarray, t_max: int):
+        self.d = d = moduli.shape[1] - 1
+        self._rem = (1 << np.arange(d)) @ _powers_mod(2, t_max, moduli[:, :d].T)  # (t_max - d + 1, count)
+        self._span = _gf2_span(self._rem[-1],
+                               self._rem[:-1].T ^ (1 << np.arange(d, t_max)))
+
+    def rows(self, t: int) -> np.ndarray:
+        """The degree-t multiples, d <= t <= t_max, one ascending row per
+        modulus (at t_max the span itself)."""
+        if t - self.d == len(self._rem) - 1:
+            return self._span
+        start = self._rem[-1] ^ self._rem[t - self.d]
+        return self._span[:, :1 << (t - self.d)] ^ start[:, None]
+
+
+def _kernel(p: int, moduli: np.ndarray, t_max: int):
+    """The listing of the monic multiples of the monic moduli of one
+    degree d <= t_max whose coefficient rows (leading 1 included) are the
+    rows of moduli: its rows(t) gives those of degree t, for d <= t <=
+    t_max, one row each, ascending in the high part j.  The sieve kernel
+    at odd p, one span at p = 2."""
+    return _Multiples(p, moduli, t_max) if p > 2 else _Gf2Multiples(moduli, t_max)
+
+
 def _kernel_rows(p: int, n: int, moduli: np.ndarray) -> np.ndarray:
-    """The degree-n multiples of the monic moduli whose coefficient rows
-    (leading 1 included) are the rows of moduli, one row each, ascending
-    in the high part j; a modulus of degree above n has none (empty
-    rows).  Odd p runs one sieve kernel.  At p = 2 the multiple of M with
-    high part j is x^d g_j ^ (x^d g_j mod M), g_j = x^(n - d) + j: one
-    span from x^n mod M over M (x^(d+k) div M) = x^(d+k) ^ (x^(d+k) mod
-    M), k < n - d, the x^i mod M packed from _powers_mod."""
-    d = moduli.shape[1] - 1
-    if d > n:
+    """The degree-n multiples of the moduli (_kernel); a modulus of
+    degree above n has none (empty rows)."""
+    if moduli.shape[1] - 1 > n:
         return np.empty((len(moduli), 0), dtype=np.int64)
-    if p > 2:
-        return _Multiples(p, moduli, n).rows(n)
-    rem = (1 << np.arange(d)) @ _powers_mod(2, n, moduli[:, :d].T)  # (n - d + 1, count)
-    return _gf2_span(rem[-1], rem[:-1].T ^ (1 << np.arange(d, n)))
+    return _kernel(p, moduli, n).rows(n)
 
 
 def _residues(p: int, n: int, d: int, idx: np.ndarray,
@@ -838,12 +892,34 @@ def residue_counts(table: IrreducibleTable, n: int, d: int):
     One sieve kernel lists the degree-n multiples of every modulus (p^n
     cells).  Every block holds at most RESIDUE_BLOCK_CELLS cells of
     residues (moduli x primes) and of counts (moduli x p^d), except that
-    one modulus is never split.
+    one modulus is never split.  Needs d <= n.
     """
+    for _, blocks in residue_counts_by_degree(table, [n], d):
+        yield from blocks
+
+
+def residue_counts_by_degree(table: IrreducibleTable, degrees, d: int):
+    """residue_counts(table, n, d) for every n of degrees (ascending,
+    each >= d), from one listing of the multiples of every modulus of
+    degree d to the largest n: yields (n, blocks), blocks as
+    residue_counts yields them."""
+    if not degrees:
+        return
+    if degrees[-1] > table.max_deg:  # before p^n cells are listed
+        raise TableTooSmallError(
+            f"degree {degrees[-1]} not tabulated (max {table.max_deg})")
+    p = table.field.p
+    kernel = _kernel(p, _monic_digits(p, np.arange(p**d), d), degrees[-1])
+    for n in degrees:
+        yield n, _class_counts(table, n, d, kernel.rows(n))
+
+
+def _class_counts(table: IrreducibleTable, n: int, d: int, rows: np.ndarray):
+    """residue_counts' blocks, from the degree-n multiples of every
+    modulus of degree d (rows)."""
     p = table.field.p
     primes = table.prime_indices(n)
     classes = p**d
-    rows = _kernel_rows(p, n, _monic_digits(p, np.arange(classes), d))
     chunk = max(1, RESIDUE_BLOCK_CELLS // max(len(primes), classes))
     for start in range(0, classes, chunk):
         moduli = np.arange(start, min(start + chunk, classes), dtype=np.int64)
@@ -864,8 +940,9 @@ def residue_histogram(n: int, modulus: Poly, table: IrreducibleTable) -> dict[in
     if modulus.field != table.field:
         raise SieveError("modulus and table fields differ")
     p = table.field.p
+    primes = table.prime_indices(n)  # refused before p^(n - d) multiples
     rows = _kernel_rows(p, n, np.array([modulus.coeffs], dtype=np.int64))
-    keys = _residues(p, n, modulus.degree, table.prime_indices(n), rows)[0]
+    keys = _residues(p, n, modulus.degree, primes, rows)[0]
     found, first, counts = np.unique(keys, return_index=True, return_counts=True)
     order = np.argsort(first)
     return dict(zip(found[order].tolist(), counts[order].tolist()))

@@ -10,7 +10,8 @@ correlate reads too (arith.scan over the valuation sieve): the
 value multiset is one np.unique, the weight sums one exact sum, the
 divisor-product maximum one max.  The progression statistics (Theta, the
 Bombieri-Vinogradov sum, Brun-Titchmarsh) count primes per residue class
-(sieve.residue_counts, read off the multiples of every modulus) and use
+(sieve.residue_counts, read off the multiples of every modulus; for
+Brun-Titchmarsh one listing per modulus degree serves every n) and use
 the multiples of each prime modulus (sieve.prime_valuations at the first
 power), with no per-prime division.
 """
@@ -39,9 +40,11 @@ from .fieldpoly import Poly, monic_from_index
 from .mainterm import ShiftPair, TruncatedValue, main_term
 from .sieve import (
     IrreducibleTable,
+    SieveError,
     TableTooSmallError,
     prime_valuations,
     residue_counts,
+    residue_counts_by_degree,
     residue_histogram,
     shifted,
 )
@@ -306,16 +309,17 @@ def sieve_diagnostics(n: int, h: Poly, t: float,
         raise TableTooSmallError("diagnostics need prime listings to degree n")
 
     # Theta: P + h is monic of degree n, so Q | P + h means P = Q g - h
-    # for a monic g of degree n - deg Q: the prime mask shifted by -h once
-    # (refusing a shift over another field, zero too), read at each Q g
+    # for a monic g of degree n - deg Q: the prime mask read at each Q g
+    # shifted by -h
+    if h.field != field:  # as shifted refuses it, at h = 0 too
+        raise SieveError(f"shift over F_{h.field.p}, polynomials over F_{q}")
     is_prime = np.zeros(q**n, dtype=bool)
     is_prime[table.prime_indices(n)] = True
-    shifted_prime = shifted(is_prime, field, n, -h)
     theta = 0
     if not h.is_zero:  # -h = 0 is invertible mod nothing: empty sum
         large = dict.fromkeys(range(n // 2 + 1, n + 1), (1, 1))
         for dq, idx, _ in prime_valuations(table, n, large):
-            cnt = np.count_nonzero(shifted_prime[idx], axis=1)
+            cnt = np.count_nonzero(shifted(is_prime, field, n, -h, idx), axis=1)
             theta += (q**dq - 1) * sum(c * c for c in cnt.tolist())  # phi(Q)
     npq = table.count(n)
     theta_ratio = Fraction(theta, npq * npq)
@@ -360,25 +364,49 @@ def sieve_diagnostics(n: int, h: Poly, t: float,
     return SieveDiagnostics(n, theta, theta_ratio, bv, h_seq, best)
 
 
+def _bt_breakable(q: int, n: int, d: int, top_phi: int) -> bool:
+    """Whether a listing of distinct monic polynomials of degree n can
+    break 2 q^n / (phi(M) (n - d + 1)) in some class of some M of degree
+    d with phi(M) <= top_phi: a class mod M holds q^(n - d) of them."""
+    return q ** (n - d) * top_phi * (n - d + 1) > 2 * q**n
+
+
 def brun_titchmarsh_violations(n_max: int, table: IrreducibleTable) -> list:
     """Exhaustively test pi(n; M, B) <= 2 q^n / (phi(M) (n - deg M + 1))
     for every modulus of degree < n <= n_max and every invertible residue.
     Returns the list of violating (n, M, B-key) triples in the order of
     n, deg M, the index of M and the first prime in each class;
-    Brun-Titchmarsh is a theorem, so anything but an empty list is a bug."""
+    Brun-Titchmarsh is a theorem, so anything but an empty list is a bug.
+    A table below degree n_max is refused before anything is computed.
+
+    One listing of the multiples of every modulus of a degree d serves
+    every n (sieve.residue_counts_by_degree).  The pairs (n, d) where no
+    count can break the bound are skipped (_bt_breakable, with the largest
+    phi(M) of degree d): a build or a checked load lists distinct primes,
+    and a class mod M holds q^(n - d) monic polynomials of degree n.  That
+    skips every d = n - 1, and (3, 1) and (4, 1) at q = 2, (3, 1) at q = 3.
+    """
     q = table.field.p
     field = table.field
+    if table.max_deg < n_max:
+        raise TableTooSmallError(
+            f"Brun-Titchmarsh to n_max = {n_max} needs primes to degree "
+            f"{n_max}, table has {table.max_deg}")
     bad = []
-    totients = {d: phi_values(table, d) for d in range(1, n_max)}
-    for n in range(2, n_max + 1):
-        for d in range(1, n):
-            for moduli, counts in residue_counts(table, n, d):
+    for d in range(1, n_max):
+        totients = phi_values(table, d)
+        top = int(totients.max())
+        degrees = [n for n in range(d + 1, n_max + 1)
+                   if _bt_breakable(q, n, d, top)]
+        for n, blocks in residue_counts_by_degree(table, degrees, d):
+            for moduli, counts in blocks:
                 # only prime residue classes appear; all are invertible
                 # since deg P = n > deg M
-                scale = totients[d][moduli] * (n - d + 1)
+                scale = totients[moduli] * (n - d + 1)
                 for b in np.nonzero(counts.max(axis=1) * scale > 2 * q**n)[0]:
                     M = monic_from_index(field, d, int(moduli[b]))
                     bad += [(n, M, key) for key, cnt
                             in residue_histogram(n, M, table).items()
                             if cnt * int(scale[b]) > 2 * q**n]
+    bad.sort(key=lambda v: v[0])  # stable: deg M already ascends within n
     return bad

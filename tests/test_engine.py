@@ -355,6 +355,44 @@ class TestScan:
             == 2**8
 
 
+class TestShiftedAtIndices:
+    """sieve.shifted given an index array reads f + h only for the f
+    there: bit for bit the axis view read at them, its oracle."""
+
+    @staticmethod
+    def _same_bits(a, b):
+        if a.dtype != b.dtype or a.shape != b.shape:
+            return False
+        return a.tolist() == b.tolist() if a.dtype == object else \
+            a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_equal_to_the_axis_view(self, p):
+        table = _table(p)
+        field, n = table.field, TABLE_DEGREES[p]
+        zero = parse_poly("0", field)
+        h = parse_poly(TestScan.SHIFTS[p][1], field)
+        assert h.degree == n - 1 and all(h.coeffs)
+        # the primes, as a prime scan reads, and a 2-D grid, as Theta does
+        grid = np.arange(p**n, dtype=np.int64).reshape(p, -1)[:, ::3]
+        for spec in all_specs(field):
+            values = value_array(spec, table, n)
+            for shift in (h, -h, zero):
+                full = sieve.shifted(values, field, n, shift)
+                for idx in (table.prime_indices(n), grid):
+                    got = sieve.shifted(values, field, n, shift, idx)
+                    assert self._same_bits(got, full[idx]), spec.name
+
+    def test_refusals_kept(self, field2, field3):
+        values = np.zeros(2**6)
+        idx = np.arange(4)
+        for h in (Poly(field3, ()), parse_poly("x+2", field3)):
+            with pytest.raises(sieve.SieveError, match="F_3"):
+                sieve.shifted(values, field2, 6, h, idx)
+        with pytest.raises(sieve.SieveError, match="degree 6"):
+            sieve.shifted(values, field2, 6, parse_poly("x^6", field2), idx)
+
+
 class TestEnumerationGuard:
     def test_oversized_scans_refused_at_once(self, field2, table2):
         kf = builtin("kfree", field2, k=2)

@@ -5,6 +5,7 @@ division."""
 
 import functools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,13 @@ from fqlab import FieldSpec, Poly, build_table, parse_poly, phi
 from fqlab.arith import phi_values
 from fqlab import sieve, stats
 from fqlab.fieldpoly import monic_from_index
-from fqlab.sieve import RESIDUE_BLOCK_CELLS, residue_counts, residue_histogram
+from fqlab.sieve import (
+    RESIDUE_BLOCK_CELLS,
+    IrreducibleTable,
+    residue_counts,
+    residue_counts_by_degree,
+    residue_histogram,
+)
 from fqlab.stats import StatsError, brun_titchmarsh_violations, sieve_diagnostics
 
 TABLE_DEGREES = {2: 10, 3: 6, 5: 4}
@@ -90,6 +97,24 @@ def bt_oracle(n_max, table, scale=1):
                     if cnt * phim * (n - d + 1) > 2 * q**n:
                         bad.append((n, M, key))
     return bad
+
+
+def packed_table(p, n, moduli):
+    """_table(p) cut at degree n, with a doctored degree-n listing: of the
+    right length, distinct and ascending, so the table takes it, but
+    packed into the class of 1 mod each modulus in turn (as much of it as
+    fits), then filled up with the smallest indices left."""
+    table = _table(p)
+    field = table.field
+    picked = {}  # an insertion-ordered set
+    for text in moduli:
+        M = parse_poly(text, field)
+        picked.update((i, None) for i in range(p**n)
+                      if (monic_from_index(field, n, i) % M).encode() == 1)
+    picked.update((i, None) for i in range(p**n))
+    listing = np.array(sorted(list(picked)[:table.count(n)]), dtype=np.int64)
+    return IrreducibleTable(field, n, [np.empty(0, dtype=np.int64)] + [
+        table.prime_indices(d) for d in range(1, n)] + [listing])
 
 
 @st.composite
@@ -204,6 +229,33 @@ class TestResidueMap:
         assert {m for m, _, _, _ in calls} > {1}
         assert max(r for _, r, _, _ in calls) == table.count(6) > 100
 
+    @pytest.mark.parametrize("p, d, degrees", [(2, 3, [3, 4, 7, 10]),
+                                              (3, 2, [2, 4, 6]),
+                                              (5, 1, [2, 4])])
+    def test_by_degree_equals_residue_counts(self, p, d, degrees, monkeypatch):
+        # one listing of multiples to the largest n serves every n
+        table = _table(p)
+        _, kernels = self._spy(monkeypatch)
+        got = [(n, [(m.tolist(), c.tolist()) for m, c in blocks])
+               for n, blocks in residue_counts_by_degree(table, degrees, d)]
+        assert len(kernels) == 1
+        assert got == [(n, [(m.tolist(), c.tolist())
+                            for m, c in residue_counts(table, n, d)])
+                       for n in degrees]
+
+    def test_degree_past_the_table_refused_before_listing(self, monkeypatch):
+        # 2^40 multiples (residue_histogram: 2^39) would be listed before
+        # the primes were asked for
+        table = _table(2)  # its sieve lists multiples of its own
+        _, kernels = self._spy(monkeypatch)
+        for blocks in (residue_counts(table, 40, 1),
+                       residue_counts_by_degree(table, [5, 40], 1)):
+            with pytest.raises(sieve.TableTooSmallError, match="degree 40"):
+                next(blocks)
+        with pytest.raises(sieve.TableTooSmallError, match="degree 40"):
+            residue_histogram(40, parse_poly("x+1", table.field), table)
+        assert kernels == []
+
     @pytest.mark.parametrize("p, n, d", [(2, 10, 7), (3, 6, 4), (5, 4, 3),
                                          (3, 6, 1)])
     def test_one_kernel_per_call(self, p, n, d, monkeypatch):
@@ -264,6 +316,71 @@ class TestStatisticsAgainstLoops:
                             lambda table, d: 10 * totients(table, d))
         got = brun_titchmarsh_violations(n_max, _table(p))
         assert got and got == bt_oracle(n_max, _table(p), scale=10)
+
+
+class TestBrunTitchmarshPairs:
+    """Brun-Titchmarsh lists the multiples of each modulus degree once and
+    skips the pairs (n, deg M) where no count can break the bound."""
+
+    @pytest.mark.parametrize("p, n, moduli", [(2, 9, ["x^3"]),
+                                              (3, 5, ["x^2", "x^3+2x+1"])])
+    def test_packed_listing(self, p, n, moduli):
+        # a listing packed into few classes breaks the bound at several
+        # modulus degrees, in the order of the loops
+        table = packed_table(p, n, moduli)
+        got = brun_titchmarsh_violations(n, table)
+        assert got == bt_oracle(n, table)
+        assert len({M.degree for _, M, _ in got}) >= 2
+
+    @pytest.mark.parametrize("p, skipped", [
+        (2, {(3, 1), (4, 1)}), (3, {(3, 1)}), (5, set())])
+    def test_skipped_pairs_are_vacuous(self, p, skipped):
+        # a class mod M of degree d holds q^(n - d) monic polynomials of
+        # degree n, so even the densest distinct listing, all of them,
+        # breaks no bound the rule skips; the largest phi(M) of degree d
+        # is an irreducible's, q^d - 1
+        table, field = _table(p), _table(p).field
+        found = set()
+        for n in range(2, 13):
+            for d in range(1, n):
+                top = p**d - 1
+                if d <= table.max_deg:
+                    assert phi_values(table, d).max() == top
+                if stats._bt_breakable(p, n, d, top):
+                    continue
+                found.add((n, d))
+                assert p ** (n - d) * top * (n - d + 1) <= 2 * p**n
+                if p**n > 200:
+                    continue
+                for midx in range(p**d):  # the densest listing, counted
+                    M = monic_from_index(field, d, midx)
+                    sizes = Counter((monic_from_index(field, n, i) % M).encode()
+                                    for i in range(p**n))
+                    assert set(sizes.values()) == {p ** (n - d)}
+                    assert p ** (n - d) * phi(M, table) * (n - d + 1) <= 2 * p**n
+        assert found == skipped | {(n, n - 1) for n in range(2, 13)}
+
+    @pytest.mark.parametrize("p, n_max", [(2, 10), (3, 6), (5, 4)])
+    def test_one_kernel_per_modulus_degree(self, p, n_max, monkeypatch):
+        # one kernel per modulus degree with a pair to count, where there
+        # was one per pair; the totients are read from a dict, so no
+        # value array lists multiples here
+        table = _table(p)
+        totients = {d: phi_values(table, d) for d in range(1, n_max)}
+        monkeypatch.setattr(stats, "phi_values", lambda t, d: totients[d])
+        _, kernels = TestResidueMap._spy(monkeypatch)
+        counted, class_counts = [], sieve._class_counts
+
+        def spy(table, n, d, rows):
+            counted.append((n, d))
+            return class_counts(table, n, d, rows)
+
+        monkeypatch.setattr(sieve, "_class_counts", spy)
+        assert brun_titchmarsh_violations(n_max, table) == []
+        want = [(n, d) for d in range(1, n_max) for n in range(d + 1, n_max + 1)
+                if stats._bt_breakable(p, n, d, int(totients[d].max()))]
+        assert counted == want
+        assert len(kernels) == len({d for _, d in want}) < len(want)
 
 
 @pytest.mark.parametrize("p, d_max", [(2, 8), (3, 5), (5, 3)])

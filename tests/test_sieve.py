@@ -745,6 +745,16 @@ class TestKernelRowsP2:
             assert np.array_equal(sieve._kernel_rows(2, n, moduli),
                                   _Multiples(2, moduli, n).rows(n))
 
+    def test_one_span_serves_every_degree(self):
+        # the span to degree 12 read at each smaller t: its first 2^(t - d)
+        # columns XOR the change of start
+        for d in (1, 3, 5):
+            moduli = _monic_digits(2, np.arange(2**d), d)
+            kernel = sieve._kernel(2, moduli, 12)
+            for t in range(d, 13):
+                assert np.array_equal(kernel.rows(t),
+                                      _Multiples(2, moduli, t).rows(t))
+
     def test_memory_bound(self):
         # the span fills its rows in place; the packed-bit residue kernel
         # peaked at 12.8 MiB here, for 8 MiB of rows

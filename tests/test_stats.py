@@ -333,6 +333,8 @@ class TestOtherFieldRefused:
         for h in (Poly(field3, ()), parse_poly("x+2", field3)):
             with pytest.raises(SieveError):
                 shifted(values, field2, 6, h)
+            with pytest.raises(SieveError):
+                shifted(values, field2, 6, h, np.arange(4))
             with pytest.raises(SieveError):  # once a report
                 tk_ratio(tk_spec(field2, lambda d, m: 1.0), h, 6, "monic",
                          table2)
@@ -353,6 +355,17 @@ class TestBrunTitchmarsh:
 
     def test_no_violations_p3(self, table3):
         assert brun_titchmarsh_violations(5, table3) == []
+
+    def test_small_table_refused_before_sieving(self, field2, monkeypatch):
+        # once 4.8 ms of sieving, then "degree 9 not tabulated (max 8)"
+        # from inside the loop
+        table = build_table(field2, 8)
+        monkeypatch.setattr(stats, "phi_values",
+                            lambda *a: pytest.fail("sieved before the refusal"))
+        with pytest.raises(TableTooSmallError,
+                           match=r"n_max = 12 needs .* table has 8"):
+            brun_titchmarsh_violations(12, table)
+        assert brun_titchmarsh_violations(1, table) == []
 
 
 # ---------------------------------------------------------------------------

@@ -32,16 +32,19 @@ A shift f -> f + h is a translation of that space (shifted): an array
 over it, reshaped to (p,)*n, has one axis per coefficient, and h moves
 each axis of a nonzero digit; read only at some indices, it moves the
 indices instead (an XOR at p = 2, digit by digit at odd p), with no
-p^n copy.  The multiples of every modulus of a degree (_kernel: the
-kernel at odd p, one span at p = 2) hold every residue: the multiple of
-M at position j = f // p^d agrees with f from x^d up, so f mod M is f
-minus that multiple, digit by digit (XOR for p = 2; _residues).  One
-kernel per modulus degree serves every target degree: at p = 2 the
-degree-n rows are the span's first 2^(n - d) columns XOR x^n mod M, at
-odd p the kernel keeps its keys as n grows.  residue_counts lists them
-once per call and yields the class counts of the primes block by block
-of moduli, residue_counts_by_degree once for all the target degrees it
-is given, residue_histogram those of one modulus.
+p^n copy; the identity array read at the primes gives the indices of
+the P + h, which Theta (stats.sieve_diagnostics) marks once in a mask
+that it counts at the multiples of each prime modulus.  The multiples
+of every modulus of a degree (_kernel: the kernel at odd p, one span at
+p = 2) hold every residue: the multiple of M at position j = f // p^d
+agrees with f from x^d up, so f mod M is f minus that multiple, digit
+by digit (XOR for p = 2; _residues).  One kernel per modulus degree
+serves every target degree: at p = 2 the degree-n rows are the span's
+first 2^(n - d) columns XOR x^n mod M, at odd p the kernel keeps its
+keys as n grows.  residue_counts(table,
+degrees, d) lists them once per call, to the largest target degree, and
+yields the class counts of the primes of each degree block by block of
+moduli; residue_histogram counts those of one modulus.
 Factorization of a single polynomial (factorize) runs one
 trial-division loop over a bitmask division (p = 2) or fieldpoly's
 coefficient-tuple long division (odd p), converting the primes of a
@@ -365,30 +368,26 @@ class IrreducibleTable:
         self._by_degree = list(by_degree)  # [empty, deg1 listing, deg2 listing, ...]
         for idx in self._by_degree:
             idx.flags.writeable = False
-        self._counts = [0] + [len(a) for a in by_degree[1:]]
         # every N_d equal to its Moebius inversion is the necklace identity
         # sum_{d|n} d N_d = q^n for every n <= max_deg (the identities fix
         # N_1, N_2, ... one after another), and the true counts meet
         # |n N_n - q^n| < 2 q^{n/2}, so no square-root shape test can fail
         for d in range(1, max_deg + 1):
-            if self._counts[d] != irreducible_count(field.p, d):
+            if len(self._by_degree[d]) != self.count(d):
                 raise SieveError(f"wrong prime count at degree {d}")
 
     # -- counting ---------------------------------------------------------
 
     def count(self, d: int) -> int:
-        """Exact N_d for any d >= 1 (stored listing, or Moebius inversion
-        of the necklace identity beyond max_deg)."""
-        if d <= 0:
-            raise SieveError("degree must be >= 1")
-        if d <= self.max_deg:
-            return self._counts[d]
+        """Exact N_d for any d >= 1, by Moebius inversion of the necklace
+        identity (the length of every stored listing, as checked when the
+        table was built)."""
         return irreducible_count(self.field.p, d)
 
     def necklace_check(self, n: int) -> NecklaceReport:
         if not 1 <= n <= self.max_deg:
             raise SieveError(f"n={n} outside tabulated range")
-        s = sum(d * self._counts[d] for d in _divisors(n))
+        s = sum(d * self.count(d) for d in _divisors(n))
         rhs = self.field.p ** n
         return NecklaceReport(n, s, rhs, s == rhs)
 
@@ -883,50 +882,43 @@ def _differences(p: int, c: int) -> np.ndarray:
     return out
 
 
-def residue_counts(table: IrreducibleTable, n: int, d: int):
-    """Count the degree-n primes in every residue class modulo every monic
-    M of degree d.  Yields (moduli, counts) block by block in index order:
-    counts[b, key] is the number of primes P with P mod M = key (encoded)
-    for the modulus at index moduli[b].
+def residue_counts(table: IrreducibleTable, degrees, d: int):
+    """Count the primes of every degree n of degrees (ascending, each >=
+    d >= 1) in every residue class modulo every monic M of degree d.
+    Yields (n, moduli, counts) in the order of n, block by block of moduli
+    in index order: counts[b, key] is the number of degree-n primes P with
+    P mod M = key (encoded) for the modulus at index moduli[b].
 
-    One sieve kernel lists the degree-n multiples of every modulus (p^n
-    cells).  Every block holds at most RESIDUE_BLOCK_CELLS cells of
-    residues (moduli x primes) and of counts (moduli x p^d), except that
-    one modulus is never split.  Needs d <= n.
+    One sieve kernel lists the multiples of every modulus to the largest
+    n, and its degree-n rows serve each n.  Every block holds at most
+    RESIDUE_BLOCK_CELLS cells of residues (moduli x primes) and of counts
+    (moduli x p^d), except that one modulus is never split.  Bad degrees
+    are refused with SieveError, one past the table with
+    TableTooSmallError, before any multiple is listed.
     """
-    for _, blocks in residue_counts_by_degree(table, [n], d):
-        yield from blocks
-
-
-def residue_counts_by_degree(table: IrreducibleTable, degrees, d: int):
-    """residue_counts(table, n, d) for every n of degrees (ascending,
-    each >= d), from one listing of the multiples of every modulus of
-    degree d to the largest n: yields (n, blocks), blocks as
-    residue_counts yields them."""
+    if d < 1:
+        raise SieveError(f"modulus degree must be >= 1, got {d}")
+    if any(a >= b for a, b in zip(degrees, degrees[1:])):
+        raise SieveError(f"target degrees must ascend, got {list(degrees)}")
     if not degrees:
         return
+    if degrees[0] < d:
+        raise SieveError(f"target degree {degrees[0]} is below the modulus degree {d}")
     if degrees[-1] > table.max_deg:  # before p^n cells are listed
         raise TableTooSmallError(
             f"degree {degrees[-1]} not tabulated (max {table.max_deg})")
     p = table.field.p
-    kernel = _kernel(p, _monic_digits(p, np.arange(p**d), d), degrees[-1])
-    for n in degrees:
-        yield n, _class_counts(table, n, d, kernel.rows(n))
-
-
-def _class_counts(table: IrreducibleTable, n: int, d: int, rows: np.ndarray):
-    """residue_counts' blocks, from the degree-n multiples of every
-    modulus of degree d (rows)."""
-    p = table.field.p
-    primes = table.prime_indices(n)
     classes = p**d
-    chunk = max(1, RESIDUE_BLOCK_CELLS // max(len(primes), classes))
-    for start in range(0, classes, chunk):
-        moduli = np.arange(start, min(start + chunk, classes), dtype=np.int64)
-        keys = _residues(p, n, d, primes, rows[start:start + chunk])
-        keys += np.arange(len(moduli), dtype=np.int64)[:, None] * classes
-        counts = np.bincount(keys.ravel(), minlength=len(moduli) * classes)
-        yield moduli, counts.reshape(len(moduli), classes)
+    kernel = _kernel(p, _monic_digits(p, np.arange(classes), d), degrees[-1])
+    for n in degrees:
+        rows, primes = kernel.rows(n), table.prime_indices(n)
+        chunk = max(1, RESIDUE_BLOCK_CELLS // max(len(primes), classes))
+        for start in range(0, classes, chunk):
+            moduli = np.arange(start, min(start + chunk, classes), dtype=np.int64)
+            keys = _residues(p, n, d, primes, rows[start:start + chunk])
+            keys += np.arange(len(moduli), dtype=np.int64)[:, None] * classes
+            counts = np.bincount(keys.ravel(), minlength=len(moduli) * classes)
+            yield n, moduli, counts.reshape(len(moduli), classes)
 
 
 def residue_histogram(n: int, modulus: Poly, table: IrreducibleTable) -> dict[int, int]:

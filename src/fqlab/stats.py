@@ -8,12 +8,14 @@ statistics as Fractions) and enumeration-based where it is a sample (the
 value multisets).  Every scan is a numpy pass over the columns that
 correlate reads too (arith.scan over the valuation sieve): the
 value multiset is one np.unique, the weight sums one exact sum, the
-divisor-product maximum one max.  The progression statistics (Theta, the
-Bombieri-Vinogradov sum, Brun-Titchmarsh) count primes per residue class
-(sieve.residue_counts, read off the multiples of every modulus; for
-Brun-Titchmarsh one listing per modulus degree serves every n) and use
-the multiples of each prime modulus (sieve.prime_valuations at the first
-power), with no per-prime division.
+divisor-product maximum one max.  The progression statistics use no
+per-prime division.  The Bombieri-Vinogradov sum and Brun-Titchmarsh
+count primes per residue class with sieve.residue_counts(table, degrees,
+d), read off one listing of the multiples of every modulus of degree d,
+which for Brun-Titchmarsh serves every n.  Theta marks the shifted
+primes P + h once in a mask over the monic polynomials of degree n and
+counts the marks at the multiples of each prime modulus
+(sieve.prime_valuations at the first power).
 """
 
 from __future__ import annotations
@@ -40,11 +42,9 @@ from .fieldpoly import Poly, monic_from_index
 from .mainterm import ShiftPair, TruncatedValue, main_term
 from .sieve import (
     IrreducibleTable,
-    SieveError,
     TableTooSmallError,
     prime_valuations,
     residue_counts,
-    residue_counts_by_degree,
     residue_histogram,
     shifted,
 )
@@ -308,18 +308,17 @@ def sieve_diagnostics(n: int, h: Poly, t: float,
     if table.max_deg < n:
         raise TableTooSmallError("diagnostics need prime listings to degree n")
 
-    # Theta: P + h is monic of degree n, so Q | P + h means P = Q g - h
-    # for a monic g of degree n - deg Q: the prime mask read at each Q g
-    # shifted by -h
-    if h.field != field:  # as shifted refuses it, at h = 0 too
-        raise SieveError(f"shift over F_{h.field.p}, polynomials over F_{q}")
-    is_prime = np.zeros(q**n, dtype=bool)
-    is_prime[table.prime_indices(n)] = True
+    # Theta: P + h is monic of degree n, so Q | P + h means that Q g =
+    # P + h for a monic g of degree n - deg Q: the P + h (the identity
+    # array read at the primes shifted by h) are marked once, then
+    # counted at each Q g
+    hit = np.zeros(q**n, dtype=bool)
+    hit[shifted(np.arange(q**n), field, n, h, table.prime_indices(n))] = True
     theta = 0
     if not h.is_zero:  # -h = 0 is invertible mod nothing: empty sum
         large = dict.fromkeys(range(n // 2 + 1, n + 1), (1, 1))
         for dq, idx, _ in prime_valuations(table, n, large):
-            cnt = np.count_nonzero(shifted(is_prime, field, n, -h, idx), axis=1)
+            cnt = np.count_nonzero(hit[idx], axis=1)
             theta += (q**dq - 1) * sum(c * c for c in cnt.tolist())  # phi(Q)
     npq = table.count(n)
     theta_ratio = Fraction(theta, npq * npq)
@@ -331,7 +330,7 @@ def sieve_diagnostics(n: int, h: Poly, t: float,
     d = 1
     while d < bound:
         totients = phi_values(table, d)
-        for moduli, counts in residue_counts(table, n, d):
+        for _, moduli, counts in residue_counts(table, [n], d):
             filled = counts > 0
             high = counts.max(axis=1)
             low = np.where(filled, counts, high[:, None]).min(axis=1)
@@ -380,7 +379,7 @@ def brun_titchmarsh_violations(n_max: int, table: IrreducibleTable) -> list:
     A table below degree n_max is refused before anything is computed.
 
     One listing of the multiples of every modulus of a degree d serves
-    every n (sieve.residue_counts_by_degree).  The pairs (n, d) where no
+    every n (sieve.residue_counts).  The pairs (n, d) where no
     count can break the bound are skipped (_bt_breakable, with the largest
     phi(M) of degree d): a build or a checked load lists distinct primes,
     and a class mod M holds q^(n - d) monic polynomials of degree n.  That
@@ -398,15 +397,14 @@ def brun_titchmarsh_violations(n_max: int, table: IrreducibleTable) -> list:
         top = int(totients.max())
         degrees = [n for n in range(d + 1, n_max + 1)
                    if _bt_breakable(q, n, d, top)]
-        for n, blocks in residue_counts_by_degree(table, degrees, d):
-            for moduli, counts in blocks:
-                # only prime residue classes appear; all are invertible
-                # since deg P = n > deg M
-                scale = totients[moduli] * (n - d + 1)
-                for b in np.nonzero(counts.max(axis=1) * scale > 2 * q**n)[0]:
-                    M = monic_from_index(field, d, int(moduli[b]))
-                    bad += [(n, M, key) for key, cnt
-                            in residue_histogram(n, M, table).items()
-                            if cnt * int(scale[b]) > 2 * q**n]
+        for n, moduli, counts in residue_counts(table, degrees, d):
+            # only prime residue classes appear; all are invertible since
+            # deg P = n > deg M
+            scale = totients[moduli] * (n - d + 1)
+            for b in np.nonzero(counts.max(axis=1) * scale > 2 * q**n)[0]:
+                M = monic_from_index(field, d, int(moduli[b]))
+                bad += [(n, M, key) for key, cnt
+                        in residue_histogram(n, M, table).items()
+                        if cnt * int(scale[b]) > 2 * q**n]
     bad.sort(key=lambda v: v[0])  # stable: deg M already ascends within n
     return bad

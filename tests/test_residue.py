@@ -21,7 +21,6 @@ from fqlab.sieve import (
     RESIDUE_BLOCK_CELLS,
     IrreducibleTable,
     residue_counts,
-    residue_counts_by_degree,
     residue_histogram,
 )
 from fqlab.stats import StatsError, brun_titchmarsh_violations, sieve_diagnostics
@@ -148,8 +147,8 @@ class TestResidueMap:
         p, n, d, picks = case
         table = _table(p)
         seen = []
-        for moduli, counts in residue_counts(table, n, d):
-            assert counts.shape == (len(moduli), p**d)
+        for m, moduli, counts in residue_counts(table, [n], d):
+            assert m == n and counts.shape == (len(moduli), p**d)
             assert (counts.sum(axis=1) == table.count(n)).all()
             seen += moduli.tolist()
             for b, midx in enumerate(moduli.tolist()):
@@ -207,7 +206,7 @@ class TestResidueMap:
         calls, _ = self._spy(monkeypatch)
         assert brun_titchmarsh_violations(11, table2_14) == []
         for d in (1, 5, 9, 11):
-            for moduli, counts in residue_counts(table2_14, 12, d):
+            for _, moduli, counts in residue_counts(table2_14, [12], d):
                 assert counts.size <= max(RESIDUE_BLOCK_CELLS, 2**d)
         assert calls and self._within(calls, RESIDUE_BLOCK_CELLS)
         assert max(m for m, _, _, _ in calls) > 1
@@ -222,7 +221,7 @@ class TestResidueMap:
         monkeypatch.setattr(sieve, "RESIDUE_BLOCK_CELLS", 100)
         calls, _ = self._spy(monkeypatch)
         assert list(residue_histogram(6, M, table).items()) == list(want.items())
-        for moduli, counts in residue_counts(table, 6, 2):
+        for _, moduli, counts in residue_counts(table, [6], 2):
             assert len(moduli) == 1 and counts.size <= 100
         assert brun_titchmarsh_violations(4, table) == bt_oracle(4, table)
         assert self._within(calls, 100)
@@ -232,24 +231,24 @@ class TestResidueMap:
     @pytest.mark.parametrize("p, d, degrees", [(2, 3, [3, 4, 7, 10]),
                                               (3, 2, [2, 4, 6]),
                                               (5, 1, [2, 4])])
-    def test_by_degree_equals_residue_counts(self, p, d, degrees, monkeypatch):
-        # one listing of multiples to the largest n serves every n
+    def test_one_listing_serves_every_n(self, p, d, degrees, monkeypatch):
+        # one listing of multiples to the largest n gives every n the
+        # blocks that a listing to that n alone gives
         table = _table(p)
         _, kernels = self._spy(monkeypatch)
-        got = [(n, [(m.tolist(), c.tolist()) for m, c in blocks])
-               for n, blocks in residue_counts_by_degree(table, degrees, d)]
+        got = [(n, m.tolist(), c.tolist())
+               for n, m, c in residue_counts(table, degrees, d)]
         assert len(kernels) == 1
-        assert got == [(n, [(m.tolist(), c.tolist())
-                            for m, c in residue_counts(table, n, d)])
-                       for n in degrees]
+        assert got == [(n, m.tolist(), c.tolist()) for one in degrees
+                       for n, m, c in residue_counts(table, [one], d)]
 
     def test_degree_past_the_table_refused_before_listing(self, monkeypatch):
         # 2^40 multiples (residue_histogram: 2^39) would be listed before
         # the primes were asked for
         table = _table(2)  # its sieve lists multiples of its own
         _, kernels = self._spy(monkeypatch)
-        for blocks in (residue_counts(table, 40, 1),
-                       residue_counts_by_degree(table, [5, 40], 1)):
+        for blocks in (residue_counts(table, [40], 1),
+                       residue_counts(table, [5, 40], 1)):
             with pytest.raises(sieve.TableTooSmallError, match="degree 40"):
                 next(blocks)
         with pytest.raises(sieve.TableTooSmallError, match="degree 40"):
@@ -263,11 +262,27 @@ class TestResidueMap:
         # span's) p^n multiples
         table = _table(p)  # its sieve builds kernels of its own
         calls, kernels = self._spy(monkeypatch)
-        blocks = list(residue_counts(table, n, d))
+        blocks = list(residue_counts(table, [n], d))
         assert len(kernels) == 1 and len(blocks) == len(calls)
         assert sum(size for _, _, _, size in calls) == p**n
         if d > 1:
             assert len(blocks) > 1
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("degrees, d, match", [
+        ([4], 5, "below the modulus degree"),   # d > n
+        ([4], 0, "modulus degree must be >= 1"),
+        ([1, 5], 2, "below the modulus degree"),
+        ([5, 3], 1, "must ascend"),
+    ])
+    def test_bad_degrees_refused_before_listing(self, p, degrees, d, match,
+                                                monkeypatch):
+        table = _table(p)  # its sieve lists multiples of its own
+        _, kernels = self._spy(monkeypatch)
+        with pytest.raises(sieve.SieveError, match=match) as caught:
+            next(residue_counts(table, degrees, d))
+        assert caught.type is sieve.SieveError
+        assert kernels == []
 
 
 class TestStatisticsAgainstLoops:
@@ -369,17 +384,18 @@ class TestBrunTitchmarshPairs:
         totients = {d: phi_values(table, d) for d in range(1, n_max)}
         monkeypatch.setattr(stats, "phi_values", lambda t, d: totients[d])
         _, kernels = TestResidueMap._spy(monkeypatch)
-        counted, class_counts = [], sieve._class_counts
+        counted, counts = [], stats.residue_counts
 
-        def spy(table, n, d, rows):
-            counted.append((n, d))
-            return class_counts(table, n, d, rows)
+        def spy(table, degrees, d):
+            for n, moduli, block in counts(table, degrees, d):
+                counted.append((n, d))
+                yield n, moduli, block
 
-        monkeypatch.setattr(sieve, "_class_counts", spy)
+        monkeypatch.setattr(stats, "residue_counts", spy)
         assert brun_titchmarsh_violations(n_max, table) == []
         want = [(n, d) for d in range(1, n_max) for n in range(d + 1, n_max + 1)
                 if stats._bt_breakable(p, n, d, int(totients[d].max()))]
-        assert counted == want
+        assert list(dict.fromkeys(counted)) == want
         assert len(kernels) == len({d for _, d in want}) < len(want)
 
 
@@ -397,3 +413,9 @@ class TestShiftRange:
             with pytest.raises(StatsError):
                 sieve_diagnostics(6, parse_poly(text, field2), 1.0, table2)
         sieve_diagnostics(6, parse_poly("x^5+1", field2), 1.0, table2)
+
+    @pytest.mark.parametrize("text", ["0", "x+1"])
+    def test_shift_over_another_field_refused(self, field3, table2, text):
+        # shifted refuses it before Theta marks anything, at h = 0 too
+        with pytest.raises(sieve.SieveError, match="shift over F_3"):
+            sieve_diagnostics(6, parse_poly(text, field3), 1.0, table2)

@@ -387,7 +387,7 @@ class IrreducibleTable:
     def necklace_check(self, n: int) -> NecklaceReport:
         if not 1 <= n <= self.max_deg:
             raise SieveError(f"n={n} outside tabulated range")
-        s = sum(d * self.count(d) for d in _divisors(n))
+        s = sum(d * len(self.prime_indices(d)) for d in _divisors(n))
         rhs = self.field.p ** n
         return NecklaceReport(n, s, rhs, s == rhs)
 

@@ -7,8 +7,9 @@ Everything here is exact where the object is exact (counts, the sieve
 statistics as Fractions) and enumeration-based where it is a sample (the
 value multisets).  Every scan is a numpy pass over the columns that
 correlate reads too (arith.scan over the valuation sieve): the
-value multiset is one np.unique, the weight sums one exact sum, the
-divisor-product maximum one max.  The progression statistics use no
+value multiset is one np.unique.  H(m) and the divisor-product maximum
+read the prime counts N_d alone: a coefficient of prod_d (1 + 3u^d)^{N_d}
+and a knapsack over degrees.  The progression statistics use no
 per-prime division.  The Bombieri-Vinogradov sum and Brun-Titchmarsh
 count primes per residue class with sieve.residue_counts(table, degrees,
 d), read off one listing of the multiples of every modulus of degree d,
@@ -29,19 +30,17 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import (
-    AdditiveSpec,
     FunctionSpec,
     exp_additive,
     phi,  # unused here; fqbench's tracer wraps fqlab.stats.phi
     phi_values,
-    product_sum,
     scan,
-    value_array,
 )
 from .fieldpoly import Poly, monic_from_index
 from .mainterm import ShiftPair, TruncatedValue, main_term
 from .sieve import (
     IrreducibleTable,
+    SieveError,
     TableTooSmallError,
     prime_valuations,
     residue_counts,
@@ -84,26 +83,18 @@ class EmpiricalDistribution:
         return list(zip(self.values, self.counts))
 
 
-def _additive_values(psi1: FunctionSpec, psi2: FunctionSpec, h1: Poly, h2: Poly,
-                     n: int, domain: str, table: IrreducibleTable):
-    """Multiset {psi1(f+h1) + psi2(f+h2)} over the domain: its distinct
-    values in ascending order, their counts and the domain size."""
-    for h in (h1, h2):
-        if not h.is_zero and h.degree >= n:
-            raise StatsError("shift degree must be < n")
-    v1, v2 = scan((psi1, psi2), (h1, h2), n, domain, table)
-    x = 0.0 + v1 + v2  # from 0.0, as every additive value starts: float keys
-    values, counts = np.unique(x, return_counts=True)
-    return values.tolist(), counts.tolist(), len(x)
-
-
 def empirical_distribution(psi1: FunctionSpec, psi2: FunctionSpec,
                            shifts: ShiftPair, n: int, domain: str,
                            table: IrreducibleTable) -> EmpiricalDistribution:
     """Exact law of psi1(f+h1) + psi2(f+h2) over the chosen domain."""
-    values, counts, total = _additive_values(psi1, psi2, shifts.h1, shifts.h2,
-                                             n, domain, table)
-    return EmpiricalDistribution(tuple(values), tuple(counts), total)
+    for h in (shifts.h1, shifts.h2):
+        if not h.is_zero and h.degree >= n:
+            raise StatsError("shift degree must be < n")
+    v1, v2 = scan((psi1, psi2), (shifts.h1, shifts.h2), n, domain, table)
+    x = 0.0 + v1 + v2  # from 0.0, as every additive value starts: float keys
+    values, counts = np.unique(x, return_counts=True)
+    return EmpiricalDistribution(tuple(values.tolist()),
+                                 tuple(counts.tolist()), len(x))
 
 
 def ks_distance(d1: EmpiricalDistribution, d2: EmpiricalDistribution) -> float:
@@ -277,14 +268,18 @@ class SieveDiagnostics:
 
 
 def squarefree_weight_sum(n: int, table: IrreducibleTable) -> Fraction:
-    """H(n) = sum over monic f of degree n of mu^2(f) 3^omega(f) / q^n."""
-    q = table.field.p
-    weight = FunctionSpec("mu^2 3^omega", table.field,
-                          lambda d, m: 3 if m == 1 else 0, unit_bounded=False,
-                          integer_valued=True, trivial_beyond_degree=None,
-                          power_settle=2)
-    return Fraction(product_sum([value_array(weight, table, n)], True),
-                    q**n)
+    """H(n) = sum over monic f of degree n of mu^2(f) 3^omega(f) / q^n,
+    where q^n H(n) = [u^n] prod_{d <= n} (1 + 3u^d)^{N_d}: read off the
+    prime counts, so n may pass the table's degree."""
+    if n < 0:
+        raise SieveError(f"degree must be >= 0, got {n}")
+    coeffs = [1] + [0] * n
+    for d in range(1, n + 1):
+        nd = table.count(d)
+        for m in range(n, d - 1, -1):  # downward: coeffs[< m] lack degree d
+            coeffs[m] += sum(math.comb(nd, j) * 3**j * coeffs[m - j * d]
+                             for j in range(1, m // d + 1))
+    return Fraction(coeffs[n], table.field.p ** n)
 
 
 def sieve_diagnostics(n: int, h: Poly, t: float,
@@ -346,21 +341,20 @@ def sieve_diagnostics(n: int, h: Poly, t: float,
 
     h_seq = tuple(squarefree_weight_sum(m, table) for m in range(1, n + 1))
 
-    # prod_{P | f} (1 + 1/|P|) = num(f) / q^D(f), with num(f) the product
-    # of |P| + 1 and D(f) the sum of deg P over P | f: the largest num of
-    # each D, then at most n + 1 exact fractions
-    num = value_array(FunctionSpec(
-        "divisor product numerator", field, lambda d, m: q**d + 1,
-        unit_bounded=False, integer_valued=True, trivial_beyond_degree=None,
-        power_settle=1), table, n)
-    rad = value_array(AdditiveSpec("radical degree", field, lambda d, m: d,
-                                   trivial_beyond_degree=None, power_settle=1),
-                      table, n)
-    top = np.zeros(n + 1, dtype=np.int64)
-    np.maximum.at(top, rad.astype(np.int64), num)
-    best = max(Fraction(v, q**D) for D, v in enumerate(top.tolist()) if v)
+    # the divisor-product maximum as a bounded knapsack: best[b] is q^n
+    # times the largest prod (1 + q^-d) over at most N_d distinct primes
+    # of each degree d, of total degree <= b; a pass adds one more prime.
+    # A best set holds a degree-1 prime (else trading one of degree e >= 2
+    # for an unused one raises the product and lowers the degree), so its
+    # powers fill any f of degree n: total degree <= n is the one bound
+    best = [q**n] * (n + 1)
+    for d in range(1, n + 1):
+        for _ in range(min(table.count(d), n // d)):
+            for b in range(n, d - 1, -1):
+                best[b] = max(best[b], best[b - d] // q**d * (q**d + 1))
 
-    return SieveDiagnostics(n, theta, theta_ratio, bv, h_seq, best)
+    return SieveDiagnostics(n, theta, theta_ratio, bv, h_seq,
+                            Fraction(best[n], q**n))
 
 
 def _bt_breakable(q: int, n: int, d: int, top_phi: int) -> bool:

@@ -123,6 +123,16 @@ class TestNecklace:
         with pytest.raises(SieveError, match="^wrong prime count at degree 3$"):
             IrreducibleTable(built.field, 4, by_degree)
 
+    def test_report_reads_the_listings(self):
+        # a listing cut after construction (which no public path allows)
+        # fails the identity: the report counts the listed primes, where
+        # it once summed the Moebius counts and could never fail
+        table = build_table(FieldSpec(2), 4)
+        table._by_degree[3] = table._by_degree[3][1:]
+        rep = table.necklace_check(3)
+        assert (rep.weighted_sum, rep.expected, rep.ok) == (2 + 3 * 1, 8, False)
+        assert table.necklace_check(4).ok
+
 
 class TestFactorize:
     def test_example_square_product(self, field2, table2):

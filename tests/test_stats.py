@@ -11,7 +11,6 @@ from fqlab import (
     AdditiveSpec,
     EmpiricalDistribution,
     FieldSpec,
-    MemoryBudgetError,
     Poly,
     ShiftPair,
     SieveError,
@@ -432,14 +431,16 @@ class TestScansAgainstBruteForce:
         want = brute_tk(rule, h, 5, domain, table3)
         assert abs(rep.lhs - want) <= 1e-9 * want
 
-    def test_squarefree_weights_and_divisor_product_p3(self, field3, table3):
-        n = 5
-        q = field3.p
+    @pytest.mark.parametrize("q, n", [(2, 10), (3, 5), (5, 4), (7, 3)])
+    def test_squarefree_weights_and_divisor_product(self, q, n):
+        # at q = 7 there are more degree-1 primes than n
+        field = FieldSpec(q)
+        table = build_table(field, n)
         h_seq, best = [], Fraction(1)
         for m in range(1, n + 1):
             total = 0
-            for f in brute_source(field3, m, "monic", table3):
-                fact = factorize(f, table3)
+            for f in brute_source(field, m, "monic", table):
+                fact = factorize(f, table)
                 if all(e == 1 for _, e in fact.factors):
                     total += 3 ** len(fact.factors)
                 if m == n:
@@ -448,10 +449,10 @@ class TestScansAgainstBruteForce:
                         prod *= Fraction(q ** P.degree + 1, q ** P.degree)
                     best = max(best, prod)
             h_seq.append(Fraction(total, q ** m))
-        diag = sieve_diagnostics(n, parse_poly("x", field3), 1.0, table3)
+        diag = sieve_diagnostics(n, parse_poly("x", field), 1.0, table)
         assert list(diag.h_sequence) == h_seq
         assert diag.divprod_max == best
-        assert squarefree_weight_sum(n, table3) == h_seq[-1]
+        assert squarefree_weight_sum(n, table) == h_seq[-1]
 
 
 def euler_product_weights(n, table):
@@ -467,7 +468,7 @@ def euler_product_weights(n, table):
 
 
 class TestSquarefreeWeightSum:
-    """H(m) from the valuation sieve against the count of mu^2(f)
+    """H(m), read off the prime counts, against the count of mu^2(f)
     3^omega(f) over every monic f of degree m and against the Euler
     product prod_d (1 + 3u^d)^{N_d}."""
 
@@ -487,18 +488,19 @@ class TestSquarefreeWeightSum:
             assert total == weights[m]
             assert squarefree_weight_sum(m, table) == Fraction(total, p ** m)
 
-    @pytest.mark.parametrize("n, error, message", [
-        (-1, SieveError, "degree must be >= 0, got -1"),
-        (28, MemoryBudgetError, "enumerating the 2^28 monic polynomials of "
-                                "degree 28 exceeds the budget 134217728"),
-        (18, TableTooSmallError, "degree 9 not tabulated (max 8)"),
-    ])
-    def test_refusals_in_order(self, n, error, message, field2):
-        # a negative n, then q^n past the cell budget, then a table
-        # below n // 2, each before any cell is built
-        with pytest.raises(error) as caught:
-            squarefree_weight_sum(n, build_table(field2, 8))
-        assert type(caught.value) is error and str(caught.value) == message
+    def test_negative_degree_refused(self, field2):
+        with pytest.raises(SieveError) as caught:
+            squarefree_weight_sum(-1, build_table(field2, 8))
+        assert type(caught.value) is SieveError
+        assert str(caught.value) == "degree must be >= 0, got -1"
+
+    @pytest.mark.parametrize("n", [18, 28])
+    def test_past_the_table_and_the_cell_budget(self, n, field2):
+        # no polynomial is enumerated, so neither a degree-8 table nor
+        # 2^28 cells past the budget stops it (both were once refused)
+        table = build_table(field2, 8)
+        assert squarefree_weight_sum(n, table) == \
+            Fraction(euler_product_weights(n, table)[n], 2**n)
 
 
 def bits(x: float) -> bytes:

@@ -16,20 +16,25 @@ An additive function is the same spec with additive = True: sums
 instead of products and 0 as the neutral value.
 
 The evaluation engine behind the correlate and stats scans is
-value_array: psi(f) for every monic f of degree n at once, from the
-valuation sieve over the primes up to psi's own trivial_beyond_degree,
-in the dtype that reproduces Python's own arithmetic (int64, float64,
-complex128, or object where those would round or overflow), for every
-spec alike.  scan, the one front door of every scan, reads one such
-array per function at f + h for each shift h (sieve.shifted) over a
-domain, on a table as large as scan_degrees says; product_sum sums
-products of such columns exactly (integers) or correctly rounded
-(floats).
+value_arrays: psi(f) for every monic f of each degree of a range at
+once, from the valuation sieve over the primes up to psi's own
+trivial_beyond_degree, in the dtype that reproduces Python's own
+arithmetic (int64, float64, complex128, or object where those would
+round or overflow), for every spec alike.  The degrees of a range that
+share a dtype and a listing share one window, fewer than p/(p - 1)
+times the cells of the largest degree, into which each block of primes
+is listed once; value_array is a range of one degree.  scan_range reads
+one such array per function and degree at f + h for each shift h
+(sieve.shifted) over a domain, on a table as large as scan_degrees says
+for the largest degree, and scan is its one-degree form, the front door
+of every single-degree scan; product_sum sums products of such columns
+exactly (integers) or correctly rounded (floats).
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import KW_ONLY, dataclass
 from pathlib import Path
@@ -325,13 +330,14 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def value_array(psi: FunctionSpec, table: IrreducibleTable,
-                n: int) -> np.ndarray:
-    """psi(f) for every monic f of degree n, in enumeration order: the
-    product (the sum, if psi is additive) of psi(P^v_P(f)) over the
-    primes P of degree <= cap = min(trivial_beyond_degree, n).  A
-    rule_dm (degree-symmetric) spec gives one row rule_dm(d, m) per
-    degree d, a rule_poly spec one row rule_poly(P, m) per prime P.
+def value_arrays(psi: FunctionSpec, table: IrreducibleTable,
+                 degrees) -> list[np.ndarray]:
+    """psi(f) for every monic f of each degree n of degrees (ascending),
+    one array per degree in enumeration order: the product (the sum, if
+    psi is additive) of psi(P^v_P(f)) over the primes P of degree <= cap
+    = min(trivial_beyond_degree, n).  A rule_dm (degree-symmetric) spec
+    gives one row rule_dm(d, m) per degree d, a rule_poly spec one row
+    rule_poly(P, m) per prime P.
 
     The valuation sieve lists the primes of degree <= top (cap, or at
     most n/2 for a degree-symmetric rule) in (degree, index) order, a
@@ -351,48 +357,98 @@ def value_array(psi: FunctionSpec, table: IrreducibleTable,
     value is not 1, counts valuations only up to power_settle, and keeps
     no remaining degree.  Everything else (complex arrays, sums, a prime
     above top that changes the value) gets exact valuations from P on.
-    A spec over another field than the table's is refused.
+
+    Consecutive degrees of degrees with the same dtype and the same of
+    those two listings share one window (sieve.prime_valuations): their
+    arrays one after another, fewer than p/(p - 1) times the cells of the
+    largest, into which each block of primes is listed and combined once
+    for all of them, each prime only into the degrees whose top reaches
+    it.  Every array is the one its degree alone gives, bit for bit and
+    in dtype; a single degree lists exactly its own cells.  The budget is
+    checked on the largest degree; degrees that do not ascend, a negative
+    one and a spec over another field than the table's are refused.
     """
     if psi.field != table.field:
         raise SpecError(f"{psi.name} is over F_{psi.field.p}, the table over F_{table.field.p}")
+    if not degrees:
+        return []
+    if any(a >= b for a, b in zip(degrees, degrees[1:])):
+        raise SieveError(f"degrees must ascend, got {list(degrees)}")
+    n = degrees[-1]
+    check_enumeration(table.field.p, degrees[0])  # a negative degree
     check_enumeration(table.field.p, n)
-    additive, neutral = psi.additive, psi.neutral
-    cap = _reach(psi, n)
+    neutral = psi.neutral
     if psi.degree_symmetric:
-        top, keys, value = min(cap, n // 2), lambda d: [d], psi.value_dm
+        tops, keys, value = [min(_reach(psi, k), k // 2) for k in degrees], \
+            lambda d: [d], psi.value_dm
     else:
-        top, keys, value = cap, table.primes, psi.value_at
+        tops, keys, value = [_reach(psi, k) for k in degrees], table.primes, \
+            psi.value_at
     rows = {d: [[value(key, m) for m in range(n // d + 1)] for key in keys(d)]
-            for d in range(1, top + 1)}
-    large = [neutral] * (top + 1) + [psi.value_dm(d, 1)
-                                     for d in range(top + 1, cap + 1)]
-    rated = [(v, d * m) for d, block in rows.items() for row in block
-             for m, v in enumerate(row)]
-    rated += [(v, d) for d, v in enumerate(large)]
-    dtype = _dtype(rated, n, additive)
-    small = {d: np.array(block, dtype=dtype) for d, block in rows.items()}
-    combine = np.add if additive else _mul
+            for d in range(1, tops[-1] + 1)}
+    plans = []
+    for k, top in zip(degrees, tops):
+        cap = _reach(psi, k)
+        large = [neutral] * (top + 1) + [psi.value_dm(d, 1)
+                                         for d in range(top + 1, cap + 1)]
+        rated = [(v, d * m) for d in range(1, top + 1) for row in rows[d]
+                 for m, v in zip(range(k // d + 1), row)]
+        rated += [(v, d) for d, v in enumerate(large)]
+        dtype = _dtype(rated, k, psi.additive)
+        inert = not psi.additive and (dtype in (np.int64, np.float64)
+                                      or all(isinstance(v, int) for v, _ in rated))
+        sparse = inert and all(v == neutral for v in large)
+        plans.append((dtype, sparse, k, top, cap, large))
+    out = []
+    for (dtype, sparse), run in itertools.groupby(plans, key=lambda pl: pl[:2]):
+        out += _fill(psi, table, rows, dtype, sparse, [pl[2:] for pl in run])
+    return out
 
-    inert = not additive and (dtype in (np.int64, np.float64)
-                              or all(isinstance(v, int) for v, _ in rated))
-    sparse = inert and all(v == neutral for v in large)
+
+def _fill(psi: FunctionSpec, table: IrreducibleTable, rows: dict, dtype,
+          sparse: bool, run: list) -> list[np.ndarray]:
+    """value_arrays of a run of degrees (k, top, cap, large) that share
+    dtype and listing, from one window."""
+    p, neutral, additive = table.field.p, psi.neutral, psi.additive
+    degrees = [k for k, *_ in run]
+    n, top = run[-1][:2]
+    # the rows as far as degree n reads them: a value past that need not
+    # fit this run's dtype
+    small = {}
+    for d in range(1, top + 1):
+        block = rows[d]
+        if len(block[0]) > n // d + 1:
+            block = [row[:n // d + 1] for row in block]
+        small[d] = np.array(block, dtype=dtype)
+    start = {}  # the first degree of the run whose top reaches d
+    for k, top_k, *_ in run:
+        for d in range(1, top_k + 1):
+            start.setdefault(d, k)
     if sparse:  # from the first power whose value is not 1, to power_settle
         settle = n if psi.power_settle is None else psi.power_settle
         powers = {}
-        for d, block in rows.items():
+        for d in small:
             first = next((m for m in range(1, n // d + 1)
-                          if any(row[m] != neutral for row in block)), 0)
+                          if any(row[m] != neutral for row in rows[d])), 0)
             if first:
-                powers[d] = (first, min(max(first, settle), n // d))
+                powers[d] = (first, min(max(first, settle), n // d), start[d])
     else:
-        powers = {d: (1, n // d) for d in rows}
+        powers = {d: (1, n // d, start[d]) for d in small}
 
-    out = np.full(table.field.p ** n, neutral, dtype=dtype)
-    rest = np.full(len(out), n, dtype=np.int16) if cap > top and not sparse else None
+    sizes = [p**k for k in degrees]
+    bounds = list(itertools.accumulate(sizes, initial=0))  # each degree's start
+    out = np.full(bounds[-1], neutral, dtype=dtype)
+    rested = [] if sparse else [(i, cap, large) for i, (_, top_k, cap, large)
+                                in enumerate(run) if cap > top_k]
+    rest = None
+    if rested:
+        rest = np.empty(len(out), dtype=np.int16)
+        for k, a, b in zip(degrees, bounds, bounds[1:]):
+            rest[a:b] = k
     by_row = not additive and dtype == np.complex128
     combine_at = (np.add if additive else np.multiply).at
-    read = dict.fromkeys(rows, 0)  # primes of each degree gathered so far
-    for d, idx, v in prime_valuations(table, n, powers):
+    read = dict.fromkeys(small, 0)  # primes of each degree gathered so far
+    for d, idx, v in prime_valuations(table, degrees, powers):
         # the rows of the block's primes: row 0 is every prime's under a
         # degree-symmetric rule, and the only prime's of a degree with one
         which = np.arange(read[d], read[d] + len(idx))[:, None] \
@@ -407,36 +463,61 @@ def value_array(psi: FunctionSpec, table: IrreducibleTable,
         if rest is not None:
             # in rest's own dtype: ufunc.at takes a slow path when it casts
             np.subtract.at(rest, idx.ravel(), (d * v).astype(rest.dtype).ravel())
-    if rest is not None:
-        # a remaining degree above n/2 is the degree of one prime factor
-        idx = np.nonzero((rest > 0) & (rest <= cap))[0]
-        out[idx] = combine(out[idx], np.array(large, dtype=dtype)[rest[idx]])
-    return out
+    arrays = [out[a:b] for a, b in zip(bounds, bounds[1:])]
+    combine = np.add if additive else _mul
+    for i, cap, large in rested:
+        # a remaining degree above k/2 is the degree of one prime factor
+        left = rest[bounds[i]:bounds[i + 1]]
+        idx = np.nonzero((left > 0) & (left <= cap))[0]
+        arrays[i][idx] = combine(arrays[i][idx],
+                                 np.array(large, dtype=dtype)[left[idx]])
+    return arrays
+
+
+def value_array(psi: FunctionSpec, table: IrreducibleTable,
+                n: int) -> np.ndarray:
+    """psi(f) for every monic f of degree n, in enumeration order:
+    value_arrays of the one degree, whose window is that degree alone and
+    whose listing is exactly its own cells."""
+    return value_arrays(psi, table, [n])[0]
 
 
 def scan(functions, shifts, n: int, domain: str,
          table: IrreducibleTable) -> list[np.ndarray]:
     """The column psi_i(f + h_i) over the domain ("monic" or "prime"
     polynomials of degree n, in ascending index order) for each pair of
-    functions[i] and shifts[i]: the value array of psi_i, one per
-    function object, shifted by h_i (sieve.shifted), on the prime domain
-    read only at the primes.  Refuses unpaired inputs, an unknown
-    domain, a scan past the cell budget and then a table smaller than
-    scan_degrees says, before anything is sieved."""
+    functions[i] and shifts[i]: scan_range of the one degree n."""
+    return scan_range(functions, shifts, [n], domain, table)[0]
+
+
+def scan_range(functions, shifts, degrees, domain: str,
+               table: IrreducibleTable) -> list[list[np.ndarray]]:
+    """scan at every degree n of degrees (ascending), one list of
+    columns per degree: the value arrays of psi_i, one value_arrays call
+    per function object for all the degrees, shifted by h_i
+    (sieve.shifted), on the prime domain read only at the primes.
+    Refuses unpaired inputs, an unknown domain, a scan past the cell
+    budget and then a table smaller than scan_degrees says, each at the
+    largest degree, before anything is sieved."""
     if len(functions) != len(shifts):
         raise SpecError(f"{len(functions)} functions for {len(shifts)} shifts")
     if domain not in ("monic", "prime"):
         raise SieveError(f"domain must be monic or prime, got {domain!r}")
+    n = degrees[-1]
     check_enumeration(table.field.p, n)
     need = scan_degrees(functions, n, domain)
     if table.max_deg < need:
         raise TableTooSmallError(
             f"need primes to degree {need}, table has {table.max_deg}")
     distinct = {id(psi): psi for psi in functions}
-    values = {key: value_array(psi, table, n) for key, psi in distinct.items()}
-    at = table.prime_indices(n) if domain == "prime" else None
-    return [shifted(values[id(psi)], table.field, n, h, at)
-            for psi, h in zip(functions, shifts)]
+    values = {key: value_arrays(psi, table, degrees)
+              for key, psi in distinct.items()}
+    out = []
+    for i, k in enumerate(degrees):
+        at = table.prime_indices(k) if domain == "prime" else None
+        out.append([shifted(values[id(psi)][i], table.field, k, h, at)
+                    for psi, h in zip(functions, shifts)])
+    return out
 
 
 def product_sum(columns: list[np.ndarray], integer: bool):
@@ -486,17 +567,18 @@ def phi(f: Poly | Factorization, table: IrreducibleTable | None = None) -> int:
     return out
 
 
-def phi_values(table: IrreducibleTable, d: int) -> np.ndarray:
-    """phi(M) for every monic M of degree d, in enumeration order (int64):
-    the value array of the totient rule q^{md} - q^{(m-1)d}.  Its dtype
-    may be object (a product of d rule values can pass 2^63), but phi(M)
-    <= q^d fits int64."""
+def phi_values(table: IrreducibleTable, degrees) -> list[np.ndarray]:
+    """phi(M) for every monic M of each degree d of degrees (ascending),
+    one int64 array per degree in enumeration order: the value arrays of
+    the totient rule q^{md} - q^{(m-1)d}, from one window for all the
+    degrees (value_arrays).  Their dtype may be object (a product of d
+    rule values can pass 2^63), but phi(M) <= q^d fits int64."""
     q = table.field.p
     totient = FunctionSpec("phi", table.field,
                            lambda e, m: q ** (m * e) - q ** ((m - 1) * e),
                            unit_bounded=False, integer_valued=True,
                            trivial_beyond_degree=None, power_settle=None)
-    return value_array(totient, table, d).astype(np.int64)
+    return [v.astype(np.int64) for v in value_arrays(totient, table, degrees)]
 
 
 def exp_additive(psi_tilde: FunctionSpec, t: float) -> FunctionSpec:

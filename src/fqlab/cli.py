@@ -19,7 +19,8 @@ still run, and no handler reads them.  A handler sees only the
 resolved namespace.  Each run writes a CSV artifact plus a JSON mirror
 with identical field names, both renamed into place once written, and
 prints a short human summary.  Exit codes: 0 success, 1 invalid input
-(usage errors included), 2 memory budget exceeded;
+(usage errors included), 2 memory budget exceeded or memory exhausted
+(a MemoryError: an allocation the process could not get);
 --budget bounds the table and the monic scan of every command.
 
 Artifacts are deterministic for a fixed config and cache; the seconds
@@ -49,6 +50,7 @@ from .arith import (
     parse_additive_spec,
     parse_function_spec,
     scan_degrees,
+    scan_range,
 )
 from .correlate import CorrelationSpec, correlate, main_term_pair
 from .fieldpoly import (MAX_PARSE_DEGREE, FieldSpec, PolyError, format_poly,
@@ -538,8 +540,9 @@ def _cmd_tk(a) -> int:
     ns = [a.n] if a.n_range is None else a.n_range
     table = _scan_table(a, ns[-1], (psi,), a.domain)
     rows = []
-    for n in ns:
-        rep = tk_ratio(psi, h, n, a.domain, table)
+    # one scan of the whole range; tk_ratio reads each degree's column
+    for n, (values,) in zip(ns, scan_range((psi,), (h,), ns, a.domain, table)):
+        rep = tk_ratio(psi, values, n, a.domain, table)
         rows.append({"q": a.p, "domain": a.domain, "n": n, "psi": a.psi,
                      "h": format_poly(h), "lhs": repr(rep.lhs),
                      "rhs": repr(rep.rhs), "ratio": repr(rep.ratio)})
@@ -657,6 +660,10 @@ def main(argv=None) -> int:
         return handler(a)
     except MemoryBudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's _ArrayMemoryError is one
+        print(f"out of memory: {str(exc) or 'an allocation failed'}",
+              file=sys.stderr)
         return 2
     except _VALIDATION_ERRORS as exc:
         if isinstance(exc, OSError) and exc.filename is None:

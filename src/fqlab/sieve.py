@@ -23,11 +23,18 @@ the multiples of P^first (the first power whose value is not neutral)
 among all monic polynomials of degree n and v_P there, counted only up
 to the power where the value settles, so a scan divides nothing; with
 every prime above n/2 neutral too, the caller keeps no remaining
-degree; first = settle = 1 lists the multiples of the primes.  Only how
-a block is listed depends on p: for odd p the same kernel lists the
-multiples of every power (those of P^k sit at positions f // p^(first
-d) among those of P^first); for p = 2 one span per block lists P^first
-g in the order of g, and v_P(P g) = 1 + v_P(g) is read one level down.
+degree; first = settle = 1 lists the multiples of the primes.  It lists
+a window of degrees n0 < ... < N at once (the monic polynomials of each
+one after another, fewer than p/(p - 1) times the cells of degree N),
+each block once for all of them, and a window of one degree is exactly
+that degree's listing.  Only how a block is listed depends on p: for
+odd p the same kernel, built to N, lists the multiples of every power
+at every degree (those of P^k sit at positions f // p^(first d) among
+those of P^first); for p = 2 one span per block lists P^first g in the
+order of g up to degree N, whose first columns XOR their change of
+start are the multiples of every smaller degree, and v_P(P g) = 1 +
+v_P(g) is read one level down, level by level over the cofactor
+degrees.
 A shift f -> f + h is a translation of that space (shifted): an array
 over it, reshaped to (p,)*n, has one axis per coefficient, and h moves
 each axis of a nonzero digit; read only at some indices, it moves the
@@ -79,6 +86,7 @@ place.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import struct
 import uuid
@@ -670,54 +678,94 @@ def _shifted_indices(p: int, h: Poly, idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def prime_valuations(table: IrreducibleTable, n: int,
-                     powers: dict[int, tuple[int, int]]):
+def prime_valuations(table: IrreducibleTable, degrees,
+                     powers: dict[int, tuple[int, int, int]]):
     """For the primes P of the degrees d in powers, in (degree, index)
-    order, yield (d, idx, v) block by block: row i of idx holds the
-    enumeration indices of the monic f of degree n that P_i^first
-    divides, for the i-th prime P_i of the block, and v (int8) is
-    min(v_P_i(f), settle) at each of them, where (first, settle) =
-    powers[d] with 1 <= first <= settle and first * d <= n.  A block
-    lists at most SIEVE_BLOCK_CELLS cells (one prime at least).
+    order, yield (d, idx, v) block by block over the window of degrees
+    (ascending): the monic polynomials of each degree one degree after
+    another, degree k from the sum of p^j over the degrees j < k there.
+    Row i of idx holds the window positions of the monic f of every
+    degree k >= start of degrees that P_i^first divides, for the i-th prime P_i of the block, degree after degree and
+    in index order within one, and v (int8) is min(v_P_i(f), settle) at
+    each of them, where (first, settle, start) = powers[d] with 1 <= first
+    <= settle and first * d <= degrees[-1].  A block lists at most
+    SIEVE_BLOCK_CELLS cells (one prime at least); a window of one degree
+    lists exactly that degree's multiples, and a longer one lists each
+    block once for all its degrees, in fewer than p/(p - 1) times the
+    cells of the largest.
 
     That is all a rule neutral below P^first and constant from P^settle
     on needs; first = 1 and settle = n // d give exact valuations.
 
-    Only how a block is listed depends on p.  For odd p the multiples of
-    P^first and of the higher powers come from the sieve kernel: each row
-    ascends, v is first plus the number of k in (first, settle] with P^k
-    | f, and a multiple f of P^k sits at position f // p^(first d) among
-    those of P^first (the kernel's j).  For p = 2 the row of P^first
-    lists P^first g in the order of the monic g of degree m = n - first
-    d, from one span (_gf2_span), and min(v_P(g), settle - first) is
-    read off the listing of P one level down, built up over settle -
-    first levels from zeros (v_P(P g) = 1 + v_P(g)); no level is built
-    when settle = first.
+    Only how a block is listed depends on p.  For odd p one sieve kernel
+    per power, built to the largest degree, gives each degree's rows:
+    each row ascends, v is first plus the number of k in (first, settle]
+    with P^k | f, and a multiple f of P^k sits at position f // p^(first
+    d) among those of P^first (the kernel's j).  For p = 2 one span
+    (_gf2_span) lists P^first g in the order of the monic g of the
+    largest cofactor degree, and the first columns of it, XOR their
+    change of start, are those of every smaller one;
+    min(v_P(g), settle - first) is read off the listing of P one level
+    down (v_P(P g) = 1 + v_P(g)), level by level over the cofactor
+    degrees (_gf2_levels).
     """
     p = table.field.p
-    for d, (first, settle) in powers.items():
-        for P in _prime_blocks(table, d, n - first * d):
+    offsets = dict(zip(degrees, itertools.accumulate(
+        (p**k for k in degrees), initial=0)))
+    listing = _gf2_valuations if p == 2 else functools.partial(_valuations, p)
+    for d, (first, settle, start) in powers.items():
+        e = first * d
+        # (degree, where its columns start in a block, where it starts
+        # in the window) for every degree the block lists
+        plan, cells = [], 0
+        for k in degrees:
+            if k >= start and k >= e:
+                plan.append((k, cells, offsets[k]))
+                cells += p ** (k - e)
+        for P in _prime_blocks(table, d, cells):
             base = P
             for _ in range(first - 1):
                 base = _poly_mul(p, base, P)
-            if p == 2:
-                yield d, *_gf2_valuations(P, base, n, first, settle)
-                continue
-            idx = _Multiples(p, base, n).rows(n)
-            v = np.full(idx.shape, first, dtype=np.int8)
-            at = np.arange(len(P))[:, None]
-            power = base
-            for _ in range(first, settle):
-                power = _poly_mul(p, power, P)
-                v[at, _Multiples(p, power, n).rows(n) // p ** (first * d)] += 1
-            yield d, idx, v
+            yield d, *listing(P, base, plan, cells, settle)
 
 
-def _gf2_span(first: np.ndarray | int, gens: np.ndarray) -> np.ndarray:
+def _valuations(p: int, P: np.ndarray, base: np.ndarray, plan, cells: int,
+                settle: int):
+    """prime_valuations' block for odd p, from the primes and their first
+    powers as coefficient rows (leading 1 included), listed as plan says
+    in cells columns."""
+    d, e = P.shape[1] - 1, base.shape[1] - 1
+    n = plan[-1][0]
+    rows = _Multiples(p, base, n).rows
+    if len(plan) == 1 and not plan[0][2]:
+        idx = rows(n)
+    else:
+        idx = np.empty((len(P), cells), dtype=np.int64)
+        for k, col, off in plan:
+            np.add(rows(k), off, out=idx[:, col:col + p ** (k - e)])
+    v = np.full(idx.shape, e // d, dtype=np.int8)
+    which = np.arange(len(P))[:, None]
+    power = base
+    for j in range(e // d + 1, settle + 1):
+        power = _poly_mul(p, power, P)
+        rows = _Multiples(p, power, n).rows
+        for k, col, _ in plan:
+            if k >= j * d:
+                at = rows(k) // p**e
+                if col:
+                    at += col
+                v[which, at] += 1
+    return idx, v
+
+
+def _gf2_span(first: np.ndarray | int, gens: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
     """out[i, j] = first[i] XOR the gens[i, k] for the bits k set in j,
     for every j below 2 to the number of columns of gens: the one listing
-    of multiples at p = 2, doubled up in place over the bits of j."""
-    out = np.empty((len(gens), 1 << gens.shape[1]), dtype=np.int64)
+    of multiples at p = 2, doubled up in place over the bits of j (into
+    out, when given, a view of that shape)."""
+    if out is None:
+        out = np.empty((len(gens), 1 << gens.shape[1]), dtype=np.int64)
     out[:, 0] = first
     for k in range(gens.shape[1]):
         np.bitwise_xor(out[:, :1 << k], gens[:, k:k + 1],
@@ -757,41 +805,84 @@ def _gf2_listing(max_deg: int) -> list[np.ndarray]:
     return by_degree
 
 
-def _gf2_valuations(P: np.ndarray, base: np.ndarray, n: int, first: int,
-                    settle: int) -> tuple[np.ndarray, np.ndarray]:
+def _gf2_valuations(P: np.ndarray, base: np.ndarray, plan, cells: int,
+                    settle: int):
     """prime_valuations' block for p = 2, from the primes and their
-    first powers as coefficient rows (leading 1 included).  The multiple
-    of degree t of a bitmask b of degree e whose cofactor has low part g
-    is b (x^(t - e) + g), at index (b << (t - e)) ^ 2^t ^ b g: the span
-    of the b x^k, k < t - e, from (b << (t - e)) ^ 2^t.  A level of P
-    reads the head of one span of the P x^k (idx itself when first = 1)
-    with one XOR, not a span of its own."""
-    d = P.shape[1] - 1
+    first powers as coefficient rows (leading 1 included), listed as plan
+    says in cells columns.  The multiple of degree t of a bitmask b of
+    degree e whose cofactor has low part g is b (x^(t - e) + g), at index
+    (b << (t - e)) ^ 2^t ^ b g: the span of the b x^k, k < t - e, from
+    (b << (t - e)) ^ 2^t at the largest t, whose first 2^(k - e) columns
+    XOR the change of start are those of degree k (as
+    _Gf2Multiples.rows)."""
+    d, e = P.shape[1] - 1, base.shape[1] - 1
     prime, power = (rows @ (1 << np.arange(rows.shape[1])) for rows in (P, base))
-    top = n - first * d
-    idx = _gf2_span((power << top) ^ (1 << n), power[:, None] << np.arange(top))
-    t = max(top - (settle - first) * d, top % d)
-    v = np.zeros((len(P), 1 << t), dtype=np.int8)
-    span, start = idx, (prime << top) ^ (1 << n)  # the levels list multiples of P
-    if t < top and first > 1:
+    n, col, off = plan[-1]
+    top = n - e
+    idx = np.empty((len(P), cells), dtype=np.int64)
+    start = (power << top) ^ (1 << n)
+    span = _gf2_span(start, power[:, None] << np.arange(top), idx[:, col:])
+    v = _gf2_levels(prime, d, span, start, e // d, settle,
+                    {k - e: c for k, c, _ in plan}, idx.shape)
+    for k, c, o in plan[:-1]:  # before span moves by its own offset
+        head = idx[:, c:c + (1 << (k - e))]
+        np.bitwise_xor(span[:, :1 << (k - e)],
+                       (start ^ (power << (k - e)) ^ (1 << k))[:, None], out=head)
+        if o:
+            head += o
+    if off:
+        span += off
+    return idx, v
+
+
+def _gf2_levels(prime: np.ndarray, d: int, span: np.ndarray,
+                start: np.ndarray, first: int, settle: int,
+                at: dict[int, int], shape) -> np.ndarray:
+    """first + min(v_P(x^c + g), settle - first) for g < 2^c at every
+    cofactor degree c of at (ascending; at[c] is where its columns
+    start), for the primes P of degree d given as bitmasks, whose
+    multiples of P^first span (from start) lists.  v_P(P g) = 1 +
+    v_P(g): a level c scatters level c - d at the multiples of P, read
+    off the head of one span of the P x^k (span itself when first = 1)
+    with one XOR, not a span of its own.  The chain of levels of a class
+    mod d starts from zeros at cofactor degree max(c - (settle - first)
+    d, c mod d) below the lowest level c it needs (below d no cofactor
+    has a factor P, and no count needs more than settle - first steps),
+    and caps the levels past that many steps."""
+    cap = settle - first
+    v = np.zeros(shape, dtype=np.int8)
+    chains = {}  # class mod d -> [start, highest level it needs]
+    for c in at if cap else ():
+        chains.setdefault(c % d, [max(c - cap * d, c % d), c])[1] = c
+    top = max(at)
+    if first > 1 and any(t < c for t, c in chains.values()):
         span, start = _gf2_span(0, prime[:, None] << np.arange(top - d)), 0
-    at = np.arange(len(P))[:, None]
-    while t < top:
-        t += d
-        up = np.zeros((len(P), 1 << t), dtype=np.int8)
-        low = span[:, :1 << (t - d)]
-        up[at, low ^ (start ^ (prime << (t - d)) ^ (1 << t))[:, None]] = 1 + v
-        v = up
-    return idx, first + v
+    which = np.arange(len(prime))[:, None]
+    for t, hi in chains.values():
+        prev = None
+        for c in range(t + d, hi + 1, d):
+            up = v[:, at[c]:at[c] + (1 << c)] if c in at else \
+                np.zeros((len(prime), 1 << c), dtype=np.int8)
+            cells = span[:, :1 << (c - d)] ^ \
+                (start ^ (prime << (c - d)) ^ (1 << c))[:, None]
+            if prev is None:  # one step up from zeros
+                up[which, cells] = 1
+            elif c - t > cap * d:
+                up[which, cells] = np.minimum(prev + 1, cap)
+            else:
+                up[which, cells] = prev + 1
+            prev = up
+    v += first
+    return v
 
 
-def _prime_blocks(table: IrreducibleTable, d: int, m: int):
+def _prime_blocks(table: IrreducibleTable, d: int, cells: int):
     """The degree-d primes as coefficient rows (leading 1 included), in
-    blocks whose listings of p^m multiples each fill at most
+    blocks whose listings of cells multiples each fill at most
     SIEVE_BLOCK_CELLS cells (one prime at least)."""
     p = table.field.p
     primes = table.prime_indices(d)
-    chunk = max(1, SIEVE_BLOCK_CELLS // p**m)
+    chunk = max(1, SIEVE_BLOCK_CELLS // cells)
     for lo in range(0, len(primes), chunk):
         yield _monic_digits(p, primes[lo:lo + chunk], d)
 

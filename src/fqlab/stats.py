@@ -7,15 +7,18 @@ Everything here is exact where the object is exact (counts, the sieve
 statistics as Fractions) and enumeration-based where it is a sample (the
 value multisets).  Every scan is a numpy pass over the columns that
 correlate reads too (arith.scan over the valuation sieve): the
-value multiset is one np.unique.  H(m) and the divisor-product maximum
+value multiset is one np.unique, and tk_ratio reads the column its
+caller scanned (the tk command scans its whole range of degrees at
+once, arith.scan_range).  H(m) and the divisor-product maximum
 read the prime counts N_d alone: a coefficient of prod_d (1 + 3u^d)^{N_d}
 and a knapsack over degrees.  The progression statistics use no
 per-prime division.  The Bombieri-Vinogradov sum and Brun-Titchmarsh
 count primes per residue class with sieve.residue_counts(table, degrees,
 d), read off one listing of the multiples of every modulus of degree d,
-which for Brun-Titchmarsh serves every n.  Theta marks the shifted
-primes P + h once in a mask over the monic polynomials of degree n and
-counts the marks at the multiples of each prime modulus
+which for Brun-Titchmarsh serves every n; the totients of all their
+modulus degrees come from one arith.phi_values window.  Theta marks the
+shifted primes P + h once in a mask over the monic polynomials of
+degree n and counts the marks at the multiples of each prime modulus
 (sieve.prime_valuations at the first power).
 """
 
@@ -190,11 +193,13 @@ class TKReport:
         return self.lhs / self.rhs
 
 
-def tk_ratio(psi: FunctionSpec, h: Poly, n: int, domain: str,
+def tk_ratio(psi: FunctionSpec, values: np.ndarray, n: int, domain: str,
              table: IrreducibleTable) -> TKReport:
     """Shifted Turan-Kubilius statistic for an additive spec psi with a
-    degree rule psi(P^m) = rule_dm(deg P, m); a multiplicative spec and a
-    rule_poly one are refused.
+    degree rule psi(P^m) = rule_dm(deg P, m), given its column values =
+    psi(f + h) over the domain at degree n (arith.scan, or one degree of
+    arith.scan_range, which lists a range of degrees once); a
+    multiplicative spec and a rule_poly one are refused.
 
     monic domain (variance form):
       lhs = sum_f |sum_{P^m || f+h} psi - E_n|^2,
@@ -213,7 +218,6 @@ def tk_ratio(psi: FunctionSpec, h: Poly, n: int, domain: str,
                          f"not {psi.name}")
     rule = psi.rule_dm
     q = table.field.p
-    (values,) = scan([psi], [h], n, domain, table)
     center = 0j
     if domain == "monic":
         rhs = 0.0
@@ -311,8 +315,8 @@ def sieve_diagnostics(n: int, h: Poly, t: float,
     hit[shifted(np.arange(q**n), field, n, h, table.prime_indices(n))] = True
     theta = 0
     if not h.is_zero:  # -h = 0 is invertible mod nothing: empty sum
-        large = dict.fromkeys(range(n // 2 + 1, n + 1), (1, 1))
-        for dq, idx, _ in prime_valuations(table, n, large):
+        large = dict.fromkeys(range(n // 2 + 1, n + 1), (1, 1, n))
+        for dq, idx, _ in prime_valuations(table, [n], large):
             cnt = np.count_nonzero(hit[idx], axis=1)
             theta += (q**dq - 1) * sum(c * c for c in cnt.tolist())  # phi(Q)
     npq = table.count(n)
@@ -322,9 +326,8 @@ def sieve_diagnostics(n: int, h: Poly, t: float,
     # the largest nonempty class, or at an empty invertible class (count 0)
     bound = n / 2 - t * math.log(n, q)
     bv = Fraction(0)
-    d = 1
-    while d < bound:
-        totients = phi_values(table, d)
+    degrees = range(1, math.ceil(bound) if bound > 1 else 1)  # every d < bound
+    for d, totients in zip(degrees, phi_values(table, degrees)):
         for _, moduli, counts in residue_counts(table, [n], d):
             filled = counts > 0
             high = counts.max(axis=1)
@@ -337,7 +340,6 @@ def sieve_diagnostics(n: int, h: Poly, t: float,
                 if phim > nonempty:
                     worst = max(worst, target)  # some invertible class is empty
                 bv += worst
-        d += 1
 
     h_seq = tuple(squarefree_weight_sum(m, table) for m in range(1, n + 1))
 
@@ -385,9 +387,10 @@ def brun_titchmarsh_violations(n_max: int, table: IrreducibleTable) -> list:
         raise TableTooSmallError(
             f"Brun-Titchmarsh to n_max = {n_max} needs primes to degree "
             f"{n_max}, table has {table.max_deg}")
-    bad = []
-    for d in range(1, n_max):
-        totients = phi_values(table, d)
+    if n_max < 2:  # no modulus degree below n_max
+        return []
+    bad, degrees = [], range(1, n_max)
+    for d, totients in zip(degrees, phi_values(table, degrees)):
         top = int(totients.max())
         degrees = [n for n in range(d + 1, n_max + 1)
                    if _bt_breakable(q, n, d, top)]

@@ -28,7 +28,7 @@ from fqlab import (
     parse_poly,
     tk_ratio,
 )
-from fqlab.arith import product_sum, scan
+from fqlab.arith import product_sum, scan, scan_range
 from fqlab.fieldpoly import monic_from_index, poly_from_encoding
 from oracles import crt_count_enumerated, liouville_local_closed, local_factor
 
@@ -187,8 +187,10 @@ def test_criterion_08_turan_kubilius_bounded(field2, table2_14):
     for name, rule in rules.items():
         psi = AdditiveSpec(name, field2, rule, trivial_beyond_degree=None,
                            power_settle=None)
-        ratios = [tk_ratio(psi, zero, n, "monic", table2_14).ratio
-                  for n in range(6, 15)]
+        degrees = range(6, 15)
+        ratios = [tk_ratio(psi, values, n, "monic", table2_14).ratio
+                  for n, (values,) in zip(degrees, scan_range(
+                      [psi], [zero], degrees, "monic", table2_14))]
         assert abs(ratios[2] - oracle_n8[name]) < 1e-9  # n=8 spot check
         assert max(ratios) <= 2.0 * ratios[0]
         growth[name] = max(ratios) / ratios[0]

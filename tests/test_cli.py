@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import resource
 import signal
 import struct
 import subprocess
@@ -445,13 +446,13 @@ class TestStatsCommands:
                                        tmp_path, monkeypatch):
         # --psi1 and --psi2 naming one function share one value array
         built = []
-        value_array = arith.value_array
+        value_arrays = arith.value_arrays
 
         def spy(psi, *rest):
             built.append(psi.name)
-            return value_array(psi, *rest)
+            return value_arrays(psi, *rest)
 
-        monkeypatch.setattr(arith, "value_array", spy)
+        monkeypatch.setattr(arith, "value_arrays", spy)
         assert run([command, "--p", "2", "--n", "6", "--psi1", "log_phi_ratio",
                     "--psi2", psi2, "--h2", "1", "--out", "o"],
                    tmp_path, monkeypatch) == 0
@@ -973,6 +974,32 @@ class TestEnumerationBudget:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert rc == 2
+
+    def test_allocation_failure_exit_2(self, tmp_path):
+        # a scan inside the cell cap whose arrays outgrow the address
+        # space of its process (256 MB, about 100 of them taken by the
+        # interpreter with numpy and fqlab): once exit 1 and a numpy
+        # traceback from value_array; the limit binds the child alone
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        limit = 256 * 2**20
+
+        def cap():  # in the child, between fork and exec
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "fqlab.cli", "correlate", "--p", "2",
+             "--n", "24", "--f", "kfree:2", "--g", "kfree:2", "--h1", "0",
+             "--h2", "1", "--cache-dir", "cache", "--out", "o"],
+            cwd=tmp_path, env=env, preexec_fn=cap, capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("out of memory: ")
+        assert proc.stderr.count("\n") == 1
+        assert not list(tmp_path.glob("o.*"))
 
     @pytest.mark.parametrize("argv", [
         ["chowla", "--n-range", "8:12"],

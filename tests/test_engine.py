@@ -33,7 +33,8 @@ from fqlab import (
     parse_poly,
 )
 from fqlab import SpecError, arith, sieve
-from fqlab.arith import AdditiveSpec, scan, scan_degrees, value_array
+from fqlab.arith import (AdditiveSpec, scan, scan_degrees, value_array,
+                         value_arrays)
 from fqlab.fieldpoly import monic_from_index
 from fqlab.sieve import prime_valuations
 from oracles import eval_on
@@ -234,7 +235,7 @@ class TestBlocks:
             size = 1 if cells == "one" else 2 * p ** (n - top)
             monkeypatch.setattr(sieve, "SIEVE_BLOCK_CELLS", size)
             rows = [len(idx) for d, idx, _ in prime_valuations(
-                table, n, {d: (1, n // d) for d in range(1, top + 1)})
+                table, [n], {d: (1, n // d, n) for d in range(1, top + 1)})
                 if d == top]
             assert sum(rows) == table.count(top) > 2
             assert max(rows) == (1 if cells == "one" else 2)
@@ -255,7 +256,7 @@ class TestBlocks:
         field = table.field
         for d in range(1, n // max(first, 2) + 1):
             settle = n // d
-            blocks = list(prime_valuations(table, n, {d: (first, settle)}))
+            blocks = list(prime_valuations(table, [n], {d: (first, settle, n)}))
             idx = np.concatenate([b for _, b, _ in blocks])
             v = np.concatenate([b for _, _, b in blocks])
             primes = table.primes(d)
@@ -268,6 +269,130 @@ class TestBlocks:
                     while (f % P).is_zero:
                         f, m = f // P, m + 1
                     assert got == min(m, settle)
+
+
+def same_array(got, want):
+    """Equal dtype and equal bits (Python values for object arrays)."""
+    if got.dtype != want.dtype:
+        return False
+    if got.dtype == object:
+        return got.tolist() == want.tolist()
+    return got.tobytes() == want.tobytes()
+
+
+class TestDegreeRanges:
+    """value_arrays lists a range of degrees once, into one window per run
+    of degrees with the same dtype and listing: each degree's array is the
+    one that degree alone gives, bit for bit and in dtype."""
+
+    RANGES = {2: [(1, 9), (4, 9), (9, 9), (1, 1), (5, 7), (2, 5, 8)],
+              3: [(1, 6), (3, 6), (6, 6), (2, 4, 6)],
+              5: [(1, 4), (2, 4), (4, 4)]}
+
+    @staticmethod
+    def specs(field):
+        """all_specs, the totient, a rule that keeps changing past its
+        power_settle (read at power_settle, so its sparse listing caps
+        every valuation there), and two whose dtype changes within a
+        range: an integer rule that leaves int64 (object past degree 1)
+        and a float rule whose integers pass 2^53 (object past degree 7
+        at p = 2)."""
+        q = field.p
+        flags = dict(unit_bounded=False, trivial_beyond_degree=None,
+                     power_settle=None)
+        return all_specs(field) + [
+            FunctionSpec("capped", field, lambda e, m: m, integer_valued=True,
+                         **{**flags, "power_settle": 3}),
+            FunctionSpec("phi", field,
+                         lambda e, m: q ** (m * e) - q ** ((m - 1) * e),
+                         integer_valued=True, **flags),
+            FunctionSpec("wide", field, lambda e, m: 3 ** (20 * m * e),
+                         integer_valued=True, **flags),
+            FunctionSpec("mixed", field,
+                         lambda e, m: 0.5 if e == 1 else 2 ** (7 * e),
+                         integer_valued=False, **flags)]
+
+    @pytest.mark.parametrize("cells", ["default", "split"])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_range_equals_single_degrees(self, p, cells, monkeypatch):
+        table = _table(p)
+        top = TABLE_DEGREES[p]
+        for spec in self.specs(table.field):
+            single = [None] + [value_array(spec, table, n)
+                               for n in range(1, top + 1)]
+            with monkeypatch.context() as m:
+                if cells == "split":  # one prime per block of degree 1
+                    m.setattr(sieve, "SIEVE_BLOCK_CELLS", p ** (top - 1))
+                    assert len(list(prime_valuations(
+                        table, range(1, top + 1), {1: (1, top, 2)}))) == p
+                for degrees in self.RANGES[p]:
+                    if len(degrees) == 2:
+                        degrees = range(degrees[0], degrees[1] + 1)
+                    got = value_arrays(spec, table, degrees)
+                    assert len(got) == len(degrees)
+                    for n, array in zip(degrees, got):
+                        assert same_array(array, single[n]), (spec.name, n)
+        # the dtype changes within the ranges from degree 1
+        wide, mixed = self.specs(table.field)[-2:]
+        assert {a.dtype for a in value_arrays(wide, table, range(1, top + 1))} \
+            == {np.dtype(np.int64), np.dtype(object)}
+        if p == 2:
+            assert {a.dtype for a in value_arrays(mixed, table, range(1, 9))} \
+                == {np.dtype(np.float64), np.dtype(object)}
+
+    def test_bad_ranges_refused(self, monkeypatch):
+        # degrees that repeat or descend would overlap in the window, and
+        # a negative one has no polynomials: refused before any listing
+        table = _table(2)
+        mu = builtin("moebius", table.field)
+        monkeypatch.setattr(sieve, "_prime_blocks", lambda *a: pytest.fail(
+            "listed before the refusal"))
+        for degrees, match in (([3, 3], "ascend"), ([4, 2], "ascend"),
+                               ([-1, 2], ">= 0")):
+            with pytest.raises(sieve.SieveError, match=match):
+                value_arrays(mu, table, degrees)
+        assert value_arrays(mu, table, []) == []
+
+    @pytest.mark.parametrize("p, degrees", [(2, range(6, 10)), (3, range(3, 7))])
+    def test_each_prime_block_listed_once(self, p, degrees, monkeypatch):
+        # a k-degree range lists every block of primes once, where k single
+        # degrees list it once each; at p = 2 one span per block, at odd p
+        # one kernel per block and power, built to the largest degree
+        table = _table(p)
+        ones = AdditiveSpec("ones", table.field, lambda d, m: 1.0,
+                            trivial_beyond_degree=None, power_settle=None)
+        listed, kernels = [], []
+        blocks, spans, multiples = (sieve._prime_blocks, sieve._gf2_span,
+                                    sieve._Multiples)
+
+        def block_spy(table, d, cells):
+            for P in blocks(table, d, cells):
+                listed.append((d, len(P)))
+                yield P
+
+        def span_spy(*args):
+            kernels.append(len(args[1]))
+            return spans(*args)
+
+        def kernel_spy(p, moduli, t_max):
+            kernels.append(t_max)
+            return multiples(p, moduli, t_max)
+
+        monkeypatch.setattr(sieve, "_prime_blocks", block_spy)
+        monkeypatch.setattr(sieve, "_gf2_span", span_spy)
+        monkeypatch.setattr(sieve, "_Multiples", kernel_spy)
+        n = degrees[-1]
+        value_arrays(ones, table, degrees)
+        assert listed == [(d, table.count(d)) for d in range(1, n // 2 + 1)]
+        if p == 2:
+            assert len(kernels) == len(listed)
+        else:  # P, P^2, ..., P^(n // d): exact valuations
+            assert kernels == [n for d in range(1, n // 2 + 1)
+                               for _ in range(n // d)]
+        listed.clear()
+        for k in degrees:
+            value_array(ones, table, k)
+        assert len(listed) == sum(k // 2 for k in degrees)
 
 
 class TestScan:
@@ -295,9 +420,9 @@ class TestScan:
 
         def spy(psi, *rest):
             built.append(id(psi))
-            return value_array(psi, *rest)
+            return value_arrays(psi, *rest)
 
-        monkeypatch.setattr(arith, "value_array", spy)
+        monkeypatch.setattr(arith, "value_arrays", spy)
         # every spec alone in a 3-point scan: one array
         for spec in specs:
             built.clear()
@@ -346,7 +471,7 @@ class TestScan:
         # a monic scan of chi needs degree n, and a smaller table is
         # refused before anything is sieved
         built = []
-        monkeypatch.setattr(arith, "value_array", lambda *a: built.append(a))
+        monkeypatch.setattr(arith, "value_arrays", lambda *a: built.append(a))
         with pytest.raises(TableTooSmallError, match="degree 8"):
             scan((chi, lt), (zero, zero), 8, "monic", build_table(field2, 7))
         assert built == []

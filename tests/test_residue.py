@@ -327,8 +327,8 @@ class TestStatisticsAgainstLoops:
         # ten times the totient makes the bound fail often; the reported
         # (n, M, key) triples and their order are those of the loops
         totients = stats.phi_values
-        monkeypatch.setattr(stats, "phi_values",
-                            lambda table, d: 10 * totients(table, d))
+        monkeypatch.setattr(stats, "phi_values", lambda table, degrees: [
+            10 * t for t in totients(table, degrees)])
         got = brun_titchmarsh_violations(n_max, _table(p))
         assert got and got == bt_oracle(n_max, _table(p), scale=10)
 
@@ -360,7 +360,7 @@ class TestBrunTitchmarshPairs:
             for d in range(1, n):
                 top = p**d - 1
                 if d <= table.max_deg:
-                    assert phi_values(table, d).max() == top
+                    assert phi_values(table, [d])[0].max() == top
                 if stats._bt_breakable(p, n, d, top):
                     continue
                 found.add((n, d))
@@ -381,8 +381,9 @@ class TestBrunTitchmarshPairs:
         # was one per pair; the totients are read from a dict, so no
         # value array lists multiples here
         table = _table(p)
-        totients = {d: phi_values(table, d) for d in range(1, n_max)}
-        monkeypatch.setattr(stats, "phi_values", lambda t, d: totients[d])
+        totients = dict(zip(range(1, n_max), phi_values(table, range(1, n_max))))
+        monkeypatch.setattr(stats, "phi_values",
+                            lambda t, degrees: [totients[d] for d in degrees])
         _, kernels = TestResidueMap._spy(monkeypatch)
         counted, counts = [], stats.residue_counts
 
@@ -402,8 +403,9 @@ class TestBrunTitchmarshPairs:
 @pytest.mark.parametrize("p, d_max", [(2, 8), (3, 5), (5, 3)])
 def test_phi_values_equal_phi(p, d_max):
     table = _table(p)
-    for d in range(1, d_max + 1):
-        assert phi_values(table, d).tolist() == \
+    for d, totients in zip(range(1, d_max + 1),
+                           phi_values(table, range(1, d_max + 1))):
+        assert totients.tolist() == \
             [phi(monic_from_index(table.field, d, i), table) for i in range(p**d)]
 
 

@@ -462,7 +462,7 @@ class TestDomainIndices:
     def test_unknown_domain_refused(self, field2, table2, domain, monkeypatch):
         # once read as the prime domain
         built = []
-        monkeypatch.setattr(arith, "value_array", lambda *a: built.append(a))
+        monkeypatch.setattr(arith, "value_arrays", lambda *a: built.append(a))
         mu, zero = builtin("moebius", field2), parse_poly("0", field2)
         with pytest.raises(SieveError, match=f"got {domain!r}"):
             scan((mu,), (zero,), 4, domain, table2)

@@ -34,6 +34,7 @@ from fqlab import (
     tk_ratio,
 )
 from fqlab import stats
+from fqlab.arith import scan
 from fqlab.cli import _TK_RULES
 from fqlab.fieldpoly import monic_from_index
 from fqlab.sieve import shifted
@@ -48,6 +49,12 @@ def tk_spec(field, rule):
     """The additive spec of a degree rule, as the tk command builds it."""
     return AdditiveSpec("tk", field, rule, trivial_beyond_degree=None,
                         power_settle=None)
+
+
+def tk_at(psi, h, n, domain, table):
+    """tk_ratio of psi's column at the shift h, from a scan of degree n."""
+    (values,) = scan([psi], [h], n, domain, table)
+    return tk_ratio(psi, values, n, domain, table)
 
 
 class TestEmpiricalDistribution:
@@ -216,59 +223,59 @@ class TestCharFn:
 class TestTuranKubilius:
     def test_zero_rule(self, field2, table2):
         zero = tk_spec(field2, lambda d, m: 0.0)
-        rep = tk_ratio(zero, parse_poly("0", field2), 8, "monic", table2)
+        rep = tk_at(zero, parse_poly("0", field2), 8, "monic", table2)
         assert rep.lhs == 0.0 and rep.ratio == 0.0
 
     def test_frozen_oracle_constants_n8(self, field2, table2):
         # frozen from the naive-factorization oracle (trial division by all
         # monic polynomials, no sieve table involved)
         ones = tk_spec(field2, lambda d, m: 1.0)
-        rep = tk_ratio(ones, parse_poly("0", field2), 8, "monic", table2)
+        rep = tk_at(ones, parse_poly("0", field2), 8, "monic", table2)
         assert abs(rep.lhs - 138.95310425758362) < 1e-8
         assert abs(rep.rhs - 868.0) < 1e-9
         assert abs(rep.ratio - 0.160084221494912) < 1e-10
         first = tk_spec(field2, lambda d, m: 1.0 if m == 1 else 0.0)
-        rep = tk_ratio(first, parse_poly("0", field2), 8, "monic", table2)
+        rep = tk_at(first, parse_poly("0", field2), 8, "monic", table2)
         assert abs(rep.lhs - 196.80100083351135) < 1e-8
         assert abs(rep.rhs - 582.0) < 1e-9
 
     def test_ratio_non_growth_window(self, field2, table2):
         zero, ones = parse_poly("0", field2), tk_spec(field2, lambda d, m: 1.0)
-        ratios = [tk_ratio(ones, zero, n, "monic", table2).ratio
+        ratios = [tk_at(ones, zero, n, "monic", table2).ratio
                   for n in range(6, 11)]
         assert max(ratios) <= 2.0 * ratios[0]
 
     def test_prime_domain_first_moment(self, field2, table2):
         ones = tk_spec(field2, lambda d, m: 1.0)
-        rep = tk_ratio(ones, parse_poly("1", field2), 7, "prime", table2)
+        rep = tk_at(ones, parse_poly("1", field2), 7, "prime", table2)
         assert rep.rhs > 0 and rep.lhs >= 0
         assert rep.ratio < 2.0  # sanity envelope for the O(1) bound
 
     def test_shifted_rule(self, field2, table2):
         # shifting h changes nothing for the bound's validity
         ones = tk_spec(field2, lambda d, m: 1.0)
-        a = tk_ratio(ones, parse_poly("0", field2), 8, "monic", table2)
-        b = tk_ratio(ones, parse_poly("x^2+1", field2), 8, "monic", table2)
+        a = tk_at(ones, parse_poly("0", field2), 8, "monic", table2)
+        b = tk_at(ones, parse_poly("x^2+1", field2), 8, "monic", table2)
         assert abs(a.lhs - b.lhs) < 1e-9  # shift is a bijection of the domain
 
     def test_multiplicative_spec_refused(self, field2, table2):
         # once read as additive: lhs 196.80, rhs 582.0 for moebius
         mu = builtin("moebius", field2)
         with pytest.raises(StatsError, match="additive"):
-            tk_ratio(mu, parse_poly("0", field2), 8, "monic", table2)
+            tk_ratio(mu, np.zeros(2**8), 8, "monic", table2)
 
     def test_rule_poly_spec_refused(self, field2, table2):
         # once a TypeError: 'NoneType' object is not callable
         by_prime = AdditiveSpec("p", field2, None, trivial_beyond_degree=None,
                                 power_settle=None, rule_poly=lambda P, m: 1.0)
         with pytest.raises(StatsError, match="degree rule"):
-            tk_ratio(by_prime, parse_poly("0", field2), 8, "monic", table2)
+            tk_ratio(by_prime, np.zeros(2**8), 8, "monic", table2)
 
     def test_shift_degree_validated(self, field2, field3, table2, table3):
         for field, table in ((field2, table2), (field3, table3)):
             ones = tk_spec(field, lambda d, m: 1.0)
             with pytest.raises(SieveError):
-                tk_ratio(ones, parse_poly("x^6", field), 6, "monic", table)
+                tk_at(ones, parse_poly("x^6", field), 6, "monic", table)
 
 
 class TestSieveDiagnostics:
@@ -335,8 +342,8 @@ class TestOtherFieldRefused:
             with pytest.raises(SieveError):
                 shifted(values, field2, 6, h, np.arange(4))
             with pytest.raises(SieveError):  # once a report
-                tk_ratio(tk_spec(field2, lambda d, m: 1.0), h, 6, "monic",
-                         table2)
+                tk_at(tk_spec(field2, lambda d, m: 1.0), h, 6, "monic",
+                      table2)
             with pytest.raises(SieveError):  # once theta 15, and 0 at h = 0
                 sieve_diagnostics(6, h, 1.0, table2)
         with pytest.raises(SieveError, match="degree 6"):
@@ -427,7 +434,7 @@ class TestScansAgainstBruteForce:
     def test_tk_p3(self, domain, field3, table3):
         rule = lambda d, m: 1.0 if m == 1 else 0.25 * d
         h = parse_poly("x^2+1", field3)
-        rep = tk_ratio(tk_spec(field3, rule), h, 5, domain, table3)
+        rep = tk_at(tk_spec(field3, rule), h, 5, domain, table3)
         want = brute_tk(rule, h, 5, domain, table3)
         assert abs(rep.lhs - want) <= 1e-9 * want
 
@@ -519,10 +526,10 @@ def tk_lhs_bits(rule, h, n, domain, table, monkeypatch):
         return a, np.arange(a.size)
 
     psi = tk_spec(table.field, rule)
-    fast = tk_ratio(psi, h, n, domain, table).lhs
+    fast = tk_at(psi, h, n, domain, table).lhs
     with monkeypatch.context() as m:
         m.setattr(stats.np, "unique", every_cell_distinct)
-        per_cell = tk_ratio(psi, h, n, domain, table).lhs
+        per_cell = tk_at(psi, h, n, domain, table).lhs
     return bits(fast), bits(per_cell)
 
 

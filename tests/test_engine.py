@@ -33,8 +33,8 @@ from fqlab import (
     parse_poly,
 )
 from fqlab import SpecError, arith, sieve
-from fqlab.arith import (AdditiveSpec, scan, scan_degrees, value_array,
-                         value_arrays)
+from fqlab.arith import (AdditiveSpec, scan, scan_degrees, scan_range,
+                         value_array, value_arrays)
 from fqlab.fieldpoly import monic_from_index
 from fqlab.sieve import prime_valuations
 from oracles import eval_on
@@ -438,6 +438,23 @@ class TestScan:
         for i, spec in enumerate(specs * len(hs)):
             w = want[id(spec)][i // len(specs)]
             assert got[i].tolist() == w.tolist(), spec.name
+
+    @pytest.mark.parametrize("domain", ["monic", "prime"])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_range_equals_one_scan_per_degree(self, p, domain):
+        # scan_range reads each degree's columns off one window per
+        # function: shifted, and on the prime domain read at the primes,
+        # as a scan of that degree alone
+        table = _table(p)
+        field, n = table.field, TABLE_DEGREES[p]
+        hs = [parse_poly(h, field) for h in ("0", "x+1", "x")]
+        specs = [builtin("moebius", field), builtin("phi_ratio", field),
+                 builtin_additive("omega", field)]
+        degrees = range(2, n + 1)
+        got = scan_range(specs, hs, degrees, domain, table)
+        for k, columns in zip(degrees, got):
+            for g, w in zip(columns, scan(specs, hs, k, domain, table)):
+                assert same_array(g, w), k
 
     @pytest.mark.parametrize("functions, shifts", [(2, 1), (1, 2), (0, 1)])
     def test_unpaired_inputs_refused(self, field2, table2, functions, shifts):

@@ -812,9 +812,11 @@ def _gf2_valuations(P: np.ndarray, base: np.ndarray, plan, cells: int,
     says in cells columns.  The multiple of degree t of a bitmask b of
     degree e whose cofactor has low part g is b (x^(t - e) + g), at index
     (b << (t - e)) ^ 2^t ^ b g: the span of the b x^k, k < t - e, from
-    (b << (t - e)) ^ 2^t at the largest t, whose first 2^(k - e) columns
-    XOR the change of start are those of degree k (as
-    _Gf2Multiples.rows)."""
+    (b << (t - e)) ^ 2^t at the largest t.  Its columns 2^c + g, g <
+    2^c, XOR that start, are the multiples b (x^c + g) of every smaller
+    degree c + e themselves, so the degrees below the largest are runs
+    of its columns, one XOR and one shift to their window positions per
+    run of adjacent degrees."""
     d, e = P.shape[1] - 1, base.shape[1] - 1
     prime, power = (rows @ (1 << np.arange(rows.shape[1])) for rows in (P, base))
     n, col, off = plan[-1]
@@ -824,12 +826,21 @@ def _gf2_valuations(P: np.ndarray, base: np.ndarray, plan, cells: int,
     span = _gf2_span(start, power[:, None] << np.arange(top), idx[:, col:])
     v = _gf2_levels(prime, d, span, start, e // d, settle,
                     {k - e: c for k, c, _ in plan}, idx.shape)
-    for k, c, o in plan[:-1]:  # before span moves by its own offset
-        head = idx[:, c:c + (1 << (k - e))]
-        np.bitwise_xor(span[:, :1 << (k - e)],
-                       (start ^ (power << (k - e)) ^ (1 << k))[:, None], out=head)
-        if o:
-            head += o
+    # degree k's multiples go to o + (multiple - 2^k): one XOR and one
+    # shift per run of adjacent degrees, [span column, window column,
+    # width, shift]
+    runs = []
+    for k, c, o in plan[:-1]:
+        w = 1 << (k - e)
+        last = runs[-1] if runs else None
+        if last and last[0] + last[2] == w and last[1] + last[2] == c \
+                and last[3] == o - (1 << k):
+            last[2] += w
+        else:
+            runs.append([w, c, w, o - (1 << k)])
+    for j, c, w, shift in runs:  # before span moves by its own offset
+        np.bitwise_xor(span[:, j:j + w], start[:, None], out=idx[:, c:c + w])
+        idx[:, c:c + w] += shift
     if off:
         span += off
     return idx, v
@@ -842,29 +853,33 @@ def _gf2_levels(prime: np.ndarray, d: int, span: np.ndarray,
     cofactor degree c of at (ascending; at[c] is where its columns
     start), for the primes P of degree d given as bitmasks, whose
     multiples of P^first span (from start) lists.  v_P(P g) = 1 +
-    v_P(g): a level c scatters level c - d at the multiples of P, read
-    off the head of one span of the P x^k (span itself when first = 1)
-    with one XOR, not a span of its own.  The chain of levels of a class
-    mod d starts from zeros at cofactor degree max(c - (settle - first)
-    d, c mod d) below the lowest level c it needs (below d no cofactor
-    has a factor P, and no count needs more than settle - first steps),
-    and caps the levels past that many steps."""
+    v_P(g): a level c scatters level c - d at the multiples P (x^(c - d)
+    + g) of P, columns 2^(c - d) + g of one span of the P x^k (span
+    itself when first = 1) XOR its start and 2^c, not a span of their
+    own.  The chain of levels of a class mod d starts from zeros at
+    cofactor degree max(c - (settle - first) d, c mod d) below the
+    lowest level c it needs (below d no cofactor has a factor P, and no
+    count needs more than settle - first steps), and caps the levels
+    past that many steps."""
     cap = settle - first
-    v = np.zeros(shape, dtype=np.int8)
     chains = {}  # class mod d -> [start, highest level it needs]
     for c in at if cap else ():
         chains.setdefault(c % d, [max(c - cap * d, c % d), c])[1] = c
+    if not chains:  # no level to count: every valuation is first
+        return np.full(shape, first, dtype=np.int8)
+    v = np.zeros(shape, dtype=np.int8)
     top = max(at)
     if first > 1 and any(t < c for t, c in chains.values()):
-        span, start = _gf2_span(0, prime[:, None] << np.arange(top - d)), 0
+        span = _gf2_span(0, prime[:, None] << np.arange(top - d + 1))
+        start = np.zeros_like(prime)
     which = np.arange(len(prime))[:, None]
     for t, hi in chains.values():
         prev = None
         for c in range(t + d, hi + 1, d):
             up = v[:, at[c]:at[c] + (1 << c)] if c in at else \
                 np.zeros((len(prime), 1 << c), dtype=np.int8)
-            cells = span[:, :1 << (c - d)] ^ \
-                (start ^ (prime << (c - d)) ^ (1 << c))[:, None]
+            cells = span[:, 1 << (c - d):2 << (c - d)] ^ \
+                (start ^ (1 << c))[:, None]
             if prev is None:  # one step up from zeros
                 up[which, cells] = 1
             elif c - t > cap * d:

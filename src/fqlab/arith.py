@@ -23,12 +23,12 @@ arithmetic (int64, float64, complex128, or object where those would
 round or overflow), for every spec alike.  The degrees of a range that
 share a dtype and a listing share one window, fewer than p/(p - 1)
 times the cells of the largest degree, into which each block of primes
-is listed once; value_array is a range of one degree.  scan_range reads
-one such array per function and degree at f + h for each shift h
-(sieve.shifted) over a domain, on a table as large as scan_degrees says
-for the largest degree, and scan is its one-degree form, the front door
-of every single-degree scan; product_sum sums products of such columns
-exactly (integers) or correctly rounded (floats).
+is listed once; a single degree is a range of one.  scan, the front
+door of every scan, reads one such array per function and degree at
+f + h for each shift h (sieve.shifted) over a domain, on a table as
+large as scan_degrees says for the largest degree, one list of columns
+per degree; product_sum sums products of such columns exactly
+(integers) or correctly rounded (floats).
 """
 
 from __future__ import annotations
@@ -339,17 +339,17 @@ def value_arrays(psi: FunctionSpec, table: IrreducibleTable,
     gives one row rule_dm(d, m) per degree d, a rule_poly spec one row
     rule_poly(P, m) per prime P.
 
-    The valuation sieve lists the primes of degree <= top (cap, or at
-    most n/2 for a degree-symmetric rule) in (degree, index) order, a
-    block of primes at a time, and a block reads the rows of its primes;
-    what remains of the degree names the one larger prime, which comes
-    last.  That is trial division's order, so every float is the one
-    trial division would give: a block is combined by one unbuffered
-    np.multiply.at (np.add.at if additive) over its row-major ravel,
-    which applies the rows in the order of the primes, and the remaining
-    degree falls by one np.subtract.at.  Complex products are taken row
-    by row through _mul, because numpy's complex multiply may fuse
-    multiply-adds.
+    The valuation sieve lists the primes of degree <= top (scan_degrees
+    of psi alone: cap, or at most n/2 for a degree-symmetric rule) in
+    (degree, index) order, a block of primes at a time, and a block reads
+    the rows of its primes; what remains of the degree names the one
+    larger prime, which comes last.  That is trial division's order, so
+    every float is the one trial division would give: a block is combined
+    by one unbuffered np.multiply.at (np.add.at if additive) over its
+    row-major ravel, which applies the rows in the order of the primes,
+    and the remaining degree falls by one np.subtract.at.  Complex
+    products are taken row by row through _mul, because numpy's complex
+    multiply may fuse multiply-adds.
 
     Where a factor of 1 changes no bit of a product (int64 and Python-int
     arrays, float64 products) and every prime above top is 1, the sieve
@@ -378,12 +378,9 @@ def value_arrays(psi: FunctionSpec, table: IrreducibleTable,
     check_enumeration(table.field.p, degrees[0])  # a negative degree
     check_enumeration(table.field.p, n)
     neutral = psi.neutral
-    if psi.degree_symmetric:
-        tops, keys, value = [min(_reach(psi, k), k // 2) for k in degrees], \
-            lambda d: [d], psi.value_dm
-    else:
-        tops, keys, value = [_reach(psi, k) for k in degrees], table.primes, \
-            psi.value_at
+    tops = [scan_degrees((psi,), k, "monic") for k in degrees]
+    keys, value = (lambda d: [d], psi.value_dm) if psi.degree_symmetric \
+        else (table.primes, psi.value_at)
     rows = {d: [[value(key, m) for m in range(n // d + 1)] for key in keys(d)]
             for d in range(1, tops[-1] + 1)}
     plans = []
@@ -474,35 +471,24 @@ def _fill(psi: FunctionSpec, table: IrreducibleTable, rows: dict, dtype,
     return arrays
 
 
-def value_array(psi: FunctionSpec, table: IrreducibleTable,
-                n: int) -> np.ndarray:
-    """psi(f) for every monic f of degree n, in enumeration order:
-    value_arrays of the one degree, whose window is that degree alone and
-    whose listing is exactly its own cells."""
-    return value_arrays(psi, table, [n])[0]
-
-
-def scan(functions, shifts, n: int, domain: str,
-         table: IrreducibleTable) -> list[np.ndarray]:
+def scan(functions, shifts, degrees, domain: str,
+         table: IrreducibleTable) -> list[list[np.ndarray]]:
     """The column psi_i(f + h_i) over the domain ("monic" or "prime"
     polynomials of degree n, in ascending index order) for each pair of
-    functions[i] and shifts[i]: scan_range of the one degree n."""
-    return scan_range(functions, shifts, [n], domain, table)[0]
-
-
-def scan_range(functions, shifts, degrees, domain: str,
-               table: IrreducibleTable) -> list[list[np.ndarray]]:
-    """scan at every degree n of degrees (ascending), one list of
-    columns per degree: the value arrays of psi_i, one value_arrays call
-    per function object for all the degrees, shifted by h_i
-    (sieve.shifted), on the prime domain read only at the primes.
-    Refuses unpaired inputs, an unknown domain, a scan past the cell
-    budget and then a table smaller than scan_degrees says, each at the
+    functions[i] and shifts[i], one list of columns per degree n of
+    degrees (ascending; a single degree is [n]): the value arrays of
+    psi_i, one value_arrays call per function object for all the
+    degrees, shifted by h_i (sieve.shifted), on the prime domain read
+    only at the primes.  Refuses unpaired inputs and an unknown domain,
+    gives [] for no degrees, and then refuses a scan past the cell
+    budget and a table smaller than scan_degrees says, each at the
     largest degree, before anything is sieved."""
     if len(functions) != len(shifts):
         raise SpecError(f"{len(functions)} functions for {len(shifts)} shifts")
     if domain not in ("monic", "prime"):
         raise SieveError(f"domain must be monic or prime, got {domain!r}")
+    if not degrees:
+        return []
     n = degrees[-1]
     check_enumeration(table.field.p, n)
     need = scan_degrees(functions, n, domain)

@@ -49,8 +49,8 @@ from .arith import (
     builtin,
     parse_additive_spec,
     parse_function_spec,
+    scan,
     scan_degrees,
-    scan_range,
 )
 from .correlate import CorrelationSpec, correlate, main_term_pair
 from .fieldpoly import (MAX_PARSE_DEGREE, FieldSpec, PolyError, format_poly,
@@ -401,20 +401,25 @@ def _experiment_pieces(a):
 def _cmd_correlate(a) -> int:
     field, functions, shifts = _experiment_pieces(a)
     ns = [a.n] if a.n_range is None else a.n_range
-    # the needed degree grows with n
-    table = _scan_table(a, ns[-1], functions, a.domain,
-                        main_term_pair(functions, shifts))
-    rows = []
-    for n in ns:
-        spec = CorrelationSpec(field, n, a.domain, shifts, functions)
-        rep = correlate(spec, table)
-        rows.append(_report_row(rep, a.omit_timing))
+    rows = _correlate_rows(a, field, functions, shifts, a.domain, ns)
     last = rows[-1]
     _write_artifacts(a.out, rows,
                      f"S over {a.domain}s: raw={last['raw_re']} "
                      f"normalized={last['normalized_re']} "
                      f"deviation={last['deviation']}")
     return 0
+
+
+def _correlate_rows(a, field, functions, shifts, domain, ns, extra=None):
+    """One report row per degree of ns, each from its own correlate call
+    on one table sized for the largest degree (the needed degree grows
+    with n) and for the main term correlate attaches; extra columns are
+    appended to every row."""
+    table = _scan_table(a, ns[-1], functions, domain,
+                        main_term_pair(functions, shifts))
+    specs = (CorrelationSpec(field, n, domain, shifts, functions) for n in ns)
+    return [_report_row(correlate(spec, table), a.omit_timing, extra)
+            for spec in specs]
 
 
 def _scan_table(a, n, functions, domain, pair=None):
@@ -460,15 +465,10 @@ def _cmd_chowla(a) -> int:
     y, ns = a.y, a.n_range
     h = parse_poly(a.h, field)
     lam = builtin("liouville_truncated", field, y=y)
-    zero = parse_poly("0", field)
-    table = _scan_table(a, ns[-1], (lam, lam), "monic", ShiftPair(zero, h))
     cap = a.C * math.log(y) ** 4 / y**4 if y > 1 else math.inf
-    rows = []
-    for n in ns:
-        spec = CorrelationSpec(field, n, "monic", (zero, h), (lam, lam))
-        rep = correlate(spec, table)
-        rows.append(_report_row(rep, a.omit_timing,
-                                {"y": y, "bound_C_log4y_y4": repr(cap)}))
+    extra = {"y": y, "bound_C_log4y_y4": repr(cap)}
+    rows = _correlate_rows(a, field, (lam, lam), (parse_poly("0", field), h),
+                           "monic", ns, extra)
     _write_artifacts(a.out, rows,
                      f"truncated autocorrelation scan y={y}, n={ns[0]}..{ns[-1]}; "
                      f"|normalized| cap {cap:.4g}")
@@ -541,7 +541,7 @@ def _cmd_tk(a) -> int:
     table = _scan_table(a, ns[-1], (psi,), a.domain)
     rows = []
     # one scan of the whole range; tk_ratio reads each degree's column
-    for n, (values,) in zip(ns, scan_range((psi,), (h,), ns, a.domain, table)):
+    for n, (values,) in zip(ns, scan((psi,), (h,), ns, a.domain, table)):
         rep = tk_ratio(psi, values, n, a.domain, table)
         rows.append({"q": a.p, "domain": a.domain, "n": n, "psi": a.psi,
                      "h": format_poly(h), "lhs": repr(rep.lhs),

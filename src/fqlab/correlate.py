@@ -2,12 +2,13 @@
 
 correlate() evaluates sum over the domain of prod_i psi_i(f + h_i) by
 exhaustive enumeration on the evaluation engine that the stats module
-shares: arith.scan builds one value array psi(f) over every monic f of
-degree n with the valuation sieve (arith.value_array over
-sieve.prime_valuations) and reads it at f + h for each shift
-(sieve.shifted), on the prime domain only at the primes.  Integer-valued function
-sets sum exactly; everything else is summed correctly rounded
-(math.fsum), so no value depends on the order of summation.
+shares: arith.scan of the one degree [n] builds one value array psi(f)
+over every monic f of degree n with the valuation sieve
+(arith.value_arrays over sieve.prime_valuations) and reads it at f + h
+for each shift (sieve.shifted), on the prime domain only at the primes.
+Integer-valued function sets sum exactly; everything else is summed
+correctly rounded (math.fsum), so no value depends on the order of
+summation.
 
 Each value array stops at the degree past which its function is
 identically 1 (trivial_beyond_degree): the primes left out contribute an
@@ -115,7 +116,7 @@ def correlate(spec: CorrelationSpec, table: IrreducibleTable) -> CorrelationRepo
     q = spec.field.p
     n = spec.n
     t0 = time.perf_counter()
-    columns = scan(spec.functions, spec.shifts, n, spec.domain, table)
+    [columns] = scan(spec.functions, spec.shifts, [n], spec.domain, table)
     raw = product_sum(columns, all(psi.integer_valued for psi in spec.functions))
     domain_size = len(columns[0])
     normalized = complex(raw) / domain_size

@@ -7,9 +7,9 @@ Everything here is exact where the object is exact (counts, the sieve
 statistics as Fractions) and enumeration-based where it is a sample (the
 value multisets).  Every scan is a numpy pass over the columns that
 correlate reads too (arith.scan over the valuation sieve): the
-value multiset is one np.unique, and tk_ratio reads the column its
-caller scanned (the tk command scans its whole range of degrees at
-once, arith.scan_range).  H(m) and the divisor-product maximum
+value multiset is one np.unique of a one-degree scan, and tk_ratio
+reads the column its caller scanned (the tk command scans its whole
+range of degrees at once).  H(m) and the divisor-product maximum
 read the prime counts N_d alone: a coefficient of prod_d (1 + 3u^d)^{N_d}
 and a knapsack over degrees.  The progression statistics use no
 per-prime division.  The Bombieri-Vinogradov sum and Brun-Titchmarsh
@@ -93,7 +93,7 @@ def empirical_distribution(psi1: FunctionSpec, psi2: FunctionSpec,
     for h in (shifts.h1, shifts.h2):
         if not h.is_zero and h.degree >= n:
             raise StatsError("shift degree must be < n")
-    v1, v2 = scan((psi1, psi2), (shifts.h1, shifts.h2), n, domain, table)
+    [(v1, v2)] = scan((psi1, psi2), (shifts.h1, shifts.h2), [n], domain, table)
     x = 0.0 + v1 + v2  # from 0.0, as every additive value starts: float keys
     values, counts = np.unique(x, return_counts=True)
     return EmpiricalDistribution(tuple(values.tolist()),
@@ -197,8 +197,8 @@ def tk_ratio(psi: FunctionSpec, values: np.ndarray, n: int, domain: str,
              table: IrreducibleTable) -> TKReport:
     """Shifted Turan-Kubilius statistic for an additive spec psi with a
     degree rule psi(P^m) = rule_dm(deg P, m), given its column values =
-    psi(f + h) over the domain at degree n (arith.scan, or one degree of
-    arith.scan_range, which lists a range of degrees once); a
+    psi(f + h) over the domain at degree n (its degree's column of an
+    arith.scan, which lists a whole range of degrees once); a
     multiplicative spec and a rule_poly one are refused.
 
     monic domain (variance form):

@@ -42,7 +42,7 @@ def eval_on(fact: Factorization, spec: FunctionSpec):
     """Value at a monic polynomial given its factorization: the product of
     its prime-power values, or their sum if spec is additive (an empty
     factorization gives 1, or 0); the per-factorization twin of
-    arith.value_array."""
+    arith.value_arrays."""
     values = (spec.value_at(P, m) for P, m in fact.factors)
     return sum(values) if spec.additive else math.prod(values)
 

@@ -28,7 +28,7 @@ from fqlab import (
     parse_poly,
     tk_ratio,
 )
-from fqlab.arith import product_sum, scan, scan_range
+from fqlab.arith import product_sum, scan
 from fqlab.fieldpoly import monic_from_index, poly_from_encoding
 from oracles import crt_count_enumerated, liouville_local_closed, local_factor
 
@@ -189,7 +189,7 @@ def test_criterion_08_turan_kubilius_bounded(field2, table2_14):
                            power_settle=None)
         degrees = range(6, 15)
         ratios = [tk_ratio(psi, values, n, "monic", table2_14).ratio
-                  for n, (values,) in zip(degrees, scan_range(
+                  for n, (values,) in zip(degrees, scan(
                       [psi], [zero], degrees, "monic", table2_14))]
         assert abs(ratios[2] - oracle_n8[name]) < 1e-9  # n=8 spot check
         assert max(ratios) <= 2.0 * ratios[0]
@@ -230,8 +230,9 @@ def test_criterion_11_partition_determinism(field2, table2, chowla_runs):
     base = reps[20].raw_sum
     assert isinstance(base, int)
     lam2 = builtin("liouville_truncated", field2, y=2)
-    columns = scan((lam2, lam2), (parse_poly("0", field2), parse_poly("x", field2)),
-                   20, "monic", table2)
+    [columns] = scan((lam2, lam2),
+                     (parse_poly("0", field2), parse_poly("x", field2)),
+                     [20], "monic", table2)
     for parts in (1, 4, 16):
         blocks = zip(*(np.array_split(c, parts) for c in columns))
         assert sum(product_sum(list(b), True) for b in blocks) == base

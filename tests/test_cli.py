@@ -975,30 +975,88 @@ class TestEnumerationBudget:
             signal.signal(signal.SIGALRM, previous)
         assert rc == 2
 
-    def test_allocation_failure_exit_2(self, tmp_path):
-        # a scan inside the cell cap whose arrays outgrow the address
-        # space of its process (256 MB, about 100 of them taken by the
-        # interpreter with numpy and fqlab): once exit 1 and a numpy
-        # traceback from value_array; the limit binds the child alone
+    @staticmethod
+    def _child(args, cwd, limit=None):
+        """python args in a child process with the source tree importable
+        and one BLAS thread, its address space capped at limit bytes: the
+        cap binds the child alone."""
         src = str(Path(cli.__file__).parents[1])
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
                "PYTHONPATH": os.pathsep.join(
                    filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        limit = 256 * 2**20
 
         def cap():  # in the child, between fork and exec
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-        proc = subprocess.run(
-            [sys.executable, "-m", "fqlab.cli", "correlate", "--p", "2",
-             "--n", "24", "--f", "kfree:2", "--g", "kfree:2", "--h1", "0",
-             "--h2", "1", "--cache-dir", "cache", "--out", "o"],
-            cwd=tmp_path, env=env, preexec_fn=cap, capture_output=True,
-            text=True, timeout=120)
+        return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                              preexec_fn=None if limit is None else cap,
+                              capture_output=True, text=True, timeout=120)
+
+    @staticmethod
+    def _out_of_memory(proc):
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("out of memory: ")
         assert proc.stderr.count("\n") == 1
+
+    def _tight_limit(self, tmp_path):
+        """An address-space cap 21 MB above what the interpreter takes
+        once the CLI is imported (about 105 MB): room for a command's
+        own small arrays, not for the 43 MB of a degree-26 table at
+        p = 2 nor the 64 MB of the first array of its build."""
+        proc = self._child(["-c", "import fqlab.cli; print(open("
+                            "'/proc/self/status').read())"], tmp_path)
+        (line,) = [x for x in proc.stdout.splitlines()
+                   if x.startswith("VmPeak:")]
+        return int(line.split()[1]) * 1024 + 21 * 2**20
+
+    def test_allocation_failure_exit_2(self, tmp_path):
+        # a scan inside the cell cap whose arrays outgrow the address
+        # space of its process (256 MB, about 100 of them taken by the
+        # interpreter with numpy and fqlab): once exit 1 and a numpy
+        # traceback from value_arrays
+        proc = self._child(
+            ["-m", "fqlab.cli", "correlate", "--p", "2", "--n", "24", "--f",
+             "kfree:2", "--g", "kfree:2", "--h1", "0", "--h2", "1",
+             "--cache-dir", "cache", "--out", "o"], tmp_path, 256 * 2**20)
+        self._out_of_memory(proc)
+        assert not list(tmp_path.glob("o.*"))
+
+    def test_table_build_past_the_limit_exit_2(self, tmp_path):
+        # 2^27 - 2 cells, inside the cell cap: the build fails at its
+        # first allocation and saves no table
+        proc = self._child(
+            ["-m", "fqlab.cli", "sieve", "--p", "2", "--max-deg", "26",
+             "--cache-dir", "cache", "--out", "o"], tmp_path,
+            self._tight_limit(tmp_path))
+        self._out_of_memory(proc)
+        assert not list(tmp_path.glob("**/*.fqi"))
+        assert not list(tmp_path.glob("o.*"))
+
+    def test_cache_load_past_the_limit_exit_2(self, tmp_path):
+        # a main term whose h2 - h1 has degree 52 loads the cached
+        # degree-26 table; an allocation that fails says nothing about
+        # the file, so the sound table stays as it was, and none is built
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        path = cache / "p2_d26.fqi"
+        build_table(FieldSpec(2), 26).save(path)
+        before = path.stat()
+        assert before.st_size == 43_104_152
+        limit = self._tight_limit(tmp_path)
+        # under the same cap, the file read only to degree 1 serves
+        proc = self._child(
+            ["-m", "fqlab.cli", "mainterm", "--p", "2", "--h2", "x^2",
+             "--cache-dir", "cache", "--out", "small"], tmp_path, limit)
+        assert proc.returncode == 0, proc.stderr
+        proc = self._child(
+            ["-m", "fqlab.cli", "mainterm", "--p", "2", "--h2", "x^52",
+             "--cache-dir", "cache", "--out", "o"], tmp_path, limit)
+        self._out_of_memory(proc)
+        after = path.stat()
+        assert (after.st_ino, after.st_size, after.st_mtime_ns) == \
+            (before.st_ino, before.st_size, before.st_mtime_ns)
+        assert list(cache.iterdir()) == [path]
         assert not list(tmp_path.glob("o.*"))
 
     @pytest.mark.parametrize("argv", [

@@ -1,4 +1,4 @@
-"""The valuation-sieve engine (arith.value_array, and arith.scan that
+"""The valuation-sieve engine (arith.value_arrays, and arith.scan that
 reads its columns at f + h off each value array's coefficient axes,
 sieve.shifted) against per-polynomial trial division, against sympy and
 against index maps over the enumeration indices."""
@@ -33,8 +33,7 @@ from fqlab import (
     parse_poly,
 )
 from fqlab import SpecError, arith, sieve
-from fqlab.arith import (AdditiveSpec, scan, scan_degrees, scan_range,
-                         value_array, value_arrays)
+from fqlab.arith import AdditiveSpec, scan, scan_degrees, value_arrays
 from fqlab.fieldpoly import monic_from_index
 from fqlab.sieve import prime_valuations
 from oracles import eval_on
@@ -132,7 +131,8 @@ def shift_indices(field, n, idx, h):
 def shifted(spec, table, n, h, indices):
     """psi(f + h) for the monic f of degree n at indices, through the
     index-map oracle."""
-    return value_array(spec, table, n)[shift_indices(table.field, n, indices, h)]
+    [values] = value_arrays(spec, table, [n])
+    return values[shift_indices(table.field, n, indices, h)]
 
 
 def sympy_big_omega(f):
@@ -184,7 +184,8 @@ class TestOracles:
                     spec, rule_dm=None,
                     rule_poly=lambda P, m, _r=spec.rule_dm: _r(P.degree, m))
                 assert not asym.degree_symmetric
-                got, want = (value_array(s, table, n) for s in (asym, spec))
+                [got], [want] = (value_arrays(s, table, [n])
+                                 for s in (asym, spec))
                 assert got.dtype == want.dtype, spec.name
                 assert got.tolist() == want.tolist(), spec.name
 
@@ -216,7 +217,7 @@ class TestHighValuations:
 
 class TestBlocks:
     """The valuation sieve lists the primes of a degree in blocks of at
-    most SIEVE_BLOCK_CELLS cells, and value_array combines a block at
+    most SIEVE_BLOCK_CELLS cells, and value_arrays combines a block at
     once, each of its primes reading its own row where the spec has no
     degree-symmetric rule; no block boundary may move a bit."""
 
@@ -318,7 +319,7 @@ class TestDegreeRanges:
         table = _table(p)
         top = TABLE_DEGREES[p]
         for spec in self.specs(table.field):
-            single = [None] + [value_array(spec, table, n)
+            single = [None] + [value_arrays(spec, table, [n])[0]
                                for n in range(1, top + 1)]
             with monkeypatch.context() as m:
                 if cells == "split":  # one prime per block of degree 1
@@ -352,6 +353,21 @@ class TestDegreeRanges:
             with pytest.raises(sieve.SieveError, match=match):
                 value_arrays(mu, table, degrees)
         assert value_arrays(mu, table, []) == []
+
+    def test_empty_range_scans_nothing(self, monkeypatch):
+        # no degrees, no columns, after the pairing and domain refusals
+        # (once an IndexError from the largest degree)
+        table = _table(2)
+        field = table.field
+        mu, zero = builtin("moebius", field), parse_poly("0", field)
+        monkeypatch.setattr(arith, "value_arrays", lambda *a: pytest.fail(
+            "built a value array"))
+        for degrees in ([], range(5, 5)):
+            assert scan((mu,), (zero,), degrees, "monic", table) == []
+        with pytest.raises(SpecError, match="functions for"):
+            scan((mu, mu), (zero,), [], "monic", table)
+        with pytest.raises(sieve.SieveError, match="got 'primes'"):
+            scan((mu,), (zero,), [], "primes", table)
 
     @pytest.mark.parametrize("p, degrees", [(2, range(6, 10)), (3, range(3, 7))])
     def test_each_prime_block_listed_once(self, p, degrees, monkeypatch):
@@ -391,7 +407,7 @@ class TestDegreeRanges:
                                for _ in range(n // d)]
         listed.clear()
         for k in degrees:
-            value_array(ones, table, k)
+            value_arrays(ones, table, [k])
         assert len(listed) == sum(k // 2 for k in degrees)
 
 
@@ -426,14 +442,14 @@ class TestScan:
         # every spec alone in a 3-point scan: one array
         for spec in specs:
             built.clear()
-            got = scan((spec,) * len(hs), hs, n, domain, table)
+            [got] = scan((spec,) * len(hs), hs, [n], domain, table)
             assert built == [id(spec)], spec.name
             for g, w in zip(got, want[id(spec)]):
                 assert g.dtype == w.dtype and g.tolist() == w.tolist(), spec.name
         # every spec at once: still one array each
         built.clear()
-        got = scan(specs * len(hs), [h for h in hs for _ in specs], n,
-                   domain, table)
+        [got] = scan(specs * len(hs), [h for h in hs for _ in specs], [n],
+                     domain, table)
         assert sorted(built) == sorted(map(id, specs))
         for i, spec in enumerate(specs * len(hs)):
             w = want[id(spec)][i // len(specs)]
@@ -442,7 +458,7 @@ class TestScan:
     @pytest.mark.parametrize("domain", ["monic", "prime"])
     @pytest.mark.parametrize("p", [2, 3])
     def test_range_equals_one_scan_per_degree(self, p, domain):
-        # scan_range reads each degree's columns off one window per
+        # a range scan reads each degree's columns off one window per
         # function: shifted, and on the prime domain read at the primes,
         # as a scan of that degree alone
         table = _table(p)
@@ -451,9 +467,10 @@ class TestScan:
         specs = [builtin("moebius", field), builtin("phi_ratio", field),
                  builtin_additive("omega", field)]
         degrees = range(2, n + 1)
-        got = scan_range(specs, hs, degrees, domain, table)
+        got = scan(specs, hs, degrees, domain, table)
         for k, columns in zip(degrees, got):
-            for g, w in zip(columns, scan(specs, hs, k, domain, table)):
+            [want] = scan(specs, hs, [k], domain, table)
+            for g, w in zip(columns, want):
                 assert same_array(g, w), k
 
     @pytest.mark.parametrize("functions, shifts", [(2, 1), (1, 2), (0, 1)])
@@ -461,7 +478,7 @@ class TestScan:
         # once cut to the shorter side by zip
         psi = builtin("moebius", field2)
         with pytest.raises(SpecError, match="functions for"):
-            scan([psi] * functions, [parse_poly("x", field2)] * shifts, 4,
+            scan([psi] * functions, [parse_poly("x", field2)] * shifts, [4],
                  "monic", table2)
 
     def test_table_degree(self, field2, monkeypatch):
@@ -482,19 +499,21 @@ class TestScan:
         assert scan_degrees((lt, weight), 2, "monic") == 2
         zero = parse_poly("0", field2)
         with pytest.raises(TableTooSmallError, match="degree 6"):
-            scan((kf,), (zero,), 12, "monic", build_table(field2, 5))
-        assert len(scan((lt,), (zero,), 12, "monic", build_table(field2, 2))[0]) \
-            == 2**12
+            scan((kf,), (zero,), [12], "monic", build_table(field2, 5))
+        [(column,)] = scan((lt,), (zero,), [12], "monic",
+                           build_table(field2, 2))
+        assert len(column) == 2**12
         # a monic scan of chi needs degree n, and a smaller table is
         # refused before anything is sieved
         built = []
         monkeypatch.setattr(arith, "value_arrays", lambda *a: built.append(a))
         with pytest.raises(TableTooSmallError, match="degree 8"):
-            scan((chi, lt), (zero, zero), 8, "monic", build_table(field2, 7))
+            scan((chi, lt), (zero, zero), [8], "monic", build_table(field2, 7))
         assert built == []
         monkeypatch.undo()
-        assert len(scan((chi,), (zero,), 8, "monic", build_table(field2, 8))[0]) \
-            == 2**8
+        [(column,)] = scan((chi,), (zero,), [8], "monic",
+                           build_table(field2, 8))
+        assert len(column) == 2**8
 
 
 class TestShiftedAtIndices:
@@ -518,7 +537,7 @@ class TestShiftedAtIndices:
         # the primes, as a prime scan reads, and a 2-D grid, as Theta does
         grid = np.arange(p**n, dtype=np.int64).reshape(p, -1)[:, ::3]
         for spec in all_specs(field):
-            values = value_array(spec, table, n)
+            [values] = value_arrays(spec, table, [n])
             for shift in (h, -h, zero):
                 full = sieve.shifted(values, field, n, shift)
                 for idx in (table.prime_indices(n), grid):

@@ -453,8 +453,8 @@ class TestDomainIndices:
 
     def test_domains(self, field2, table2):
         mu, h = builtin("moebius", field2), parse_poly("x+1", field2)
-        (monic,) = scan((mu,), (h,), 4, "monic", table2)
-        (prime,) = scan((mu,), (h,), 4, "prime", table2)
+        [(monic,)] = scan((mu,), (h,), [4], "monic", table2)
+        [(prime,)] = scan((mu,), (h,), [4], "prime", table2)
         assert len(monic) == 16
         assert prime.tolist() == monic[table2.prime_indices(4)].tolist()
 
@@ -465,10 +465,10 @@ class TestDomainIndices:
         monkeypatch.setattr(arith, "value_arrays", lambda *a: built.append(a))
         mu, zero = builtin("moebius", field2), parse_poly("0", field2)
         with pytest.raises(SieveError, match=f"got {domain!r}"):
-            scan((mu,), (zero,), 4, domain, table2)
+            scan((mu,), (zero,), [4], domain, table2)
         for known in ("monic", "prime"):
             with pytest.raises(MemoryBudgetError):
-                scan((mu,), (zero,), 40, known, table2)
+                scan((mu,), (zero,), [40], known, table2)
         assert built == []
 
 
@@ -799,8 +799,8 @@ def test_library_builds_no_residue_kernel_at_p2(monkeypatch):
         crt_count_enumerated(x, x + one, one, x, 5)
         for spec in ("moebius", "kfree:2", "phi_ratio"):
             psi = arith.parse_function_spec(spec, field)
-            arith.scan([psi, psi], [one, x], 4, "monic", table)
-            arith.scan([psi, psi], [one, x], 4, "prime", table)
+            arith.scan([psi, psi], [one, x], [4], "monic", table)
+            arith.scan([psi, psi], [one, x], [4], "prime", table)
         assert (p in built) == (p > 2), built
 
 

@@ -53,7 +53,7 @@ def tk_spec(field, rule):
 
 def tk_at(psi, h, n, domain, table):
     """tk_ratio of psi's column at the shift h, from a scan of degree n."""
-    (values,) = scan([psi], [h], n, domain, table)
+    [(values,)] = scan([psi], [h], [n], domain, table)
     return tk_ratio(psi, values, n, domain, table)
 
 

@@ -11,7 +11,7 @@ each key up in the flat key=value config file named by --config (a flag
 wins on conflict), and converts every value, so a bad value is invalid
 input whichever way it came.  Every degree is an integer >= 1 (mainterm's
 finite n at most MAX_PARSE_DEGREE), and so are y and budget; t and C are
-finite, and t is >= 0.  gamma, the degree where the paper splits the
+finite and >= 0.  gamma, the degree where the paper splits the
 Euler product, and depth, where main terms once cut each local factor
 short, change no main term; correlate and mainterm accept them (gamma
 checked >= 0, depth >= 2) so that old command lines and config files
@@ -122,14 +122,10 @@ def _at_least(lo: int) -> Callable[[str], int]:
 _degree = _at_least(1)
 
 
-def _finite(text) -> float:
+def _finite_nonnegative(text) -> float:
     if not math.isfinite(x := float(text)):
         raise ValueError(f"must be finite, got {x}")
-    return x
-
-
-def _finite_nonnegative(text) -> float:
-    if (x := _finite(text)) < 0:
+    if x < 0:
         raise ValueError(f"must be >= 0, got {x}")
     return x
 
@@ -286,7 +282,7 @@ def _json_rows(rows: list[dict]) -> str:
         " {\n  " + _ROW_ENCODER.encode(r)[1:-1] + "\n }" for r in rows) + "\n]\n"
 
 
-def _report_row(rep, omit_timing: int, extra: dict | None = None) -> dict:
+def _report_row(rep, seconds: float, extra: dict | None = None) -> dict:
     main_re = main_im = tail = dev = ""
     if rep.main is not None:
         main_re = repr(complex(rep.main.value).real)
@@ -303,7 +299,7 @@ def _report_row(rep, omit_timing: int, extra: dict | None = None) -> dict:
         "normalized_im": repr(rep.normalized.imag),
         "main_re": main_re, "main_im": main_im, "tail_bound": tail,
         "deviation": dev,
-        "seconds": 0.0 if omit_timing else round(rep.seconds, 6),
+        "seconds": seconds,
     }
     if extra:
         row.update(extra)
@@ -411,15 +407,27 @@ def _cmd_correlate(a) -> int:
 
 
 def _correlate_rows(a, field, functions, shifts, domain, ns, extra=None):
-    """One report row per degree of ns, each from its own correlate call
-    on one table sized for the largest degree (the needed degree grows
-    with n) and for the main term correlate attaches; extra columns are
-    appended to every row."""
-    table = _scan_table(a, ns[-1], functions, domain,
-                        main_term_pair(functions, shifts))
-    specs = (CorrelationSpec(field, n, domain, shifts, functions) for n in ns)
-    return [_report_row(correlate(spec, table), a.omit_timing, extra)
-            for spec in specs]
+    """One report row per degree of ns from one range step: one scan of
+    the range and one walk of the main term correlate attaches, to the
+    largest degree, on one table sized for that degree (the needed degree
+    grows with n) and for the main term; each degree's report is a
+    correlate call on its own columns and main term.  A row's seconds is
+    the wall time from the start of the scan to its report, so the
+    shared scan and walk count toward every row and the last row's is
+    the whole range's.  extra columns are appended to every row."""
+    pair = main_term_pair(functions, shifts)
+    table = _scan_table(a, ns[-1], functions, domain, pair)
+    specs = [CorrelationSpec(field, n, domain, shifts, functions) for n in ns]
+    t0 = time.perf_counter()
+    columns = scan(functions, shifts, ns, domain, table)
+    mains = [None] * len(ns) if pair is None else \
+        main_term(ns, pair, *functions, domain, table)
+    rows = []
+    for spec, cols, main in zip(specs, columns, mains):
+        rep = correlate(spec, cols, main)
+        seconds = 0.0 if a.omit_timing else round(time.perf_counter() - t0, 6)
+        rows.append(_report_row(rep, seconds, extra))
+    return rows
 
 
 def _scan_table(a, n, functions, domain, pair=None):
@@ -445,7 +453,7 @@ def _cmd_mainterm(a) -> int:
     n = None if a.n in ("inf", "none") else int(a.n)
     pair = ShiftPair(*shifts)
     table = get_table(a.p, max(1, pair.table_degree), a.cache_dir, a.budget)
-    tv = main_term(n, pair, functions[0], functions[1], a.domain, table)
+    [tv] = main_term([n], pair, functions[0], functions[1], a.domain, table)
     rows = [{"q": a.p, "n": a.n, "mode": a.domain,
              "functions": ";".join(f.name for f in functions),
              "h_list": ";".join(format_poly(h) for h in shifts),
@@ -457,7 +465,8 @@ def _cmd_mainterm(a) -> int:
 
 
 @_command("chowla", lambda a: f"chowla_p{a.p}_y{a.y}", y=(_degree, 2),
-          h=(str, "x"), n_range=(_parse_range, "8:16"), C=(_finite, 1.0),
+          h=(str, "x"), n_range=(_parse_range, "8:16"),
+          C=(_finite_nonnegative, 1.0),
           omit_timing=(int, 0))
 def _cmd_chowla(a) -> int:
     """Truncated-Liouville autocorrelation scan with its theoretical cap."""

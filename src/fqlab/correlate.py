@@ -1,11 +1,14 @@
 """Exact correlation sums over all monic (or all irreducible) polynomials.
 
-correlate() evaluates sum over the domain of prod_i psi_i(f + h_i) by
-exhaustive enumeration on the evaluation engine that the stats module
-shares: arith.scan of the one degree [n] builds one value array psi(f)
-over every monic f of degree n with the valuation sieve
-(arith.value_arrays over sieve.prime_valuations) and reads it at f + h
-for each shift (sieve.shifted), on the prime domain only at the primes.
+correlate() evaluates sum over the domain of prod_i psi_i(f + h_i) at
+one degree n from the columns psi_i(f + h_i) that its caller's
+arith.scan gives at n, and attaches the main term its caller's
+mainterm.main_term gives there.  A range of n is one scan and one
+main-term walk, each once per range: the scan lists the value array
+psi(f) over every monic f of every degree of the range with the
+valuation sieve (arith.value_arrays over sieve.prime_valuations) and
+reads it at f + h for each shift (sieve.shifted), on the prime domain
+only at the primes; the walk reads the Euler product off at each n.
 Integer-valued function sets sum exactly; everything else is summed
 correctly rounded (math.fsum), so no value depends on the order of
 summation.
@@ -21,10 +24,9 @@ degree when every prime above n/2 is 1.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-from .arith import FunctionSpec, product_sum, scan
+from .arith import FunctionSpec, product_sum
 from .fieldpoly import (
     FieldSpec,
     Poly,
@@ -33,8 +35,9 @@ from .fieldpoly import (
     format_poly,
     poly_gcd_lcm,
 )
-from .mainterm import ShiftPair, TruncatedValue, main_term
-from .sieve import IrreducibleTable
+# main_term is not called here; fqbench/spans.py wraps it under this
+# module's name as well as under the names of its callers
+from .mainterm import ShiftPair, TruncatedValue, main_term  # noqa: F401
 
 
 class EngineError(ValueError):
@@ -91,7 +94,6 @@ class CorrelationReport:
     normalized: complex
     main: TruncatedValue | None
     deviation: float | None
-    seconds: float
 
     @property
     def integer_exact(self) -> bool:
@@ -108,33 +110,30 @@ def main_term_pair(functions, shifts) -> ShiftPair | None:
     return None
 
 
-def correlate(spec: CorrelationSpec, table: IrreducibleTable) -> CorrelationReport:
-    """Evaluate the correlation sum exactly and attach the predicted main
-    term (two functions, both unit bounded)."""
-    if table.field != spec.field:
-        raise EngineError("table built for a different field")
-    q = spec.field.p
-    n = spec.n
-    t0 = time.perf_counter()
-    [columns] = scan(spec.functions, spec.shifts, [n], spec.domain, table)
+def correlate(spec: CorrelationSpec, columns,
+              main: TruncatedValue | None) -> CorrelationReport:
+    """The report of spec's sum at degree spec.n from its columns, the
+    list that arith.scan of spec's functions and shifts over spec.domain
+    gives at spec.n, and main, the main term main_term gives there at
+    main_term_pair's shift pair (None where that attaches none).  The sum
+    is exact for integer-valued functions; the deviation is
+    |normalized - main|.  Refuses a column count other than one per
+    shift and a main term given where none attaches, or the reverse."""
+    if len(columns) != len(spec.shifts):
+        raise EngineError(f"{len(columns)} columns for {len(spec.shifts)} shifts")
+    if (main is None) != (main_term_pair(spec.functions, spec.shifts) is None):
+        raise EngineError("a main term goes exactly with the sums that "
+                          "main_term_pair attaches one to")
     raw = product_sum(columns, all(psi.integer_valued for psi in spec.functions))
     domain_size = len(columns[0])
     normalized = complex(raw) / domain_size
-
-    main: TruncatedValue | None = None
-    deviation: float | None = None
-    if (shifts := main_term_pair(spec.functions, spec.shifts)) is not None:
-        main = main_term(n, shifts, spec.functions[0], spec.functions[1],
-                         spec.domain, table)
-        deviation = abs(normalized - main.value)
-
+    deviation = None if main is None else abs(normalized - main.value)
     return CorrelationReport(
-        q=q, n=n, domain=spec.domain,
+        q=spec.field.p, n=spec.n, domain=spec.domain,
         function_names=tuple(p.name for p in spec.functions),
         shift_texts=tuple(format_poly(h) for h in spec.shifts),
         raw_sum=raw, domain_size=domain_size, normalized=normalized,
-        main=main, deviation=deviation,
-        seconds=time.perf_counter() - t0)
+        main=main, deviation=deviation)
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,12 @@ returns the deviation W_P - 1, so deviations far below machine epsilon
 are kept.  The constant function gives exactly 1.
 
 One product walk, one accumulator, one certified stop.  main_term runs
-one walk over the degrees 1..n that multiplies the factors in log space
-through log1p, so deviations of order 2^-60 per prime still reach the
-result; the sign of a real negative factor is kept apart, so a product
-of real factors stays real, and a factor exactly 0 makes the value 0.
+one walk per range of n, over the degrees 1..max n, read off at each n
+of the range (each reading is the walk to that n alone, bit for bit).
+It multiplies the factors in log space through log1p, so deviations of
+order 2^-60 per prime still reach the result; the sign of a real
+negative factor is kept apart, so a product of real factors stays real,
+and a factor exactly 0 makes the value 0.
 The paper's split of the product into small and large primes is only a
 range of that walk, so no argument names it.  At n = infinity the walk
 stops at the first degree D past D0 = max(deg(h2 - h1), each
@@ -292,14 +294,16 @@ def _subnormal_degree(q: int) -> int:
     return d
 
 
-def _walk(first: int, last: int | None, shifts: ShiftPair,
+def _walk(first: int, lasts, shifts: ShiftPair,
           psi1: FunctionSpec, psi2: FunctionSpec, mode: str,
-          table: IrreducibleTable) -> TruncatedValue:
-    """The product of the local factors over first <= deg P <= last (last
-    = None: on to the certified stop, whose remainder enters the tail),
-    each constrained by v_P(h2 - h1) of the shift pair.  main_term starts
-    at degree 1; a later first leaves a window of the same product for the
-    oracles to check.  A range that reaches the
+          table: IrreducibleTable) -> list[TruncatedValue]:
+    """The product of the local factors over first <= deg P <= last for
+    each last of lasts (ascending, each >= first - 1), from one pass that
+    reads the product off as it passes each last; lasts = [None], alone,
+    walks on to the certified stop, whose remainder enters the tail.
+    Each factor is constrained by v_P(h2 - h1) of the shift pair.
+    main_term starts at degree 1; a later first leaves a window of the
+    same product for the oracles to check.  A walk that reaches the
     first degree whose q^{-d} is below the normal floats is refused
     unless every function not neutral there has a decay bound with
     a > 1.  Every walk also refuses a generic factor whose |W - 1|
@@ -309,6 +313,13 @@ def _walk(first: int, last: int | None, shifts: ShiftPair,
     q = table.field.p
     if psi1.field.p != q or psi2.field.p != q:
         raise MainTermError("function specs bound to a different field")
+    if None in lasts and len(lasts) > 1:
+        raise MainTermError("the infinite stop is walked alone")
+    if any(a >= b for a, b in zip(lasts, lasts[1:])):
+        raise MainTermError(f"stop degrees must ascend, got {list(lasts)}")
+    if not lasts:
+        return []
+    last = lasts[-1]
     if not (psi1.degree_symmetric and psi2.degree_symmetric):
         if last is None:
             raise MainTermError(
@@ -325,6 +336,7 @@ def _walk(first: int, last: int | None, shifts: ShiftPair,
         last, rem = _stop(max(delta, first - 1, *(spec.trivial_beyond_degree or 0
                                                   for spec in (psi1, psi2))),
                           psi1, psi2, q, s)
+        lasts = [last]
     low = max(first, _subnormal_degree(q))
     if last >= low and any(c is None or c[1] <= 1
                            for c in _decays(low, psi1, psi2)):
@@ -333,39 +345,46 @@ def _walk(first: int, last: int | None, shifts: ShiftPair,
             "function there declares a decay bound (C, a) with a > 1; "
             "evaluate with n below that degree")
     vals = shifts.prime_valuations(table)
-    acc = _LogProduct()
-    for d in range(first, last + 1):
-        for dev, t, power in _degree_factors(d, vals, psi1, psi2, mode,
-                                             table):
-            acc.mul(dev, t, power)
-        terms = _decays(d, psi1, psi2)
-        bound = 3 * s * sum(C * float(q) ** (-a * d) for C, a in terms) \
-            if None not in terms else math.inf
-        if abs(dev) > bound + t:  # dev: the generic factor of degree d
-            raise MainTermError(
-                f"the factor at degree {d} deviates from 1 by {abs(dev):.3g}, "
-                f"more than the declared decay bounds allow ({bound:.3g})")
-    # |log(1 + z)| <= |z| / (1 - |z|) on every factor past last
-    return acc.result(extra_rel=math.expm1(rem / (1 - rem)))
+    acc, out, walked = _LogProduct(), [], first - 1
+    for stop in lasts:
+        for d in range(walked + 1, stop + 1):
+            for dev, t, power in _degree_factors(d, vals, psi1, psi2, mode,
+                                                 table):
+                acc.mul(dev, t, power)
+            terms = _decays(d, psi1, psi2)
+            bound = 3 * s * sum(C * float(q) ** (-a * d) for C, a in terms) \
+                if None not in terms else math.inf
+            if abs(dev) > bound + t:  # dev: the generic factor of degree d
+                raise MainTermError(
+                    f"the factor at degree {d} deviates from 1 by "
+                    f"{abs(dev):.3g}, more than the declared decay bounds "
+                    f"allow ({bound:.3g})")
+        walked = max(walked, stop)
+        # |log(1 + z)| <= |z| / (1 - |z|) on every factor past last
+        out.append(acc.result(extra_rel=math.expm1(rem / (1 - rem))))
+    return out
 
 
-def main_term(n: int | None, shifts: ShiftPair,
+def main_term(degrees, shifts: ShiftPair,
               psi1: FunctionSpec, psi2: FunctionSpec, mode: str,
-              table: IrreducibleTable) -> TruncatedValue:
-    """Predicted normalized limit at the shift pair (h1, h2): the product
-    of the local factors over deg P <= n, each constrained by v_P(h2 - h1),
-    walked once from degree 1; n = None walks to the certified stop of the
-    declared decay bounds (see the module docstring) and refuses a
-    function without one.  A finite n refuses a shift of degree >= n, as
-    the sums do, and a walk past the normal floats of q^{-d} without decay
-    bounds (see _walk).  On the irreducible domain it is the limit only
-    when neither shift is divisible by a prime (see the module docstring).
-    A finite n below 1 is refused, as the sums refuse it."""
-    if n is not None:
+              table: IrreducibleTable) -> list[TruncatedValue]:
+    """Predicted normalized limit at the shift pair (h1, h2) for each
+    degree n of degrees (ascending, as arith.scan takes them; a single
+    degree is [n]): the product of the local factors over deg P <= n,
+    each constrained by v_P(h2 - h1), from one walk from degree 1 to the
+    largest n, read off at each n.  degrees = [None], alone, walks to the
+    certified stop of the declared decay bounds (see the module
+    docstring) and refuses a function without one.  Finite degrees
+    refuse a shift of degree >= the first n, as the sums do, a first n
+    below 1, as the sums refuse it, and a walk past the normal floats of
+    q^{-d} without decay bounds (see _walk).  On the irreducible domain
+    it is the limit only when neither shift is divisible by a prime (see
+    the module docstring).  No degrees give []."""
+    if degrees and degrees[0] is not None:
+        n = degrees[0]
         if n < 1:
             raise MainTermError("n must be >= 1")
         for h in (shifts.h1, shifts.h2):
             if not h.is_zero and h.degree >= n:
                 raise MainTermError(f"shift {format_poly(h)} has degree >= n={n}")
-    return _walk(1, n, shifts, psi1, psi2, mode, table)
-
+    return _walk(1, degrees, shifts, psi1, psi2, mode, table)

@@ -162,7 +162,7 @@ def limit_charfn(psi1: FunctionSpec, psi2: FunctionSpec, shifts: ShiftPair,
     for t in t_grid:
         e1 = exp_additive(psi1, float(t))
         e2 = exp_additive(psi2, float(t))
-        out.append(main_term(None, shifts, e1, e2, mode, table))
+        out += main_term([None], shifts, e1, e2, mode, table)
     return CharFunctionGrid(tuple(float(t) for t in t_grid),
                             phi_limit=tuple(out))
 
@@ -377,9 +377,11 @@ def brun_titchmarsh_violations(n_max: int, table: IrreducibleTable) -> list:
     One listing of the multiples of every modulus of a degree d serves
     every n (sieve.residue_counts).  The pairs (n, d) where no
     count can break the bound are skipped (_bt_breakable, with the largest
-    phi(M) of degree d): a build or a checked load lists distinct primes,
-    and a class mod M holds q^(n - d) monic polynomials of degree n.  That
-    skips every d = n - 1, and (3, 1) and (4, 1) at q = 2, (3, 1) at q = 3.
+    phi(M) of degree d, q^d - 1, an irreducible's): a build or a checked
+    load lists distinct primes, and a class mod M holds q^(n - d) monic
+    polynomials of degree n.  That skips every d = n - 1, and (3, 1) and
+    (4, 1) at q = 2, (3, 1) at q = 3; the totients (arith.phi_values) are
+    listed only for the degrees d with a pair left.
     """
     q = table.field.p
     field = table.field
@@ -389,12 +391,11 @@ def brun_titchmarsh_violations(n_max: int, table: IrreducibleTable) -> list:
             f"{n_max}, table has {table.max_deg}")
     if n_max < 2:  # no modulus degree below n_max
         return []
-    bad, degrees = [], range(1, n_max)
+    pairs = {d: [n for n in range(d + 1, n_max + 1)
+                 if _bt_breakable(q, n, d, q**d - 1)] for d in range(1, n_max)}
+    bad, degrees = [], [d for d, ns in pairs.items() if ns]
     for d, totients in zip(degrees, phi_values(table, degrees)):
-        top = int(totients.max())
-        degrees = [n for n in range(d + 1, n_max + 1)
-                   if _bt_breakable(q, n, d, top)]
-        for n, moduli, counts in residue_counts(table, degrees, d):
+        for n, moduli, counts in residue_counts(table, pairs[d], d):
             # only prime residue classes appear; all are invertible since
             # deg P = n > deg M
             scale = totients[moduli] * (n - d + 1)

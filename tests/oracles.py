@@ -1,8 +1,9 @@
 """Reference code the tests compare fqlab against: brute-force and
-closed-form twins of what the library computes another way, and the
+closed-form twins of what the library computes another way, the
 pretentiousness metrics and trend scan that left the library for want of
-a caller (kept here with their tests).  Nothing in the library calls
-them."""
+a caller (kept here with their tests), correlate_at, a range of one
+degree as the CLI steps through a range, and constant_sign, a spec
+without degree symmetry.  Nothing in the library calls them."""
 
 import math
 from dataclasses import dataclass
@@ -27,7 +28,10 @@ from fqlab import (
     builtin,
     correlate,
     exp_additive,
+    main_term,
 )
+from fqlab.arith import scan
+from fqlab.correlate import main_term_pair
 from fqlab.fieldpoly import FieldSpec, monic_from_index, poly_from_encoding
 from fqlab.mainterm import _check_mode, _factor, _require_unit
 from fqlab.sieve import _kernel_rows, _residues, check_enumeration
@@ -47,6 +51,28 @@ def eval_on(fact: Factorization, spec: FunctionSpec):
     return sum(values) if spec.additive else math.prod(values)
 
 
+def correlate_at(spec: CorrelationSpec,
+                 table: IrreducibleTable) -> CorrelationReport:
+    """spec's report from a scan of the one degree [spec.n] and, where
+    main_term_pair attaches one, the main term at [spec.n]: the CLI's
+    range step over a range of one degree."""
+    [columns] = scan(spec.functions, spec.shifts, [spec.n], spec.domain, table)
+    pair = main_term_pair(spec.functions, spec.shifts)
+    main = None if pair is None else main_term(
+        [spec.n], pair, *spec.functions, spec.domain, table)[0]
+    return correlate(spec, columns, main)
+
+
+def constant_sign(field: FieldSpec) -> FunctionSpec:
+    """A sign on the constant term of each prime, unit bounded and not
+    degree-symmetric: its value array and its main term go prime by
+    prime."""
+    return FunctionSpec(
+        "sign", field, None, unit_bounded=True, integer_valued=True,
+        trivial_beyond_degree=None, power_settle=2,
+        rule_poly=lambda P, m: (-1 if P.coeffs[0] == 1 else 1) if m == 1 else 0)
+
+
 def truncated_times(a: TruncatedValue, b: TruncatedValue) -> TruncatedValue:
     """The product of two truncated values, with the bound that covers
     every pair of values within their tails."""
@@ -61,7 +87,7 @@ def charfn_by_correlate(psi1: FunctionSpec, psi2: FunctionSpec,
     """Twin of stats.empirical_charfn: one correlation per t of the
     exponentiated multiplicative functions exp(i t psi_j)."""
     ts = tuple(float(t) for t in t_grid)
-    vals = tuple(complex(correlate(CorrelationSpec(
+    vals = tuple(complex(correlate_at(CorrelationSpec(
         table.field, n, domain, (shifts.h1, shifts.h2),
         (exp_additive(psi1, t), exp_additive(psi2, t))), table).normalized)
         for t in ts)
@@ -264,7 +290,7 @@ def deviation_scan(spec: CorrelationSpec, n_range, table: IrreducibleTable,
     for n in n_range:
         s = CorrelationSpec(spec.field, n, spec.domain, spec.shifts,
                             spec.functions)
-        rep = correlate(s, table)
+        rep = correlate_at(s, table)
         overlay = None
         if overlay_alpha is not None and len(spec.functions) == 2 and \
                 all(p.unit_bounded and p.degree_symmetric for p in spec.functions):

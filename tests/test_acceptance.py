@@ -22,7 +22,6 @@ from fqlab import (
     builtin,
     builtin_additive,
     charfn_comparison,
-    correlate,
     crt_count,
     main_term,
     parse_poly,
@@ -30,7 +29,8 @@ from fqlab import (
 )
 from fqlab.arith import product_sum, scan
 from fqlab.fieldpoly import monic_from_index, poly_from_encoding
-from oracles import crt_count_enumerated, liouville_local_closed, local_factor
+from oracles import (correlate_at, crt_count_enumerated, liouville_local_closed,
+                     local_factor)
 
 
 def report(num, text):
@@ -70,7 +70,7 @@ def chowla_runs(field2, table2):
     reps = {}
     for n in (10, 20):
         spec = CorrelationSpec(field2, n, "monic", (zero, x), (lam2, lam2))
-        reps[n] = correlate(spec, table2)
+        reps[n] = correlate_at(spec, table2)
     return reps, time.perf_counter() - t0
 
 
@@ -102,12 +102,12 @@ def test_criterion_03_trivial_correlations(field2, table2):
     one = builtin("one", field2)
     zero = parse_poly("0", field2)
     x = parse_poly("x", field2)
-    monic = correlate(CorrelationSpec(field2, 10, "monic", (zero, x),
-                                      (one, one)), table2)
+    monic = correlate_at(CorrelationSpec(field2, 10, "monic", (zero, x),
+                                         (one, one)), table2)
     assert monic.raw_sum == 2 ** 10
     assert abs(monic.main.value - 1) <= 1e-12
-    prime = correlate(CorrelationSpec(field2, 10, "prime", (zero, x),
-                                      (one, one)), table2)
+    prime = correlate_at(CorrelationSpec(field2, 10, "prime", (zero, x),
+                                         (one, one)), table2)
     assert prime.raw_sum == table2.count(10) == 99
     assert abs(prime.main.value - 1) <= 1e-12
     report(3, "constant functions give S2 = q^n and R2 = |P_n| exactly, "
@@ -160,13 +160,13 @@ def test_criterion_06_truncated_chowla_trend(chowla_runs):
 def test_criterion_07_phi_ratio_product(field2, table2):
     pr = builtin("phi_ratio", field2)
     zero, one_h = parse_poly("0", field2), parse_poly("1", field2)
-    target = main_term(None, ShiftPair(zero, one_h), pr, pr, "monic",
-                       table2)
+    [target] = main_term([None], ShiftPair(zero, one_h), pr, pr, "monic",
+                         table2)
     assert target.tail_bound <= 1e-10
     devs = []
     for n in (8, 10, 12, 14, 16, 18):
-        rep = correlate(CorrelationSpec(field2, n, "monic", (zero, one_h),
-                                        (pr, pr)), table2)
+        rep = correlate_at(CorrelationSpec(field2, n, "monic", (zero, one_h),
+                                           (pr, pr)), table2)
         devs.append(abs(rep.normalized - target.value))
     assert devs[-1] < devs[0]
     decreasing = sum(1 for a, b in zip(devs, devs[1:]) if b < a)

@@ -12,6 +12,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,13 +20,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fqlab import (
+    CorrelationSpec,
     FieldSpec,
     IrreducibleTable,
     SieveError,
     build_table,
     irreducible_count,
+    parse_function_spec,
+    parse_poly,
 )
-from fqlab import arith, cli
+from fqlab import arith, cli, mainterm
 from fqlab.cli import (
     _COMMANDS,
     MAX_GRID_POINTS,
@@ -34,6 +38,8 @@ from fqlab.cli import (
     _write_artifacts,
     main,
 )
+from fqlab.sieve import DEFAULT_CELL_BUDGET
+from oracles import constant_sign, correlate_at
 
 
 def run(args, tmp_path, monkeypatch):
@@ -397,6 +403,108 @@ class TestChowlaCommand:
         run(args + ["--out", "a"], tmp_path, monkeypatch)
         run(args + ["--out", "b"], tmp_path, monkeypatch)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+class TestCorrelateRange:
+    """A correlate or chowla range is one scan and one main-term walk;
+    each degree's row is the one a range of that degree alone gives."""
+
+    CASES = [  # p, domain, functions, shifts, degrees
+        (2, "monic", ("phi_ratio", "phi_ratio"), ("0", "1"), range(6, 11, 2)),
+        (2, "prime", ("kfree:2", "phi_ratio"), ("1", "x+1"), range(5, 10, 2)),
+        (3, "monic", ("kfree:2", "liouville"), ("0", "x+2"), range(3, 7)),
+        (3, "prime", ("phi_ratio", "kfree:2"), ("1", "x+2"), range(4, 7, 2)),
+        (2, "monic", ("sign", "liouville_trunc:1"), ("0", "x+1"), range(4, 9, 2)),
+        (3, "prime", ("sign", "sign"), ("1", "2"), range(3, 6)),
+        (2, "monic", ("kfree:2",) * 3, ("0", "1", "x"), range(4, 11, 3)),
+    ]
+
+    @pytest.mark.parametrize("p, domain, names, hs, ns", CASES,
+                             ids=[f"p{c[0]}-{c[1]}-{c[2][0]}-{len(c[2])}"
+                                  for c in CASES])
+    def test_rows_are_the_single_degree_rows(self, p, domain, names, hs, ns,
+                                             tmp_path):
+        field = FieldSpec(p)
+        specs = {s: constant_sign(field) if s == "sign"
+                 else parse_function_spec(s, field) for s in names}
+        functions = [specs[s] for s in names]
+        shifts = [parse_poly(h, field) for h in hs]
+        a = SimpleNamespace(p=p, budget=DEFAULT_CELL_BUDGET,
+                            cache_dir=tmp_path, omit_timing=1)
+        rows = cli._correlate_rows(a, field, functions, shifts, domain, ns)
+        table = build_table(field, ns[-1])
+        want = [cli._report_row(correlate_at(CorrelationSpec(
+            field, n, domain, shifts, functions), table), 0.0) for n in ns]
+        # raw, normalized, main, tail and deviation, each by repr
+        assert rows == want
+        assert all(bool(r["main_re"]) == (len(names) == 2) for r in rows)
+
+    @pytest.mark.parametrize("argv, ns", [
+        (["chowla", "--p", "2", "--y", "3", "--h", "x^2+1"], (4, 7, 10)),
+        (["correlate", "--p", "3", "--domain", "prime", "--f", "phi_ratio",
+          "--g", "kfree:2", "--h1", "1", "--h2", "x+2"], (4, 5, 6)),
+    ], ids=["chowla", "correlate"])
+    def test_artifact_is_the_single_degree_artifacts(self, argv, ns, tmp_path,
+                                                     monkeypatch):
+        whole = f"--n-range={ns[0]}:{ns[-1]}:{ns[1] - ns[0]}"
+        assert run(argv + [whole, "--omit-timing", "1", "--out", "r"],
+                   tmp_path, monkeypatch) == 0
+        rows = []
+        for n in ns:
+            assert run(argv + [f"--n-range={n}:{n}", "--omit-timing", "1",
+                               "--out", f"r{n}"], tmp_path, monkeypatch) == 0
+            rows += read_csv(tmp_path / f"r{n}.csv")
+        assert read_csv(tmp_path / "r.csv") == rows
+
+    def test_one_scan_one_walk_one_report_per_degree(self, tmp_path,
+                                                     monkeypatch):
+        arrays, walked, reports = [], [], []
+        value_arrays = arith.value_arrays
+        degree_factors, correlate = mainterm._degree_factors, cli.correlate
+
+        def arrays_spy(psi, table, degrees):
+            arrays.append((psi.name, list(degrees)))
+            return value_arrays(psi, table, degrees)
+
+        def walk_spy(d, *args):
+            walked.append(d)
+            return degree_factors(d, *args)
+
+        def report_spy(spec, *args):
+            reports.append(spec.n)
+            return correlate(spec, *args)
+
+        monkeypatch.setattr(arith, "value_arrays", arrays_spy)
+        monkeypatch.setattr(mainterm, "_degree_factors", walk_spy)
+        monkeypatch.setattr(cli, "correlate", report_spy)
+        # one function object twice: one value array listing, one walk
+        assert run(["chowla", "--p", "2", "--y", "2", "--h", "x",
+                    "--n-range", "6:12:3", "--omit-timing", "1"],
+                   tmp_path, monkeypatch) == 0
+        assert arrays == [("liouville_trunc:2", [6, 9, 12])]
+        assert walked == list(range(1, 13))
+        assert reports == [6, 9, 12]
+        # two function objects for three shifts, and no main term
+        arrays.clear(), walked.clear(), reports.clear()
+        assert run(["correlate", "--p", "3", "--n-range", "3:5",
+                    "--functions", "kfree:2,phi_ratio,kfree:2",
+                    "--shifts", "0,1,x", "--omit-timing", "1"],
+                   tmp_path, monkeypatch) == 0
+        assert sorted(arrays) == [("kfree:2", [3, 4, 5]),
+                                  ("phi_ratio", [3, 4, 5])]
+        assert walked == [] and reports == [3, 4, 5]
+
+    @pytest.mark.parametrize("argv, h", [
+        (["correlate", "--p", "2", "--n-range", "3:9:2", "--f", "kfree:2",
+          "--g", "kfree:2", "--h2"], "x^3"),
+        (["chowla", "--p", "3", "--n-range", "5:7", "--h"], "x^6+2"),
+    ], ids=["correlate", "chowla"])
+    def test_shift_of_degree_first_n_refused(self, argv, h, tmp_path,
+                                             monkeypatch, capsys):
+        n = argv[argv.index("--n-range") + 1].split(":")[0]
+        assert run(argv + [h], tmp_path, monkeypatch) == 1
+        assert capsys.readouterr().err == \
+            f"invalid input: shift {h} has degree >= n={n}\n"
 
 
 class TestStatsCommands:
@@ -1117,6 +1225,8 @@ HOSTILE = [
     (["diagnostics", "--p", "2", "--n", "4", "--t=-20"], 1, "--t"),
     (["chowla", "--p", "2", "--C", "nan", "--n-range", "4:5"], 1, "--C"),
     (["chowla", "--p", "2", "--C", "inf", "--n-range", "4:5"], 1, "--C"),
+    # --C scales a cap on an absolute value
+    (["chowla", "--p", "2", "--C", "-2", "--n-range", "6:8"], 1, "--C"),
     (["correlate", "--p", "2", "--n", "4", "--gamma", "-1"], 1, "--gamma"),
     (["mainterm", "--p", "2", "--gamma", "-1"], 1, "--gamma"),
     (["correlate", "--p", "2", "--n", "4", "--depth", "-1"], 1, "--depth"),

@@ -20,8 +20,10 @@ from fqlab import (
     main_term,
     parse_poly,
 )
+from fqlab.arith import SpecError, scan
 from fqlab.fieldpoly import PolyError, monic_from_index, poly_from_encoding
 from oracles import (
+    correlate_at,
     crt_count_enumerated,
     deviation_scan,
     eval_on,
@@ -48,25 +50,25 @@ class TestBasicSums:
     def test_all_ones_counts_domain(self, field2, table2):
         one = builtin("one", field2)
         zero = parse_poly("0", field2)
-        rep = correlate(CorrelationSpec(field2, 10, "monic", (zero, zero),
-                                        (one, one)), table2)
+        rep = correlate_at(CorrelationSpec(field2, 10, "monic", (zero, zero),
+                                           (one, one)), table2)
         assert rep.raw_sum == 1024 and rep.integer_exact
-        rep = correlate(CorrelationSpec(field2, 7, "prime", (zero, zero),
-                                        (one, one)), table2)
+        rep = correlate_at(CorrelationSpec(field2, 7, "prime", (zero, zero),
+                                           (one, one)), table2)
         assert rep.raw_sum == table2.count(7) == 18
 
     def test_squarefree_pair_example(self, field2, table2):
         kf = builtin("kfree", field2, k=2)
         zero, one_h = parse_poly("0", field2), parse_poly("1", field2)
-        rep = correlate(CorrelationSpec(field2, 2, "monic", (zero, one_h),
-                                        (kf, kf)), table2)
+        rep = correlate_at(CorrelationSpec(field2, 2, "monic", (zero, one_h),
+                                           (kf, kf)), table2)
         assert rep.raw_sum == 2
 
     def test_prime_domain_singleton(self, field2, table2):
         one = builtin("one", field2)
         zero = parse_poly("0", field2)
-        rep = correlate(CorrelationSpec(field2, 2, "prime", (zero, zero),
-                                        (one, one)), table2)
+        rep = correlate_at(CorrelationSpec(field2, 2, "prime", (zero, zero),
+                                           (one, one)), table2)
         assert rep.raw_sum == 1  # P_{2,2} = {x^2+x+1}
 
     def test_liouville_sum_against_zeta_identity(self, field2, table2):
@@ -75,8 +77,8 @@ class TestBasicSums:
         lam = builtin("liouville", field2)
         zero = parse_poly("0", field2)
         for n, want in ((6, 8), (7, -16), (8, 16), (9, -32)):
-            rep = correlate(CorrelationSpec(field2, n, "monic", (zero,),
-                                            (lam,)), table2)
+            rep = correlate_at(CorrelationSpec(field2, n, "monic", (zero,),
+                                               (lam,)), table2)
             assert rep.raw_sum == want
 
     @pytest.mark.parametrize("domain", ["monic", "prime"])
@@ -94,7 +96,7 @@ class TestBasicSums:
         for shifts, fns in cases:
             n = 6
             spec = CorrelationSpec(field2, n, domain, shifts, fns)
-            rep = correlate(spec, table2)
+            rep = correlate_at(spec, table2)
             want = brute_correlation(field2, n, domain, shifts, fns, table2)
             assert abs(complex(rep.raw_sum) - complex(want)) < 1e-9
 
@@ -104,7 +106,7 @@ class TestBasicSums:
         fns = (builtin("kfree", field3, k=2), builtin("phi_ratio", field3))
         for domain in ("monic", "prime"):
             spec = CorrelationSpec(field3, 4, domain, (zero, one_h), fns)
-            rep = correlate(spec, table3)
+            rep = correlate_at(spec, table3)
             want = brute_correlation(field3, 4, domain, (zero, one_h), fns,
                                      table3)
             assert abs(complex(rep.raw_sum) - complex(want)) < 1e-9
@@ -122,8 +124,8 @@ class TestBasicSums:
                 rule_poly=lambda P, m: (-1 if P.coeffs[0] == 1 else 1) if m == 1 else 0)
             fns = (sign, builtin("liouville_truncated", field, y=1))
             shifts = (parse_poly("0", field), parse_poly("x+1", field))
-            rep = correlate(CorrelationSpec(field, n, domain, shifts, fns),
-                            table)
+            rep = correlate_at(CorrelationSpec(field, n, domain, shifts, fns),
+                               table)
             assert rep.raw_sum == brute_correlation(field, n, domain, shifts,
                                                     fns, table)
 
@@ -133,8 +135,8 @@ class TestBasicSums:
         # sieve capped at n/2 once dropped (raw sums 0 and 16)
         lt8 = builtin("liouville_truncated", field2, y=8)
         shifts = (parse_poly("0", field2), parse_poly("1", field2))
-        rep = correlate(CorrelationSpec(field2, n, "monic", shifts,
-                                        (lt8, lt8)), table2)
+        rep = correlate_at(CorrelationSpec(field2, n, "monic", shifts,
+                                           (lt8, lt8)), table2)
         assert rep.raw_sum == want == brute_correlation(
             field2, n, "monic", shifts, (lt8, lt8), table2)
 
@@ -143,8 +145,8 @@ class TestBasicSums:
         # once (once 147)
         psi = custom_from_table(field3, {(3, 1): -1, (1, 2): 0})
         shifts = (parse_poly("0", field3), parse_poly("1", field3))
-        rep = correlate(CorrelationSpec(field3, 5, "monic", shifts,
-                                        (psi, psi)), table3)
+        rep = correlate_at(CorrelationSpec(field3, 5, "monic", shifts,
+                                           (psi, psi)), table3)
         assert rep.raw_sum == 27 == brute_correlation(
             field3, 5, "monic", shifts, (psi, psi), table3)
 
@@ -154,8 +156,8 @@ class TestBasicSums:
         # shifts, so the exact sum needs more than int64
         big = custom_from_table(field2, {(1, 1): 1000})
         shifts = (parse_poly("0", field2),) * 4
-        rep = correlate(CorrelationSpec(field2, 6, "monic", shifts, (big,) * 4),
-                        table2)
+        rep = correlate_at(CorrelationSpec(field2, 6, "monic", shifts, (big,) * 4),
+                           table2)
         want = brute_correlation(field2, 6, "monic", shifts, (big,) * 4, table2)
         assert want > 2**63
         assert rep.raw_sum == want and rep.integer_exact
@@ -164,7 +166,7 @@ class TestBasicSums:
         kf = builtin("kfree", field2, k=2)
         shifts = tuple(parse_poly(t, field2) for t in ("0", "1", "x"))
         spec = CorrelationSpec(field2, 5, "monic", shifts, (kf, kf, kf))
-        rep = correlate(spec, table2)
+        rep = correlate_at(spec, table2)
         want = brute_correlation(field2, 5, "monic", shifts, (kf,) * 3, table2)
         assert rep.raw_sum == want
         assert rep.main is None and rep.deviation is None
@@ -173,7 +175,7 @@ class TestBasicSums:
         lam2 = builtin("liouville_truncated", field2, y=2)
         x = parse_poly("x", field2)
         spec = CorrelationSpec(field2, 8, "monic", (x, x), (lam2, lam2))
-        rep = correlate(spec, table2)
+        rep = correlate_at(spec, table2)
         assert rep.main is not None
         want = brute_correlation(field2, 8, "monic", (x, x), (lam2, lam2),
                                  table2)
@@ -185,18 +187,18 @@ class TestReportInvariants:
         zero, x = parse_poly("0", field2), parse_poly("x", field2)
         for fns in ((builtin("liouville", field2), builtin("moebius", field2)),
                     (builtin("phi_ratio", field2), builtin("phi_ratio", field2))):
-            rep = correlate(CorrelationSpec(field2, 8, "monic", (zero, x), fns),
-                            table2)
+            rep = correlate_at(CorrelationSpec(field2, 8, "monic", (zero, x), fns),
+                               table2)
             assert abs(rep.normalized) <= 1 + 1e-12
 
     def test_conjugation_symmetry(self, field2, table2):
         lpr = builtin_additive("log_phi_ratio", field2)
         zero, one_h = parse_poly("0", field2), parse_poly("1", field2)
         t = 1.4
-        plus = correlate(CorrelationSpec(
+        plus = correlate_at(CorrelationSpec(
             field2, 7, "monic", (zero, one_h),
             (exp_additive(lpr, t), exp_additive(lpr, t))), table2)
-        minus = correlate(CorrelationSpec(
+        minus = correlate_at(CorrelationSpec(
             field2, 7, "monic", (zero, one_h),
             (exp_additive(lpr, -t), exp_additive(lpr, -t))), table2)
         assert abs(complex(plus.raw_sum).conjugate()
@@ -205,16 +207,16 @@ class TestReportInvariants:
     def test_normalization_uses_exact_prime_count(self, field2, table2):
         one = builtin("one", field2)
         zero = parse_poly("0", field2)
-        rep = correlate(CorrelationSpec(field2, 9, "prime", (zero, zero),
-                                        (one, one)), table2)
+        rep = correlate_at(CorrelationSpec(field2, 9, "prime", (zero, zero),
+                                           (one, one)), table2)
         assert rep.domain_size == table2.count(9)
         assert rep.normalized == 1.0
 
     def test_main_term_attached_for_pairs(self, field2, table2):
         pr = builtin("phi_ratio", field2)
         zero, one_h = parse_poly("0", field2), parse_poly("1", field2)
-        rep = correlate(CorrelationSpec(field2, 8, "monic", (zero, one_h),
-                                        (pr, pr)), table2)
+        rep = correlate_at(CorrelationSpec(field2, 8, "monic", (zero, one_h),
+                                           (pr, pr)), table2)
         assert rep.main is not None and rep.deviation is not None
         assert rep.deviation == abs(rep.normalized - rep.main.value)
 
@@ -255,11 +257,28 @@ class TestValidation:
             CorrelationSpec(*args, 4)
 
     def test_wrong_field_table(self, field2, table3):
+        # correlate reads no table; the scan its columns come from refuses
         one = builtin("one", field2)
         spec = CorrelationSpec(field2, 4, "monic", (parse_poly("0", field2),),
                                (one,))
-        with pytest.raises(EngineError):
-            correlate(spec, table3)
+        with pytest.raises(SpecError):
+            correlate_at(spec, table3)
+
+    def test_columns_and_main_term_must_fit_the_spec(self, field2, table2):
+        kf = builtin("kfree", field2, k=2)
+        zero, one_h = parse_poly("0", field2), parse_poly("1", field2)
+        pair = CorrelationSpec(field2, 6, "monic", (zero, one_h), (kf, kf))
+        triple = CorrelationSpec(field2, 6, "monic", (zero, one_h, one_h),
+                                 (kf, kf, kf))
+        [columns] = scan(triple.functions, triple.shifts, [6], "monic", table2)
+        [main] = main_term([6], ShiftPair(zero, one_h), kf, kf, "monic", table2)
+        with pytest.raises(EngineError, match="3 columns for 2 shifts"):
+            correlate(pair, columns, main)
+        with pytest.raises(EngineError, match="main term"):
+            correlate(pair, columns[:2], None)
+        with pytest.raises(EngineError, match="main term"):
+            correlate(triple, columns, main)
+        assert correlate(pair, columns[:2], main) == correlate_at(pair, table2)
 
     def test_prime_domain_needs_listing(self, field2, table2):
         one = builtin("one", field2)
@@ -267,7 +286,7 @@ class TestValidation:
                                (one,))
         from fqlab import TableTooSmallError
         with pytest.raises(TableTooSmallError):
-            correlate(spec, table2)
+            correlate_at(spec, table2)
 
 
 class TestCrtCount:
@@ -410,10 +429,10 @@ class TestResidueClassAverage:
         for f1, f2 in ((mu, mu), (sqfree, sqfree), (mu, sqfree)):
             want = residue_average(f1, f2, h1, h2, M)
             for n in ns:
-                rep = correlate(CorrelationSpec(field, n, "monic", (h1, h2),
-                                                (f1, f2)), table)
+                rep = correlate_at(CorrelationSpec(field, n, "monic", (h1, h2),
+                                                   (f1, f2)), table)
                 assert Fraction(rep.raw_sum, p**n) == want, (f1.name, f2.name, n)
             for n in (ns[-1], None):
-                main = main_term(n, ShiftPair(h1, h2), f1, f2, "monic", table)
+                [main] = main_term([n], ShiftPair(h1, h2), f1, f2, "monic", table)
                 assert abs(Fraction(main.value) - want) <= \
                     Fraction(main.tail_bound), (f1.name, f2.name, n)

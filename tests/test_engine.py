@@ -25,7 +25,6 @@ from fqlab import (
     build_table,
     builtin,
     builtin_additive,
-    correlate,
     custom_from_table,
     empirical_distribution,
     exp_additive,
@@ -36,7 +35,7 @@ from fqlab import SpecError, arith, sieve
 from fqlab.arith import AdditiveSpec, scan, scan_degrees, value_arrays
 from fqlab.fieldpoly import monic_from_index
 from fqlab.sieve import prime_valuations
-from oracles import eval_on
+from oracles import correlate_at, eval_on
 
 # largest degree per p; the tables list primes that far, so the prime
 # domain is available at every degree drawn
@@ -562,8 +561,8 @@ class TestEnumerationGuard:
         t0 = time.perf_counter()
         for domain in ("monic", "prime"):
             with pytest.raises(MemoryBudgetError):
-                correlate(CorrelationSpec(field2, 40, domain, (zero, one_h),
-                                          (kf, kf)), table2)
+                correlate_at(CorrelationSpec(field2, 40, domain, (zero, one_h),
+                                             (kf, kf)), table2)
             with pytest.raises(MemoryBudgetError):
                 empirical_distribution(om, om, ShiftPair(zero, one_h), 40,
                                        domain, table2)

@@ -325,10 +325,14 @@ class TestStatisticsAgainstLoops:
     @pytest.mark.parametrize("p, n_max", [(2, 7), (3, 4)])
     def test_violations_reported_in_loop_order(self, p, n_max, monkeypatch):
         # ten times the totient makes the bound fail often; the reported
-        # (n, M, key) triples and their order are those of the loops
-        totients = stats.phi_values
+        # (n, M, key) triples and their order are those of the loops.  The
+        # skipped pairs are decided from the largest totient, q^d - 1, so
+        # the rule is given ten times that too
+        totients, breakable = stats.phi_values, stats._bt_breakable
         monkeypatch.setattr(stats, "phi_values", lambda table, degrees: [
             10 * t for t in totients(table, degrees)])
+        monkeypatch.setattr(stats, "_bt_breakable", lambda q, n, d, top:
+                            breakable(q, n, d, 10 * top))
         got = brun_titchmarsh_violations(n_max, _table(p))
         assert got and got == bt_oracle(n_max, _table(p), scale=10)
 
@@ -382,8 +386,9 @@ class TestBrunTitchmarshPairs:
         # value array lists multiples here
         table = _table(p)
         totients = dict(zip(range(1, n_max), phi_values(table, range(1, n_max))))
-        monkeypatch.setattr(stats, "phi_values",
-                            lambda t, degrees: [totients[d] for d in degrees])
+        asked = []
+        monkeypatch.setattr(stats, "phi_values", lambda t, degrees: [
+            totients[d] for d in asked.extend(degrees) or degrees])
         _, kernels = TestResidueMap._spy(monkeypatch)
         counted, counts = [], stats.residue_counts
 
@@ -398,6 +403,8 @@ class TestBrunTitchmarshPairs:
                 if stats._bt_breakable(p, n, d, int(totients[d].max()))]
         assert list(dict.fromkeys(counted)) == want
         assert len(kernels) == len({d for _, d in want}) < len(want)
+        # the totients only of the modulus degrees with a pair to count
+        assert asked == sorted({d for _, d in want})
 
 
 @pytest.mark.parametrize("p, d_max", [(2, 8), (3, 5), (5, 3)])

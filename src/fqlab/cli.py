@@ -254,9 +254,9 @@ def _write_artifacts(out: str, rows: list[dict], summary: str) -> None:
     tmp = {ext: f"{out}{ext}.{tag}.tmp" for ext in (".csv", ".json")}
     try:
         with open(tmp[".csv"], "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=keys)
-            w.writeheader()
-            w.writerows(rows)
+            w = csv.writer(fh)
+            w.writerow(keys)
+            w.writerows([r[k] for k in keys] for r in rows)
         with open(tmp[".json"], "w") as fh:
             fh.write(_json_rows(rows))
         for ext, path in tmp.items():
@@ -269,17 +269,20 @@ def _write_artifacts(out: str, rows: list[dict], summary: str) -> None:
     print(f"wrote {out}.csv and {out}.json")
 
 
-# one row's items, one per line: json's C encoder, which indent would bypass
+# the items of a list of rows, one per line: json's C encoder, which
+# indent would bypass
 _ROW_ENCODER = json.JSONEncoder(separators=(",\n  ", ": "))
 
 
 def _json_rows(rows: list[dict]) -> str:
-    """The bytes of json.dumps(rows, indent=1) + "\n" for nonempty rows
-    of scalars, as every command writes."""
+    """The bytes of json.dumps(rows, indent=1) + "\n" for rows of
+    scalars with at least one key each, as every command writes: one
+    encode of the whole list, whose row breaks "},\n  {" (which no
+    encoded string holds, as none holds a raw newline) are respaced."""
     if not rows:
         return "[]\n"
-    return "[\n" + ",\n".join(
-        " {\n  " + _ROW_ENCODER.encode(r)[1:-1] + "\n }" for r in rows) + "\n]\n"
+    body = _ROW_ENCODER.encode(rows)[2:-2]
+    return "[\n {\n  " + body.replace("},\n  {", "\n },\n {\n  ") + "\n }\n]\n"
 
 
 def _report_row(rep, seconds: float, extra: dict | None = None) -> dict:

@@ -6,26 +6,29 @@ Brun-Titchmarsh, divisor products).
 Everything here is exact where the object is exact (counts, the sieve
 statistics as Fractions) and enumeration-based where it is a sample (the
 value multisets).  Every scan is a numpy pass over the columns that
-correlate reads too (arith.scan over the valuation sieve): the
-value multiset is one np.unique of a one-degree scan, and tk_ratio
-reads the column its caller scanned (the tk command scans its whole
-range of degrees at once).  H(m) and the divisor-product maximum
-read the prime counts N_d alone: a coefficient of prod_d (1 + 3u^d)^{N_d}
-and a knapsack over degrees.  The progression statistics use no
-per-prime division.  The Bombieri-Vinogradov sum and Brun-Titchmarsh
-count primes per residue class with sieve.residue_counts(table, degrees,
-d), read off one listing of the multiples of every modulus of degree d,
-which for Brun-Titchmarsh serves every n; the totients of all their
-modulus degrees come from one arith.phi_values window.  Theta marks the
-shifted primes P + h once in a mask over the monic polynomials of
-degree n and counts the marks at the multiples of each prime modulus
-(sieve.prime_valuations at the first power).
+correlate reads too (arith.scan over the valuation sieve): the value
+multiset is one np.unique of a one-degree scan, whose characteristic
+function is one array pass over the whole t grid (in blocks of
+SIEVE_BLOCK_CELLS cells); the limit walks one main term per pair +-t, as
+the additive values are real and phi(-t) = conj phi(t), so it takes
+additive specs only.  tk_ratio reads the column its caller scanned (the
+tk command scans its whole range of degrees at once).  H(m) and the
+divisor-product maximum read the prime counts N_d alone: a coefficient
+of prod_d (1 + 3u^d)^{N_d} and a knapsack over degrees.  The progression
+statistics use no per-prime division.  The Bombieri-Vinogradov sum and
+Brun-Titchmarsh count primes per residue class with
+sieve.residue_counts(table, degrees, d), read off one listing of the
+multiples of every modulus of degree d, which for Brun-Titchmarsh serves
+every n; the totients of all their modulus degrees come from one
+arith.phi_values window.  Theta marks the shifted primes P + h once in a
+mask over the monic polynomials of degree n and counts the marks at the
+multiples of each prime modulus (sieve.prime_valuations at the first
+power).
 """
 
 from __future__ import annotations
 
 import bisect
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,6 +45,7 @@ from .arith import (
 from .fieldpoly import Poly, monic_from_index
 from .mainterm import ShiftPair, TruncatedValue, main_term
 from .sieve import (
+    SIEVE_BLOCK_CELLS,
     IrreducibleTable,
     SieveError,
     TableTooSmallError,
@@ -75,12 +79,6 @@ class EmpiricalDistribution:
     def cdf(self, x: float) -> float:
         i = bisect.bisect_right(self.values, x)
         return sum(self.counts[:i]) / self.domain_size
-
-    def char_value(self, t: float) -> complex:
-        total = 0j
-        for v, c in zip(self.values, self.counts):
-            total += c * cmath.exp(1j * t * v)
-        return total / self.domain_size
 
     def dump_rows(self):
         return list(zip(self.values, self.counts))
@@ -142,10 +140,31 @@ def empirical_charfn(psi1: FunctionSpec, psi2: FunctionSpec, shifts: ShiftPair,
                      table: IrreducibleTable) -> CharFunctionGrid:
     """phi_n(t): the normalized sum of exp(i t (psi1(f+h1)+psi2(f+h2))),
     from the grouped multiset of the additive values (one enumeration
-    pass for the whole grid)."""
+    pass for the whole grid), as one array pass: the rows of
+    exp(i outer(ts, values)) * counts summed and divided by the domain
+    size, in blocks of t of at most SIEVE_BLOCK_CELLS cells of (points x
+    distinct values).  A t whose products t * value are not finite floats
+    is refused with StatsError."""
     ts = tuple(float(t) for t in t_grid)
     dist = empirical_distribution(psi1, psi2, shifts, n, domain, table)
-    return CharFunctionGrid(ts, tuple(dist.char_value(t) for t in ts))
+    values = np.array(dist.values)
+    counts = np.array(dist.counts, dtype=np.float64)
+    rows = max(1, SIEVE_BLOCK_CELLS // len(values))
+    out = []
+    for i in range(0, len(ts), rows):
+        block = np.array(ts[i:i + rows])
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase = np.multiply.outer(block, values)
+        finite = np.isfinite(phase).all(axis=1)
+        if not finite.all():
+            t = float(block[np.argmin(finite)])
+            raise StatsError(f"t = {t!r} times a value of {psi1.name} + "
+                             f"{psi2.name} is not a finite float")
+        # numpy's pairwise sum, not a BLAS product, whose kernel (and so
+        # the last bit) depends on the CPU
+        terms = np.exp(1j * phase) * counts
+        out += (terms.sum(axis=1) / dist.domain_size).tolist()
+    return CharFunctionGrid(ts, tuple(out))
 
 
 def limit_charfn(psi1: FunctionSpec, psi2: FunctionSpec, shifts: ShiftPair,
@@ -157,14 +176,28 @@ def limit_charfn(psi1: FunctionSpec, psi2: FunctionSpec, shifts: ShiftPair,
     (1e-12); each local factor is summed to double precision.  At every
     t != 0, an additive function with neither a decay bound (a > 1) nor a
     trivial degree, such as omega, raises MainTermError before any degree
-    is walked."""
-    out = []
-    for t in t_grid:
-        e1 = exp_additive(psi1, float(t))
-        e2 = exp_additive(psi2, float(t))
-        out += main_term([None], shifts, e1, e2, mode, table)
-    return CharFunctionGrid(tuple(float(t) for t in t_grid),
-                            phi_limit=tuple(out))
+    is walked.
+
+    The additive values are real, so phi(-t) = conj phi(t): each |t| is
+    walked once, at the sign that comes first in the grid (so refusals
+    come in grid order), and a later -t (or t again) reads that walk,
+    conjugated for -t with the same tail bound.  A spec that is not
+    additive is refused with StatsError."""
+    for psi in (psi1, psi2):
+        if not psi.additive:
+            raise StatsError(f"limit_charfn takes additive specs, not {psi.name}")
+    ts = tuple(float(t) for t in t_grid)
+    phi: dict[float, TruncatedValue] = {}
+    for t in ts:
+        if t in phi:
+            continue
+        if -t in phi:
+            phi[t] = TruncatedValue(phi[-t].value.conjugate(), phi[-t].tail_bound)
+        else:
+            e1 = exp_additive(psi1, t)
+            e2 = exp_additive(psi2, t)
+            [phi[t]] = main_term([None], shifts, e1, e2, mode, table)
+    return CharFunctionGrid(ts, phi_limit=tuple(phi[t] for t in ts))
 
 
 def charfn_comparison(psi1: FunctionSpec, psi2: FunctionSpec,

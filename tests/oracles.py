@@ -2,9 +2,12 @@
 closed-form twins of what the library computes another way, the
 pretentiousness metrics and trend scan that left the library for want of
 a caller (kept here with their tests), correlate_at, a range of one
-degree as the CLI steps through a range, and constant_sign, a spec
-without degree symmetry.  Nothing in the library calls them."""
+degree as the CLI steps through a range, char_value and
+limit_charfn_per_t, the per-t loops the characteristic-function grid
+was computed by, and constant_sign, a spec without degree symmetry.
+Nothing in the library calls them."""
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,6 +18,7 @@ from fqlab import (
     CharFunctionGrid,
     CorrelationReport,
     CorrelationSpec,
+    EmpiricalDistribution,
     EngineError,
     Factorization,
     FunctionSpec,
@@ -92,6 +96,29 @@ def charfn_by_correlate(psi1: FunctionSpec, psi2: FunctionSpec,
         (exp_additive(psi1, t), exp_additive(psi2, t))), table).normalized)
         for t in ts)
     return CharFunctionGrid(ts, phi_empirical=vals)
+
+
+def char_value(dist: EmpiricalDistribution, t: float) -> complex:
+    """Twin of stats.empirical_charfn at one t: the normalized sum of
+    c exp(i t v) over the distinct values v and their counts c, one
+    value at a time."""
+    total = 0j
+    for v, c in zip(dist.values, dist.counts):
+        total += c * cmath.exp(1j * t * v)
+    return total / dist.domain_size
+
+
+def limit_charfn_per_t(psi1: FunctionSpec, psi2: FunctionSpec,
+                       shifts: ShiftPair, t_grid, mode: str,
+                       table: IrreducibleTable) -> CharFunctionGrid:
+    """Twin of stats.limit_charfn: one infinite main-term walk per grid
+    point, with no use of phi(-t) = conj phi(t)."""
+    ts = tuple(float(t) for t in t_grid)
+    out = []
+    for t in ts:
+        out += main_term([None], shifts, exp_additive(psi1, t),
+                         exp_additive(psi2, t), mode, table)
+    return CharFunctionGrid(ts, phi_limit=tuple(out))
 
 
 def liouville_local_closed(d: int, k: int, q: int) -> Fraction:

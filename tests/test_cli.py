@@ -1025,7 +1025,15 @@ class TestArtifacts:
           "zero": -0.0, "line": "a\nb\t{c}", "sep": ",\n  "},
          {"none": 1, "nan": 2.5, "inf": "x", "zero": 0, "line": "",
           "sep": "]"}],
-    ], ids=["empty", "repr-floats", "mixed", "specials"])
+        [{"value": "0.5", "multiplicity": 1}],
+        [{"a": '},\n  {', "b": "\\},\n  {\\", "c": '"}, {"', "d": False},
+         {"a": "\u00e9\u2603\U0001f600", "b": None, "c": "\\", "d": 0}],
+        [{"value": repr(k / 7 - 40.0), "multiplicity": k % 5 + 1,
+          "name": ["},\n  {", "q\"u", "b\\s", "n\nl", "\u00fc"][k % 5],
+          "ok": k % 3 == 0, "none": None if k % 4 else k}
+         for k in range(577)],
+    ], ids=["empty", "repr-floats", "mixed", "specials", "one-row",
+            "row-breaks-in-strings", "577-rows"])
     def test_rows_keep_their_bytes(self, rows, tmp_path, capsys):
         _write_artifacts(str(tmp_path / "new"), rows, "summary")
         new = [(tmp_path / f"new{ext}").read_bytes() for ext in (".csv", ".json")]
@@ -1199,6 +1207,9 @@ HOSTILE = [
     (["charfn", "--p", "2", "--n", "4", "--t-grid=1e17:2e17:1"], 1, "--t-grid"),
     (["charfn", "--p", "2", "--n", "4", "--t-grid=1,nan"], 1, "--t-grid"),
     (["charfn", "--p", "2", "--n", "4", "--t-grid=0:1e9:1"], 1, "--t-grid"),
+    # a finite t whose products t * value are not finite (once "math
+    # domain error" from cmath.exp(1j * inf))
+    (["charfn", "--p", "2", "--n", "5", "--t-grid=1e308,-1e308"], 1, None),
     (["mainterm", "--p", "2", "--f", "liouville", "--g", "liouville",
       "--h1", "0", "--h2", "1", "--depth", "1000000000"], 1, None),
     # every degree is >= 1, checked by the declaration table

@@ -1,5 +1,7 @@
 import cmath
+import functools
 import math
+import re
 import struct
 from collections import Counter
 from fractions import Fraction
@@ -38,11 +40,33 @@ from fqlab.arith import scan
 from fqlab.cli import _TK_RULES
 from fqlab.fieldpoly import monic_from_index
 from fqlab.sieve import shifted
-from oracles import charfn_by_correlate, eval_on
+from oracles import (
+    char_value,
+    charfn_by_correlate,
+    eval_on,
+    limit_charfn_per_t,
+)
 
 
 def pair(field, a, b):
     return ShiftPair(parse_poly(a, field), parse_poly(b, field))
+
+
+@functools.cache
+def small_table(p):
+    """A table that factors every shift difference the limit tests use."""
+    return build_table(FieldSpec(p), 2)
+
+
+# t grids for the limit against the per-t loop: mirrors that come
+# before, after and twice, none at all, and a signed zero
+LIMIT_GRIDS = {
+    "symmetric": (-2.0, -1.0, 0.0, 1.0, 2.0),
+    "asymmetric": (-0.5, 0.25, 1.5, 0.5, 3.0),
+    "repeated": (1.0, 1.0, -1.0, 0.3, -1.0, 0.3, -0.3),
+    "negative": (-3.0, -0.7, -0.001),
+    "signed-zero": (0.0, -0.0, 0.0, -0.0),
+}
 
 
 def tk_spec(field, rule):
@@ -149,6 +173,102 @@ class TestCharFn:
         b = charfn_by_correlate(lpr, lpr, sh, 6, "monic", grid, table2)
         for va, vb in zip(a.phi_empirical, b.phi_empirical):
             assert abs(va - vb) <= 1e-10
+
+    @pytest.mark.parametrize("p, domain, n", [
+        (2, "monic", 8), (2, "prime", 9), (3, "monic", 5), (3, "prime", 6),
+    ])
+    @pytest.mark.parametrize("rows", [None, 1, 4],
+                             ids=["one-block", "one-t-per-block", "blocks"])
+    def test_empirical_grid_is_the_char_value_loop(self, p, domain, n, rows,
+                                                   table2, table3,
+                                                   monkeypatch):
+        # the array pass against one loop over the distinct values per t,
+        # whole or in blocks of rows points (the last block shorter)
+        table = {2: table2, 3: table3}[p]
+        lpr = builtin_additive("log_phi_ratio", table.field)
+        sh = pair(table.field, "0", "1")
+        grid = (-3.0, -0.5, 0.0, 0.25, 1.0, -1.0, 2.5, 40.0, 0.0)
+        dist = empirical_distribution(lpr, lpr, sh, n, domain, table)
+        if rows is not None:
+            cells = rows * len(dist.values) + len(dist.values) - 1
+            monkeypatch.setattr(stats, "SIEVE_BLOCK_CELLS", cells)
+        got = empirical_charfn(lpr, lpr, sh, n, domain, grid, table)
+        assert got.t_values == grid and len(got.phi_empirical) == len(grid)
+        for t, v in zip(grid, got.phi_empirical):
+            assert abs(v - char_value(dist, t)) <= 1e-14
+        assert got.phi_empirical[2] == got.phi_empirical[-1] == 1.0
+
+    def test_non_finite_phase_refused(self, field2, table2):
+        # cmath.exp(1j * inf) once ended in "math domain error"; an array
+        # pass would give NaN
+        lpr = builtin_additive("log_phi_ratio", field2)
+        with pytest.raises(StatsError, match=re.escape("t = 1e+308 ")):
+            empirical_charfn(lpr, lpr, pair(field2, "0", "1"), 5, "monic",
+                             (1.0, 1e308, -1e308), table2)
+        # a product that stays finite passes, however large
+        g = empirical_charfn(lpr, lpr, pair(field2, "0", "1"), 5, "monic",
+                             (1e300,), table2)
+        assert all(map(cmath.isfinite, g.phi_empirical))
+
+    @pytest.mark.parametrize("mode", ["monic", "prime"])
+    @pytest.mark.parametrize("p, h2", [
+        (2, "1"), (2, "x^2+x"), (3, "x+2"), (3, "x^2+x"), (5, "x^2+x"),
+    ])
+    def test_limit_grid_is_the_per_t_loop(self, p, h2, mode):
+        # bit for bit: value, its type (a real value stays a float) and
+        # tail, with special primes (x, x + 1 | x^2 + x) and a lone one
+        field = FieldSpec(p)
+        table = small_table(p)
+        lpr = builtin_additive("log_phi_ratio", field)
+        sh = pair(field, "0", h2)
+        for psi1, psi2 in ((lpr, lpr), (lpr, builtin_additive("zero", field))):
+            for grid in LIMIT_GRIDS.values():
+                got = limit_charfn(psi1, psi2, sh, grid, mode, table)
+                want = limit_charfn_per_t(psi1, psi2, sh, grid, mode, table)
+                assert got.t_values == want.t_values
+                assert ([(type(v.value), repr(v.value), repr(v.tail_bound))
+                         for v in got.phi_limit]
+                        == [(type(v.value), repr(v.value), repr(v.tail_bound))
+                            for v in want.phi_limit])
+
+    def test_one_walk_per_mirror_pair(self, field2, table2, monkeypatch):
+        # a walk per t whose mirror -t (or t itself) has not come earlier,
+        # at the sign that comes first
+        names = []
+        walk = stats.main_term
+
+        def spy(degrees, shifts, e1, e2, mode, table):
+            names.append(e1.name)
+            return walk(degrees, shifts, e1, e2, mode, table)
+
+        monkeypatch.setattr(stats, "main_term", spy)
+        lpr = builtin_additive("log_phi_ratio", field2)
+        sh = pair(field2, "0", "1")
+        grid = [t / 2 for t in range(-6, 7)]
+        limit_charfn(lpr, lpr, sh, grid, "monic", table2)
+        assert names == [f"exp({t:g}*log_phi_ratio)" for t in grid[:6]] + ["one"]
+        names.clear()
+        limit_charfn(lpr, lpr, sh, (0.5, -0.5, 1.0, -0.0, 0.0, 1.0, -2.0, 2.0),
+                     "monic", table2)
+        assert names == ["exp(0.5*log_phi_ratio)", "exp(1*log_phi_ratio)",
+                         "one", "exp(-2*log_phi_ratio)"]
+
+    def test_refusal_at_the_first_sign(self, field2, table2):
+        # omega has no decay bound: the walk at the grid's first t refuses
+        omega = builtin_additive("omega", field2)
+        from fqlab import MainTermError
+        with pytest.raises(MainTermError, match=re.escape("exp(-3*omega)")):
+            limit_charfn(omega, omega, pair(field2, "0", "1"), (-3.0, 3.0),
+                         "monic", table2)
+
+    def test_non_additive_spec_refused(self, field2, table2):
+        # phi(-t) = conj phi(t) needs real values
+        lpr = builtin_additive("log_phi_ratio", field2)
+        mob = builtin("moebius", field2)
+        for psi1, psi2 in ((mob, lpr), (lpr, mob)):
+            with pytest.raises(StatsError, match="moebius"):
+                limit_charfn(psi1, psi2, pair(field2, "0", "1"), (1.0,),
+                             "monic", table2)
 
     def test_limit_at_zero_is_one(self, field2, table2):
         lpr = builtin_additive("log_phi_ratio", field2)
